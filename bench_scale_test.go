@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"pioeval/internal/des"
-	"pioeval/internal/pfs"
 	"pioeval/internal/workload"
 )
 
@@ -20,11 +18,13 @@ import (
 func BenchmarkScaleCheckpoint10k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := des.NewEngine(11)
-		fs := pfs.New(e, pfs.DefaultConfig())
-		rep := workload.RunScaleCheckpoint(e, fs, workload.ScaleConfig{
-			Ranks: 10_000, BytesPerRank: 1 << 20, Steps: 1,
-			TransferSize: 1 << 20, RanksPerNode: 64, StripeCount: 1,
+		rep := workload.RunShardedCheckpoint(workload.ShardedConfig{
+			Scale: workload.ScaleConfig{
+				Ranks: 10_000, BytesPerRank: 1 << 20, Steps: 1,
+				TransferSize: 1 << 20, RanksPerNode: 64, StripeCount: 1,
+			},
+			Shards: 1,
+			Seed:   11,
 		})
 		if rep.IOErrors != 0 {
 			b.Fatalf("I/O errors: %d", rep.IOErrors)
@@ -39,11 +39,13 @@ func BenchmarkScaleCheckpoint10k(b *testing.B) {
 func BenchmarkScaleRankMemory(b *testing.B) {
 	const ranks = 10_000
 	for i := 0; i < b.N; i++ {
-		e := des.NewEngine(12)
-		fs := pfs.New(e, pfs.DefaultConfig())
-		workload.RunScaleCheckpoint(e, fs, workload.ScaleConfig{
-			Ranks: ranks, BytesPerRank: 256 << 10, Steps: 1,
-			TransferSize: 256 << 10, RanksPerNode: 64, StripeCount: 1,
+		workload.RunShardedCheckpoint(workload.ShardedConfig{
+			Scale: workload.ScaleConfig{
+				Ranks: ranks, BytesPerRank: 256 << 10, Steps: 1,
+				TransferSize: 256 << 10, RanksPerNode: 64, StripeCount: 1,
+			},
+			Shards: 1,
+			Seed:   12,
 		})
 	}
 }

@@ -364,9 +364,9 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	for i, w := range counts {
 		oo := o
 		oo.workers = w
-		rep, invOK, wall := runShardedOnce(cluster, oo)
+		rep, invs, _, wall := runShardedOnce(cluster, oo)
 		hash := reportHash(rep)
-		if !invOK {
+		if !invariantsHeld(invs) {
 			ok = false
 		}
 		if i == 0 {
@@ -389,28 +389,38 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	return ok
 }
 
-// runShardedOnce executes one sharded scale run and reports the workload
-// result, whether armed invariants held, and the host wall-clock time.
-func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedReport, bool, time.Duration) {
+// runShardedOnce executes one scale run — sharded across engines when
+// o.shards > 1 — with invariant checkers armed on every shard when
+// o.validate. It returns the workload result, the armed checkers, every
+// shard's file system (so callers can pin simulator state), and the host
+// wall-clock time.
+func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
 	cfg, err := cluster.Config()
 	if err != nil {
 		log.Fatal(err)
 	}
 	var invs []*validate.Invariants
+	var shardFS []*pfs.FS
 	shcfg := workload.ShardedConfig{
 		Scale: o.scaleConfig(), Shards: o.shards, Workers: o.workers,
 		FS: cfg, Seed: cluster.Seed,
-	}
-	if o.validate {
-		shcfg.AttachShard = func(shard int, e *des.Engine, sim *pfs.FS) {
-			col := trace.NewCollector()
-			col.SetLimit(1)
-			invs = append(invs, validate.Attach(e, sim, col))
-		}
+		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
+			shardFS = append(shardFS, sim)
+			if o.validate {
+				col := trace.NewCollector()
+				col.SetLimit(1) // records flow through the invariant hook; retention is not needed
+				invs = append(invs, validate.Attach(e, sim, col))
+			}
+		},
 	}
 	wall0 := time.Now()
 	rep := workload.RunShardedCheckpoint(shcfg)
-	wall := time.Since(wall0)
+	return rep, invs, shardFS, time.Since(wall0)
+}
+
+// invariantsHeld prints every violation the armed checkers recorded and
+// reports whether there were none.
+func invariantsHeld(invs []*validate.Invariants) bool {
 	ok := true
 	for _, inv := range invs {
 		for _, v := range inv.Finish() {
@@ -418,7 +428,7 @@ func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedRepo
 			ok = false
 		}
 	}
-	return rep, ok, wall
+	return ok
 }
 
 // runScale executes the built-in scale checkpoint: a file-per-process
@@ -428,62 +438,19 @@ func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedRepo
 // time, event throughput, and heap bytes per rank. Returns false when an
 // armed invariant was violated.
 func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
-	cfg, err := cluster.Config()
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc := o.scaleConfig()
-
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	wall0 := time.Now()
 
-	var invs []*validate.Invariants
 	// keepFS pins the simulation state through the post-run heap
 	// measurement, so "heap B/rank" reports retained simulator footprint
 	// (engine pool, clients, namespace) instead of zero after collection.
-	var keepFS []*pfs.FS
-	attach := func(e *des.Engine, sim *pfs.FS) {
-		col := trace.NewCollector()
-		col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-		invs = append(invs, validate.Attach(e, sim, col))
-	}
-
-	var makespan des.Time
-	var totalBytes int64
-	var effMBps float64
-	var events uint64
-	var ioErrors uint64
-	if o.shards <= 1 {
-		e := des.NewEngine(cluster.Seed)
-		sim := pfs.New(e, cfg)
-		keepFS = append(keepFS, sim)
-		if o.validate {
-			attach(e, sim)
-		}
-		rep := workload.RunScaleCheckpoint(e, sim, sc)
-		makespan, totalBytes, effMBps, events, ioErrors =
-			rep.Makespan, rep.TotalBytes, rep.EffectiveMBps, rep.Events, rep.IOErrors
-	} else {
-		shcfg := workload.ShardedConfig{
-			Scale: sc, Shards: o.shards, Workers: o.workers,
-			FS: cfg, Seed: cluster.Seed,
-		}
-		shcfg.AttachShard = func(shard int, e *des.Engine, sim *pfs.FS) {
-			keepFS = append(keepFS, sim)
-			if o.validate {
-				attach(e, sim)
-			}
-		}
-		rep := workload.RunShardedCheckpoint(shcfg)
-		makespan, totalBytes, effMBps, events, ioErrors =
-			rep.Makespan, rep.TotalBytes, rep.EffectiveMBps, rep.Events, rep.IOErrors
+	rep, invs, keepFS, wall := runShardedOnce(cluster, o)
+	if rep.Shards > 1 {
 		fmt.Printf("sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
 			rep.Shards, rep.Workers, rep.RanksPerShard, rep.Lookahead, rep.Windows)
 	}
 
-	wall := time.Since(wall0)
 	runtime.GC()
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
@@ -497,18 +464,12 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	fmt.Printf("scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
 		o.ranks, nodes, o.ranksPerNode, o.steps, cli.FormatSize(o.bytesPerRank))
 	fmt.Printf("  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
-		makespan, cli.FormatSize(totalBytes), effMBps, ioErrors)
-	evRate := float64(events) / wall.Seconds()
+		rep.Makespan, cli.FormatSize(rep.TotalBytes), rep.EffectiveMBps, rep.IOErrors)
+	evRate := float64(rep.Events) / wall.Seconds()
 	fmt.Printf("  host: %d events in %v (%.2fM events/s), heap %d B/rank\n",
-		events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
+		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
 
-	ok := true
-	for _, inv := range invs {
-		for _, v := range inv.Finish() {
-			fmt.Printf("validation: VIOLATION %s\n", v)
-			ok = false
-		}
-	}
+	ok := invariantsHeld(invs)
 	if o.validate {
 		var disp, recs, clops, ostev uint64
 		for _, inv := range invs {

@@ -10,8 +10,8 @@ import (
 // ParallelGroup executes several independent engines (logical partitions,
 // "shards") concurrently under conservative synchronization — the classic
 // CMB-style parallel-discrete-event contract: cross-partition interactions
-// must carry at least one link lookahead of latency, so no cross event can
-// land inside the window that emits it. Results are bit-identical to a
+// must carry at least one lookahead of latency, so no cross event can land
+// inside the window that emits it. Results are bit-identical to a
 // sequential execution at any worker count.
 //
 // The coupling layer is built for throughput:
@@ -25,28 +25,17 @@ import (
 //     steady state. Lanes are flushed between epochs and merged
 //     per-destination in deterministic (at, from, seq) order on reusable
 //     scratch buffers.
-//   - Per-link lookahead. SetLookahead(from, to, la) gives each directed
-//     link its own lookahead (SetNoLink removes a link entirely), and each
-//     shard advances to its own safe time — min over in-links of the
-//     source's next-event lower bound plus the link lookahead — instead of
-//     a single global earliest+lookahead window. Sparse topologies get
-//     fewer, larger windows, and shards unreachable from the rest of the
-//     group run free of the barrier.
+//   - One uniform window. Every epoch ends at the earliest next-work bound
+//     over all shards plus the group lookahead (capped at the horizon);
+//     every shard executes up to that one time.
 //   - Cached next-event times. The per-epoch scan reads cached bounds
 //     refreshed only for shards that executed or received messages; idle
 //     engines are not re-queried every window.
 type ParallelGroup struct {
-	engines []*Engine
-	n       int
-	defLA   Time
-	workers int
-
-	// la is the n×n per-link lookahead matrix in row-major [from*n+to]
-	// order; noLink marks an absent link. inLinks caches, per destination,
-	// the links that constrain its safe time (rebuilt on topology change).
-	la      []Time
-	inLinks [][]inLink
-	linksOK bool
+	engines   []*Engine
+	n         int
+	lookahead Time
+	workers   int
 
 	// lanes[from*n+to] buffers cross events; a lane is written only by the
 	// worker executing shard `from` (or by the caller between Runs) and
@@ -64,10 +53,9 @@ type ParallelGroup struct {
 	scratch []crossEvent
 
 	// locNext caches each engine's next-event time (MaxTime when idle);
-	// next and winEnd are the per-epoch work bound and window end.
+	// winEnd is the current epoch's window end, shared by every shard.
 	locNext []Time
-	next    []Time
-	winEnd  []Time
+	winEnd  Time
 
 	windows uint64
 
@@ -81,15 +69,6 @@ type ParallelGroup struct {
 	panics    []any
 }
 
-// inLink is one directed link constraining a destination's safe time.
-type inLink struct {
-	src int32
-	la  Time
-}
-
-// noLink marks an absent link in the lookahead matrix.
-const noLink Time = MaxTime
-
 // crossEvent is a pending cross-partition event.
 type crossEvent struct {
 	at   Time
@@ -98,9 +77,8 @@ type crossEvent struct {
 	fn   func()
 }
 
-// NewParallelGroup couples engines with the given default lookahead (> 0)
-// on every directed link, including self-links. Use SetLookahead /
-// SetNoLink to refine the topology.
+// NewParallelGroup couples engines with the given lookahead (> 0): the
+// minimum delay of every cross-partition Send, self-sends included.
 func NewParallelGroup(lookahead Time, engines ...*Engine) *ParallelGroup {
 	if lookahead <= 0 {
 		panic("des: parallel lookahead must be positive")
@@ -110,20 +88,14 @@ func NewParallelGroup(lookahead Time, engines ...*Engine) *ParallelGroup {
 	}
 	n := len(engines)
 	g := &ParallelGroup{
-		engines: engines,
-		n:       n,
-		defLA:   lookahead,
-		la:      make([]Time, n*n),
-		lanes:   make([][]crossEvent, n*n),
-		laneSeq: make([]uint64, n),
-		pend:    make([][]crossEvent, n),
-		pendMin: make([]Time, n),
-		locNext: make([]Time, n),
-		next:    make([]Time, n),
-		winEnd:  make([]Time, n),
-	}
-	for i := range g.la {
-		g.la[i] = lookahead
+		engines:   engines,
+		n:         n,
+		lookahead: lookahead,
+		lanes:     make([][]crossEvent, n*n),
+		laneSeq:   make([]uint64, n),
+		pend:      make([][]crossEvent, n),
+		pendMin:   make([]Time, n),
+		locNext:   make([]Time, n),
 	}
 	for i := range g.pendMin {
 		g.pendMin[i] = MaxTime
@@ -134,40 +106,12 @@ func NewParallelGroup(lookahead Time, engines ...*Engine) *ParallelGroup {
 // Engine returns partition i's engine.
 func (g *ParallelGroup) Engine(i int) *Engine { return g.engines[i] }
 
-// Lookahead returns the group's default link lookahead.
-func (g *ParallelGroup) Lookahead() Time { return g.defLA }
+// Lookahead returns the group's lookahead.
+func (g *ParallelGroup) Lookahead() Time { return g.lookahead }
 
 // Windows reports how many lookahead windows (epochs) Run has executed;
 // scale tooling uses it to show how coarsely the group synchronizes.
 func (g *ParallelGroup) Windows() uint64 { return g.windows }
-
-// SetLookahead sets the lookahead of the directed link from → to (la > 0).
-// A larger per-link lookahead widens every window the destination can be
-// granted; Send on the link requires delay >= la.
-func (g *ParallelGroup) SetLookahead(from, to int, la Time) {
-	if la <= 0 {
-		panic("des: per-link lookahead must be positive")
-	}
-	g.checkPair(from, to)
-	g.la[from*g.n+to] = la
-	g.linksOK = false
-}
-
-// SetNoLink declares that partition `from` never sends to partition `to`
-// (including from == to, which drops the default self-link). The link
-// stops constraining the destination's safe time — a shard with no
-// in-links runs ahead without any barrier — and Send on it panics.
-func (g *ParallelGroup) SetNoLink(from, to int) {
-	g.checkPair(from, to)
-	g.la[from*g.n+to] = noLink
-	g.linksOK = false
-}
-
-func (g *ParallelGroup) checkPair(from, to int) {
-	if to < 0 || to >= g.n || from < 0 || from >= g.n {
-		panic("des: cross-partition index out of range")
-	}
-}
 
 // SetWorkers bounds how many OS workers execute shards within an epoch:
 // 1 runs shards sequentially in index order on the caller, n <= 0 (the
@@ -200,20 +144,17 @@ func (g *ParallelGroup) effectiveWorkers() int {
 
 // Send schedules fn to run on partition `to` after delay `delay` measured
 // from partition `from`'s current time. The delay must be at least the
-// link's lookahead — that is what makes conservative windowed execution
-// correct — and the link must exist. Call it from code executing on
-// partition `from` (event handlers and processes of that engine, or any
-// code while the group is not running); the lane it appends to is owned by
-// the sender's worker, which is what makes the path lock- and
-// allocation-free in steady state.
+// group lookahead — that is what makes conservative windowed execution
+// correct. Call it from code executing on partition `from` (event handlers
+// and processes of that engine, or any code while the group is not
+// running); the lane it appends to is owned by the sender's worker, which
+// is what makes the path lock- and allocation-free in steady state.
 func (g *ParallelGroup) Send(from, to int, delay Time, fn func()) {
-	g.checkPair(from, to)
-	la := g.la[from*g.n+to]
-	if la == noLink {
-		panic(fmt.Sprintf("des: cross-partition send %d->%d on a link declared absent (SetNoLink)", from, to))
+	if to < 0 || to >= g.n || from < 0 || from >= g.n {
+		panic("des: cross-partition index out of range")
 	}
-	if delay < la {
-		panic(fmt.Sprintf("des: cross-partition delay %v below link lookahead %v", delay, la))
+	if delay < g.lookahead {
+		panic(fmt.Sprintf("des: cross-partition delay %v below lookahead %v", delay, g.lookahead))
 	}
 	lane := &g.lanes[from*g.n+to]
 	*lane = append(*lane, crossEvent{
@@ -223,27 +164,6 @@ func (g *ParallelGroup) Send(from, to int, delay Time, fn func()) {
 		fn:   fn,
 	})
 	g.laneSeq[from]++
-}
-
-// rebuildLinks recomputes the per-destination in-link lists from the
-// lookahead matrix.
-func (g *ParallelGroup) rebuildLinks() {
-	if g.linksOK {
-		return
-	}
-	if g.inLinks == nil {
-		g.inLinks = make([][]inLink, g.n)
-	}
-	for to := 0; to < g.n; to++ {
-		links := g.inLinks[to][:0]
-		for from := 0; from < g.n; from++ {
-			if la := g.la[from*g.n+to]; la != noLink {
-				links = append(links, inLink{src: int32(from), la: la})
-			}
-		}
-		g.inLinks[to] = links
-	}
-	g.linksOK = true
 }
 
 // flushLanes moves every buffered cross event into its destination's
@@ -266,7 +186,7 @@ func (g *ParallelGroup) flushLanes() {
 	}
 }
 
-// deliver schedules destination d's due cross events (at <= winEnd[d]) in
+// deliver schedules destination d's due cross events (at <= winEnd) in
 // deterministic (at, from, seq) order, compacting the pending list in
 // place and reusing the group scratch buffer: zero steady-state
 // allocations.
@@ -274,7 +194,7 @@ func (g *ParallelGroup) deliver(d int) {
 	pend := g.pend[d]
 	scratch := g.scratch[:0]
 	keep := pend[:0]
-	we := g.winEnd[d]
+	we := g.winEnd
 	newMin := MaxTime
 	for i := range pend {
 		if pend[i].at <= we {
@@ -333,10 +253,10 @@ func (g *ParallelGroup) cacheNext(s int) {
 
 // runShard executes one shard's window: run to the window end, refresh the
 // next-event cache, and keep the clock in step (never advancing to an
-// unbounded window end, so a free-running shard's clock rests on its last
-// event).
+// unbounded window end, so a saturated window leaves the clock on the
+// shard's last event).
 func (g *ParallelGroup) runShard(s int) {
-	we := g.winEnd[s]
+	we := g.winEnd
 	e := g.engines[s]
 	if g.locNext[s] <= we {
 		e.Run(we)
@@ -393,12 +313,11 @@ func (g *ParallelGroup) stopPool() {
 
 // Run executes all partitions until no events remain anywhere or the
 // horizon is reached, and returns the latest partition clock. Each
-// iteration is one epoch: flush send lanes, bound every shard's safe time
-// from its in-links, deliver due cross events, then execute all shards —
-// pinned to persistent workers — up to their window ends.
+// iteration is one epoch: flush send lanes, end the window one lookahead
+// past the earliest next-work bound, deliver due cross events, then
+// execute all shards — pinned to persistent workers — up to the window end.
 func (g *ParallelGroup) Run(horizon Time) Time {
 	n := g.n
-	g.rebuildLinks()
 	for s := 0; s < n; s++ {
 		g.cacheNext(s)
 	}
@@ -411,40 +330,18 @@ func (g *ParallelGroup) Run(horizon Time) Time {
 		g.flushLanes()
 		minNext := MaxTime
 		for s := 0; s < n; s++ {
-			nx := g.locNext[s]
-			if g.pendMin[s] < nx {
-				nx = g.pendMin[s]
-			}
-			g.next[s] = nx
-			if nx < minNext {
-				minNext = nx
-			}
+			minNext = min(minNext, g.locNext[s], g.pendMin[s])
 		}
 		if minNext == MaxTime || minNext > horizon {
 			break
 		}
 
-		// Safe time per destination: min over in-links of the source's
-		// next-work bound plus the link lookahead. Any message a source can
-		// still emit on a link lands at or beyond that bound, so the
-		// destination may execute everything up to it. A destination with
-		// no (live) in-links is unconstrained and runs to the horizon.
+		// Any message a shard can still emit lands at or beyond its
+		// next-work bound plus the lookahead, so every shard may execute
+		// everything up to the earliest such bound.
+		g.winEnd = min(satAdd(minNext, g.lookahead), horizon)
 		for d := 0; d < n; d++ {
-			safe := MaxTime
-			for _, l := range g.inLinks[d] {
-				if src := g.next[l.src]; src != MaxTime {
-					if b := satAdd(src, l.la); b < safe {
-						safe = b
-					}
-				}
-			}
-			if safe > horizon {
-				safe = horizon
-			}
-			g.winEnd[d] = safe
-		}
-		for d := 0; d < n; d++ {
-			if g.pendMin[d] <= g.winEnd[d] {
+			if g.pendMin[d] <= g.winEnd {
 				g.deliver(d)
 			}
 		}

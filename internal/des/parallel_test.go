@@ -18,10 +18,32 @@ func TestParallelGroupValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("zero lookahead", func() { NewParallelGroup(0, NewEngine(1)) })
+	mustPanic("negative lookahead", func() { NewParallelGroup(-5, NewEngine(1)) })
 	mustPanic("no engines", func() { NewParallelGroup(10) })
 	g := NewParallelGroup(100, NewEngine(1), NewEngine(2))
 	mustPanic("short delay", func() { g.Send(0, 1, 50, func() {}) })
 	mustPanic("bad index", func() { g.Send(0, 5, 100, func() {}) })
+}
+
+// TestParallelGroupSendBelowLinkLookahead checks that every link, in either
+// direction and from an engine to itself, carries the group lookahead: a
+// Send below it panics and a Send at exactly it is legal.
+func TestParallelGroupSendBelowLinkLookahead(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s should panic", name)
+			}
+		}()
+		fn()
+	}
+	g := NewParallelGroup(100, NewEngine(1), NewEngine(2))
+	mustPanic("below link lookahead", func() { g.Send(0, 1, 99, func() {}) })
+	mustPanic("below link lookahead, reverse link", func() { g.Send(1, 0, 99, func() {}) })
+	mustPanic("below link lookahead, self-send", func() { g.Send(1, 1, 0, func() {}) })
+	g.Send(0, 1, 100, func() {}) // exactly the lookahead is legal
+	g.Send(1, 0, 100, func() {})
+	g.Send(0, 0, 100, func() {})
 }
 
 func TestParallelGroupIndependentPartitions(t *testing.T) {
@@ -261,34 +283,21 @@ func TestParallelGroupSingleEngine(t *testing.T) {
 	if !reflect.DeepEqual(arrivals, []Time{15, 25, 35}) {
 		t.Fatalf("arrivals = %v", arrivals)
 	}
-	// The clock parks at the last window end (35 + self-link lookahead).
+	// The clock parks at the last window end (35 + lookahead).
 	if end != 45 {
 		t.Fatalf("end = %v, want 45", end)
 	}
 }
 
-// TestParallelGroupPerLinkLookahead runs a feed-forward chain with very
-// different link latencies and checks both the timing and that the sparse
-// topology synchronizes in fewer windows than the uniform full mesh.
-func TestParallelGroupPerLinkLookahead(t *testing.T) {
-	run := func(sparse bool, workers int) (arrivals []Time, windows uint64) {
+// TestParallelGroupUniformWindowChain runs a feed-forward chain 0→1→2
+// whose second hop is far slower than the group lookahead, next to dense
+// local work on shard 2, and checks the arrival times and the window count
+// at every worker count.
+func TestParallelGroupUniformWindowChain(t *testing.T) {
+	run := func(workers int) (arrivals []Time, windows uint64) {
 		engines := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
 		g := NewParallelGroup(10, engines...)
 		g.SetWorkers(workers)
-		g.SetLookahead(0, 1, 10)
-		g.SetLookahead(1, 2, 1000)
-		if sparse {
-			// Only the chain links exist: 0→1→2.
-			for from := 0; from < 3; from++ {
-				for to := 0; to < 3; to++ {
-					if !(from == 0 && to == 1) && !(from == 1 && to == 2) {
-						g.SetNoLink(from, to)
-					}
-				}
-			}
-		}
-		// Shard 2 has dense local work; under the sparse topology its only
-		// constraint is the slow 1→2 link, so it advances in big windows.
 		var local int
 		var tick func()
 		tick = func() {
@@ -300,10 +309,8 @@ func TestParallelGroupPerLinkLookahead(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			engines[0].After(Time(i*5), func() {
 				g.Send(0, 1, 10, func() {
-					at1 := engines[1].Now()
 					g.Send(1, 2, 1000, func() {
 						arrivals = append(arrivals, engines[2].Now())
-						_ = at1
 					})
 				})
 			})
@@ -316,44 +323,19 @@ func TestParallelGroupPerLinkLookahead(t *testing.T) {
 	}
 	// send i at t=5i arrives at shard 1 at 5i+10, at shard 2 at 5i+1010.
 	want := []Time{1010, 1015, 1020, 1025}
-	sparseArr, sparseWin := run(true, 1)
-	denseArr, denseWin := run(false, 1)
-	if !reflect.DeepEqual(sparseArr, want) || !reflect.DeepEqual(denseArr, want) {
-		t.Fatalf("arrivals sparse %v dense %v, want %v", sparseArr, denseArr, want)
-	}
-	if sparseWin >= denseWin {
-		t.Errorf("sparse topology took %d windows, dense %d — expected fewer", sparseWin, denseWin)
+	seqArr, seqWin := run(1)
+	if !reflect.DeepEqual(seqArr, want) {
+		t.Fatalf("arrivals = %v, want %v", seqArr, want)
 	}
 	for _, w := range []int{2, 3} {
-		if arr, _ := run(true, w); !reflect.DeepEqual(arr, want) {
-			t.Errorf("workers=%d: arrivals = %v, want %v", w, arr, want)
+		if arr, win := run(w); !reflect.DeepEqual(arr, want) || win != seqWin {
+			t.Errorf("workers=%d: arrivals %v in %d windows, want %v in %d", w, arr, win, want, seqWin)
 		}
 	}
 }
 
-// TestParallelGroupSendBelowLinkLookahead checks the per-link contract: a
-// delay legal under the group default still panics when the specific link
-// demands more, and sending on an absent link always panics.
-func TestParallelGroupSendBelowLinkLookahead(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s should panic", name)
-			}
-		}()
-		fn()
-	}
-	g := NewParallelGroup(100, NewEngine(1), NewEngine(2))
-	g.SetLookahead(0, 1, 500)
-	mustPanic("below link lookahead", func() { g.Send(0, 1, 200, func() {}) })
-	g.Send(1, 0, 100, func() {}) // other direction keeps the default
-	g.SetNoLink(1, 0)
-	mustPanic("send on absent link", func() { g.Send(1, 0, 1000, func() {}) })
-	mustPanic("non-positive per-link lookahead", func() { g.SetLookahead(0, 1, 0) })
-}
-
 // TestParallelGroupPanicPropagates checks that a panic raised inside a
-// window on a pooled worker (here: an in-handler Send below the link
+// window on a pooled worker (here: an in-handler Send below the group
 // lookahead) reaches the Run caller instead of killing the process, and
 // that the pool still shuts down.
 func TestParallelGroupPanicPropagates(t *testing.T) {

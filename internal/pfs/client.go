@@ -337,23 +337,7 @@ func (c *Client) Create(p *des.Proc, path string, stripeCount int, stripeSize in
 	}
 	start := p.Now()
 	var layout Layout
-	err := c.metaRPC(p, OpCreate, func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		layout = c.fs.allocateLayout(stripeCount, stripeSize)
-		ino[path] = &inode{path: path, layout: layout, ctime: p.Now(), mtime: p.Now()}
-		par.children[path] = true
-		return nil
-	})
+	err := c.metaRPC(p, OpCreate, c.createOp(path, stripeCount, stripeSize, &layout))
 	c.fs.observe(OpEvent{Client: c.node, Op: "create", Path: path, Start: start, End: p.Now()})
 	if err != nil {
 		return nil, err
@@ -369,7 +353,42 @@ func (c *Client) Open(p *des.Proc, path string) (*Handle, error) {
 	}
 	start := p.Now()
 	var layout Layout
-	err := c.metaRPC(p, OpOpen, func() error {
+	err := c.metaRPC(p, OpOpen, c.openOp(path, &layout))
+	c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: p.Now()})
+	if err != nil {
+		return nil, err
+	}
+	return &Handle{c: c, path: path, layout: layout}, nil
+}
+
+// createOp is the MDS-side body of a create: it checks the namespace,
+// allocates the layout into *layout, and links the new inode. Both
+// execution forms run it through their metadata RPC.
+func (c *Client) createOp(path string, stripeCount int, stripeSize int64, layout *Layout) func() error {
+	return func() error {
+		ino := c.fs.mds.inodes
+		if _, dup := ino[path]; dup {
+			return ErrExist
+		}
+		par, ok := ino[parentOf(path)]
+		if !ok {
+			return ErrNotExist
+		}
+		if !par.isDir {
+			return ErrNotDir
+		}
+		*layout = c.fs.allocateLayout(stripeCount, stripeSize)
+		now := c.fs.eng.Now()
+		ino[path] = &inode{path: path, layout: *layout, ctime: now, mtime: now}
+		par.children[path] = true
+		return nil
+	}
+}
+
+// openOp is the MDS-side body of an open: it resolves path to a regular
+// file and copies its layout into *layout.
+func (c *Client) openOp(path string, layout *Layout) func() error {
+	return func() error {
 		n, ok := c.fs.mds.inodes[path]
 		if !ok {
 			return ErrNotExist
@@ -377,14 +396,9 @@ func (c *Client) Open(p *des.Proc, path string) (*Handle, error) {
 		if n.isDir {
 			return ErrIsDir
 		}
-		layout = n.layout
+		*layout = n.layout
 		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: p.Now()})
-	if err != nil {
-		return nil, err
 	}
-	return &Handle{c: c, path: path, layout: layout}, nil
 }
 
 // Path returns the file path.
@@ -480,13 +494,9 @@ func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj string, objOff, size int64,
 	return nil
 }
 
-// doIO executes the chunks of one request in parallel across OSTs,
-// splitting chunks larger than MaxRPCSize, and blocks until all complete.
-// On failure it returns the first (launch-order) error; for reads under a
-// DegradedReads policy the healthy stripes still complete and the miss is
-// reported as a *DegradedReadError with partial-data accounting.
-func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
-	fs := h.c.fs
+// splitRPCs splits chunks larger than MaxRPCSize into RPC-sized pieces,
+// in launch order.
+func (fs *FS) splitRPCs(chunks []chunk) []chunk {
 	var rpcs []chunk
 	for _, ch := range chunks {
 		for ch.size > 0 {
@@ -501,19 +511,14 @@ func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 			ch.size -= n
 		}
 	}
-	errs := make([]error, len(rpcs))
-	wg := des.NewWaitGroup(p.Engine())
-	for i, rpc := range rpcs {
-		i, rpc := i, rpc
-		wg.Add(1)
-		p.Engine().Spawn("rpc", func(q *des.Proc) {
-			defer wg.Done()
-			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
-			obj := fmt.Sprintf("%s#%d", h.path, rpc.ostIdx)
-			errs[i] = h.c.dataRPC(q, o, obj, rpc.objOff, rpc.size, write)
-		})
-	}
-	wg.Wait(p)
+	return rpcs
+}
+
+// settleIO aggregates the per-RPC outcomes of one request: nil when every
+// RPC succeeded, else the first (launch-order) error. For reads under a
+// DegradedReads policy the miss is reported as a *DegradedReadError with
+// partial-data accounting.
+func (h *Handle) settleIO(rpcs []chunk, errs []error, write bool) error {
 	var firstErr error
 	var requested, missing int64
 	for i, err := range errs {
@@ -528,7 +533,7 @@ func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 	if firstErr == nil {
 		return nil
 	}
-	if !write && fs.cfg.Resilience.DegradedReads {
+	if !write && h.c.fs.cfg.Resilience.DegradedReads {
 		h.c.stats.DegradedReads++
 		h.c.stats.BytesMissing += missing
 		return &DegradedReadError{Path: h.path, Requested: requested, Missing: missing, Cause: firstErr}
@@ -536,10 +541,38 @@ func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 	return firstErr
 }
 
+// doIO executes the chunks of one request in parallel across OSTs,
+// splitting chunks larger than MaxRPCSize, and blocks until all complete;
+// the outcome is aggregated by settleIO.
+func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
+	fs := h.c.fs
+	rpcs := fs.splitRPCs(chunks)
+	errs := make([]error, len(rpcs))
+	wg := des.NewWaitGroup(p.Engine())
+	for i, rpc := range rpcs {
+		i, rpc := i, rpc
+		wg.Add(1)
+		p.Engine().Spawn("rpc", func(q *des.Proc) {
+			defer wg.Done()
+			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
+			obj := fmt.Sprintf("%s#%d", h.path, rpc.ostIdx)
+			errs[i] = h.c.dataRPC(q, o, obj, rpc.objOff, rpc.size, write)
+		})
+	}
+	wg.Wait(p)
+	return h.settleIO(rpcs, errs, write)
+}
+
 // updateSize grows the file size at the MDS (a size RPC, as Lustre clients
 // batch; modeled as one metadata op).
 func (h *Handle) updateSize(p *des.Proc, end int64) error {
-	return h.c.metaRPC(p, OpSetSize, func() error {
+	return h.c.metaRPC(p, OpSetSize, h.setSizeOp(end))
+}
+
+// setSizeOp is the MDS-side body of a size update: grow the inode to end
+// and touch its mtime.
+func (h *Handle) setSizeOp(end int64) func() error {
+	return func() error {
 		n, ok := h.c.fs.mds.inodes[h.path]
 		if !ok {
 			return ErrNotExist
@@ -547,9 +580,9 @@ func (h *Handle) updateSize(p *des.Proc, end int64) error {
 		if end > n.size {
 			n.size = end
 		}
-		n.mtime = p.Now()
+		n.mtime = h.c.fs.eng.Now()
 		return nil
-	})
+	}
 }
 
 // Write writes size bytes at offset off, blocking in simulated time. With
@@ -595,15 +628,11 @@ func (h *Handle) appendDirty(off, size int64) {
 	h.dirty = append(h.dirty, extent{off, size})
 }
 
-// flush writes out all dirty extents. Buffered data is dropped whether or
-// not the writeback succeeds — on failure it is lost, as with a real
-// client cache, and the error surfaces to the caller.
-func (h *Handle) flush(p *des.Proc) error {
-	if len(h.dirty) == 0 {
-		return nil
-	}
-	var chunks []chunk
-	var maxEnd int64
+// takeDirty empties the write-behind buffer, returning the striped chunks
+// of every dirty extent and the furthest byte they reach. Buffered data is
+// dropped whether or not the writeback that follows succeeds — on failure
+// it is lost, as with a real client cache.
+func (h *Handle) takeDirty() (chunks []chunk, maxEnd int64) {
 	var total int64
 	for _, ex := range h.dirty {
 		chunks = append(chunks, stripeChunks(h.layout, ex.off, ex.size)...)
@@ -614,6 +643,16 @@ func (h *Handle) flush(p *des.Proc) error {
 	}
 	h.dirty = nil
 	h.c.wbDirty -= total
+	return chunks, maxEnd
+}
+
+// flush writes out all dirty extents (see takeDirty); a writeback error
+// surfaces to the caller.
+func (h *Handle) flush(p *des.Proc) error {
+	if len(h.dirty) == 0 {
+		return nil
+	}
+	chunks, maxEnd := h.takeDirty()
 	if err := h.doIO(p, chunks, true); err != nil {
 		return err
 	}

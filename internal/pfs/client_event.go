@@ -9,7 +9,10 @@ import (
 // This file is the continuation-form (goroutine-free) port of the client
 // hot paths: every method is the E-suffixed analogue of the blocking form
 // in client.go, with identical cost model, retry policy, statistics, and
-// observer events. The blocking forms remain the reference semantics; any
+// observer events. The form-independent pieces — RPC splitting
+// (splitRPCs), error aggregation (settleIO), dirty-extent gathering
+// (takeDirty) and the MDS-side namespace bodies (createOp, openOp,
+// setSizeOp) — live in client.go and serve both forms; any other
 // behavioural change must land in both. The port covers the data-plane
 // ops a rank's checkpoint/read loop issues (create, open, write, read,
 // fsync, close) plus the meta/data RPC machinery beneath them; rarely-hot
@@ -94,23 +97,7 @@ func (c *Client) CreateE(ep *des.EventProc, path string, stripeCount int, stripe
 	}
 	start := ep.Now()
 	var layout Layout
-	c.metaRPCE(ep, OpCreate, func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		layout = c.fs.allocateLayout(stripeCount, stripeSize)
-		ino[path] = &inode{path: path, layout: layout, ctime: ep.Now(), mtime: ep.Now()}
-		par.children[path] = true
-		return nil
-	}, func(err error) {
+	c.metaRPCE(ep, OpCreate, c.createOp(path, stripeCount, stripeSize, &layout), func(err error) {
 		c.fs.observe(OpEvent{Client: c.node, Op: "create", Path: path, Start: start, End: ep.Now()})
 		if err != nil {
 			k(nil, err)
@@ -129,17 +116,7 @@ func (c *Client) OpenE(ep *des.EventProc, path string, k func(*Handle, error)) {
 	}
 	start := ep.Now()
 	var layout Layout
-	c.metaRPCE(ep, OpOpen, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if n.isDir {
-			return ErrIsDir
-		}
-		layout = n.layout
-		return nil
-	}, func(err error) {
+	c.metaRPCE(ep, OpOpen, c.openOp(path, &layout), func(err error) {
 		c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: ep.Now()})
 		if err != nil {
 			k(nil, err)
@@ -227,20 +204,7 @@ func (c *Client) tryDataRPCE(ep *des.EventProc, o *ost, obj string, objOff, size
 // the aggregated error is handed to k.
 func (h *Handle) doIOE(ep *des.EventProc, chunks []chunk, write bool, k func(error)) {
 	fs := h.c.fs
-	var rpcs []chunk
-	for _, ch := range chunks {
-		for ch.size > 0 {
-			n := ch.size
-			if n > fs.cfg.MaxRPCSize {
-				n = fs.cfg.MaxRPCSize
-			}
-			rpc := ch
-			rpc.size = n
-			rpcs = append(rpcs, rpc)
-			ch.objOff += n
-			ch.size -= n
-		}
-	}
+	rpcs := fs.splitRPCs(chunks)
 	errs := make([]error, len(rpcs))
 	wg := des.NewWaitGroup(ep.Engine())
 	for i, rpc := range rpcs {
@@ -255,45 +219,12 @@ func (h *Handle) doIOE(ep *des.EventProc, chunks []chunk, write bool, k func(err
 			})
 		})
 	}
-	wg.WaitE(ep, func() {
-		var firstErr error
-		var requested, missing int64
-		for i, err := range errs {
-			requested += rpcs[i].size
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				missing += rpcs[i].size
-			}
-		}
-		if firstErr == nil {
-			k(nil)
-			return
-		}
-		if !write && fs.cfg.Resilience.DegradedReads {
-			h.c.stats.DegradedReads++
-			h.c.stats.BytesMissing += missing
-			k(&DegradedReadError{Path: h.path, Requested: requested, Missing: missing, Cause: firstErr})
-			return
-		}
-		k(firstErr)
-	})
+	wg.WaitE(ep, func() { k(h.settleIO(rpcs, errs, write)) })
 }
 
 // updateSizeE is the continuation form of updateSize.
 func (h *Handle) updateSizeE(ep *des.EventProc, end int64, k func(error)) {
-	h.c.metaRPCE(ep, OpSetSize, func() error {
-		n, ok := h.c.fs.mds.inodes[h.path]
-		if !ok {
-			return ErrNotExist
-		}
-		if end > n.size {
-			n.size = end
-		}
-		n.mtime = ep.Now()
-		return nil
-	}, k)
+	h.c.metaRPCE(ep, OpSetSize, h.setSizeOp(end), k)
 }
 
 // WriteE is the continuation form of Write, including the write-behind
@@ -339,18 +270,7 @@ func (h *Handle) flushE(ep *des.EventProc, k func(error)) {
 		k(nil)
 		return
 	}
-	var chunks []chunk
-	var maxEnd int64
-	var total int64
-	for _, ex := range h.dirty {
-		chunks = append(chunks, stripeChunks(h.layout, ex.off, ex.size)...)
-		if end := ex.off + ex.size; end > maxEnd {
-			maxEnd = end
-		}
-		total += ex.size
-	}
-	h.dirty = nil
-	h.c.wbDirty -= total
+	chunks, maxEnd := h.takeDirty()
 	h.doIOE(ep, chunks, true, func(err error) {
 		if err != nil {
 			k(err)

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -165,5 +168,64 @@ func TestMetricsP95(t *testing.T) {
 	}
 	if p95 := m.Snapshot().P95JobLatencyMs; p95 != 1 {
 		t.Fatalf("p95 after window turnover = %vms, want 1", p95)
+	}
+}
+
+// TestLeaderRejectionReachesFollowers covers a leader that does not get
+// into the queue, and a follower already attached to it. Both must get
+// the leader's own answer, and the books must balance. In the draining
+// case the submission passed the handler's draining check just before
+// Shutdown and reached the queue after it. That is a 503 counted as
+// rejected_draining, not a 429 counted as dropped work.
+func TestLeaderRejectionReachesFollowers(t *testing.T) {
+	cases := []struct {
+		name   string
+		reject func(s *Server)
+		check  func(Snapshot) bool
+	}{
+		{
+			name: "draining",
+			reject: func(s *Server) {
+				if err := s.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			},
+			check: func(m Snapshot) bool { return m.RejectedDraining == 1 && m.Enqueued == 0 && m.Dropped == 0 },
+		},
+		{
+			name:   "busy",
+			reject: func(s *Server) { s.admitted = s.cfg.MaxInflight },
+			check:  func(m Snapshot) bool { return m.RejectedBusy == 1 && m.Enqueued == 0 },
+		},
+	}
+	for _, tc := range cases {
+		s := New(Config{Rate: -1})
+		j, leader := s.flightFor("k", campaign.Spec{})
+		f, follower := s.flightFor("k", campaign.Spec{})
+		if !leader || follower || f != j {
+			t.Fatalf("%s: flightFor did not attach a follower to the leader", tc.name)
+		}
+		tc.reject(s)
+		slots := s.admitted
+		rec := httptest.NewRecorder()
+		s.lead(rec, httptest.NewRequest(http.MethodPost, "/campaigns", nil), j)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s: leader got %d, want 503", tc.name, rec.Code)
+		}
+		<-f.done
+		if f.status != http.StatusServiceUnavailable {
+			t.Errorf("%s: follower got %d, want 503", tc.name, f.status)
+		}
+		snap := s.Metrics().Snapshot()
+		if !tc.check(snap) {
+			t.Errorf("%s: wrong counters %+v", tc.name, snap)
+		}
+		if err := snap.AccountingError(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if s.admitted != slots {
+			t.Errorf("%s: %d admission slots held after rejection, want %d", tc.name, s.admitted, slots)
+		}
+		_ = s.Shutdown(context.Background()) // stops the workers; the draining case already did
 	}
 }

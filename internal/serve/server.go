@@ -311,27 +311,40 @@ func (s *Server) unadmit() {
 	s.flightMu.Unlock()
 }
 
+// enqueueResult says whether enqueue handed the job to the queue, and if
+// not, why.
+type enqueueResult int
+
+const (
+	queued        enqueueResult = iota
+	queueDraining               // Shutdown closed the queue first
+	queueShed                   // deadline expired or the job's context died
+)
+
 // enqueue offers the job to the bounded queue, giving up after the
 // enqueue deadline (backpressure → load shedding) or when the job's
 // context dies first. The R-lock fences the send against queue close
-// during shutdown; isDraining is re-checked under it so no send can slip
-// past the drain fence.
-func (s *Server) enqueue(j *job) bool {
+// during shutdown; draining is re-checked under it so no send can slip
+// past the drain fence — a submission that passed the handler's draining
+// check just before Shutdown is turned away here, before it counts as
+// enqueued.
+func (s *Server) enqueue(j *job) enqueueResult {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if s.draining {
-		return false
+		return queueDraining
 	}
+	s.metrics.add(&s.metrics.enqueued)
 	t := time.NewTimer(s.cfg.EnqueueTimeout)
 	defer t.Stop()
 	select {
 	case s.queue <- j:
 		s.metrics.gauge(&s.metrics.queueDepth, +1)
-		return true
+		return queued
 	case <-t.C:
-		return false
+		return queueShed
 	case <-j.ctx.Done():
-		return false
+		return queueShed
 	}
 }
 
@@ -409,9 +422,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.isDraining() {
-		s.metrics.add(&s.metrics.rejectedDraining)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "draining: not accepting new campaigns")
+		s.rejectDraining(w)
 		return
 	}
 	if ok, wait := s.limiter.allow(clientID(r)); !ok {
@@ -475,30 +486,56 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.await(w, r, j)
 		return
 	}
+	s.lead(w, r, j)
+}
+
+// lead admits and enqueues a job on behalf of the submission that
+// registered it, then awaits the result. When the job does not get in,
+// the leader and any followers already attached get the same rejection.
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, j *job) {
 	if !s.admit() {
 		s.metrics.add(&s.metrics.rejectedBusy)
-		s.abandonLeader(j)
+		s.abandonLeader(j, http.StatusServiceUnavailable, msgBusy)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "admission gate: too many campaigns in flight")
+		writeError(w, http.StatusServiceUnavailable, msgBusy)
 		return
 	}
-	s.metrics.add(&s.metrics.enqueued)
-	if !s.enqueue(j) {
+	switch s.enqueue(j) {
+	case queueDraining:
+		s.unadmit()
+		s.abandonLeader(j, http.StatusServiceUnavailable, msgDraining)
+		s.rejectDraining(w)
+		return
+	case queueShed:
 		s.metrics.add(&s.metrics.dropped)
 		s.unadmit()
-		s.abandonLeader(j)
+		s.abandonLeader(j, http.StatusTooManyRequests, msgShed)
 		w.Header().Set("Retry-After", retryAfter(s.cfg.EnqueueTimeout))
-		writeError(w, http.StatusTooManyRequests, "queue full past the enqueue deadline; work dropped")
+		writeError(w, http.StatusTooManyRequests, msgShed)
 		return
 	}
 	s.await(w, r, j)
 }
 
+// Rejection messages shared by a leader's response and its followers'.
+const (
+	msgBusy     = "admission gate: too many campaigns in flight"
+	msgDraining = "draining: not accepting new campaigns"
+	msgShed     = "queue full past the enqueue deadline; work dropped"
+)
+
+// rejectDraining answers a submission that arrived while draining.
+func (s *Server) rejectDraining(w http.ResponseWriter) {
+	s.metrics.add(&s.metrics.rejectedDraining)
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusServiceUnavailable, msgDraining)
+}
+
 // abandonLeader removes a never-enqueued job so followers stop attaching
 // to it, and resolves any that already did with the leader's rejection.
-func (s *Server) abandonLeader(j *job) {
+func (s *Server) abandonLeader(j *job, status int, msg string) {
 	j.cancel()
-	s.finish(j, http.StatusTooManyRequests, errBody("queue full past the enqueue deadline; work dropped"))
+	s.finish(j, status, errBody(msg))
 }
 
 // await blocks until the job resolves or this client disconnects.

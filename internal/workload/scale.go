@@ -11,15 +11,15 @@ import (
 // This file is the million-rank scale path: a HACC-IO-like file-per-process
 // checkpoint whose ranks are continuation-form event processes
 // (des.EventProc / mpi.EventRank), so a rank costs one small struct and one
-// pooled event slot instead of a goroutine stack. RunScaleCheckpoint drives
-// a single engine; RunShardedCheckpoint partitions ranks and storage into
-// per-I/O-domain engines coupled by a des.ParallelGroup.
+// pooled event slot instead of a goroutine stack. RunShardedCheckpoint
+// drives one engine, or partitions ranks and storage into per-I/O-domain
+// engines coupled by a des.ParallelGroup.
 
 // ScaleConfig configures a continuation-form checkpoint run. It is the
 // file-per-process subset of CheckpointConfig (fresh file per rank per
 // step, named <Path>.step<S>.<rank>): with RanksPerNode == 1 and the same
-// knobs, RunScaleCheckpoint and RunCheckpoint produce identical timing —
-// the form-equivalence tests rely on that.
+// knobs, a one-shard RunShardedCheckpoint and RunCheckpoint produce
+// identical timing — the form-equivalence tests rely on that.
 type ScaleConfig struct {
 	Ranks        int
 	BytesPerRank int64
@@ -67,23 +67,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// ScaleReport summarizes a scale checkpoint run.
-type ScaleReport struct {
-	Config ScaleConfig
-	// StepIOTime is the application-perceived checkpoint duration of each
-	// step (max over ranks).
-	StepIOTime []des.Time
-	// StepIOErrors counts failed checkpoint operations per step.
-	StepIOErrors []uint64
-	IOErrors     uint64
-	TotalBytes   int64
-	Makespan     des.Time
-	// EffectiveMBps is total checkpoint bytes / total perceived I/O time.
-	EffectiveMBps float64
-	// Events is the number of engine dispatches the run consumed.
-	Events uint64
-}
-
 // scaleState is the per-engine accounting a run's ranks share. In sharded
 // mode each shard has its own (engines run concurrently; no state crosses
 // a shard boundary); the step timing slices are written only by the global
@@ -113,8 +96,8 @@ type scaleRank struct {
 	gid  int  // global rank id (file naming; == r.ID() unsharded)
 	lead bool // the one rank that records step timing
 
-	// barrier is the step barrier: the local world barrier unsharded, the
-	// local barrier followed by the cross-shard gate in sharded mode.
+	// barrier is the step barrier: the world barrier with one shard, the
+	// shard-local barrier followed by the cross-shard gate otherwise.
 	barrier func(k func())
 
 	step int
@@ -131,7 +114,7 @@ type scaleRank struct {
 	closedF func(error)
 	doneF   func()
 
-	// Sharded-mode gate state (bound only by RunShardedCheckpoint). The
+	// Cross-shard gate state (bound only with more than one shard). The
 	// enter/await continuations are pre-bound so a steady-state gate
 	// crossing allocates nothing per rank.
 	gate       *shardGate
@@ -227,9 +210,9 @@ func (s *scaleRank) closed(err error) {
 
 func (s *scaleRank) exit() { s.barrier(s.doneF) }
 
-// shardBarrier is the sharded step barrier: the shard-local MPI barrier,
-// then the cross-shard gate. It and the gate continuations below are
-// installed by RunShardedCheckpoint.
+// shardBarrier is the multi-shard step barrier: the shard-local MPI
+// barrier, then the cross-shard gate. It and the gate continuations below
+// are installed by RunShardedCheckpoint when it runs more than one shard.
 func (s *scaleRank) shardBarrier(k func()) {
 	s.gateK = k
 	s.r.Barrier(s.gateEnterF)
@@ -242,7 +225,7 @@ func (s *scaleRank) gateEnter() {
 	g := s.gate
 	s.gateGen = g.gen
 	if s.gateLead {
-		g.pg.Send(g.shard, 0, g.la, g.coord.arriveF)
+		g.pg.Send(g.shard, 0, shardLookahead, g.coord.arriveF)
 	}
 	s.gateAwait()
 }
@@ -263,55 +246,12 @@ func (s *scaleRank) stepDone() {
 	s.stepBegin()
 }
 
-// RunScaleCheckpoint executes the checkpoint workload in continuation form
-// on a single engine. It panics on simulated deadlock.
-func RunScaleCheckpoint(e *des.Engine, fs *pfs.FS, cfg ScaleConfig) ScaleReport {
-	cfg = cfg.withDefaults()
-	st := newScaleState(cfg.Steps)
-	clients := make([]*pfs.Client, cfg.Ranks)
-	for i := range clients {
-		clients[i] = fs.NewClientAt(fmt.Sprintf("%s%d", cfg.NodePrefix, i/cfg.RanksPerNode))
-	}
-	w := mpi.NewWorld(e, cfg.Ranks, mpi.DefaultOptions())
-	d0 := e.Dispatches()
-	w.SpawnEvent(func(r *mpi.EventRank) {
-		s := newScaleRank(r, clients[r.ID()], &cfg, st, r.ID(), r.ID() == 0)
-		s.barrier = r.Barrier
-		s.stepBegin()
-	})
-	makespan := e.Run(des.MaxTime)
-	if e.LiveProcs() != 0 {
-		panic(fmt.Sprintf("workload: scale checkpoint deadlock with %d live procs", e.LiveProcs()))
-	}
-	rep := scaleReport(cfg, st, makespan)
-	rep.Events = e.Dispatches() - d0
-	return rep
-}
-
-func scaleReport(cfg ScaleConfig, st *scaleState, makespan des.Time) ScaleReport {
-	rep := ScaleReport{
-		Config:       cfg,
-		StepIOTime:   st.stepIOTime,
-		StepIOErrors: st.stepErrs,
-		TotalBytes:   cfg.BytesPerRank * int64(cfg.Ranks) * int64(cfg.Steps),
-		Makespan:     makespan,
-	}
-	var totalIO des.Time
-	for _, d := range rep.StepIOTime {
-		totalIO += d
-	}
-	rep.EffectiveMBps = bwMBps(rep.TotalBytes, totalIO)
-	for _, n := range rep.StepIOErrors {
-		rep.IOErrors += n
-	}
-	return rep
-}
-
-// ShardedConfig configures a sharded (ParallelGroup) checkpoint run: ranks
-// and storage are partitioned into Shards independent I/O domains — each
-// with its own engine, file system slice (NumOSS and NumIONodes divided
-// across shards), and MPI world — coupled only by the step barrier, whose
-// cross-shard leg rides the group's lookahead.
+// ShardedConfig configures a continuation-form checkpoint run: ranks and
+// storage are partitioned into Shards independent I/O domains — each with
+// its own engine, file system slice (NumOSS and NumIONodes divided across
+// shards), and MPI world — coupled only by the step barrier, whose
+// cross-shard leg rides a des.ParallelGroup's lookahead. One shard (the
+// default) runs a single engine with the plain MPI barrier.
 type ShardedConfig struct {
 	Scale  ScaleConfig
 	Shards int
@@ -320,10 +260,6 @@ type ShardedConfig struct {
 	// min(shards, runtime.NumCPU()) persistent workers. The choice never
 	// affects results.
 	Workers int
-	// Lookahead is the cross-shard link latency; cross-shard barrier
-	// messages pay it each way. Defaults to 1.5us (an InfiniBand-like
-	// inter-domain hop).
-	Lookahead des.Time
 	// FS is the per-cluster file-system configuration before sharding.
 	FS pfs.Config
 	// Seed seeds each shard's engine (shard i gets Seed+i).
@@ -340,7 +276,9 @@ type ShardedReport struct {
 	// Workers is the resolved worker count the run executed with
 	// (ShardedConfig.Workers with 0 resolved to the host core count,
 	// capped at the shard count).
-	Workers       int
+	Workers int
+	// Lookahead is the cross-shard latency (shardLookahead) that gate
+	// messages pay each way.
 	Lookahead     des.Time
 	RanksPerShard []int
 	StepIOTime    []des.Time
@@ -352,9 +290,14 @@ type ShardedReport struct {
 	Events        uint64
 	// Windows is the number of conservative lookahead windows (epochs) the
 	// ParallelGroup executed; fewer windows per simulated second means
-	// coarser, cheaper synchronization.
+	// coarser, cheaper synchronization. A one-shard run has no group and
+	// reports 0.
 	Windows uint64
 }
+
+// shardLookahead is the cross-shard latency, an InfiniBand-like
+// inter-domain hop.
+const shardLookahead = 1500 * des.Nanosecond
 
 // shardGate is the cross-shard half of the step barrier. After a shard's
 // local barrier completes, its local rank 0 announces arrival to the
@@ -369,7 +312,6 @@ type ShardedReport struct {
 type shardGate struct {
 	pg       *des.ParallelGroup
 	shard    int
-	la       des.Time
 	release  *des.Signal
 	gen      int
 	coord    *gateCoord
@@ -383,7 +325,6 @@ func (g *shardGate) doRelease() {
 
 type gateCoord struct {
 	pg      *des.ParallelGroup
-	la      des.Time
 	gates   []*shardGate
 	count   int
 	arriveF func()
@@ -397,16 +338,17 @@ func (gc *gateCoord) arrive() {
 	}
 	gc.count = 0
 	for s, g := range gc.gates {
-		gc.pg.Send(0, s, gc.la, g.releaseF)
+		gc.pg.Send(0, s, shardLookahead, g.releaseF)
 	}
 }
 
-// RunShardedCheckpoint executes the checkpoint workload across sharded
-// engines under a des.ParallelGroup. Ranks split as evenly as possible
-// across shards; shard i's file system gets NumOSS/Shards object servers
-// and NumIONodes/Shards forwarding nodes (minimum one OSS each). Any
-// Workers value produces identical output; the -race shard smoke and the
-// determinism tests rely on that.
+// RunShardedCheckpoint executes the checkpoint workload in continuation
+// form. With more than one shard the engines run under a des.ParallelGroup:
+// ranks split as evenly as possible across shards, and shard i's file
+// system gets NumOSS/Shards object servers and NumIONodes/Shards
+// forwarding nodes (minimum one OSS each). Any Workers value produces
+// identical output; the -race shard smoke and the determinism tests rely
+// on that. It panics on simulated deadlock.
 func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	sc := cfg.Scale.withDefaults()
 	shards := cfg.Shards
@@ -416,11 +358,6 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	if shards > sc.Ranks {
 		shards = sc.Ranks
 	}
-	la := cfg.Lookahead
-	if la <= 0 {
-		la = 1500 * des.Nanosecond
-	}
-
 	fscfg := cfg.FS
 	if fscfg.NumOSS == 0 {
 		fscfg = pfs.DefaultConfig()
@@ -436,28 +373,17 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	for i := range engines {
 		engines[i] = des.NewEngine(cfg.Seed + int64(i))
 	}
-	pg := des.NewParallelGroup(la, engines...)
-	pg.SetWorkers(cfg.Workers)
-	// The only cross-shard traffic is the step gate: shard i talks to the
-	// coordinator shard 0 and back (shard 0 also messages itself when it
-	// is the arriving or released shard). Declaring every other link
-	// absent lets non-coordinator shards advance on per-link safe times
-	// without waiting for each other's windows.
-	for i := 1; i < shards; i++ {
-		pg.SetNoLink(i, i)
-		for j := 1; j < shards; j++ {
-			if i != j {
-				pg.SetNoLink(i, j)
-			}
-		}
-	}
-
+	var pg *des.ParallelGroup
 	gates := make([]*shardGate, shards)
-	coord := &gateCoord{pg: pg, la: la, gates: gates}
-	coord.arriveF = coord.arrive
-	for i := range gates {
-		gates[i] = &shardGate{pg: pg, shard: i, la: la, release: des.NewSignal(engines[i]), coord: coord}
-		gates[i].releaseF = gates[i].doRelease
+	if shards > 1 {
+		pg = des.NewParallelGroup(shardLookahead, engines...)
+		pg.SetWorkers(cfg.Workers)
+		coord := &gateCoord{pg: pg, gates: gates}
+		coord.arriveF = coord.arrive
+		for i := range gates {
+			gates[i] = &shardGate{pg: pg, shard: i, release: des.NewSignal(engines[i]), coord: coord}
+			gates[i].releaseF = gates[i].doRelease
+		}
 	}
 
 	base, extra := sc.Ranks/shards, sc.Ranks%shards
@@ -485,31 +411,39 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		sh, gidBase, gate := sh, gid, gates[sh]
 		w.SpawnEvent(func(r *mpi.EventRank) {
 			s := newScaleRank(r, clients[r.ID()], &sc, st, gidBase+r.ID(), sh == 0 && r.ID() == 0)
-			s.gate = gate
-			s.gateLead = r.ID() == 0
-			s.gateEnterF = s.gateEnter
-			s.gateAwaitF = s.gateAwait
-			s.barrier = s.shardBarrier
+			if gate == nil {
+				s.barrier = r.Barrier
+			} else {
+				s.gate = gate
+				s.gateLead = r.ID() == 0
+				s.gateEnterF = s.gateEnter
+				s.gateAwaitF = s.gateAwait
+				s.barrier = s.shardBarrier
+			}
 			s.stepBegin()
 		})
 		gid += n
 	}
 
-	makespan := pg.Run(des.MaxTime)
+	rep := ShardedReport{
+		Scale: sc, Shards: shards, Workers: 1, Lookahead: shardLookahead,
+		RanksPerShard: ranksPerShard,
+		StepIOTime:    states[0].stepIOTime,
+		StepIOErrors:  make([]uint64, sc.Steps),
+		TotalBytes:    sc.BytesPerRank * int64(sc.Ranks) * int64(sc.Steps),
+	}
+	if pg == nil {
+		rep.Makespan = engines[0].Run(des.MaxTime)
+	} else {
+		rep.Makespan = pg.Run(des.MaxTime)
+		rep.Workers, rep.Windows = pg.Workers(), pg.Windows()
+	}
 	for sh, e := range engines {
 		if e.LiveProcs() != 0 {
 			panic(fmt.Sprintf("workload: sharded checkpoint deadlock: shard %d has %d live procs", sh, e.LiveProcs()))
 		}
 	}
 
-	rep := ShardedReport{
-		Scale: sc, Shards: shards, Workers: pg.Workers(), Lookahead: la,
-		RanksPerShard: ranksPerShard,
-		StepIOTime:    states[0].stepIOTime,
-		StepIOErrors:  make([]uint64, sc.Steps),
-		TotalBytes:    sc.BytesPerRank * int64(sc.Ranks) * int64(sc.Steps),
-		Makespan:      makespan,
-	}
 	for _, st := range states {
 		for i, n := range st.stepErrs {
 			rep.StepIOErrors[i] += n
@@ -526,6 +460,5 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	for _, e := range engines {
 		rep.Events += e.Dispatches()
 	}
-	rep.Windows = pg.Windows()
 	return rep
 }

@@ -15,17 +15,23 @@ import (
 // any divergence is a porting bug.
 func TestScaleFormEquivalence(t *testing.T) {
 	run := func(continuation bool) (des.Time, []des.Time, int64) {
-		e := des.NewEngine(1)
-		fs := pfs.New(e, pfs.DefaultConfig())
 		if continuation {
-			rep := RunScaleCheckpoint(e, fs, ScaleConfig{
-				Ranks: 8, BytesPerRank: 2 << 20, Steps: 3,
-				ComputeTime: des.Millisecond, TransferSize: 1 << 20,
-				NodePrefix: "ckpt",
+			var fs *pfs.FS
+			rep := RunShardedCheckpoint(ShardedConfig{
+				Scale: ScaleConfig{
+					Ranks: 8, BytesPerRank: 2 << 20, Steps: 3,
+					ComputeTime: des.Millisecond, TransferSize: 1 << 20,
+					NodePrefix: "ckpt",
+				},
+				Shards:      1,
+				Seed:        1,
+				AttachShard: func(_ int, _ *des.Engine, f *pfs.FS) { fs = f },
 			})
 			_, written := fs.TotalBytes()
 			return rep.Makespan, rep.StepIOTime, written
 		}
+		e := des.NewEngine(1)
+		fs := pfs.New(e, pfs.DefaultConfig())
 		h := NewHarness(e, fs, 8, "ckpt", nil)
 		rep := RunCheckpoint(h, CheckpointConfig{
 			Ranks: 8, BytesPerRank: 2 << 20, Steps: 3,
@@ -51,20 +57,101 @@ func TestScaleFormEquivalence(t *testing.T) {
 	}
 }
 
-// TestScaleCheckpointDeterminism checks that repeated continuation-form
-// runs are bit-identical.
+// TestScaleCheckpointDeterminism checks that repeated one-shard
+// continuation-form runs are bit-identical.
 func TestScaleCheckpointDeterminism(t *testing.T) {
-	run := func() ScaleReport {
-		e := des.NewEngine(7)
-		fs := pfs.New(e, pfs.DefaultConfig())
-		return RunScaleCheckpoint(e, fs, ScaleConfig{
-			Ranks: 16, BytesPerRank: 1 << 20, Steps: 2,
-			TransferSize: 256 << 10, RanksPerNode: 4, StripeCount: 1,
+	run := func() ShardedReport {
+		return RunShardedCheckpoint(ShardedConfig{
+			Scale: ScaleConfig{
+				Ranks: 16, BytesPerRank: 1 << 20, Steps: 2,
+				TransferSize: 256 << 10, RanksPerNode: 4, StripeCount: 1,
+			},
+			Shards: 1,
+			Seed:   7,
 		})
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("non-deterministic scale run:\n%+v\n%+v", a, b)
+	}
+	if a.Windows != 0 || a.Workers != 1 {
+		t.Errorf("one-shard run reports %d windows on %d workers, want 0 on 1", a.Windows, a.Workers)
+	}
+}
+
+// TestSingleShardMatchesEngineCheckpoint pins the one-shard path to the
+// results of the former single-engine scale entry point, recorded as
+// constants before it was folded into RunShardedCheckpoint: makespan, step
+// I/O times, engine dispatches and I/O errors. The second config crashes
+// an OST mid-checkpoint under a fail-fast policy, so failed operations are
+// pinned too.
+func TestSingleShardMatchesEngineCheckpoint(t *testing.T) {
+	failFast := pfs.DefaultConfig()
+	failFast.Resilience = pfs.ResiliencePolicy{}
+	cases := []struct {
+		name     string
+		cfg      ShardedConfig
+		makespan des.Time
+		steps    []des.Time
+		stepErrs []uint64
+		events   uint64
+	}{
+		{
+			name: "shared-nodes",
+			cfg: ShardedConfig{
+				Scale: ScaleConfig{
+					Ranks: 24, BytesPerRank: 3 << 20, Steps: 3,
+					ComputeTime: 2 * des.Millisecond, TransferSize: 1 << 20,
+					RanksPerNode: 4, NodePrefix: "cn",
+				},
+				Seed: 3,
+			},
+			makespan: 364914029,
+			steps:    []des.Time{116412553, 121239488, 121239488},
+			stepErrs: []uint64{0, 0, 0},
+			events:   6386,
+		},
+		{
+			name: "ost-crash",
+			cfg: ShardedConfig{
+				Scale: ScaleConfig{
+					Ranks: 16, BytesPerRank: 2 << 20, Steps: 2,
+					TransferSize: 512 << 10, StripeCount: 2,
+				},
+				FS:   failFast,
+				Seed: 9,
+				AttachShard: func(_ int, e *des.Engine, fs *pfs.FS) {
+					e.After(3*des.Millisecond, func() { fs.CrashOST(1) })
+				},
+			},
+			makespan: 142584271,
+			steps:    []des.Time{70249210, 72323061},
+			stepErrs: []uint64{8, 8},
+			events:   3149,
+		},
+	}
+	for _, tc := range cases {
+		tc.cfg.Shards = 1
+		rep := RunShardedCheckpoint(tc.cfg)
+		if rep.Makespan != tc.makespan {
+			t.Errorf("%s: makespan %d, want %d", tc.name, rep.Makespan, tc.makespan)
+		}
+		if !reflect.DeepEqual(rep.StepIOTime, tc.steps) {
+			t.Errorf("%s: step I/O times %v, want %v", tc.name, rep.StepIOTime, tc.steps)
+		}
+		if !reflect.DeepEqual(rep.StepIOErrors, tc.stepErrs) {
+			t.Errorf("%s: step I/O errors %v, want %v", tc.name, rep.StepIOErrors, tc.stepErrs)
+		}
+		var errs uint64
+		for _, n := range tc.stepErrs {
+			errs += n
+		}
+		if rep.IOErrors != errs {
+			t.Errorf("%s: I/O errors %d, want %d", tc.name, rep.IOErrors, errs)
+		}
+		if rep.Events != tc.events {
+			t.Errorf("%s: events %d, want %d", tc.name, rep.Events, tc.events)
+		}
 	}
 }
 
