@@ -104,6 +104,9 @@ type Buffer struct {
 	// The drainer's own PFS identity.
 	drainClient *pfs.Client
 	handles     map[string]*pfs.Handle
+	// unsynced holds the paths whose drain handle has written a segment
+	// since WaitDrained last fsynced it.
+	unsynced map[string]struct{}
 
 	// Statistics.
 	absorbed  int64
@@ -134,6 +137,7 @@ func New(e *des.Engine, fs *pfs.FS, node string, cfg Config) *Buffer {
 		idle:        des.NewSignal(e),
 		drainClient: fs.NewClient(node),
 		handles:     make(map[string]*pfs.Handle),
+		unsynced:    make(map[string]struct{}),
 	}
 	for i := 0; i < cfg.DrainWorkers; i++ {
 		e.Spawn(fmt.Sprintf("bb.%s.drain%d", node, i), b.drainLoop)
@@ -167,6 +171,7 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 		b.dev.Access(p, blockdev.Request{Offset: seg.off, Size: seg.size})
 		if err == nil {
 			err = h.Write(p, seg.off, seg.size)
+			b.unsynced[seg.path] = struct{}{}
 		}
 		if err != nil {
 			// The segment is gone from staging but never reached the PFS:
@@ -248,21 +253,29 @@ func (b *Buffer) Read(p *des.Proc, path string, off, size int64) error {
 }
 
 // WaitDrained blocks the calling process until all staged data has either
-// reached the PFS or been declared lost, then fsyncs the drain handles so
-// the bytes are durable on the OSTs. It returns a *DrainError summarizing
-// any writebacks that failed for good — the error is sticky: once a
-// segment is lost, every later WaitDrained reports it.
+// reached the PFS or been declared lost, then fsyncs the drain handles
+// written since the last pass so the bytes are durable on the OSTs; the
+// cost is linear in the files written, not in every file the buffer has
+// opened. It returns a *DrainError summarizing any writebacks that failed
+// for good — the error is sticky: once a segment is lost, every later
+// WaitDrained reports it.
 func (b *Buffer) WaitDrained(p *des.Proc) error {
 	for b.used > 0 || b.pending.Len() > 0 || b.inFlight > 0 {
 		b.idle.Wait(p)
 	}
-	// Deterministic order: sort the handle paths.
-	paths := make([]string, 0, len(b.handles))
-	for path := range b.handles {
+	// Deterministic order: sort the paths. Each is removed from the set
+	// before its Fsync blocks, so a concurrent caller syncs only the
+	// handles this pass has not reached yet.
+	paths := make([]string, 0, len(b.unsynced))
+	for path := range b.unsynced {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
+		if _, ok := b.unsynced[path]; !ok {
+			continue
+		}
+		delete(b.unsynced, path)
 		if err := b.handles[path].Fsync(p); err != nil {
 			b.drainErrors++
 			b.lastDrainErr = err

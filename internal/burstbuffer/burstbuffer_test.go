@@ -1,6 +1,7 @@
 package burstbuffer
 
 import (
+	"fmt"
 	"testing"
 
 	"pioeval/internal/blockdev"
@@ -184,5 +185,135 @@ func TestDrainWorkersParallelism(t *testing.T) {
 	}
 	if one, four := drainTime(1), drainTime(4); four >= one {
 		t.Errorf("4 drainers (%v) should beat 1 (%v)", four, one)
+	}
+}
+
+// TestWaitDrainedSyncsOnlyWrittenHandles pins the per-pass fsync set: a
+// pass fsyncs the drain handles written since the previous pass, never
+// every handle the buffer has opened.
+func TestWaitDrainedSyncsOnlyWrittenHandles(t *testing.T) {
+	e, fs, bb := newSim(0)
+	fsyncs := map[string]int{}
+	total := 0
+	fs.SetOpObserver(func(ev pfs.OpEvent) {
+		if ev.Client == "bb0" && ev.Op == "fsync" {
+			fsyncs[ev.Path]++
+			total++
+		}
+	})
+	c := fs.NewClient("cn0")
+	var afterLoop int
+	e.Spawn("app", func(p *des.Proc) {
+		// A file written straight to the PFS and read through the buffer:
+		// its drain handle is opened for reading only.
+		h, err := c.Create(p, "/direct", 0, 0)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		if err := h.Write(p, 0, 1<<20); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		if err := h.Close(p); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := bb.Read(p, "/direct", 0, 1<<20); err != nil {
+			t.Errorf("read-through: %v", err)
+		}
+		for i := 0; i < 64; i++ {
+			bb.Write(p, fmt.Sprintf("/f%02d", i), 0, 4096)
+			bb.WaitDrained(p)
+		}
+		afterLoop = total
+		// A path rewritten after its pass is fsynced again.
+		bb.Write(p, "/f00", 4096, 4096)
+		bb.WaitDrained(p)
+	})
+	e.Run(des.MaxTime)
+	if st := bb.Stats(); st.MissReads != 1<<20 {
+		t.Fatalf("read-through bytes = %d, want 1MB (the read must miss staging)", st.MissReads)
+	}
+	if afterLoop != 64 {
+		t.Errorf("64 write+sync passes issued %d drain fsyncs, want 64", afterLoop)
+	}
+	if fsyncs["/f00"] != 2 {
+		t.Errorf("rewritten /f00 fsynced %d times, want 2", fsyncs["/f00"])
+	}
+	if fsyncs["/f01"] != 1 {
+		t.Errorf("/f01 fsynced %d times, want 1", fsyncs["/f01"])
+	}
+	if fsyncs["/direct"] != 0 {
+		t.Errorf("read-only drain handle fsynced %d times, want 0", fsyncs["/direct"])
+	}
+}
+
+// TestWaitDrainedDurableUnderWriteBehind covers the one configuration in
+// which a drain fsync does work: with a client write-behind buffer, the
+// drained bytes reach the OSTs only when WaitDrained fsyncs their handle.
+// Each pass must leave exactly the drained bytes on the OSTs, including a
+// rewrite of a path an earlier pass already synced.
+func TestWaitDrainedDurableUnderWriteBehind(t *testing.T) {
+	e := des.NewEngine(5)
+	cfg := pfs.DefaultConfig()
+	cfg.NumIONodes = 0
+	cfg.ClientWriteBehind = 8 << 20
+	fs := pfs.New(e, cfg)
+	var ostWritten int64
+	fs.SetOSTObserver(func(ev pfs.OSTEvent) {
+		if ev.Write {
+			ostWritten += ev.Size
+		}
+	})
+	bb := New(e, fs, "bb0", DefaultConfig())
+	check := func(pass int) {
+		st := bb.Stats()
+		if st.DrainErrors != 0 {
+			t.Errorf("pass %d: %d drain errors: %v", pass, st.DrainErrors, st.LastDrainError)
+		}
+		if ostWritten != st.Drained {
+			t.Errorf("pass %d: OST-written bytes = %d, drained = %d", pass, ostWritten, st.Drained)
+		}
+	}
+	e.Spawn("app", func(p *des.Proc) {
+		bb.Write(p, "/a", 0, 1<<20)
+		bb.Write(p, "/b", 0, 1<<20)
+		if err := bb.WaitDrained(p); err != nil {
+			t.Errorf("pass 1: %v", err)
+		}
+		check(1)
+		bb.Write(p, "/a", 1<<20, 1<<20)
+		bb.Write(p, "/c", 0, 1<<20)
+		if err := bb.WaitDrained(p); err != nil {
+			t.Errorf("pass 2: %v", err)
+		}
+		check(2)
+	})
+	e.Run(des.MaxTime)
+	if st := bb.Stats(); st.Drained != 4<<20 {
+		t.Fatalf("drained = %d, want 4MB", st.Drained)
+	}
+}
+
+// BenchmarkWaitDrainedManyFiles stages and syncs 2048 files one at a
+// time, the mdtest pattern on a burst-buffer tier.
+func BenchmarkWaitDrainedManyFiles(b *testing.B) {
+	const files = 2048
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/f%05d", i)
+	}
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		e, _, bb := newSim(0)
+		e.Spawn("app", func(p *des.Proc) {
+			for _, path := range paths {
+				bb.Write(p, path, 0, 4096)
+				bb.WaitDrained(p)
+			}
+		})
+		e.Run(des.MaxTime)
+		if st := bb.Stats(); st.Drained != files*4096 {
+			b.Fatalf("drained = %d, want %d", st.Drained, files*4096)
+		}
 	}
 }

@@ -15,9 +15,12 @@ import (
 // runs see the same metadata behavior.
 //
 // Durability semantics: Fsync maps to the buffer's WaitDrained, so a file
-// is durable only once its staged bytes have reached the PFS, and drain
-// failures (typed PFS errors that survived the resilience policy's retry
-// budget) surface from Fsync as a *burstbuffer.DrainError.
+// is durable only once its staged bytes have reached the PFS and the drain
+// handles written since the buffer's last sync pass have been fsynced; a
+// sync's host cost is linear in the files written since that pass, not in
+// every file the buffer has opened. Drain failures (typed PFS errors that
+// survived the resilience policy's retry budget) surface from Fsync as a
+// *burstbuffer.DrainError.
 type TieredBB struct {
 	c  *pfs.Client
 	bb *burstbuffer.Buffer
