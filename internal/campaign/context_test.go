@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pioeval/internal/des"
 	"pioeval/internal/leakcheck"
 )
 
@@ -166,6 +167,27 @@ func TestPoolPanicOrderStable(t *testing.T) {
 	}
 	if res.Completed != 10 {
 		t.Fatalf("Completed = %d, want 10", res.Completed)
+	}
+}
+
+// TestPoolPanicFromSimCallback: a job whose simulation panics in an event
+// callback, dispatched while a blocked goroutine proc holds the event loop,
+// is recorded as a PoolPanic with the callback's value; the other jobs
+// complete and the test binary survives.
+func TestPoolPanicFromSimCallback(t *testing.T) {
+	res := Pool(4, Options{Workers: 2}, func(i int) {
+		e := des.NewEngine(int64(i))
+		e.Spawn("rank", func(p *des.Proc) { p.Wait(10) })
+		if i == 2 {
+			e.After(5, func() { panic("poisoned callback") })
+		}
+		e.Run(des.MaxTime)
+	})
+	if len(res.Panicked) != 1 || res.Panicked[0].Index != 2 || res.Panicked[0].Value != "poisoned callback" {
+		t.Fatalf("Panicked = %+v, want one entry for index 2 with the callback's value", res.Panicked)
+	}
+	if res.Completed != 3 {
+		t.Fatalf("Completed = %d, want 3", res.Completed)
 	}
 }
 

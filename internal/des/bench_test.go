@@ -44,23 +44,27 @@ func BenchmarkEngineEventChurn(b *testing.B) {
 	e.Run(MaxTime)
 }
 
-// BenchmarkProcContextSwitch measures the goroutine-handoff cost of one
-// process Wait — the price of the process-oriented (coroutine) API
-// compared to raw callbacks.
+// BenchmarkProcContextSwitch measures a cross-proc wake: two procs
+// interleave their Waits, so every wake hands the event loop to the other
+// proc's goroutine — one channel rendezvous and one goroutine switch.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(1)
-		}
-	})
+	for i := 0; i < 2; i++ {
+		e.SpawnAt(Time(i), "p", func(p *Proc) {
+			for k := 0; k < b.N/2; k++ {
+				p.Wait(2)
+			}
+		})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run(MaxTime)
 }
 
-// BenchmarkProcHandoff measures a full suspend/resume cycle of a simulated
-// process including allocation accounting: every Wait schedules a wake,
-// parks the goroutine, and hands control back to the engine loop.
+// BenchmarkProcHandoff measures a full suspend/resume cycle of a lone
+// simulated process including allocation accounting: every Wait schedules
+// a wake and runs the event loop, which finds the proc's own wake next, so
+// the proc continues without a goroutine switch.
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("p", func(p *Proc) {

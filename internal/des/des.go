@@ -5,13 +5,16 @@
 //
 //   - Goroutine procs (Spawn): entities run as goroutines that block on
 //     simulation primitives (Wait, Acquire, Get). Natural sequential code;
-//     each entity costs a goroutine stack and a channel rendezvous per wake.
+//     each entity costs a goroutine stack. A blocking proc runs the event
+//     loop itself: when it is the next to wake it just continues, with no
+//     goroutine switch, and otherwise it hands the loop directly to the
+//     proc that is, one channel rendezvous per switch.
 //   - Continuation procs (SpawnEvent): entities are state machines whose
 //     blocking points pass an explicit continuation (WaitE-style methods:
 //     Wait(d, k), Queue.GetE, Resource.AcquireE). No goroutine, stack, or
 //     channel per entity — a wake is a pooled event dispatch calling a
-//     function pointer, ~20x cheaper than a goroutine handoff — which is
-//     what makes million-rank simulations affordable. A step that returns
+//     function pointer, over 10x cheaper than a goroutine switch — which
+//     is what makes million-rank simulations affordable. A step that returns
 //     without arming exactly one blocking point terminates the proc; arming
 //     two panics.
 //
@@ -86,8 +89,8 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker for determinism: FIFO among simultaneous events
 	// Exactly one of fire/proc/eproc is set: fire is a callback, proc is a
-	// blocked goroutine process the engine resumes directly, and eproc is
-	// a blocked continuation process whose stored continuation the engine
+	// goroutine process the loop starts or hands off to, and eproc is a
+	// blocked continuation process whose stored continuation the engine
 	// invokes in place (no closure needed for either process form).
 	fire  func()
 	proc  *Proc
@@ -137,9 +140,12 @@ type Engine struct {
 	// canceled counts lazily-canceled events still queued (heap or imm).
 	canceled int
 
-	// Process scheduling: the engine hands control to one process goroutine
-	// at a time and waits for it to yield back.
-	yield chan struct{}
+	// Process scheduling (see Run): the proc that finds nothing left before
+	// horizon hands the event loop back to Run over yield; fault carries a
+	// dispatch panic from a proc goroutine to Run.
+	yield   chan struct{}
+	horizon Time
+	fault   any
 
 	running    bool
 	procs      int // live process count (both forms), for leak detection
@@ -371,16 +377,39 @@ func (e *Engine) next() (int32, bool) {
 
 // Run executes events until the event queue empties or until the clock
 // exceeds horizon (use MaxTime for no limit). It returns the final time.
+//
+// Run dispatches on its own goroutine until the first goroutine-Proc wake,
+// then hands the event loop to that proc; procs pass it among themselves
+// (Proc.block) and the last one hands it back once the queue is empty or
+// the horizon is reached. A panic raised by a callback or continuation on
+// a proc goroutine is re-raised here, so every dispatch panic surfaces
+// from Run.
 func (e *Engine) Run(horizon Time) Time {
 	if e.running {
 		panic("des: Run called re-entrantly")
 	}
 	e.running = true
+	e.horizon = horizon
 	defer func() { e.running = false }()
+	if p := e.loop(); p != nil {
+		e.handoff(p)
+		<-e.yield
+		if r := e.fault; r != nil {
+			e.fault = nil
+			panic(r)
+		}
+	}
+	return e.now
+}
+
+// loop dispatches callbacks and continuation wakes in place until the next
+// event is a goroutine-Proc wake, and returns that proc. It returns nil
+// once the queue is empty or the next event lies past the horizon.
+func (e *Engine) loop() *Proc {
 	for {
 		idx, ok := e.next()
 		if !ok {
-			break
+			return nil
 		}
 		ev := &e.pool[idx]
 		if ev.canceled {
@@ -388,11 +417,11 @@ func (e *Engine) Run(horizon Time) Time {
 			e.freeSlot(idx)
 			continue
 		}
-		if ev.at > horizon {
+		if ev.at > e.horizon {
 			// Put it back for a future Run call and stop.
 			e.heapPush(idx)
-			e.now = horizon
-			return e.now
+			e.now = e.horizon
+			return nil
 		}
 		e.now = ev.at
 		fire, proc, eproc := ev.fire, ev.proc, ev.eproc
@@ -403,11 +432,7 @@ func (e *Engine) Run(horizon Time) Time {
 		}
 		switch {
 		case proc != nil:
-			// Direct handoff: resume the blocked process goroutine and
-			// wait for it to yield control back. One reusable rendezvous
-			// per switch; no scheduled closure.
-			proc.resume <- struct{}{}
-			<-e.yield
+			return proc
 		case eproc != nil:
 			// Continuation dispatch: run the stored continuation in
 			// place. No stack switch at all.
@@ -416,7 +441,35 @@ func (e *Engine) Run(horizon Time) Time {
 			fire()
 		}
 	}
-	return e.now
+}
+
+// procLoop is loop run on a proc goroutine. A panic from a dispatched
+// callback or continuation is caught and stored for Run to re-raise; the
+// loop then reports nil so the caller hands control back to Run. The
+// dispatching proc stays blocked where it was, so a later Run can still
+// wake it.
+func (e *Engine) procLoop() *Proc {
+	defer func() {
+		if r := recover(); r != nil {
+			e.fault = r
+		}
+	}()
+	return e.loop()
+}
+
+// handoff passes the event loop to proc next, starting its goroutine at
+// its first dispatch, or back to Run when next is nil.
+func (e *Engine) handoff(next *Proc) {
+	switch {
+	case next == nil:
+		e.yield <- struct{}{}
+	case next.fn != nil:
+		fn := next.fn
+		next.fn = nil
+		go next.main(fn)
+	default:
+		next.resume <- struct{}{}
+	}
 }
 
 // NextEventTime returns the timestamp of the earliest pending event.

@@ -5,56 +5,67 @@ import "fmt"
 // Proc is a simulated process: a goroutine that advances only when the
 // engine resumes it. All blocking primitives (Wait, Resource.Acquire,
 // Queue.Get, Signal.Wait) must be called from the process's own goroutine.
+//
+// A blocking proc does not return control to a central engine goroutine:
+// it runs the event loop itself (see Engine.Run). If its own wake is the
+// next goroutine-proc event it simply returns, with no goroutine switch;
+// otherwise it hands the loop directly to the proc that wakes next, or
+// back to Run when nothing is left before the horizon, and parks. Exactly
+// one goroutine runs the loop at a time, so event order is unchanged.
 type Proc struct {
 	eng    *Engine
 	pid    int
 	name   string
 	resume chan struct{}
-	done   bool
+	// fn is the body until the proc's first dispatch starts its goroutine.
+	fn func(p *Proc)
 }
 
 // Spawn starts fn as a new simulated process at the current time.
 // The name appears in deadlock diagnostics.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, pid: e.nextPID, name: name, resume: make(chan struct{})}
-	e.nextPID++
-	e.procs++
-	e.schedule(e.now, func() { p.start(fn) }, nil)
-	return p
+	return e.SpawnAt(0, name, fn)
 }
 
-// SpawnAt starts fn as a new simulated process after delay d.
+// SpawnAt starts fn as a new simulated process after delay d. The spawn is
+// a proc-carrying event: the proc's goroutine starts at its first dispatch.
 func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, pid: e.nextPID, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, pid: e.nextPID, name: name, resume: make(chan struct{}), fn: fn}
 	e.nextPID++
 	e.procs++
-	e.schedule(e.now+d, func() { p.start(fn) }, nil)
+	e.schedule(e.now+d, nil, p)
 	return p
 }
 
-func (p *Proc) start(fn func(p *Proc)) {
-	go func() {
-		defer func() {
-			p.done = true
-			p.eng.procs--
-			// Return control to the engine loop.
-			p.eng.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	<-p.eng.yield // wait until the process blocks or finishes
+// main is the proc goroutine: run the body, then pass the event loop on
+// and exit. The deferred exit also covers a body that leaves through
+// runtime.Goexit.
+func (p *Proc) main(fn func(p *Proc)) {
+	defer p.exit()
+	fn(p)
 }
 
-// block suspends the process goroutine, returning control to the engine.
-// It resumes when something calls p.wake (via a scheduled event).
+// exit retires the finished proc and hands the event loop on.
+func (p *Proc) exit() {
+	p.eng.procs--
+	p.eng.handoff(p.eng.procLoop())
+}
+
+// block suspends the process until its scheduled wake. It runs the event
+// loop on this goroutine: a self-wake returns at once, any other next
+// wake gets the loop handed to it, and the proc parks until resumed.
 func (p *Proc) block() {
-	p.eng.yield <- struct{}{}
+	next := p.eng.procLoop()
+	if next == p {
+		return
+	}
+	p.eng.handoff(next)
 	<-p.resume
 }
 
 // wakeAt schedules the process to continue at time at. The wake is a
-// proc-carrying pooled event — no closure, no allocation — that the engine
-// loop dispatches as a direct goroutine handoff.
+// proc-carrying pooled event — no closure, no allocation — that the event
+// loop turns into a direct handoff.
 func (p *Proc) wakeAt(at Time) {
 	p.eng.schedule(at, nil, p)
 }
