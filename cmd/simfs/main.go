@@ -435,8 +435,9 @@ func invariantsHeld(invs []*validate.Invariants) bool {
 // HACC-IO-like dump where every rank is a continuation-form event process
 // (no goroutine per rank), optionally sharded across engines under a
 // ParallelGroup. It reports simulated results plus host-side cost — wall
-// time, event throughput, and heap bytes per rank. Returns false when an
-// armed invariant was violated.
+// time, event throughput, heap bytes per rank, and allocations per rank
+// (every heap allocation the run made, including set-up). Returns false
+// when an armed invariant was violated.
 func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	runtime.GC()
 	var m0 runtime.MemStats
@@ -459,6 +460,7 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 		heapPerRank = int64(m1.HeapAlloc-m0.HeapAlloc) / int64(o.ranks)
 	}
 	runtime.KeepAlive(keepFS)
+	allocsPerRank := float64(m1.Mallocs-m0.Mallocs) / float64(o.ranks)
 
 	nodes := (o.ranks + o.ranksPerNode - 1) / o.ranksPerNode
 	fmt.Printf("scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
@@ -466,8 +468,8 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	fmt.Printf("  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
 		rep.Makespan, cli.FormatSize(rep.TotalBytes), rep.EffectiveMBps, rep.IOErrors)
 	evRate := float64(rep.Events) / wall.Seconds()
-	fmt.Printf("  host: %d events in %v (%.2fM events/s), heap %d B/rank\n",
-		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank)
+	fmt.Printf("  host: %d events in %v (%.2fM events/s), heap %d B/rank, %.1f allocs/rank\n",
+		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank, allocsPerRank)
 
 	ok := invariantsHeld(invs)
 	if o.validate {

@@ -130,6 +130,9 @@ type Device struct {
 
 	// slowdown > 1 degrades the device (failure/straggler injection).
 	slowdown float64
+
+	// opFree recycles AccessE state machines (see devOp).
+	opFree []*devOp
 }
 
 // SetSlowdown injects degradation: every subsequent request's service time
@@ -179,21 +182,34 @@ func (d *Device) Access(p *des.Proc, req Request) {
 		d.busySince = p.Now()
 	}
 	d.inflight++
-	lat, xfer := d.model.Cost(req, d.prevEnd)
-	if d.slowdown > 1 {
-		lat = des.Time(float64(lat) * d.slowdown)
-		xfer = des.Time(float64(xfer) * d.slowdown)
-	}
-	d.prevEnd = req.Offset + req.Size
+	lat, xfer := d.cost(req)
 	if lat > 0 {
 		p.Wait(lat)
 	}
 	if xfer > 0 {
 		d.media.Use(p, xfer)
 	}
+	d.complete(req, lat, xfer)
+}
+
+// cost returns the request's latency and transfer components under the
+// current slowdown, and advances the sequentiality cursor.
+func (d *Device) cost(req Request) (lat, xfer des.Time) {
+	lat, xfer = d.model.Cost(req, d.prevEnd)
+	if d.slowdown > 1 {
+		lat = des.Time(float64(lat) * d.slowdown)
+		xfer = des.Time(float64(xfer) * d.slowdown)
+	}
+	d.prevEnd = req.Offset + req.Size
+	return lat, xfer
+}
+
+// complete retires a served request: it frees the admission slot and
+// updates the counters.
+func (d *Device) complete(req Request, lat, xfer des.Time) {
 	d.inflight--
 	if d.inflight == 0 {
-		d.busyAccum += p.Now() - d.busySince
+		d.busyAccum += d.eng.Now() - d.busySince
 	}
 	d.queue.Release()
 	d.busy += lat + xfer
@@ -213,46 +229,90 @@ func (d *Device) AccessE(ep *des.EventProc, req Request, k func()) {
 	if req.Size < 0 || req.Offset < 0 {
 		panic(fmt.Sprintf("blockdev: bad request %+v", req))
 	}
-	d.queue.AcquireE(ep, func() {
-		if d.inflight == 0 {
-			d.busySince = ep.Now()
-		}
-		d.inflight++
-		lat, xfer := d.model.Cost(req, d.prevEnd)
-		if d.slowdown > 1 {
-			lat = des.Time(float64(lat) * d.slowdown)
-			xfer = des.Time(float64(xfer) * d.slowdown)
-		}
-		d.prevEnd = req.Offset + req.Size
-		fin := func() {
-			d.inflight--
+	var o *devOp
+	if n := len(d.opFree) - 1; n >= 0 {
+		o = d.opFree[n]
+		d.opFree[n] = nil
+		d.opFree = d.opFree[:n]
+	} else {
+		o = &devOp{d: d}
+		o.resumeF = o.resume
+	}
+	o.ep, o.req, o.k, o.phase = ep, req, k, opQueued
+	d.queue.AcquireE(ep, o.resumeF)
+}
+
+// maxFreeOps caps a device's AccessE free list: a deep OST queue frees a
+// burst of state at once, of which only this many are kept.
+const maxFreeOps = 64
+
+// devOp is the state machine behind AccessE: admission slot, latency,
+// media transfer, completion. Every step re-enters resume, the one
+// continuation bound when the struct is first allocated; the struct
+// returns to its device's free list when its last step fires.
+type devOp struct {
+	d         *Device
+	ep        *des.EventProc
+	req       Request
+	lat, xfer des.Time
+	phase     uint8
+	k         func()
+	resumeF   func()
+}
+
+// devOp phases: the step that runs when the pending blocking point fires.
+const (
+	opQueued   uint8 = iota // holds an admission slot
+	opLatency               // latency component served
+	opMedia                 // holds the media
+	opTransfer              // transfer component served
+)
+
+func (o *devOp) resume() {
+	d := o.d
+	for {
+		switch o.phase {
+		case opQueued:
 			if d.inflight == 0 {
-				d.busyAccum += ep.Now() - d.busySince
+				d.busySince = o.ep.Now()
 			}
-			d.queue.Release()
-			d.busy += lat + xfer
-			if req.Write {
-				d.writes++
-				d.bytesWritten += req.Size
-			} else {
-				d.reads++
-				d.bytesRead += req.Size
+			d.inflight++
+			o.lat, o.xfer = d.cost(o.req)
+			o.phase = opLatency
+			if o.lat > 0 {
+				o.ep.Wait(o.lat, o.resumeF)
+				return
 			}
-			k()
-		}
-		media := func() {
-			if xfer > 0 {
-				d.media.UseE(ep, xfer, fin)
-			} else {
-				fin()
+		case opLatency:
+			if o.xfer <= 0 {
+				o.finish()
+				return
 			}
+			o.phase = opMedia
+			d.media.AcquireE(o.ep, o.resumeF)
+			return
+		case opMedia:
+			o.phase = opTransfer
+			o.ep.Wait(o.xfer, o.resumeF)
+			return
+		case opTransfer:
+			d.media.Release()
+			o.finish()
+			return
 		}
-		if lat > 0 {
-			ep.Wait(lat, media)
-		} else {
-			media()
-		}
-	})
+	}
+}
+
+// finish accounts the completed request, recycles o and runs its
+// continuation.
+func (o *devOp) finish() {
+	d, k := o.d, o.k
+	d.complete(o.req, o.lat, o.xfer)
+	o.ep, o.k = nil, nil
+	if len(d.opFree) < maxFreeOps {
+		d.opFree = append(d.opFree, o)
+	}
+	k()
 }
 
 // Name returns the device name.

@@ -91,6 +91,8 @@ const (
 	opFork                      // spawn each of kids, join them on a WaitGroup
 	opAfter                     // After(d): a callback that spawns body as a proc
 	opAfterCancel               // AfterCancel(d) spawning body, canceled by a callback at c
+	opSteal                     // a callback at d TryAcquires resource idx and holds a won unit for c
+	opForkReAdd                 // opFork whose WaitGroup a callback at c raises again for one more child, body
 	numOps
 )
 
@@ -117,7 +119,7 @@ func genOps(r *rand.Rand, prog *genProgram, n, depth int, inHold bool) []genOp {
 	for i := range ops {
 		o := genOp{kind: opKind(r.Intn(int(numOps))), d: Time(r.Intn(12))}
 		if inHold || depth == 0 {
-			for o.kind >= opHold && o.kind != opSigWait && o.kind != opFire {
+			for o.kind >= opHold && o.kind != opSigWait && o.kind != opFire && o.kind != opSteal {
 				o.kind = opKind(r.Intn(int(numOps)))
 			}
 		}
@@ -129,11 +131,18 @@ func genOps(r *rand.Rand, prog *genProgram, n, depth int, inHold bool) []genOp {
 			o.body = genOps(r, prog, r.Intn(4), depth-1, true)
 		case opSigWait, opFire:
 			o.idx = r.Intn(prog.signals)
-		case opFork:
+		case opFork, opForkReAdd:
 			o.kids = make([][]genOp, 1+r.Intn(3))
 			for k := range o.kids {
 				o.kids[k] = genOps(r, prog, r.Intn(5), depth-1, false)
 			}
+			if o.kind == opForkReAdd {
+				o.c = Time(r.Intn(12))
+				o.body = genOps(r, prog, r.Intn(4), depth-1, false)
+			}
+		case opSteal:
+			o.idx = r.Intn(prog.resources)
+			o.c = Time(r.Intn(12))
 		case opAfter, opAfterCancel:
 			o.c = Time(r.Intn(12))
 			o.body = genOps(r, prog, r.Intn(5), depth-1, false)
@@ -225,13 +234,40 @@ func (w *genWorld) schedule(name string, i int, o genOp) {
 	})
 }
 
+// fork spawns an op's children on a fresh WaitGroup. For opForkReAdd a
+// callback raises the group again for one more child, which can land
+// after the count has reached zero but before the woken waiter runs.
 func (w *genWorld) fork(name string, i int, o genOp) *WaitGroup {
 	wg := NewWaitGroup(w.e)
 	wg.Add(len(o.kids))
 	for k, kid := range o.kids {
 		w.spawn(0, fmt.Sprintf("%s.%d.%d", name, i, k), kid, wg)
 	}
+	if o.kind == opForkReAdd {
+		child := fmt.Sprintf("%s.%d.%d", name, i, len(o.kids))
+		w.e.After(o.c, func() {
+			w.logf(child, "readd")
+			wg.Add(1)
+			w.spawn(0, child, o.body, wg)
+		})
+	}
 	return wg
+}
+
+// steal arms a callback that takes a unit of a resource without waiting,
+// the way a TryAcquire can slip in between a Release and the woken
+// waiter's dispatch, and holds a won unit for o.c.
+func (w *genWorld) steal(name string, i int, o genOp) {
+	child := fmt.Sprintf("%s.%d", name, i)
+	r := w.res[o.idx]
+	w.e.After(o.d, func() {
+		if !r.TryAcquire() {
+			w.logf(child, "miss")
+			return
+		}
+		w.logf(child, "steal")
+		w.e.After(o.c, r.Release)
+	})
 }
 
 // runG interprets ops on a goroutine proc.
@@ -254,10 +290,12 @@ func (w *genWorld) runG(p *Proc, name string, ops []genOp) {
 			w.sigs[o.idx].Wait(p)
 		case opFire:
 			w.sigs[o.idx].Fire()
-		case opFork:
+		case opFork, opForkReAdd:
 			w.fork(name, i, o).Wait(p)
 		case opAfter, opAfterCancel:
 			w.schedule(name, i, o)
+		case opSteal:
+			w.steal(name, i, o)
 		}
 		w.logf(name, fmt.Sprint(i))
 	}
@@ -297,10 +335,13 @@ func (w *genWorld) runE(ep *EventProc, name string, ops []genOp, i int, k func()
 	case opFire:
 		w.sigs[o.idx].Fire()
 		next()
-	case opFork:
+	case opFork, opForkReAdd:
 		w.fork(name, i, o).WaitE(ep, next)
 	case opAfter, opAfterCancel:
 		w.schedule(name, i, o)
+		next()
+	case opSteal:
+		w.steal(name, i, o)
 		next()
 	}
 }

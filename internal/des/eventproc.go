@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // EventProc is the continuation (goroutine-free) execution form of a
 // simulated process. Where a Proc is a goroutine that blocks on simulation
@@ -33,16 +36,32 @@ import "fmt"
 //     Engine.LiveProcs until then, so deadlock detection covers both
 //     forms.
 type EventProc struct {
-	eng  *Engine
-	pid  int
-	name string
+	eng *Engine
+	pid int
+	// name, followed by index when index >= 0, is the process name; it is
+	// formatted only when Name is called.
+	name  string
+	index int
 
-	// k is the pending continuation; it is dispatched either by an
-	// ep-carrying pooled event (Wait) or by a waiter-FIFO wake
+	// The pending step is exactly one of: fn, the body of a process that
+	// has not started; retry, a primitive whose wait condition is
+	// re-checked on wake before k runs (see retrier); or k alone. A
+	// dispatch is an ep-carrying pooled event (Wait) or a waiter-FIFO wake
 	// (Queue/Resource/Signal), whichever blocking point armed it.
+	fn    func(ep *EventProc)
 	k     func()
+	retry retrier
 	armed bool
 	live  bool
+}
+
+// retrier is a primitive whose continuation-form wait re-checks its
+// condition on wake: Resource (a TryAcquire may have taken the unit) and
+// WaitGroup (an Add may have raised the counter again). Keeping the
+// primitive in a slot on the EventProc, in place of a closure that calls
+// back into it, makes a contended wait allocation-free.
+type retrier interface {
+	retryE(ep *EventProc, k func())
 }
 
 // SpawnEvent starts fn as a new continuation-form process at the current
@@ -54,24 +73,48 @@ func (e *Engine) SpawnEvent(name string, fn func(ep *EventProc)) *EventProc {
 
 // SpawnEventAt starts fn as a new continuation-form process after delay d.
 func (e *Engine) SpawnEventAt(d Time, name string, fn func(ep *EventProc)) *EventProc {
+	ep := e.newEventProc(d, name, -1)
+	ep.fn = fn
+	return ep
+}
+
+// SpawnEventK starts a continuation-form process at the current time whose
+// first step is k; the caller keeps the returned handle for k to use. It
+// suits state machines that bind one continuation when they are allocated
+// and reuse it for every step. The process is named name, followed by
+// index when index >= 0 (name "rank", index 3 gives "rank3"); the name is
+// formatted only when Name is called.
+func (e *Engine) SpawnEventK(name string, index int, k func()) *EventProc {
+	ep := e.newEventProc(0, name, index)
+	ep.k = k
+	return ep
+}
+
+func (e *Engine) newEventProc(d Time, name string, index int) *EventProc {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative spawn delay %v for event proc %s", d, name))
 	}
-	ep := &EventProc{eng: e, pid: e.nextPID, name: name, live: true}
+	ep := &EventProc{eng: e, pid: e.nextPID, name: name, index: index, live: true}
 	e.nextPID++
 	e.procs++
-	ep.k = func() { fn(ep) }
 	e.scheduleEP(e.now+d, ep)
 	return ep
 }
 
-// enter runs the pending continuation as one step. If the step returns
-// without arming a new blocking point, the process has finished.
+// enter runs the pending step. If the step returns without arming a new
+// blocking point, the process has finished.
 func (ep *EventProc) enter() {
-	k := ep.k
-	ep.k = nil
+	fn, k, rt := ep.fn, ep.k, ep.retry
+	ep.fn, ep.k, ep.retry = nil, nil, nil
 	ep.armed = false
-	k()
+	switch {
+	case fn != nil:
+		fn(ep)
+	case rt != nil:
+		rt.retryE(ep, k)
+	default:
+		k()
+	}
 	if !ep.armed && ep.live {
 		ep.live = false
 		ep.eng.procs--
@@ -82,13 +125,20 @@ func (ep *EventProc) enter() {
 // installed. Exactly one blocking point may be pending per step.
 func (ep *EventProc) arm(k func()) {
 	if ep.armed {
-		panic(fmt.Sprintf("des: event proc %s blocked twice in one step", ep.name))
+		panic(fmt.Sprintf("des: event proc %s blocked twice in one step", ep.Name()))
 	}
 	if !ep.live {
-		panic(fmt.Sprintf("des: blocking call on finished event proc %s", ep.name))
+		panic(fmt.Sprintf("des: blocking call on finished event proc %s", ep.Name()))
 	}
 	ep.armed = true
 	ep.k = k
+}
+
+// armRetry is arm for a wait whose condition rt re-checks on wake before
+// k runs.
+func (ep *EventProc) armRetry(rt retrier, k func()) {
+	ep.arm(k)
+	ep.retry = rt
 }
 
 // wakeNow schedules the armed continuation to run at the current time,
@@ -101,7 +151,7 @@ func (ep *EventProc) wakeNow() { ep.eng.scheduleEP(ep.eng.now, ep) }
 // closure is scheduled and steady-state waits allocate nothing.
 func (ep *EventProc) Wait(d Time, k func()) {
 	if d < 0 {
-		panic(fmt.Sprintf("des: negative wait %v in event proc %s", d, ep.name))
+		panic(fmt.Sprintf("des: negative wait %v in event proc %s", d, ep.Name()))
 	}
 	ep.arm(k)
 	ep.eng.scheduleEP(ep.eng.now+d, ep)
@@ -124,8 +174,13 @@ func (ep *EventProc) Engine() *Engine { return ep.eng }
 // Now returns the current simulated time.
 func (ep *EventProc) Now() Time { return ep.eng.now }
 
-// Name returns the process name given at SpawnEvent.
-func (ep *EventProc) Name() string { return ep.name }
+// Name returns the process name given at SpawnEvent or SpawnEventK.
+func (ep *EventProc) Name() string {
+	if ep.index < 0 {
+		return ep.name
+	}
+	return ep.name + strconv.Itoa(ep.index)
+}
 
 // PID returns the unique process id (shared sequence with goroutine Procs).
 func (ep *EventProc) PID() int { return ep.pid }

@@ -227,3 +227,64 @@ func TestEventProcWaitUntil(t *testing.T) {
 		t.Errorf("resumed at %v, want 5ms", at)
 	}
 }
+
+// TestResourceRetryAfterSteal covers the AcquireE retry path: a
+// capacity-1 resource has one waiting EventProc and one waiting goroutine
+// Proc. A same-time callback takes the unit with TryAcquire between the
+// Release and the woken waiter's dispatch, so the woken proc finds the
+// resource busy again and must re-queue at the back. Either form may be
+// the one woken; both must behave the same way.
+func TestResourceRetryAfterSteal(t *testing.T) {
+	for _, tc := range []struct {
+		first string
+		want  []string
+	}{
+		{"event", []string{"stealer@10ms", "goroutine@15ms", "event@16ms"}},
+		{"goroutine", []string{"stealer@10ms", "event@15ms", "goroutine@16ms"}},
+	} {
+		t.Run(tc.first+"-first", func(t *testing.T) {
+			var log []string
+			grant := func(name string, at Time) { log = append(log, fmt.Sprintf("%s@%v", name, at)) }
+			e := NewEngine(1)
+			r := NewResource(e, "r", 1)
+			// One callback takes the unit at 0 and schedules its release at
+			// 10ms, then the steal at 10ms: the steal is ordered after the
+			// release but before the wake the release issues.
+			e.After(0, func() {
+				r.TryAcquire()
+				e.After(10*Millisecond, r.Release)
+				e.After(10*Millisecond, func() {
+					if !r.TryAcquire() {
+						t.Error("steal: resource was not free between Release and the wake")
+						return
+					}
+					grant("stealer", e.Now())
+					e.After(5*Millisecond, r.Release)
+				})
+			})
+			eventAt, goroutineAt := 1*Millisecond, 2*Millisecond
+			if tc.first == "goroutine" {
+				eventAt, goroutineAt = goroutineAt, eventAt
+			}
+			e.SpawnEventAt(eventAt, "event", func(ep *EventProc) {
+				r.AcquireE(ep, func() {
+					grant("event", ep.Now())
+					ep.Wait(1*Millisecond, r.Release)
+				})
+			})
+			e.SpawnAt(goroutineAt, "goroutine", func(p *Proc) {
+				r.Acquire(p)
+				grant("goroutine", p.Now())
+				p.Wait(1 * Millisecond)
+				r.Release()
+			})
+			e.Run(MaxTime)
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Errorf("grants = %v, want %v", log, tc.want)
+			}
+			if n := e.LiveProcs(); n != 0 {
+				t.Errorf("LiveProcs = %d, want 0", n)
+			}
+		})
+	}
+}

@@ -110,12 +110,11 @@ func (p *Proc) WaitUntil(at Time) {
 // Waiters of both execution forms share one list and are released in
 // strict arrival order.
 type Signal struct {
-	eng     *Engine
 	waiters []waiter
 }
 
-// NewSignal creates a Signal bound to engine e.
-func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
+// NewSignal creates a Signal for processes on engine e.
+func NewSignal(e *Engine) *Signal { return &Signal{} }
 
 // Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
@@ -131,28 +130,31 @@ func (s *Signal) WaitE(ep *EventProc, k func()) {
 }
 
 // Fire releases all processes currently waiting on the signal.
-// Safe to call from process or event context.
+// Safe to call from process or event context. The waiter list is cleared
+// and kept for reuse, so a signal fired every step stops allocating once
+// its list has grown to the largest batch of waiters.
 func (s *Signal) Fire() {
 	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
+	for i, w := range ws {
+		ws[i] = waiter{}
 		w.wake()
 	}
+	s.waiters = ws[:0]
 }
 
 // NumWaiters reports how many processes are blocked on the signal.
 func (s *Signal) NumWaiters() int { return len(s.waiters) }
 
 // WaitGroup counts down to zero and then releases waiters, mirroring
-// sync.WaitGroup for simulated processes.
+// sync.WaitGroup for simulated processes. The zero value is ready to use,
+// so a state machine can embed one and reuse it for every fan-out.
 type WaitGroup struct {
-	eng   *Engine
 	n     int
-	doneS *Signal
+	doneS Signal
 }
 
-// NewWaitGroup creates a WaitGroup bound to engine e.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{eng: e, doneS: NewSignal(e)} }
+// NewWaitGroup creates a WaitGroup for processes on engine e.
+func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{} }
 
 // Add increments the counter by delta.
 func (wg *WaitGroup) Add(delta int) {
@@ -178,10 +180,16 @@ func (wg *WaitGroup) Wait(p *Proc) {
 // WaitE is the continuation form of Wait: k runs once the counter reaches
 // zero, synchronously when it already is (matching Wait's no-yield fast
 // path), re-checking across Fires exactly like the goroutine form's loop.
+// The re-check rides the EventProc's retry slot, so waiting allocates
+// nothing.
 func (wg *WaitGroup) WaitE(ep *EventProc, k func()) {
 	if wg.n == 0 {
 		k()
 		return
 	}
-	wg.doneS.WaitE(ep, func() { wg.WaitE(ep, k) })
+	ep.armRetry(wg, k)
+	wg.doneS.waiters = append(wg.doneS.waiters, waiter{ep: ep})
 }
+
+// retryE re-runs a woken WaitE.
+func (wg *WaitGroup) retryE(ep *EventProc, k func()) { wg.WaitE(ep, k) }

@@ -50,10 +50,12 @@ func (r *Resource) Acquire(p *Proc) {
 // runs synchronously (matching Acquire's no-yield fast path); otherwise
 // the process joins the wait FIFO — shared with goroutine waiters, in
 // strict arrival order — and re-checks on wake, re-entering at the back
-// if a TryAcquire raced it (exactly the goroutine form's loop).
+// if a TryAcquire raced it (exactly the goroutine form's loop). A
+// contended wait keeps the resource in the EventProc's retry slot, so it
+// allocates nothing.
 func (r *Resource) AcquireE(ep *EventProc, k func()) {
 	if r.inUse >= r.capacity {
-		ep.arm(func() { r.AcquireE(ep, k) })
+		ep.armRetry(r, k)
 		r.waiters.push(waiter{ep: ep})
 		if r.waiters.len() > r.peakQueue {
 			r.peakQueue = r.waiters.len()
@@ -65,6 +67,9 @@ func (r *Resource) AcquireE(ep *EventProc, k func()) {
 	r.acquired++
 	k()
 }
+
+// retryE re-runs a woken AcquireE.
+func (r *Resource) retryE(ep *EventProc, k func()) { r.AcquireE(ep, k) }
 
 // TryAcquire obtains a unit without blocking; it reports whether it succeeded.
 func (r *Resource) TryAcquire() bool {

@@ -15,12 +15,12 @@ import (
 // SpawnEvent launches fn once per rank as continuation-form event
 // processes (des.EventProc). Call once; then run the engine. Event ranks
 // and goroutine ranks may coexist in one World and exchange messages.
+// Rank i's process is named "rank<i>".
 func (w *World) SpawnEvent(fn func(r *EventRank)) {
 	for i := 0; i < w.size; i++ {
-		i := i
-		w.eng.SpawnEvent(fmt.Sprintf("rank%d", i), func(ep *des.EventProc) {
-			fn(&EventRank{w: w, id: i, ep: ep})
-		})
+		r := &EventRank{w: w, id: i, fn: fn}
+		r.resumeF = r.resume
+		r.ep = w.eng.SpawnEventK("rank", i, r.resumeF)
 	}
 }
 
@@ -32,6 +32,27 @@ type EventRank struct {
 	w  *World
 	id int
 	ep *des.EventProc
+	fn func(r *EventRank) // the body, until the rank starts
+
+	// Barrier state: the continuation to run on release, the generation
+	// a waiting rank entered in, and whether this rank completed the
+	// barrier and pays its release cost.
+	barK    func()
+	barGen  int
+	barLead bool
+
+	// resumeF is bound once and serves as the first step and as every
+	// barrier wake.
+	resumeF func()
+}
+
+func (r *EventRank) resume() {
+	if fn := r.fn; fn != nil {
+		r.fn = nil
+		fn(r)
+		return
+	}
+	r.barrierStep()
 }
 
 // ID returns the rank number.
@@ -86,26 +107,34 @@ func (r *EventRank) Sendrecv(dst, sendTag int, size int64, src, recvTag int, k f
 func (r *EventRank) Barrier(k func()) {
 	w := r.w
 	w.barCount++
+	r.barK = k
 	if w.barCount == w.size {
 		w.barCount = 0
 		w.barGen++
 		// Dissemination barrier cost: ceil(log2 P) rounds of alpha.
-		r.ep.Wait(w.opts.Alpha*des.Time(ceilLog2(w.size)), func() {
-			w.barSignal.Fire()
-			k()
-		})
+		r.barLead = true
+		r.ep.Wait(w.opts.Alpha*des.Time(ceilLog2(w.size)), r.resumeF)
 		return
 	}
-	gen := w.barGen
-	var await func()
-	await = func() {
-		if w.barGen != gen {
-			k()
-			return
-		}
-		w.barSignal.WaitE(r.ep, await)
+	r.barGen = w.barGen
+	r.barrierStep()
+}
+
+// barrierStep is a barrier wake: the completing rank releases the others
+// after the barrier cost; a waiting rank continues once the generation has
+// moved on, and waits again otherwise.
+func (r *EventRank) barrierStep() {
+	w := r.w
+	if r.barLead {
+		r.barLead = false
+		w.barSignal.Fire()
+	} else if w.barGen == r.barGen {
+		w.barSignal.WaitE(r.ep, r.resumeF)
+		return
 	}
-	await()
+	k := r.barK
+	r.barK = nil
+	k()
 }
 
 // Bcast models a binomial-tree broadcast of size bytes from root. Every

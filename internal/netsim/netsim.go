@@ -77,7 +77,7 @@ func EthernetLike() Config {
 type Fabric struct {
 	eng       *des.Engine
 	cfg       Config
-	nodes     map[string]*endpoint
+	nodes     map[string]*Node
 	backplane *des.Resource
 
 	bytesMoved int64
@@ -86,17 +86,27 @@ type Fabric struct {
 	// degradation >= 1 multiplies latency and serialization times
 	// (fault injection: failing links, congested uplinks).
 	degradation float64
+
+	// xferFree recycles TransferE state machines (see transferE).
+	xferFree []*transferE
 }
 
-type endpoint struct {
+// Node is one endpoint of a fabric, returned by AddNode: a NIC with an
+// injection (send) and an ejection (receive) link. Transfers name their
+// endpoints by handle, so moving a message costs no name lookup.
+type Node struct {
+	fab  *Fabric
 	name string
 	in   *des.Resource // ejection (receive) link
 	out  *des.Resource // injection (send) link
 }
 
+// Name returns the node name given to AddNode.
+func (n *Node) Name() string { return n.name }
+
 // NewFabric creates a fabric on engine e with config cfg.
 func NewFabric(e *des.Engine, cfg Config) *Fabric {
-	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*endpoint)}
+	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*Node)}
 	if cfg.BackplaneBandwidth > 0 {
 		ch := cfg.BackplaneChannels
 		if ch < 1 {
@@ -107,22 +117,27 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 	return f
 }
 
-// AddNode registers a new endpoint; it panics on duplicates.
-func (f *Fabric) AddNode(name string) {
+// AddNode registers a new endpoint and returns its handle; it panics on
+// duplicates.
+func (f *Fabric) AddNode(name string) *Node {
 	if _, dup := f.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
-	f.nodes[name] = &endpoint{
+	n := &Node{
+		fab:  f,
 		name: name,
 		in:   des.NewResource(f.eng, f.cfg.Name+"."+name+".in", 1),
 		out:  des.NewResource(f.eng, f.cfg.Name+"."+name+".out", 1),
 	}
+	f.nodes[name] = n
+	return n
 }
 
-// HasNode reports whether name is registered.
-func (f *Fabric) HasNode(name string) bool {
-	_, ok := f.nodes[name]
-	return ok
+// Node returns the handle of the endpoint registered as name, or nil and
+// false when there is none.
+func (f *Fabric) Node(name string) (*Node, bool) {
+	n, ok := f.nodes[name]
+	return n, ok
 }
 
 // Config returns the fabric configuration.
@@ -154,23 +169,32 @@ func (f *Fabric) scaled(t des.Time) des.Time {
 	return t
 }
 
-// Transfer moves size bytes from src to dst in simulated time, blocking the
-// calling process for the full transfer duration (latency + serialization
-// with queueing on both links and the backplane).
-func (f *Fabric) Transfer(p *des.Proc, src, dst string, size int64) {
+// begin validates a transfer and counts it; it reports the chunk size the
+// message serializes in.
+func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
 	if size < 0 {
 		panic("netsim: negative transfer size")
 	}
-	s, ok := f.nodes[src]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown src node %q", src))
+	if src == nil || src.fab != f {
+		panic(fmt.Sprintf("netsim: %s: src is not a node of this fabric", f.cfg.Name))
 	}
-	d, ok := f.nodes[dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown dst node %q", dst))
+	if dst == nil || dst.fab != f {
+		panic(fmt.Sprintf("netsim: %s: dst is not a node of this fabric", f.cfg.Name))
 	}
 	f.messages++
 	f.bytesMoved += size
+	chunk = f.cfg.MTU
+	if chunk <= 0 || chunk > size {
+		chunk = size
+	}
+	return chunk
+}
+
+// Transfer moves size bytes from src to dst in simulated time, blocking the
+// calling process for the full transfer duration (latency + serialization
+// with queueing on both links and the backplane).
+func (f *Fabric) Transfer(p *des.Proc, src, dst *Node, size int64) {
+	chunk := f.begin(src, dst, size)
 	if src == dst {
 		// Loopback: memcpy-speed, modeled as half latency.
 		p.Wait(f.scaled(f.cfg.Latency / 2))
@@ -180,10 +204,6 @@ func (f *Fabric) Transfer(p *des.Proc, src, dst string, size int64) {
 	// Packetized pipelining: the dominant cost is max of the three stages
 	// plus one latency; we approximate by serializing each chunk through
 	// sender link then receiver link, holding the backplane if present.
-	chunk := f.cfg.MTU
-	if chunk <= 0 || chunk > size {
-		chunk = size
-	}
 	p.Wait(f.scaled(f.cfg.Latency))
 	remaining := size
 	for remaining > 0 {
@@ -192,7 +212,7 @@ func (f *Fabric) Transfer(p *des.Proc, src, dst string, size int64) {
 			n = remaining
 		}
 		t := f.scaled(transferTime(n, f.cfg.LinkBandwidth))
-		s.out.Acquire(p)
+		src.out.Acquire(p)
 		if f.backplane != nil {
 			f.backplane.Acquire(p)
 			bt := f.scaled(transferTime(n, f.cfg.BackplaneBandwidth))
@@ -200,113 +220,129 @@ func (f *Fabric) Transfer(p *des.Proc, src, dst string, size int64) {
 				t = bt
 			}
 		}
-		d.in.Acquire(p)
+		dst.in.Acquire(p)
 		p.Wait(t)
-		d.in.Release()
+		dst.in.Release()
 		if f.backplane != nil {
 			f.backplane.Release()
 		}
-		s.out.Release()
+		src.out.Release()
 		remaining -= n
 	}
 }
 
-// transferE is the state machine behind TransferE: one chunk cycle is
-// acquire sender link -> (acquire backplane) -> acquire receiver link ->
-// hold for the serialization time -> release in reverse order -> next
-// chunk. The continuation methods are bound once at construction so the
-// per-chunk loop allocates nothing beyond the struct itself.
+// maxFreeTransfers caps a fabric's TransferE free list. A burst of
+// concurrent transfers (every rank of a shard queued at one NIC) frees far
+// more state than steady state reuses; only this many are kept.
+const maxFreeTransfers = 256
+
+// transferE is the state machine behind TransferE. One chunk cycle is:
+// acquire the sender link, (acquire the backplane), acquire the receiver
+// link, hold for the serialization time, release in reverse order, next
+// chunk. Every step re-enters resume, the one continuation bound when the
+// struct is first allocated; the struct returns to its fabric's free list
+// when its last step fires, so a steady-state transfer allocates nothing.
 type transferE struct {
 	f       *Fabric
 	ep      *des.EventProc
-	s, d    *endpoint
+	s, d    *Node
 	remain  int64
 	chunk   int64
 	n       int64    // current chunk size
 	t       des.Time // current chunk serialization time
+	phase   uint8
 	k       func()
-	stepF   func()
-	afterBF func()
-	afterIF func()
-	doneF   func()
+	resumeF func()
 }
 
-func (t *transferE) step() {
-	if t.remain <= 0 {
-		t.k()
-		return
-	}
-	t.n = t.chunk
-	if t.n > t.remain {
-		t.n = t.remain
-	}
-	t.s.out.AcquireE(t.ep, t.afterBF)
-}
+// transferE phases: the step that runs when the pending blocking point
+// fires.
+const (
+	xfChunk     uint8 = iota // latency paid or chunk released: start the next chunk
+	xfOut                    // holds the sender link
+	xfBackplane              // holds the backplane
+	xfIn                     // holds the receiver link
+	xfSent                   // chunk serialized
+)
 
-// afterOut holds the sender link: compute the chunk cost and take the
-// backplane when present.
-func (t *transferE) afterOut() {
-	t.t = t.f.scaled(transferTime(t.n, t.f.cfg.LinkBandwidth))
-	if t.f.backplane != nil {
-		t.f.backplane.AcquireE(t.ep, t.afterIF)
-		return
-	}
-	t.afterIn()
-}
-
-// afterIn holds everything up to the receiver link: apply the backplane
-// cost and serialize the chunk.
-func (t *transferE) afterIn() {
-	if t.f.backplane != nil {
-		if bt := t.f.scaled(transferTime(t.n, t.f.cfg.BackplaneBandwidth)); bt > t.t {
-			t.t = bt
+func (t *transferE) resume() {
+	f := t.f
+	for {
+		switch t.phase {
+		case xfChunk:
+			if t.remain <= 0 {
+				k := t.k
+				f.putTransfer(t)
+				k()
+				return
+			}
+			t.n = min(t.chunk, t.remain)
+			t.phase = xfOut
+			t.s.out.AcquireE(t.ep, t.resumeF)
+			return
+		case xfOut:
+			t.t = f.scaled(transferTime(t.n, f.cfg.LinkBandwidth))
+			if f.backplane != nil {
+				t.phase = xfBackplane
+				f.backplane.AcquireE(t.ep, t.resumeF)
+				return
+			}
+			t.phase = xfIn
+			t.d.in.AcquireE(t.ep, t.resumeF)
+			return
+		case xfBackplane:
+			if bt := f.scaled(transferTime(t.n, f.cfg.BackplaneBandwidth)); bt > t.t {
+				t.t = bt
+			}
+			t.phase = xfIn
+			t.d.in.AcquireE(t.ep, t.resumeF)
+			return
+		case xfIn:
+			t.phase = xfSent
+			t.ep.Wait(t.t, t.resumeF)
+			return
+		case xfSent:
+			t.d.in.Release()
+			if f.backplane != nil {
+				f.backplane.Release()
+			}
+			t.s.out.Release()
+			t.remain -= t.n
+			t.phase = xfChunk
 		}
 	}
-	t.d.in.AcquireE(t.ep, func() { t.ep.Wait(t.t, t.doneF) })
 }
 
-func (t *transferE) done() {
-	t.d.in.Release()
-	if t.f.backplane != nil {
-		t.f.backplane.Release()
+// putTransfer returns t to the free list, dropping its references.
+func (f *Fabric) putTransfer(t *transferE) {
+	t.ep, t.s, t.d, t.k = nil, nil, nil, nil
+	if len(f.xferFree) < maxFreeTransfers {
+		f.xferFree = append(f.xferFree, t)
 	}
-	t.s.out.Release()
-	t.remain -= t.n
-	t.step()
 }
 
 // TransferE is the continuation form of Transfer: it moves size bytes from
 // src to dst in simulated time and runs k on completion, using the calling
 // EventProc for all queueing. Cost model and contention behaviour are
-// identical to Transfer.
-func (f *Fabric) TransferE(ep *des.EventProc, src, dst string, size int64, k func()) {
-	if size < 0 {
-		panic("netsim: negative transfer size")
-	}
-	s, ok := f.nodes[src]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown src node %q", src))
-	}
-	d, ok := f.nodes[dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: unknown dst node %q", dst))
-	}
-	f.messages++
-	f.bytesMoved += size
+// identical to Transfer. It never runs k before returning.
+func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k func()) {
+	chunk := f.begin(src, dst, size)
 	if src == dst {
 		ep.Wait(f.scaled(f.cfg.Latency/2), k)
 		return
 	}
-	chunk := f.cfg.MTU
-	if chunk <= 0 || chunk > size {
-		chunk = size
+	var t *transferE
+	if n := len(f.xferFree) - 1; n >= 0 {
+		t = f.xferFree[n]
+		f.xferFree[n] = nil
+		f.xferFree = f.xferFree[:n]
+	} else {
+		t = &transferE{f: f}
+		t.resumeF = t.resume
 	}
-	t := &transferE{f: f, ep: ep, s: s, d: d, remain: size, chunk: chunk, k: k}
-	t.stepF = t.step
-	t.afterBF = t.afterOut
-	t.afterIF = t.afterIn
-	t.doneF = t.done
-	ep.Wait(f.scaled(f.cfg.Latency), t.stepF)
+	t.ep, t.s, t.d, t.remain, t.chunk, t.k = ep, src, dst, size, chunk, k
+	t.phase = xfChunk
+	ep.Wait(f.scaled(f.cfg.Latency), t.resumeF)
 }
 
 // RTT returns the zero-payload round-trip time estimate (2x latency).
@@ -320,9 +356,9 @@ func (f *Fabric) Messages() uint64 { return f.messages }
 
 // LinkUtilization returns the send-link utilization of node name in [0,1].
 func (f *Fabric) LinkUtilization(name string) float64 {
-	ep, ok := f.nodes[name]
+	n, ok := f.nodes[name]
 	if !ok {
 		return 0
 	}
-	return ep.out.Utilization()
+	return n.out.Utilization()
 }

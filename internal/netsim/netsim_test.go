@@ -15,12 +15,18 @@ func twoNodeFabric(cfg Config, seed int64) (*des.Engine, *Fabric) {
 	return e, f
 }
 
+// node looks up a node handle by name; nil when there is none.
+func node(f *Fabric, name string) *Node {
+	n, _ := f.Node(name)
+	return n
+}
+
 func TestTransferTimeBasic(t *testing.T) {
 	cfg := Config{Name: "t", Latency: 10 * des.Microsecond, LinkBandwidth: 1 * GBps}
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, "a", "b", 1_000_000) // 1 MB at 1 GB/s = 1 ms
+		f.Transfer(p, node(f, "a"), node(f, "b"), 1_000_000) // 1 MB at 1 GB/s = 1 ms
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
@@ -44,7 +50,7 @@ func TestTransferContentionOnSenderLink(t *testing.T) {
 	for _, dst := range []string{"b", "c"} {
 		dst := dst
 		e.Spawn("x", func(p *des.Proc) {
-			f.Transfer(p, "a", dst, 1_000_000)
+			f.Transfer(p, node(f, "a"), node(f, dst), 1_000_000)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -73,7 +79,7 @@ func TestBackplaneCap(t *testing.T) {
 	for _, pr := range pairs {
 		pr := pr
 		e.Spawn("x", func(p *des.Proc) {
-			f.Transfer(p, pr[0], pr[1], 1_000_000)
+			f.Transfer(p, node(f, pr[0]), node(f, pr[1]), 1_000_000)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -89,7 +95,7 @@ func TestLoopback(t *testing.T) {
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, "a", "a", 1<<30)
+		f.Transfer(p, node(f, "a"), node(f, "a"), 1<<30)
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
@@ -103,7 +109,7 @@ func TestMTUPipelineStillMovesAllBytes(t *testing.T) {
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, "a", "b", 1_000_000)
+		f.Transfer(p, node(f, "a"), node(f, "b"), 1_000_000)
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
@@ -132,7 +138,7 @@ func TestUnknownNodePanics(t *testing.T) {
 				t.Error("transfer to unknown node should panic")
 			}
 		}()
-		f.Transfer(p, "a", "nope", 10)
+		f.Transfer(p, node(f, "a"), node(f, "nope"), 10)
 	})
 	e.Run(des.MaxTime)
 }
@@ -160,7 +166,7 @@ func TestPropTransferMonotonic(t *testing.T) {
 			e, fb := twoNodeFabric(Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps}, 1)
 			var d des.Time
 			e.Spawn("x", func(p *des.Proc) {
-				fb.Transfer(p, "a", "b", size)
+				fb.Transfer(p, node(fb, "a"), node(fb, "b"), size)
 				d = p.Now()
 			})
 			e.Run(des.MaxTime)

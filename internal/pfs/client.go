@@ -2,8 +2,10 @@ package pfs
 
 import (
 	"fmt"
+	"strconv"
 
 	"pioeval/internal/des"
+	"pioeval/internal/netsim"
 )
 
 // metaReqSize / metaRespSize are the wire sizes of metadata RPCs.
@@ -55,9 +57,12 @@ func (fs *FS) SetOSTObserver(fn func(OSTEvent)) { fs.ostObserver = fn }
 // Client is a compute-node-resident file-system client. Each client is
 // bound to a compute-fabric node and routed through one I/O node.
 type Client struct {
-	fs     *FS
-	node   string
-	ionode string // empty in flat-network mode
+	fs *FS
+
+	// Fabric handles: the client's compute node, and its I/O node on the
+	// compute and the storage fabric (both nil in flat-network mode).
+	node       *netsim.Node
+	ionC, ionS *netsim.Node
 
 	// Write-behind buffer state (shared across the client's handles).
 	wbCapacity int64
@@ -92,8 +97,7 @@ func (c *Client) Stats() ClientStats { return c.stats }
 
 // NewClient registers a new client on compute node nodeName.
 func (fs *FS) NewClient(nodeName string) *Client {
-	fs.compute.AddNode(nodeName)
-	return fs.newClientOn(nodeName)
+	return fs.newClientOn(fs.compute.AddNode(nodeName))
 }
 
 // NewClientAt registers a client on compute node nodeName, creating the
@@ -102,16 +106,18 @@ func (fs *FS) NewClient(nodeName string) *Client {
 // ranks per compute node do on a real machine. Scale runs use this to
 // keep per-rank fabric state sublinear in rank count.
 func (fs *FS) NewClientAt(nodeName string) *Client {
-	if !fs.compute.HasNode(nodeName) {
-		fs.compute.AddNode(nodeName)
+	n, ok := fs.compute.Node(nodeName)
+	if !ok {
+		n = fs.compute.AddNode(nodeName)
 	}
-	return fs.newClientOn(nodeName)
+	return fs.newClientOn(n)
 }
 
-func (fs *FS) newClientOn(nodeName string) *Client {
-	c := &Client{fs: fs, node: nodeName, wbCapacity: fs.cfg.ClientWriteBehind}
+func (fs *FS) newClientOn(n *netsim.Node) *Client {
+	c := &Client{fs: fs, node: n, wbCapacity: fs.cfg.ClientWriteBehind}
 	if len(fs.ionodes) > 0 {
-		c.ionode = fs.ionodes[fs.nextION%len(fs.ionodes)]
+		ion := fs.ionodes[fs.nextION%len(fs.ionodes)]
+		c.ionC, c.ionS = ion.c, ion.s
 		fs.nextION++
 	}
 	fs.clientList = append(fs.clientList, c)
@@ -119,27 +125,32 @@ func (fs *FS) newClientOn(nodeName string) *Client {
 }
 
 // Node returns the client's compute-fabric node name.
-func (c *Client) Node() string { return c.node }
+func (c *Client) Node() string { return c.node.Name() }
 
 // IONode returns the I/O node this client routes through ("" in flat mode).
-func (c *Client) IONode() string { return c.ionode }
+func (c *Client) IONode() string {
+	if c.ionC == nil {
+		return ""
+	}
+	return c.ionC.Name()
+}
 
 // toServer moves size bytes from the client to a server node, crossing the
 // I/O-forwarding tier when present.
-func (c *Client) toServer(p *des.Proc, server string, size int64) {
-	if c.ionode != "" {
-		c.fs.compute.Transfer(p, c.node, c.ionode, size)
-		c.fs.storage.Transfer(p, c.ionode, server, size)
+func (c *Client) toServer(p *des.Proc, server *netsim.Node, size int64) {
+	if c.ionC != nil {
+		c.fs.compute.Transfer(p, c.node, c.ionC, size)
+		c.fs.storage.Transfer(p, c.ionS, server, size)
 	} else {
 		c.fs.compute.Transfer(p, c.node, server, size)
 	}
 }
 
 // fromServer moves size bytes from a server node back to the client.
-func (c *Client) fromServer(p *des.Proc, server string, size int64) {
-	if c.ionode != "" {
-		c.fs.storage.Transfer(p, server, c.ionode, size)
-		c.fs.compute.Transfer(p, c.ionode, c.node, size)
+func (c *Client) fromServer(p *des.Proc, server *netsim.Node, size int64) {
+	if c.ionC != nil {
+		c.fs.storage.Transfer(p, server, c.ionS, size)
+		c.fs.compute.Transfer(p, c.ionC, c.node, size)
 	} else {
 		c.fs.compute.Transfer(p, server, c.node, size)
 	}
@@ -204,7 +215,7 @@ func (c *Client) Mkdir(p *des.Proc, path string) error {
 		par.children[path] = true
 		return nil
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "mkdir", Path: path, Start: start, End: p.Now()})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "mkdir", Path: path, Start: start, End: p.Now()})
 	return err
 }
 
@@ -234,7 +245,7 @@ func (c *Client) Rmdir(p *des.Proc, path string) error {
 		delete(ino[parentOf(path)].children, path)
 		return nil
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "rmdir", Path: path, Start: start, End: p.Now()})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "rmdir", Path: path, Start: start, End: p.Now()})
 	return err
 }
 
@@ -254,7 +265,7 @@ func (c *Client) Stat(p *des.Proc, path string) (FileInfo, error) {
 		fi = FileInfo{Path: n.path, IsDir: n.isDir, Size: n.size, Layout: n.layout, CTime: n.ctime, MTime: n.mtime}
 		return nil
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "stat", Path: path, Start: start, End: p.Now()})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "stat", Path: path, Start: start, End: p.Now()})
 	return fi, err
 }
 
@@ -283,7 +294,7 @@ func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
 		// Pay for the directory payload: ~64 bytes per entry.
 		c.fromServer(p, c.fs.mds.node, int64(len(names))*64)
 	}
-	c.fs.observe(OpEvent{Client: c.node, Op: "readdir", Path: path, Size: int64(len(names)), Start: start, End: p.Now()})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "readdir", Path: path, Size: int64(len(names)), Start: start, End: p.Now()})
 	return names, err
 }
 
@@ -307,7 +318,7 @@ func (c *Client) Unlink(p *des.Proc, path string) error {
 		delete(ino[parentOf(path)].children, path)
 		return nil
 	})
-	c.fs.observe(OpEvent{Client: c.node, Op: "unlink", Path: path, Start: start, End: p.Now()})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "unlink", Path: path, Start: start, End: p.Now()})
 	return err
 }
 
@@ -337,8 +348,11 @@ func (c *Client) Create(p *des.Proc, path string, stripeCount int, stripeSize in
 	}
 	start := p.Now()
 	var layout Layout
-	err := c.metaRPC(p, OpCreate, c.createOp(path, stripeCount, stripeSize, &layout))
-	c.fs.observe(OpEvent{Client: c.node, Op: "create", Path: path, Start: start, End: p.Now()})
+	err := c.metaRPC(p, OpCreate, func() (err error) {
+		layout, err = c.fs.createNS(path, stripeCount, stripeSize)
+		return err
+	})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "create", Path: path, Start: start, End: p.Now()})
 	if err != nil {
 		return nil, err
 	}
@@ -353,52 +367,64 @@ func (c *Client) Open(p *des.Proc, path string) (*Handle, error) {
 	}
 	start := p.Now()
 	var layout Layout
-	err := c.metaRPC(p, OpOpen, c.openOp(path, &layout))
-	c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: p.Now()})
+	err := c.metaRPC(p, OpOpen, func() (err error) {
+		layout, err = c.fs.openNS(path)
+		return err
+	})
+	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "open", Path: path, Start: start, End: p.Now()})
 	if err != nil {
 		return nil, err
 	}
 	return &Handle{c: c, path: path, layout: layout}, nil
 }
 
-// createOp is the MDS-side body of a create: it checks the namespace,
-// allocates the layout into *layout, and links the new inode. Both
-// execution forms run it through their metadata RPC.
-func (c *Client) createOp(path string, stripeCount int, stripeSize int64, layout *Layout) func() error {
-	return func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		*layout = c.fs.allocateLayout(stripeCount, stripeSize)
-		now := c.fs.eng.Now()
-		ino[path] = &inode{path: path, layout: *layout, ctime: now, mtime: now}
-		par.children[path] = true
-		return nil
+// createNS is the MDS-side body of a create: it checks the namespace,
+// allocates the new file's layout, and links the inode. Both execution
+// forms run it through their metadata RPC.
+func (fs *FS) createNS(path string, stripeCount int, stripeSize int64) (Layout, error) {
+	ino := fs.mds.inodes
+	if _, dup := ino[path]; dup {
+		return Layout{}, ErrExist
 	}
+	par, ok := ino[parentOf(path)]
+	if !ok {
+		return Layout{}, ErrNotExist
+	}
+	if !par.isDir {
+		return Layout{}, ErrNotDir
+	}
+	layout := fs.allocateLayout(stripeCount, stripeSize)
+	now := fs.eng.Now()
+	ino[path] = &inode{path: path, layout: layout, ctime: now, mtime: now}
+	par.children[path] = true
+	return layout, nil
 }
 
-// openOp is the MDS-side body of an open: it resolves path to a regular
-// file and copies its layout into *layout.
-func (c *Client) openOp(path string, layout *Layout) func() error {
-	return func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if n.isDir {
-			return ErrIsDir
-		}
-		*layout = n.layout
-		return nil
+// openNS is the MDS-side body of an open: it resolves path to a regular
+// file and returns its layout.
+func (fs *FS) openNS(path string) (Layout, error) {
+	n, ok := fs.mds.inodes[path]
+	if !ok {
+		return Layout{}, ErrNotExist
 	}
+	if n.isDir {
+		return Layout{}, ErrIsDir
+	}
+	return n.layout, nil
+}
+
+// setSizeNS is the MDS-side body of a size update: grow the inode to end
+// and touch its mtime.
+func (fs *FS) setSizeNS(path string, end int64) error {
+	n, ok := fs.mds.inodes[path]
+	if !ok {
+		return ErrNotExist
+	}
+	if end > n.size {
+		n.size = end
+	}
+	n.mtime = fs.eng.Now()
+	return nil
 }
 
 // Path returns the file path.
@@ -415,9 +441,24 @@ type chunk struct {
 	fileOff int64
 }
 
+// objKey names one object of a striped file: the file's stripe on
+// layout slot idx. It keys the OSTs' object maps and is formatted, as
+// "path#idx", only for error text.
+type objKey struct {
+	path string
+	idx  int
+}
+
+func (k objKey) String() string { return k.path + "#" + strconv.Itoa(k.idx) }
+
 // stripeChunks splits a byte range [off, off+size) over the layout.
 func stripeChunks(l Layout, off, size int64) []chunk {
-	var out []chunk
+	return appendStripeChunks(nil, l, off, size)
+}
+
+// appendStripeChunks appends the chunks of [off, off+size) over the layout
+// to out.
+func appendStripeChunks(out []chunk, l Layout, off, size int64) []chunk {
 	for size > 0 {
 		stripe := off / l.StripeSize
 		within := off % l.StripeSize
@@ -437,7 +478,7 @@ func stripeChunks(l Layout, off, size int64) []chunk {
 // dataRPC performs one OST-directed transfer under the resilience policy:
 // bounded retries with exponential backoff + jitter around single
 // attempts. Non-retryable errors and exhausted budgets surface to doIO.
-func (c *Client) dataRPC(q *des.Proc, o *ost, obj string, objOff, size int64, write bool) error {
+func (c *Client) dataRPC(q *des.Proc, o *ost, obj objKey, objOff, size int64, write bool) error {
 	pol := c.fs.cfg.Resilience
 	for attempt := 0; ; attempt++ {
 		err := c.tryDataRPC(q, o, obj, objOff, size, write)
@@ -457,16 +498,16 @@ func (c *Client) dataRPC(q *des.Proc, o *ost, obj string, objOff, size int64, wr
 // either service it at the OST or observe the failure mode — a crashed
 // target never answers (timeout), and injected transient faults fail the
 // request server-side with an error reply.
-func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj string, objOff, size int64, write bool) error {
+func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj objKey, objOff, size int64, write bool) error {
 	fs := c.fs
 	if write {
 		c.stats.WriteRPCs++
 		c.stats.BytesSent += size
-		c.toServer(q, o.ossNode, size)
+		c.toServer(q, o.oss, size)
 	} else {
 		c.stats.ReadRPCs++
 		c.stats.BytesSent += dataReqSize
-		c.toServer(q, o.ossNode, dataReqSize)
+		c.toServer(q, o.oss, dataReqSize)
 	}
 	if o.down {
 		if pol := fs.cfg.Resilience; pol.RPCTimeout > 0 {
@@ -477,7 +518,7 @@ func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj string, objOff, size int64,
 	}
 	if r := fs.transientRate; r > 0 && fs.eng.RNG().Stream("pfs.transient").Float64() < r {
 		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.ossNode, dataReqSize) // error reply
+		c.fromServer(q, o.oss, dataReqSize) // error reply
 		return fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, obj, objOff, size)
 	}
 	o.access(q, obj, objOff, size, write)
@@ -486,18 +527,17 @@ func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj string, objOff, size int64,
 	}
 	if write {
 		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.ossNode, dataReqSize) // ack
+		c.fromServer(q, o.oss, dataReqSize) // ack
 	} else {
 		c.stats.BytesRecv += size
-		c.fromServer(q, o.ossNode, size)
+		c.fromServer(q, o.oss, size)
 	}
 	return nil
 }
 
-// splitRPCs splits chunks larger than MaxRPCSize into RPC-sized pieces,
-// in launch order.
-func (fs *FS) splitRPCs(chunks []chunk) []chunk {
-	var rpcs []chunk
+// splitRPCs appends chunks to rpcs, split into pieces of at most
+// MaxRPCSize, in launch order.
+func (fs *FS) splitRPCs(rpcs, chunks []chunk) []chunk {
 	for _, ch := range chunks {
 		for ch.size > 0 {
 			n := ch.size
@@ -546,7 +586,7 @@ func (h *Handle) settleIO(rpcs []chunk, errs []error, write bool) error {
 // the outcome is aggregated by settleIO.
 func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 	fs := h.c.fs
-	rpcs := fs.splitRPCs(chunks)
+	rpcs := fs.splitRPCs(nil, chunks)
 	errs := make([]error, len(rpcs))
 	wg := des.NewWaitGroup(p.Engine())
 	for i, rpc := range rpcs {
@@ -555,8 +595,7 @@ func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 		p.Engine().Spawn("rpc", func(q *des.Proc) {
 			defer wg.Done()
 			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
-			obj := fmt.Sprintf("%s#%d", h.path, rpc.ostIdx)
-			errs[i] = h.c.dataRPC(q, o, obj, rpc.objOff, rpc.size, write)
+			errs[i] = h.c.dataRPC(q, o, objKey{h.path, rpc.ostIdx}, rpc.objOff, rpc.size, write)
 		})
 	}
 	wg.Wait(p)
@@ -566,23 +605,7 @@ func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 // updateSize grows the file size at the MDS (a size RPC, as Lustre clients
 // batch; modeled as one metadata op).
 func (h *Handle) updateSize(p *des.Proc, end int64) error {
-	return h.c.metaRPC(p, OpSetSize, h.setSizeOp(end))
-}
-
-// setSizeOp is the MDS-side body of a size update: grow the inode to end
-// and touch its mtime.
-func (h *Handle) setSizeOp(end int64) func() error {
-	return func() error {
-		n, ok := h.c.fs.mds.inodes[h.path]
-		if !ok {
-			return ErrNotExist
-		}
-		if end > n.size {
-			n.size = end
-		}
-		n.mtime = h.c.fs.eng.Now()
-		return nil
-	}
+	return h.c.metaRPC(p, OpSetSize, func() error { return h.c.fs.setSizeNS(h.path, end) })
 }
 
 // Write writes size bytes at offset off, blocking in simulated time. With
@@ -611,7 +634,7 @@ func (h *Handle) Write(p *des.Proc, off, size int64) error {
 			err = h.updateSize(p, off+size)
 		}
 	}
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "write", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
+	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "write", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
 	return err
 }
 
@@ -628,14 +651,14 @@ func (h *Handle) appendDirty(off, size int64) {
 	h.dirty = append(h.dirty, extent{off, size})
 }
 
-// takeDirty empties the write-behind buffer, returning the striped chunks
-// of every dirty extent and the furthest byte they reach. Buffered data is
-// dropped whether or not the writeback that follows succeeds — on failure
-// it is lost, as with a real client cache.
-func (h *Handle) takeDirty() (chunks []chunk, maxEnd int64) {
+// takeDirty empties the write-behind buffer, appending the striped chunks
+// of every dirty extent to chunks and reporting the furthest byte they
+// reach. Buffered data is dropped whether or not the writeback that
+// follows succeeds — on failure it is lost, as with a real client cache.
+func (h *Handle) takeDirty(chunks []chunk) (_ []chunk, maxEnd int64) {
 	var total int64
 	for _, ex := range h.dirty {
-		chunks = append(chunks, stripeChunks(h.layout, ex.off, ex.size)...)
+		chunks = appendStripeChunks(chunks, h.layout, ex.off, ex.size)
 		if end := ex.off + ex.size; end > maxEnd {
 			maxEnd = end
 		}
@@ -652,7 +675,7 @@ func (h *Handle) flush(p *des.Proc) error {
 	if len(h.dirty) == 0 {
 		return nil
 	}
-	chunks, maxEnd := h.takeDirty()
+	chunks, maxEnd := h.takeDirty(nil)
 	if err := h.doIO(p, chunks, true); err != nil {
 		return err
 	}
@@ -686,7 +709,7 @@ func (h *Handle) Read(p *des.Proc, off, size int64) error {
 	default:
 		err = h.doIO(p, stripeChunks(h.layout, off, size), false)
 	}
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "read", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
+	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "read", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
 	return err
 }
 
@@ -694,7 +717,7 @@ func (h *Handle) Read(p *des.Proc, off, size int64) error {
 func (h *Handle) Fsync(p *des.Proc) error {
 	start := p.Now()
 	err := h.flush(p)
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "fsync", Path: h.path, Start: start, End: p.Now()})
+	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "fsync", Path: h.path, Start: start, End: p.Now()})
 	return err
 }
 
@@ -707,6 +730,6 @@ func (h *Handle) Close(p *des.Proc) error {
 	start := p.Now()
 	err := h.flush(p)
 	h.closed = true
-	h.c.fs.observe(OpEvent{Client: h.c.node, Op: "close", Path: h.path, Start: start, End: p.Now()})
+	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "close", Path: h.path, Start: start, End: p.Now()})
 	return err
 }

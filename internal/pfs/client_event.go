@@ -3,7 +3,9 @@ package pfs
 import (
 	"fmt"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
+	"pioeval/internal/netsim"
 )
 
 // This file is the continuation-form (goroutine-free) port of the client
@@ -11,80 +13,273 @@ import (
 // in client.go, with identical cost model, retry policy, statistics, and
 // observer events. The form-independent pieces — RPC splitting
 // (splitRPCs), error aggregation (settleIO), dirty-extent gathering
-// (takeDirty) and the MDS-side namespace bodies (createOp, openOp,
-// setSizeOp) — live in client.go and serve both forms; any other
+// (takeDirty) and the MDS-side namespace bodies (createNS, openNS,
+// setSizeNS) — live in client.go and serve both forms; any other
 // behavioural change must land in both. The port covers the data-plane
 // ops a rank's checkpoint/read loop issues (create, open, write, read,
 // fsync, close) plus the meta/data RPC machinery beneath them; rarely-hot
 // namespace ops (mkdir, readdir, unlink, stat) stay goroutine-only.
+//
+// Each operation in flight is a state machine — metaCall (one metadata
+// RPC), ioCall (one write, read, fsync or close) or rpcCall (one data RPC)
+// — whose steps all re-enter a single continuation, resume, bound once
+// when the struct is first allocated. Arguments and results travel in the
+// struct, and it returns to a bounded free list on its FS when its last
+// step fires, so a steady-state operation allocates nothing of its own.
 
-// toServerE is the continuation form of toServer.
-func (c *Client) toServerE(ep *des.EventProc, server string, size int64, k func()) {
-	if c.ionode != "" {
-		c.fs.compute.TransferE(ep, c.node, c.ionode, size, func() {
-			c.fs.storage.TransferE(ep, c.ionode, server, size, k)
-		})
-	} else {
-		c.fs.compute.TransferE(ep, c.node, server, size, k)
+// maxFreeCalls caps each of an FS's call free lists. When every rank of
+// a shard is in the same phase, a burst of calls completes at once; only
+// this many are kept, so the burst is not retained for the rest of the
+// run.
+const maxFreeCalls = 256
+
+// freeList is a bounded stack of recycled call state, owned by one FS.
+type freeList[T any] struct{ items []*T }
+
+// get pops a recycled item, or returns nil when the list is empty.
+func (l *freeList[T]) get() *T {
+	n := len(l.items) - 1
+	if n < 0 {
+		return nil
+	}
+	x := l.items[n]
+	l.items[n] = nil
+	l.items = l.items[:n]
+	return x
+}
+
+// put recycles x unless the list is full.
+func (l *freeList[T]) put(x *T) {
+	if len(l.items) < maxFreeCalls {
+		l.items = append(l.items, x)
 	}
 }
 
-// fromServerE is the continuation form of fromServer.
-func (c *Client) fromServerE(ep *des.EventProc, server string, size int64, k func()) {
-	if c.ionode != "" {
-		c.fs.storage.TransferE(ep, server, c.ionode, size, func() {
-			c.fs.compute.TransferE(ep, c.ionode, c.node, size, k)
-		})
-	} else {
-		c.fs.compute.TransferE(ep, server, c.node, size, k)
+// leg is one client↔server message of a continuation call: one hop on a
+// flat network, two through the client's I/O node.
+type leg struct {
+	server *netsim.Node
+	size   int64
+	out    bool // client to server
+	hops   int  // hops issued so far
+}
+
+// hopE issues the next hop of l with continuation k and reports true, or
+// reports false once every hop has completed. The route is toServer's or
+// fromServer's.
+func (c *Client) hopE(l *leg, ep *des.EventProc, k func()) bool {
+	fs := c.fs
+	if c.ionC == nil {
+		if l.hops > 0 {
+			return false
+		}
+		l.hops++
+		if l.out {
+			fs.compute.TransferE(ep, c.node, l.server, l.size, k)
+		} else {
+			fs.compute.TransferE(ep, l.server, c.node, l.size, k)
+		}
+		return true
 	}
+	switch l.hops {
+	case 0:
+		l.hops++
+		if l.out {
+			fs.compute.TransferE(ep, c.node, c.ionC, l.size, k)
+		} else {
+			fs.storage.TransferE(ep, l.server, c.ionS, l.size, k)
+		}
+	case 1:
+		l.hops++
+		if l.out {
+			fs.storage.TransferE(ep, c.ionS, l.server, l.size, k)
+		} else {
+			fs.compute.TransferE(ep, c.ionC, c.node, l.size, k)
+		}
+	default:
+		return false
+	}
+	return true
 }
 
-// metaRPCE is the continuation form of metaRPC: one metadata round trip
-// under the resilience policy, retrying with backoff until the budget is
-// exhausted; the final error is handed to k.
-func (c *Client) metaRPCE(ep *des.EventProc, op MetaOp, fn func() error, k func(error)) {
-	c.metaAttemptE(ep, op, fn, 0, k)
+// metaCall is one metadata RPC under the resilience policy, the
+// continuation form of metaRPC: request leg, MDS queueing and service,
+// namespace body, response leg, and backoff between attempts.
+type metaCall struct {
+	c       *Client
+	ep      *des.EventProc
+	op      MetaOp
+	attempt int
+	phase   uint8
+	leg     leg
+
+	// Namespace arguments and results.
+	path        string
+	stripeCount int
+	stripeSize  int64
+	end         int64
+	layout      Layout
+	err         error
+	start       des.Time
+
+	// Completion: a create or open hands kH the new handle; any other op
+	// stores its error in *errp and runs k.
+	kH      func(*Handle, error)
+	errp    *error
+	k       func()
+	resumeF func()
 }
 
-func (c *Client) metaAttemptE(ep *des.EventProc, op MetaOp, fn func() error, attempt int, k func(error)) {
-	pol := c.fs.cfg.Resilience
+// metaCall phases: the step that runs when the pending blocking point
+// fires.
+const (
+	mcSend    uint8 = iota // request leg in flight
+	mcTimeout              // RPC timeout elapsed: the MDS never answered
+	mcQueued               // holds an MDS thread
+	mcServed               // MDS op cost paid
+	mcReply                // response leg in flight
+	mcBackoff              // retry backoff elapsed
+)
+
+// newMeta takes a metaCall for op on path from the free list.
+func (c *Client) newMeta(ep *des.EventProc, op MetaOp, path string) *metaCall {
+	m := c.fs.metaFree.get()
+	if m == nil {
+		m = &metaCall{}
+		m.resumeF = m.resume
+	}
+	m.c, m.ep, m.op, m.path, m.attempt = c, ep, op, path, 0
+	return m
+}
+
+// metaRPCE is the continuation form of metaRPC for the namespace bodies
+// metaCall applies (apply): one metadata round trip under the resilience
+// policy, retrying with backoff until the budget is exhausted. The final
+// error is stored in *errp, then k runs.
+func (c *Client) metaRPCE(ep *des.EventProc, op MetaOp, path string, end int64, errp *error, k func()) {
+	m := c.newMeta(ep, op, path)
+	m.end, m.errp, m.k = end, errp, k
+	m.send()
+	m.resume()
+}
+
+// send starts an attempt: count the request and put it on the wire.
+func (m *metaCall) send() {
+	c := m.c
 	c.stats.MetaRPCs++
 	c.stats.BytesSent += metaReqSize
-	c.toServerE(ep, c.fs.mds.node, metaReqSize, func() {
-		settle := func(err error) {
-			if err == nil || !retryable(err) {
-				k(err)
+	m.leg = leg{server: c.fs.mds.node, size: metaReqSize, out: true}
+	m.phase = mcSend
+}
+
+func (m *metaCall) resume() {
+	c := m.c
+	fs := c.fs
+	for {
+		switch m.phase {
+		case mcSend:
+			if c.hopE(&m.leg, m.ep, m.resumeF) {
 				return
 			}
-			if attempt >= pol.MaxRetries {
-				c.stats.FailedRPCs++
-				k(err)
+			if fs.mds.down {
+				// No response: the RPC dies on the simulated timeout.
+				m.phase = mcTimeout
+				if t := fs.cfg.Resilience.RPCTimeout; t > 0 {
+					m.ep.Wait(t, m.resumeF)
+					return
+				}
+				continue
+			}
+			m.phase = mcQueued
+			fs.mds.threads.AcquireE(m.ep, m.resumeF)
+			return
+		case mcTimeout:
+			c.stats.TimedOutRPCs++
+			m.err = ErrMDSUnavailable
+			m.settle()
+			return
+		case mcQueued:
+			m.phase = mcServed
+			m.ep.Wait(fs.mds.opCost, m.resumeF)
+			return
+		case mcServed:
+			md := fs.mds
+			md.threads.Release()
+			md.ops[m.op]++
+			md.busy += md.opCost
+			m.err = m.apply()
+			c.stats.BytesRecv += metaRespSize
+			m.leg = leg{server: md.node, size: metaRespSize}
+			m.phase = mcReply
+		case mcReply:
+			if c.hopE(&m.leg, m.ep, m.resumeF) {
 				return
 			}
-			c.stats.Retries++
-			ep.Wait(pol.backoff(c.fs.eng, attempt), func() {
-				c.metaAttemptE(ep, op, fn, attempt+1, k)
-			})
+			m.settle()
+			return
+		case mcBackoff:
+			m.attempt++
+			m.send()
 		}
-		if c.fs.mds.down {
-			// No response: the RPC dies on the simulated timeout.
-			timedOut := func() {
-				c.stats.TimedOutRPCs++
-				settle(ErrMDSUnavailable)
-			}
-			if pol.RPCTimeout > 0 {
-				ep.Wait(pol.RPCTimeout, timedOut)
-			} else {
-				timedOut()
-			}
+	}
+}
+
+// apply runs the op's MDS-side namespace body.
+func (m *metaCall) apply() (err error) {
+	fs := m.c.fs
+	switch m.op {
+	case OpCreate:
+		m.layout, err = fs.createNS(m.path, m.stripeCount, m.stripeSize)
+	case OpOpen:
+		m.layout, err = fs.openNS(m.path)
+	case OpSetSize:
+		err = fs.setSizeNS(m.path, m.end)
+	default:
+		panic(fmt.Sprintf("pfs: no continuation-form body for %v", m.op))
+	}
+	return err
+}
+
+// settle ends an attempt: a final outcome finishes the call, a retryable
+// one within budget waits out the backoff before the next attempt.
+func (m *metaCall) settle() {
+	c := m.c
+	if m.err != nil && retryable(m.err) {
+		pol := c.fs.cfg.Resilience
+		if m.attempt < pol.MaxRetries {
+			c.stats.Retries++
+			m.phase = mcBackoff
+			m.ep.Wait(pol.backoff(c.fs.eng, m.attempt), m.resumeF)
 			return
 		}
-		c.fs.mdsExecE(ep, op, fn, func(err error) {
-			c.stats.BytesRecv += metaRespSize
-			c.fromServerE(ep, c.fs.mds.node, metaRespSize, func() { settle(err) })
-		})
-	})
+		c.stats.FailedRPCs++
+	}
+	m.finish()
+}
+
+// finish recycles m and hands its outcome on.
+func (m *metaCall) finish() {
+	c, err := m.c, m.err
+	if kH := m.kH; kH != nil {
+		c.fs.observe(OpEvent{Client: c.node.Name(), Op: m.op.String(), Path: m.path, Start: m.start, End: m.ep.Now()})
+		var h *Handle
+		if err == nil {
+			h = &Handle{c: c, path: m.path, layout: m.layout}
+		}
+		m.recycle()
+		kH(h, err)
+		return
+	}
+	errp, k := m.errp, m.k
+	m.recycle()
+	*errp = err
+	k()
+}
+
+func (m *metaCall) recycle() {
+	fs := m.c.fs
+	*m = metaCall{resumeF: m.resumeF}
+	fs.metaFree.put(m)
 }
 
 // CreateE is the continuation form of Create: the new handle (or error)
@@ -95,16 +290,10 @@ func (c *Client) CreateE(ep *des.EventProc, path string, stripeCount int, stripe
 		k(nil, perr)
 		return
 	}
-	start := ep.Now()
-	var layout Layout
-	c.metaRPCE(ep, OpCreate, c.createOp(path, stripeCount, stripeSize, &layout), func(err error) {
-		c.fs.observe(OpEvent{Client: c.node, Op: "create", Path: path, Start: start, End: ep.Now()})
-		if err != nil {
-			k(nil, err)
-			return
-		}
-		k(&Handle{c: c, path: path, layout: layout}, nil)
-	})
+	m := c.newMeta(ep, OpCreate, path)
+	m.stripeCount, m.stripeSize, m.start, m.kH = stripeCount, stripeSize, ep.Now(), k
+	m.send()
+	m.resume()
 }
 
 // OpenE is the continuation form of Open.
@@ -114,117 +303,295 @@ func (c *Client) OpenE(ep *des.EventProc, path string, k func(*Handle, error)) {
 		k(nil, perr)
 		return
 	}
-	start := ep.Now()
-	var layout Layout
-	c.metaRPCE(ep, OpOpen, c.openOp(path, &layout), func(err error) {
-		c.fs.observe(OpEvent{Client: c.node, Op: "open", Path: path, Start: start, End: ep.Now()})
-		if err != nil {
-			k(nil, err)
-			return
-		}
-		k(&Handle{c: c, path: path, layout: layout}, nil)
-	})
+	m := c.newMeta(ep, OpOpen, path)
+	m.start, m.kH = ep.Now(), k
+	m.send()
+	m.resume()
 }
 
-// dataRPCE is the continuation form of dataRPC: one OST-directed transfer
-// under the resilience policy.
-func (c *Client) dataRPCE(ep *des.EventProc, o *ost, obj string, objOff, size int64, write bool, k func(error)) {
-	c.dataAttemptE(ep, o, obj, objOff, size, write, 0, k)
+// ioKind is the client operation an ioCall serves.
+type ioKind uint8
+
+const (
+	ioWrite ioKind = iota
+	ioRead
+	ioFsync
+	ioClose
+)
+
+// ioCall is one write, read, fsync or close in continuation form: the
+// striped RPC fan-out (the continuation form of doIO) as spawned rpcCall
+// procs joined on a WaitGroup, the size update that follows a write, and
+// the operation's observer event. Its chunk, RPC and error slices and its
+// WaitGroup are reused from call to call.
+type ioCall struct {
+	h     *Handle
+	ep    *des.EventProc
+	kind  ioKind
+	write bool // the fan-out writes
+	off   int64
+	size  int64
+	fetch int64 // readahead window fetched by a read miss; 0 without
+	end   int64 // file size to record after a write fan-out
+	start des.Time
+	err   error
+	phase uint8
+
+	chunks, rpcs []chunk
+	errs         []error
+	wg           des.WaitGroup
+	// Inline backing for the common one-chunk request, so a new ioCall
+	// needs no separate slice allocations.
+	chunk1, rpc1 [1]chunk
+	err1         [1]error
+
+	k       func(error)
+	resumeF func()
 }
 
-func (c *Client) dataAttemptE(ep *des.EventProc, o *ost, obj string, objOff, size int64, write bool, attempt int, k func(error)) {
-	pol := c.fs.cfg.Resilience
-	c.tryDataRPCE(ep, o, obj, objOff, size, write, func(err error) {
-		if err == nil || !retryable(err) {
-			k(err)
-			return
-		}
-		if attempt >= pol.MaxRetries {
-			c.stats.FailedRPCs++
-			k(err)
-			return
-		}
-		c.stats.Retries++
-		ep.Wait(pol.backoff(c.fs.eng, attempt), func() {
-			c.dataAttemptE(ep, o, obj, objOff, size, write, attempt+1, k)
-		})
-	})
-}
+// ioCall phases: the step that runs when the pending blocking point fires.
+const (
+	ioJoined uint8 = iota // every RPC of the fan-out has completed
+	ioSized               // size update done
+)
 
-// tryDataRPCE is the continuation form of tryDataRPC: a single attempt.
-func (c *Client) tryDataRPCE(ep *des.EventProc, o *ost, obj string, objOff, size int64, write bool, k func(error)) {
-	fs := c.fs
-	served := func() {
-		if o.down {
-			timedOut := func() {
-				c.stats.TimedOutRPCs++
-				k(fmt.Errorf("%w: ost%d", ErrOSTDown, o.id))
-			}
-			if pol := fs.cfg.Resilience; pol.RPCTimeout > 0 {
-				ep.Wait(pol.RPCTimeout, timedOut)
-			} else {
-				timedOut()
-			}
-			return
-		}
-		if r := fs.transientRate; r > 0 && fs.eng.RNG().Stream("pfs.transient").Float64() < r {
-			c.stats.BytesRecv += dataReqSize
-			c.fromServerE(ep, o.ossNode, dataReqSize, func() { // error reply
-				k(fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, obj, objOff, size))
-			})
-			return
-		}
-		o.accessE(ep, obj, objOff, size, write, func() {
-			if fs.ostObserver != nil {
-				fs.ostObserver(OSTEvent{OST: o.id, Size: size, Write: write, At: ep.Now()})
-			}
-			if write {
-				c.stats.BytesRecv += dataReqSize
-				c.fromServerE(ep, o.ossNode, dataReqSize, func() { k(nil) }) // ack
-			} else {
-				c.stats.BytesRecv += size
-				c.fromServerE(ep, o.ossNode, size, func() { k(nil) })
-			}
-		})
+// newIO takes an ioCall of the given kind on h from the free list.
+func (h *Handle) newIO(ep *des.EventProc, kind ioKind, k func(error)) *ioCall {
+	io := h.c.fs.ioFree.get()
+	if io == nil {
+		io = &ioCall{}
+		io.chunks, io.rpcs, io.errs = io.chunk1[:0], io.rpc1[:0], io.err1[:0]
+		io.resumeF = io.resume
 	}
-	if write {
+	io.h, io.ep, io.kind, io.k, io.start = h, ep, kind, k, ep.Now()
+	io.off, io.size, io.fetch, io.end = 0, 0, 0, 0
+	return io
+}
+
+// fanOut runs chunks as parallel RPCs across OSTs — one spawned event
+// proc per RPC, each O(one pooled event + a small struct) instead of a
+// goroutine — and joins them.
+func (io *ioCall) fanOut(chunks []chunk, write bool) {
+	h := io.h
+	fs := h.c.fs
+	io.write = write
+	io.rpcs = fs.splitRPCs(io.rpcs[:0], chunks)
+	n := len(io.rpcs)
+	if cap(io.errs) < n {
+		io.errs = make([]error, n)
+	}
+	io.errs = io.errs[:n]
+	for i, rpc := range io.rpcs {
+		io.wg.Add(1)
+		rc := fs.rpcFree.get()
+		if rc == nil {
+			rc = &rpcCall{}
+			rc.resumeF = rc.resume
+		}
+		rc.io, rc.c, rc.i = io, h.c, i
+		rc.o = fs.osts[h.layout.OSTs[rpc.ostIdx]]
+		rc.obj = objKey{h.path, rpc.ostIdx}
+		rc.objOff, rc.size, rc.write = rpc.objOff, rpc.size, write
+		rc.phase = rcStart
+		rc.ep = fs.eng.SpawnEventK("rpc", -1, rc.resumeF)
+	}
+	io.phase = ioJoined
+	io.wg.WaitE(io.ep, io.resumeF)
+}
+
+// flush writes out the handle's dirty extents (the continuation form of
+// flush), or finishes at once when there are none.
+func (io *ioCall) flush() {
+	h := io.h
+	if len(h.dirty) == 0 {
+		io.finish()
+		return
+	}
+	io.chunks, io.end = h.takeDirty(io.chunks[:0])
+	io.fanOut(io.chunks, true)
+}
+
+func (io *ioCall) resume() {
+	h := io.h
+	switch io.phase {
+	case ioJoined:
+		io.err = h.settleIO(io.rpcs, io.errs, io.write)
+		if io.err == nil {
+			if io.write {
+				io.phase = ioSized
+				h.c.metaRPCE(io.ep, OpSetSize, h.path, io.end, &io.err, io.resumeF)
+				return
+			}
+			if io.fetch > 0 {
+				h.raStart, h.raEnd, h.raValid = io.off, io.off+io.fetch, true
+			}
+		}
+		io.finish()
+	case ioSized:
+		io.finish()
+	}
+}
+
+// finish emits the operation's observer event, recycles io, and hands the
+// outcome to k.
+func (io *ioCall) finish() {
+	h, err, k := io.h, io.err, io.k
+	fs := h.c.fs
+	ev := OpEvent{Client: h.c.node.Name(), Path: h.path, Start: io.start, End: io.ep.Now()}
+	switch io.kind {
+	case ioWrite:
+		ev.Op, ev.Offset, ev.Size = "write", io.off, io.size
+	case ioRead:
+		ev.Op, ev.Offset, ev.Size = "read", io.off, io.size
+	case ioFsync:
+		ev.Op = "fsync"
+	case ioClose:
+		h.closed = true
+		ev.Op = "close"
+	}
+	fs.observe(ev)
+	clear(io.errs)
+	io.h, io.ep, io.err, io.k = nil, nil, nil, nil
+	fs.ioFree.put(io)
+	k(err)
+}
+
+// rpcCall is one OST-directed data RPC under the resilience policy, the
+// continuation form of dataRPC, run as its own event proc: request leg,
+// then a timeout (crashed OST), an error reply (injected transient fault)
+// or the device access and reply leg, with backoff between attempts. Its
+// outcome lands in the owning ioCall's error slot.
+type rpcCall struct {
+	io      *ioCall
+	c       *Client
+	i       int // slot in io.errs
+	ep      *des.EventProc
+	o       *ost
+	obj     objKey
+	objOff  int64
+	size    int64
+	write   bool
+	attempt int
+	err     error
+	phase   uint8
+	leg     leg
+	resumeF func()
+}
+
+// rpcCall phases: the step that runs when the pending blocking point
+// fires.
+const (
+	rcStart    uint8 = iota // the RPC's proc starts
+	rcSend                  // request leg in flight
+	rcTimeout               // RPC timeout elapsed: the OST never answered
+	rcErrReply              // error reply leg in flight
+	rcServed                // device access done
+	rcReply                 // reply leg in flight
+	rcBackoff               // retry backoff elapsed
+)
+
+// send starts an attempt: count the request and put it on the wire (the
+// payload for a write, a request header for a read).
+func (rc *rpcCall) send() {
+	c := rc.c
+	req := int64(dataReqSize)
+	if rc.write {
 		c.stats.WriteRPCs++
-		c.stats.BytesSent += size
-		c.toServerE(ep, o.ossNode, size, served)
+		req = rc.size
 	} else {
 		c.stats.ReadRPCs++
-		c.stats.BytesSent += dataReqSize
-		c.toServerE(ep, o.ossNode, dataReqSize, served)
+	}
+	c.stats.BytesSent += req
+	rc.leg = leg{server: rc.o.oss, size: req, out: true}
+	rc.phase = rcSend
+}
+
+func (rc *rpcCall) resume() {
+	c, o := rc.c, rc.o
+	fs := c.fs
+	for {
+		switch rc.phase {
+		case rcStart:
+			rc.send()
+		case rcSend:
+			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+				return
+			}
+			if o.down {
+				rc.phase = rcTimeout
+				if t := fs.cfg.Resilience.RPCTimeout; t > 0 {
+					rc.ep.Wait(t, rc.resumeF)
+					return
+				}
+				continue
+			}
+			if r := fs.transientRate; r > 0 && fs.eng.RNG().Stream("pfs.transient").Float64() < r {
+				c.stats.BytesRecv += dataReqSize
+				rc.leg = leg{server: o.oss, size: dataReqSize}
+				rc.phase = rcErrReply
+				continue
+			}
+			rc.phase = rcServed
+			req := blockdev.Request{Offset: o.physOffset(rc.obj, rc.objOff), Size: rc.size, Write: rc.write}
+			o.dev.AccessE(rc.ep, req, rc.resumeF)
+			return
+		case rcTimeout:
+			c.stats.TimedOutRPCs++
+			rc.err = fmt.Errorf("%w: ost%d", ErrOSTDown, o.id)
+			rc.settle()
+			return
+		case rcErrReply:
+			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+				return
+			}
+			rc.err = fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, rc.obj, rc.objOff, rc.size)
+			rc.settle()
+			return
+		case rcServed:
+			o.countOp(rc.write)
+			if fs.ostObserver != nil {
+				fs.ostObserver(OSTEvent{OST: o.id, Size: rc.size, Write: rc.write, At: rc.ep.Now()})
+			}
+			reply := rc.size
+			if rc.write {
+				reply = dataReqSize // ack
+			}
+			c.stats.BytesRecv += reply
+			rc.leg = leg{server: o.oss, size: reply}
+			rc.phase = rcReply
+		case rcReply:
+			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+				return
+			}
+			rc.err = nil
+			rc.settle()
+			return
+		case rcBackoff:
+			rc.attempt++
+			rc.send()
+		}
 	}
 }
 
-// doIOE is the continuation form of doIO: the chunks of one request run
-// in parallel across OSTs as spawned event procs — O(one pooled event +
-// small struct) each instead of a goroutine — joined on a WaitGroup, and
-// the aggregated error is handed to k.
-func (h *Handle) doIOE(ep *des.EventProc, chunks []chunk, write bool, k func(error)) {
-	fs := h.c.fs
-	rpcs := fs.splitRPCs(chunks)
-	errs := make([]error, len(rpcs))
-	wg := des.NewWaitGroup(ep.Engine())
-	for i, rpc := range rpcs {
-		i, rpc := i, rpc
-		wg.Add(1)
-		ep.Engine().SpawnEvent("rpc", func(q *des.EventProc) {
-			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
-			obj := fmt.Sprintf("%s#%d", h.path, rpc.ostIdx)
-			h.c.dataRPCE(q, o, obj, rpc.objOff, rpc.size, write, func(err error) {
-				errs[i] = err
-				wg.Done()
-			})
-		})
+// settle ends an attempt: a final outcome completes the RPC, a retryable
+// one within budget waits out the backoff before the next attempt.
+func (rc *rpcCall) settle() {
+	c := rc.c
+	if rc.err != nil && retryable(rc.err) {
+		pol := c.fs.cfg.Resilience
+		if rc.attempt < pol.MaxRetries {
+			c.stats.Retries++
+			rc.phase = rcBackoff
+			rc.ep.Wait(pol.backoff(c.fs.eng, rc.attempt), rc.resumeF)
+			return
+		}
+		c.stats.FailedRPCs++
 	}
-	wg.WaitE(ep, func() { k(h.settleIO(rpcs, errs, write)) })
-}
-
-// updateSizeE is the continuation form of updateSize.
-func (h *Handle) updateSizeE(ep *des.EventProc, end int64, k func(error)) {
-	h.c.metaRPCE(ep, OpSetSize, h.setSizeOp(end), k)
+	io, fs := rc.io, c.fs
+	io.errs[rc.i] = rc.err
+	*rc = rpcCall{resumeF: rc.resumeF}
+	fs.rpcFree.put(rc)
+	io.wg.Done()
 }
 
 // WriteE is the continuation form of Write, including the write-behind
@@ -239,45 +606,22 @@ func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k func(error)) {
 		k(nil)
 		return
 	}
-	start := ep.Now()
+	io := h.newIO(ep, ioWrite, k)
+	io.off, io.size = off, size
 	h.raValid = false // writes invalidate the readahead window
-	done := func(err error) {
-		h.c.fs.observe(OpEvent{Client: h.c.node, Op: "write", Path: h.path, Offset: off, Size: size, Start: start, End: ep.Now()})
-		k(err)
-	}
 	if h.c.wbCapacity > 0 {
 		h.appendDirty(off, size)
 		h.c.wbDirty += size
 		if h.c.wbDirty >= h.c.wbCapacity {
-			h.flushE(ep, done)
+			io.flush()
 			return
 		}
-		done(nil)
+		io.finish()
 		return
 	}
-	h.doIOE(ep, stripeChunks(h.layout, off, size), true, func(err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		h.updateSizeE(ep, off+size, done)
-	})
-}
-
-// flushE is the continuation form of flush.
-func (h *Handle) flushE(ep *des.EventProc, k func(error)) {
-	if len(h.dirty) == 0 {
-		k(nil)
-		return
-	}
-	chunks, maxEnd := h.takeDirty()
-	h.doIOE(ep, chunks, true, func(err error) {
-		if err != nil {
-			k(err)
-			return
-		}
-		h.updateSizeE(ep, maxEnd, k)
-	})
+	io.end = off + size
+	io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
+	io.fanOut(io.chunks, true)
 }
 
 // ReadE is the continuation form of Read, including the readahead window.
@@ -290,36 +634,26 @@ func (h *Handle) ReadE(ep *des.EventProc, off, size int64, k func(error)) {
 		k(nil)
 		return
 	}
-	start := ep.Now()
-	done := func(err error) {
-		h.c.fs.observe(OpEvent{Client: h.c.node, Op: "read", Path: h.path, Offset: off, Size: size, Start: start, End: ep.Now()})
-		k(err)
-	}
+	io := h.newIO(ep, ioRead, k)
+	io.off, io.size = off, size
 	ra := h.c.fs.cfg.ClientReadahead
 	switch {
 	case ra > 0 && h.raValid && off >= h.raStart && off+size <= h.raEnd:
 		// Cache hit: served from client memory at zero simulated cost.
-		done(nil)
+		io.finish()
 	case ra > 0:
-		fetch := size + ra
-		h.doIOE(ep, stripeChunks(h.layout, off, fetch), false, func(err error) {
-			if err == nil {
-				h.raStart, h.raEnd, h.raValid = off, off+fetch, true
-			}
-			done(err)
-		})
+		io.fetch = size + ra
+		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, io.fetch)
+		io.fanOut(io.chunks, false)
 	default:
-		h.doIOE(ep, stripeChunks(h.layout, off, size), false, done)
+		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
+		io.fanOut(io.chunks, false)
 	}
 }
 
 // FsyncE is the continuation form of Fsync.
 func (h *Handle) FsyncE(ep *des.EventProc, k func(error)) {
-	start := ep.Now()
-	h.flushE(ep, func(err error) {
-		h.c.fs.observe(OpEvent{Client: h.c.node, Op: "fsync", Path: h.path, Start: start, End: ep.Now()})
-		k(err)
-	})
+	h.newIO(ep, ioFsync, k).flush()
 }
 
 // CloseE is the continuation form of Close.
@@ -328,10 +662,5 @@ func (h *Handle) CloseE(ep *des.EventProc, k func(error)) {
 		k(nil)
 		return
 	}
-	start := ep.Now()
-	h.flushE(ep, func(err error) {
-		h.closed = true
-		h.c.fs.observe(OpEvent{Client: h.c.node, Op: "close", Path: h.path, Start: start, End: ep.Now()})
-		k(err)
-	})
+	h.newIO(ep, ioClose, k).flush()
 }

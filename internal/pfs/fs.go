@@ -77,7 +77,7 @@ type FileInfo struct {
 
 // mds is the metadata server: a namespace behind a thread-pool resource.
 type mds struct {
-	node    string
+	node    *netsim.Node
 	threads *des.Resource
 	opCost  des.Time
 	inodes  map[string]*inode
@@ -94,7 +94,7 @@ type FS struct {
 	storage *netsim.Fabric // nil when NumIONodes == 0 (flat network)
 	mds     *mds
 	osts    []*ost
-	ionodes []string
+	ionodes []ionode
 	nextION int
 	nextOST int // round-robin base for layout allocation
 
@@ -106,7 +106,16 @@ type FS struct {
 
 	observer    func(OpEvent)
 	ostObserver func(OSTEvent)
+
+	// Free lists of continuation-form call state (client_event.go).
+	metaFree freeList[metaCall]
+	ioFree   freeList[ioCall]
+	rpcFree  freeList[rpcCall]
 }
+
+// ionode is one I/O-forwarding node: its handles on the compute and the
+// storage fabric.
+type ionode struct{ c, s *netsim.Node }
 
 // New builds a file system on engine e from cfg. The root directory "/"
 // exists; everything else must be created through a Client.
@@ -119,16 +128,13 @@ func New(e *des.Engine, cfg Config) *FS {
 		fs.storage = netsim.NewFabric(e, cfg.StorageFabric)
 		for i := 0; i < cfg.NumIONodes; i++ {
 			name := fmt.Sprintf("ionode%d", i)
-			fs.compute.AddNode(name)
-			fs.storage.AddNode(name)
-			fs.ionodes = append(fs.ionodes, name)
+			fs.ionodes = append(fs.ionodes, ionode{c: fs.compute.AddNode(name), s: fs.storage.AddNode(name)})
 		}
 	}
 
 	serverFabric := fs.serverFabric()
-	serverFabric.AddNode("mds")
 	fs.mds = &mds{
-		node:    "mds",
+		node:    serverFabric.AddNode("mds"),
 		threads: des.NewResource(e, "mds.threads", cfg.MDSThreads),
 		opCost:  cfg.MDSOpCost,
 		inodes:  map[string]*inode{"/": {path: "/", isDir: true, children: map[string]bool{}}},
@@ -136,8 +142,7 @@ func New(e *des.Engine, cfg Config) *FS {
 
 	id := 0
 	for oss := 0; oss < cfg.NumOSS; oss++ {
-		node := fmt.Sprintf("oss%d", oss)
-		serverFabric.AddNode(node)
+		node := serverFabric.AddNode(fmt.Sprintf("oss%d", oss))
 		for t := 0; t < cfg.OSTsPerOSS; t++ {
 			dev := blockdev.NewDevice(e, fmt.Sprintf("ost%d", id), cfg.OSTDevice(), cfg.OSTQueueDepth)
 			fs.osts = append(fs.osts, newOST(id, node, dev))
@@ -165,10 +170,14 @@ func (fs *FS) Config() Config { return fs.cfg }
 // NumOSTs returns the number of object storage targets.
 func (fs *FS) NumOSTs() int { return len(fs.osts) }
 
-// cleanPath normalizes a path to slash-separated absolute form.
+// cleanPath normalizes a path to slash-separated absolute form. An
+// already-clean path is returned unchanged, without allocating.
 func cleanPath(path string) (string, error) {
 	if path == "" || path[0] != '/' {
 		return "", fmt.Errorf("pfs: path %q must be absolute", path)
+	}
+	if isClean(path) {
+		return path, nil
 	}
 	parts := strings.Split(path, "/")
 	out := make([]string, 0, len(parts))
@@ -184,6 +193,24 @@ func cleanPath(path string) (string, error) {
 		}
 	}
 	return "/" + strings.Join(out, "/"), nil
+}
+
+// isClean reports whether absolute path is already in cleanPath's form:
+// "/" alone, or segments that are neither empty, "." nor "..".
+func isClean(path string) bool {
+	if path == "/" {
+		return true
+	}
+	seg := 1
+	for i := 1; i <= len(path); i++ {
+		if i == len(path) || path[i] == '/' {
+			if s := path[seg:i]; s == "" || s == "." || s == ".." {
+				return false
+			}
+			seg = i + 1
+		}
+	}
+	return true
 }
 
 func parentOf(path string) string {
@@ -205,21 +232,6 @@ func (fs *FS) mdsExec(p *des.Proc, op MetaOp, fn func() error) error {
 	m.ops[op]++
 	m.busy += m.opCost
 	return fn()
-}
-
-// mdsExecE is the continuation form of mdsExec: queueing + CPU on the
-// calling EventProc, then fn applied to the namespace and its error handed
-// to k.
-func (fs *FS) mdsExecE(ep *des.EventProc, op MetaOp, fn func() error, k func(error)) {
-	m := fs.mds
-	m.threads.AcquireE(ep, func() {
-		ep.Wait(m.opCost, func() {
-			m.threads.Release()
-			m.ops[op]++
-			m.busy += m.opCost
-			k(fn())
-		})
-	})
 }
 
 // LayoutPolicy selects the OST allocation strategy for new files.

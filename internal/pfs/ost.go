@@ -3,6 +3,7 @@ package pfs
 import (
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
+	"pioeval/internal/netsim"
 )
 
 // ost is one object storage target: a block device plus an object
@@ -10,11 +11,11 @@ import (
 // logical access stays sequential on the media (important for the HDD
 // model's seek behaviour).
 type ost struct {
-	id      int
-	ossNode string
-	dev     *blockdev.Device
+	id  int
+	oss *netsim.Node // the OSS's node on the server fabric
+	dev *blockdev.Device
 
-	objBase  map[string]int64 // object key -> physical base offset
+	objBase  map[objKey]int64 // object -> physical base offset
 	allocPtr int64
 
 	readOps, writeOps uint64
@@ -24,13 +25,13 @@ type ost struct {
 	downSince des.Time
 }
 
-func newOST(id int, ossNode string, dev *blockdev.Device) *ost {
-	return &ost{id: id, ossNode: ossNode, dev: dev, objBase: make(map[string]int64)}
+func newOST(id int, oss *netsim.Node, dev *blockdev.Device) *ost {
+	return &ost{id: id, oss: oss, dev: dev, objBase: make(map[objKey]int64)}
 }
 
 // physOffset maps (object, logical offset) to a stable physical offset,
 // allocating a generous contiguous region per object on first touch.
-func (o *ost) physOffset(obj string, logical, size int64) int64 {
+func (o *ost) physOffset(obj objKey, logical int64) int64 {
 	base, ok := o.objBase[obj]
 	if !ok {
 		base = o.allocPtr
@@ -43,27 +44,18 @@ func (o *ost) physOffset(obj string, logical, size int64) int64 {
 }
 
 // access performs one object I/O on the backing device in simulated time.
-func (o *ost) access(p *des.Proc, obj string, logical, size int64, write bool) {
-	phys := o.physOffset(obj, logical, size)
-	o.dev.Access(p, blockdev.Request{Offset: phys, Size: size, Write: write})
+func (o *ost) access(p *des.Proc, obj objKey, logical, size int64, write bool) {
+	o.dev.Access(p, blockdev.Request{Offset: o.physOffset(obj, logical), Size: size, Write: write})
+	o.countOp(write)
+}
+
+// countOp counts one completed object I/O.
+func (o *ost) countOp(write bool) {
 	if write {
 		o.writeOps++
 	} else {
 		o.readOps++
 	}
-}
-
-// accessE is the continuation form of access.
-func (o *ost) accessE(ep *des.EventProc, obj string, logical, size int64, write bool, k func()) {
-	phys := o.physOffset(obj, logical, size)
-	o.dev.AccessE(ep, blockdev.Request{Offset: phys, Size: size, Write: write}, func() {
-		if write {
-			o.writeOps++
-		} else {
-			o.readOps++
-		}
-		k()
-	})
 }
 
 // OSTStats is a snapshot of one OST's counters.
@@ -87,7 +79,7 @@ func (o *ost) stats() OSTStats {
 	st := o.dev.Stats()
 	return OSTStats{
 		ID:           o.id,
-		OSSNode:      o.ossNode,
+		OSSNode:      o.oss.Name(),
 		ReadOps:      o.readOps,
 		WriteOps:     o.writeOps,
 		BytesRead:    st.BytesRead,

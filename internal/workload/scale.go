@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"pioeval/internal/des"
 	"pioeval/internal/mpi"
@@ -85,9 +86,11 @@ func newScaleState(steps int) *scaleState {
 	}
 }
 
-// scaleRank is one checkpoint rank as an explicit state machine: each
-// blocking point hands one of the pre-bound continuation fields to the
-// engine, so steady-state execution allocates nothing per operation.
+// scaleRank is one checkpoint rank as an explicit state machine. Every
+// blocking point hands the engine one of three continuations bound when
+// the rank is created — resume (a phase switch), opened (the create's
+// typed result) and ioDone (a write's, fsync's or close's) — so
+// steady-state execution allocates nothing per operation.
 type scaleRank struct {
 	r    *mpi.EventRank
 	c    *pfs.Client
@@ -96,45 +99,57 @@ type scaleRank struct {
 	gid  int  // global rank id (file naming; == r.ID() unsharded)
 	lead bool // the one rank that records step timing
 
-	// barrier is the step barrier: the world barrier with one shard, the
-	// shard-local barrier followed by the cross-shard gate otherwise.
-	barrier func(k func())
+	step  int
+	off   int64
+	t0    des.Time
+	h     *pfs.Handle
+	phase uint8
+	after uint8 // the phase to resume in once the step barrier has passed
 
-	step int
-	off  int64
-	t0   des.Time
-	h    *pfs.Handle
+	// Cross-shard gate state (set only with more than one shard): the
+	// step barrier is then the shard-local barrier followed by the gate.
+	gate     *shardGate
+	gateLead bool
+	gateGen  int
 
-	// Pre-bound continuations (one-time allocations per rank).
-	enterF  func()
-	openF   func()
+	resumeF func()
 	openedF func(*pfs.Handle, error)
-	wroteF  func(error)
-	syncedF func(error)
-	closedF func(error)
-	doneF   func()
-
-	// Cross-shard gate state (bound only with more than one shard). The
-	// enter/await continuations are pre-bound so a steady-state gate
-	// crossing allocates nothing per rank.
-	gate       *shardGate
-	gateLead   bool
-	gateGen    int
-	gateK      func()
-	gateEnterF func()
-	gateAwaitF func()
+	ioDoneF func(error)
 }
+
+// scaleRank phases: the step resume (or ioDone) runs next.
+const (
+	srBarrier   uint8 = iota // compute time elapsed: enter the step barrier
+	srOpen                   // step barrier passed: create the step's file
+	srWrite                  // a write finished
+	srSync                   // the fsync finished
+	srClose                  // the close finished
+	srStepDone               // exit barrier passed
+	srGateEnter              // shard-local barrier passed: enter the gate
+	srGateAwait              // gate release fired: re-check the generation
+)
 
 func newScaleRank(r *mpi.EventRank, c *pfs.Client, cfg *ScaleConfig, st *scaleState, gid int, lead bool) *scaleRank {
 	s := &scaleRank{r: r, c: c, cfg: cfg, st: st, gid: gid, lead: lead}
-	s.enterF = s.enter
-	s.openF = s.open
+	s.resumeF = s.resume
 	s.openedF = s.opened
-	s.wroteF = s.wrote
-	s.syncedF = s.synced
-	s.closedF = s.closed
-	s.doneF = s.stepDone
+	s.ioDoneF = s.ioDone
 	return s
+}
+
+func (s *scaleRank) resume() {
+	switch s.phase {
+	case srBarrier:
+		s.barrier(srOpen)
+	case srOpen:
+		s.open()
+	case srStepDone:
+		s.stepDone()
+	case srGateEnter:
+		s.gateEnter()
+	case srGateAwait:
+		s.gateAwait()
+	}
 }
 
 // stepBegin starts one compute+checkpoint step, or finishes the rank: a
@@ -144,27 +159,43 @@ func (s *scaleRank) stepBegin() {
 		return
 	}
 	if s.cfg.ComputeTime > 0 {
-		s.r.Compute(s.cfg.ComputeTime, s.enterF)
+		s.phase = srBarrier
+		s.r.Compute(s.cfg.ComputeTime, s.resumeF)
 		return
 	}
-	s.enter()
+	s.barrier(srOpen)
 }
 
-func (s *scaleRank) enter() { s.barrier(s.openF) }
+// barrier enters the step barrier and resumes in phase next once it has
+// passed: the world barrier with one shard, the shard-local barrier
+// followed by the cross-shard gate otherwise.
+func (s *scaleRank) barrier(next uint8) {
+	s.after = next
+	s.phase = next
+	if s.gate != nil {
+		s.phase = srGateEnter
+	}
+	s.r.Barrier(s.resumeF)
+}
 
 func (s *scaleRank) open() {
 	if s.lead {
 		s.st.stepStart[s.step] = s.r.Now()
 	}
 	s.t0 = s.r.Now()
-	path := fmt.Sprintf("%s.step%d.%d", s.cfg.Path, s.step, s.gid)
-	s.c.CreateE(s.r.Proc(), path, s.cfg.StripeCount, s.cfg.StripeSize, s.openedF)
+	var buf [64]byte
+	b := append(buf[:0], s.cfg.Path...)
+	b = append(b, ".step"...)
+	b = strconv.AppendInt(b, int64(s.step), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(s.gid), 10)
+	s.c.CreateE(s.r.Proc(), string(b), s.cfg.StripeCount, s.cfg.StripeSize, s.openedF)
 }
 
 func (s *scaleRank) opened(h *pfs.Handle, err error) {
 	if err != nil {
 		s.st.stepErrs[s.step]++
-		s.exit()
+		s.barrier(srStepDone)
 		return
 	}
 	s.h = h
@@ -174,7 +205,8 @@ func (s *scaleRank) opened(h *pfs.Handle, err error) {
 
 func (s *scaleRank) write() {
 	if s.off >= s.cfg.BytesPerRank {
-		s.h.FsyncE(s.r.Proc(), s.syncedF)
+		s.phase = srSync
+		s.h.FsyncE(s.r.Proc(), s.ioDoneF)
 		return
 	}
 	n := s.cfg.TransferSize
@@ -183,39 +215,24 @@ func (s *scaleRank) write() {
 	}
 	off := s.off
 	s.off += n
-	s.h.WriteE(s.r.Proc(), off, n, s.wroteF)
+	s.phase = srWrite
+	s.h.WriteE(s.r.Proc(), off, n, s.ioDoneF)
 }
 
-func (s *scaleRank) wrote(err error) {
+func (s *scaleRank) ioDone(err error) {
 	if err != nil {
 		s.st.stepErrs[s.step]++
 	}
-	s.write()
-}
-
-func (s *scaleRank) synced(err error) {
-	if err != nil {
-		s.st.stepErrs[s.step]++
+	switch s.phase {
+	case srWrite:
+		s.write()
+	case srSync:
+		s.phase = srClose
+		s.h.CloseE(s.r.Proc(), s.ioDoneF)
+	case srClose:
+		s.h = nil
+		s.barrier(srStepDone)
 	}
-	s.h.CloseE(s.r.Proc(), s.closedF)
-}
-
-func (s *scaleRank) closed(err error) {
-	if err != nil {
-		s.st.stepErrs[s.step]++
-	}
-	s.h = nil
-	s.exit()
-}
-
-func (s *scaleRank) exit() { s.barrier(s.doneF) }
-
-// shardBarrier is the multi-shard step barrier: the shard-local MPI
-// barrier, then the cross-shard gate. It and the gate continuations below
-// are installed by RunShardedCheckpoint when it runs more than one shard.
-func (s *scaleRank) shardBarrier(k func()) {
-	s.gateK = k
-	s.r.Barrier(s.gateEnterF)
 }
 
 // gateEnter runs once the shard-local barrier has completed: the shard
@@ -232,10 +249,12 @@ func (s *scaleRank) gateEnter() {
 
 func (s *scaleRank) gateAwait() {
 	if s.gate.gen != s.gateGen {
-		s.gateK()
+		s.phase = s.after
+		s.resume()
 		return
 	}
-	s.gate.release.WaitE(s.r.Proc(), s.gateAwaitF)
+	s.phase = srGateAwait
+	s.gate.release.WaitE(s.r.Proc(), s.resumeF)
 }
 
 func (s *scaleRank) stepDone() {
@@ -404,21 +423,20 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		st := newScaleState(sc.Steps)
 		states[sh] = st
 		clients := make([]*pfs.Client, n)
+		var node string
 		for i := range clients {
-			clients[i] = fs.NewClientAt(fmt.Sprintf("%s%d", sc.NodePrefix, i/sc.RanksPerNode))
+			if i%sc.RanksPerNode == 0 {
+				node = sc.NodePrefix + strconv.Itoa(i/sc.RanksPerNode)
+			}
+			clients[i] = fs.NewClientAt(node)
 		}
 		w := mpi.NewWorld(e, n, mpi.DefaultOptions())
 		sh, gidBase, gate := sh, gid, gates[sh]
 		w.SpawnEvent(func(r *mpi.EventRank) {
 			s := newScaleRank(r, clients[r.ID()], &sc, st, gidBase+r.ID(), sh == 0 && r.ID() == 0)
-			if gate == nil {
-				s.barrier = r.Barrier
-			} else {
+			if gate != nil {
 				s.gate = gate
 				s.gateLead = r.ID() == 0
-				s.gateEnterF = s.gateEnter
-				s.gateAwaitF = s.gateAwait
-				s.barrier = s.shardBarrier
 			}
 			s.stepBegin()
 		})

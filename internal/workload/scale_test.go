@@ -219,3 +219,29 @@ func TestShardedBytesConserved(t *testing.T) {
 		t.Errorf("bytes written across shards = %d, want %d", written, want)
 	}
 }
+
+// TestShardedCheckpointAllocBudget holds the continuation path's
+// allocation saving in place: a 4096-rank, 4-shard, one-step checkpoint
+// must stay within 40 allocations per rank. Per-operation state is pooled
+// by the layer that owns it, so what remains is per-rank state (rank,
+// client, handle, inode, file name) plus the bursts no bounded free list
+// absorbs.
+func TestShardedCheckpointAllocBudget(t *testing.T) {
+	const ranks, budget = 4096, 40
+	cfg := ShardedConfig{
+		Scale: ScaleConfig{
+			Ranks: ranks, BytesPerRank: 1 << 20, Steps: 1,
+			TransferSize: 1 << 20, RanksPerNode: 64, StripeCount: 1,
+		},
+		Shards: 4, Workers: 1, Seed: 1,
+	}
+	var rep ShardedReport
+	perRank := testing.AllocsPerRun(1, func() { rep = RunShardedCheckpoint(cfg) }) / ranks
+	if rep.IOErrors != 0 || rep.Makespan == 0 {
+		t.Fatalf("checkpoint failed: %d I/O errors, makespan %v", rep.IOErrors, rep.Makespan)
+	}
+	t.Logf("%.1f allocations per rank", perRank)
+	if perRank > budget {
+		t.Errorf("%.1f allocations per rank, budget %d", perRank, budget)
+	}
+}
