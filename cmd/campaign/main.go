@@ -21,12 +21,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"text/tabwriter"
 
 	"pioeval/internal/campaign"
+	"pioeval/internal/cli"
 )
 
 // defaultSpec is the built-in baseline grid: 48 points spanning device
@@ -63,7 +62,7 @@ func main() {
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The golden test drives it with a bytes.Buffer.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	workers := fs.Int("workers", 0, "simultaneous simulations (0 = GOMAXPROCS)")
@@ -73,36 +72,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	csvOut := fs.String("csv", "", "write per-point summaries as CSV to this file (- for stdout)")
 	listOnly := fs.Bool("points", false, "print the expanded grid and exit without running")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the campaign to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	if err := prof.Start(); err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Print(err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
+	defer func() {
+		if perr := prof.Stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	src := defaultSpec
 	if fs.NArg() == 1 {

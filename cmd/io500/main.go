@@ -12,6 +12,7 @@
 // Examples:
 //
 //	io500 -ranks 8 -device ssd -tier bb -validate
+//	io500 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	io500 -survey -devices hdd,ssd,nvme -tiers direct,bb,nodelocal -rank-counts 2,4,8 -json
 package main
 
@@ -41,7 +42,7 @@ func main() {
 // all output goes to the supplied writers, and failures — including
 // armed-invariant violations under -validate — return as errors instead
 // of exiting. The golden and equivalence tests drive it directly.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("io500", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	ranks := fs.Int("ranks", 4, "MPI ranks")
@@ -70,9 +71,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rankCountsStr := fs.String("rank-counts", "2,4,8", "survey: comma-separated rank counts")
 	compressorsStr := fs.String("compressors", "none", "survey: comma-separated data-reduction stages (none, lz, deflate, zfp, sz)")
 	csvPath := fs.String("csv", "", "survey: also write the submission table as CSV to this path (- for stdout)")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := prof.Stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	easyBlock, err := cli.ParseSize(*easyBlockStr)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -51,6 +50,26 @@ const defaultScenario = `workload "validate-default" {
 }
 `
 
+// prof is the command's -cpuprofile/-memprofile state. Once profiling
+// has started, the command ends through exit or fatal, never os.Exit or
+// log.Fatal, so every exit path completes both profiles.
+var prof cli.Profiles
+
+// exit completes the profiles and ends the process with code.
+func exit(code int) {
+	if err := prof.Stop(); err != nil {
+		log.Print(err)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// fatal logs v, completes the profiles and exits with status 1.
+func fatal(v ...any) {
+	log.Print(v...)
+	exit(1)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simfs: ")
@@ -60,8 +79,6 @@ func main() {
 	sample := fs.Bool("sample", false, "print sampled bandwidth series")
 	faultSpec := fs.String("faults", "", "fault campaign, e.g. 'ostcrash:1@100ms; ostrecover:1@700ms; mdsdown@1s; mdsup@1.5s'")
 	resilient := fs.Bool("resilient", false, "enable the default client resilience policy (timeouts, retries, degraded reads)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	doValidate := fs.Bool("validate", false, "arm runtime invariant checkers and exit non-zero on any violation (runs a built-in scenario when no script is given)")
 	doOracles := fs.Bool("oracles", false, "run the analytic oracle suite instead of a workload; exit non-zero on failure")
 	tier := fs.String("tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
@@ -74,6 +91,7 @@ func main() {
 	bytesPerRank := fs.Int64("bytes-per-rank", 1<<20, "checkpoint bytes per rank per step for the scale run")
 	xfer := fs.Int64("xfer", 1<<20, "write chunk size for the scale run")
 	ranksPerNode := fs.Int("ranks-per-node", 64, "ranks sharing one compute node (and its NIC) in the scale run")
+	prof.Register(fs)
 	_ = fs.Parse(os.Args[1:])
 
 	if *doOracles {
@@ -93,29 +111,14 @@ func main() {
 	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
 		log.Fatal("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)")
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := prof.Stop(); err != nil {
 			log.Fatal(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	}()
 	if *scaleRanks > 0 {
 		sc := scaleOpts{
 			ranks: *scaleRanks, shards: *shards, workers: *shardWorkers,
@@ -125,12 +128,12 @@ func main() {
 		}
 		if sc.workersSweep > 0 {
 			if !runWorkersSweep(cluster, sc) {
-				os.Exit(1)
+				exit(1)
 			}
 			return
 		}
 		if !runScale(cluster, sc) {
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -139,16 +142,16 @@ func main() {
 		var err error
 		src, err = os.ReadFile(fs.Arg(0))
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 	}
 	wl, err := iolang.Parse(string(src))
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if *resilient || *faultSpec != "" {
 		cfg.Resilience = pfs.DefaultResilience()
@@ -171,10 +174,10 @@ func main() {
 	if *faultSpec != "" {
 		c, err := faults.ParseCampaign(*faultSpec)
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		if campaign, err = faults.Run(e, sim, c); err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 	}
 	var prov *storage.Provider
@@ -183,12 +186,12 @@ func main() {
 	if *tier != "direct" && *tier != "" || wantCompress {
 		prov, err = storage.NewProvider(e, sim, *tier, storage.ProviderConfig{})
 		if err != nil {
-			log.Fatal(err)
+			fatal(err)
 		}
 		if wantCompress {
 			comp, err = reduce.New(*compress)
 			if err != nil {
-				log.Fatal(err)
+				fatal(err)
 			}
 			prov.Push(comp)
 		}
@@ -198,7 +201,7 @@ func main() {
 	}
 	rep, err := iolang.RunOn(e, sim, wl, col, prov)
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	if sampler != nil {
 		sampler.Stop()
@@ -300,7 +303,7 @@ func main() {
 			for _, v := range vios {
 				fmt.Printf("validation: VIOLATION %s\n", v)
 			}
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }
@@ -345,7 +348,7 @@ func reportHash(rep workload.ShardedReport) uint64 {
 // outputs diverge (a determinism bug) or an armed invariant fired.
 func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	if o.shards <= 1 {
-		log.Fatal("-workers-sweep needs -shards > 1")
+		fatal("-workers-sweep needs -shards > 1")
 	}
 	var counts []int
 	for w := 1; w < o.workersSweep; w *= 2 {
@@ -397,7 +400,7 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		fatal(err)
 	}
 	var invs []*validate.Invariants
 	var shardFS []*pfs.FS

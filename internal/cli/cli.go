@@ -1,9 +1,11 @@
 // Package cli holds the flag plumbing and value parsing shared by the
 // command-line tools in cmd/: ClusterFlags registers the common
 // simulated-cluster flags (-oss, -device, -stripe-count, ...) and converts
-// them to a pfs.Config, and ParseSize/ParseDuration accept the human
-// size ("1MB", "256KB") and time ("100ms", "2s") literals used uniformly
-// across flags, the iolang workload language, and campaign spec files.
+// them to a pfs.Config, Profiles gives every entry point the same
+// -cpuprofile/-memprofile pair, and ParseSize/ParseDuration accept the
+// human size ("1MB", "256KB") and time ("100ms", "2s") literals used
+// uniformly across flags, the iolang workload language, and campaign spec
+// files.
 package cli
 
 import (

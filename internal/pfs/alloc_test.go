@@ -96,3 +96,57 @@ func TestCallFreeListsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDoIOAllocs pins a steady-state goroutine-form 4 MiB Write — four
+// 1 MiB RPCs, write-behind off — at stripe counts 1 and 4. The data RPCs
+// run as pooled continuation rpcCalls that the calling Proc joins with a
+// single park, so what remains per call is one EventProc per RPC and the
+// request's chunk slice; the size update's namespace closure does not
+// escape.
+func TestDoIOAllocs(t *testing.T) {
+	for _, stripes := range []int{1, 4} {
+		e := des.NewEngine(1)
+		fs := New(e, fastConfig())
+		c := fs.NewClient("c0")
+		kick := des.NewSignal(e)
+		var writeErr error
+		stop := false
+		e.Spawn("c0", func(p *des.Proc) {
+			h, err := c.Create(p, "/f", stripes, 1<<20)
+			if err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			for {
+				kick.Wait(p)
+				if stop {
+					return
+				}
+				if writeErr = h.Write(p, 0, 4<<20); writeErr != nil {
+					return
+				}
+			}
+		})
+		round := func() {
+			kick.Fire()
+			e.Run(des.MaxTime)
+		}
+		e.Run(des.MaxTime)
+		round()
+		n := testing.AllocsPerRun(50, round)
+		stop = true
+		round()
+		if e.LiveProcs() != 0 {
+			t.Fatalf("stripes=%d: writer proc did not finish", stripes)
+		}
+		if writeErr != nil {
+			t.Fatalf("stripes=%d: write: %v", stripes, writeErr)
+		}
+		if st := c.Stats(); st.WriteRPCs != 4*52 {
+			t.Fatalf("stripes=%d: %d write RPCs, want %d", stripes, st.WriteRPCs, 4*52)
+		}
+		if n > 5 {
+			t.Errorf("stripes=%d: goroutine-form 4-RPC write: %v allocs per call, want <= 5", stripes, n)
+		}
+	}
+}

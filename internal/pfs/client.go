@@ -451,9 +451,14 @@ type objKey struct {
 
 func (k objKey) String() string { return k.path + "#" + strconv.Itoa(k.idx) }
 
-// stripeChunks splits a byte range [off, off+size) over the layout.
+// stripeChunks splits a byte range [off, off+size) over the layout into a
+// slice sized for exactly the stripes the range touches.
 func stripeChunks(l Layout, off, size int64) []chunk {
-	return appendStripeChunks(nil, l, off, size)
+	if size <= 0 {
+		return nil
+	}
+	n := (off+size-1)/l.StripeSize - off/l.StripeSize + 1
+	return appendStripeChunks(make([]chunk, 0, n), l, off, size)
 }
 
 // appendStripeChunks appends the chunks of [off, off+size) over the layout
@@ -473,66 +478,6 @@ func appendStripeChunks(out []chunk, l Layout, off, size int64) []chunk {
 		size -= n
 	}
 	return out
-}
-
-// dataRPC performs one OST-directed transfer under the resilience policy:
-// bounded retries with exponential backoff + jitter around single
-// attempts. Non-retryable errors and exhausted budgets surface to doIO.
-func (c *Client) dataRPC(q *des.Proc, o *ost, obj objKey, objOff, size int64, write bool) error {
-	pol := c.fs.cfg.Resilience
-	for attempt := 0; ; attempt++ {
-		err := c.tryDataRPC(q, o, obj, objOff, size, write)
-		if err == nil || !retryable(err) {
-			return err
-		}
-		if attempt >= pol.MaxRetries {
-			c.stats.FailedRPCs++
-			return err
-		}
-		c.stats.Retries++
-		q.Wait(pol.backoff(c.fs.eng, attempt))
-	}
-}
-
-// tryDataRPC is a single attempt: pay the request's network cost, then
-// either service it at the OST or observe the failure mode — a crashed
-// target never answers (timeout), and injected transient faults fail the
-// request server-side with an error reply.
-func (c *Client) tryDataRPC(q *des.Proc, o *ost, obj objKey, objOff, size int64, write bool) error {
-	fs := c.fs
-	if write {
-		c.stats.WriteRPCs++
-		c.stats.BytesSent += size
-		c.toServer(q, o.oss, size)
-	} else {
-		c.stats.ReadRPCs++
-		c.stats.BytesSent += dataReqSize
-		c.toServer(q, o.oss, dataReqSize)
-	}
-	if o.down {
-		if pol := fs.cfg.Resilience; pol.RPCTimeout > 0 {
-			q.Wait(pol.RPCTimeout)
-		}
-		c.stats.TimedOutRPCs++
-		return fmt.Errorf("%w: ost%d", ErrOSTDown, o.id)
-	}
-	if r := fs.transientRate; r > 0 && fs.eng.RNG().Stream("pfs.transient").Float64() < r {
-		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.oss, dataReqSize) // error reply
-		return fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, obj, objOff, size)
-	}
-	o.access(q, obj, objOff, size, write)
-	if fs.ostObserver != nil {
-		fs.ostObserver(OSTEvent{OST: o.id, Size: size, Write: write, At: q.Now()})
-	}
-	if write {
-		c.stats.BytesRecv += dataReqSize
-		c.fromServer(q, o.oss, dataReqSize) // ack
-	} else {
-		c.stats.BytesRecv += size
-		c.fromServer(q, o.oss, size)
-	}
-	return nil
 }
 
 // splitRPCs appends chunks to rpcs, split into pieces of at most
@@ -583,23 +528,20 @@ func (h *Handle) settleIO(rpcs []chunk, errs []error, write bool) error {
 
 // doIO executes the chunks of one request in parallel across OSTs,
 // splitting chunks larger than MaxRPCSize, and blocks until all complete;
-// the outcome is aggregated by settleIO.
+// the outcome is aggregated by settleIO. The RPCs are the continuation
+// form's pooled rpcCalls, launched from a borrowed ioCall and joined with
+// a single park on its WaitGroup, so no RPC costs a goroutine.
 func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
 	fs := h.c.fs
-	rpcs := fs.splitRPCs(nil, chunks)
-	errs := make([]error, len(rpcs))
-	wg := des.NewWaitGroup(p.Engine())
-	for i, rpc := range rpcs {
-		i, rpc := i, rpc
-		wg.Add(1)
-		p.Engine().Spawn("rpc", func(q *des.Proc) {
-			defer wg.Done()
-			o := fs.osts[h.layout.OSTs[rpc.ostIdx]]
-			errs[i] = h.c.dataRPC(q, o, objKey{h.path, rpc.ostIdx}, rpc.objOff, rpc.size, write)
-		})
-	}
-	wg.Wait(p)
-	return h.settleIO(rpcs, errs, write)
+	io := fs.getIO()
+	io.h = h
+	io.launch(chunks, write)
+	io.wg.Wait(p)
+	err := h.settleIO(io.rpcs, io.errs, write)
+	clear(io.errs)
+	io.h = nil
+	fs.ioFree.put(io)
+	return err
 }
 
 // updateSize grows the file size at the MDS (a size RPC, as Lustre clients

@@ -11,14 +11,19 @@ import (
 // This file is the continuation-form (goroutine-free) port of the client
 // hot paths: every method is the E-suffixed analogue of the blocking form
 // in client.go, with identical cost model, retry policy, statistics, and
-// observer events. The form-independent pieces — RPC splitting
-// (splitRPCs), error aggregation (settleIO), dirty-extent gathering
-// (takeDirty) and the MDS-side namespace bodies (createNS, openNS,
-// setSizeNS) — live in client.go and serve both forms; any other
-// behavioural change must land in both. The port covers the data-plane
-// ops a rank's checkpoint/read loop issues (create, open, write, read,
-// fsync, close) plus the meta/data RPC machinery beneath them; rarely-hot
-// namespace ops (mkdir, readdir, unlink, stat) stay goroutine-only.
+// observer events. The data RPC (rpcCall) has a single implementation
+// here: the goroutine-form doIO launches the same pooled rpcCalls and
+// parks once to join them, so retry, backoff, timeout, transient-fault
+// and degraded-read handling exist once for both forms. The other
+// form-independent pieces — RPC splitting (splitRPCs), error aggregation
+// (settleIO), dirty-extent gathering (takeDirty) and the MDS-side
+// namespace bodies (createNS, openNS, setSizeNS) — live in client.go.
+// What remains duplicated is the metadata RPC and the op bodies (write,
+// read, fsync, close, create, open); a behavioural change to those must
+// land in both forms. The port covers the data-plane ops a rank's
+// checkpoint/read loop issues plus the meta/data RPC machinery beneath
+// them; rarely-hot namespace ops (mkdir, readdir, unlink, stat) stay
+// goroutine-only.
 //
 // Each operation in flight is a state machine — metaCall (one metadata
 // RPC), ioCall (one write, read, fsync or close) or rpcCall (one data RPC)
@@ -320,10 +325,10 @@ const (
 )
 
 // ioCall is one write, read, fsync or close in continuation form: the
-// striped RPC fan-out (the continuation form of doIO) as spawned rpcCall
-// procs joined on a WaitGroup, the size update that follows a write, and
-// the operation's observer event. Its chunk, RPC and error slices and its
-// WaitGroup are reused from call to call.
+// striped RPC fan-out as spawned rpcCall procs joined on a WaitGroup, the
+// size update that follows a write, and the operation's observer event.
+// The goroutine-form doIO borrows one for its fan-out alone. Its chunk,
+// RPC and error slices and its WaitGroup are reused from call to call.
 type ioCall struct {
 	h     *Handle
 	ep    *des.EventProc
@@ -355,23 +360,30 @@ const (
 	ioSized               // size update done
 )
 
-// newIO takes an ioCall of the given kind on h from the free list.
-func (h *Handle) newIO(ep *des.EventProc, kind ioKind, k func(error)) *ioCall {
-	io := h.c.fs.ioFree.get()
+// getIO takes an ioCall from the free list, or allocates one.
+func (fs *FS) getIO() *ioCall {
+	io := fs.ioFree.get()
 	if io == nil {
 		io = &ioCall{}
 		io.chunks, io.rpcs, io.errs = io.chunk1[:0], io.rpc1[:0], io.err1[:0]
 		io.resumeF = io.resume
 	}
+	return io
+}
+
+// newIO takes an ioCall of the given kind on h from the free list.
+func (h *Handle) newIO(ep *des.EventProc, kind ioKind, k func(error)) *ioCall {
+	io := h.c.fs.getIO()
 	io.h, io.ep, io.kind, io.k, io.start = h, ep, kind, k, ep.Now()
 	io.off, io.size, io.fetch, io.end = 0, 0, 0, 0
 	return io
 }
 
-// fanOut runs chunks as parallel RPCs across OSTs — one spawned event
-// proc per RPC, each O(one pooled event + a small struct) instead of a
-// goroutine — and joins them.
-func (io *ioCall) fanOut(chunks []chunk, write bool) {
+// launch starts chunks as parallel RPCs across OSTs — one pooled rpcCall
+// per RPC, each on its own spawned event proc, O(one pooled event + a
+// small struct) instead of a goroutine — counted on io.wg. The caller
+// joins them: fanOut with WaitE, the goroutine-form doIO with Wait.
+func (io *ioCall) launch(chunks []chunk, write bool) {
 	h := io.h
 	fs := h.c.fs
 	io.write = write
@@ -395,6 +407,12 @@ func (io *ioCall) fanOut(chunks []chunk, write bool) {
 		rc.phase = rcStart
 		rc.ep = fs.eng.SpawnEventK("rpc", -1, rc.resumeF)
 	}
+}
+
+// fanOut launches chunks as parallel RPCs and resumes io once they have
+// all completed.
+func (io *ioCall) fanOut(chunks []chunk, write bool) {
+	io.launch(chunks, write)
 	io.phase = ioJoined
 	io.wg.WaitE(io.ep, io.resumeF)
 }
@@ -456,8 +474,8 @@ func (io *ioCall) finish() {
 	k(err)
 }
 
-// rpcCall is one OST-directed data RPC under the resilience policy, the
-// continuation form of dataRPC, run as its own event proc: request leg,
+// rpcCall is one OST-directed data RPC under the resilience policy — the
+// one implementation both forms run — on its own event proc: request leg,
 // then a timeout (crashed OST), an error reply (injected transient fault)
 // or the device access and reply leg, with backoff between attempts. Its
 // outcome lands in the owning ioCall's error slot.

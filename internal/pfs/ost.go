@@ -43,12 +43,6 @@ func (o *ost) physOffset(obj objKey, logical int64) int64 {
 	return base + logical
 }
 
-// access performs one object I/O on the backing device in simulated time.
-func (o *ost) access(p *des.Proc, obj objKey, logical, size int64, write bool) {
-	o.dev.Access(p, blockdev.Request{Offset: o.physOffset(obj, logical), Size: size, Write: write})
-	o.countOp(write)
-}
-
 // countOp counts one completed object I/O.
 func (o *ost) countOp(write bool) {
 	if write {

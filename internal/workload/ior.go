@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 
 	"pioeval/internal/des"
 	"pioeval/internal/mpi"
@@ -103,7 +105,13 @@ func RunIORWithHints(h *Harness, cfg IORConfig, cbNodes int) IORReport {
 	end := h.Run(func(r *mpi.Rank, env *posixio.Env) {
 		env.StripeCount = cfg.StripeCount
 		env.StripeSize = cfg.StripeSize
-		rng := h.Eng.RNG().Stream(fmt.Sprintf("ior.rank%d", r.ID()))
+		// Only the random pattern draws offsets. A stream's seed depends
+		// on the root seed and its name, not on which streams exist, so
+		// creating this one only when it is used changes no draw.
+		var rng *rand.Rand
+		if cfg.Pattern == Random {
+			rng = h.Eng.RNG().Stream("ior.rank" + strconv.Itoa(r.ID()))
+		}
 
 		// offsets computes this rank's I/O offsets for one phase.
 		offsets := func(emit func(off int64)) {

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/storage"
 )
 
 // TestScaleFormEquivalence checks that the continuation-form checkpoint
@@ -151,6 +153,83 @@ func TestSingleShardMatchesEngineCheckpoint(t *testing.T) {
 		}
 		if rep.Events != tc.events {
 			t.Errorf("%s: events %d, want %d", tc.name, rep.Events, tc.events)
+		}
+	}
+}
+
+// TestGoroutinePathDispatchPins pins the goroutine-form path — the one
+// the campaign runner and the io500 suite take — to constants recorded
+// before its data RPCs moved from one spawned goroutine proc each onto the
+// continuation rpcCall: engine dispatches, makespan and the bytes that
+// reached the OSTs. The first case is a small RunCheckpoint whose 4 MiB
+// writes fan out over four stripes through I/O nodes; the second is one
+// point of cmd/campaign's default grid (4 ranks, ssd, stripe count 4,
+// 256 KiB random transfers into a shared file) built the way the campaign
+// runner builds it. A change that alters the event count has to update
+// the constants and say why.
+func TestGoroutinePathDispatchPins(t *testing.T) {
+	cases := []struct {
+		name       string
+		run        func(e *des.Engine, fs *pfs.FS) des.Time
+		cfg        func() pfs.Config
+		dispatches uint64
+		makespan   des.Time
+		read, wr   int64
+	}{
+		{
+			name: "checkpoint",
+			cfg:  pfs.DefaultConfig,
+			run: func(e *des.Engine, fs *pfs.FS) des.Time {
+				h := NewHarness(e, fs, 4, "cn", nil)
+				return RunCheckpoint(h, CheckpointConfig{
+					Ranks: 4, BytesPerRank: 8 << 20, Steps: 2,
+					ComputeTime: des.Millisecond, TransferSize: 4 << 20,
+				}).Makespan
+			},
+			dispatches: 1136,
+			makespan:   100027326,
+			read:       0,
+			wr:         67108864,
+		},
+		{
+			name: "campaign-point",
+			cfg: func() pfs.Config {
+				cfg := pfs.DefaultConfig()
+				cfg.NumIONodes = 0
+				cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
+				return cfg
+			},
+			run: func(e *des.Engine, fs *pfs.FS) des.Time {
+				pr, err := storage.NewProvider(e, fs, "", storage.ProviderConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := NewHarnessOn(e, fs, 4, "camp", nil, pr)
+				return RunIOR(h, IORConfig{
+					Ranks: 4, BlockSize: 4 << 20, TransferSize: 256 << 10,
+					SharedFile: true, Pattern: Random, ReadBack: true,
+					StripeCount: 4, StripeSize: 1 << 20,
+				}).Makespan
+			},
+			dispatches: 1795,
+			makespan:   28936393,
+			read:       16777216,
+			wr:         16777216,
+		},
+	}
+	for _, tc := range cases {
+		e := des.NewEngine(42)
+		fs := pfs.New(e, tc.cfg())
+		end := tc.run(e, fs)
+		read, wr := fs.TotalBytes()
+		if n := e.Dispatches(); n != tc.dispatches {
+			t.Errorf("%s: %d dispatches, want %d", tc.name, n, tc.dispatches)
+		}
+		if end != tc.makespan {
+			t.Errorf("%s: makespan %d, want %d", tc.name, end, tc.makespan)
+		}
+		if read != tc.read || wr != tc.wr {
+			t.Errorf("%s: OST bytes read %d written %d, want %d and %d", tc.name, read, wr, tc.read, tc.wr)
 		}
 	}
 }
