@@ -108,8 +108,9 @@ func (m *SSDModel) Cost(req Request, prevEnd int64) (latency, transfer des.Time)
 func (m *SSDModel) Name() string { return "ssd" }
 
 // Device is a queued storage device: a Model behind a fixed-depth service
-// queue. All accesses funnel through Access, which blocks the calling
-// process for queueing plus service time.
+// queue. All accesses funnel through AccessE, which holds the calling
+// process for queueing plus service time; Access awaits it from a
+// goroutine proc.
 type Device struct {
 	eng     *des.Engine
 	name    string
@@ -172,25 +173,15 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 	}
 }
 
-// Access performs the request in simulated time, blocking the caller.
+// Access performs the request in simulated time, blocking the caller. It
+// awaits AccessE.
 func (d *Device) Access(p *des.Proc, req Request) {
-	if req.Size < 0 || req.Offset < 0 {
-		panic(fmt.Sprintf("blockdev: bad request %+v", req))
-	}
-	d.queue.Acquire(p)
-	if d.inflight == 0 {
-		d.busySince = p.Now()
-	}
-	d.inflight++
-	lat, xfer := d.cost(req)
-	if lat > 0 {
-		p.Wait(lat)
-	}
-	if xfer > 0 {
-		d.media.Use(p, xfer)
-	}
-	d.complete(req, lat, xfer)
+	p.Await(func(ep *des.EventProc) { d.AccessE(ep, req, nop) })
 }
+
+// nop is the completion of an awaited operation: the awaiting proc
+// resumes once the operation's last step returns.
+func nop() {}
 
 // cost returns the request's latency and transfer components under the
 // current slowdown, and advances the sequentiality cursor.
@@ -222,9 +213,9 @@ func (d *Device) complete(req Request, lat, xfer des.Time) {
 	}
 }
 
-// AccessE is the continuation form of Access: it performs the request in
-// simulated time on the calling EventProc and runs k on completion. Cost
-// model, queueing, and accounting are identical to Access.
+// AccessE performs the request in simulated time on the calling EventProc
+// and runs k on completion: it takes an admission slot, pays the latency
+// component, then holds the media for the transfer component.
 func (d *Device) AccessE(ep *des.EventProc, req Request, k func()) {
 	if req.Size < 0 || req.Offset < 0 {
 		panic(fmt.Sprintf("blockdev: bad request %+v", req))

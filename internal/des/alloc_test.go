@@ -1,6 +1,9 @@
 package des
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // kicked runs step on a continuation proc every time kick fires. step
 // must end by calling again once its work is done, which parks the proc
@@ -108,5 +111,66 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	}
 	if joins < 2 || rechecks != joins {
 		t.Fatalf("%d joins, %d zero-then-raised counters: the re-check path did not run", joins, rechecks)
+	}
+}
+
+// TestEventProcSize pins EventProc at 80 bytes, the size class it had
+// before it gained its host field: scale runs keep two per rank alive.
+func TestEventProcSize(t *testing.T) {
+	if n := unsafe.Sizeof(EventProc{}); n != 80 {
+		t.Errorf("EventProc is %d bytes, want 80", n)
+	}
+}
+
+// holdOp is an acquire-wait-release operation whose continuations are
+// bound once, the way the I/O-path state machines bind theirs.
+type holdOp struct {
+	r           *Resource
+	ep          *EventProc
+	d           Time
+	heldF, relF func()
+}
+
+func (h *holdOp) start(ep *EventProc) {
+	h.ep = ep
+	h.r.AcquireE(ep, h.heldF)
+}
+
+// TestAwaitAllocs pins a steady-state awaited operation — a contended
+// AcquireE, a Wait and a Release on a goroutine proc's hosted EventProc —
+// at zero allocations: the method value handed to Await stays on the
+// stack and the hosted EventProc is allocated by the first Await only.
+func TestAwaitAllocs(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "r", 1)
+	kick := NewSignal(e)
+	stop := false
+	for i := 0; i < 2; i++ {
+		h := &holdOp{r: r, d: Time(i + 1), relF: r.Release}
+		h.heldF = func() { h.ep.Wait(h.d, h.relF) }
+		e.Spawn("p", func(p *Proc) {
+			for {
+				kick.Wait(p)
+				if stop {
+					return
+				}
+				p.Await(h.start)
+			}
+		})
+	}
+	round := func() {
+		kick.Fire()
+		e.Run(MaxTime)
+	}
+	e.Run(MaxTime)
+	round()
+	n := testing.AllocsPerRun(50, round)
+	stop = true
+	round()
+	if n != 0 {
+		t.Errorf("awaited acquire-wait-release: %v allocs per round, want 0", n)
+	}
+	if e.LiveProcs() != 0 || r.Acquisitions() != 104 || r.PeakQueueLen() != 1 {
+		t.Fatalf("LiveProcs %d, %d acquisitions, peak queue %d; want 0, 104, 1", e.LiveProcs(), r.Acquisitions(), r.PeakQueueLen())
 	}
 }

@@ -18,6 +18,10 @@
 //     without arming exactly one blocking point terminates the proc; arming
 //     two panics.
 //
+// A goroutine proc runs a continuation-form operation through Proc.Await,
+// on an EventProc it hosts, so an operation written once as a state
+// machine serves callers of both forms with the same events.
+//
 // Both forms share every primitive: Queue, Resource, Signal, and WaitGroup
 // keep one waiter FIFO, so mixed-form waiters wake in strict arrival order
 // and the two forms are timing-equivalent on identical workloads. The
@@ -224,18 +228,16 @@ func (e *Engine) schedule(at Time, fn func(), p *Proc) int32 {
 
 // scheduleEP enqueues a continuation-process wake at absolute time at. It
 // is the EventProc analogue of a proc-carrying schedule: the slot carries
-// the process handle and the engine invokes its stored continuation.
+// the process handle and the engine invokes its stored continuation. The
+// wake of a hosted EventProc (see Proc.Await) is a wake of its host proc,
+// at the same (at, seq) slot, and the host runs the continuation itself.
 func (e *Engine) scheduleEP(at Time, ep *EventProc) {
-	if at < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past: at=%v now=%v", at, e.now))
+	if ep.host != nil {
+		e.schedule(at, nil, ep.host)
+		return
 	}
-	idx := e.alloc(at, nil, nil)
+	idx := e.schedule(at, nil, nil)
 	e.pool[idx].eproc = ep
-	if e.running && at == e.now {
-		e.imm = append(e.imm, idx)
-	} else {
-		e.heapPush(idx)
-	}
 }
 
 // heapPush inserts slot idx into the 4-ary heap.

@@ -166,18 +166,27 @@ func genProg(seed int64) genProgram {
 	return prog
 }
 
+// genForm is the execution form a genWorld runs its procs in.
+type genForm int
+
+const (
+	formGoroutine genForm = iota // goroutine Procs running runG
+	formEvent                    // spawned EventProcs running runE
+	formHosted                   // goroutine Procs awaiting runE (Proc.Await)
+)
+
 // genWorld interprets one program on one engine in one execution form.
 type genWorld struct {
 	e      *Engine
-	event  bool
+	form   genForm
 	queues []*Queue[int]
 	res    []*Resource
 	sigs   []*Signal
 	log    strings.Builder
 }
 
-func newGenWorld(prog genProgram, event bool) *genWorld {
-	w := &genWorld{e: NewEngine(1), event: event}
+func newGenWorld(prog genProgram, form genForm) *genWorld {
+	w := &genWorld{e: NewEngine(1), form: form}
 	for i := 0; i < prog.queues; i++ {
 		w.queues = append(w.queues, NewQueue[int](w.e, "q"))
 	}
@@ -206,14 +215,19 @@ func (w *genWorld) spawn(d Time, name string, ops []genOp, wg *WaitGroup) {
 			wg.Done()
 		}
 	}
-	if w.event {
+	switch w.form {
+	case formEvent:
 		w.e.SpawnEventAt(d, name, func(ep *EventProc) { w.runE(ep, name, ops, 0, end) })
-		return
+	case formHosted:
+		w.e.SpawnAt(d, name, func(p *Proc) {
+			p.Await(func(ep *EventProc) { w.runE(ep, name, ops, 0, end) })
+		})
+	default:
+		w.e.SpawnAt(d, name, func(p *Proc) {
+			w.runG(p, name, ops)
+			end()
+		})
 	}
-	w.e.SpawnAt(d, name, func(p *Proc) {
-		w.runG(p, name, ops)
-		end()
-	})
 }
 
 // schedule arms an op's callbacks; identical in both forms.
@@ -372,17 +386,21 @@ func (w *genWorld) drive(t *testing.T, horizon func() Time) string {
 }
 
 // TestGeneratedProgramsFormEquivalence: every generated program yields the
-// same log when its procs are goroutine Procs and when they are
-// EventProcs.
+// same log when its procs are goroutine Procs, when they are EventProcs,
+// and when they are goroutine Procs that await the continuation form on
+// their hosted EventProcs.
 func TestGeneratedProgramsFormEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(1); seed <= 300; seed++ {
 		prog := genProg(seed)
 		forever := func() Time { return MaxTime }
-		g := newGenWorld(prog, false).drive(t, forever)
-		ev := newGenWorld(prog, true).drive(t, forever)
+		g := newGenWorld(prog, formGoroutine).drive(t, forever)
+		ev := newGenWorld(prog, formEvent).drive(t, forever)
 		if g != ev {
 			t.Fatalf("seed %d: goroutine and continuation logs differ\n--- goroutine\n%s--- continuation\n%s", seed, g, ev)
+		}
+		if h := newGenWorld(prog, formHosted).drive(t, forever); g != h {
+			t.Fatalf("seed %d: goroutine and hosted logs differ\n--- goroutine\n%s--- hosted\n%s", seed, g, h)
 		}
 	}
 }
@@ -390,17 +408,69 @@ func TestGeneratedProgramsFormEquivalence(t *testing.T) {
 // TestGeneratedProgramsHorizonSplit: every generated program yields the
 // same log under one Run(MaxTime) and under Runs split at random
 // horizons, with the event loop handed back and forth between Run and the
-// parked proc goroutines at every split.
+// parked proc goroutines at every split, both for goroutine Procs and for
+// goroutine Procs awaiting on their hosted EventProcs.
 func TestGeneratedProgramsHorizonSplit(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(1); seed <= 300; seed++ {
 		prog := genProg(seed)
-		whole := newGenWorld(prog, false).drive(t, func() Time { return MaxTime })
-		r := rand.New(rand.NewSource(-seed))
-		w := newGenWorld(prog, false)
-		split := w.drive(t, func() Time { return w.e.Now() + Time(r.Intn(8)) })
-		if whole != split {
-			t.Fatalf("seed %d: whole and split-horizon logs differ\n--- whole\n%s--- split\n%s", seed, whole, split)
+		whole := newGenWorld(prog, formGoroutine).drive(t, func() Time { return MaxTime })
+		for _, form := range []genForm{formGoroutine, formHosted} {
+			r := rand.New(rand.NewSource(-seed))
+			w := newGenWorld(prog, form)
+			split := w.drive(t, func() Time { return w.e.Now() + Time(r.Intn(8)) })
+			if whole != split {
+				t.Fatalf("seed %d, form %d: whole and split-horizon logs differ\n--- whole\n%s--- split\n%s", seed, form, whole, split)
+			}
 		}
+	}
+}
+
+// TestAwaitReentryPanics: calling Await from inside an awaited
+// operation's step, while the hosted EventProc is blocked, panics.
+func TestAwaitReentryPanics(t *testing.T) {
+	e := NewEngine(1)
+	sig := NewSignal(e)
+	var got any
+	e.Spawn("p", func(p *Proc) {
+		p.Await(func(ep *EventProc) {
+			sig.WaitE(ep, func() {})
+			defer func() { got = recover() }()
+			p.Await(func(*EventProc) {})
+		})
+	})
+	e.After(1, sig.Fire)
+	e.Run(MaxTime)
+	if s, ok := got.(string); !ok || !strings.Contains(s, "Await re-entered") {
+		t.Fatalf("nested Await recovered %v, want the re-entry panic", got)
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after the run, want 0", n)
+	}
+}
+
+// TestAwaitHostedIdentity: the hosted EventProc has its proc's PID and
+// name and is not counted as a live process, and a synchronous operation
+// (no blocking point armed) returns without yielding.
+func TestAwaitHostedIdentity(t *testing.T) {
+	e := NewEngine(1)
+	var live []int
+	e.Spawn("p", func(p *Proc) {
+		p.Await(func(ep *EventProc) {
+			if ep.PID() != p.PID() || ep.Name() != "p" {
+				t.Errorf("hosted EventProc is %s/%d, want p/%d", ep.Name(), ep.PID(), p.PID())
+			}
+			live = append(live, e.LiveProcs())
+		})
+		p.Await(func(ep *EventProc) {
+			ep.Wait(5, func() { live = append(live, e.LiveProcs()) })
+		})
+		if p.Now() != 5 {
+			t.Errorf("awaited 5ns wait ended at %v", p.Now())
+		}
+	})
+	e.Run(MaxTime)
+	if len(live) != 2 || live[0] != 1 || live[1] != 1 || e.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs during the awaits %v, after %d; want [1 1], 0", live, e.LiveProcs())
 	}
 }

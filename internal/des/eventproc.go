@@ -41,7 +41,9 @@ type EventProc struct {
 	// name, followed by index when index >= 0, is the process name; it is
 	// formatted only when Name is called.
 	name  string
-	index int
+	index int32
+	armed bool
+	live  bool
 
 	// The pending step is exactly one of: fn, the body of a process that
 	// has not started; retry, a primitive whose wait condition is
@@ -51,8 +53,10 @@ type EventProc struct {
 	fn    func(ep *EventProc)
 	k     func()
 	retry retrier
-	armed bool
-	live  bool
+
+	// host is the goroutine proc this EventProc is hosted by (see
+	// Proc.Await), or nil for a spawned one.
+	host *Proc
 }
 
 // retrier is a primitive whose continuation-form wait re-checks its
@@ -94,16 +98,25 @@ func (e *Engine) newEventProc(d Time, name string, index int) *EventProc {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative spawn delay %v for event proc %s", d, name))
 	}
-	ep := &EventProc{eng: e, pid: e.nextPID, name: name, index: index, live: true}
+	ep := &EventProc{eng: e, pid: e.nextPID, name: name, index: int32(index), live: true}
 	e.nextPID++
 	e.procs++
 	e.scheduleEP(e.now+d, ep)
 	return ep
 }
 
-// enter runs the pending step. If the step returns without arming a new
-// blocking point, the process has finished.
+// enter runs the pending step of a spawned EventProc. If the step returns
+// without arming a new blocking point, the process has finished.
 func (ep *EventProc) enter() {
+	ep.step()
+	if !ep.armed && ep.live {
+		ep.live = false
+		ep.eng.procs--
+	}
+}
+
+// step runs the pending step.
+func (ep *EventProc) step() {
 	fn, k, rt := ep.fn, ep.k, ep.retry
 	ep.fn, ep.k, ep.retry = nil, nil, nil
 	ep.armed = false
@@ -114,10 +127,6 @@ func (ep *EventProc) enter() {
 		rt.retryE(ep, k)
 	default:
 		k()
-	}
-	if !ep.armed && ep.live {
-		ep.live = false
-		ep.eng.procs--
 	}
 }
 
@@ -179,7 +188,7 @@ func (ep *EventProc) Name() string {
 	if ep.index < 0 {
 		return ep.name
 	}
-	return ep.name + strconv.Itoa(ep.index)
+	return ep.name + strconv.Itoa(int(ep.index))
 }
 
 // PID returns the unique process id (shared sequence with goroutine Procs).

@@ -19,6 +19,9 @@ type Proc struct {
 	resume chan struct{}
 	// fn is the body until the proc's first dispatch starts its goroutine.
 	fn func(p *Proc)
+	// hosted runs the continuation-form operations the proc awaits; it is
+	// allocated by the first Await.
+	hosted *EventProc
 }
 
 // Spawn starts fn as a new simulated process at the current time.
@@ -61,6 +64,35 @@ func (p *Proc) block() {
 	}
 	p.eng.handoff(next)
 	<-p.resume
+}
+
+// Await runs one continuation-form operation on the proc and blocks until
+// it completes. start begins the operation on the proc's hosted EventProc,
+// passing the continuations the operation needs; the operation has
+// completed once a step returns without arming another blocking point, as
+// a spawned EventProc ends. Await panics if the hosted EventProc is still
+// blocked, that is when called from inside an awaited operation's step.
+//
+// The hosted EventProc has the proc's PID and name and is not counted by
+// LiveProcs. Each of its wakes is a proc-carrying event for this proc at
+// the slot the EventProc's own wake would take, and the proc runs the
+// armed step on its own goroutine, so an operation takes the same events
+// in the same order whether a goroutine proc awaits it or a spawned
+// EventProc runs it. Await allocates only the hosted EventProc, once per
+// proc.
+func (p *Proc) Await(start func(ep *EventProc)) {
+	ep := p.hosted
+	if ep == nil {
+		ep = &EventProc{eng: p.eng, pid: p.pid, name: p.name, index: -1, live: true, host: p}
+		p.hosted = ep
+	} else if ep.armed {
+		panic(fmt.Sprintf("des: Await re-entered on proc %s while its operation is blocked", p.name))
+	}
+	start(ep)
+	for ep.armed {
+		p.block()
+		ep.step()
+	}
 }
 
 // wakeAt schedules the process to continue at time at. The wake is a

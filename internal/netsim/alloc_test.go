@@ -68,3 +68,41 @@ func TestTransferFreeListBounded(t *testing.T) {
 		t.Errorf("free list holds %d transfers after the burst, want 1..%d", n, maxFreeTransfers)
 	}
 }
+
+// TestTransferAllocs pins goroutine-form Transfer, which awaits TransferE
+// on the proc's hosted EventProc, at zero allocations in steady state,
+// with two transfers queued on one sender link.
+func TestTransferAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, MTU: 4096})
+	a := f.AddNode("a")
+	kick := des.NewSignal(e)
+	stop := false
+	for _, name := range []string{"b", "c"} {
+		dst := f.AddNode(name)
+		e.Spawn(name, func(p *des.Proc) {
+			for {
+				kick.Wait(p)
+				if stop {
+					return
+				}
+				f.Transfer(p, a, dst, 10_000)
+			}
+		})
+	}
+	round := func() {
+		kick.Fire()
+		e.Run(des.MaxTime)
+	}
+	e.Run(des.MaxTime)
+	round()
+	n := testing.AllocsPerRun(50, round)
+	stop = true
+	round()
+	if n != 0 {
+		t.Errorf("contended Transfer: %v allocs per round, want 0", n)
+	}
+	if f.Messages() != 104 || e.LiveProcs() != 0 {
+		t.Fatalf("%d transfers, %d live procs; want 104, 0", f.Messages(), e.LiveProcs())
+	}
+}

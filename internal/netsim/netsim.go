@@ -192,44 +192,14 @@ func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
 
 // Transfer moves size bytes from src to dst in simulated time, blocking the
 // calling process for the full transfer duration (latency + serialization
-// with queueing on both links and the backplane).
+// with queueing on both links and the backplane). It awaits TransferE.
 func (f *Fabric) Transfer(p *des.Proc, src, dst *Node, size int64) {
-	chunk := f.begin(src, dst, size)
-	if src == dst {
-		// Loopback: memcpy-speed, modeled as half latency.
-		p.Wait(f.scaled(f.cfg.Latency / 2))
-		return
-	}
-
-	// Packetized pipelining: the dominant cost is max of the three stages
-	// plus one latency; we approximate by serializing each chunk through
-	// sender link then receiver link, holding the backplane if present.
-	p.Wait(f.scaled(f.cfg.Latency))
-	remaining := size
-	for remaining > 0 {
-		n := chunk
-		if n > remaining {
-			n = remaining
-		}
-		t := f.scaled(transferTime(n, f.cfg.LinkBandwidth))
-		src.out.Acquire(p)
-		if f.backplane != nil {
-			f.backplane.Acquire(p)
-			bt := f.scaled(transferTime(n, f.cfg.BackplaneBandwidth))
-			if bt > t {
-				t = bt
-			}
-		}
-		dst.in.Acquire(p)
-		p.Wait(t)
-		dst.in.Release()
-		if f.backplane != nil {
-			f.backplane.Release()
-		}
-		src.out.Release()
-		remaining -= n
-	}
+	p.Await(func(ep *des.EventProc) { f.TransferE(ep, src, dst, size, nop) })
 }
+
+// nop is the completion of an awaited operation: the awaiting proc
+// resumes once the operation's last step returns.
+func nop() {}
 
 // maxFreeTransfers caps a fabric's TransferE free list. A burst of
 // concurrent transfers (every rank of a shard queued at one NIC) frees far
@@ -321,10 +291,11 @@ func (f *Fabric) putTransfer(t *transferE) {
 	}
 }
 
-// TransferE is the continuation form of Transfer: it moves size bytes from
-// src to dst in simulated time and runs k on completion, using the calling
-// EventProc for all queueing. Cost model and contention behaviour are
-// identical to Transfer. It never runs k before returning.
+// TransferE moves size bytes from src to dst in simulated time and runs k
+// on completion, using the calling EventProc for all queueing. The
+// message pays one latency (half of it on loopback), then serializes in
+// MTU-sized chunks, each holding the sender link, the backplane if any
+// and the receiver link. It never runs k before returning.
 func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k func()) {
 	chunk := f.begin(src, dst, size)
 	if src == dst {

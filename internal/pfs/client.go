@@ -1,7 +1,7 @@
 package pfs
 
 import (
-	"fmt"
+	"sort"
 	"strconv"
 
 	"pioeval/internal/des"
@@ -135,191 +135,53 @@ func (c *Client) IONode() string {
 	return c.ionC.Name()
 }
 
-// toServer moves size bytes from the client to a server node, crossing the
-// I/O-forwarding tier when present.
-func (c *Client) toServer(p *des.Proc, server *netsim.Node, size int64) {
-	if c.ionC != nil {
-		c.fs.compute.Transfer(p, c.node, c.ionC, size)
-		c.fs.storage.Transfer(p, c.ionS, server, size)
-	} else {
-		c.fs.compute.Transfer(p, c.node, server, size)
-	}
-}
-
-// fromServer moves size bytes from a server node back to the client.
-func (c *Client) fromServer(p *des.Proc, server *netsim.Node, size int64) {
-	if c.ionC != nil {
-		c.fs.storage.Transfer(p, server, c.ionS, size)
-		c.fs.compute.Transfer(p, c.ionC, c.node, size)
-	} else {
-		c.fs.compute.Transfer(p, server, c.node, size)
-	}
-}
-
-// metaRPC performs one metadata operation round trip under the resilience
-// policy: an unavailable MDS leaves the request unanswered, the client
-// times out and retries with exponential backoff until the policy's
-// budget is exhausted. Namespace errors (ErrExist, ...) are final and
-// never retried — the operation did run, it just failed.
-func (c *Client) metaRPC(p *des.Proc, op MetaOp, fn func() error) error {
-	pol := c.fs.cfg.Resilience
-	for attempt := 0; ; attempt++ {
-		c.stats.MetaRPCs++
-		c.stats.BytesSent += metaReqSize
-		c.toServer(p, c.fs.mds.node, metaReqSize)
-		var err error
-		if c.fs.mds.down {
-			// No response: the RPC dies on the simulated timeout.
-			if pol.RPCTimeout > 0 {
-				p.Wait(pol.RPCTimeout)
-			}
-			c.stats.TimedOutRPCs++
-			err = ErrMDSUnavailable
-		} else {
-			err = c.fs.mdsExec(p, op, fn)
-			c.stats.BytesRecv += metaRespSize
-			c.fromServer(p, c.fs.mds.node, metaRespSize)
-		}
-		if err == nil || !retryable(err) {
-			return err
-		}
-		if attempt >= pol.MaxRetries {
-			c.stats.FailedRPCs++
-			return err
-		}
-		c.stats.Retries++
-		p.Wait(pol.backoff(c.fs.eng, attempt))
-	}
-}
-
 // Mkdir creates a directory.
-func (c *Client) Mkdir(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
-	}
-	start := p.Now()
-	err := c.metaRPC(p, OpMkdir, func() error {
-		ino := c.fs.mds.inodes
-		if _, dup := ino[path]; dup {
-			return ErrExist
-		}
-		par, ok := ino[parentOf(path)]
-		if !ok {
-			return ErrNotExist
-		}
-		if !par.isDir {
-			return ErrNotDir
-		}
-		ino[path] = &inode{path: path, isDir: true, children: map[string]bool{}, ctime: p.Now(), mtime: p.Now()}
-		par.children[path] = true
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "mkdir", Path: path, Start: start, End: p.Now()})
-	return err
-}
+func (c *Client) Mkdir(p *des.Proc, path string) error { return c.nsOp(p, OpMkdir, path) }
 
 // Rmdir removes an empty directory.
-func (c *Client) Rmdir(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
+func (c *Client) Rmdir(p *des.Proc, path string) error { return c.nsOp(p, OpRmdir, path) }
+
+// Unlink removes a file.
+func (c *Client) Unlink(p *des.Proc, path string) error { return c.nsOp(p, OpUnlink, path) }
+
+// nsOp runs a namespace op whose only result is its error.
+func (c *Client) nsOp(p *des.Proc, op MetaOp, path string) error {
+	path, err := cleanPath(path)
+	if err != nil {
+		return err
 	}
-	start := p.Now()
-	err := c.metaRPC(p, OpRmdir, func() error {
-		ino := c.fs.mds.inodes
-		n, ok := ino[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if !n.isDir {
-			return ErrNotDir
-		}
-		if len(n.children) > 0 {
-			return ErrNotEmpty
-		}
-		if path == "/" {
-			return ErrNotEmpty
-		}
-		delete(ino, path)
-		delete(ino[parentOf(path)].children, path)
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "rmdir", Path: path, Start: start, End: p.Now()})
+	m := c.newMeta(op, path)
+	err = m.await(p)
+	m.recycle()
 	return err
 }
 
 // Stat returns file metadata.
 func (c *Client) Stat(p *des.Proc, path string) (FileInfo, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return FileInfo{}, perr
+	path, err := cleanPath(path)
+	if err != nil {
+		return FileInfo{}, err
 	}
-	start := p.Now()
+	m := c.newMeta(OpStat, path)
 	var fi FileInfo
-	err := c.metaRPC(p, OpStat, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		fi = FileInfo{Path: n.path, IsDir: n.isDir, Size: n.size, Layout: n.layout, CTime: n.ctime, MTime: n.mtime}
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "stat", Path: path, Start: start, End: p.Now()})
+	if err = m.await(p); err == nil {
+		fi = FileInfo{Path: path, IsDir: m.isDir, Size: m.end, Layout: m.layout, CTime: m.ctime, MTime: m.mtime}
+	}
+	m.recycle()
 	return fi, err
 }
 
-// Readdir lists the names in a directory.
+// Readdir lists the names in a directory, in sorted order.
 func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
+	path, err := cleanPath(path)
+	if err != nil {
+		return nil, err
 	}
-	start := p.Now()
-	var names []string
-	err := c.metaRPC(p, OpReaddir, func() error {
-		n, ok := c.fs.mds.inodes[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if !n.isDir {
-			return ErrNotDir
-		}
-		for child := range n.children {
-			names = append(names, child)
-		}
-		return nil
-	})
-	if err == nil && len(names) > 0 {
-		// Pay for the directory payload: ~64 bytes per entry.
-		c.fromServer(p, c.fs.mds.node, int64(len(names))*64)
-	}
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "readdir", Path: path, Size: int64(len(names)), Start: start, End: p.Now()})
+	m := c.newMeta(OpReaddir, path)
+	err = m.await(p)
+	names := m.names
+	m.recycle()
 	return names, err
-}
-
-// Unlink removes a file.
-func (c *Client) Unlink(p *des.Proc, path string) error {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return perr
-	}
-	start := p.Now()
-	err := c.metaRPC(p, OpUnlink, func() error {
-		ino := c.fs.mds.inodes
-		n, ok := ino[path]
-		if !ok {
-			return ErrNotExist
-		}
-		if n.isDir {
-			return ErrIsDir
-		}
-		delete(ino, path)
-		delete(ino[parentOf(path)].children, path)
-		return nil
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "unlink", Path: path, Start: start, End: p.Now()})
-	return err
 }
 
 // Handle is an open file.
@@ -342,62 +204,57 @@ type extent struct{ off, size int64 }
 // Create makes a new file with the given striping (0 values select the
 // file-system defaults) and returns an open handle.
 func (c *Client) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (*Handle, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
-	}
-	start := p.Now()
-	var layout Layout
-	err := c.metaRPC(p, OpCreate, func() (err error) {
-		layout, err = c.fs.createNS(path, stripeCount, stripeSize)
-		return err
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "create", Path: path, Start: start, End: p.Now()})
+	path, err := cleanPath(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{c: c, path: path, layout: layout}, nil
+	m := c.newMeta(OpCreate, path)
+	m.layout.StripeCount, m.layout.StripeSize = stripeCount, stripeSize
+	return m.awaitHandle(p)
 }
 
 // Open opens an existing file.
 func (c *Client) Open(p *des.Proc, path string) (*Handle, error) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		return nil, perr
-	}
-	start := p.Now()
-	var layout Layout
-	err := c.metaRPC(p, OpOpen, func() (err error) {
-		layout, err = c.fs.openNS(path)
-		return err
-	})
-	c.fs.observe(OpEvent{Client: c.node.Name(), Op: "open", Path: path, Start: start, End: p.Now()})
+	path, err := cleanPath(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{c: c, path: path, layout: layout}, nil
+	return c.newMeta(OpOpen, path).awaitHandle(p)
 }
 
+// The MDS-side namespace bodies below run at the MDS once a metadata call
+// (metaCall.apply) has paid for the request leg, MDS queueing and
+// service.
+
 // createNS is the MDS-side body of a create: it checks the namespace,
-// allocates the new file's layout, and links the inode. Both execution
-// forms run it through their metadata RPC.
+// allocates the new file's layout, and links the inode.
 func (fs *FS) createNS(path string, stripeCount int, stripeSize int64) (Layout, error) {
-	ino := fs.mds.inodes
-	if _, dup := ino[path]; dup {
-		return Layout{}, ErrExist
-	}
-	par, ok := ino[parentOf(path)]
-	if !ok {
-		return Layout{}, ErrNotExist
-	}
-	if !par.isDir {
-		return Layout{}, ErrNotDir
+	par, err := fs.parentForNewNS(path)
+	if err != nil {
+		return Layout{}, err
 	}
 	layout := fs.allocateLayout(stripeCount, stripeSize)
 	now := fs.eng.Now()
-	ino[path] = &inode{path: path, layout: layout, ctime: now, mtime: now}
+	fs.mds.inodes[path] = &inode{path: path, layout: layout, ctime: now, mtime: now}
 	par.children[path] = true
 	return layout, nil
+}
+
+// parentForNewNS checks that path is free and that its parent is a
+// directory, and returns the parent.
+func (fs *FS) parentForNewNS(path string) (*inode, error) {
+	ino := fs.mds.inodes
+	if _, dup := ino[path]; dup {
+		return nil, ErrExist
+	}
+	par, ok := ino[parentOf(path)]
+	if !ok {
+		return nil, ErrNotExist
+	}
+	if !par.isDir {
+		return nil, ErrNotDir
+	}
+	return par, nil
 }
 
 // openNS is the MDS-side body of an open: it resolves path to a regular
@@ -425,6 +282,83 @@ func (fs *FS) setSizeNS(path string, end int64) error {
 	}
 	n.mtime = fs.eng.Now()
 	return nil
+}
+
+// mkdirNS is the MDS-side body of a mkdir.
+func (fs *FS) mkdirNS(path string) error {
+	par, err := fs.parentForNewNS(path)
+	if err != nil {
+		return err
+	}
+	now := fs.eng.Now()
+	fs.mds.inodes[path] = &inode{path: path, isDir: true, children: map[string]bool{}, ctime: now, mtime: now}
+	par.children[path] = true
+	return nil
+}
+
+// rmdirNS is the MDS-side body of an rmdir: the directory must be empty
+// and not the root.
+func (fs *FS) rmdirNS(path string) error {
+	ino := fs.mds.inodes
+	n, ok := ino[path]
+	if !ok {
+		return ErrNotExist
+	}
+	if !n.isDir {
+		return ErrNotDir
+	}
+	if len(n.children) > 0 || path == "/" {
+		return ErrNotEmpty
+	}
+	delete(ino, path)
+	delete(ino[parentOf(path)].children, path)
+	return nil
+}
+
+// unlinkNS is the MDS-side body of an unlink.
+func (fs *FS) unlinkNS(path string) error {
+	ino := fs.mds.inodes
+	n, ok := ino[path]
+	if !ok {
+		return ErrNotExist
+	}
+	if n.isDir {
+		return ErrIsDir
+	}
+	delete(ino, path)
+	delete(ino[parentOf(path)].children, path)
+	return nil
+}
+
+// statNS is the MDS-side body of a stat: it resolves path to its inode.
+func (fs *FS) statNS(path string) (*inode, error) {
+	n, ok := fs.mds.inodes[path]
+	if !ok {
+		return nil, ErrNotExist
+	}
+	return n, nil
+}
+
+// readdirNS is the MDS-side body of a readdir: the directory's children,
+// sorted, because map order would make any per-entry work that follows
+// (io500's find phase stats every entry) differ from run to run.
+func (fs *FS) readdirNS(path string) ([]string, error) {
+	n, ok := fs.mds.inodes[path]
+	if !ok {
+		return nil, ErrNotExist
+	}
+	if !n.isDir {
+		return nil, ErrNotDir
+	}
+	if len(n.children) == 0 {
+		return nil, nil
+	}
+	names := make([]string, 0, len(n.children))
+	for child := range n.children {
+		names = append(names, child)
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // Path returns the file path.
@@ -526,58 +460,12 @@ func (h *Handle) settleIO(rpcs []chunk, errs []error, write bool) error {
 	return firstErr
 }
 
-// doIO executes the chunks of one request in parallel across OSTs,
-// splitting chunks larger than MaxRPCSize, and blocks until all complete;
-// the outcome is aggregated by settleIO. The RPCs are the continuation
-// form's pooled rpcCalls, launched from a borrowed ioCall and joined with
-// a single park on its WaitGroup, so no RPC costs a goroutine.
-func (h *Handle) doIO(p *des.Proc, chunks []chunk, write bool) error {
-	fs := h.c.fs
-	io := fs.getIO()
-	io.h = h
-	io.launch(chunks, write)
-	io.wg.Wait(p)
-	err := h.settleIO(io.rpcs, io.errs, write)
-	clear(io.errs)
-	io.h = nil
-	fs.ioFree.put(io)
-	return err
-}
-
-// updateSize grows the file size at the MDS (a size RPC, as Lustre clients
-// batch; modeled as one metadata op).
-func (h *Handle) updateSize(p *des.Proc, end int64) error {
-	return h.c.metaRPC(p, OpSetSize, func() error { return h.c.fs.setSizeNS(h.path, end) })
-}
-
 // Write writes size bytes at offset off, blocking in simulated time. With
 // write-behind enabled, data may be buffered and flushed later; errors
 // from a deferred flush surface on the Write, Fsync, or Close that
 // triggers it. A closed handle returns ErrClosedHandle.
 func (h *Handle) Write(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: write %s", ErrClosedHandle, h.path)
-	}
-	if size <= 0 {
-		return nil
-	}
-	start := p.Now()
-	h.raValid = false // writes invalidate the readahead window
-	var err error
-	if h.c.wbCapacity > 0 {
-		h.appendDirty(off, size)
-		h.c.wbDirty += size
-		if h.c.wbDirty >= h.c.wbCapacity {
-			err = h.flush(p)
-		}
-	} else {
-		err = h.doIO(p, stripeChunks(h.layout, off, size), true)
-		if err == nil {
-			err = h.updateSize(p, off+size)
-		}
-	}
-	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "write", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
-	return err
+	return h.newIO(ioWrite, off, size, nil).await(p)
 }
 
 // appendDirty records a dirty extent, coalescing with the previous one when
@@ -611,67 +499,19 @@ func (h *Handle) takeDirty(chunks []chunk) (_ []chunk, maxEnd int64) {
 	return chunks, maxEnd
 }
 
-// flush writes out all dirty extents (see takeDirty); a writeback error
-// surfaces to the caller.
-func (h *Handle) flush(p *des.Proc) error {
-	if len(h.dirty) == 0 {
-		return nil
-	}
-	chunks, maxEnd := h.takeDirty(nil)
-	if err := h.doIO(p, chunks, true); err != nil {
-		return err
-	}
-	return h.updateSize(p, maxEnd)
-}
-
 // Read reads size bytes at offset off, blocking in simulated time. With
 // readahead enabled, misses fetch an extended window and later reads
 // within the window are served from client memory. Under a DegradedReads
 // policy, a read spanning a crashed OST returns *DegradedReadError after
 // fetching the reachable stripes; a closed handle returns ErrClosedHandle.
 func (h *Handle) Read(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: read %s", ErrClosedHandle, h.path)
-	}
-	if size <= 0 {
-		return nil
-	}
-	start := p.Now()
-	ra := h.c.fs.cfg.ClientReadahead
-	var err error
-	switch {
-	case ra > 0 && h.raValid && off >= h.raStart && off+size <= h.raEnd:
-		// Cache hit: served from client memory at zero simulated cost.
-	case ra > 0:
-		fetch := size + ra
-		err = h.doIO(p, stripeChunks(h.layout, off, fetch), false)
-		if err == nil {
-			h.raStart, h.raEnd, h.raValid = off, off+fetch, true
-		}
-	default:
-		err = h.doIO(p, stripeChunks(h.layout, off, size), false)
-	}
-	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "read", Path: h.path, Offset: off, Size: size, Start: start, End: p.Now()})
-	return err
+	return h.newIO(ioRead, off, size, nil).await(p)
 }
 
 // Fsync flushes buffered writes.
-func (h *Handle) Fsync(p *des.Proc) error {
-	start := p.Now()
-	err := h.flush(p)
-	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "fsync", Path: h.path, Start: start, End: p.Now()})
-	return err
-}
+func (h *Handle) Fsync(p *des.Proc) error { return h.newIO(ioFsync, 0, 0, nil).await(p) }
 
 // Close flushes and closes the handle. The handle is closed even when the
-// final flush fails; the flush error is returned.
-func (h *Handle) Close(p *des.Proc) error {
-	if h.closed {
-		return nil
-	}
-	start := p.Now()
-	err := h.flush(p)
-	h.closed = true
-	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: "close", Path: h.path, Start: start, End: p.Now()})
-	return err
-}
+// final flush fails; the flush error is returned. Closing a closed handle
+// does nothing.
+func (h *Handle) Close(p *des.Proc) error { return h.newIO(ioClose, 0, 0, nil).await(p) }

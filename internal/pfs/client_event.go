@@ -8,29 +8,22 @@ import (
 	"pioeval/internal/netsim"
 )
 
-// This file is the continuation-form (goroutine-free) port of the client
-// hot paths: every method is the E-suffixed analogue of the blocking form
-// in client.go, with identical cost model, retry policy, statistics, and
-// observer events. The data RPC (rpcCall) has a single implementation
-// here: the goroutine-form doIO launches the same pooled rpcCalls and
-// parks once to join them, so retry, backoff, timeout, transient-fault
-// and degraded-read handling exist once for both forms. The other
-// form-independent pieces — RPC splitting (splitRPCs), error aggregation
-// (settleIO), dirty-extent gathering (takeDirty) and the MDS-side
-// namespace bodies (createNS, openNS, setSizeNS) — live in client.go.
-// What remains duplicated is the metadata RPC and the op bodies (write,
-// read, fsync, close, create, open); a behavioural change to those must
-// land in both forms. The port covers the data-plane ops a rank's
-// checkpoint/read loop issues plus the meta/data RPC machinery beneath
-// them; rarely-hot namespace ops (mkdir, readdir, unlink, stat) stay
-// goroutine-only.
+// This file holds the one implementation of every client operation: each
+// is a continuation-form state machine, run on the caller's EventProc.
+// The E-suffixed methods start one on a spawned EventProc and hand its
+// outcome to a continuation; the blocking methods in client.go start the
+// same machine on the calling goroutine proc's hosted EventProc
+// (des.Proc.Await) and read its outcome when the proc resumes. There is
+// no second copy of any operation: cost model, retry policy, statistics
+// and observer events exist once.
 //
 // Each operation in flight is a state machine — metaCall (one metadata
 // RPC), ioCall (one write, read, fsync or close) or rpcCall (one data RPC)
 // — whose steps all re-enter a single continuation, resume, bound once
 // when the struct is first allocated. Arguments and results travel in the
 // struct, and it returns to a bounded free list on its FS when its last
-// step fires, so a steady-state operation allocates nothing of its own.
+// step fires (or, for an awaited call, once the proc has read its
+// outcome), so a steady-state operation allocates nothing of its own.
 
 // maxFreeCalls caps each of an FS's call free lists. When every rank of
 // a shard is in the same phase, a burst of calls completes at once; only
@@ -65,13 +58,13 @@ func (l *freeList[T]) put(x *T) {
 type leg struct {
 	server *netsim.Node
 	size   int64
-	out    bool // client to server
-	hops   int  // hops issued so far
+	out    bool  // client to server
+	hops   uint8 // hops issued so far
 }
 
 // hopE issues the next hop of l with continuation k and reports true, or
-// reports false once every hop has completed. The route is toServer's or
-// fromServer's.
+// reports false once every hop has completed. A leg crosses the client's
+// I/O node when it has one.
 func (c *Client) hopE(l *leg, ep *des.EventProc, k func()) bool {
 	fs := c.fs
 	if c.ionC == nil {
@@ -107,31 +100,39 @@ func (c *Client) hopE(l *leg, ep *des.EventProc, k func()) bool {
 	return true
 }
 
-// metaCall is one metadata RPC under the resilience policy, the
-// continuation form of metaRPC: request leg, MDS queueing and service,
-// namespace body, response leg, and backoff between attempts.
+// metaCall is one metadata RPC under the resilience policy: request leg,
+// MDS queueing and service, namespace body, response leg (plus the
+// listing payload of a readdir), and backoff between attempts. An
+// unavailable MDS leaves the request unanswered, the client times out and
+// retries with exponential backoff until the policy's budget is
+// exhausted. Namespace errors (ErrExist, ...) are final and never retried:
+// the operation did run, it just failed.
 type metaCall struct {
 	c       *Client
 	ep      *des.EventProc
 	op      MetaOp
-	attempt int
+	attempt int32
 	phase   uint8
+	isDir   bool // a stat's result
 	leg     leg
+	path    string
 
-	// Namespace arguments and results.
-	path        string
-	stripeCount int
-	stripeSize  int64
-	end         int64
-	layout      Layout
-	err         error
-	start       des.Time
+	// Namespace arguments and results. A create passes its requested
+	// striping in layout and gets the allocated layout back; a set-size
+	// passes the new file end in end; a stat returns isDir, the size in
+	// end, layout, ctime and mtime; a readdir returns names.
+	end          int64
+	layout       Layout
+	ctime, mtime des.Time
+	names        []string
+	err          error
+	start        des.Time
 
-	// Completion: a create or open hands kH the new handle; any other op
-	// stores its error in *errp and runs k.
+	// Completion: a create or open hands kH the new handle, a set-size
+	// resumes the write it belongs to, io. With neither, a goroutine proc
+	// awaits the call and reads its outcome before recycling it.
 	kH      func(*Handle, error)
-	errp    *error
-	k       func()
+	io      *ioCall
 	resumeF func()
 }
 
@@ -143,29 +144,42 @@ const (
 	mcQueued               // holds an MDS thread
 	mcServed               // MDS op cost paid
 	mcReply                // response leg in flight
+	mcListing              // readdir listing payload in flight
 	mcBackoff              // retry backoff elapsed
 )
 
 // newMeta takes a metaCall for op on path from the free list.
-func (c *Client) newMeta(ep *des.EventProc, op MetaOp, path string) *metaCall {
+func (c *Client) newMeta(op MetaOp, path string) *metaCall {
 	m := c.fs.metaFree.get()
 	if m == nil {
 		m = &metaCall{}
 		m.resumeF = m.resume
 	}
-	m.c, m.ep, m.op, m.path, m.attempt = c, ep, op, path, 0
+	m.c, m.op, m.path = c, op, path
 	return m
 }
 
-// metaRPCE is the continuation form of metaRPC for the namespace bodies
-// metaCall applies (apply): one metadata round trip under the resilience
-// policy, retrying with backoff until the budget is exhausted. The final
-// error is stored in *errp, then k runs.
-func (c *Client) metaRPCE(ep *des.EventProc, op MetaOp, path string, end int64, errp *error, k func()) {
-	m := c.newMeta(ep, op, path)
-	m.end, m.errp, m.k = end, errp, k
+// run starts the call on ep.
+func (m *metaCall) run(ep *des.EventProc) {
+	m.ep, m.start = ep, ep.Now()
 	m.send()
 	m.resume()
+}
+
+// await runs m on goroutine proc p and returns its error. The caller
+// reads any other result, then recycles m.
+func (m *metaCall) await(p *des.Proc) error {
+	p.Await(m.run)
+	return m.err
+}
+
+// awaitHandle runs a create or open on goroutine proc p and returns the
+// handle it opened.
+func (m *metaCall) awaitHandle(p *des.Proc) (*Handle, error) {
+	err := m.await(p)
+	h := m.handle()
+	m.recycle()
+	return h, err
 }
 
 // send starts an attempt: count the request and put it on the wire.
@@ -220,7 +234,19 @@ func (m *metaCall) resume() {
 			if c.hopE(&m.leg, m.ep, m.resumeF) {
 				return
 			}
+			if len(m.names) > 0 {
+				// Pay for the directory payload: ~64 bytes per entry.
+				m.leg = leg{server: fs.mds.node, size: int64(len(m.names)) * 64}
+				m.phase = mcListing
+				continue
+			}
 			m.settle()
+			return
+		case mcListing:
+			if c.hopE(&m.leg, m.ep, m.resumeF) {
+				return
+			}
+			m.finish()
 			return
 		case mcBackoff:
 			m.attempt++
@@ -234,13 +260,26 @@ func (m *metaCall) apply() (err error) {
 	fs := m.c.fs
 	switch m.op {
 	case OpCreate:
-		m.layout, err = fs.createNS(m.path, m.stripeCount, m.stripeSize)
+		m.layout, err = fs.createNS(m.path, m.layout.StripeCount, m.layout.StripeSize)
 	case OpOpen:
 		m.layout, err = fs.openNS(m.path)
 	case OpSetSize:
 		err = fs.setSizeNS(m.path, m.end)
+	case OpMkdir:
+		err = fs.mkdirNS(m.path)
+	case OpRmdir:
+		err = fs.rmdirNS(m.path)
+	case OpUnlink:
+		err = fs.unlinkNS(m.path)
+	case OpStat:
+		var n *inode
+		if n, err = fs.statNS(m.path); err == nil {
+			m.isDir, m.end, m.layout, m.ctime, m.mtime = n.isDir, n.size, n.layout, n.ctime, n.mtime
+		}
+	case OpReaddir:
+		m.names, err = fs.readdirNS(m.path)
 	default:
-		panic(fmt.Sprintf("pfs: no continuation-form body for %v", m.op))
+		panic(fmt.Sprintf("pfs: no namespace body for %v", m.op))
 	}
 	return err
 }
@@ -251,10 +290,10 @@ func (m *metaCall) settle() {
 	c := m.c
 	if m.err != nil && retryable(m.err) {
 		pol := c.fs.cfg.Resilience
-		if m.attempt < pol.MaxRetries {
+		if int(m.attempt) < pol.MaxRetries {
 			c.stats.Retries++
 			m.phase = mcBackoff
-			m.ep.Wait(pol.backoff(c.fs.eng, m.attempt), m.resumeF)
+			m.ep.Wait(pol.backoff(c.fs.eng, int(m.attempt)), m.resumeF)
 			return
 		}
 		c.stats.FailedRPCs++
@@ -262,23 +301,31 @@ func (m *metaCall) settle() {
 	m.finish()
 }
 
-// finish recycles m and hands its outcome on.
+// finish emits the client operation's observer event (a set-size is part
+// of a write, not an operation of its own) and hands the outcome on.
 func (m *metaCall) finish() {
-	c, err := m.c, m.err
-	if kH := m.kH; kH != nil {
-		c.fs.observe(OpEvent{Client: c.node.Name(), Op: m.op.String(), Path: m.path, Start: m.start, End: m.ep.Now()})
-		var h *Handle
-		if err == nil {
-			h = &Handle{c: c, path: m.path, layout: m.layout}
-		}
+	c := m.c
+	if m.op != OpSetSize {
+		c.fs.observe(OpEvent{Client: c.node.Name(), Op: m.op.String(), Path: m.path, Size: int64(len(m.names)), Start: m.start, End: m.ep.Now()})
+	}
+	switch {
+	case m.kH != nil:
+		kH, h, err := m.kH, m.handle(), m.err
 		m.recycle()
 		kH(h, err)
-		return
+	case m.io != nil:
+		io, err := m.io, m.err
+		m.recycle()
+		io.sized(err)
 	}
-	errp, k := m.errp, m.k
-	m.recycle()
-	*errp = err
-	k()
+}
+
+// handle returns the handle a successful create or open opened, or nil.
+func (m *metaCall) handle() *Handle {
+	if m.err != nil {
+		return nil
+	}
+	return &Handle{c: m.c, path: m.path, layout: m.layout}
 }
 
 func (m *metaCall) recycle() {
@@ -295,10 +342,9 @@ func (c *Client) CreateE(ep *des.EventProc, path string, stripeCount int, stripe
 		k(nil, perr)
 		return
 	}
-	m := c.newMeta(ep, OpCreate, path)
-	m.stripeCount, m.stripeSize, m.start, m.kH = stripeCount, stripeSize, ep.Now(), k
-	m.send()
-	m.resume()
+	m := c.newMeta(OpCreate, path)
+	m.layout.StripeCount, m.layout.StripeSize, m.kH = stripeCount, stripeSize, k
+	m.run(ep)
 }
 
 // OpenE is the continuation form of Open.
@@ -308,10 +354,9 @@ func (c *Client) OpenE(ep *des.EventProc, path string, k func(*Handle, error)) {
 		k(nil, perr)
 		return
 	}
-	m := c.newMeta(ep, OpOpen, path)
-	m.start, m.kH = ep.Now(), k
-	m.send()
-	m.resume()
+	m := c.newMeta(OpOpen, path)
+	m.kH = k
+	m.run(ep)
 }
 
 // ioKind is the client operation an ioCall serves.
@@ -324,11 +369,13 @@ const (
 	ioClose
 )
 
-// ioCall is one write, read, fsync or close in continuation form: the
-// striped RPC fan-out as spawned rpcCall procs joined on a WaitGroup, the
-// size update that follows a write, and the operation's observer event.
-// The goroutine-form doIO borrows one for its fan-out alone. Its chunk,
-// RPC and error slices and its WaitGroup are reused from call to call.
+var ioKindNames = [...]string{"write", "read", "fsync", "close"}
+
+// ioCall is one write, read, fsync or close: the write-behind buffer and
+// readahead window, the striped RPC fan-out as spawned rpcCall procs
+// joined on a WaitGroup, the size update that follows a write, and the
+// operation's observer event. Its chunk, RPC and error slices and its
+// WaitGroup are reused from call to call.
 type ioCall struct {
 	h     *Handle
 	ep    *des.EventProc
@@ -340,7 +387,6 @@ type ioCall struct {
 	end   int64 // file size to record after a write fan-out
 	start des.Time
 	err   error
-	phase uint8
 
 	chunks, rpcs []chunk
 	errs         []error
@@ -350,15 +396,11 @@ type ioCall struct {
 	chunk1, rpc1 [1]chunk
 	err1         [1]error
 
+	// Completion: k receives the outcome. Without k, a goroutine proc
+	// awaits the call and reads err before recycling it.
 	k       func(error)
 	resumeF func()
 }
-
-// ioCall phases: the step that runs when the pending blocking point fires.
-const (
-	ioJoined uint8 = iota // every RPC of the fan-out has completed
-	ioSized               // size update done
-)
 
 // getIO takes an ioCall from the free list, or allocates one.
 func (fs *FS) getIO() *ioCall {
@@ -372,17 +414,85 @@ func (fs *FS) getIO() *ioCall {
 }
 
 // newIO takes an ioCall of the given kind on h from the free list.
-func (h *Handle) newIO(ep *des.EventProc, kind ioKind, k func(error)) *ioCall {
+func (h *Handle) newIO(kind ioKind, off, size int64, k func(error)) *ioCall {
 	io := h.c.fs.getIO()
-	io.h, io.ep, io.kind, io.k, io.start = h, ep, kind, k, ep.Now()
-	io.off, io.size, io.fetch, io.end = 0, 0, 0, 0
+	io.h, io.kind, io.off, io.size, io.k = h, kind, off, size, k
+	io.fetch, io.end = 0, 0
 	return io
+}
+
+// await runs io on goroutine proc p and returns its outcome.
+func (io *ioCall) await(p *des.Proc) error {
+	p.Await(io.run)
+	err := io.err
+	io.recycle()
+	return err
+}
+
+// run starts the operation on ep. A read or write on a closed handle
+// fails with ErrClosedHandle, and closing a closed handle does nothing;
+// neither is observed as an operation.
+func (io *ioCall) run(ep *des.EventProc) {
+	h := io.h
+	io.ep, io.start = ep, ep.Now()
+	switch {
+	case io.kind == ioClose && h.closed:
+		io.complete(nil)
+	case io.kind >= ioFsync:
+		io.flush()
+	case h.closed:
+		io.complete(fmt.Errorf("%w: %s %s", ErrClosedHandle, ioKindNames[io.kind], h.path))
+	case io.size <= 0:
+		io.complete(nil)
+	case io.kind == ioWrite:
+		io.writeOp()
+	default:
+		io.readOp()
+	}
+}
+
+// writeOp buffers the write when write-behind is on, flushing once the
+// buffer is full, and otherwise writes through.
+func (io *ioCall) writeOp() {
+	h := io.h
+	h.raValid = false // writes invalidate the readahead window
+	if c := h.c; c.wbCapacity > 0 {
+		h.appendDirty(io.off, io.size)
+		c.wbDirty += io.size
+		if c.wbDirty >= c.wbCapacity {
+			io.flush()
+			return
+		}
+		io.finish()
+		return
+	}
+	io.end = io.off + io.size
+	io.chunks = appendStripeChunks(io.chunks[:0], h.layout, io.off, io.size)
+	io.fanOut(io.chunks, true)
+}
+
+// readOp serves a read from the readahead window, or fetches it (with the
+// window, when readahead is on).
+func (io *ioCall) readOp() {
+	h := io.h
+	off, size := io.off, io.size
+	switch ra := h.c.fs.cfg.ClientReadahead; {
+	case ra > 0 && h.raValid && off >= h.raStart && off+size <= h.raEnd:
+		// Cache hit: served from client memory at zero simulated cost.
+		io.finish()
+	case ra > 0:
+		io.fetch = size + ra
+		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, io.fetch)
+		io.fanOut(io.chunks, false)
+	default:
+		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
+		io.fanOut(io.chunks, false)
+	}
 }
 
 // launch starts chunks as parallel RPCs across OSTs — one pooled rpcCall
 // per RPC, each on its own spawned event proc, O(one pooled event + a
-// small struct) instead of a goroutine — counted on io.wg. The caller
-// joins them: fanOut with WaitE, the goroutine-form doIO with Wait.
+// small struct) instead of a goroutine — counted on io.wg.
 func (io *ioCall) launch(chunks []chunk, write bool) {
 	h := io.h
 	fs := h.c.fs
@@ -413,12 +523,11 @@ func (io *ioCall) launch(chunks []chunk, write bool) {
 // all completed.
 func (io *ioCall) fanOut(chunks []chunk, write bool) {
 	io.launch(chunks, write)
-	io.phase = ioJoined
 	io.wg.WaitE(io.ep, io.resumeF)
 }
 
-// flush writes out the handle's dirty extents (the continuation form of
-// flush), or finishes at once when there are none.
+// flush writes out the handle's dirty extents (see takeDirty), or
+// finishes at once when there are none.
 func (io *ioCall) flush() {
 	h := io.h
 	if len(h.dirty) == 0 {
@@ -429,53 +538,68 @@ func (io *ioCall) flush() {
 	io.fanOut(io.chunks, true)
 }
 
+// resume settles the joined fan-out: a write goes on to its size update,
+// a read miss records its readahead window.
 func (io *ioCall) resume() {
 	h := io.h
-	switch io.phase {
-	case ioJoined:
-		io.err = h.settleIO(io.rpcs, io.errs, io.write)
-		if io.err == nil {
-			if io.write {
-				io.phase = ioSized
-				h.c.metaRPCE(io.ep, OpSetSize, h.path, io.end, &io.err, io.resumeF)
-				return
-			}
-			if io.fetch > 0 {
-				h.raStart, h.raEnd, h.raValid = io.off, io.off+io.fetch, true
-			}
+	io.err = h.settleIO(io.rpcs, io.errs, io.write)
+	if io.err == nil {
+		if io.write {
+			io.setSize()
+			return
 		}
-		io.finish()
-	case ioSized:
-		io.finish()
+		if io.fetch > 0 {
+			h.raStart, h.raEnd, h.raValid = io.off, io.off+io.fetch, true
+		}
+	}
+	io.finish()
+}
+
+// setSize grows the file size at the MDS to io.end (a size RPC, as Lustre
+// clients batch; modeled as one metadata op), then resumes io in sized.
+func (io *ioCall) setSize() {
+	h := io.h
+	m := h.c.newMeta(OpSetSize, h.path)
+	m.end, m.io = io.end, io
+	m.run(io.ep)
+}
+
+// sized finishes a write once its size update is done.
+func (io *ioCall) sized(err error) {
+	io.err = err
+	io.finish()
+}
+
+// finish emits the operation's observer event and completes it. A close
+// marks the handle closed whether or not its flush succeeded.
+func (io *ioCall) finish() {
+	h := io.h
+	if io.kind == ioClose {
+		h.closed = true
+	}
+	h.c.fs.observe(OpEvent{Client: h.c.node.Name(), Op: ioKindNames[io.kind], Path: h.path, Offset: io.off, Size: io.size, Start: io.start, End: io.ep.Now()})
+	io.complete(io.err)
+}
+
+// complete records the outcome and, for a call with a continuation,
+// recycles io and hands the outcome to it.
+func (io *ioCall) complete(err error) {
+	io.err = err
+	if k := io.k; k != nil {
+		io.recycle()
+		k(err)
 	}
 }
 
-// finish emits the operation's observer event, recycles io, and hands the
-// outcome to k.
-func (io *ioCall) finish() {
-	h, err, k := io.h, io.err, io.k
-	fs := h.c.fs
-	ev := OpEvent{Client: h.c.node.Name(), Path: h.path, Start: io.start, End: io.ep.Now()}
-	switch io.kind {
-	case ioWrite:
-		ev.Op, ev.Offset, ev.Size = "write", io.off, io.size
-	case ioRead:
-		ev.Op, ev.Offset, ev.Size = "read", io.off, io.size
-	case ioFsync:
-		ev.Op = "fsync"
-	case ioClose:
-		h.closed = true
-		ev.Op = "close"
-	}
-	fs.observe(ev)
+func (io *ioCall) recycle() {
+	fs := io.h.c.fs
 	clear(io.errs)
 	io.h, io.ep, io.err, io.k = nil, nil, nil, nil
 	fs.ioFree.put(io)
-	k(err)
 }
 
-// rpcCall is one OST-directed data RPC under the resilience policy — the
-// one implementation both forms run — on its own event proc: request leg,
+// rpcCall is one OST-directed data RPC under the resilience policy, on
+// its own event proc: request leg,
 // then a timeout (crashed OST), an error reply (injected transient fault)
 // or the device access and reply leg, with backoff between attempts. Its
 // outcome lands in the owning ioCall's error slot.
@@ -616,69 +740,20 @@ func (rc *rpcCall) settle() {
 // buffer: buffered writes complete synchronously and deferred flush
 // errors surface on the triggering WriteE, FsyncE, or CloseE.
 func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k func(error)) {
-	if h.closed {
-		k(fmt.Errorf("%w: write %s", ErrClosedHandle, h.path))
-		return
-	}
-	if size <= 0 {
-		k(nil)
-		return
-	}
-	io := h.newIO(ep, ioWrite, k)
-	io.off, io.size = off, size
-	h.raValid = false // writes invalidate the readahead window
-	if h.c.wbCapacity > 0 {
-		h.appendDirty(off, size)
-		h.c.wbDirty += size
-		if h.c.wbDirty >= h.c.wbCapacity {
-			io.flush()
-			return
-		}
-		io.finish()
-		return
-	}
-	io.end = off + size
-	io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
-	io.fanOut(io.chunks, true)
+	h.newIO(ioWrite, off, size, k).run(ep)
 }
 
 // ReadE is the continuation form of Read, including the readahead window.
 func (h *Handle) ReadE(ep *des.EventProc, off, size int64, k func(error)) {
-	if h.closed {
-		k(fmt.Errorf("%w: read %s", ErrClosedHandle, h.path))
-		return
-	}
-	if size <= 0 {
-		k(nil)
-		return
-	}
-	io := h.newIO(ep, ioRead, k)
-	io.off, io.size = off, size
-	ra := h.c.fs.cfg.ClientReadahead
-	switch {
-	case ra > 0 && h.raValid && off >= h.raStart && off+size <= h.raEnd:
-		// Cache hit: served from client memory at zero simulated cost.
-		io.finish()
-	case ra > 0:
-		io.fetch = size + ra
-		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, io.fetch)
-		io.fanOut(io.chunks, false)
-	default:
-		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
-		io.fanOut(io.chunks, false)
-	}
+	h.newIO(ioRead, off, size, k).run(ep)
 }
 
 // FsyncE is the continuation form of Fsync.
 func (h *Handle) FsyncE(ep *des.EventProc, k func(error)) {
-	h.newIO(ep, ioFsync, k).flush()
+	h.newIO(ioFsync, 0, 0, k).run(ep)
 }
 
 // CloseE is the continuation form of Close.
 func (h *Handle) CloseE(ep *des.EventProc, k func(error)) {
-	if h.closed {
-		k(nil)
-		return
-	}
-	h.newIO(ep, ioClose, k).flush()
+	h.newIO(ioClose, 0, 0, k).run(ep)
 }

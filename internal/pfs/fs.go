@@ -221,19 +221,6 @@ func parentOf(path string) string {
 	return path[:i]
 }
 
-// mdsExec runs one metadata operation at the MDS in simulated time: the
-// caller has already paid the network cost; this pays queueing + CPU and
-// then applies fn to the namespace.
-func (fs *FS) mdsExec(p *des.Proc, op MetaOp, fn func() error) error {
-	m := fs.mds
-	m.threads.Acquire(p)
-	p.Wait(m.opCost)
-	m.threads.Release()
-	m.ops[op]++
-	m.busy += m.opCost
-	return fn()
-}
-
 // LayoutPolicy selects the OST allocation strategy for new files.
 type LayoutPolicy int
 

@@ -3,6 +3,9 @@ package pfs
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -93,6 +96,33 @@ func TestNamespaceLifecycle(t *testing.T) {
 		}
 		if _, err := c.Stat(p, "/data"); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("stat after rmdir err = %v", err)
+		}
+	})
+}
+
+// TestReaddirSorted: Readdir returns a directory's children in sorted
+// order, the same on every run, whatever order they were created in.
+func TestReaddirSorted(t *testing.T) {
+	runClient(t, fastConfig(), func(p *des.Proc, c *Client) {
+		if err := c.Mkdir(p, "/d"); err != nil {
+			t.Fatalf("mkdir: %v", err)
+		}
+		var want []string
+		for _, i := range rand.New(rand.NewSource(1)).Perm(20) {
+			path := fmt.Sprintf("/d/f%02d", i)
+			want = append(want, path)
+			h, err := c.Create(p, path, 1, 0)
+			if err != nil {
+				t.Fatalf("create %s: %v", path, err)
+			}
+			h.Close(p)
+		}
+		sort.Strings(want)
+		for run := 0; run < 5; run++ {
+			names, err := c.Readdir(p, "/d")
+			if err != nil || !reflect.DeepEqual(names, want) {
+				t.Fatalf("readdir #%d = %v, %v; want %v", run, names, err, want)
+			}
 		}
 	})
 }
