@@ -101,6 +101,39 @@ func BenchmarkEventProcHandoff(b *testing.B) {
 	e.Run(MaxTime)
 }
 
+// BenchmarkProcAwaitInterleaved measures an awaited operation of four Wait
+// steps, with two goroutine procs interleaving their operations so that
+// consecutive steps belong to different procs. The steps before the last
+// run in place on whichever goroutine holds the event loop; only the
+// completing step hands the loop to its proc, one goroutine switch per
+// operation. One op is one awaited operation.
+func BenchmarkProcAwaitInterleaved(b *testing.B) {
+	const steps = 4
+	e := NewEngine(1)
+	for i := 0; i < 2; i++ {
+		e.SpawnAt(Time(i), "p", func(p *Proc) {
+			var ep *EventProc
+			left := 0
+			var step func()
+			step = func() {
+				if left--; left > 0 {
+					ep.Wait(2, step)
+				}
+			}
+			start := func(h *EventProc) {
+				ep, left = h, steps
+				h.Wait(2, step)
+			}
+			for k := 0; k < b.N/2; k++ {
+				p.Await(start)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(MaxTime)
+}
+
 // BenchmarkEventProcQueuePingPong is QueuePingPong in continuation form:
 // two event procs exchange a token through a pair of queues with zero
 // goroutine handoffs.

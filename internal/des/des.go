@@ -7,8 +7,11 @@
 //     simulation primitives (Wait, Acquire, Get). Natural sequential code;
 //     each entity costs a goroutine stack. A blocking proc runs the event
 //     loop itself: when it is the next to wake it just continues, with no
-//     goroutine switch, and otherwise it hands the loop directly to the
-//     proc that is, one channel rendezvous per switch.
+//     goroutine switch, and otherwise it passes the loop on to the proc
+//     that is. On go1.23 and later a proc is a coroutine (iter.Pull) and
+//     the loop passes through Run's goroutine by direct switches that
+//     bypass the Go scheduler; on older toolchains a proc is a plain
+//     goroutine and the loop passes by one channel rendezvous.
 //   - Continuation procs (SpawnEvent): entities are state machines whose
 //     blocking points pass an explicit continuation (WaitE-style methods:
 //     Wait(d, k), Queue.GetE, Resource.AcquireE). No goroutine, stack, or
@@ -20,7 +23,11 @@
 //
 // A goroutine proc runs a continuation-form operation through Proc.Await,
 // on an EventProc it hosts, so an operation written once as a state
-// machine serves callers of both forms with the same events.
+// machine serves callers of both forms with the same events. The
+// operation's steps run in place on whichever goroutine holds the event
+// loop; only the step that completes it hands the loop to the proc, so an
+// awaited operation costs at most one hand-off to the proc however many
+// times it blocks. A step must therefore never call a goroutine-form primitive.
 //
 // Both forms share every primitive: Queue, Resource, Signal, and WaitGroup
 // keep one waiter FIFO, so mixed-form waiters wake in strict arrival order
@@ -144,14 +151,18 @@ type Engine struct {
 	// canceled counts lazily-canceled events still queued (heap or imm).
 	canceled int
 
-	// Process scheduling (see Run): the proc that finds nothing left before
-	// horizon hands the event loop back to Run over yield; fault carries a
-	// dispatch panic from a proc goroutine to Run.
-	yield   chan struct{}
+	// Process scheduling (see Run and runProcs): fault carries a dispatch
+	// panic from a proc to Run.
+	engineSwitch
 	horizon Time
 	fault   any
 
-	running    bool
+	running bool
+	// switches counts event-loop hand-offs to a proc, that is resumes of a
+	// suspended or new proc (see handoff), for tests; 32 bits fit beside
+	// running and keep Engine in its allocation size class, and wrapping
+	// is harmless.
+	switches   uint32
 	procs      int // live process count (both forms), for leak detection
 	nextPID    int
 	dispatched uint64
@@ -162,10 +173,7 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and an attached
 // deterministic RNG seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		yield: make(chan struct{}),
-		rng:   NewStreamRNG(seed),
-	}
+	return &Engine{rng: NewStreamRNG(seed)}
 }
 
 // Now returns the current simulated time.
@@ -228,14 +236,10 @@ func (e *Engine) schedule(at Time, fn func(), p *Proc) int32 {
 
 // scheduleEP enqueues a continuation-process wake at absolute time at. It
 // is the EventProc analogue of a proc-carrying schedule: the slot carries
-// the process handle and the engine invokes its stored continuation. The
-// wake of a hosted EventProc (see Proc.Await) is a wake of its host proc,
-// at the same (at, seq) slot, and the host runs the continuation itself.
+// the process handle and the engine invokes its stored continuation. A
+// hosted EventProc (see Proc.Await) is scheduled the same way; only the
+// step that completes its operation hands the loop to the host proc.
 func (e *Engine) scheduleEP(at Time, ep *EventProc) {
-	if ep.host != nil {
-		e.schedule(at, nil, ep.host)
-		return
-	}
 	idx := e.schedule(at, nil, nil)
 	e.pool[idx].eproc = ep
 }
@@ -380,12 +384,12 @@ func (e *Engine) next() (int32, bool) {
 // Run executes events until the event queue empties or until the clock
 // exceeds horizon (use MaxTime for no limit). It returns the final time.
 //
-// Run dispatches on its own goroutine until the first goroutine-Proc wake,
-// then hands the event loop to that proc; procs pass it among themselves
-// (Proc.block) and the last one hands it back once the queue is empty or
-// the horizon is reached. A panic raised by a callback or continuation on
-// a proc goroutine is re-raised here, so every dispatch panic surfaces
-// from Run.
+// Run dispatches on its own goroutine until the first goroutine-Proc wake
+// (or completion of an awaited operation), then hands the event loop to
+// that proc (see runProcs); procs pass it on (Proc.block) until one finds
+// the queue empty or the horizon reached. A panic raised by a callback or
+// continuation step on a proc goroutine, an awaited operation's steps
+// included, is re-raised here, so every dispatch panic surfaces from Run.
 func (e *Engine) Run(horizon Time) Time {
 	if e.running {
 		panic("des: Run called re-entrantly")
@@ -394,8 +398,7 @@ func (e *Engine) Run(horizon Time) Time {
 	e.horizon = horizon
 	defer func() { e.running = false }()
 	if p := e.loop(); p != nil {
-		e.handoff(p)
-		<-e.yield
+		e.runProcs(p)
 		if r := e.fault; r != nil {
 			e.fault = nil
 			panic(r)
@@ -405,8 +408,12 @@ func (e *Engine) Run(horizon Time) Time {
 }
 
 // loop dispatches callbacks and continuation wakes in place until the next
-// event is a goroutine-Proc wake, and returns that proc. It returns nil
-// once the queue is empty or the next event lies past the horizon.
+// event is a goroutine-Proc wake, or a continuation step that completes an
+// operation a goroutine proc awaits (Proc.Await), and returns that proc.
+// It returns nil once the queue is empty or the next event lies past the
+// horizon. Steps of an awaited operation before its last run in place on
+// whichever goroutine holds the loop, so an operation costs its host one
+// hand-off at most, not one per wake.
 func (e *Engine) loop() *Proc {
 	for {
 		idx, ok := e.next()
@@ -437,8 +444,12 @@ func (e *Engine) loop() *Proc {
 			return proc
 		case eproc != nil:
 			// Continuation dispatch: run the stored continuation in
-			// place. No stack switch at all.
-			eproc.enter()
+			// place. No stack switch at all, unless the step completed
+			// an awaited operation: then its host proc resumes here,
+			// exactly as if this had been a proc-carrying event.
+			if host := eproc.enter(); host != nil {
+				return host
+			}
 		default:
 			fire()
 		}
@@ -457,21 +468,6 @@ func (e *Engine) procLoop() *Proc {
 		}
 	}()
 	return e.loop()
-}
-
-// handoff passes the event loop to proc next, starting its goroutine at
-// its first dispatch, or back to Run when next is nil.
-func (e *Engine) handoff(next *Proc) {
-	switch {
-	case next == nil:
-		e.yield <- struct{}{}
-	case next.fn != nil:
-		fn := next.fn
-		next.fn = nil
-		go next.main(fn)
-	default:
-		next.resume <- struct{}{}
-	}
 }
 
 // NextEventTime returns the timestamp of the earliest pending event.

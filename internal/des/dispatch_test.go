@@ -42,6 +42,118 @@ func TestCallbackPanicOnProcGoroutine(t *testing.T) {
 	}
 }
 
+// TestAwaitStepPanicSurfacesFromRun: a panic in a step of an awaited
+// operation after its first wake surfaces from Run with its original value
+// and the clock at the panic, whether the awaiting proc itself or another
+// proc holds the event loop when the step runs.
+func TestAwaitStepPanicSurfacesFromRun(t *testing.T) {
+	for _, other := range []bool{false, true} {
+		e := NewEngine(1)
+		e.Spawn("a", func(p *Proc) {
+			p.Await(func(ep *EventProc) {
+				ep.Wait(10, func() {
+					ep.Wait(10, func() { panic("boom") })
+				})
+			})
+		})
+		if other {
+			e.Spawn("b", func(p *Proc) {
+				for p.Now() < 30 {
+					p.Wait(1)
+				}
+			})
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("other proc %v: Run raised %v, want the step's panic value boom", other, r)
+				}
+			}()
+			e.Run(MaxTime)
+			t.Fatalf("other proc %v: Run returned without raising the step panic", other)
+		}()
+		if e.Now() != 20 {
+			t.Fatalf("other proc %v: clock after the panic = %v, want 20", other, e.Now())
+		}
+	}
+}
+
+// TestAwaitStepBlockingCallPanics: a step of an awaited operation that
+// calls a goroutine-form blocking primitive of the awaiting proc, or
+// Await again, panics with a message naming the misuse, and the panic
+// surfaces from Run.
+func TestAwaitStepBlockingCallPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		call       func(p *Proc)
+	}{
+		{"Wait", "from a step of the operation it awaits", func(p *Proc) { p.Wait(1) }},
+		{"Signal.Wait", "from a step of the operation it awaits", func(p *Proc) { NewSignal(p.Engine()).Wait(p) }},
+		{"Queue.Get", "from a step of the operation it awaits", func(p *Proc) { NewQueue[int](p.Engine(), "q").Get(p) }},
+		{"Await", "Await re-entered", func(p *Proc) { p.Await(func(*EventProc) {}) }},
+	} {
+		e := NewEngine(1)
+		e.Spawn("p", func(p *Proc) {
+			p.Await(func(ep *EventProc) {
+				ep.Wait(5, func() { tc.call(p) })
+			})
+		})
+		func() {
+			defer func() {
+				r := recover()
+				if s, ok := r.(string); !ok || !strings.Contains(s, tc.want) {
+					t.Fatalf("%s in a step: Run raised %v, want a panic containing %q", tc.name, r, tc.want)
+				}
+			}()
+			e.Run(MaxTime)
+			t.Fatalf("%s in a step: Run returned without panicking", tc.name)
+		}()
+		if e.Now() != 5 {
+			t.Fatalf("%s in a step: clock after the panic = %v, want 5", tc.name, e.Now())
+		}
+	}
+}
+
+// TestAwaitSwitchesOncePerOp: two procs interleave awaited operations of k
+// Wait steps each, offset so that every step alternates between them. Only
+// the step that completes an operation hands the event loop to its proc,
+// and every completion lands while the other proc holds the loop, so a run
+// resumes a proc once per completion, plus once per proc start, instead of
+// once per step.
+func TestAwaitSwitchesOncePerOp(t *testing.T) {
+	const k, ops = 4, 6
+	e := NewEngine(1)
+	var done [2][]Time
+	for i := 0; i < 2; i++ {
+		e.SpawnAt(Time(i), "p", func(p *Proc) {
+			for j := 0; j < ops; j++ {
+				p.Await(func(ep *EventProc) {
+					left := k
+					var step func()
+					step = func() {
+						if left--; left > 0 {
+							ep.Wait(2, step)
+						}
+					}
+					ep.Wait(2, step)
+				})
+				done[i] = append(done[i], p.Now())
+			}
+		})
+	}
+	e.Run(MaxTime)
+	for i := range done {
+		for j, at := range done[i] {
+			if want := Time(i + 2*k*(j+1)); at != want {
+				t.Fatalf("proc %d op %d completed at %v, want %v", i, j, at, want)
+			}
+		}
+	}
+	if want := uint32(2 + 2*ops); e.switches != want {
+		t.Fatalf("%d proc resumes for %d awaited ops of %d steps, want %d (one per completion)", e.switches, 2*ops, k, want)
+	}
+}
+
 // TestWakeAllocs pins the steady-state cost of a goroutine-proc wake at
 // zero allocations, both for a self-wake (the blocking proc is the next
 // to run) and for a cross-proc wake (every wake changes goroutine).
@@ -170,10 +282,14 @@ func genProg(seed int64) genProgram {
 type genForm int
 
 const (
-	formGoroutine genForm = iota // goroutine Procs running runG
-	formEvent                    // spawned EventProcs running runE
-	formHosted                   // goroutine Procs awaiting runE (Proc.Await)
+	formGoroutine  genForm = iota // goroutine Procs running runG
+	formEvent                     // spawned EventProcs running runE
+	formHosted                    // goroutine Procs awaiting runE (Proc.Await)
+	formPerOpAwait                // goroutine Procs awaiting each op on its own (opE)
 )
+
+// genForms are the execution forms every generated program runs in.
+var genForms = []genForm{formGoroutine, formEvent, formHosted, formPerOpAwait}
 
 // genWorld interprets one program on one engine in one execution form.
 type genWorld struct {
@@ -221,6 +337,13 @@ func (w *genWorld) spawn(d Time, name string, ops []genOp, wg *WaitGroup) {
 	case formHosted:
 		w.e.SpawnAt(d, name, func(p *Proc) {
 			p.Await(func(ep *EventProc) { w.runE(ep, name, ops, 0, end) })
+		})
+	case formPerOpAwait:
+		w.e.SpawnAt(d, name, func(p *Proc) {
+			for i := range ops {
+				p.Await(func(ep *EventProc) { w.opE(ep, name, ops, i, func() {}) })
+			}
+			end()
 		})
 	default:
 		w.e.SpawnAt(d, name, func(p *Proc) {
@@ -321,10 +444,15 @@ func (w *genWorld) runE(ep *EventProc, name string, ops []genOp, i int, k func()
 		k()
 		return
 	}
+	w.opE(ep, name, ops, i, func() { w.runE(ep, name, ops, i+1, k) })
+}
+
+// opE interprets ops[i] on a continuation proc, logs it, then runs k.
+func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func()) {
 	o := ops[i]
 	next := func() {
 		w.logf(name, fmt.Sprint(i))
-		w.runE(ep, name, ops, i+1, k)
+		k()
 	}
 	switch o.kind {
 	case opWait:
@@ -387,35 +515,34 @@ func (w *genWorld) drive(t *testing.T, horizon func() Time) string {
 
 // TestGeneratedProgramsFormEquivalence: every generated program yields the
 // same log when its procs are goroutine Procs, when they are EventProcs,
-// and when they are goroutine Procs that await the continuation form on
-// their hosted EventProcs.
+// when they are goroutine Procs that await the continuation form on their
+// hosted EventProcs, and when they await it one op at a time, so that
+// every op's completion hands the event loop back to its proc.
 func TestGeneratedProgramsFormEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(1); seed <= 300; seed++ {
 		prog := genProg(seed)
 		forever := func() Time { return MaxTime }
 		g := newGenWorld(prog, formGoroutine).drive(t, forever)
-		ev := newGenWorld(prog, formEvent).drive(t, forever)
-		if g != ev {
-			t.Fatalf("seed %d: goroutine and continuation logs differ\n--- goroutine\n%s--- continuation\n%s", seed, g, ev)
-		}
-		if h := newGenWorld(prog, formHosted).drive(t, forever); g != h {
-			t.Fatalf("seed %d: goroutine and hosted logs differ\n--- goroutine\n%s--- hosted\n%s", seed, g, h)
+		for _, form := range genForms[1:] {
+			if l := newGenWorld(prog, form).drive(t, forever); g != l {
+				t.Fatalf("seed %d: goroutine and form %d logs differ\n--- goroutine\n%s--- form %d\n%s", seed, form, g, form, l)
+			}
 		}
 	}
 }
 
 // TestGeneratedProgramsHorizonSplit: every generated program yields the
 // same log under one Run(MaxTime) and under Runs split at random
-// horizons, with the event loop handed back and forth between Run and the
-// parked proc goroutines at every split, both for goroutine Procs and for
-// goroutine Procs awaiting on their hosted EventProcs.
+// horizons, in every form. At every split the event loop is handed back
+// and forth between Run and the parked proc goroutines, and awaited
+// operations complete from Run's goroutine as well as from procs'.
 func TestGeneratedProgramsHorizonSplit(t *testing.T) {
 	leakcheck.Check(t)
 	for seed := int64(1); seed <= 300; seed++ {
 		prog := genProg(seed)
 		whole := newGenWorld(prog, formGoroutine).drive(t, func() Time { return MaxTime })
-		for _, form := range []genForm{formGoroutine, formHosted} {
+		for _, form := range genForms {
 			r := rand.New(rand.NewSource(-seed))
 			w := newGenWorld(prog, form)
 			split := w.drive(t, func() Time { return w.e.Now() + Time(r.Intn(8)) })

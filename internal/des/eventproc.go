@@ -44,6 +44,9 @@ type EventProc struct {
 	index int32
 	armed bool
 	live  bool
+	// awaited is set on a hosted EventProc while its host is parked in
+	// Await, when the host's blocking calls are misuse (see Proc.block).
+	awaited bool
 
 	// The pending step is exactly one of: fn, the body of a process that
 	// has not started; retry, a primitive whose wait condition is
@@ -105,18 +108,11 @@ func (e *Engine) newEventProc(d Time, name string, index int) *EventProc {
 	return ep
 }
 
-// enter runs the pending step of a spawned EventProc. If the step returns
-// without arming a new blocking point, the process has finished.
-func (ep *EventProc) enter() {
-	ep.step()
-	if !ep.armed && ep.live {
-		ep.live = false
-		ep.eng.procs--
-	}
-}
-
-// step runs the pending step.
-func (ep *EventProc) step() {
+// enter runs the pending step. If the step returns without arming a new
+// blocking point, a spawned EventProc has finished, and a hosted one has
+// completed the operation its host awaits: enter then returns the host,
+// for the loop to resume.
+func (ep *EventProc) enter() *Proc {
 	fn, k, rt := ep.fn, ep.k, ep.retry
 	ep.fn, ep.k, ep.retry = nil, nil, nil
 	ep.armed = false
@@ -128,6 +124,16 @@ func (ep *EventProc) step() {
 	default:
 		k()
 	}
+	if !ep.armed {
+		if ep.host != nil {
+			return ep.host
+		}
+		if ep.live {
+			ep.live = false
+			ep.eng.procs--
+		}
+	}
+	return nil
 }
 
 // arm registers k as the continuation for the blocking point being

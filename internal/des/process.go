@@ -6,18 +6,18 @@ import "fmt"
 // engine resumes it. All blocking primitives (Wait, Resource.Acquire,
 // Queue.Get, Signal.Wait) must be called from the process's own goroutine.
 //
-// A blocking proc does not return control to a central engine goroutine:
-// it runs the event loop itself (see Engine.Run). If its own wake is the
-// next goroutine-proc event it simply returns, with no goroutine switch;
-// otherwise it hands the loop directly to the proc that wakes next, or
-// back to Run when nothing is left before the horizon, and parks. Exactly
-// one goroutine runs the loop at a time, so event order is unchanged.
+// A blocking proc runs the event loop itself (see Engine.Run). If its own
+// wake is the next goroutine-proc event it simply returns, with no
+// goroutine switch; otherwise it passes the loop on to the proc that wakes
+// next, or back to Run when nothing is left before the horizon, and
+// suspends (see pass). Exactly one goroutine runs the loop at a time, so
+// event order is unchanged.
 type Proc struct {
-	eng    *Engine
-	pid    int
-	name   string
-	resume chan struct{}
-	// fn is the body until the proc's first dispatch starts its goroutine.
+	eng  *Engine
+	pid  int
+	name string
+	procSwitch
+	// fn is the body until the proc's first dispatch starts it.
 	fn func(p *Proc)
 	// hosted runs the continuation-form operations the proc awaits; it is
 	// allocated by the first Await.
@@ -33,65 +33,63 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt starts fn as a new simulated process after delay d. The spawn is
 // a proc-carrying event: the proc's goroutine starts at its first dispatch.
 func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, pid: e.nextPID, name: name, resume: make(chan struct{}), fn: fn}
+	p := &Proc{eng: e, pid: e.nextPID, name: name, fn: fn}
 	e.nextPID++
 	e.procs++
 	e.schedule(e.now+d, nil, p)
 	return p
 }
 
-// main is the proc goroutine: run the body, then pass the event loop on
-// and exit. The deferred exit also covers a body that leaves through
-// runtime.Goexit.
-func (p *Proc) main(fn func(p *Proc)) {
-	defer p.exit()
-	fn(p)
-}
-
-// exit retires the finished proc and hands the event loop on.
-func (p *Proc) exit() {
-	p.eng.procs--
-	p.eng.handoff(p.eng.procLoop())
-}
-
-// block suspends the process until its scheduled wake. It runs the event
-// loop on this goroutine: a self-wake returns at once, any other next
-// wake gets the loop handed to it, and the proc parks until resumed.
+// block suspends the process until its scheduled wake. It panics while
+// the proc is parked in Await: the caller is then a step of the awaited
+// operation, running on whichever goroutine holds the event loop, and
+// parking that goroutine on this proc's wake would corrupt both.
 func (p *Proc) block() {
-	next := p.eng.procLoop()
-	if next == p {
-		return
+	if ep := p.hosted; ep != nil && ep.awaited {
+		panic(fmt.Sprintf("des: blocking call on proc %s from a step of the operation it awaits; steps must use the continuation forms", p.name))
 	}
-	p.eng.handoff(next)
-	<-p.resume
+	p.park()
+}
+
+// park runs the event loop on this goroutine until the proc is the next to
+// resume: a self-wake returns at once, any other next wake gets the loop
+// handed to it, and the proc suspends until resumed.
+func (p *Proc) park() {
+	if next := p.eng.procLoop(); next != p {
+		p.pass(next)
+	}
 }
 
 // Await runs one continuation-form operation on the proc and blocks until
 // it completes. start begins the operation on the proc's hosted EventProc,
 // passing the continuations the operation needs; the operation has
 // completed once a step returns without arming another blocking point, as
-// a spawned EventProc ends. Await panics if the hosted EventProc is still
-// blocked, that is when called from inside an awaited operation's step.
+// a spawned EventProc ends. Await panics if called from inside an awaited
+// operation's step.
 //
 // The hosted EventProc has the proc's PID and name and is not counted by
-// LiveProcs. Each of its wakes is a proc-carrying event for this proc at
-// the slot the EventProc's own wake would take, and the proc runs the
-// armed step on its own goroutine, so an operation takes the same events
-// in the same order whether a goroutine proc awaits it or a spawned
-// EventProc runs it. Await allocates only the hosted EventProc, once per
-// proc.
+// LiveProcs. start runs on the proc's goroutine; every later step is an
+// ordinary continuation dispatch, run in place on whichever goroutine holds
+// the event loop, and only the step that completes the operation hands the
+// loop to the proc. An operation therefore takes the same events in the
+// same order whether a goroutine proc awaits it or a spawned EventProc runs
+// it, and costs the proc at most one hand-off. A step must never
+// call a goroutine-form primitive (Proc.Wait, Signal.Wait, Resource.Acquire
+// and the like): that panics while the proc is parked here. Await
+// allocates only the hosted EventProc, once per proc.
 func (p *Proc) Await(start func(ep *EventProc)) {
 	ep := p.hosted
 	if ep == nil {
 		ep = &EventProc{eng: p.eng, pid: p.pid, name: p.name, index: -1, live: true, host: p}
 		p.hosted = ep
-	} else if ep.armed {
+	} else if ep.armed || ep.awaited {
 		panic(fmt.Sprintf("des: Await re-entered on proc %s while its operation is blocked", p.name))
 	}
 	start(ep)
-	for ep.armed {
-		p.block()
-		ep.step()
+	if ep.armed {
+		ep.awaited = true
+		p.park()
+		ep.awaited = false
 	}
 }
 
