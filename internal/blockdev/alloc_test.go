@@ -93,3 +93,18 @@ func TestAccessAllocs(t *testing.T) {
 		t.Fatalf("stats %+v, %d live procs: want 104 requests, one queued at a time, no live proc", st, e.LiveProcs())
 	}
 }
+
+// TestNewDeviceAllocs pins NewDevice at three objects: the Device and its
+// two resource names. The queue and media resources are embedded by
+// value, not allocated apart.
+func TestNewDeviceAllocs(t *testing.T) {
+	e, model := des.NewEngine(1), DefaultHDD()
+	var d *Device
+	n := testing.AllocsPerRun(100, func() { d = NewDevice(e, "ost0", model, 4) })
+	if n != 3 {
+		t.Errorf("NewDevice: %v allocs, want 3", n)
+	}
+	if d.queue.Name() != "dev.ost0" || d.queue.Capacity() != 4 || d.media.Name() != "media.ost0" || d.media.Capacity() != 1 {
+		t.Fatalf("queue %q/%d, media %q/%d", d.queue.Name(), d.queue.Capacity(), d.media.Name(), d.media.Capacity())
+	}
+}

@@ -115,8 +115,8 @@ type Device struct {
 	eng     *des.Engine
 	name    string
 	model   Model
-	queue   *des.Resource // admission slots (NCQ depth)
-	media   *des.Resource // serial media bandwidth
+	queue   des.Resource // admission slots (NCQ depth)
+	media   des.Resource // serial media bandwidth
 	prevEnd int64
 
 	// Statistics.
@@ -164,13 +164,10 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	return &Device{
-		eng:   e,
-		name:  name,
-		model: model,
-		queue: des.NewResource(e, "dev."+name, queueDepth),
-		media: des.NewResource(e, "media."+name, 1),
-	}
+	d := &Device{eng: e, name: name, model: model}
+	d.queue.Init(e, "dev."+name, queueDepth)
+	d.media.Init(e, "media."+name, 1)
+	return d
 }
 
 // Access performs the request in simulated time, blocking the caller. It

@@ -304,3 +304,26 @@ func BenchmarkQueuePingPong(b *testing.B) {
 	b.ResetTimer()
 	e.Run(MaxTime)
 }
+
+// BenchmarkStreamShort measures creating a named stream and drawing 16
+// numbers from it, an IOR random-pattern rank's use: the stream never
+// leaves its lazy state.
+func BenchmarkStreamShort(b *testing.B) { benchStream(b, 16) }
+
+// BenchmarkStreamLong measures creating a named stream and drawing 2,000
+// numbers from it: past its 273 lazy draws the stream builds the full
+// 607-word register, then steps it as math/rand does.
+func BenchmarkStreamLong(b *testing.B) { benchStream(b, 2000) }
+
+func benchStream(b *testing.B, draws int) {
+	r := NewStreamRNG(42)
+	const name = "ior.rank0"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := r.Stream(name)
+		for j := 0; j < draws; j++ {
+			s.Int63n(1 << 30)
+		}
+		delete(r.streams, name)
+	}
+}

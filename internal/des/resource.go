@@ -21,10 +21,19 @@ type Resource struct {
 
 // NewResource creates a resource with the given capacity (>= 1).
 func NewResource(e *Engine, name string, capacity int) *Resource {
+	r := new(Resource)
+	r.Init(e, name, capacity)
+	return r
+}
+
+// Init sets up r, typically a field embedded by value in its owner, as a
+// fresh resource with the given capacity (>= 1). It saves the owner one
+// heap object per resource. A Resource must not be copied once used.
+func (r *Resource) Init(e *Engine, name string, capacity int) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("des: resource %q capacity %d < 1", name, capacity))
 	}
-	return &Resource{eng: e, name: name, capacity: capacity}
+	*r = Resource{eng: e, name: name, capacity: capacity}
 }
 
 func (r *Resource) account() {

@@ -120,13 +120,17 @@ type FSEvent struct {
 }
 
 // FSWatcher collects namespace-changing events from the file system.
-// Install it with Watch; it composes with any existing observer.
+// Install it with Watch.
 type FSWatcher struct {
 	events []FSEvent
 }
 
-// Watch installs the watcher on fs, chaining any previously installed
-// observer.
+// Watch installs the watcher as fs's operation observer. It does not
+// chain: pfs.FS holds one observer and SetOpObserver replaces it, so the
+// last caller wins. Watch drops any observer installed before it (for
+// example validate.Attach's), and a later one drops the watcher's events.
+// ROADMAP item 2 replaces the single-slot hooks with a multi-subscriber
+// stream.
 func Watch(fs *pfs.FS) *FSWatcher {
 	w := &FSWatcher{}
 	fs.SetOpObserver(func(ev pfs.OpEvent) {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"pioeval/internal/des"
@@ -104,5 +105,28 @@ func TestTransferAllocs(t *testing.T) {
 	}
 	if f.Messages() != 104 || e.LiveProcs() != 0 {
 		t.Fatalf("%d transfers, %d live procs; want 104, 0", f.Messages(), e.LiveProcs())
+	}
+}
+
+// TestAddNodeAllocs pins AddNode at three objects: the Node and its two
+// link names. The links are resources embedded by value, not allocated
+// apart; the fabric's node map grows too rarely to count per call.
+func TestAddNodeAllocs(t *testing.T) {
+	f := NewFabric(des.NewEngine(1), Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
+	names := make([]string, 101) // AllocsPerRun's warm-up call plus 100
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
+	}
+	var node *Node
+	i := 0
+	n := testing.AllocsPerRun(100, func() {
+		node = f.AddNode(names[i])
+		i++
+	})
+	if n != 3 {
+		t.Errorf("AddNode: %v allocs, want 3", n)
+	}
+	if node.in.Name() != "t.n100.in" || node.out.Name() != "t.n100.out" || node.in.Capacity() != 1 {
+		t.Fatalf("links %q, %q, capacity %d", node.in.Name(), node.out.Name(), node.in.Capacity())
 	}
 }

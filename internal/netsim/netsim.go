@@ -78,7 +78,7 @@ type Fabric struct {
 	eng       *des.Engine
 	cfg       Config
 	nodes     map[string]*Node
-	backplane *des.Resource
+	backplane des.Resource // in use when cfg.BackplaneBandwidth > 0
 
 	bytesMoved int64
 	messages   uint64
@@ -97,8 +97,8 @@ type Fabric struct {
 type Node struct {
 	fab  *Fabric
 	name string
-	in   *des.Resource // ejection (receive) link
-	out  *des.Resource // injection (send) link
+	in   des.Resource // ejection (receive) link
+	out  des.Resource // injection (send) link
 }
 
 // Name returns the node name given to AddNode.
@@ -112,7 +112,7 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 		if ch < 1 {
 			ch = 1
 		}
-		f.backplane = des.NewResource(e, cfg.Name+".backplane", ch)
+		f.backplane.Init(e, cfg.Name+".backplane", ch)
 	}
 	return f
 }
@@ -123,12 +123,9 @@ func (f *Fabric) AddNode(name string) *Node {
 	if _, dup := f.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
-	n := &Node{
-		fab:  f,
-		name: name,
-		in:   des.NewResource(f.eng, f.cfg.Name+"."+name+".in", 1),
-		out:  des.NewResource(f.eng, f.cfg.Name+"."+name+".out", 1),
-	}
+	n := &Node{fab: f, name: name}
+	n.in.Init(f.eng, f.cfg.Name+"."+name+".in", 1)
+	n.out.Init(f.eng, f.cfg.Name+"."+name+".out", 1)
 	f.nodes[name] = n
 	return n
 }
@@ -252,7 +249,7 @@ func (t *transferE) resume() {
 			return
 		case xfOut:
 			t.t = f.scaled(transferTime(t.n, f.cfg.LinkBandwidth))
-			if f.backplane != nil {
+			if f.cfg.BackplaneBandwidth > 0 {
 				t.phase = xfBackplane
 				f.backplane.AcquireE(t.ep, t.resumeF)
 				return
@@ -273,7 +270,7 @@ func (t *transferE) resume() {
 			return
 		case xfSent:
 			t.d.in.Release()
-			if f.backplane != nil {
+			if f.cfg.BackplaneBandwidth > 0 {
 				f.backplane.Release()
 			}
 			t.s.out.Release()

@@ -78,7 +78,7 @@ type FileInfo struct {
 // mds is the metadata server: a namespace behind a thread-pool resource.
 type mds struct {
 	node    *netsim.Node
-	threads *des.Resource
+	threads des.Resource
 	opCost  des.Time
 	inodes  map[string]*inode
 	ops     [numMetaOps]uint64
@@ -134,11 +134,11 @@ func New(e *des.Engine, cfg Config) *FS {
 
 	serverFabric := fs.serverFabric()
 	fs.mds = &mds{
-		node:    serverFabric.AddNode("mds"),
-		threads: des.NewResource(e, "mds.threads", cfg.MDSThreads),
-		opCost:  cfg.MDSOpCost,
-		inodes:  map[string]*inode{"/": {path: "/", isDir: true, children: map[string]bool{}}},
+		node:   serverFabric.AddNode("mds"),
+		opCost: cfg.MDSOpCost,
+		inodes: map[string]*inode{"/": {path: "/", isDir: true, children: map[string]bool{}}},
 	}
+	fs.mds.threads.Init(e, "mds.threads", cfg.MDSThreads)
 
 	id := 0
 	for oss := 0; oss < cfg.NumOSS; oss++ {
