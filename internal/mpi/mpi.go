@@ -3,10 +3,16 @@
 // bandwidth (alpha-beta) cost, and collectives use logarithmic cost models.
 // It is the middleware under the simulated MPI-IO layer (internal/mpiio)
 // and the vehicle for all multi-rank workloads.
+//
+// Rank (World.Spawn) is a goroutine proc with the whole API. EventRank
+// (World.SpawnEvent) is a continuation-form event proc for million-rank
+// runs, with only Compute and Barrier. Both run one barrier machine
+// (mpi_event.go), a Rank through des.Proc.Await, so they share a barrier.
 package mpi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pioeval/internal/des"
 )
@@ -17,15 +23,12 @@ type Options struct {
 	Alpha des.Time
 	// BetaBps is the per-rank link bandwidth in bytes/second.
 	BetaBps float64
-	// EagerLimit is unused by the cost model but kept for reporting; all
-	// sends are eager.
-	EagerLimit int64
 }
 
 // DefaultOptions returns an InfiniBand-like cost model: 1.5us latency,
 // 10 GB/s bandwidth.
 func DefaultOptions() Options {
-	return Options{Alpha: 1500 * des.Nanosecond, BetaBps: 10e9, EagerLimit: 64 << 10}
+	return Options{Alpha: 1500 * des.Nanosecond, BetaBps: 10e9}
 }
 
 // xferCost returns alpha + size/beta.
@@ -45,10 +48,9 @@ type World struct {
 
 	queues map[chanKey]*des.Queue[Message]
 
-	// Barrier state.
-	barGen    int
+	// Barrier state, touched only by rank.step.
 	barCount  int
-	barSignal *des.Signal
+	barSignal des.Signal
 
 	// Statistics.
 	msgs      uint64
@@ -72,11 +74,10 @@ func NewWorld(e *des.Engine, size int, opts Options) *World {
 		panic("mpi: world size must be >= 1")
 	}
 	return &World{
-		eng:       e,
-		size:      size,
-		opts:      opts,
-		queues:    make(map[chanKey]*des.Queue[Message]),
-		barSignal: des.NewSignal(e),
+		eng:    e,
+		size:   size,
+		opts:   opts,
+		queues: make(map[chanKey]*des.Queue[Message]),
 	}
 }
 
@@ -96,14 +97,18 @@ func (w *World) Messages() uint64 { return w.msgs }
 func (w *World) BytesSent() int64 { return w.bytesSent }
 
 // Spawn launches fn once per rank as simulated processes. Call once; then
-// run the engine.
+// run the engine. Rank i's process is named "rank<i>".
 func (w *World) Spawn(fn func(r *Rank)) {
 	for i := 0; i < w.size; i++ {
-		i := i
-		w.eng.Spawn(fmt.Sprintf("rank%d", i), func(p *des.Proc) {
-			fn(&Rank{w: w, id: i, p: p})
-		})
+		w.spawn(i, fn)
 	}
+}
+
+// spawn launches rank i as a goroutine proc.
+func (w *World) spawn(i int, fn func(r *Rank)) {
+	w.eng.Spawn(fmt.Sprintf("rank%d", i), func(p *des.Proc) {
+		fn(&Rank{rank: rank{w: w, id: i}, p: p})
+	})
 }
 
 func (w *World) queue(k chanKey) *des.Queue[Message] {
@@ -118,22 +123,12 @@ func (w *World) queue(k chanKey) *des.Queue[Message] {
 // Rank is one MPI process: the pairing of a rank id with its simulated
 // process. All methods must be called from the rank's own process.
 type Rank struct {
-	w  *World
-	id int
-	p  *des.Proc
+	rank // its barrier machine runs on the EventProc p hosts for Await
+	p    *des.Proc
 }
-
-// ID returns the rank number.
-func (r *Rank) ID() int { return r.id }
-
-// Size returns the communicator size.
-func (r *Rank) Size() int { return r.w.size }
 
 // Proc returns the underlying simulated process.
 func (r *Rank) Proc() *des.Proc { return r.p }
-
-// Now returns the current simulated time.
-func (r *Rank) Now() des.Time { return r.p.Now() }
 
 // Compute advances simulated time by d (models computation).
 func (r *Rank) Compute(d des.Time) { r.p.Wait(d) }
@@ -168,72 +163,49 @@ func (r *Rank) Sendrecv(dst, sendTag int, size int64, src, recvTag int) Message 
 
 // Barrier synchronizes all ranks; the cost model adds a log2(P) latency
 // term to the release.
-func (r *Rank) Barrier() {
-	w := r.w
-	w.barCount++
-	if w.barCount == w.size {
-		w.barCount = 0
-		w.barGen++
-		// Dissemination barrier cost: ceil(log2 P) rounds of alpha.
-		r.p.Wait(w.opts.Alpha * des.Time(ceilLog2(w.size)))
-		w.barSignal.Fire()
-		return
-	}
-	gen := w.barGen
-	for w.barGen == gen {
-		w.barSignal.Wait(r.p)
-	}
-}
+func (r *Rank) Barrier() { r.await(noWait) }
 
 // Bcast models a binomial-tree broadcast of size bytes from root. Every
 // rank blocks for the modeled completion cost; no payload is exchanged.
-func (r *Rank) Bcast(root int, size int64) {
-	rounds := ceilLog2(r.w.size)
-	r.p.Wait(des.Time(rounds) * r.w.opts.xferCost(size))
-	r.Barrier()
-}
+func (r *Rank) Bcast(root int, size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
 
 // Allreduce models a recursive-doubling allreduce over size bytes.
-func (r *Rank) Allreduce(size int64) {
-	rounds := ceilLog2(r.w.size)
-	r.p.Wait(des.Time(rounds) * r.w.opts.xferCost(size))
-	r.Barrier()
-}
+func (r *Rank) Allreduce(size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
+
+// Reduce models a binomial-tree reduction to root.
+func (r *Rank) Reduce(root int, size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
 
 // Allgather models gathering size bytes from every rank to every rank
 // (ring algorithm: P-1 steps of size bytes).
-func (r *Rank) Allgather(size int64) {
-	steps := r.w.size - 1
-	if steps > 0 {
-		r.p.Wait(des.Time(steps) * r.w.opts.xferCost(size))
-	}
-	r.Barrier()
-}
+func (r *Rank) Allgather(size int64) { r.await(r.ringCost(size)) }
 
 // Alltoall models a pairwise exchange of size bytes with every other rank.
-func (r *Rank) Alltoall(size int64) {
-	steps := r.w.size - 1
-	if steps > 0 {
-		r.p.Wait(des.Time(steps) * r.w.opts.xferCost(size))
+func (r *Rank) Alltoall(size int64) { r.await(r.ringCost(size)) }
+
+// cost is the time of n rounds of size bytes each.
+func (r *Rank) cost(n int, size int64) des.Time { return des.Time(n) * r.w.opts.xferCost(size) }
+
+// ringCost is the time of the P-1 ring steps, and noWait at P=1, where
+// the tree collectives still wait zero.
+func (r *Rank) ringCost(size int64) des.Time {
+	if r.w.size == 1 {
+		return noWait
 	}
-	r.Barrier()
+	return r.cost(r.w.size-1, size)
 }
 
-// Reduce models a binomial-tree reduction to root.
-func (r *Rank) Reduce(root int, size int64) {
-	rounds := ceilLog2(r.w.size)
-	r.p.Wait(des.Time(rounds) * r.w.opts.xferCost(size))
-	r.Barrier()
+// await runs the barrier machine as one awaited operation, after a wait of
+// d unless d is noWait, so a collective costs its proc one hand-off.
+func (r *Rank) await(d des.Time) {
+	r.p.Await(func(ep *des.EventProc) {
+		if r.stepF == nil {
+			r.ep, r.stepF = ep, r.step
+		}
+		r.enter(d, nop)
+	})
 }
 
-func ceilLog2(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	l, v := 0, 1
-	for v < n {
-		v <<= 1
-		l++
-	}
-	return l
-}
+func nop() {}
+
+// ceilLog2 returns ceil(log2 n) for n >= 1.
+func ceilLog2(n int) int { return bits.Len(uint(n - 1)) }

@@ -11,8 +11,12 @@ import (
 
 // This file is the million-rank scale path: a HACC-IO-like file-per-process
 // checkpoint whose ranks are continuation-form event processes
-// (des.EventProc / mpi.EventRank), so a rank costs one small struct and one
-// pooled event slot instead of a goroutine stack. RunShardedCheckpoint
+// (mpi.EventRank on a des.EventProc), so a rank costs one small struct and
+// one pooled event slot instead of a goroutine stack. A rank uses only
+// EventRank's Compute and Barrier, and the pfs client's continuation calls
+// (CreateE, WriteE, FsyncE, CloseE). Goroutine ranks await the same barrier
+// machine and the same client calls, so RunCheckpoint and a one-shard
+// RunShardedCheckpoint produce identical timing. RunShardedCheckpoint
 // drives one engine, or partitions ranks and storage into per-I/O-domain
 // engines coupled by a des.ParallelGroup.
 
