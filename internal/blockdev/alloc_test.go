@@ -94,15 +94,15 @@ func TestAccessAllocs(t *testing.T) {
 	}
 }
 
-// TestNewDeviceAllocs pins NewDevice at three objects: the Device and its
-// two resource names. The queue and media resources are embedded by
-// value, not allocated apart.
+// TestNewDeviceAllocs pins NewDevice at one object, the Device: the queue
+// and media resources are embedded by value, not allocated apart, and
+// their names are formatted only when asked for.
 func TestNewDeviceAllocs(t *testing.T) {
 	e, model := des.NewEngine(1), DefaultHDD()
 	var d *Device
 	n := testing.AllocsPerRun(100, func() { d = NewDevice(e, "ost0", model, 4) })
-	if n != 3 {
-		t.Errorf("NewDevice: %v allocs, want 3", n)
+	if n != 1 {
+		t.Errorf("NewDevice: %v allocs, want 1", n)
 	}
 	if d.queue.Name() != "dev.ost0" || d.queue.Capacity() != 4 || d.media.Name() != "media.ost0" || d.media.Capacity() != 1 {
 		t.Fatalf("queue %q/%d, media %q/%d", d.queue.Name(), d.queue.Capacity(), d.media.Name(), d.media.Capacity())

@@ -165,10 +165,17 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 		queueDepth = 1
 	}
 	d := &Device{eng: e, name: name, model: model}
-	d.queue.Init(e, "dev."+name, queueDepth)
-	d.media.Init(e, "media."+name, 1)
+	d.queue.InitAffixed(e, &queueName, name, queueDepth)
+	d.media.InitAffixed(e, &mediaName, name, 1)
 	return d
 }
+
+// queueName and mediaName name a device's resources dev.<name> and
+// media.<name>.
+var (
+	queueName = des.NameAffix{Prefix: "dev."}
+	mediaName = des.NameAffix{Prefix: "media."}
+)
 
 // Access performs the request in simulated time, blocking the caller. It
 // awaits AccessE.
@@ -256,7 +263,13 @@ const (
 	opTransfer              // transfer component served
 )
 
+// opPoisoned is the phase of a released devOp under the quarantine tag.
+const opPoisoned uint8 = 0xff
+
 func (o *devOp) resume() {
+	if des.Quarantine && o.phase == opPoisoned {
+		panic("blockdev: device operation resumed after it was recycled")
+	}
 	d := o.d
 	for {
 		switch o.phase {
@@ -291,13 +304,15 @@ func (o *devOp) resume() {
 	}
 }
 
-// finish accounts the completed request, recycles o and runs its
-// continuation.
+// finish accounts the completed request, recycles o (poisons it under
+// the quarantine tag) and runs its continuation.
 func (o *devOp) finish() {
 	d, k := o.d, o.k
 	d.complete(o.req, o.lat, o.xfer)
 	o.ep, o.k = nil, nil
-	if len(d.opFree) < maxFreeOps {
+	if des.Quarantine {
+		o.phase = opPoisoned
+	} else if len(d.opFree) < maxFreeOps {
 		d.opFree = append(d.opFree, o)
 	}
 	k()

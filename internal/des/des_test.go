@@ -646,3 +646,26 @@ func TestAfterCancel(t *testing.T) {
 		t.Errorf("pending = %d", e.Pending())
 	}
 }
+
+// TestSpawnIndexedName: a goroutine proc spawned with an index is named
+// name followed by the index, as is the EventProc it hosts for Await,
+// and the name costs no allocation at spawn.
+func TestSpawnIndexedName(t *testing.T) {
+	e := NewEngine(1)
+	var hosted string
+	p := e.SpawnIndexed("rank", 12, func(p *Proc) {
+		p.Await(func(ep *EventProc) { hosted = ep.Name() })
+	})
+	if p.Name() != "rank12" || p.PID() != 0 {
+		t.Errorf("proc %s/%d, want rank12/0", p.Name(), p.PID())
+	}
+	e.Run(MaxTime)
+	if hosted != "rank12" {
+		t.Errorf("hosted EventProc named %q, want rank12", hosted)
+	}
+	body := func(*Proc) {}
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { e.SpawnIndexed("rank", i, body); i++ }); n != 1 {
+		t.Errorf("SpawnIndexed: %v allocs, want 1 (the Proc)", n)
+	}
+}

@@ -286,10 +286,11 @@ const (
 	formEvent                     // spawned EventProcs running runE
 	formHosted                    // goroutine Procs awaiting runE (Proc.Await)
 	formPerOpAwait                // goroutine Procs awaiting each op on its own (opE)
+	formEventOn                   // EventProcs restarted in recycled storage (SpawnEventOn)
 )
 
 // genForms are the execution forms every generated program runs in.
-var genForms = []genForm{formGoroutine, formEvent, formHosted, formPerOpAwait}
+var genForms = []genForm{formGoroutine, formEvent, formHosted, formPerOpAwait, formEventOn}
 
 // genWorld interprets one program on one engine in one execution form.
 type genWorld struct {
@@ -299,6 +300,10 @@ type genWorld struct {
 	res    []*Resource
 	sigs   []*Signal
 	log    strings.Builder
+	// eps is formEventOn's EventProc storage, and reused counts the
+	// spawns that restarted a process in storage another had ended in.
+	eps    []*EventProc
+	reused int
 }
 
 func newGenWorld(prog genProgram, form genForm) *genWorld {
@@ -332,6 +337,13 @@ func (w *genWorld) spawn(d Time, name string, ops []genOp, wg *WaitGroup) {
 		}
 	}
 	switch w.form {
+	case formEventOn:
+		if d == 0 {
+			ep := w.storage()
+			w.e.SpawnEventOn(ep, name, -1, func() { w.runE(ep, name, ops, 0, end) })
+			return
+		}
+		fallthrough
 	case formEvent:
 		w.e.SpawnEventAt(d, name, func(ep *EventProc) { w.runE(ep, name, ops, 0, end) })
 	case formHosted:
@@ -351,6 +363,20 @@ func (w *genWorld) spawn(d Time, name string, ops []genOp, wg *WaitGroup) {
 			end()
 		})
 	}
+}
+
+// storage returns EventProc storage whose process has ended, or new
+// storage when every process started so far is live.
+func (w *genWorld) storage() *EventProc {
+	for _, ep := range w.eps {
+		if !ep.live {
+			w.reused++
+			return ep
+		}
+	}
+	ep := new(EventProc)
+	w.eps = append(w.eps, ep)
+	return ep
 }
 
 // schedule arms an op's callbacks; identical in both forms.

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 )
@@ -80,32 +81,48 @@ func (e *Engine) SpawnEvent(name string, fn func(ep *EventProc)) *EventProc {
 
 // SpawnEventAt starts fn as a new continuation-form process after delay d.
 func (e *Engine) SpawnEventAt(d Time, name string, fn func(ep *EventProc)) *EventProc {
-	ep := e.newEventProc(d, name, -1)
+	if d < 0 {
+		panic(fmt.Sprintf("des: negative spawn delay %v for event proc %s", d, name))
+	}
+	ep := new(EventProc)
+	e.startEventProc(ep, d, name, -1)
 	ep.fn = fn
 	return ep
 }
 
-// SpawnEventK starts a continuation-form process at the current time whose
-// first step is k; the caller keeps the returned handle for k to use. It
-// suits state machines that bind one continuation when they are allocated
-// and reuse it for every step. The process is named name, followed by
-// index when index >= 0 (name "rank", index 3 gives "rank3"); the name is
-// formatted only when Name is called.
-func (e *Engine) SpawnEventK(name string, index int, k func()) *EventProc {
-	ep := e.newEventProc(0, name, index)
+// ErrLiveRestart is the value SpawnEventOn panics with (wrapped, with the
+// process name) when the storage it is handed still holds a live process.
+var ErrLiveRestart = errors.New("des: SpawnEventOn on a live event proc")
+
+// SpawnEventOn starts a continuation-form process at the current time in
+// storage the caller owns, *ep, which it overwrites; the process's first
+// step is k. It suits state machines that embed an EventProc by value and
+// bind one continuation for every step: a recycled machine restarts its
+// process for every use instead of allocating one each time. The process
+// gets the next PID and event slot, exactly as a spawn that allocates
+// does. It is named name, followed by index when index >= 0 (name "rank",
+// index 3 gives "rank3"); the name is formatted only when Name is called.
+//
+// *ep may be restarted only once its previous process has ended, that is
+// after the step that ended it has returned: restarting a live process
+// panics with ErrLiveRestart. For the same reason a step must never reset
+// or copy over its own EventProc, since the engine reads it after the
+// step returns.
+func (e *Engine) SpawnEventOn(ep *EventProc, name string, index int, k func()) {
+	if ep.live {
+		panic(fmt.Errorf("%w: %s", ErrLiveRestart, ep.Name()))
+	}
+	e.startEventProc(ep, 0, name, index)
 	ep.k = k
-	return ep
 }
 
-func (e *Engine) newEventProc(d Time, name string, index int) *EventProc {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative spawn delay %v for event proc %s", d, name))
-	}
-	ep := &EventProc{eng: e, pid: e.nextPID, name: name, index: int32(index), live: true}
+// startEventProc makes *ep a new live process, due to take its first step
+// after delay d.
+func (e *Engine) startEventProc(ep *EventProc, d Time, name string, index int) {
+	*ep = EventProc{eng: e, pid: e.nextPID, name: name, index: int32(index), live: true}
 	e.nextPID++
 	e.procs++
 	e.scheduleEP(e.now+d, ep)
-	return ep
 }
 
 // enter runs the pending step. If the step returns without arming a new
@@ -189,12 +206,15 @@ func (ep *EventProc) Engine() *Engine { return ep.eng }
 // Now returns the current simulated time.
 func (ep *EventProc) Now() Time { return ep.eng.now }
 
-// Name returns the process name given at SpawnEvent or SpawnEventK.
-func (ep *EventProc) Name() string {
-	if ep.index < 0 {
-		return ep.name
+// Name returns the process name given at SpawnEvent or SpawnEventOn.
+func (ep *EventProc) Name() string { return procName(ep.name, ep.index) }
+
+// procName is name, followed by index when index >= 0.
+func procName(name string, index int32) string {
+	if index < 0 {
+		return name
 	}
-	return ep.name + strconv.Itoa(int(ep.index))
+	return name + strconv.Itoa(int(index))
 }
 
 // PID returns the unique process id (shared sequence with goroutine Procs).

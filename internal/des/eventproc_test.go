@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -287,4 +288,100 @@ func TestResourceRetryAfterSteal(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpawnEventOnLiveProcPanics: restarting storage whose process is
+// still live panics with ErrLiveRestart, whether the process has not yet
+// taken its first step or is running the step that restarts it; the
+// process itself is unharmed.
+func TestSpawnEventOnLiveProcPanics(t *testing.T) {
+	restart := func(e *Engine, ep *EventProc) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		e.SpawnEventOn(ep, "again", -1, func() {})
+		return nil
+	}
+	e := NewEngine(1)
+	var ep EventProc
+	var inStep error
+	e.SpawnEventOn(&ep, "w", 7, func() {
+		ep.Wait(3, func() { inStep = restart(e, &ep) })
+	})
+	if err := restart(e, &ep); !errors.Is(err, ErrLiveRestart) || !strings.Contains(err.Error(), "w7") {
+		t.Errorf("restart before the first step: %v, want ErrLiveRestart naming w7", err)
+	}
+	if end := e.Run(MaxTime); end != 3 {
+		t.Fatalf("run ended at %v, want 3", end)
+	}
+	if !errors.Is(inStep, ErrLiveRestart) {
+		t.Errorf("restart from the proc's own step: %v, want ErrLiveRestart", inStep)
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after the run, want 0", n)
+	}
+}
+
+// TestSpawnEventOnRestartsInPlace: storage whose process has ended starts
+// the next one with the next PID, its own lazily formatted name and a
+// fresh one-step budget, and LiveProcs returns to 0 after each; a
+// SpawnEvent between restarts takes the PID in between.
+func TestSpawnEventOnRestartsInPlace(t *testing.T) {
+	e := NewEngine(1)
+	var ep EventProc
+	var pids []int
+	var names []string
+	for i := 0; i < 3; i++ {
+		e.SpawnEventOn(&ep, "rpc", i, func() {
+			pids = append(pids, ep.PID())
+			names = append(names, ep.Name())
+			ep.Wait(Time(i+1), func() {})
+		})
+		if n := e.LiveProcs(); n != 1 {
+			t.Fatalf("restart %d: LiveProcs = %d, want 1", i, n)
+		}
+		if i == 1 {
+			e.SpawnEvent("k", func(*EventProc) {})
+		}
+		e.Run(MaxTime)
+		if n := e.LiveProcs(); n != 0 {
+			t.Fatalf("restart %d: LiveProcs = %d after the run, want 0", i, n)
+		}
+	}
+	if want := []int{0, 1, 3}; !reflect.DeepEqual(pids, want) {
+		t.Errorf("PIDs %v, want %v", pids, want)
+	}
+	if want := []string{"rpc0", "rpc1", "rpc2"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("names %v, want %v", names, want)
+	}
+	if e.Now() != 6 {
+		t.Errorf("clock %v after the three procs, want 6", e.Now())
+	}
+}
+
+// TestSpawnEventOnMatchesSpawnEvent: generated programs whose EventProcs
+// are restarted in recycled storage dispatch the same events in the same
+// order as ones whose EventProcs are each allocated by SpawnEvent: the
+// logs and the dispatch counts agree, every process ends, and storage is
+// reused.
+func TestSpawnEventOnMatchesSpawnEvent(t *testing.T) {
+	forever := func() Time { return MaxTime }
+	reused := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		prog := genProg(seed)
+		ev, on := newGenWorld(prog, formEvent), newGenWorld(prog, formEventOn)
+		evl, onl := ev.drive(t, forever), on.drive(t, forever)
+		if evl != onl {
+			t.Fatalf("seed %d: SpawnEvent and SpawnEventOn logs differ\n--- SpawnEvent\n%s--- SpawnEventOn\n%s", seed, evl, onl)
+		}
+		if a, b := ev.e.Dispatches(), on.e.Dispatches(); a != b {
+			t.Fatalf("seed %d: %d dispatches with SpawnEvent, %d with SpawnEventOn", seed, a, b)
+		}
+		if n := on.e.LiveProcs(); n != 0 {
+			t.Fatalf("seed %d: LiveProcs = %d after the run, want 0", seed, n)
+		}
+		reused += on.reused
+	}
+	if reused < 100 {
+		t.Fatalf("only %d spawns restarted recycled storage", reused)
+	}
+	t.Logf("%d spawns restarted recycled storage", reused)
 }

@@ -13,9 +13,14 @@ import "fmt"
 // suspends (see pass). Exactly one goroutine runs the loop at a time, so
 // event order is unchanged.
 type Proc struct {
-	eng  *Engine
-	pid  int
-	name string
+	eng *Engine
+	// pid holds the low 32 bits of the PID, so index fits beside it and
+	// Proc stays 64 bytes.
+	pid int32
+	// name, followed by index when index >= 0, is the process name; it is
+	// formatted only when Name is called.
+	index int32
+	name  string
 	procSwitch
 	// fn is the body until the proc's first dispatch starts it.
 	fn func(p *Proc)
@@ -33,7 +38,18 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt starts fn as a new simulated process after delay d. The spawn is
 // a proc-carrying event: the proc's goroutine starts at its first dispatch.
 func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, pid: e.nextPID, name: name, fn: fn}
+	return e.spawn(d, name, -1, fn)
+}
+
+// SpawnIndexed starts fn as a new simulated process at the current time,
+// named name followed by index (name "rank", index 3 gives "rank3"); the
+// name is formatted only when Name is called, as SpawnEventOn's is.
+func (e *Engine) SpawnIndexed(name string, index int, fn func(p *Proc)) *Proc {
+	return e.spawn(0, name, index, fn)
+}
+
+func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, pid: int32(e.nextPID), index: int32(index), name: name, fn: fn}
 	e.nextPID++
 	e.procs++
 	e.schedule(e.now+d, nil, p)
@@ -46,7 +62,7 @@ func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 // parking that goroutine on this proc's wake would corrupt both.
 func (p *Proc) block() {
 	if ep := p.hosted; ep != nil && ep.awaited {
-		panic(fmt.Sprintf("des: blocking call on proc %s from a step of the operation it awaits; steps must use the continuation forms", p.name))
+		panic(fmt.Sprintf("des: blocking call on proc %s from a step of the operation it awaits; steps must use the continuation forms", p.Name()))
 	}
 	p.park()
 }
@@ -80,10 +96,10 @@ func (p *Proc) park() {
 func (p *Proc) Await(start func(ep *EventProc)) {
 	ep := p.hosted
 	if ep == nil {
-		ep = &EventProc{eng: p.eng, pid: p.pid, name: p.name, index: -1, live: true, host: p}
+		ep = &EventProc{eng: p.eng, pid: int(p.pid), name: p.name, index: p.index, live: true, host: p}
 		p.hosted = ep
 	} else if ep.armed || ep.awaited {
-		panic(fmt.Sprintf("des: Await re-entered on proc %s while its operation is blocked", p.name))
+		panic(fmt.Sprintf("des: Await re-entered on proc %s while its operation is blocked", p.Name()))
 	}
 	start(ep)
 	if ep.armed {
@@ -110,16 +126,18 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn or SpawnIndexed.
+func (p *Proc) Name() string { return procName(p.name, p.index) }
 
-// PID returns the unique process id.
-func (p *Proc) PID() int { return p.pid }
+// PID returns the unique process id. A goroutine proc keeps it in 32
+// bits, so the PIDs of procs spawned after 2^31 spawns on one engine
+// wrap; PIDs identify processes in diagnostics only.
+func (p *Proc) PID() int { return int(p.pid) }
 
 // Wait advances simulated time by d for this process.
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("des: negative wait %v in proc %s", d, p.name))
+		panic(fmt.Sprintf("des: negative wait %v in proc %s", d, p.Name()))
 	}
 	p.wakeAt(p.eng.now + d)
 	p.block()

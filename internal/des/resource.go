@@ -6,8 +6,11 @@ import "fmt"
 // network links, disk queues, CPU slots. Acquire blocks the calling process
 // until a unit is available; Release frees a unit and wakes the head waiter.
 type Resource struct {
-	eng      *Engine
-	name     string
+	eng  *Engine
+	name string
+	// affix, when set, holds the fixed part of the resource's name (see
+	// InitAffixed).
+	affix    *NameAffix
 	capacity int
 	inUse    int
 	waiters  waiterFIFO
@@ -30,10 +33,22 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // fresh resource with the given capacity (>= 1). It saves the owner one
 // heap object per resource. A Resource must not be copied once used.
 func (r *Resource) Init(e *Engine, name string, capacity int) {
+	r.InitAffixed(e, nil, name, capacity)
+}
+
+// NameAffix is the fixed part of the names of a family of resources: one
+// set up by InitAffixed is named Prefix, then its own name, then Suffix.
+type NameAffix struct{ Prefix, Suffix string }
+
+// InitAffixed is Init for a resource named a.Prefix + name + a.Suffix
+// (name alone when a is nil). The name is formatted only when Name is
+// called, so an owner that makes many resources shares one NameAffix and
+// saves a string per resource; *a must not change afterwards.
+func (r *Resource) InitAffixed(e *Engine, a *NameAffix, name string, capacity int) {
 	if capacity < 1 {
 		panic(fmt.Sprintf("des: resource %q capacity %d < 1", name, capacity))
 	}
-	*r = Resource{eng: e, name: name, capacity: capacity}
+	*r = Resource{eng: e, name: name, affix: a, capacity: capacity}
 }
 
 func (r *Resource) account() {
@@ -94,7 +109,7 @@ func (r *Resource) TryAcquire() bool {
 // Release returns one unit and wakes the longest-waiting process, if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
-		panic(fmt.Sprintf("des: release of idle resource %q", r.name))
+		panic(fmt.Sprintf("des: release of idle resource %q", r.Name()))
 	}
 	r.account()
 	r.inUse--
@@ -145,7 +160,12 @@ func (r *Resource) Utilization() float64 {
 }
 
 // Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
+func (r *Resource) Name() string {
+	if a := r.affix; a != nil {
+		return a.Prefix + r.name + a.Suffix
+	}
+	return r.name
+}
 
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() int { return r.capacity }

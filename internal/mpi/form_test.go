@@ -141,7 +141,7 @@ func (pr *barrierProg) run(t *testing.T, goroutine []bool) ([][]des.Time, uint64
 		if goroutine[i] {
 			w.spawn(i, func(r *Rank) { pr.runRank(r, out[r.ID()]) })
 		} else {
-			w.spawnEvent(i, func(r *EventRank) { pr.runEvent(r, out[r.ID()]) })
+			new(EventRank).start(w, i, func(r *EventRank) { pr.runEvent(r, out[r.ID()]) })
 		}
 	}
 	e.Run(des.MaxTime)

@@ -106,7 +106,7 @@ func (w *World) Spawn(fn func(r *Rank)) {
 
 // spawn launches rank i as a goroutine proc.
 func (w *World) spawn(i int, fn func(r *Rank)) {
-	w.eng.Spawn(fmt.Sprintf("rank%d", i), func(p *des.Proc) {
+	w.eng.SpawnIndexed("rank", i, func(p *des.Proc) {
 		fn(&Rank{rank: rank{w: w, id: i}, p: p})
 	})
 }

@@ -12,18 +12,21 @@ import "pioeval/internal/des"
 // processes (des.EventProc). Call once; then run the engine. Rank i's
 // process is named "rank<i>". Goroutine and event ranks can share one
 // World's barrier: call both Spawn and SpawnEvent, with each body
-// returning at once for the ranks the other form runs.
+// returning at once for the ranks the other form runs. The ranks, each
+// with the event process it embeds, are one allocation.
 func (w *World) SpawnEvent(fn func(r *EventRank)) {
-	for i := 0; i < w.size; i++ {
-		w.spawnEvent(i, fn)
+	ranks := make([]EventRank, w.size)
+	for i := range ranks {
+		ranks[i].start(w, i, fn)
 	}
 }
 
-// spawnEvent launches rank i as an event process.
-func (w *World) spawnEvent(i int, fn func(r *EventRank)) {
-	r := &EventRank{rank: rank{w: w, id: i}, fn: fn}
+// start launches r as rank i of w, on the event process it embeds.
+func (r *EventRank) start(w *World, i int, fn func(r *EventRank)) {
+	r.rank = rank{w: w, id: i, ep: &r.proc}
+	r.fn = fn
 	r.stepF = r.resume
-	r.ep = w.eng.SpawnEventK("rank", i, r.stepF)
+	w.eng.SpawnEventOn(&r.proc, "rank", i, r.stepF)
 }
 
 // EventRank is one MPI process in continuation form: the pairing of a
@@ -32,7 +35,8 @@ func (w *World) spawnEvent(i int, fn func(r *EventRank)) {
 // only pending blocking point (see des.EventProc).
 type EventRank struct {
 	rank
-	fn func(r *EventRank) // the body, until the rank starts
+	fn   func(r *EventRank) // the body, until the rank starts
+	proc des.EventProc      // the rank's process (rank.ep)
 }
 
 // resume is the rank's bound step: the body's start, then every barrier

@@ -108,9 +108,10 @@ func TestTransferAllocs(t *testing.T) {
 	}
 }
 
-// TestAddNodeAllocs pins AddNode at three objects: the Node and its two
-// link names. The links are resources embedded by value, not allocated
-// apart; the fabric's node map grows too rarely to count per call.
+// TestAddNodeAllocs pins AddNode at one object, the Node: the links are
+// resources embedded by value, not allocated apart, whose names are
+// formatted only when asked for; the fabric's node map grows too rarely to
+// count per call.
 func TestAddNodeAllocs(t *testing.T) {
 	f := NewFabric(des.NewEngine(1), Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	names := make([]string, 101) // AllocsPerRun's warm-up call plus 100
@@ -123,8 +124,8 @@ func TestAddNodeAllocs(t *testing.T) {
 		node = f.AddNode(names[i])
 		i++
 	})
-	if n != 3 {
-		t.Errorf("AddNode: %v allocs, want 3", n)
+	if n != 1 {
+		t.Errorf("AddNode: %v allocs, want 1", n)
 	}
 	if node.in.Name() != "t.n100.in" || node.out.Name() != "t.n100.out" || node.in.Capacity() != 1 {
 		t.Fatalf("links %q, %q, capacity %d", node.in.Name(), node.out.Name(), node.in.Capacity())

@@ -79,6 +79,8 @@ type Fabric struct {
 	cfg       Config
 	nodes     map[string]*Node
 	backplane des.Resource // in use when cfg.BackplaneBandwidth > 0
+	// inName and outName name a node's links <fabric>.<node>.in and .out.
+	inName, outName des.NameAffix
 
 	bytesMoved int64
 	messages   uint64
@@ -107,6 +109,8 @@ func (n *Node) Name() string { return n.name }
 // NewFabric creates a fabric on engine e with config cfg.
 func NewFabric(e *des.Engine, cfg Config) *Fabric {
 	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*Node)}
+	f.inName = des.NameAffix{Prefix: cfg.Name + ".", Suffix: ".in"}
+	f.outName = des.NameAffix{Prefix: f.inName.Prefix, Suffix: ".out"}
 	if cfg.BackplaneBandwidth > 0 {
 		ch := cfg.BackplaneChannels
 		if ch < 1 {
@@ -124,8 +128,8 @@ func (f *Fabric) AddNode(name string) *Node {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
 	n := &Node{fab: f, name: name}
-	n.in.Init(f.eng, f.cfg.Name+"."+name+".in", 1)
-	n.out.Init(f.eng, f.cfg.Name+"."+name+".out", 1)
+	n.in.InitAffixed(f.eng, &f.inName, name, 1)
+	n.out.InitAffixed(f.eng, &f.outName, name, 1)
 	f.nodes[name] = n
 	return n
 }
@@ -232,7 +236,13 @@ const (
 	xfSent                   // chunk serialized
 )
 
+// xfPoisoned is the phase of a released transferE under the quarantine tag.
+const xfPoisoned uint8 = 0xff
+
 func (t *transferE) resume() {
+	if des.Quarantine && t.phase == xfPoisoned {
+		panic("netsim: transfer resumed after it was recycled")
+	}
 	f := t.f
 	for {
 		switch t.phase {
@@ -280,9 +290,14 @@ func (t *transferE) resume() {
 	}
 }
 
-// putTransfer returns t to the free list, dropping its references.
+// putTransfer returns t to the free list, dropping its references; under
+// the quarantine tag it poisons t instead.
 func (f *Fabric) putTransfer(t *transferE) {
 	t.ep, t.s, t.d, t.k = nil, nil, nil, nil
+	if des.Quarantine {
+		t.phase = xfPoisoned
+		return
+	}
 	if len(f.xferFree) < maxFreeTransfers {
 		f.xferFree = append(f.xferFree, t)
 	}

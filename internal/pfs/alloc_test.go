@@ -109,8 +109,8 @@ func TestCallFreeListsBounded(t *testing.T) {
 // TestGoroutineWriteAllocs pins a steady-state goroutine-form 4 MiB
 // Write — four 1 MiB RPCs, write-behind off — at stripe counts 1 and 4.
 // The proc awaits the ioCall on its hosted EventProc, and the data RPCs
-// run as pooled rpcCalls joined with a single park, so what remains per
-// call is one spawned EventProc per RPC.
+// run as pooled rpcCalls, each on the EventProc it embeds, joined with a
+// single park, so a steady-state write allocates nothing.
 func TestGoroutineWriteAllocs(t *testing.T) {
 	for _, stripes := range []int{1, 4} {
 		e := des.NewEngine(1)
@@ -153,8 +153,8 @@ func TestGoroutineWriteAllocs(t *testing.T) {
 		if st := c.Stats(); st.WriteRPCs != 4*52 {
 			t.Fatalf("stripes=%d: %d write RPCs, want %d", stripes, st.WriteRPCs, 4*52)
 		}
-		if n > 4 {
-			t.Errorf("stripes=%d: goroutine-form 4-RPC write: %v allocs per call, want <= 4", stripes, n)
+		if n != 0 {
+			t.Errorf("stripes=%d: goroutine-form 4-RPC write: %v allocs per call, want 0", stripes, n)
 		}
 	}
 }
@@ -217,12 +217,44 @@ func TestGoroutineNamespaceAllocs(t *testing.T) {
 
 // TestCallSizes pins the size of the call state every rank of a scale run
 // keeps one of per phase: EventProc's host field and the stat and readdir
-// results must not push a struct into a larger allocation size class.
+// results must not push a struct into a larger allocation size class, nor
+// must anything grow the rpcCall that embeds its EventProc.
 func TestCallSizes(t *testing.T) {
+	if n := unsafe.Sizeof(rpcCall{}); n > 224 {
+		t.Errorf("rpcCall is %d bytes, want <= 224", n)
+	}
 	if n := unsafe.Sizeof(metaCall{}); n > 208 {
 		t.Errorf("metaCall is %d bytes, want <= 208", n)
 	}
 	if n := unsafe.Sizeof(ioCall{}); n > 288 {
 		t.Errorf("ioCall is %d bytes, want <= 288", n)
+	}
+}
+
+// TestClientChunkAllocs: a file system's first clientsPerChunk clients
+// are one object each, so a small job pays for no unused slot, and later
+// ones are carved from shared 32 KiB chunks, well under one object per
+// client.
+func TestClientChunkAllocs(t *testing.T) {
+	if n := unsafe.Sizeof(Client{}) * clientsPerChunk; n != 32<<10 {
+		t.Errorf("a client chunk is %d bytes, want 32 KiB (whole pages, no allocation header)", n)
+	}
+	fs := New(des.NewEngine(1), fastConfig())
+	newClient := func() { fs.NewClientAt("n0") }
+	if n := testing.AllocsPerRun(clientsPerChunk/2, newClient); n != 1 {
+		t.Errorf("NewClientAt below %d clients: %v allocs, want 1", clientsPerChunk, n)
+	}
+	for len(fs.clientList) < clientsPerChunk {
+		newClient()
+	}
+	if n := testing.AllocsPerRun(4*clientsPerChunk, newClient); n != 0 {
+		t.Errorf("NewClientAt past %d clients: %v allocs per client, want 0 (amortized)", clientsPerChunk, n)
+	}
+	seen := map[*Client]bool{}
+	for _, c := range fs.clientList {
+		if seen[c] || c.fs != fs || c.Node() != "n0" {
+			t.Fatalf("client %p: duplicate %v, fs %p, node %q", c, seen[c], c.fs, c.Node())
+		}
+		seen[c] = true
 	}
 }

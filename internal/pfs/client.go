@@ -113,8 +113,28 @@ func (fs *FS) NewClientAt(nodeName string) *Client {
 	return fs.newClientOn(n)
 }
 
+// clientsPerChunk is how many clients a file system with many of them
+// carves from one allocation: once it has clientsPerChunk clients, the
+// next ones come from chunks of that many, so at most one chunk is part
+// unused. Smaller jobs allocate their clients one by one and pay for no
+// unused slot. A chunk is 32 KiB, which the runtime allocates as four
+// whole pages; a smaller chunk of a type with pointers would carry an
+// 8-byte allocation header that rounds it up to the next size class (64
+// clients take 9,472 bytes, not 8,192).
+const clientsPerChunk = 256
+
 func (fs *FS) newClientOn(n *netsim.Node) *Client {
-	c := &Client{fs: fs, node: n, wbCapacity: fs.cfg.ClientWriteBehind}
+	var c *Client
+	if len(fs.clientList) < clientsPerChunk {
+		c = new(Client)
+	} else {
+		if len(fs.clientChunk) == 0 {
+			fs.clientChunk = make([]Client, clientsPerChunk)
+		}
+		c = &fs.clientChunk[0]
+		fs.clientChunk = fs.clientChunk[1:]
+	}
+	*c = Client{fs: fs, node: n, wbCapacity: fs.cfg.ClientWriteBehind}
 	if len(fs.ionodes) > 0 {
 		ion := fs.ionodes[fs.nextION%len(fs.ionodes)]
 		c.ionC, c.ionS = ion.c, ion.s

@@ -148,6 +148,10 @@ const (
 	mcBackoff              // retry backoff elapsed
 )
 
+// callPoisoned is the phase (kind, for an ioCall) of a released call
+// under the quarantine tag (see des.Quarantine).
+const callPoisoned = 0xff
+
 // newMeta takes a metaCall for op on path from the free list.
 func (c *Client) newMeta(op MetaOp, path string) *metaCall {
 	m := c.fs.metaFree.get()
@@ -192,6 +196,9 @@ func (m *metaCall) send() {
 }
 
 func (m *metaCall) resume() {
+	if des.Quarantine && m.phase == callPoisoned {
+		panic("pfs: metadata call resumed after it was recycled")
+	}
 	c := m.c
 	fs := c.fs
 	for {
@@ -328,9 +335,15 @@ func (m *metaCall) handle() *Handle {
 	return &Handle{c: m.c, path: m.path, layout: m.layout}
 }
 
+// recycle returns m to the free list, or poisons it under the
+// quarantine tag.
 func (m *metaCall) recycle() {
 	fs := m.c.fs
 	*m = metaCall{resumeF: m.resumeF}
+	if des.Quarantine {
+		m.phase = callPoisoned
+		return
+	}
 	fs.metaFree.put(m)
 }
 
@@ -491,8 +504,8 @@ func (io *ioCall) readOp() {
 }
 
 // launch starts chunks as parallel RPCs across OSTs — one pooled rpcCall
-// per RPC, each on its own spawned event proc, O(one pooled event + a
-// small struct) instead of a goroutine — counted on io.wg.
+// per RPC, each on the event proc it embeds, so a steady-state RPC costs
+// one pooled event and no allocation — counted on io.wg.
 func (io *ioCall) launch(chunks []chunk, write bool) {
 	h := io.h
 	fs := h.c.fs
@@ -515,7 +528,7 @@ func (io *ioCall) launch(chunks []chunk, write bool) {
 		rc.obj = objKey{h.path, rpc.ostIdx}
 		rc.objOff, rc.size, rc.write = rpc.objOff, rpc.size, write
 		rc.phase = rcStart
-		rc.ep = fs.eng.SpawnEventK("rpc", -1, rc.resumeF)
+		fs.eng.SpawnEventOn(&rc.ep, "rpc", -1, rc.resumeF)
 	}
 }
 
@@ -541,6 +554,9 @@ func (io *ioCall) flush() {
 // resume settles the joined fan-out: a write goes on to its size update,
 // a read miss records its readahead window.
 func (io *ioCall) resume() {
+	if des.Quarantine && io.kind == callPoisoned {
+		panic("pfs: I/O call resumed after it was recycled")
+	}
 	h := io.h
 	io.err = h.settleIO(io.rpcs, io.errs, io.write)
 	if io.err == nil {
@@ -591,23 +607,32 @@ func (io *ioCall) complete(err error) {
 	}
 }
 
+// recycle returns io to the free list, or poisons it under the
+// quarantine tag.
 func (io *ioCall) recycle() {
 	fs := io.h.c.fs
 	clear(io.errs)
 	io.h, io.ep, io.err, io.k = nil, nil, nil, nil
+	if des.Quarantine {
+		io.kind = callPoisoned
+		return
+	}
 	fs.ioFree.put(io)
 }
 
 // rpcCall is one OST-directed data RPC under the resilience policy, on
-// its own event proc: request leg,
-// then a timeout (crashed OST), an error reply (injected transient fault)
-// or the device access and reply leg, with backoff between attempts. Its
-// outcome lands in the owning ioCall's error slot.
+// the event proc it embeds: request leg, then a timeout (crashed OST), an
+// error reply (injected transient fault) or the device access and reply
+// leg, with backoff between attempts. Its outcome lands in the owning
+// ioCall's error slot. The proc is restarted in place for every RPC the
+// struct serves (des.Engine.SpawnEventOn), so it recycles with the call.
 type rpcCall struct {
-	io      *ioCall
-	c       *Client
-	i       int // slot in io.errs
-	ep      *des.EventProc
+	io *ioCall
+	c  *Client
+	i  int // slot in io.errs
+	// ep is never reset: the step that recycles the call runs on it, and
+	// the engine reads it after that step returns.
+	ep      des.EventProc
 	o       *ost
 	obj     objKey
 	objOff  int64
@@ -649,6 +674,9 @@ func (rc *rpcCall) send() {
 }
 
 func (rc *rpcCall) resume() {
+	if des.Quarantine && rc.phase == callPoisoned {
+		panic("pfs: data RPC resumed after it was recycled")
+	}
 	c, o := rc.c, rc.o
 	fs := c.fs
 	for {
@@ -656,7 +684,7 @@ func (rc *rpcCall) resume() {
 		case rcStart:
 			rc.send()
 		case rcSend:
-			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
 				return
 			}
 			if o.down {
@@ -675,7 +703,7 @@ func (rc *rpcCall) resume() {
 			}
 			rc.phase = rcServed
 			req := blockdev.Request{Offset: o.physOffset(rc.obj, rc.objOff), Size: rc.size, Write: rc.write}
-			o.dev.AccessE(rc.ep, req, rc.resumeF)
+			o.dev.AccessE(&rc.ep, req, rc.resumeF)
 			return
 		case rcTimeout:
 			c.stats.TimedOutRPCs++
@@ -683,7 +711,7 @@ func (rc *rpcCall) resume() {
 			rc.settle()
 			return
 		case rcErrReply:
-			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
 				return
 			}
 			rc.err = fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, rc.obj, rc.objOff, rc.size)
@@ -702,7 +730,7 @@ func (rc *rpcCall) resume() {
 			rc.leg = leg{server: o.oss, size: reply}
 			rc.phase = rcReply
 		case rcReply:
-			if c.hopE(&rc.leg, rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
 				return
 			}
 			rc.err = nil
@@ -731,8 +759,12 @@ func (rc *rpcCall) settle() {
 	}
 	io, fs := rc.io, c.fs
 	io.errs[rc.i] = rc.err
-	*rc = rpcCall{resumeF: rc.resumeF}
-	fs.rpcFree.put(rc)
+	rc.io, rc.c, rc.o, rc.obj, rc.leg, rc.err, rc.attempt = nil, nil, nil, objKey{}, leg{}, nil, 0
+	if des.Quarantine {
+		rc.phase = callPoisoned
+	} else {
+		fs.rpcFree.put(rc)
+	}
 	io.wg.Done()
 }
 

@@ -99,6 +99,9 @@ type FS struct {
 	nextOST int // round-robin base for layout allocation
 
 	clientList []*Client
+	// clientChunk is the unused tail of the chunk new clients are carved
+	// from (see newClientOn).
+	clientChunk []Client
 
 	// Fault-injection state (see resilience.go).
 	transientRate float64

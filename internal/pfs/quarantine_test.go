@@ -1,0 +1,66 @@
+//go:build quarantine
+
+package pfs
+
+import (
+	"strings"
+	"testing"
+
+	"pioeval/internal/des"
+)
+
+// mustPanicRecycled runs resume, a step of a call whose last step has
+// fired, and fails unless it panics as a resumed recycled call.
+func mustPanicRecycled(t *testing.T, what string, resume func()) {
+	t.Helper()
+	defer func() {
+		s, _ := recover().(string)
+		if !strings.Contains(s, "resumed after it was recycled") {
+			t.Errorf("%s resumed after recycling: recovered %q, want the quarantine panic", what, s)
+		}
+	}()
+	resume()
+}
+
+// TestQuarantinePoisonsRecycledCalls: under the quarantine tag a call's
+// free list poisons the struct it is handed, so a step that resumes a
+// metadata call, an I/O call or a data RPC after its last step panics
+// instead of running on state another operation may own. The three calls
+// are placed on the free lists before a create and a one-RPC write take
+// them, so the test holds them after the operations have released them.
+func TestQuarantinePoisonsRecycledCalls(t *testing.T) {
+	e := des.NewEngine(1)
+	fs := New(e, fastConfig())
+	c := fs.NewClient("c0")
+	m := &metaCall{}
+	m.resumeF = m.resume
+	fs.metaFree.put(m)
+	io := fs.getIO()
+	fs.ioFree.put(io)
+	rc := &rpcCall{}
+	rc.resumeF = rc.resume
+	fs.rpcFree.put(rc)
+	var werr error
+	e.SpawnEvent("c0", func(ep *des.EventProc) {
+		c.CreateE(ep, "/f", 1, 0, func(h *Handle, err error) {
+			if err != nil {
+				werr = err
+				return
+			}
+			h.WriteE(ep, 0, 4096, func(err error) { werr = err })
+		})
+	})
+	e.Run(des.MaxTime)
+	if werr != nil || e.LiveProcs() != 0 {
+		t.Fatalf("create and write: error %v, %d live procs", werr, e.LiveProcs())
+	}
+	if st := c.Stats(); st.WriteRPCs != 1 {
+		t.Fatalf("%d write RPCs, want 1", st.WriteRPCs)
+	}
+	if len(fs.metaFree.items)+len(fs.ioFree.items)+len(fs.rpcFree.items) != 0 {
+		t.Fatal("a call went back on a free list under the quarantine tag")
+	}
+	mustPanicRecycled(t, "metaCall", m.resume)
+	mustPanicRecycled(t, "ioCall", io.resume)
+	mustPanicRecycled(t, "rpcCall", rc.resume)
+}

@@ -92,9 +92,10 @@ func newScaleState(steps int) *scaleState {
 
 // scaleRank is one checkpoint rank as an explicit state machine. Every
 // blocking point hands the engine one of three continuations bound when
-// the rank is created — resume (a phase switch), opened (the create's
-// typed result) and ioDone (a write's, fsync's or close's) — so
-// steady-state execution allocates nothing per operation.
+// the rank starts — resume (a phase switch), opened (the create's typed
+// result) and ioDone (a write's, fsync's or close's) — so steady-state
+// execution allocates nothing per operation. A shard's ranks are one
+// slice, allocated with its clients before the ranks spawn.
 type scaleRank struct {
 	r    *mpi.EventRank
 	c    *pfs.Client
@@ -133,12 +134,13 @@ const (
 	srGateAwait              // gate release fired: re-check the generation
 )
 
-func newScaleRank(r *mpi.EventRank, c *pfs.Client, cfg *ScaleConfig, st *scaleState, gid int, lead bool) *scaleRank {
-	s := &scaleRank{r: r, c: c, cfg: cfg, st: st, gid: gid, lead: lead}
+// start binds the rank's continuations and begins its first step on r.
+func (s *scaleRank) start(r *mpi.EventRank) {
+	s.r = r
 	s.resumeF = s.resume
 	s.openedF = s.opened
 	s.ioDoneF = s.ioDone
-	return s
+	s.stepBegin()
 }
 
 func (s *scaleRank) resume() {
@@ -426,24 +428,19 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		}
 		st := newScaleState(sc.Steps)
 		states[sh] = st
-		clients := make([]*pfs.Client, n)
+		ranks := make([]scaleRank, n)
 		var node string
-		for i := range clients {
+		for i := range ranks {
 			if i%sc.RanksPerNode == 0 {
 				node = sc.NodePrefix + strconv.Itoa(i/sc.RanksPerNode)
 			}
-			clients[i] = fs.NewClientAt(node)
+			ranks[i] = scaleRank{
+				c: fs.NewClientAt(node), cfg: &sc, st: st, gid: gid + i, lead: sh == 0 && i == 0,
+				gate: gates[sh], gateLead: gates[sh] != nil && i == 0,
+			}
 		}
 		w := mpi.NewWorld(e, n, mpi.DefaultOptions())
-		sh, gidBase, gate := sh, gid, gates[sh]
-		w.SpawnEvent(func(r *mpi.EventRank) {
-			s := newScaleRank(r, clients[r.ID()], &sc, st, gidBase+r.ID(), sh == 0 && r.ID() == 0)
-			if gate != nil {
-				s.gate = gate
-				s.gateLead = r.ID() == 0
-			}
-			s.stepBegin()
-		})
+		w.SpawnEvent(func(r *mpi.EventRank) { ranks[r.ID()].start(r) })
 		gid += n
 	}
 
