@@ -112,11 +112,19 @@ func (m *SSDModel) Name() string { return "ssd" }
 // process for queueing plus service time; Access awaits it from a
 // goroutine proc.
 type Device struct {
-	eng     *des.Engine
-	name    string
-	model   Model
-	queue   des.Resource // admission slots (NCQ depth)
-	media   des.Resource // serial media bandwidth
+	eng   *des.Engine
+	name  string
+	model Model
+	queue des.Resource // admission slots (NCQ depth)
+	media des.Resource // serial media bandwidth
+	deviceState
+
+	// opFree recycles AccessE state machines (see devOp).
+	opFree []*devOp
+}
+
+// deviceState is the part of a Device a run changes, which Reset zeroes.
+type deviceState struct {
 	prevEnd int64
 
 	// Statistics.
@@ -131,9 +139,6 @@ type Device struct {
 
 	// slowdown > 1 degrades the device (failure/straggler injection).
 	slowdown float64
-
-	// opFree recycles AccessE state machines (see devOp).
-	opFree []*devOp
 }
 
 // SetSlowdown injects degradation: every subsequent request's service time
@@ -167,7 +172,24 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 	d := &Device{eng: e, name: name, model: model}
 	d.queue.InitAffixed(e, &queueName, name, queueDepth)
 	d.media.InitAffixed(e, &mediaName, name, 1)
+	d.Reset()
 	return d
+}
+
+// Reset returns an idle d to its state just after NewDevice: counters
+// and utilization zeroed, no slowdown, the sequentiality cursor at
+// offset 0, and its queue and media reset (des.Resource.Reset). Its free
+// device operations stay warm. NewDevice calls Reset too, so a fresh and
+// a reset device are initialized by the same code. Reset d together with
+// its engine; it panics with des.ErrLiveReset while a request is in
+// flight or queued.
+func (d *Device) Reset() {
+	if d.inflight > 0 {
+		panic(fmt.Errorf("%w: device %s has %d requests in flight", des.ErrLiveReset, d.name, d.inflight))
+	}
+	d.queue.Reset()
+	d.media.Reset()
+	d.deviceState = deviceState{}
 }
 
 // queueName and mediaName name a device's resources dev.<name> and

@@ -17,7 +17,7 @@ import (
 func swapSimulate(t *testing.T, fn func(Spec, Point, int64) map[string]float64) {
 	t.Helper()
 	old := simulateFn
-	simulateFn = fn
+	simulateFn = func(s Spec, p Point, seed int64, _ *clusterCache) map[string]float64 { return fn(s, p, seed) }
 	t.Cleanup(func() { simulateFn = old })
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -201,7 +202,9 @@ var simulateFn = simulate
 // never a panic or a hang. A run that panics (a poisoned grid point) is
 // recovered and recorded as a typed JobError in the Report; the rest of
 // the grid still runs. Cancellation granularity is one simulation run:
-// an in-flight run finishes before its worker stops.
+// an in-flight run finishes before its worker stops. The repetitions of
+// a point share an engine and file system, reset between runs (see
+// clusterCache), which changes no result.
 func RunContext(ctx context.Context, spec Spec, opt Options) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -216,8 +219,9 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Report, error) {
 	for i := range runs {
 		runs[i] = RunResult{Point: points[i/spec.Reps].ID, Rep: i % spec.Reps, Seed: RunSeed(spec.Seed, i)}
 	}
+	clusters := &clusterCache{max: min(opt.workers(), total)}
 	pr := PoolContext(ctx, total, opt, func(i int) {
-		runs[i].Metrics = simulateFn(spec, points[i/spec.Reps], runs[i].Seed)
+		runs[i].Metrics = simulateFn(spec, points[i/spec.Reps], runs[i].Seed, clusters)
 	})
 	rep := aggregate(spec, points, runs)
 	rep.Cancelled = pr.Err != nil
@@ -258,12 +262,73 @@ func ClusterConfig(p Point) pfs.Config {
 	return cfg
 }
 
-// simulate executes one run: a fresh engine and cluster, the point's
-// fault campaign (if any), and the spec's workload, reduced to a flat
-// metric map.
-func simulate(spec Spec, p Point, seed int64) map[string]float64 {
+// cluster is one engine and the file system built on it for one grid
+// point.
+type cluster struct {
+	p  Point
+	e  *des.Engine
+	fs *pfs.FS
+}
+
+// newCluster builds a cluster of point p whose engine is seeded with seed.
+func newCluster(p Point, seed int64) *cluster {
 	e := des.NewEngine(seed)
-	fs := pfs.New(e, ClusterConfig(p))
+	return &cluster{p: p, e: e, fs: pfs.New(e, ClusterConfig(p))}
+}
+
+// clusterCache lends clusters to the jobs of one RunContext call, so that
+// the repetitions of a point share one engine and file system instead of
+// building them per job. A job takes a cluster of its point, an idle one
+// reset (des.Engine.Reset, pfs.FS.Reset) when there is one and a new one
+// otherwise, and gives it back once its simulation returns. A job that
+// panics never gives its cluster back, so no cluster carries the state a
+// panic left. At most max (>= 1) clusters, one per worker, are kept
+// idle; the oldest is dropped first.
+type clusterCache struct {
+	mu   sync.Mutex
+	idle []*cluster
+	max  int
+}
+
+// take returns a cluster of point p whose engine is seeded with seed.
+func (c *clusterCache) take(p Point, seed int64) *cluster {
+	c.mu.Lock()
+	for i, cl := range c.idle {
+		if cl.p == p {
+			c.idle = slices.Delete(c.idle, i, i+1)
+			c.mu.Unlock()
+			cl.e.Reset(seed)
+			cl.fs.Reset()
+			return cl
+		}
+	}
+	c.mu.Unlock()
+	return newCluster(p, seed)
+}
+
+// put returns cl, whose job has finished, to the idle clusters.
+func (c *clusterCache) put(cl *cluster) {
+	c.mu.Lock()
+	if len(c.idle) == c.max {
+		c.idle = slices.Delete(c.idle, 0, 1)
+	}
+	c.idle = append(c.idle, cl)
+	c.mu.Unlock()
+}
+
+// simulate executes one run on a cluster of p from clusters: the point's
+// fault campaign (if any) and the spec's workload, reduced to a flat
+// metric map. A reset cluster gives the same metrics as a new one.
+func simulate(spec Spec, p Point, seed int64, clusters *clusterCache) map[string]float64 {
+	cl := clusters.take(p, seed)
+	m := cl.run(spec)
+	clusters.put(cl)
+	return m
+}
+
+// run simulates one job of spec on cl.
+func (cl *cluster) run(spec Spec) map[string]float64 {
+	e, fs, p := cl.e, cl.fs, cl.p
 	if p.Faults != "" {
 		c, err := faults.ParseCampaign(p.Faults)
 		if err != nil {

@@ -52,6 +52,7 @@
 package des
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -173,7 +174,42 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and an attached
 // deterministic RNG seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewStreamRNG(seed)}
+	e := &Engine{rng: NewStreamRNG(seed)}
+	e.Reset(seed)
+	return e
+}
+
+// ErrLiveReset is the value a Reset panics with (wrapped, with detail)
+// when the object is still in use: a running engine, an engine with live
+// processes, or a resource with units held or waiters queued.
+var ErrLiveReset = errors.New("des: reset of an object in use")
+
+// Reset returns e to the state NewEngine(seed) gives: clock, sequence,
+// PID and dispatch counters at zero, no pending events, no trace hook,
+// and every named stream the RNG has handed out reseeded in place to
+// draw exactly what a fresh engine's stream of that name draws. Queued
+// events are freed into the event slab, which Reset keeps, as it keeps
+// the heap's and the immediate ring's backing arrays, so a reused engine
+// schedules without growing them again. NewEngine calls Reset too: an
+// engine has one initialization path.
+//
+// Reset panics with ErrLiveReset while Run is executing or while any
+// process is live, since a live process would wake into the new run.
+func (e *Engine) Reset(seed int64) {
+	if e.running {
+		panic(fmt.Errorf("%w: engine is running", ErrLiveReset))
+	}
+	if e.procs != 0 {
+		panic(fmt.Errorf("%w: engine has %d live procs", ErrLiveReset, e.procs))
+	}
+	for _, he := range e.heap {
+		e.freeSlot(he.idx)
+	}
+	for _, idx := range e.imm[e.immHead:] {
+		e.freeSlot(idx)
+	}
+	*e = Engine{pool: e.pool, free: e.free, heap: e.heap[:0], imm: e.imm[:0], rng: e.rng}
+	e.rng.Reset(seed)
 }
 
 // Now returns the current simulated time.

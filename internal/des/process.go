@@ -159,6 +159,18 @@ func (p *Proc) WaitUntil(at Time) {
 // strict arrival order.
 type Signal struct {
 	waiters []waiter
+	// one is the waiter list's first backing array, so a signal that
+	// never holds more than one waiter at a time, such as a fan-out
+	// join, allocates nothing. A Signal must not be copied once used.
+	one [1]waiter
+}
+
+// add appends w to the waiter list.
+func (s *Signal) add(w waiter) {
+	if s.waiters == nil {
+		s.waiters = s.one[:0]
+	}
+	s.waiters = append(s.waiters, w)
 }
 
 // NewSignal creates a Signal for processes on engine e.
@@ -166,7 +178,7 @@ func NewSignal(e *Engine) *Signal { return &Signal{} }
 
 // Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, waiter{p: p})
+	s.add(waiter{p: p})
 	p.block()
 }
 
@@ -174,7 +186,7 @@ func (s *Signal) Wait(p *Proc) {
 // releases the signal.
 func (s *Signal) WaitE(ep *EventProc, k func()) {
 	ep.arm(k)
-	s.waiters = append(s.waiters, waiter{ep: ep})
+	s.add(waiter{ep: ep})
 }
 
 // Fire releases all processes currently waiting on the signal.
@@ -236,7 +248,7 @@ func (wg *WaitGroup) WaitE(ep *EventProc, k func()) {
 		return
 	}
 	ep.armRetry(wg, k)
-	wg.doneS.waiters = append(wg.doneS.waiters, waiter{ep: ep})
+	wg.doneS.add(waiter{ep: ep})
 }
 
 // retryE re-runs a woken WaitE.

@@ -14,8 +14,11 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  waiterFIFO
+	resourceUsage
+}
 
-	// Utilization accounting.
+// resourceUsage is a Resource's utilization accounting, which Reset zeroes.
+type resourceUsage struct {
 	busyTime   Time // integral of inUse over time, in unit-nanoseconds
 	lastChange Time
 	acquired   uint64 // total successful acquisitions
@@ -49,6 +52,18 @@ func (r *Resource) InitAffixed(e *Engine, a *NameAffix, name string, capacity in
 		panic(fmt.Sprintf("des: resource %q capacity %d < 1", name, capacity))
 	}
 	*r = Resource{eng: e, name: name, affix: a, capacity: capacity}
+}
+
+// Reset returns an idle r to its state just after Init: its accounting
+// is zeroed and its waiter ring keeps its backing array. Reset a
+// resource together with its engine (Engine.Reset), whose clock its
+// accounting reads. It panics with ErrLiveReset while a unit is held or
+// a process waits.
+func (r *Resource) Reset() {
+	if r.inUse > 0 || r.waiters.len() > 0 {
+		panic(fmt.Errorf("%w: resource %s has %d units held, %d waiters", ErrLiveReset, r.Name(), r.inUse, r.waiters.len()))
+	}
+	r.resourceUsage = resourceUsage{}
 }
 
 func (r *Resource) account() {

@@ -19,7 +19,24 @@ type StreamRNG struct {
 
 // NewStreamRNG creates a stream RNG rooted at seed.
 func NewStreamRNG(seed int64) *StreamRNG {
-	return &StreamRNG{seed: seed, streams: make(map[string]*rand.Rand)}
+	r := &StreamRNG{streams: make(map[string]*rand.Rand)}
+	r.Reset(seed)
+	return r
+}
+
+// Reset re-roots r at seed. Every stream r has handed out is reseeded in
+// place, so it draws exactly what the stream of that name of a fresh
+// NewStreamRNG(seed) draws, and keeps its storage.
+func (r *StreamRNG) Reset(seed int64) {
+	r.seed = seed
+	for name, rr := range r.streams {
+		rr.Seed(r.derive(name))
+	}
+}
+
+// derive is the seed of the stream named name.
+func (r *StreamRNG) derive(name string) int64 {
+	return int64(fnv1a(name) ^ uint64(r.seed)*0x9E3779B97F4A7C15)
 }
 
 // fnv1a hashes s into a 64-bit value (FNV-1a).
@@ -39,8 +56,7 @@ func (r *StreamRNG) Stream(name string) *rand.Rand {
 	if rr, ok := r.streams[name]; ok {
 		return rr
 	}
-	derived := int64(fnv1a(name) ^ uint64(r.seed)*0x9E3779B97F4A7C15)
-	rr := rand.New(newLazySource(derived))
+	rr := rand.New(newLazySource(r.derive(name)))
 	r.streams[name] = rr
 	return rr
 }

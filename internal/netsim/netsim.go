@@ -81,16 +81,20 @@ type Fabric struct {
 	backplane des.Resource // in use when cfg.BackplaneBandwidth > 0
 	// inName and outName name a node's links <fabric>.<node>.in and .out.
 	inName, outName des.NameAffix
+	fabricState
 
+	// xferFree recycles TransferE state machines (see transferE).
+	xferFree []*transferE
+}
+
+// fabricState is the part of a Fabric a run changes, which Reset zeroes.
+type fabricState struct {
 	bytesMoved int64
 	messages   uint64
 
 	// degradation >= 1 multiplies latency and serialization times
 	// (fault injection: failing links, congested uplinks).
 	degradation float64
-
-	// xferFree recycles TransferE state machines (see transferE).
-	xferFree []*transferE
 }
 
 // Node is one endpoint of a fabric, returned by AddNode: a NIC with an
@@ -118,7 +122,30 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 		}
 		f.backplane.Init(e, cfg.Name+".backplane", ch)
 	}
+	f.Reset(nil)
 	return f
+}
+
+// Reset returns f to its state just after NewFabric followed by AddNode
+// for each node of keep, which must be f's own: every other node is
+// dropped, the kept nodes' links and the backplane are idle with zeroed
+// accounting (des.Resource.Reset), the traffic counters are zero and the
+// degradation is nominal. The kept handles stay valid, and the free
+// transfer state stays warm. NewFabric calls Reset too, so a fresh and a
+// reset fabric are initialized by the same code. Reset f together with
+// its engine; it panics with des.ErrLiveReset while a kept link is held.
+func (f *Fabric) Reset(keep []*Node) {
+	clear(f.nodes)
+	for _, n := range keep {
+		if n.fab != f {
+			panic(fmt.Sprintf("netsim: %s: reset keeps node %s of another fabric", f.cfg.Name, n.name))
+		}
+		n.in.Reset()
+		n.out.Reset()
+		f.nodes[n.name] = n
+	}
+	f.backplane.Reset()
+	f.fabricState = fabricState{}
 }
 
 // AddNode registers a new endpoint and returns its handle; it panics on

@@ -159,6 +159,56 @@ func TestGoroutineWriteAllocs(t *testing.T) {
 	}
 }
 
+// TestNewIOCallAllocs pins a write that finds the ioCall free list empty
+// (a burst past its cap) at two allocations, the ioCall and the
+// continuation it binds: its chunk, RPC and error slices have inline
+// backing for a one-RPC request, and so has the waiter list of the
+// WaitGroup its fan-out joins on.
+func TestNewIOCallAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	fs := New(e, fastConfig())
+	c := fs.NewClient("c0")
+	kick := des.NewSignal(e)
+	var writeErr error
+	stop := false
+	e.Spawn("c0", func(p *des.Proc) {
+		h, err := c.Create(p, "/f", 1, 1<<20)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		for {
+			kick.Wait(p)
+			if stop {
+				return
+			}
+			clear(fs.ioFree.items)
+			fs.ioFree.items = fs.ioFree.items[:0]
+			if writeErr = h.Write(p, 0, 1<<20); writeErr != nil {
+				return
+			}
+		}
+	})
+	round := func() {
+		kick.Fire()
+		e.Run(des.MaxTime)
+	}
+	e.Run(des.MaxTime)
+	round()
+	n := testing.AllocsPerRun(50, round)
+	stop = true
+	round()
+	if writeErr != nil || e.LiveProcs() != 0 {
+		t.Fatalf("write: %v, %d live procs", writeErr, e.LiveProcs())
+	}
+	if st := c.Stats(); st.WriteRPCs != 52 {
+		t.Fatalf("%d write RPCs, want 52", st.WriteRPCs)
+	}
+	if n != 2 {
+		t.Errorf("one-RPC write on a new ioCall: %v allocs, want 2", n)
+	}
+}
+
 // TestGoroutineNamespaceAllocs pins steady-state goroutine-form Stat and
 // Mkdir (of an existing directory, so the namespace itself does not grow)
 // at zero allocations: each awaits a pooled metaCall on the proc's hosted

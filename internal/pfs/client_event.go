@@ -396,8 +396,10 @@ type ioCall struct {
 	write bool // the fan-out writes
 	off   int64
 	size  int64
-	fetch int64 // readahead window fetched by a read miss; 0 without
-	end   int64 // file size to record after a write fan-out
+	// end is where the fan-out's range ends: the file size to record
+	// after a write, or the end of the readahead window a read miss
+	// fetches; 0 for a read without readahead.
+	end   int64
 	start des.Time
 	err   error
 
@@ -430,7 +432,7 @@ func (fs *FS) getIO() *ioCall {
 func (h *Handle) newIO(kind ioKind, off, size int64, k func(error)) *ioCall {
 	io := h.c.fs.getIO()
 	io.h, io.kind, io.off, io.size, io.k = h, kind, off, size, k
-	io.fetch, io.end = 0, 0
+	io.end = 0
 	return io
 }
 
@@ -494,8 +496,8 @@ func (io *ioCall) readOp() {
 		// Cache hit: served from client memory at zero simulated cost.
 		io.finish()
 	case ra > 0:
-		io.fetch = size + ra
-		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, io.fetch)
+		io.end = off + size + ra
+		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size+ra)
 		io.fanOut(io.chunks, false)
 	default:
 		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
@@ -564,8 +566,8 @@ func (io *ioCall) resume() {
 			io.setSize()
 			return
 		}
-		if io.fetch > 0 {
-			h.raStart, h.raEnd, h.raValid = io.off, io.off+io.fetch, true
+		if io.end > 0 {
+			h.raStart, h.raEnd, h.raValid = io.off, io.end, true
 		}
 	}
 	io.finish()

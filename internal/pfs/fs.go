@@ -86,6 +86,15 @@ type mds struct {
 	down    bool // unavailability window (fault injection)
 }
 
+// reset empties the namespace to the root directory and zeroes the
+// server's counters and availability window.
+func (m *mds) reset() {
+	m.threads.Reset()
+	clear(m.inodes)
+	m.inodes["/"] = &inode{path: "/", isDir: true, children: map[string]bool{}}
+	m.ops, m.busy, m.down = [numMetaOps]uint64{}, 0, false
+}
+
 // FS is a simulated parallel file system instance.
 type FS struct {
 	eng     *des.Engine
@@ -95,6 +104,21 @@ type FS struct {
 	mds     *mds
 	osts    []*ost
 	ionodes []ionode
+	// fixed holds, for the compute and the storage fabric, the nodes New
+	// adds to it: the I/O nodes and servers, which Reset keeps.
+	fixed [2][]*netsim.Node
+
+	fsState
+
+	// Free lists of continuation-form call state (client_event.go).
+	metaFree freeList[metaCall]
+	ioFree   freeList[ioCall]
+	rpcFree  freeList[rpcCall]
+}
+
+// fsState is the part of an FS outside its servers and fabrics that a
+// run changes, which Reset zeroes.
+type fsState struct {
 	nextION int
 	nextOST int // round-robin base for layout allocation
 
@@ -109,11 +133,6 @@ type FS struct {
 
 	observer    func(OpEvent)
 	ostObserver func(OSTEvent)
-
-	// Free lists of continuation-form call state (client_event.go).
-	metaFree freeList[metaCall]
-	ioFree   freeList[ioCall]
-	rpcFree  freeList[rpcCall]
 }
 
 // ionode is one I/O-forwarding node: its handles on the compute and the
@@ -131,28 +150,63 @@ func New(e *des.Engine, cfg Config) *FS {
 		fs.storage = netsim.NewFabric(e, cfg.StorageFabric)
 		for i := 0; i < cfg.NumIONodes; i++ {
 			name := fmt.Sprintf("ionode%d", i)
-			fs.ionodes = append(fs.ionodes, ionode{c: fs.compute.AddNode(name), s: fs.storage.AddNode(name)})
+			ion := ionode{c: fs.compute.AddNode(name), s: fs.storage.AddNode(name)}
+			fs.ionodes = append(fs.ionodes, ion)
+			fs.fixed[0] = append(fs.fixed[0], ion.c)
+			fs.fixed[1] = append(fs.fixed[1], ion.s)
 		}
 	}
 
-	serverFabric := fs.serverFabric()
-	fs.mds = &mds{
-		node:   serverFabric.AddNode("mds"),
-		opCost: cfg.MDSOpCost,
-		inodes: map[string]*inode{"/": {path: "/", isDir: true, children: map[string]bool{}}},
+	serverFabric, servers := fs.serverFabric(), &fs.fixed[0]
+	if fs.storage != nil {
+		servers = &fs.fixed[1]
 	}
+	addServer := func(name string) *netsim.Node {
+		n := serverFabric.AddNode(name)
+		*servers = append(*servers, n)
+		return n
+	}
+	fs.mds = &mds{node: addServer("mds"), opCost: cfg.MDSOpCost, inodes: make(map[string]*inode)}
 	fs.mds.threads.Init(e, "mds.threads", cfg.MDSThreads)
 
 	id := 0
 	for oss := 0; oss < cfg.NumOSS; oss++ {
-		node := serverFabric.AddNode(fmt.Sprintf("oss%d", oss))
+		node := addServer(fmt.Sprintf("oss%d", oss))
 		for t := 0; t < cfg.OSTsPerOSS; t++ {
 			dev := blockdev.NewDevice(e, fmt.Sprintf("ost%d", id), cfg.OSTDevice(), cfg.OSTQueueDepth)
 			fs.osts = append(fs.osts, newOST(id, node, dev))
 			id++
 		}
 	}
+	fs.Reset()
 	return fs
+}
+
+// Reset returns fs to its state just after New, so that one file system
+// can serve a sequence of runs of the same configuration on one engine.
+// The namespace is the root directory alone; the OSTs' object maps,
+// counters and devices, the MDS's counters and the fabrics are reset,
+// the fabrics dropping every client node (netsim.Fabric.Reset); the
+// client list, fault state and fault log are empty, and no observer is
+// installed. What survives is the structure New built (servers, I/O
+// nodes, their fabric handles and the configuration) and the free lists
+// of call state, which stay warm. New calls Reset too, so a fresh and a
+// reset file system are initialized by the same code.
+//
+// Reset fs after resetting its engine (des.Engine.Reset): a client,
+// handle or target from before the reset must not be used after it. It
+// panics with des.ErrLiveReset while a server, device or link is busy.
+func (fs *FS) Reset() {
+	fs.compute.Reset(fs.fixed[0])
+	if fs.storage != nil {
+		fs.storage.Reset(fs.fixed[1])
+	}
+	fs.mds.reset()
+	for _, o := range fs.osts {
+		o.reset()
+	}
+	clear(fs.clientList)
+	fs.fsState = fsState{clientList: fs.clientList[:0]}
 }
 
 // serverFabric returns the fabric on which servers live: the storage fabric

@@ -29,6 +29,14 @@ func newOST(id int, oss *netsim.Node, dev *blockdev.Device) *ost {
 	return &ost{id: id, oss: oss, dev: dev, objBase: make(map[objKey]int64)}
 }
 
+// reset empties the object map and zeroes the counters, the crash state
+// and the device (blockdev.Device.Reset).
+func (o *ost) reset() {
+	o.dev.Reset()
+	clear(o.objBase)
+	*o = ost{id: o.id, oss: o.oss, dev: o.dev, objBase: o.objBase}
+}
+
 // physOffset maps (object, logical offset) to a stable physical offset,
 // allocating a generous contiguous region per object on first touch.
 func (o *ost) physOffset(obj objKey, logical int64) int64 {

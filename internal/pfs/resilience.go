@@ -169,8 +169,8 @@ func (fs *FS) SetLinkDegradation(factor float64) error {
 }
 
 // ClientStatsTotal sums the counters of every client created on this file
-// system — the fleet-wide view of retries, timeouts, failures, and
-// degraded reads.
+// system since New or the last Reset — the fleet-wide view of retries,
+// timeouts, failures, and degraded reads.
 func (fs *FS) ClientStatsTotal() ClientStats {
 	var t ClientStats
 	for _, c := range fs.clientList {
