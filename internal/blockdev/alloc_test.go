@@ -15,7 +15,7 @@ func TestAccessEAllocs(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		req := Request{Offset: int64(i) << 20, Size: 4096, Write: i == 0}
 		var ep *des.EventProc
-		var stepF, doneF func()
+		var stepF, doneF des.StepFunc
 		stepF = func() { d.AccessE(ep, req, doneF) }
 		doneF = func() { kick.WaitE(ep, stepF) }
 		e.SpawnEvent("x", func(p *des.EventProc) {
@@ -45,14 +45,14 @@ func TestAccessEFreeListBounded(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		off := int64(i) * 4096
 		e.SpawnEvent("x", func(ep *des.EventProc) {
-			d.AccessE(ep, Request{Offset: off, Size: 4096}, func() {})
+			d.AccessE(ep, Request{Offset: off, Size: 4096}, nop)
 		})
 	}
 	e.Run(des.MaxTime)
 	if st := d.Stats(); st.Reads != 10_000 {
 		t.Fatalf("%d reads, want 10000", st.Reads)
 	}
-	if n := len(d.opFree); n == 0 || n > maxFreeOps {
+	if n := d.ops.Len(); n == 0 || n > maxFreeOps {
 		t.Errorf("free list holds %d ops after the burst, want 1..%d", n, maxFreeOps)
 	}
 }

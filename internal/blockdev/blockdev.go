@@ -119,8 +119,8 @@ type Device struct {
 	media des.Resource // serial media bandwidth
 	deviceState
 
-	// opFree recycles AccessE state machines (see devOp).
-	opFree []*devOp
+	// ops recycles AccessE state machines (see devOp).
+	ops des.FreeList[devOp, *devOp]
 }
 
 // deviceState is the part of a Device a run changes, which Reset zeroes.
@@ -170,6 +170,7 @@ func NewDevice(e *des.Engine, name string, model Model, queueDepth int) *Device 
 		queueDepth = 1
 	}
 	d := &Device{eng: e, name: name, model: model}
+	d.ops.Init(maxFreeOps)
 	d.queue.InitAffixed(e, &queueName, name, queueDepth)
 	d.media.InitAffixed(e, &mediaName, name, 1)
 	d.Reset()
@@ -207,7 +208,7 @@ func (d *Device) Access(p *des.Proc, req Request) {
 
 // nop is the completion of an awaited operation: the awaiting proc
 // resumes once the operation's last step returns.
-func nop() {}
+var nop = des.StepFunc(func() {})
 
 // cost returns the request's latency and transfer components under the
 // current slowdown, and advances the sequentiality cursor.
@@ -242,39 +243,32 @@ func (d *Device) complete(req Request, lat, xfer des.Time) {
 // AccessE performs the request in simulated time on the calling EventProc
 // and runs k on completion: it takes an admission slot, pays the latency
 // component, then holds the media for the transfer component.
-func (d *Device) AccessE(ep *des.EventProc, req Request, k func()) {
+func (d *Device) AccessE(ep *des.EventProc, req Request, k des.Step) {
 	if req.Size < 0 || req.Offset < 0 {
 		panic(fmt.Sprintf("blockdev: bad request %+v", req))
 	}
-	var o *devOp
-	if n := len(d.opFree) - 1; n >= 0 {
-		o = d.opFree[n]
-		d.opFree[n] = nil
-		d.opFree = d.opFree[:n]
-	} else {
-		o = &devOp{d: d}
-		o.resumeF = o.resume
-	}
-	o.ep, o.req, o.k, o.phase = ep, req, k, opQueued
-	d.queue.AcquireE(ep, o.resumeF)
+	o := d.ops.Get()
+	o.d, o.ep, o.req, o.k, o.phase = d, ep, req, k, opQueued
+	d.queue.AcquireE(ep, o)
 }
 
 // maxFreeOps caps a device's AccessE free list: a deep OST queue frees a
-// burst of state at once, of which only this many are kept.
+// burst of state at once, of which only this many are kept (see
+// des.FreeList).
 const maxFreeOps = 64
 
 // devOp is the state machine behind AccessE: admission slot, latency,
-// media transfer, completion. Every step re-enters resume, the one
-// continuation bound when the struct is first allocated; the struct
-// returns to its device's free list when its last step fires.
+// media transfer, completion. The struct is its own continuation: every
+// blocking point re-enters Step. It returns to its device's free list
+// when its last step fires.
 type devOp struct {
 	d         *Device
 	ep        *des.EventProc
 	req       Request
 	lat, xfer des.Time
 	phase     uint8
-	k         func()
-	resumeF   func()
+	des.Pooled
+	k des.Step
 }
 
 // devOp phases: the step that runs when the pending blocking point fires.
@@ -285,11 +279,8 @@ const (
 	opTransfer              // transfer component served
 )
 
-// opPoisoned is the phase of a released devOp under the quarantine tag.
-const opPoisoned uint8 = 0xff
-
-func (o *devOp) resume() {
-	if des.Quarantine && o.phase == opPoisoned {
+func (o *devOp) Step() {
+	if o.Recycled() {
 		panic("blockdev: device operation resumed after it was recycled")
 	}
 	d := o.d
@@ -303,7 +294,7 @@ func (o *devOp) resume() {
 			o.lat, o.xfer = d.cost(o.req)
 			o.phase = opLatency
 			if o.lat > 0 {
-				o.ep.Wait(o.lat, o.resumeF)
+				o.ep.Wait(o.lat, o)
 				return
 			}
 		case opLatency:
@@ -312,11 +303,11 @@ func (o *devOp) resume() {
 				return
 			}
 			o.phase = opMedia
-			d.media.AcquireE(o.ep, o.resumeF)
+			d.media.AcquireE(o.ep, o)
 			return
 		case opMedia:
 			o.phase = opTransfer
-			o.ep.Wait(o.xfer, o.resumeF)
+			o.ep.Wait(o.xfer, o)
 			return
 		case opTransfer:
 			d.media.Release()
@@ -326,18 +317,14 @@ func (o *devOp) resume() {
 	}
 }
 
-// finish accounts the completed request, recycles o (poisons it under
-// the quarantine tag) and runs its continuation.
+// finish accounts the completed request, recycles o and runs its
+// continuation.
 func (o *devOp) finish() {
 	d, k := o.d, o.k
 	d.complete(o.req, o.lat, o.xfer)
 	o.ep, o.k = nil, nil
-	if des.Quarantine {
-		o.phase = opPoisoned
-	} else if len(d.opFree) < maxFreeOps {
-		d.opFree = append(d.opFree, o)
-	}
-	k()
+	d.ops.Put(o)
+	k.Step()
 }
 
 // Name returns the device name.

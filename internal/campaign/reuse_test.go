@@ -138,7 +138,7 @@ func TestReusedJobAllocs(t *testing.T) {
 	}
 }
 
-// reusedJobAllocs is TestReusedJobAllocs's bound: 82 allocations
-// measured with coroutine procs (go1.24; 218 on a new cluster), 61 with
-// channel procs (197), plus a small margin.
-const reusedJobAllocs = 86
+// reusedJobAllocs is TestReusedJobAllocs's bound: 74 allocations
+// measured with coroutine procs (go1.24; 198 on a new cluster), 53 with
+// channel procs (177), plus a small margin.
+const reusedJobAllocs = 78

@@ -11,7 +11,7 @@ import (
 type kicked struct {
 	ep    *EventProc
 	kick  *Signal
-	stepF func()
+	stepF StepFunc
 }
 
 func newKicked(e *Engine, kick *Signal, step func(k *kicked)) *kicked {
@@ -50,7 +50,7 @@ func TestAcquireEContendedAllocs(t *testing.T) {
 	var grants int
 	for i := 0; i < 2; i++ {
 		var kp *kicked
-		var releaseF, heldF func()
+		var releaseF, heldF StepFunc
 		releaseF = func() {
 			r.Release()
 			kp.again()
@@ -78,7 +78,7 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	kick := NewSignal(e)
 	var wg WaitGroup
 	var rechecks, joins int
-	var joinedF func()
+	var joinedF StepFunc
 	waiter := newKicked(e, kick, func(kp *kicked) {
 		wg.Add(1)
 		wg.WaitE(kp.ep, joinedF)
@@ -91,7 +91,7 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 		waiter.again()
 	}
 	var worker *kicked
-	var firstF, secondF func()
+	var firstF, secondF StepFunc
 	firstF = func() {
 		wg.Done() // reaches zero: the waiter's wake is queued...
 		wg.Add(1) // ...and the counter rises again before it runs
@@ -122,18 +122,27 @@ func TestEventProcSize(t *testing.T) {
 	}
 }
 
-// holdOp is an acquire-wait-release operation whose continuations are
-// bound once, the way the I/O-path state machines bind theirs.
+// holdOp is an acquire-wait-release operation that is its own
+// continuation, the way the I/O-path state machines are theirs.
 type holdOp struct {
-	r           *Resource
-	ep          *EventProc
-	d           Time
-	heldF, relF func()
+	r    *Resource
+	ep   *EventProc
+	d    Time
+	held bool
 }
 
 func (h *holdOp) start(ep *EventProc) {
-	h.ep = ep
-	h.r.AcquireE(ep, h.heldF)
+	h.ep, h.held = ep, false
+	h.r.AcquireE(ep, h)
+}
+
+func (h *holdOp) Step() {
+	if !h.held {
+		h.held = true
+		h.ep.Wait(h.d, h)
+		return
+	}
+	h.r.Release()
 }
 
 // TestAwaitAllocs pins a steady-state awaited operation — a contended
@@ -146,8 +155,7 @@ func TestAwaitAllocs(t *testing.T) {
 	kick := NewSignal(e)
 	stop := false
 	for i := 0; i < 2; i++ {
-		h := &holdOp{r: r, d: Time(i + 1), relF: r.Release}
-		h.heldF = func() { h.ep.Wait(h.d, h.relF) }
+		h := &holdOp{r: r, d: Time(i + 1)}
 		e.Spawn("p", func(p *Proc) {
 			for {
 				kick.Wait(p)
@@ -172,5 +180,74 @@ func TestAwaitAllocs(t *testing.T) {
 	}
 	if e.LiveProcs() != 0 || r.Acquisitions() != 104 || r.PeakQueueLen() != 1 {
 		t.Fatalf("LiveProcs %d, %d acquisitions, peak queue %d; want 0, 104, 1", e.LiveProcs(), r.Acquisitions(), r.PeakQueueLen())
+	}
+}
+
+// stepMachine is a process that is its own continuation, or continues
+// through k when k is set. One run waits, acquires a held resource, waits
+// on a signal, takes an item from an empty queue and joins a WaitGroup, so
+// every blocking point but the first queues the process as a waiter.
+type stepMachine struct {
+	ep    EventProc
+	r     *Resource
+	sig   Signal
+	q     *Queue[int]
+	wg    WaitGroup
+	k     Step
+	phase int
+}
+
+func (m *stepMachine) Step() {
+	m.phase++
+	switch m.phase {
+	case 1:
+		m.ep.Wait(1, m.k)
+	case 2:
+		m.r.AcquireE(&m.ep, m.k)
+	case 3:
+		m.r.Release()
+		m.sig.WaitE(&m.ep, m.k)
+	case 4:
+		m.q.GetE(&m.ep, m.k)
+	case 5:
+		m.q.TryGet()
+		m.wg.WaitE(&m.ep, m.k)
+	}
+	// Phase 6, joined: the step arms nothing and the process ends.
+}
+
+// TestStepAllocs pins the continuation primitives at zero allocations for
+// both kinds of Step: a pointer to a state machine, and a StepFunc.
+// Each round restarts the machine's process with SpawnEventOn and runs it
+// through Wait, a contended AcquireE, Signal.WaitE, GetE and
+// WaitGroup.WaitE; callbacks bound once release each blocking point.
+func TestStepAllocs(t *testing.T) {
+	for _, kind := range []string{"pointer", "StepFunc"} {
+		e := NewEngine(1)
+		m := &stepMachine{r: NewResource(e, "r", 1), q: NewQueue[int](e, "q")}
+		m.k = m
+		if kind == "StepFunc" {
+			m.k = StepFunc(func() { m.Step() })
+		}
+		release, fire, put, done := m.r.Release, m.sig.Fire, func() { m.q.Put(1) }, m.wg.Done
+		round := func() {
+			m.phase = 0
+			m.r.TryAcquire()
+			m.wg.Add(1)
+			e.After(2, release)
+			e.After(3, fire)
+			e.After(4, put)
+			e.After(5, done)
+			e.SpawnEventOn(&m.ep, "m", -1, m.k)
+			e.Run(MaxTime)
+		}
+		round()
+		n := testing.AllocsPerRun(50, round)
+		if n != 0 {
+			t.Errorf("%s Step: %v allocs per round, want 0", kind, n)
+		}
+		if m.phase != 6 || e.LiveProcs() != 0 || m.r.PeakQueueLen() != 1 || m.q.Len() != 0 || e.Now() != 52*5 {
+			t.Fatalf("%s Step: phase %d, %d live procs, peak queue %d, %d queued items, clock %v; want 6, 0, 1, 0, 260", kind, m.phase, e.LiveProcs(), m.r.PeakQueueLen(), m.q.Len(), e.Now())
+		}
 	}
 }

@@ -87,7 +87,7 @@ func BenchmarkEventProcHandoff(b *testing.B) {
 	e := NewEngine(1)
 	e.SpawnEvent("p", func(ep *EventProc) {
 		n := 0
-		var step func()
+		var step StepFunc
 		step = func() {
 			n++
 			if n < b.N {
@@ -114,7 +114,7 @@ func BenchmarkProcAwaitInterleaved(b *testing.B) {
 		e.SpawnAt(Time(i), "p", func(p *Proc) {
 			var ep *EventProc
 			left := 0
-			var step func()
+			var step StepFunc
 			step = func() {
 				if left--; left > 0 {
 					ep.Wait(2, step)
@@ -143,8 +143,9 @@ func BenchmarkEventProcQueuePingPong(b *testing.B) {
 	ba := NewQueue[int](e, "ba")
 	e.SpawnEvent("a", func(ep *EventProc) {
 		i := 0
-		var step func(int)
-		step = func(int) {
+		var step StepFunc
+		step = func() {
+			ba.TryGet()
 			i++
 			if i < b.N {
 				ab.Put(i)
@@ -155,8 +156,9 @@ func BenchmarkEventProcQueuePingPong(b *testing.B) {
 		ba.GetE(ep, step)
 	})
 	e.SpawnEvent("b", func(ep *EventProc) {
-		var step func(int)
-		step = func(int) {
+		var step StepFunc
+		step = func() {
+			ab.TryGet()
 			ba.Put(0)
 			ab.GetE(ep, step)
 		}
@@ -179,7 +181,7 @@ func BenchmarkEventProcResourceContention(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		e.SpawnEvent("u", func(ep *EventProc) {
 			k := 0
-			var step func()
+			var step StepFunc
 			step = func() {
 				k++
 				if k < per {

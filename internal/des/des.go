@@ -13,13 +13,14 @@
 //     bypass the Go scheduler; on older toolchains a proc is a plain
 //     goroutine and the loop passes by one channel rendezvous.
 //   - Continuation procs (SpawnEvent): entities are state machines whose
-//     blocking points pass an explicit continuation (WaitE-style methods:
-//     Wait(d, k), Queue.GetE, Resource.AcquireE). No goroutine, stack, or
-//     channel per entity — a wake is a pooled event dispatch calling a
-//     function pointer, over 10x cheaper than a goroutine switch — which
+//     blocking points pass an explicit continuation, a Step (WaitE-style
+//     methods: Wait(d, k), Queue.GetE, Resource.AcquireE). No goroutine,
+//     stack, or channel per entity — a wake is a pooled event dispatch
+//     calling the Step, over 10x cheaper than a goroutine switch — which
 //     is what makes million-rank simulations affordable. A step that returns
 //     without arming exactly one blocking point terminates the proc; arming
-//     two panics.
+//     two panics. A state machine is its own Step, and FreeList recycles
+//     its state past a burst without keeping the burst.
 //
 // A goroutine proc runs a continuation-form operation through Proc.Await,
 // on an EventProc it hosts, so an operation written once as a state

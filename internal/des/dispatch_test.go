@@ -51,9 +51,9 @@ func TestAwaitStepPanicSurfacesFromRun(t *testing.T) {
 		e := NewEngine(1)
 		e.Spawn("a", func(p *Proc) {
 			p.Await(func(ep *EventProc) {
-				ep.Wait(10, func() {
-					ep.Wait(10, func() { panic("boom") })
-				})
+				ep.Wait(10, StepFunc(func() {
+					ep.Wait(10, StepFunc(func() { panic("boom") }))
+				}))
 			})
 		})
 		if other {
@@ -95,7 +95,7 @@ func TestAwaitStepBlockingCallPanics(t *testing.T) {
 		e := NewEngine(1)
 		e.Spawn("p", func(p *Proc) {
 			p.Await(func(ep *EventProc) {
-				ep.Wait(5, func() { tc.call(p) })
+				ep.Wait(5, StepFunc(func() { tc.call(p) }))
 			})
 		})
 		func() {
@@ -129,7 +129,7 @@ func TestAwaitSwitchesOncePerOp(t *testing.T) {
 			for j := 0; j < ops; j++ {
 				p.Await(func(ep *EventProc) {
 					left := k
-					var step func()
+					var step StepFunc
 					step = func() {
 						if left--; left > 0 {
 							ep.Wait(2, step)
@@ -340,7 +340,7 @@ func (w *genWorld) spawn(d Time, name string, ops []genOp, wg *WaitGroup) {
 	case formEventOn:
 		if d == 0 {
 			ep := w.storage()
-			w.e.SpawnEventOn(ep, name, -1, func() { w.runE(ep, name, ops, 0, end) })
+			w.e.SpawnEventOn(ep, name, -1, StepFunc(func() { w.runE(ep, name, ops, 0, end) }))
 			return
 		}
 		fallthrough
@@ -476,10 +476,10 @@ func (w *genWorld) runE(ep *EventProc, name string, ops []genOp, i int, k func()
 // opE interprets ops[i] on a continuation proc, logs it, then runs k.
 func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func()) {
 	o := ops[i]
-	next := func() {
+	next := StepFunc(func() {
 		w.logf(name, fmt.Sprint(i))
 		k()
-	}
+	})
 	switch o.kind {
 	case opWait:
 		ep.Wait(o.d, next)
@@ -489,15 +489,19 @@ func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func())
 		w.queues[o.idx].Put(i)
 		next()
 	case opGet:
-		w.queues[o.idx].GetE(ep, func(int) { next() })
+		q := w.queues[o.idx]
+		q.GetE(ep, StepFunc(func() {
+			q.TryGet()
+			next()
+		}))
 	case opHold:
 		r := w.res[o.idx]
-		r.AcquireE(ep, func() {
+		r.AcquireE(ep, StepFunc(func() {
 			w.runE(ep, fmt.Sprintf("%s/%d", name, i), o.body, 0, func() {
 				r.Release()
 				next()
 			})
-		})
+		}))
 	case opSigWait:
 		w.sigs[o.idx].WaitE(ep, next)
 	case opFire:
@@ -587,7 +591,7 @@ func TestAwaitReentryPanics(t *testing.T) {
 	var got any
 	e.Spawn("p", func(p *Proc) {
 		p.Await(func(ep *EventProc) {
-			sig.WaitE(ep, func() {})
+			sig.WaitE(ep, StepFunc(func() {}))
 			defer func() { got = recover() }()
 			p.Await(func(*EventProc) {})
 		})
@@ -616,7 +620,7 @@ func TestAwaitHostedIdentity(t *testing.T) {
 			live = append(live, e.LiveProcs())
 		})
 		p.Await(func(ep *EventProc) {
-			ep.Wait(5, func() { live = append(live, e.LiveProcs()) })
+			ep.Wait(5, StepFunc(func() { live = append(live, e.LiveProcs()) }))
 		})
 		if p.Now() != 5 {
 			t.Errorf("awaited 5ns wait ended at %v", p.Now())

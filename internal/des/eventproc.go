@@ -6,6 +6,21 @@ import (
 	"strconv"
 )
 
+// Step is a continuation: what a continuation-form process does when a
+// blocking point it armed fires. The continuation primitives take a Step
+// in the way net/http takes a Handler. A state machine is its own
+// continuation, a pointer whose Step method switches on its phase: a
+// pointer stored in an interface allocates nothing, where a method value
+// bound to the same pointer allocates a closure. StepFunc adapts a plain
+// function, which an interface holds without allocating either.
+type Step interface{ Step() }
+
+// StepFunc adapts an ordinary function to a Step.
+type StepFunc func()
+
+// Step calls f.
+func (f StepFunc) Step() { f() }
+
 // EventProc is the continuation (goroutine-free) execution form of a
 // simulated process. Where a Proc is a goroutine that blocks on simulation
 // primitives, an EventProc is a handle whose blocking points are
@@ -49,13 +64,13 @@ type EventProc struct {
 	// Await, when the host's blocking calls are misuse (see Proc.block).
 	awaited bool
 
-	// The pending step is exactly one of: fn, the body of a process that
-	// has not started; retry, a primitive whose wait condition is
-	// re-checked on wake before k runs (see retrier); or k alone. A
-	// dispatch is an ep-carrying pooled event (Wait) or a waiter-FIFO wake
-	// (Queue/Resource/Signal), whichever blocking point armed it.
-	fn    func(ep *EventProc)
-	k     func()
+	// The pending step is k, unless retry is set: retry is then either a
+	// primitive whose wait condition is re-checked on wake before k runs,
+	// or the body of a SpawnEvent process that has not started (see
+	// retrier). A dispatch is an ep-carrying pooled event (Wait) or a
+	// waiter-FIFO wake (Queue/Resource/Signal), whichever blocking point
+	// armed it.
+	k     Step
 	retry retrier
 
 	// host is the goroutine proc this EventProc is hosted by (see
@@ -64,13 +79,21 @@ type EventProc struct {
 }
 
 // retrier is a primitive whose continuation-form wait re-checks its
-// condition on wake: Resource (a TryAcquire may have taken the unit) and
-// WaitGroup (an Add may have raised the counter again). Keeping the
-// primitive in a slot on the EventProc, in place of a closure that calls
-// back into it, makes a contended wait allocation-free.
+// condition on wake: Queue (a TryGet may have taken the item), Resource
+// (a TryAcquire may have taken the unit) and WaitGroup (an Add may have
+// raised the counter again). Keeping the primitive in a slot on the
+// EventProc, in place of a closure that calls back into it, makes a
+// contended wait allocation-free. The slot also holds the body of a
+// process SpawnEvent started (spawnBody), which keeps EventProc at 80
+// bytes with a 16-byte Step.
 type retrier interface {
-	retryE(ep *EventProc, k func())
+	retryE(ep *EventProc, k Step)
 }
+
+// spawnBody is the body of a SpawnEvent process, run as its first step.
+type spawnBody func(ep *EventProc)
+
+func (fn spawnBody) retryE(ep *EventProc, _ Step) { fn(ep) }
 
 // SpawnEvent starts fn as a new continuation-form process at the current
 // time. fn runs as the first continuation step; the process lives until a
@@ -86,7 +109,7 @@ func (e *Engine) SpawnEventAt(d Time, name string, fn func(ep *EventProc)) *Even
 	}
 	ep := new(EventProc)
 	e.startEventProc(ep, d, name, -1)
-	ep.fn = fn
+	ep.retry = spawnBody(fn)
 	return ep
 }
 
@@ -97,8 +120,8 @@ var ErrLiveRestart = errors.New("des: SpawnEventOn on a live event proc")
 // SpawnEventOn starts a continuation-form process at the current time in
 // storage the caller owns, *ep, which it overwrites; the process's first
 // step is k. It suits state machines that embed an EventProc by value and
-// bind one continuation for every step: a recycled machine restarts its
-// process for every use instead of allocating one each time. The process
+// are their own continuation: a recycled machine restarts its process for
+// every use instead of allocating one each time. The process
 // gets the next PID and event slot, exactly as a spawn that allocates
 // does. It is named name, followed by index when index >= 0 (name "rank",
 // index 3 gives "rank3"); the name is formatted only when Name is called.
@@ -108,7 +131,7 @@ var ErrLiveRestart = errors.New("des: SpawnEventOn on a live event proc")
 // panics with ErrLiveRestart. For the same reason a step must never reset
 // or copy over its own EventProc, since the engine reads it after the
 // step returns.
-func (e *Engine) SpawnEventOn(ep *EventProc, name string, index int, k func()) {
+func (e *Engine) SpawnEventOn(ep *EventProc, name string, index int, k Step) {
 	if ep.live {
 		panic(fmt.Errorf("%w: %s", ErrLiveRestart, ep.Name()))
 	}
@@ -130,16 +153,13 @@ func (e *Engine) startEventProc(ep *EventProc, d Time, name string, index int) {
 // completed the operation its host awaits: enter then returns the host,
 // for the loop to resume.
 func (ep *EventProc) enter() *Proc {
-	fn, k, rt := ep.fn, ep.k, ep.retry
-	ep.fn, ep.k, ep.retry = nil, nil, nil
+	k, rt := ep.k, ep.retry
+	ep.k, ep.retry = nil, nil
 	ep.armed = false
-	switch {
-	case fn != nil:
-		fn(ep)
-	case rt != nil:
+	if rt != nil {
 		rt.retryE(ep, k)
-	default:
-		k()
+	} else {
+		k.Step()
 	}
 	if !ep.armed {
 		if ep.host != nil {
@@ -155,7 +175,7 @@ func (ep *EventProc) enter() *Proc {
 
 // arm registers k as the continuation for the blocking point being
 // installed. Exactly one blocking point may be pending per step.
-func (ep *EventProc) arm(k func()) {
+func (ep *EventProc) arm(k Step) {
 	if ep.armed {
 		panic(fmt.Sprintf("des: event proc %s blocked twice in one step", ep.Name()))
 	}
@@ -168,7 +188,7 @@ func (ep *EventProc) arm(k func()) {
 
 // armRetry is arm for a wait whose condition rt re-checks on wake before
 // k runs.
-func (ep *EventProc) armRetry(rt retrier, k func()) {
+func (ep *EventProc) armRetry(rt retrier, k Step) {
 	ep.arm(k)
 	ep.retry = rt
 }
@@ -181,7 +201,7 @@ func (ep *EventProc) wakeNow() { ep.eng.scheduleEP(ep.eng.now, ep) }
 // Wait schedules k to run after simulated delay d — the continuation
 // analogue of Proc.Wait. The wake is an ep-carrying pooled event: no
 // closure is scheduled and steady-state waits allocate nothing.
-func (ep *EventProc) Wait(d Time, k func()) {
+func (ep *EventProc) Wait(d Time, k Step) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative wait %v in event proc %s", d, ep.Name()))
 	}
@@ -191,9 +211,9 @@ func (ep *EventProc) Wait(d Time, k func()) {
 
 // WaitUntil schedules k at absolute time at, running it synchronously if
 // at is not in the future (matching Proc.WaitUntil's no-yield fast path).
-func (ep *EventProc) WaitUntil(at Time, k func()) {
+func (ep *EventProc) WaitUntil(at Time, k Step) {
 	if at <= ep.eng.now {
-		k()
+		k.Step()
 		return
 	}
 	ep.arm(k)

@@ -24,11 +24,12 @@ func TestMixedFormQueueFIFO(t *testing.T) {
 			log = append(log, fmt.Sprintf("g0:%d", v))
 		})
 		e.SpawnEvent("e1", func(ep *EventProc) {
-			ep.Wait(2*Millisecond, func() {
-				q.GetE(ep, func(v int) {
+			ep.Wait(2*Millisecond, StepFunc(func() {
+				q.GetE(ep, StepFunc(func() {
+					v, _ := q.TryGet()
 					log = append(log, fmt.Sprintf("e1:%d", v))
-				})
-			})
+				}))
+			}))
 		})
 		e.Spawn("g2", func(p *Proc) {
 			p.Wait(3 * Millisecond)
@@ -36,11 +37,12 @@ func TestMixedFormQueueFIFO(t *testing.T) {
 			log = append(log, fmt.Sprintf("g2:%d", v))
 		})
 		e.SpawnEvent("e3", func(ep *EventProc) {
-			ep.Wait(4*Millisecond, func() {
-				q.GetE(ep, func(v int) {
+			ep.Wait(4*Millisecond, StepFunc(func() {
+				q.GetE(ep, StepFunc(func() {
+					v, _ := q.TryGet()
 					log = append(log, fmt.Sprintf("e3:%d", v))
-				})
-			})
+				}))
+			}))
 		})
 		e.After(10*Millisecond, func() {
 			for i := 0; i < 4; i++ {
@@ -84,12 +86,12 @@ func TestMixedFormResourceFIFO(t *testing.T) {
 	}
 	holdE := func(name string) {
 		e.SpawnEvent(name, func(ep *EventProc) {
-			r.AcquireE(ep, func() {
+			r.AcquireE(ep, StepFunc(func() {
 				order = append(order, name)
-				ep.Wait(1*Millisecond, func() {
+				ep.Wait(1*Millisecond, StepFunc(func() {
 					r.Release()
-				})
-			})
+				}))
+			}))
 		})
 	}
 	// Arrival order interleaves forms; spawn order is arrival order since
@@ -116,9 +118,9 @@ func TestMixedFormSignalOrder(t *testing.T) {
 		order = append(order, "g0")
 	})
 	e.SpawnEvent("e1", func(ep *EventProc) {
-		s.WaitE(ep, func() {
+		s.WaitE(ep, StepFunc(func() {
 			order = append(order, "e1")
-		})
+		}))
 	})
 	e.Spawn("g2", func(p *Proc) {
 		s.Wait(p)
@@ -149,13 +151,13 @@ func TestEventProcWaitGroup(t *testing.T) {
 				})
 			} else {
 				e.SpawnEvent("echild", func(c *EventProc) {
-					c.Wait(Time(i)*Millisecond, wg.Done)
+					c.Wait(Time(i)*Millisecond, StepFunc(wg.Done))
 				})
 			}
 		}
-		wg.WaitE(ep, func() {
+		wg.WaitE(ep, StepFunc(func() {
 			done = ep.Now()
-		})
+		}))
 	})
 	e.Run(MaxTime)
 	if done != 3*Millisecond {
@@ -174,10 +176,10 @@ func TestEventProcAutoTerminate(t *testing.T) {
 	steps := 0
 	e.SpawnEvent("p", func(ep *EventProc) {
 		steps++
-		ep.Wait(1*Millisecond, func() {
+		ep.Wait(1*Millisecond, StepFunc(func() {
 			steps++
 			// No blocking call: the proc terminates here.
-		})
+		}))
 	})
 	if n := e.LiveProcs(); n != 1 {
 		t.Fatalf("LiveProcs before run = %d, want 1", n)
@@ -206,8 +208,8 @@ func TestEventProcDoubleArmPanics(t *testing.T) {
 	}()
 	e := NewEngine(1)
 	e.SpawnEvent("p", func(ep *EventProc) {
-		ep.Wait(1*Millisecond, func() {})
-		ep.Wait(2*Millisecond, func() {})
+		ep.Wait(1*Millisecond, StepFunc(func() {}))
+		ep.Wait(2*Millisecond, StepFunc(func() {}))
 	})
 	e.Run(MaxTime)
 }
@@ -217,11 +219,11 @@ func TestEventProcWaitUntil(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
 	e.SpawnEvent("p", func(ep *EventProc) {
-		ep.WaitUntil(0, func() { // already due: runs synchronously
-			ep.WaitUntil(5*Millisecond, func() {
+		ep.WaitUntil(0, StepFunc(func() { // already due: runs synchronously
+			ep.WaitUntil(5*Millisecond, StepFunc(func() {
 				at = ep.Now()
-			})
-		})
+			}))
+		}))
 	})
 	e.Run(MaxTime)
 	if at != 5*Millisecond {
@@ -268,10 +270,10 @@ func TestResourceRetryAfterSteal(t *testing.T) {
 				eventAt, goroutineAt = goroutineAt, eventAt
 			}
 			e.SpawnEventAt(eventAt, "event", func(ep *EventProc) {
-				r.AcquireE(ep, func() {
+				r.AcquireE(ep, StepFunc(func() {
 					grant("event", ep.Now())
-					ep.Wait(1*Millisecond, r.Release)
-				})
+					ep.Wait(1*Millisecond, StepFunc(r.Release))
+				}))
 			})
 			e.SpawnAt(goroutineAt, "goroutine", func(p *Proc) {
 				r.Acquire(p)
@@ -297,15 +299,15 @@ func TestResourceRetryAfterSteal(t *testing.T) {
 func TestSpawnEventOnLiveProcPanics(t *testing.T) {
 	restart := func(e *Engine, ep *EventProc) (err error) {
 		defer func() { err, _ = recover().(error) }()
-		e.SpawnEventOn(ep, "again", -1, func() {})
+		e.SpawnEventOn(ep, "again", -1, StepFunc(func() {}))
 		return nil
 	}
 	e := NewEngine(1)
 	var ep EventProc
 	var inStep error
-	e.SpawnEventOn(&ep, "w", 7, func() {
-		ep.Wait(3, func() { inStep = restart(e, &ep) })
-	})
+	e.SpawnEventOn(&ep, "w", 7, StepFunc(func() {
+		ep.Wait(3, StepFunc(func() { inStep = restart(e, &ep) }))
+	}))
 	if err := restart(e, &ep); !errors.Is(err, ErrLiveRestart) || !strings.Contains(err.Error(), "w7") {
 		t.Errorf("restart before the first step: %v, want ErrLiveRestart naming w7", err)
 	}
@@ -330,11 +332,11 @@ func TestSpawnEventOnRestartsInPlace(t *testing.T) {
 	var pids []int
 	var names []string
 	for i := 0; i < 3; i++ {
-		e.SpawnEventOn(&ep, "rpc", i, func() {
+		e.SpawnEventOn(&ep, "rpc", i, StepFunc(func() {
 			pids = append(pids, ep.PID())
 			names = append(names, ep.Name())
-			ep.Wait(Time(i+1), func() {})
-		})
+			ep.Wait(Time(i+1), StepFunc(func() {}))
+		}))
 		if n := e.LiveProcs(); n != 1 {
 			t.Fatalf("restart %d: LiveProcs = %d, want 1", i, n)
 		}

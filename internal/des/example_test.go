@@ -40,8 +40,9 @@ func ExampleEngine_After() {
 }
 
 // ExampleEngine_SpawnEvent shows the continuation (goroutine-free)
-// execution form: each blocking point passes an explicit continuation,
-// and a step that returns without arming one terminates the process.
+// execution form: each blocking point passes an explicit continuation, a
+// des.Step (here a des.StepFunc; a state machine is usually its own), and
+// a step that returns without arming one terminates the process.
 // Both forms coexist on one engine and share queues and resources; a
 // rank in this form costs one small struct plus a pooled event slot,
 // which is what makes million-rank simulations affordable.
@@ -49,14 +50,15 @@ func ExampleEngine_SpawnEvent() {
 	e := des.NewEngine(1)
 	q := des.NewQueue[string](e, "mailbox")
 	e.SpawnEvent("producer", func(ep *des.EventProc) {
-		ep.Wait(3*des.Millisecond, func() {
+		ep.Wait(3*des.Millisecond, des.StepFunc(func() {
 			q.Put("ping")
-		})
+		}))
 	})
 	e.SpawnEvent("consumer", func(ep *des.EventProc) {
-		q.GetE(ep, func(msg string) {
+		q.GetE(ep, des.StepFunc(func() {
+			msg, _ := q.TryGet()
 			fmt.Printf("%v got %q\n", ep.Now(), msg)
-		})
+		}))
 	})
 	end := e.Run(des.MaxTime)
 	fmt.Printf("makespan %v\n", end)

@@ -381,7 +381,7 @@ func TestParallelGroupMixedFormsSharded(t *testing.T) {
 			})
 			engines[i].SpawnEvent("cont", func(ep *EventProc) {
 				k := 0
-				var step func()
+				var step StepFunc
 				step = func() {
 					if k++; k > 4 {
 						return

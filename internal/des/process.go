@@ -184,7 +184,7 @@ func (s *Signal) Wait(p *Proc) {
 
 // WaitE is the continuation form of Wait: k runs when the next Fire
 // releases the signal.
-func (s *Signal) WaitE(ep *EventProc, k func()) {
+func (s *Signal) WaitE(ep *EventProc, k Step) {
 	ep.arm(k)
 	s.add(waiter{ep: ep})
 }
@@ -242,9 +242,9 @@ func (wg *WaitGroup) Wait(p *Proc) {
 // path), re-checking across Fires exactly like the goroutine form's loop.
 // The re-check rides the EventProc's retry slot, so waiting allocates
 // nothing.
-func (wg *WaitGroup) WaitE(ep *EventProc, k func()) {
+func (wg *WaitGroup) WaitE(ep *EventProc, k Step) {
 	if wg.n == 0 {
-		k()
+		k.Step()
 		return
 	}
 	ep.armRetry(wg, k)
@@ -252,4 +252,4 @@ func (wg *WaitGroup) WaitE(ep *EventProc, k func()) {
 }
 
 // retryE re-runs a woken WaitE.
-func (wg *WaitGroup) retryE(ep *EventProc, k func()) { wg.WaitE(ep, k) }
+func (wg *WaitGroup) retryE(ep *EventProc, k Step) { wg.WaitE(ep, k) }

@@ -25,21 +25,20 @@ func (w waiter) wake() {
 // slots are cleared, so finished processes never linger reachable in the
 // backing array, and the ring is reused without further allocation.
 type waiterFIFO struct {
-	buf  []waiter
-	head int
-	n    int
+	buf     []waiter
+	head, n int32
 }
 
 func (f *waiterFIFO) push(w waiter) {
-	if f.n == len(f.buf) {
+	if int(f.n) == len(f.buf) {
 		nb := make([]waiter, max(8, 2*len(f.buf)))
-		for i := 0; i < f.n; i++ {
-			nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
+		for i := 0; i < int(f.n); i++ {
+			nb[i] = f.buf[(int(f.head)+i)&(len(f.buf)-1)]
 		}
 		f.buf = nb
 		f.head = 0
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = w
+	f.buf[(int(f.head)+int(f.n))&(len(f.buf)-1)] = w
 	f.n++
 }
 
@@ -51,12 +50,12 @@ func (f *waiterFIFO) pop() (w waiter, ok bool) {
 	}
 	w = f.buf[f.head]
 	f.buf[f.head] = waiter{}
-	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.head = (f.head + 1) & int32(len(f.buf)-1)
 	f.n--
 	return w, true
 }
 
-func (f *waiterFIFO) len() int { return f.n }
+func (f *waiterFIFO) len() int { return int(f.n) }
 
 // Queue is an unbounded FIFO message store for inter-process communication
 // in simulated time: Put never blocks, Get blocks until an item is present.
@@ -115,19 +114,25 @@ func (q *Queue[T]) Get(p *Proc) T {
 	return q.take()
 }
 
-// GetE is the continuation form of Get: when an item is available it is
-// delivered to k synchronously (matching Get's no-yield fast path);
-// otherwise the process joins the getter FIFO and k runs when its wake
-// finds an item. Like the goroutine form, a woken getter that finds the
-// queue emptied again (a TryGet raced it) re-enters at the back.
-func (q *Queue[T]) GetE(ep *EventProc, k func(T)) {
+// GetE is the continuation form of Get: k runs once the queue holds an
+// item, synchronously when it already does (matching Get's no-yield fast
+// path), and takes it with TryGet, which then always succeeds. Otherwise
+// the process joins the getter FIFO, and its wake re-checks the queue
+// before k runs: like the goroutine form, a woken getter that finds the
+// queue emptied again (a TryGet raced it) re-enters at the back. The
+// re-check rides the EventProc's retry slot, so waiting allocates
+// nothing.
+func (q *Queue[T]) GetE(ep *EventProc, k Step) {
 	if q.n > 0 {
-		k(q.take())
+		k.Step()
 		return
 	}
-	ep.arm(func() { q.GetE(ep, k) })
+	ep.armRetry(q, k)
 	q.getters.push(waiter{ep: ep})
 }
+
+// retryE re-runs a woken GetE.
+func (q *Queue[T]) retryE(ep *EventProc, k Step) { q.GetE(ep, k) }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {

@@ -23,7 +23,7 @@ func dirtyRun(e *Engine, r *Resource, horizon Time) string {
 			sig.Wait(p)
 		})
 		e.SpawnEvent("ev", func(ep *EventProc) {
-			r.UseE(ep, 7, func() { fmt.Fprintf(&b, "e%d@%d ", ep.PID(), ep.Now()) })
+			r.UseE(ep, 7, StepFunc(func() { fmt.Fprintf(&b, "e%d@%d ", ep.PID(), ep.Now()) }))
 		})
 	}
 	for i := 0; i < 300; i++ {
@@ -95,7 +95,7 @@ func TestResetInUsePanics(t *testing.T) {
 
 	sig := NewSignal(e)
 	e.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
-	e.SpawnEvent("stuck", func(ep *EventProc) { sig.WaitE(ep, func() {}) })
+	e.SpawnEvent("stuck", func(ep *EventProc) { sig.WaitE(ep, StepFunc(func() {})) })
 	e.Run(MaxTime)
 	wantLiveReset(t, "engine with live procs", func() { e.Reset(2) })
 	sig.Fire()
@@ -105,7 +105,7 @@ func TestResetInUsePanics(t *testing.T) {
 	r := NewResource(e, "r", 1)
 	r.TryAcquire()
 	wantLiveReset(t, "held resource", r.Reset)
-	e.SpawnEvent("waiter", func(ep *EventProc) { r.AcquireE(ep, r.Release) })
+	e.SpawnEvent("waiter", func(ep *EventProc) { r.AcquireE(ep, StepFunc(r.Release)) })
 	e.Run(MaxTime)
 	wantLiveReset(t, "held resource with a waiter", r.Reset)
 	r.Release() // the waiter takes the unit and releases it

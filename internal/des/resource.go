@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Resource models a server with fixed capacity and a FIFO wait queue:
 // network links, disk queues, CPU slots. Acquire blocks the calling process
@@ -10,10 +13,11 @@ type Resource struct {
 	name string
 	// affix, when set, holds the fixed part of the resource's name (see
 	// InitAffixed).
-	affix    *NameAffix
-	capacity int
-	inUse    int
-	waiters  waiterFIFO
+	affix *NameAffix
+	// capacity and inUse are 32-bit so that they share a word, which
+	// keeps a network node's two links in a smaller size class.
+	capacity, inUse int32
+	waiters         waiterFIFO
 	resourceUsage
 }
 
@@ -48,10 +52,10 @@ type NameAffix struct{ Prefix, Suffix string }
 // called, so an owner that makes many resources shares one NameAffix and
 // saves a string per resource; *a must not change afterwards.
 func (r *Resource) InitAffixed(e *Engine, a *NameAffix, name string, capacity int) {
-	if capacity < 1 {
-		panic(fmt.Sprintf("des: resource %q capacity %d < 1", name, capacity))
+	if capacity < 1 || capacity > math.MaxInt32 {
+		panic(fmt.Sprintf("des: resource %q capacity %d outside [1, 2^31)", name, capacity))
 	}
-	*r = Resource{eng: e, name: name, affix: a, capacity: capacity}
+	*r = Resource{eng: e, name: name, affix: a, capacity: int32(capacity)}
 }
 
 // Reset returns an idle r to its state just after Init: its accounting
@@ -92,7 +96,7 @@ func (r *Resource) Acquire(p *Proc) {
 // if a TryAcquire raced it (exactly the goroutine form's loop). A
 // contended wait keeps the resource in the EventProc's retry slot, so it
 // allocates nothing.
-func (r *Resource) AcquireE(ep *EventProc, k func()) {
+func (r *Resource) AcquireE(ep *EventProc, k Step) {
 	if r.inUse >= r.capacity {
 		ep.armRetry(r, k)
 		r.waiters.push(waiter{ep: ep})
@@ -104,11 +108,11 @@ func (r *Resource) AcquireE(ep *EventProc, k func()) {
 	r.account()
 	r.inUse++
 	r.acquired++
-	k()
+	k.Step()
 }
 
 // retryE re-runs a woken AcquireE.
-func (r *Resource) retryE(ep *EventProc, k func()) { r.AcquireE(ep, k) }
+func (r *Resource) retryE(ep *EventProc, k Step) { r.AcquireE(ep, k) }
 
 // TryAcquire obtains a unit without blocking; it reports whether it succeeded.
 func (r *Resource) TryAcquire() bool {
@@ -142,18 +146,35 @@ func (r *Resource) Use(p *Proc, d Time) {
 }
 
 // UseE is the continuation form of Use: acquire, hold for service time d,
-// release, then run k.
-func (r *Resource) UseE(ep *EventProc, d Time, k func()) {
-	r.AcquireE(ep, func() {
-		ep.Wait(d, func() {
-			r.Release()
-			k()
-		})
-	})
+// release, then run k. Its state is one small allocation per call; a hot
+// path that holds resources writes its own state machine, as the I/O
+// layers do.
+func (r *Resource) UseE(ep *EventProc, d Time, k Step) {
+	r.AcquireE(ep, &useE{r: r, ep: ep, d: d, k: k})
+}
+
+// useE is the state machine behind UseE: its first step holds the unit
+// for d, its second releases it and runs k.
+type useE struct {
+	r    *Resource
+	ep   *EventProc
+	d    Time
+	k    Step
+	held bool
+}
+
+func (u *useE) Step() {
+	if !u.held {
+		u.held = true
+		u.ep.Wait(u.d, u)
+		return
+	}
+	u.r.Release()
+	u.k.Step()
 }
 
 // InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
+func (r *Resource) InUse() int { return int(r.inUse) }
 
 // QueueLen reports the number of processes waiting.
 func (r *Resource) QueueLen() int { return r.waiters.len() }
@@ -183,4 +204,4 @@ func (r *Resource) Name() string {
 }
 
 // Capacity returns the configured capacity.
-func (r *Resource) Capacity() int { return r.capacity }
+func (r *Resource) Capacity() int { return int(r.capacity) }

@@ -27,11 +27,11 @@ func ExampleWorld_SpawnEvent() {
 		if r.ID() < 2 {
 			return
 		}
-		r.Compute(des.Time(r.ID()+1)*des.Millisecond, func() {
-			r.Barrier(func() {
+		r.Compute(des.Time(r.ID()+1)*des.Millisecond, des.StepFunc(func() {
+			r.Barrier(des.StepFunc(func() {
 				fmt.Printf("event rank %d released at %v\n", r.ID(), r.Now())
-			})
-		})
+			}))
+		}))
 	})
 	e.Run(des.MaxTime)
 	// Output:

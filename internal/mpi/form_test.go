@@ -101,7 +101,7 @@ func (pr *barrierProg) runRank(r *Rank, out []des.Time) {
 // a Compute, then the barrier.
 func (pr *barrierProg) runEvent(r *EventRank, out []des.Time) {
 	i := 0
-	var round, collective, barrier, released func()
+	var round, collective, barrier, released des.StepFunc
 	round = func() {
 		if i == len(pr.ops) {
 			return
@@ -136,12 +136,13 @@ func (pr *barrierProg) run(t *testing.T, goroutine []bool) ([][]des.Time, uint64
 	e := des.NewEngine(1)
 	w := NewWorld(e, pr.size, pr.opts)
 	out := make([][]des.Time, pr.size)
+	w.eventBody = func(r *EventRank) { pr.runEvent(r, out[r.ID()]) }
 	for i := range out {
 		out[i] = make([]des.Time, len(pr.ops))
 		if goroutine[i] {
 			w.spawn(i, func(r *Rank) { pr.runRank(r, out[r.ID()]) })
 		} else {
-			new(EventRank).start(w, i, func(r *EventRank) { pr.runEvent(r, out[r.ID()]) })
+			w.startEvent(new(EventRank), i)
 		}
 	}
 	e.Run(des.MaxTime)
@@ -204,8 +205,8 @@ func TestBarrierFormsAgree(t *testing.T) {
 }
 
 // TestBarrierAllocs pins a steady-state barrier at zero allocations in
-// both forms. A goroutine rank binds its barrier step at its first
-// barrier; a goroutine collective costs nothing more.
+// both forms. The barrier machine is its own continuation, so neither form
+// binds anything; a goroutine collective costs nothing more.
 func TestBarrierAllocs(t *testing.T) {
 	for _, goroutine := range []bool{true, false} {
 		t.Run(fmt.Sprintf("goroutine=%v", goroutine), func(t *testing.T) {
@@ -232,7 +233,7 @@ func TestBarrierAllocs(t *testing.T) {
 				})
 			} else {
 				w.SpawnEvent(func(r *EventRank) {
-					var wait, compute, barrier, released func()
+					var wait, compute, barrier, released des.StepFunc
 					wait = func() { kick.WaitE(r.Proc(), compute) }
 					compute = func() {
 						if !stop {

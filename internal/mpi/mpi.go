@@ -52,6 +52,9 @@ type World struct {
 	barCount  int
 	barSignal des.Signal
 
+	// eventBody is the body SpawnEvent runs on every event rank.
+	eventBody func(r *EventRank)
+
 	// Statistics.
 	msgs      uint64
 	bytesSent int64
@@ -198,14 +201,14 @@ func (r *Rank) ringCost(size int64) des.Time {
 // d unless d is noWait, so a collective costs its proc one hand-off.
 func (r *Rank) await(d des.Time) {
 	r.p.Await(func(ep *des.EventProc) {
-		if r.stepF == nil {
-			r.ep, r.stepF = ep, r.step
-		}
+		r.ep = ep
 		r.enter(d, nop)
 	})
 }
 
-func nop() {}
+// nop is the completion of an awaited barrier: the awaiting proc resumes
+// once the machine's last step returns.
+var nop = des.StepFunc(func() {})
 
 // ceilLog2 returns ceil(log2 n) for n >= 1.
 func ceilLog2(n int) int { return bits.Len(uint(n - 1)) }

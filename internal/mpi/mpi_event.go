@@ -15,18 +15,17 @@ import "pioeval/internal/des"
 // returning at once for the ranks the other form runs. The ranks, each
 // with the event process it embeds, are one allocation.
 func (w *World) SpawnEvent(fn func(r *EventRank)) {
+	w.eventBody = fn
 	ranks := make([]EventRank, w.size)
 	for i := range ranks {
-		ranks[i].start(w, i, fn)
+		w.startEvent(&ranks[i], i)
 	}
 }
 
-// start launches r as rank i of w, on the event process it embeds.
-func (r *EventRank) start(w *World, i int, fn func(r *EventRank)) {
+// startEvent launches r as rank i of w, on the event process it embeds.
+func (w *World) startEvent(r *EventRank, i int) {
 	r.rank = rank{w: w, id: i, ep: &r.proc}
-	r.fn = fn
-	r.stepF = r.resume
-	w.eng.SpawnEventOn(&r.proc, "rank", i, r.stepF)
+	w.eng.SpawnEventOn(&r.proc, "rank", i, (*eventRankStart)(r))
 }
 
 // EventRank is one MPI process in continuation form: the pairing of a
@@ -35,42 +34,44 @@ func (r *EventRank) start(w *World, i int, fn func(r *EventRank)) {
 // only pending blocking point (see des.EventProc).
 type EventRank struct {
 	rank
-	fn   func(r *EventRank) // the body, until the rank starts
-	proc des.EventProc      // the rank's process (rank.ep)
+	proc des.EventProc // the rank's process (rank.ep)
 }
 
-// resume is the rank's bound step: the body's start, then every barrier
-// wake.
-func (r *EventRank) resume() {
-	if fn := r.fn; fn != nil {
-		r.fn = nil
-		fn(r)
-		return
-	}
-	r.step()
+// eventRankStart is an EventRank seen as its first step, which runs the
+// World's body; a conversion, so Step stays off EventRank's method set.
+type eventRankStart EventRank
+
+func (s *eventRankStart) Step() {
+	r := (*EventRank)(s)
+	r.w.eventBody(r)
 }
 
 // Proc returns the underlying event process.
 func (r *EventRank) Proc() *des.EventProc { return r.ep }
 
 // Compute advances simulated time by d (models computation), then runs k.
-func (r *EventRank) Compute(d des.Time, k func()) { r.ep.Wait(d, k) }
+func (r *EventRank) Compute(d des.Time, k des.Step) { r.ep.Wait(d, k) }
 
 // Barrier synchronizes all ranks (of either execution form) and then runs
 // k; the cost model adds a log2(P) latency term to the release.
-func (r *EventRank) Barrier(k func()) { r.enter(noWait, k) }
+func (r *EventRank) Barrier(k des.Step) { r.enter(noWait, k) }
 
 // rank is what the two rank forms share: the id and the barrier machine,
 // which runs on the rank's event process (an EventRank's own, or the one a
-// goroutine Rank hosts for Await) and re-enters stepF on every wake.
+// goroutine Rank hosts for Await) and re-enters step on every wake.
 type rank struct {
 	w     *World
 	id    int
 	ep    *des.EventProc
-	stepF func() // step, or a step that leads to it
-	k     func() // runs on release
+	k     des.Step // runs on release
 	phase uint8
 }
+
+// barrierStep is a rank seen as its barrier machine's continuation; a
+// conversion, so Step stays off the rank types' method sets.
+type barrierStep rank
+
+func (b *barrierStep) Step() { (*rank)(b).step() }
 
 // ID returns the rank number.
 func (r *rank) ID() int { return r.id }
@@ -93,10 +94,10 @@ const (
 
 // enter starts the barrier machine: after a wait of d unless d is noWait,
 // the rank arrives at the barrier, and k runs once it is released.
-func (r *rank) enter(d des.Time, k func()) {
+func (r *rank) enter(d des.Time, k des.Step) {
 	r.k, r.phase = k, barArrive
 	if d != noWait {
-		r.ep.Wait(d, r.stepF)
+		r.ep.Wait(d, (*barrierStep)(r))
 		return
 	}
 	r.step()
@@ -113,18 +114,18 @@ func (r *rank) step() {
 		w.barCount++
 		if w.barCount < w.size {
 			r.phase = barRelease
-			w.barSignal.WaitE(r.ep, r.stepF)
+			w.barSignal.WaitE(r.ep, (*barrierStep)(r))
 			return
 		}
 		w.barCount = 0
 		// Dissemination barrier cost: ceil(log2 P) rounds of alpha.
 		r.phase = barFire
-		r.ep.Wait(w.opts.Alpha*des.Time(ceilLog2(w.size)), r.stepF)
+		r.ep.Wait(w.opts.Alpha*des.Time(ceilLog2(w.size)), (*barrierStep)(r))
 		return
 	case barFire:
 		w.barSignal.Fire()
 	}
 	k := r.k
 	r.k = nil
-	k()
+	k.Step()
 }

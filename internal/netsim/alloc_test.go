@@ -20,7 +20,7 @@ func transferAllocs(t *testing.T, dsts ...string) float64 {
 	for _, name := range dsts {
 		dst := f.AddNode(name)
 		var ep *des.EventProc
-		var stepF, doneF func()
+		var stepF, doneF des.StepFunc
 		stepF = func() { f.TransferE(ep, a, dst, 10_000, doneF) }
 		doneF = func() { kick.WaitE(ep, stepF) }
 		e.SpawnEvent(name, func(p *des.EventProc) {
@@ -59,13 +59,13 @@ func TestTransferFreeListBounded(t *testing.T) {
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a, b := f.AddNode("a"), f.AddNode("b")
 	for i := 0; i < 10_000; i++ {
-		e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 1000, func() {}) })
+		e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 1000, nop) })
 	}
 	e.Run(des.MaxTime)
 	if f.Messages() != 10_000 {
 		t.Fatalf("%d transfers, want 10000", f.Messages())
 	}
-	if n := len(f.xferFree); n == 0 || n > maxFreeTransfers {
+	if n := f.xfers.Len(); n == 0 || n > maxFreeTransfers {
 		t.Errorf("free list holds %d transfers after the burst, want 1..%d", n, maxFreeTransfers)
 	}
 }

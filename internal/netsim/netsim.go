@@ -83,8 +83,8 @@ type Fabric struct {
 	inName, outName des.NameAffix
 	fabricState
 
-	// xferFree recycles TransferE state machines (see transferE).
-	xferFree []*transferE
+	// xfers recycles TransferE state machines (see transferE).
+	xfers des.FreeList[transferE, *transferE]
 }
 
 // fabricState is the part of a Fabric a run changes, which Reset zeroes.
@@ -113,6 +113,7 @@ func (n *Node) Name() string { return n.name }
 // NewFabric creates a fabric on engine e with config cfg.
 func NewFabric(e *des.Engine, cfg Config) *Fabric {
 	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*Node)}
+	f.xfers.Init(maxFreeTransfers)
 	f.inName = des.NameAffix{Prefix: cfg.Name + ".", Suffix: ".in"}
 	f.outName = des.NameAffix{Prefix: f.inName.Prefix, Suffix: ".out"}
 	if cfg.BackplaneBandwidth > 0 {
@@ -227,30 +228,31 @@ func (f *Fabric) Transfer(p *des.Proc, src, dst *Node, size int64) {
 
 // nop is the completion of an awaited operation: the awaiting proc
 // resumes once the operation's last step returns.
-func nop() {}
+var nop = des.StepFunc(func() {})
 
 // maxFreeTransfers caps a fabric's TransferE free list. A burst of
 // concurrent transfers (every rank of a shard queued at one NIC) frees far
-// more state than steady state reuses; only this many are kept.
+// more state than steady state reuses; only this many are kept (see
+// des.FreeList).
 const maxFreeTransfers = 256
 
 // transferE is the state machine behind TransferE. One chunk cycle is:
 // acquire the sender link, (acquire the backplane), acquire the receiver
 // link, hold for the serialization time, release in reverse order, next
-// chunk. Every step re-enters resume, the one continuation bound when the
-// struct is first allocated; the struct returns to its fabric's free list
-// when its last step fires, so a steady-state transfer allocates nothing.
+// chunk. The struct is its own continuation: every blocking point re-enters
+// Step. It returns to its fabric's free list when its last step fires, so
+// a steady-state transfer allocates nothing.
 type transferE struct {
-	f       *Fabric
-	ep      *des.EventProc
-	s, d    *Node
-	remain  int64
-	chunk   int64
-	n       int64    // current chunk size
-	t       des.Time // current chunk serialization time
-	phase   uint8
-	k       func()
-	resumeF func()
+	f      *Fabric
+	ep     *des.EventProc
+	s, d   *Node
+	remain int64
+	chunk  int64
+	n      int64    // current chunk size
+	t      des.Time // current chunk serialization time
+	phase  uint8
+	des.Pooled
+	k des.Step
 }
 
 // transferE phases: the step that runs when the pending blocking point
@@ -263,11 +265,8 @@ const (
 	xfSent                   // chunk serialized
 )
 
-// xfPoisoned is the phase of a released transferE under the quarantine tag.
-const xfPoisoned uint8 = 0xff
-
-func (t *transferE) resume() {
-	if des.Quarantine && t.phase == xfPoisoned {
+func (t *transferE) Step() {
+	if t.Recycled() {
 		panic("netsim: transfer resumed after it was recycled")
 	}
 	f := t.f
@@ -276,34 +275,35 @@ func (t *transferE) resume() {
 		case xfChunk:
 			if t.remain <= 0 {
 				k := t.k
-				f.putTransfer(t)
-				k()
+				t.ep, t.s, t.d, t.k = nil, nil, nil, nil
+				f.xfers.Put(t)
+				k.Step()
 				return
 			}
 			t.n = min(t.chunk, t.remain)
 			t.phase = xfOut
-			t.s.out.AcquireE(t.ep, t.resumeF)
+			t.s.out.AcquireE(t.ep, t)
 			return
 		case xfOut:
 			t.t = f.scaled(transferTime(t.n, f.cfg.LinkBandwidth))
 			if f.cfg.BackplaneBandwidth > 0 {
 				t.phase = xfBackplane
-				f.backplane.AcquireE(t.ep, t.resumeF)
+				f.backplane.AcquireE(t.ep, t)
 				return
 			}
 			t.phase = xfIn
-			t.d.in.AcquireE(t.ep, t.resumeF)
+			t.d.in.AcquireE(t.ep, t)
 			return
 		case xfBackplane:
 			if bt := f.scaled(transferTime(t.n, f.cfg.BackplaneBandwidth)); bt > t.t {
 				t.t = bt
 			}
 			t.phase = xfIn
-			t.d.in.AcquireE(t.ep, t.resumeF)
+			t.d.in.AcquireE(t.ep, t)
 			return
 		case xfIn:
 			t.phase = xfSent
-			t.ep.Wait(t.t, t.resumeF)
+			t.ep.Wait(t.t, t)
 			return
 		case xfSent:
 			t.d.in.Release()
@@ -317,42 +317,21 @@ func (t *transferE) resume() {
 	}
 }
 
-// putTransfer returns t to the free list, dropping its references; under
-// the quarantine tag it poisons t instead.
-func (f *Fabric) putTransfer(t *transferE) {
-	t.ep, t.s, t.d, t.k = nil, nil, nil, nil
-	if des.Quarantine {
-		t.phase = xfPoisoned
-		return
-	}
-	if len(f.xferFree) < maxFreeTransfers {
-		f.xferFree = append(f.xferFree, t)
-	}
-}
-
 // TransferE moves size bytes from src to dst in simulated time and runs k
 // on completion, using the calling EventProc for all queueing. The
 // message pays one latency (half of it on loopback), then serializes in
 // MTU-sized chunks, each holding the sender link, the backplane if any
 // and the receiver link. It never runs k before returning.
-func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k func()) {
+func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k des.Step) {
 	chunk := f.begin(src, dst, size)
 	if src == dst {
 		ep.Wait(f.scaled(f.cfg.Latency/2), k)
 		return
 	}
-	var t *transferE
-	if n := len(f.xferFree) - 1; n >= 0 {
-		t = f.xferFree[n]
-		f.xferFree[n] = nil
-		f.xferFree = f.xferFree[:n]
-	} else {
-		t = &transferE{f: f}
-		t.resumeF = t.resume
-	}
-	t.ep, t.s, t.d, t.remain, t.chunk, t.k = ep, src, dst, size, chunk, k
+	t := f.xfers.Get()
+	t.f, t.ep, t.s, t.d, t.remain, t.chunk, t.k = f, ep, src, dst, size, chunk, k
 	t.phase = xfChunk
-	ep.Wait(f.scaled(f.cfg.Latency), t.resumeF)
+	ep.Wait(f.scaled(f.cfg.Latency), t)
 }
 
 // RTT returns the zero-payload round-trip time estimate (2x latency).

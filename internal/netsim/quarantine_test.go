@@ -9,25 +9,24 @@ import (
 	"pioeval/internal/des"
 )
 
-// TestQuarantinePoisonsRecycledTransfer: under the quarantine tag a
-// finished TransferE's state machine is poisoned instead of reused, and
-// resuming it panics.
+// TestQuarantinePoisonsRecycledTransfer: under the quarantine tag the
+// fabric's free list keeps no finished TransferE state machine, and
+// resuming a released one panics.
 func TestQuarantinePoisonsRecycledTransfer(t *testing.T) {
 	e := des.NewEngine(1)
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a, b := f.AddNode("a"), f.AddNode("b")
-	x := &transferE{f: f}
-	x.resumeF = x.resume
-	f.xferFree = append(f.xferFree, x)
-	e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 4096, func() {}) })
+	e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 4096, nop) })
 	e.Run(des.MaxTime)
-	if len(f.xferFree) != 0 || f.Messages() != 1 {
-		t.Fatalf("free list holds %d, %d transfers; want 0 and 1", len(f.xferFree), f.Messages())
+	if f.xfers.Len() != 0 || f.Messages() != 1 {
+		t.Fatalf("free list holds %d, %d transfers; want 0 and 1", f.xfers.Len(), f.Messages())
 	}
+	x := f.xfers.Get()
+	f.xfers.Put(x)
 	defer func() {
 		if s, _ := recover().(string); !strings.Contains(s, "resumed after it was recycled") {
 			t.Errorf("resumed recycled transfer: recovered %q, want the quarantine panic", s)
 		}
 	}()
-	x.resume()
+	x.Step()
 }

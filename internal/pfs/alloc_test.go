@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -20,7 +21,7 @@ func TestMetaRPCEAllocs(t *testing.T) {
 	var ep *des.EventProc
 	var h *Handle
 	var end int64
-	var stepF func()
+	var stepF des.StepFunc
 	var doneF func(error)
 	stepF = func() {
 		end++
@@ -96,9 +97,9 @@ func TestCallFreeListsBounded(t *testing.T) {
 		name string
 		n    int
 	}{
-		{"metaCall", len(fs.metaFree.items)},
-		{"ioCall", len(fs.ioFree.items)},
-		{"rpcCall", len(fs.rpcFree.items)},
+		{"metaCall", fs.metaFree.Len()},
+		{"ioCall", fs.ioFree.Len()},
+		{"rpcCall", fs.rpcFree.Len()},
 	} {
 		if l.n == 0 || l.n > maxFreeCalls {
 			t.Errorf("%s free list holds %d after the burst, want 1..%d", l.name, l.n, maxFreeCalls)
@@ -160,10 +161,9 @@ func TestGoroutineWriteAllocs(t *testing.T) {
 }
 
 // TestNewIOCallAllocs pins a write that finds the ioCall free list empty
-// (a burst past its cap) at two allocations, the ioCall and the
-// continuation it binds: its chunk, RPC and error slices have inline
-// backing for a one-RPC request, and so has the waiter list of the
-// WaitGroup its fan-out joins on.
+// at one allocation, the ioCall, which is its own continuation: its
+// chunk, RPC and error slices have inline backing for a one-RPC request,
+// and so has the waiter list of the WaitGroup its fan-out joins on.
 func TestNewIOCallAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, fastConfig())
@@ -182,8 +182,9 @@ func TestNewIOCallAllocs(t *testing.T) {
 			if stop {
 				return
 			}
-			clear(fs.ioFree.items)
-			fs.ioFree.items = fs.ioFree.items[:0]
+			for fs.ioFree.Len() > 0 {
+				fs.ioFree.Get() // dropped: the write must allocate its own
+			}
 			if writeErr = h.Write(p, 0, 1<<20); writeErr != nil {
 				return
 			}
@@ -204,8 +205,8 @@ func TestNewIOCallAllocs(t *testing.T) {
 	if st := c.Stats(); st.WriteRPCs != 52 {
 		t.Fatalf("%d write RPCs, want 52", st.WriteRPCs)
 	}
-	if n != 2 {
-		t.Errorf("one-RPC write on a new ioCall: %v allocs, want 2", n)
+	if n != 1 {
+		t.Errorf("one-RPC write on a new ioCall: %v allocs, want 1", n)
 	}
 }
 
@@ -306,5 +307,27 @@ func TestClientChunkAllocs(t *testing.T) {
 			t.Fatalf("client %p: duplicate %v, fs %p, node %q", c, seen[c], c.fs, c.Node())
 		}
 		seen[c] = true
+	}
+}
+
+// TestRoundRobinLayoutAllocs: a round-robin layout's OSTs are a window of
+// the file system's OST ring, so allocating one costs nothing, a layout
+// that wraps past the last OST reads on from the first, and the window is
+// capped, so an append to it copies instead of writing into the ring.
+func TestRoundRobinLayoutAllocs(t *testing.T) {
+	fs := New(des.NewEngine(1), fastConfig()) // 8 OSTs
+	var l Layout
+	if n := testing.AllocsPerRun(100, func() { l = fs.allocateLayout(3, 0) }); n != 0 {
+		t.Errorf("round-robin layout: %v allocs, want 0", n)
+	}
+	fs.nextOST = 6
+	l = fs.allocateLayout(4, 0)
+	if want := []int{6, 7, 0, 1}; !slices.Equal(l.OSTs, want) || cap(l.OSTs) != len(l.OSTs) {
+		t.Fatalf("layout from OST 6: %v (cap %d), want %v capped", l.OSTs, cap(l.OSTs), want)
+	}
+	_ = append(l.OSTs, 99)
+	fs.nextOST = 3
+	if wide := fs.allocateLayout(8, 0); !slices.Equal(wide.OSTs, []int{3, 4, 5, 6, 7, 0, 1, 2}) {
+		t.Fatalf("a layout over the appended-to window reads %v, want [3 4 5 6 7 0 1 2]", wide.OSTs)
 	}
 }

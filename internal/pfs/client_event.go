@@ -19,39 +19,17 @@ import (
 //
 // Each operation in flight is a state machine — metaCall (one metadata
 // RPC), ioCall (one write, read, fsync or close) or rpcCall (one data RPC)
-// — whose steps all re-enter a single continuation, resume, bound once
-// when the struct is first allocated. Arguments and results travel in the
-// struct, and it returns to a bounded free list on its FS when its last
-// step fires (or, for an awaited call, once the proc has read its
-// outcome), so a steady-state operation allocates nothing of its own.
+// — that is its own continuation: every blocking point re-enters its Step
+// method. Arguments and results travel in the struct, and it returns to a
+// bounded free list on its FS when its last step fires (or, for an
+// awaited call, once the proc has read its outcome), so a steady-state
+// operation allocates nothing of its own.
 
 // maxFreeCalls caps each of an FS's call free lists. When every rank of
 // a shard is in the same phase, a burst of calls completes at once; only
 // this many are kept, so the burst is not retained for the rest of the
-// run.
+// run (see des.FreeList).
 const maxFreeCalls = 256
-
-// freeList is a bounded stack of recycled call state, owned by one FS.
-type freeList[T any] struct{ items []*T }
-
-// get pops a recycled item, or returns nil when the list is empty.
-func (l *freeList[T]) get() *T {
-	n := len(l.items) - 1
-	if n < 0 {
-		return nil
-	}
-	x := l.items[n]
-	l.items[n] = nil
-	l.items = l.items[:n]
-	return x
-}
-
-// put recycles x unless the list is full.
-func (l *freeList[T]) put(x *T) {
-	if len(l.items) < maxFreeCalls {
-		l.items = append(l.items, x)
-	}
-}
 
 // leg is one client↔server message of a continuation call: one hop on a
 // flat network, two through the client's I/O node.
@@ -65,7 +43,7 @@ type leg struct {
 // hopE issues the next hop of l with continuation k and reports true, or
 // reports false once every hop has completed. A leg crosses the client's
 // I/O node when it has one.
-func (c *Client) hopE(l *leg, ep *des.EventProc, k func()) bool {
+func (c *Client) hopE(l *leg, ep *des.EventProc, k des.Step) bool {
 	fs := c.fs
 	if c.ionC == nil {
 		if l.hops > 0 {
@@ -114,8 +92,9 @@ type metaCall struct {
 	attempt int32
 	phase   uint8
 	isDir   bool // a stat's result
-	leg     leg
-	path    string
+	des.Pooled
+	leg  leg
+	path string
 
 	// Namespace arguments and results. A create passes its requested
 	// striping in layout and gets the allocated layout back; a set-size
@@ -131,9 +110,8 @@ type metaCall struct {
 	// Completion: a create or open hands kH the new handle, a set-size
 	// resumes the write it belongs to, io. With neither, a goroutine proc
 	// awaits the call and reads its outcome before recycling it.
-	kH      func(*Handle, error)
-	io      *ioCall
-	resumeF func()
+	kH func(*Handle, error)
+	io *ioCall
 }
 
 // metaCall phases: the step that runs when the pending blocking point
@@ -148,17 +126,9 @@ const (
 	mcBackoff              // retry backoff elapsed
 )
 
-// callPoisoned is the phase (kind, for an ioCall) of a released call
-// under the quarantine tag (see des.Quarantine).
-const callPoisoned = 0xff
-
 // newMeta takes a metaCall for op on path from the free list.
 func (c *Client) newMeta(op MetaOp, path string) *metaCall {
-	m := c.fs.metaFree.get()
-	if m == nil {
-		m = &metaCall{}
-		m.resumeF = m.resume
-	}
+	m := c.fs.metaFree.Get()
 	m.c, m.op, m.path = c, op, path
 	return m
 }
@@ -167,7 +137,7 @@ func (c *Client) newMeta(op MetaOp, path string) *metaCall {
 func (m *metaCall) run(ep *des.EventProc) {
 	m.ep, m.start = ep, ep.Now()
 	m.send()
-	m.resume()
+	m.Step()
 }
 
 // await runs m on goroutine proc p and returns its error. The caller
@@ -195,8 +165,8 @@ func (m *metaCall) send() {
 	m.phase = mcSend
 }
 
-func (m *metaCall) resume() {
-	if des.Quarantine && m.phase == callPoisoned {
+func (m *metaCall) Step() {
+	if m.Recycled() {
 		panic("pfs: metadata call resumed after it was recycled")
 	}
 	c := m.c
@@ -204,20 +174,20 @@ func (m *metaCall) resume() {
 	for {
 		switch m.phase {
 		case mcSend:
-			if c.hopE(&m.leg, m.ep, m.resumeF) {
+			if c.hopE(&m.leg, m.ep, m) {
 				return
 			}
 			if fs.mds.down {
 				// No response: the RPC dies on the simulated timeout.
 				m.phase = mcTimeout
 				if t := fs.cfg.Resilience.RPCTimeout; t > 0 {
-					m.ep.Wait(t, m.resumeF)
+					m.ep.Wait(t, m)
 					return
 				}
 				continue
 			}
 			m.phase = mcQueued
-			fs.mds.threads.AcquireE(m.ep, m.resumeF)
+			fs.mds.threads.AcquireE(m.ep, m)
 			return
 		case mcTimeout:
 			c.stats.TimedOutRPCs++
@@ -226,7 +196,7 @@ func (m *metaCall) resume() {
 			return
 		case mcQueued:
 			m.phase = mcServed
-			m.ep.Wait(fs.mds.opCost, m.resumeF)
+			m.ep.Wait(fs.mds.opCost, m)
 			return
 		case mcServed:
 			md := fs.mds
@@ -238,7 +208,7 @@ func (m *metaCall) resume() {
 			m.leg = leg{server: md.node, size: metaRespSize}
 			m.phase = mcReply
 		case mcReply:
-			if c.hopE(&m.leg, m.ep, m.resumeF) {
+			if c.hopE(&m.leg, m.ep, m) {
 				return
 			}
 			if len(m.names) > 0 {
@@ -250,7 +220,7 @@ func (m *metaCall) resume() {
 			m.settle()
 			return
 		case mcListing:
-			if c.hopE(&m.leg, m.ep, m.resumeF) {
+			if c.hopE(&m.leg, m.ep, m) {
 				return
 			}
 			m.finish()
@@ -300,7 +270,7 @@ func (m *metaCall) settle() {
 		if int(m.attempt) < pol.MaxRetries {
 			c.stats.Retries++
 			m.phase = mcBackoff
-			m.ep.Wait(pol.backoff(c.fs.eng, int(m.attempt)), m.resumeF)
+			m.ep.Wait(pol.backoff(c.fs.eng, int(m.attempt)), m)
 			return
 		}
 		c.stats.FailedRPCs++
@@ -335,16 +305,11 @@ func (m *metaCall) handle() *Handle {
 	return &Handle{c: m.c, path: m.path, layout: m.layout}
 }
 
-// recycle returns m to the free list, or poisons it under the
-// quarantine tag.
+// recycle returns m to the free list.
 func (m *metaCall) recycle() {
 	fs := m.c.fs
-	*m = metaCall{resumeF: m.resumeF}
-	if des.Quarantine {
-		m.phase = callPoisoned
-		return
-	}
-	fs.metaFree.put(m)
+	*m = metaCall{Pooled: m.Pooled}
+	fs.metaFree.Put(m)
 }
 
 // CreateE is the continuation form of Create: the new handle (or error)
@@ -394,8 +359,9 @@ type ioCall struct {
 	ep    *des.EventProc
 	kind  ioKind
 	write bool // the fan-out writes
-	off   int64
-	size  int64
+	des.Pooled
+	off  int64
+	size int64
 	// end is where the fan-out's range ends: the file size to record
 	// after a write, or the end of the readahead window a read miss
 	// fetches; 0 for a read without readahead.
@@ -413,17 +379,15 @@ type ioCall struct {
 
 	// Completion: k receives the outcome. Without k, a goroutine proc
 	// awaits the call and reads err before recycling it.
-	k       func(error)
-	resumeF func()
+	k func(error)
 }
 
-// getIO takes an ioCall from the free list, or allocates one.
+// getIO takes an ioCall from the free list; a new one gets its inline
+// slice backing.
 func (fs *FS) getIO() *ioCall {
-	io := fs.ioFree.get()
-	if io == nil {
-		io = &ioCall{}
+	io := fs.ioFree.Get()
+	if io.chunks == nil {
 		io.chunks, io.rpcs, io.errs = io.chunk1[:0], io.rpc1[:0], io.err1[:0]
-		io.resumeF = io.resume
 	}
 	return io
 }
@@ -520,17 +484,13 @@ func (io *ioCall) launch(chunks []chunk, write bool) {
 	io.errs = io.errs[:n]
 	for i, rpc := range io.rpcs {
 		io.wg.Add(1)
-		rc := fs.rpcFree.get()
-		if rc == nil {
-			rc = &rpcCall{}
-			rc.resumeF = rc.resume
-		}
+		rc := fs.rpcFree.Get()
 		rc.io, rc.c, rc.i = io, h.c, i
 		rc.o = fs.osts[h.layout.OSTs[rpc.ostIdx]]
 		rc.obj = objKey{h.path, rpc.ostIdx}
 		rc.objOff, rc.size, rc.write = rpc.objOff, rpc.size, write
 		rc.phase = rcStart
-		fs.eng.SpawnEventOn(&rc.ep, "rpc", -1, rc.resumeF)
+		fs.eng.SpawnEventOn(&rc.ep, "rpc", -1, rc)
 	}
 }
 
@@ -538,7 +498,7 @@ func (io *ioCall) launch(chunks []chunk, write bool) {
 // all completed.
 func (io *ioCall) fanOut(chunks []chunk, write bool) {
 	io.launch(chunks, write)
-	io.wg.WaitE(io.ep, io.resumeF)
+	io.wg.WaitE(io.ep, io)
 }
 
 // flush writes out the handle's dirty extents (see takeDirty), or
@@ -553,10 +513,10 @@ func (io *ioCall) flush() {
 	io.fanOut(io.chunks, true)
 }
 
-// resume settles the joined fan-out: a write goes on to its size update,
+// Step settles the joined fan-out: a write goes on to its size update,
 // a read miss records its readahead window.
-func (io *ioCall) resume() {
-	if des.Quarantine && io.kind == callPoisoned {
+func (io *ioCall) Step() {
+	if io.Recycled() {
 		panic("pfs: I/O call resumed after it was recycled")
 	}
 	h := io.h
@@ -609,17 +569,12 @@ func (io *ioCall) complete(err error) {
 	}
 }
 
-// recycle returns io to the free list, or poisons it under the
-// quarantine tag.
+// recycle returns io to the free list.
 func (io *ioCall) recycle() {
 	fs := io.h.c.fs
 	clear(io.errs)
 	io.h, io.ep, io.err, io.k = nil, nil, nil, nil
-	if des.Quarantine {
-		io.kind = callPoisoned
-		return
-	}
-	fs.ioFree.put(io)
+	fs.ioFree.Put(io)
 }
 
 // rpcCall is one OST-directed data RPC under the resilience policy, on
@@ -643,8 +598,8 @@ type rpcCall struct {
 	attempt int
 	err     error
 	phase   uint8
-	leg     leg
-	resumeF func()
+	des.Pooled
+	leg leg
 }
 
 // rpcCall phases: the step that runs when the pending blocking point
@@ -675,8 +630,8 @@ func (rc *rpcCall) send() {
 	rc.phase = rcSend
 }
 
-func (rc *rpcCall) resume() {
-	if des.Quarantine && rc.phase == callPoisoned {
+func (rc *rpcCall) Step() {
+	if rc.Recycled() {
 		panic("pfs: data RPC resumed after it was recycled")
 	}
 	c, o := rc.c, rc.o
@@ -686,13 +641,13 @@ func (rc *rpcCall) resume() {
 		case rcStart:
 			rc.send()
 		case rcSend:
-			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc) {
 				return
 			}
 			if o.down {
 				rc.phase = rcTimeout
 				if t := fs.cfg.Resilience.RPCTimeout; t > 0 {
-					rc.ep.Wait(t, rc.resumeF)
+					rc.ep.Wait(t, rc)
 					return
 				}
 				continue
@@ -705,7 +660,7 @@ func (rc *rpcCall) resume() {
 			}
 			rc.phase = rcServed
 			req := blockdev.Request{Offset: o.physOffset(rc.obj, rc.objOff), Size: rc.size, Write: rc.write}
-			o.dev.AccessE(&rc.ep, req, rc.resumeF)
+			o.dev.AccessE(&rc.ep, req, rc)
 			return
 		case rcTimeout:
 			c.stats.TimedOutRPCs++
@@ -713,7 +668,7 @@ func (rc *rpcCall) resume() {
 			rc.settle()
 			return
 		case rcErrReply:
-			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc) {
 				return
 			}
 			rc.err = fmt.Errorf("%w: ost%d %s@%d+%d", ErrIO, o.id, rc.obj, rc.objOff, rc.size)
@@ -732,7 +687,7 @@ func (rc *rpcCall) resume() {
 			rc.leg = leg{server: o.oss, size: reply}
 			rc.phase = rcReply
 		case rcReply:
-			if c.hopE(&rc.leg, &rc.ep, rc.resumeF) {
+			if c.hopE(&rc.leg, &rc.ep, rc) {
 				return
 			}
 			rc.err = nil
@@ -754,7 +709,7 @@ func (rc *rpcCall) settle() {
 		if rc.attempt < pol.MaxRetries {
 			c.stats.Retries++
 			rc.phase = rcBackoff
-			rc.ep.Wait(pol.backoff(c.fs.eng, rc.attempt), rc.resumeF)
+			rc.ep.Wait(pol.backoff(c.fs.eng, rc.attempt), rc)
 			return
 		}
 		c.stats.FailedRPCs++
@@ -762,11 +717,7 @@ func (rc *rpcCall) settle() {
 	io, fs := rc.io, c.fs
 	io.errs[rc.i] = rc.err
 	rc.io, rc.c, rc.o, rc.obj, rc.leg, rc.err, rc.attempt = nil, nil, nil, objKey{}, leg{}, nil, 0
-	if des.Quarantine {
-		rc.phase = callPoisoned
-	} else {
-		fs.rpcFree.put(rc)
-	}
+	fs.rpcFree.Put(rc)
 	io.wg.Done()
 }
 

@@ -51,7 +51,10 @@ func (op MetaOp) String() string {
 type Layout struct {
 	StripeSize  int64
 	StripeCount int
-	OSTs        []int // OST indices, len == StripeCount
+	// OSTs holds the OST indices, len == StripeCount. It is read-only: a
+	// round-robin layout shares its backing array with the file system
+	// and every other such layout.
+	OSTs []int
 }
 
 // inode is a namespace entry.
@@ -87,11 +90,18 @@ type mds struct {
 }
 
 // reset empties the namespace to the root directory and zeroes the
-// server's counters and availability window.
+// server's counters and availability window. A reset keeps the root
+// inode, with its children map cleared; New makes both.
 func (m *mds) reset() {
 	m.threads.Reset()
+	root := m.inodes["/"]
 	clear(m.inodes)
-	m.inodes["/"] = &inode{path: "/", isDir: true, children: map[string]bool{}}
+	if root == nil {
+		root = &inode{path: "/", isDir: true, children: map[string]bool{}}
+	}
+	clear(root.children)
+	*root = inode{path: "/", isDir: true, children: root.children}
+	m.inodes["/"] = root
 	m.ops, m.busy, m.down = [numMetaOps]uint64{}, 0, false
 }
 
@@ -107,13 +117,16 @@ type FS struct {
 	// fixed holds, for the compute and the storage fabric, the nodes New
 	// adds to it: the I/O nodes and servers, which Reset keeps.
 	fixed [2][]*netsim.Node
+	// ostRing is the OST indices twice over, 0..n-1 then 0..n-1: a
+	// round-robin layout's OSTs are a window of it (see allocateLayout).
+	ostRing []int
 
 	fsState
 
 	// Free lists of continuation-form call state (client_event.go).
-	metaFree freeList[metaCall]
-	ioFree   freeList[ioCall]
-	rpcFree  freeList[rpcCall]
+	metaFree des.FreeList[metaCall, *metaCall]
+	ioFree   des.FreeList[ioCall, *ioCall]
+	rpcFree  des.FreeList[rpcCall, *rpcCall]
 }
 
 // fsState is the part of an FS outside its servers and fabrics that a
@@ -144,6 +157,9 @@ type ionode struct{ c, s *netsim.Node }
 func New(e *des.Engine, cfg Config) *FS {
 	cfg = cfg.withDefaults()
 	fs := &FS{eng: e, cfg: cfg}
+	fs.metaFree.Init(maxFreeCalls)
+	fs.ioFree.Init(maxFreeCalls)
+	fs.rpcFree.Init(maxFreeCalls)
 
 	fs.compute = netsim.NewFabric(e, cfg.ComputeFabric)
 	if cfg.NumIONodes > 0 {
@@ -177,6 +193,10 @@ func New(e *des.Engine, cfg Config) *FS {
 			fs.osts = append(fs.osts, newOST(id, node, dev))
 			id++
 		}
+	}
+	fs.ostRing = make([]int, 2*len(fs.osts))
+	for i := range fs.ostRing {
+		fs.ostRing[i] = i % len(fs.osts)
 	}
 	fs.Reset()
 	return fs
@@ -326,10 +346,10 @@ func (fs *FS) allocateLayout(stripeCount int, stripeSize int64) Layout {
 		})
 		l.OSTs = append(l.OSTs, idx[:stripeCount]...)
 	default:
-		for i := 0; i < stripeCount; i++ {
-			l.OSTs = append(l.OSTs, (fs.nextOST+i)%len(fs.osts))
-		}
-		fs.nextOST = (fs.nextOST + stripeCount) % len(fs.osts)
+		// A window of the ring, capped so that an append copies.
+		next := fs.nextOST
+		l.OSTs = fs.ostRing[next : next+stripeCount : next+stripeCount]
+		fs.nextOST = (next + stripeCount) % len(fs.osts)
 	}
 	return l
 }

@@ -25,21 +25,13 @@ func mustPanicRecycled(t *testing.T, what string, resume func()) {
 // TestQuarantinePoisonsRecycledCalls: under the quarantine tag a call's
 // free list poisons the struct it is handed, so a step that resumes a
 // metadata call, an I/O call or a data RPC after its last step panics
-// instead of running on state another operation may own. The three calls
-// are placed on the free lists before a create and a one-RPC write take
-// them, so the test holds them after the operations have released them.
+// instead of running on state another operation may own. A create and a
+// one-RPC write leave no call on a free list, and each kind of call
+// released to its list panics when resumed.
 func TestQuarantinePoisonsRecycledCalls(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, fastConfig())
 	c := fs.NewClient("c0")
-	m := &metaCall{}
-	m.resumeF = m.resume
-	fs.metaFree.put(m)
-	io := fs.getIO()
-	fs.ioFree.put(io)
-	rc := &rpcCall{}
-	rc.resumeF = rc.resume
-	fs.rpcFree.put(rc)
 	var werr error
 	e.SpawnEvent("c0", func(ep *des.EventProc) {
 		c.CreateE(ep, "/f", 1, 0, func(h *Handle, err error) {
@@ -57,10 +49,16 @@ func TestQuarantinePoisonsRecycledCalls(t *testing.T) {
 	if st := c.Stats(); st.WriteRPCs != 1 {
 		t.Fatalf("%d write RPCs, want 1", st.WriteRPCs)
 	}
-	if len(fs.metaFree.items)+len(fs.ioFree.items)+len(fs.rpcFree.items) != 0 {
+	if fs.metaFree.Len()+fs.ioFree.Len()+fs.rpcFree.Len() != 0 {
 		t.Fatal("a call went back on a free list under the quarantine tag")
 	}
-	mustPanicRecycled(t, "metaCall", m.resume)
-	mustPanicRecycled(t, "ioCall", io.resume)
-	mustPanicRecycled(t, "rpcCall", rc.resume)
+	m := fs.metaFree.Get()
+	fs.metaFree.Put(m)
+	io := fs.ioFree.Get()
+	fs.ioFree.Put(io)
+	rc := fs.rpcFree.Get()
+	fs.rpcFree.Put(rc)
+	mustPanicRecycled(t, "metaCall", m.Step)
+	mustPanicRecycled(t, "ioCall", io.Step)
+	mustPanicRecycled(t, "rpcCall", rc.Step)
 }

@@ -90,11 +90,11 @@ func newScaleState(steps int) *scaleState {
 	}
 }
 
-// scaleRank is one checkpoint rank as an explicit state machine. Every
-// blocking point hands the engine one of three continuations bound when
-// the rank starts — resume (a phase switch), opened (the create's typed
-// result) and ioDone (a write's, fsync's or close's) — so steady-state
-// execution allocates nothing per operation. A shard's ranks are one
+// scaleRank is one checkpoint rank as an explicit state machine. It is its
+// own continuation (Step, a phase switch) for every blocking point but the
+// pfs calls, whose typed results go to one of two callbacks bound when the
+// rank starts — opened (the create's) and ioDone (a write's, fsync's or
+// close's) — so steady-state execution allocates nothing per operation. A shard's ranks are one
 // slice, allocated with its clients before the ranks spawn.
 type scaleRank struct {
 	r    *mpi.EventRank
@@ -117,12 +117,11 @@ type scaleRank struct {
 	gateLead bool
 	gateGen  int
 
-	resumeF func()
 	openedF func(*pfs.Handle, error)
 	ioDoneF func(error)
 }
 
-// scaleRank phases: the step resume (or ioDone) runs next.
+// scaleRank phases: the step Step (or ioDone) runs next.
 const (
 	srBarrier   uint8 = iota // compute time elapsed: enter the step barrier
 	srOpen                   // step barrier passed: create the step's file
@@ -134,16 +133,15 @@ const (
 	srGateAwait              // gate release fired: re-check the generation
 )
 
-// start binds the rank's continuations and begins its first step on r.
+// start binds the rank's pfs callbacks and begins its first step on r.
 func (s *scaleRank) start(r *mpi.EventRank) {
 	s.r = r
-	s.resumeF = s.resume
 	s.openedF = s.opened
 	s.ioDoneF = s.ioDone
 	s.stepBegin()
 }
 
-func (s *scaleRank) resume() {
+func (s *scaleRank) Step() {
 	switch s.phase {
 	case srBarrier:
 		s.barrier(srOpen)
@@ -166,7 +164,7 @@ func (s *scaleRank) stepBegin() {
 	}
 	if s.cfg.ComputeTime > 0 {
 		s.phase = srBarrier
-		s.r.Compute(s.cfg.ComputeTime, s.resumeF)
+		s.r.Compute(s.cfg.ComputeTime, s)
 		return
 	}
 	s.barrier(srOpen)
@@ -181,7 +179,7 @@ func (s *scaleRank) barrier(next uint8) {
 	if s.gate != nil {
 		s.phase = srGateEnter
 	}
-	s.r.Barrier(s.resumeF)
+	s.r.Barrier(s)
 }
 
 func (s *scaleRank) open() {
@@ -248,7 +246,7 @@ func (s *scaleRank) gateEnter() {
 	g := s.gate
 	s.gateGen = g.gen
 	if s.gateLead {
-		g.pg.Send(g.shard, 0, shardLookahead, g.coord.arriveF)
+		g.pg.Send(g.shard, 0, shardLookahead, g.coord.arrive)
 	}
 	s.gateAwait()
 }
@@ -256,11 +254,11 @@ func (s *scaleRank) gateEnter() {
 func (s *scaleRank) gateAwait() {
 	if s.gate.gen != s.gateGen {
 		s.phase = s.after
-		s.resume()
+		s.Step()
 		return
 	}
 	s.phase = srGateAwait
-	s.gate.release.WaitE(s.r.Proc(), s.resumeF)
+	s.gate.release.WaitE(s.r.Proc(), s)
 }
 
 func (s *scaleRank) stepDone() {
@@ -331,16 +329,14 @@ const shardLookahead = 1500 * des.Nanosecond
 // broadcasts the release. Announce and release each cross partitions with
 // delay == lookahead, honoring the conservative contract, so one gate
 // crossing costs two lookaheads. Coordinator state is touched only by
-// shard-0 events, never concurrently. The arrive/release continuations
-// are pre-bound once per run, so a steady-state gate crossing pushes
-// nothing but pre-existing function values through ParallelGroup.Send.
+// shard-0 events, never concurrently. Each message is a method value
+// bound as it is sent, one small allocation per shard per crossing.
 type shardGate struct {
-	pg       *des.ParallelGroup
-	shard    int
-	release  *des.Signal
-	gen      int
-	coord    *gateCoord
-	releaseF func()
+	pg      *des.ParallelGroup
+	shard   int
+	release *des.Signal
+	gen     int
+	coord   *gateCoord
 }
 
 func (g *shardGate) doRelease() {
@@ -349,10 +345,9 @@ func (g *shardGate) doRelease() {
 }
 
 type gateCoord struct {
-	pg      *des.ParallelGroup
-	gates   []*shardGate
-	count   int
-	arriveF func()
+	pg    *des.ParallelGroup
+	gates []*shardGate
+	count int
 }
 
 // arrive runs as a shard-0 event, once per shard per gate crossing.
@@ -363,7 +358,7 @@ func (gc *gateCoord) arrive() {
 	}
 	gc.count = 0
 	for s, g := range gc.gates {
-		gc.pg.Send(0, s, shardLookahead, g.releaseF)
+		gc.pg.Send(0, s, shardLookahead, g.doRelease)
 	}
 }
 
@@ -404,10 +399,8 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		pg = des.NewParallelGroup(shardLookahead, engines...)
 		pg.SetWorkers(cfg.Workers)
 		coord := &gateCoord{pg: pg, gates: gates}
-		coord.arriveF = coord.arrive
 		for i := range gates {
 			gates[i] = &shardGate{pg: pg, shard: i, release: des.NewSignal(engines[i]), coord: coord}
-			gates[i].releaseF = gates[i].doRelease
 		}
 	}
 

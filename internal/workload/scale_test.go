@@ -301,14 +301,15 @@ func TestShardedBytesConserved(t *testing.T) {
 
 // TestShardedCheckpointAllocBudget holds the continuation path's
 // allocation saving in place: a 4096-rank, 4-shard, one-step checkpoint
-// must stay within 22 allocations per rank (21.0 measured). Per-operation
-// state is pooled by the layer that owns it, a data RPC runs on the
-// EventProc its pooled call embeds, and a shard's ranks, event ranks and
-// (past the first 256) clients are carved from shared slices, so what
-// remains is the ranks' bound continuations, the handle, inode, layout and
-// file name, plus the bursts no bounded free list absorbs.
+// must stay within 7.8 allocations per rank (6.8 measured). Per-operation
+// state is pooled by the layer that owns it and every state machine is its
+// own continuation, a data RPC runs on the EventProc its pooled call
+// embeds, a burst of calls past a free list's cap is carved from shared
+// chunks, and a shard's ranks, event ranks and (past the first 256)
+// clients are carved from shared slices, so what remains is the rank's
+// two bound pfs callbacks and the handle, inode and file name.
 func TestShardedCheckpointAllocBudget(t *testing.T) {
-	const ranks, budget = 4096, 22
+	const ranks, budget = 4096, 7.8
 	cfg := ShardedConfig{
 		Scale: ScaleConfig{
 			Ranks: ranks, BytesPerRank: 1 << 20, Steps: 1,
@@ -323,6 +324,6 @@ func TestShardedCheckpointAllocBudget(t *testing.T) {
 	}
 	t.Logf("%.1f allocations per rank", perRank)
 	if perRank > budget {
-		t.Errorf("%.1f allocations per rank, budget %d", perRank, budget)
+		t.Errorf("%.1f allocations per rank, budget %.1f", perRank, budget)
 	}
 }
