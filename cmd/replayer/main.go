@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -20,19 +22,31 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("replayer: ")
-	fs := flag.NewFlagSet("replayer", flag.ExitOnError)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind a testable seam: flags come from args,
+// all output goes to the supplied writers, and failures return as errors
+// instead of exiting. The round-trip golden test drives it.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replayer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	timed := fs.Bool("timed", false, "preserve recorded inter-op compute time")
 	extrapolate := fs.Int("extrapolate", 0, "extrapolate the trace to this many ranks before replay")
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if fs.NArg() != 1 {
-		log.Fatal("usage: replayer [flags] <trace file>")
+		return errors.New("usage: replayer [flags] <trace file>")
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	var recs []trace.Record
@@ -42,30 +56,31 @@ func main() {
 		recs, err = trace.ReadBinary(f)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	rankOps := replay.FromTrace(recs)
-	fmt.Printf("loaded %d records (%d ranks)\n", len(recs), len(rankOps))
+	fmt.Fprintf(stdout, "loaded %d records (%d ranks)\n", len(recs), len(rankOps))
 	if *extrapolate > 0 {
 		rankOps, err = replay.Extrapolate(rankOps, *extrapolate)
 		if err != nil {
-			log.Fatalf("extrapolation failed: %v", err)
+			return fmt.Errorf("extrapolation failed: %w", err)
 		}
-		fmt.Printf("extrapolated to %d ranks\n", *extrapolate)
+		fmt.Fprintf(stdout, "extrapolated to %d ranks\n", *extrapolate)
 	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	e := des.NewEngine(cluster.Seed)
 	res, err := replay.Run(e, pfs.New(e, cfg), rankOps, replay.Options{Timed: *timed})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("replayed %d ops: read %s, wrote %s\n",
+	fmt.Fprintf(stdout, "replayed %d ops: read %s, wrote %s\n",
 		res.Ops, cli.FormatSize(res.BytesRead), cli.FormatSize(res.BytesWritten))
-	fmt.Printf("makespan %v, aggregate bandwidth %.2f MB/s\n",
+	fmt.Fprintf(stdout, "makespan %v, aggregate bandwidth %.2f MB/s\n",
 		res.Makespan, res.Bandwidth()/1e6)
+	return nil
 }

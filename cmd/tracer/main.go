@@ -5,8 +5,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -21,28 +23,40 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracer: ")
-	fs := flag.NewFlagSet("tracer", flag.ExitOnError)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind a testable seam: flags come from args,
+// all output goes to the supplied writers, and failures return as errors
+// instead of exiting. The round-trip golden test drives it.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	out := fs.String("o", "trace.piot", "output trace file")
 	asJSON := fs.Bool("json", false, "write JSON instead of binary")
 	report := fs.Bool("report", false, "also print a Darshan-like characterization report")
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if fs.NArg() != 1 {
-		log.Fatal("usage: tracer [flags] <workload.iol>")
+		return errors.New("usage: tracer [flags] <workload.iol>")
 	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	wl, err := iolang.Parse(string(src))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	e := des.NewEngine(cluster.Seed)
@@ -52,30 +66,31 @@ func main() {
 	prof.Attach(col)
 	rep, err := iolang.Run(e, sim, wl, col)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
 	if *asJSON {
 		err = trace.WriteJSON(f, col.Records())
 	} else {
 		err = trace.WriteBinary(f, col.Records())
 	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("workload %q: %d ranks, %d ops, read %s, wrote %s, makespan %v\n",
+	fmt.Fprintf(stdout, "workload %q: %d ranks, %d ops, read %s, wrote %s, makespan %v\n",
 		rep.Name, rep.Ranks, rep.Ops,
 		cli.FormatSize(rep.BytesRead), cli.FormatSize(rep.BytesWritten), rep.Makespan)
-	fmt.Printf("trace: %d records -> %s\n", col.Len(), *out)
+	fmt.Fprintf(stdout, "trace: %d records -> %s\n", col.Len(), *out)
 	if *report {
-		if err := prof.WriteReport(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
+		return prof.WriteReport(stdout)
 	}
+	return nil
 }

@@ -1,0 +1,83 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
+
+// checkGolden compares got against the named testdata file byte for byte,
+// rewriting it under -update-golden.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: output differs from the golden (%d bytes, want %d):\n%s", path, len(got), len(want), got)
+	}
+}
+
+// TestRoundTripTrace is the record half of the tracer→replayer round
+// trip. tracer records testdata/roundtrip.iol twice, as a binary trace and
+// as a JSON trace with the characterization report; its output and both
+// trace files must match the goldens byte for byte. The trace goldens are
+// what cmd/replayer's round-trip test replays, so together the two tests
+// pin replayer(tracer(script)). Regenerate deliberately with
+//
+//	go test ./cmd/tracer ./cmd/replayer -update-golden
+func TestRoundTripTrace(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	for _, tc := range []struct {
+		file  string
+		flags []string
+	}{
+		{"roundtrip.piot", nil},
+		{"roundtrip.json", []string{"-json", "-report"}},
+	} {
+		args := append(append([]string{"-o", filepath.Join(dir, tc.file)}, tc.flags...), "testdata/roundtrip.iol")
+		out.WriteString("$ tracer " + strings.Join(args, " ") + "\n")
+		var errb bytes.Buffer
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("tracer %v: %v (stderr: %s)", args, err, errb.String())
+		}
+		if errb.Len() != 0 {
+			t.Errorf("tracer %v wrote to stderr: %q", args, errb.String())
+		}
+		got, err := os.ReadFile(filepath.Join(dir, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("testdata", tc.file), got)
+	}
+	checkGolden(t, "testdata/tracer_golden.txt", bytes.ReplaceAll(out.Bytes(), []byte(dir), []byte("$DIR")))
+}
+
+// TestBadArgsError covers rejection paths through run.
+func TestBadArgsError(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"testdata/missing.iol"},
+		{"-device", "tape", "testdata/roundtrip.iol"},
+		{"-o", filepath.Join(t.TempDir(), "no", "such", "dir.piot"), "testdata/roundtrip.iol"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); err == nil {
+			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}

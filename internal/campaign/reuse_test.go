@@ -138,7 +138,7 @@ func TestReusedJobAllocs(t *testing.T) {
 	}
 }
 
-// reusedJobAllocs is TestReusedJobAllocs's bound: 74 allocations
-// measured with coroutine procs (go1.24; 198 on a new cluster), 53 with
-// channel procs (177), plus a small margin.
-const reusedJobAllocs = 78
+// reusedJobAllocs is TestReusedJobAllocs's bound: 72 allocations
+// measured with coroutine procs (go1.24; 196 on a new cluster), 51 with
+// channel procs (175), plus a small margin.
+const reusedJobAllocs = 76

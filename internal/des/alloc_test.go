@@ -122,6 +122,73 @@ func TestEventProcSize(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the pooled event slot at 40 bytes: a slot carries a
+// callback or an EventProc, since a goroutine proc's wakes are those of the
+// EventProc it hosts.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 40 {
+		t.Errorf("event is %d bytes, want 40", n)
+	}
+}
+
+// TestSpawnBlockAllocs pins a goroutine proc at one allocation in total:
+// Spawn allocates the Proc, with its hosted EventProc inside, and nothing
+// else; and a proc that waits, waits on a signal, takes from an empty
+// queue, acquires a held resource, joins a WaitGroup and awaits an
+// operation allocates exactly what a proc that returns at once does.
+// Starting the proc's coroutine or goroutine costs both the same.
+func TestSpawnBlockAllocs(t *testing.T) {
+	e := NewEngine(1)
+	noop := func() {}
+	for i := 0; i < 200; i++ {
+		e.After(1, noop) // grow the event slab, heap and free list
+	}
+	e.Run(MaxTime)
+	idle := func(*Proc) {}
+	if n := testing.AllocsPerRun(100, func() { e.Spawn("p", idle) }); n != 1 {
+		t.Errorf("Spawn: %v allocs, want 1", n)
+	}
+	e.Run(MaxTime)
+
+	r := NewResource(e, "r", 1)
+	sig := NewSignal(e)
+	q := NewQueue[int](e, "q")
+	var wg WaitGroup
+	h := &holdOp{r: r, d: 1}
+	ends := 0
+	blocking := func(p *Proc) {
+		p.Wait(1)
+		sig.Wait(p)
+		q.Get(p)
+		r.Acquire(p)
+		r.Release()
+		wg.Wait(p)
+		p.Await(h.start)
+		ends++
+	}
+	fire, put, release, done := sig.Fire, func() { q.Put(1) }, r.Release, wg.Done
+	round := func(body func(*Proc)) func() {
+		return func() {
+			r.TryAcquire()
+			wg.Add(1)
+			e.After(2, fire)
+			e.After(3, put)
+			e.After(4, release)
+			e.After(5, done)
+			e.Spawn("p", body)
+			e.Run(MaxTime)
+		}
+	}
+	base := testing.AllocsPerRun(50, round(idle))
+	n := testing.AllocsPerRun(50, round(blocking))
+	if n != base {
+		t.Errorf("a proc through every blocking call: %v allocs per round, want %v as for a proc that returns at once", n, base)
+	}
+	if ends != 51 || e.LiveProcs() != 0 || r.PeakQueueLen() != 1 {
+		t.Fatalf("%d bodies ended, %d live procs, peak queue %d; want 51, 0, 1", ends, e.LiveProcs(), r.PeakQueueLen())
+	}
+}
+
 // holdOp is an acquire-wait-release operation that is its own
 // continuation, the way the I/O-path state machines are theirs.
 type holdOp struct {
@@ -148,7 +215,7 @@ func (h *holdOp) Step() {
 // TestAwaitAllocs pins a steady-state awaited operation — a contended
 // AcquireE, a Wait and a Release on a goroutine proc's hosted EventProc —
 // at zero allocations: the method value handed to Await stays on the
-// stack and the hosted EventProc is allocated by the first Await only.
+// stack and the hosted EventProc is part of the Proc.
 func TestAwaitAllocs(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "r", 1)

@@ -22,20 +22,22 @@
 //     two panics. A state machine is its own Step, and FreeList recycles
 //     its state past a burst without keeping the burst.
 //
-// A goroutine proc runs a continuation-form operation through Proc.Await,
-// on an EventProc it hosts, so an operation written once as a state
-// machine serves callers of both forms with the same events. The
-// operation's steps run in place on whichever goroutine holds the event
-// loop; only the step that completes it hands the loop to the proc, so an
-// awaited operation costs at most one hand-off to the proc however many
-// times it blocks. A step must therefore never call a goroutine-form primitive.
+// There is one wake path. A goroutine proc hosts an EventProc, and every
+// blocking primitive of the goroutine form awaits its continuation form on
+// it (Proc.Await), so only EventProcs ever wait, and an operation written
+// once as a state machine serves callers of both forms with the same
+// events. The operation's steps run in place on whichever goroutine holds
+// the event loop; only the step that completes it hands the loop to the
+// proc, so an awaited operation costs at most one hand-off to the proc
+// however many times it blocks. A step must therefore never call a
+// goroutine-form primitive.
 //
-// Both forms share every primitive: Queue, Resource, Signal, and WaitGroup
-// keep one waiter FIFO, so mixed-form waiters wake in strict arrival order
-// and the two forms are timing-equivalent on identical workloads. The
-// engine executes exactly one process at a time and advances a virtual
-// clock between events, so simulations are fully deterministic for a given
-// seed and are not affected by wall-clock scheduling. ParallelGroup extends
+// Queue, Resource, Signal, and WaitGroup keep one waiter FIFO of
+// EventProcs, so mixed-form waiters wake in strict arrival order and the
+// two forms are timing-equivalent on identical workloads. The engine
+// executes exactly one process at a time and advances a virtual clock
+// between events, so simulations are fully deterministic for a given seed
+// and are not affected by wall-clock scheduling. ParallelGroup extends
 // this across engines: conservative (CMB-style) lookahead windows let
 // disjoint partitions run on concurrent workers with byte-identical results
 // at any worker count.
@@ -101,12 +103,11 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker for determinism: FIFO among simultaneous events
-	// Exactly one of fire/proc/eproc is set: fire is a callback, proc is a
-	// goroutine process the loop starts or hands off to, and eproc is a
-	// blocked continuation process whose stored continuation the engine
-	// invokes in place (no closure needed for either process form).
+	// Exactly one of fire/eproc is set: fire is a callback, and eproc is
+	// a blocked continuation process whose stored continuation the engine
+	// invokes in place, no closure needed. A goroutine proc's wakes are
+	// those of the EventProc it hosts (see Proc.Await).
 	fire  func()
-	proc  *Proc
 	eproc *EventProc
 	// gen is bumped every time the slot is freed; cancel handles capture
 	// (index, gen) so a stale cancel of a recycled slot is a no-op.
@@ -225,7 +226,7 @@ func (e *Engine) SetTraceHook(fn func(at Time, what string)) { e.tracehook = fn 
 
 // alloc takes a slot from the freelist (or grows the pool) and stamps it
 // with the next sequence number.
-func (e *Engine) alloc(at Time, fn func(), p *Proc) int32 {
+func (e *Engine) alloc(at Time, fn func()) int32 {
 	var idx int32
 	if n := len(e.free) - 1; n >= 0 {
 		idx = e.free[n]
@@ -238,7 +239,6 @@ func (e *Engine) alloc(at Time, fn func(), p *Proc) int32 {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fire = fn
-	ev.proc = p
 	e.seq++
 	return idx
 }
@@ -248,21 +248,20 @@ func (e *Engine) alloc(at Time, fn func(), p *Proc) int32 {
 func (e *Engine) freeSlot(idx int32) {
 	ev := &e.pool[idx]
 	ev.fire = nil
-	ev.proc = nil
 	ev.eproc = nil
 	ev.canceled = false
 	ev.gen++
 	e.free = append(e.free, idx)
 }
 
-// schedule enqueues an occurrence at absolute time at — either callback fn
-// or a direct resume of process p — and returns its slot index. Same-time
-// events scheduled during dispatch take the heap-free immediate path.
-func (e *Engine) schedule(at Time, fn func(), p *Proc) int32 {
+// schedule enqueues callback fn at absolute time at and returns its slot
+// index. Same-time events scheduled during dispatch take the heap-free
+// immediate path.
+func (e *Engine) schedule(at Time, fn func()) int32 {
 	if at < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past: at=%v now=%v", at, e.now))
 	}
-	idx := e.alloc(at, fn, p)
+	idx := e.alloc(at, fn)
 	if e.running && at == e.now {
 		e.imm = append(e.imm, idx)
 	} else {
@@ -271,13 +270,13 @@ func (e *Engine) schedule(at Time, fn func(), p *Proc) int32 {
 	return idx
 }
 
-// scheduleEP enqueues a continuation-process wake at absolute time at. It
-// is the EventProc analogue of a proc-carrying schedule: the slot carries
-// the process handle and the engine invokes its stored continuation. A
-// hosted EventProc (see Proc.Await) is scheduled the same way; only the
-// step that completes its operation hands the loop to the host proc.
+// scheduleEP enqueues a continuation-process wake at absolute time at: the
+// slot carries the process handle and the engine invokes its stored
+// continuation. A hosted EventProc (see Proc.Await) is scheduled the same
+// way; only the step that completes its operation hands the loop to the
+// host proc.
 func (e *Engine) scheduleEP(at Time, ep *EventProc) {
-	idx := e.schedule(at, nil, nil)
+	idx := e.schedule(at, nil)
 	e.pool[idx].eproc = ep
 }
 
@@ -371,7 +370,7 @@ func (e *Engine) maybeCompact() {
 // After schedules fn to run after delay d. Callback-style scheduling; most
 // code should prefer processes (Spawn) instead.
 func (e *Engine) After(d Time, fn func()) {
-	e.schedule(e.now+d, fn, nil)
+	e.schedule(e.now+d, fn)
 }
 
 // AfterCancel schedules fn after delay d and returns a cancel function
@@ -379,7 +378,7 @@ func (e *Engine) After(d Time, fn func()) {
 // Cancellation is lazy — the slot stays queued and is skipped when popped
 // — with heap compaction once canceled entries exceed half the heap.
 func (e *Engine) AfterCancel(d Time, fn func()) (cancel func()) {
-	idx := e.schedule(e.now+d, fn, nil)
+	idx := e.schedule(e.now+d, fn)
 	gen := e.pool[idx].gen
 	return func() {
 		ev := &e.pool[idx]
@@ -421,10 +420,11 @@ func (e *Engine) next() (int32, bool) {
 // Run executes events until the event queue empties or until the clock
 // exceeds horizon (use MaxTime for no limit). It returns the final time.
 //
-// Run dispatches on its own goroutine until the first goroutine-Proc wake
-// (or completion of an awaited operation), then hands the event loop to
-// that proc (see runProcs); procs pass it on (Proc.block) until one finds
-// the queue empty or the horizon reached. A panic raised by a callback or
+// Run dispatches on its own goroutine until a step completes an operation
+// a goroutine Proc awaits (a proc's start, or the wake of any of its
+// blocking calls), then hands the event loop to that proc (see runProcs);
+// procs pass it on (Proc.park) until one finds the queue empty or the
+// horizon reached. A panic raised by a callback or
 // continuation step on a proc goroutine, an awaited operation's steps
 // included, is re-raised here, so every dispatch panic surfaces from Run.
 func (e *Engine) Run(horizon Time) Time {
@@ -444,13 +444,13 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
-// loop dispatches callbacks and continuation wakes in place until the next
-// event is a goroutine-Proc wake, or a continuation step that completes an
-// operation a goroutine proc awaits (Proc.Await), and returns that proc.
-// It returns nil once the queue is empty or the next event lies past the
-// horizon. Steps of an awaited operation before its last run in place on
-// whichever goroutine holds the loop, so an operation costs its host one
-// hand-off at most, not one per wake.
+// loop dispatches callbacks and continuation wakes in place until a
+// continuation step completes an operation a goroutine proc awaits
+// (Proc.Await), and returns that proc. It returns nil once the queue is
+// empty or the next event lies past the horizon. Steps of an awaited
+// operation before its last run in place on whichever goroutine holds the
+// loop, so an operation costs its host one hand-off at most, not one per
+// wake.
 func (e *Engine) loop() *Proc {
 	for {
 		idx, ok := e.next()
@@ -470,25 +470,19 @@ func (e *Engine) loop() *Proc {
 			return nil
 		}
 		e.now = ev.at
-		fire, proc, eproc := ev.fire, ev.proc, ev.eproc
+		fire, eproc := ev.fire, ev.eproc
 		e.freeSlot(idx)
 		e.dispatched++
 		if e.tracehook != nil {
 			e.tracehook(e.now, "event")
 		}
-		switch {
-		case proc != nil:
-			return proc
-		case eproc != nil:
-			// Continuation dispatch: run the stored continuation in
-			// place. No stack switch at all, unless the step completed
-			// an awaited operation: then its host proc resumes here,
-			// exactly as if this had been a proc-carrying event.
-			if host := eproc.enter(); host != nil {
-				return host
-			}
-		default:
+		if eproc == nil {
 			fire()
+		} else if host := eproc.enter(); host != nil {
+			// The step completed an awaited operation: its host
+			// proc resumes here. Any other continuation dispatch
+			// runs in place with no stack switch at all.
+			return host
 		}
 	}
 }

@@ -482,7 +482,7 @@ func TestQueueNoWaiterRetention(t *testing.T) {
 		t.Fatalf("served = %d, want 5", served)
 	}
 	for i, w := range q.getters.buf {
-		if w != (waiter{}) {
+		if w != nil {
 			t.Errorf("getter slot %d retains a process reference", i)
 		}
 	}
@@ -503,9 +503,39 @@ func TestResourceNoWaiterRetention(t *testing.T) {
 	}
 	e.Run(MaxTime)
 	for i, w := range r.waiters.buf {
-		if w != (waiter{}) {
+		if w != nil {
 			t.Errorf("waiter slot %d retains a process reference", i)
 		}
+	}
+}
+
+// TestWaiterRingReleasedAfterBurst: a resource outlives its run, so the
+// waiter ring a burst grew must not outlive the burst. After 10,000
+// waiters drain, the ring is gone; a ring of at most maxKeptRing slots is
+// kept through Reset and reused by the next burst without regrowing.
+func TestWaiterRingReleasedAfterBurst(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "r", 1)
+	burst := func(n int) {
+		for i := 0; i < n; i++ {
+			e.SpawnEvent("w", func(ep *EventProc) { r.UseE(ep, 1, StepFunc(func() {})) })
+		}
+		e.Run(MaxTime)
+	}
+	burst(10_000)
+	if r.PeakQueueLen() != 9_999 || r.waiters.buf != nil {
+		t.Fatalf("after a 10k burst: peak queue %d, ring of %d slots kept; want 9999, none", r.PeakQueueLen(), len(r.waiters.buf))
+	}
+	r.Reset()
+	burst(maxKeptRing + 1)
+	ring := r.waiters.buf
+	if r.PeakQueueLen() != maxKeptRing || len(ring) != maxKeptRing {
+		t.Fatalf("after a %d-waiter burst: peak queue %d, ring of %d slots; want %d, %d", maxKeptRing, r.PeakQueueLen(), len(ring), maxKeptRing, maxKeptRing)
+	}
+	r.Reset()
+	burst(maxKeptRing + 1)
+	if &r.waiters.buf[0] != &ring[0] {
+		t.Fatal("a ring of maxKeptRing slots was regrown after Reset")
 	}
 }
 

@@ -81,7 +81,8 @@ func TestAwaitStepPanicSurfacesFromRun(t *testing.T) {
 // TestAwaitStepBlockingCallPanics: a step of an awaited operation that
 // calls a goroutine-form blocking primitive of the awaiting proc, or
 // Await again, panics with a message naming the misuse, and the panic
-// surfaces from Run.
+// surfaces from Run. Every primitive awaits its continuation form, so all
+// of them share one guard.
 func TestAwaitStepBlockingCallPanics(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
@@ -90,6 +91,17 @@ func TestAwaitStepBlockingCallPanics(t *testing.T) {
 		{"Wait", "from a step of the operation it awaits", func(p *Proc) { p.Wait(1) }},
 		{"Signal.Wait", "from a step of the operation it awaits", func(p *Proc) { NewSignal(p.Engine()).Wait(p) }},
 		{"Queue.Get", "from a step of the operation it awaits", func(p *Proc) { NewQueue[int](p.Engine(), "q").Get(p) }},
+		{"Resource.Acquire", "from a step of the operation it awaits", func(p *Proc) {
+			r := NewResource(p.Engine(), "r", 1)
+			r.TryAcquire()
+			r.Acquire(p)
+		}},
+		{"WaitGroup.Wait", "from a step of the operation it awaits", func(p *Proc) {
+			wg := NewWaitGroup(p.Engine())
+			wg.Add(1)
+			wg.Wait(p)
+		}},
+		{"WaitUntil", "from a step of the operation it awaits", func(p *Proc) { p.WaitUntil(p.Now() + 1) }},
 		{"Await", "Await re-entered", func(p *Proc) { p.Await(func(*EventProc) {}) }},
 	} {
 		e := NewEngine(1)

@@ -32,10 +32,11 @@ func (f StepFunc) Step() { f() }
 // not.
 //
 // The two forms interoperate on the same Engine and the same primitives:
-// Queue, Resource, Signal, and WaitGroup each have a blocking method for
-// Procs (Get, Acquire, Wait) and a continuation method for EventProcs
-// (GetE, AcquireE, WaitE), and waiters of both forms share one FIFO, so
-// wake order is strict arrival order regardless of form.
+// every goroutine Proc hosts an EventProc, and each blocking method for
+// Procs (Proc.Wait, Queue.Get, Resource.Acquire, Signal.Wait,
+// WaitGroup.Wait) awaits its continuation method (Wait, GetE, AcquireE,
+// WaitE) on it. An EventProc is the only thing that blocks, so wake order
+// is strict arrival order regardless of form.
 //
 // Determinism rules (see DESIGN.md "Execution forms"):
 //
@@ -44,9 +45,8 @@ func (f StepFunc) Step() { f() }
 //     Fork by spawning more EventProcs and joining on a WaitGroup.
 //   - Ready paths run synchronously: a continuation primitive whose
 //     condition already holds (queue non-empty, resource free, WaitGroup
-//     at zero) invokes the continuation inline without yielding — exactly
-//     as the goroutine form returns without blocking — so both forms
-//     observe the same event interleavings.
+//     at zero) invokes the continuation inline without yielding, so the
+//     goroutine form, which awaits it, returns without parking.
 //   - An EventProc ends when a continuation step returns without
 //     registering a new blocking point. It counts toward
 //     Engine.LiveProcs until then, so deadlock detection covers both
@@ -61,19 +61,19 @@ type EventProc struct {
 	armed bool
 	live  bool
 	// awaited is set on a hosted EventProc while its host is parked in
-	// Await, when the host's blocking calls are misuse (see Proc.block).
+	// Await, when the host's blocking calls are misuse (see Proc.await).
 	awaited bool
 
 	// The pending step is k, unless retry is set: retry is then either a
 	// primitive whose wait condition is re-checked on wake before k runs,
 	// or the body of a SpawnEvent process that has not started (see
-	// retrier). A dispatch is an ep-carrying pooled event (Wait) or a
-	// waiter-FIFO wake (Queue/Resource/Signal), whichever blocking point
-	// armed it.
+	// retrier). A dispatch is an ep-carrying pooled event, scheduled by
+	// Wait or by a waiter-FIFO wake (Queue/Resource/Signal), whichever
+	// blocking point armed it.
 	k     Step
 	retry retrier
 
-	// host is the goroutine proc this EventProc is hosted by (see
+	// host is the goroutine proc this EventProc is part of (see
 	// Proc.Await), or nil for a spawned one.
 	host *Proc
 }
@@ -203,14 +203,14 @@ func (ep *EventProc) wakeNow() { ep.eng.scheduleEP(ep.eng.now, ep) }
 // closure is scheduled and steady-state waits allocate nothing.
 func (ep *EventProc) Wait(d Time, k Step) {
 	if d < 0 {
-		panic(fmt.Sprintf("des: negative wait %v in event proc %s", d, ep.Name()))
+		panic(fmt.Sprintf("des: negative wait %v in proc %s", d, ep.Name()))
 	}
 	ep.arm(k)
 	ep.eng.scheduleEP(ep.eng.now+d, ep)
 }
 
 // WaitUntil schedules k at absolute time at, running it synchronously if
-// at is not in the future (matching Proc.WaitUntil's no-yield fast path).
+// at is not in the future.
 func (ep *EventProc) WaitUntil(at Time, k Step) {
 	if at <= ep.eng.now {
 		k.Step()
@@ -226,15 +226,12 @@ func (ep *EventProc) Engine() *Engine { return ep.eng }
 // Now returns the current simulated time.
 func (ep *EventProc) Now() Time { return ep.eng.now }
 
-// Name returns the process name given at SpawnEvent or SpawnEventOn.
-func (ep *EventProc) Name() string { return procName(ep.name, ep.index) }
-
-// procName is name, followed by index when index >= 0.
-func procName(name string, index int32) string {
-	if index < 0 {
-		return name
+// Name returns the process name given at spawn.
+func (ep *EventProc) Name() string {
+	if ep.index < 0 {
+		return ep.name
 	}
-	return name + strconv.Itoa(int(index))
+	return ep.name + strconv.Itoa(int(ep.index))
 }
 
 // PID returns the unique process id (shared sequence with goroutine Procs).

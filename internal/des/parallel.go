@@ -225,7 +225,7 @@ func (g *ParallelGroup) deliver(d int) {
 	})
 	e := g.engines[d]
 	for i := range scratch {
-		e.schedule(scratch[i].at, scratch[i].fn, nil)
+		e.schedule(scratch[i].at, scratch[i].fn)
 		scratch[i].fn = nil
 	}
 	if len(scratch) > 0 && scratch[0].at < g.locNext[d] {

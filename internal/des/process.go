@@ -6,28 +6,31 @@ import "fmt"
 // engine resumes it. All blocking primitives (Wait, Resource.Acquire,
 // Queue.Get, Signal.Wait) must be called from the process's own goroutine.
 //
+// A Proc hosts an EventProc, which carries its engine, PID and name.
+// Every blocking primitive awaits its continuation form on it (see Await)
+// with a last step that does nothing, and Spawn schedules it with a first
+// step that does nothing, so a proc resumes only where a step of its
+// EventProc completes an operation.
+//
 // A blocking proc runs the event loop itself (see Engine.Run). If its own
-// wake is the next goroutine-proc event it simply returns, with no
-// goroutine switch; otherwise it passes the loop on to the proc that wakes
-// next, or back to Run when nothing is left before the horizon, and
-// suspends (see pass). Exactly one goroutine runs the loop at a time, so
-// event order is unchanged.
+// wake is the next to resume a goroutine proc it simply returns, with no
+// goroutine switch; otherwise it passes the loop on to the proc that
+// resumes next, or back to Run when nothing is left before the horizon,
+// and suspends (see pass). Exactly one goroutine runs the loop at a time,
+// so event order is unchanged.
 type Proc struct {
-	eng *Engine
-	// pid holds the low 32 bits of the PID, so index fits beside it and
-	// Proc stays 64 bytes.
-	pid int32
-	// name, followed by index when index >= 0, is the process name; it is
-	// formatted only when Name is called.
-	index int32
-	name  string
+	// ep is the hosted EventProc; its host is the proc itself.
+	ep EventProc
 	procSwitch
 	// fn is the body until the proc's first dispatch starts it.
 	fn func(p *Proc)
-	// hosted runs the continuation-form operations the proc awaits; it is
-	// allocated by the first Await.
-	hosted *EventProc
 }
+
+// noStep is the last step of an operation a goroutine-form primitive
+// awaits: the operation is complete once the step that wakes it runs.
+type noStep struct{}
+
+func (noStep) Step() {}
 
 // Spawn starts fn as a new simulated process at the current time.
 // The name appears in deadlock diagnostics.
@@ -35,8 +38,8 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(0, name, fn)
 }
 
-// SpawnAt starts fn as a new simulated process after delay d. The spawn is
-// a proc-carrying event: the proc's goroutine starts at its first dispatch.
+// SpawnAt starts fn as a new simulated process after delay d. The proc's
+// goroutine starts at the dispatch of its hosted EventProc's first step.
 func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawn(d, name, -1, fn)
 }
@@ -49,29 +52,17 @@ func (e *Engine) SpawnIndexed(name string, index int, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, pid: int32(e.nextPID), index: int32(index), name: name, fn: fn}
-	e.nextPID++
-	e.procs++
-	e.schedule(e.now+d, nil, p)
+	p := &Proc{fn: fn}
+	e.startEventProc(&p.ep, d, name, index)
+	p.ep.k, p.ep.host = noStep{}, p
 	return p
-}
-
-// block suspends the process until its scheduled wake. It panics while
-// the proc is parked in Await: the caller is then a step of the awaited
-// operation, running on whichever goroutine holds the event loop, and
-// parking that goroutine on this proc's wake would corrupt both.
-func (p *Proc) block() {
-	if ep := p.hosted; ep != nil && ep.awaited {
-		panic(fmt.Sprintf("des: blocking call on proc %s from a step of the operation it awaits; steps must use the continuation forms", p.Name()))
-	}
-	p.park()
 }
 
 // park runs the event loop on this goroutine until the proc is the next to
 // resume: a self-wake returns at once, any other next wake gets the loop
 // handed to it, and the proc suspends until resumed.
 func (p *Proc) park() {
-	if next := p.eng.procLoop(); next != p {
+	if next := p.ep.eng.procLoop(); next != p {
 		p.pass(next)
 	}
 }
@@ -89,17 +80,26 @@ func (p *Proc) park() {
 // the event loop, and only the step that completes the operation hands the
 // loop to the proc. An operation therefore takes the same events in the
 // same order whether a goroutine proc awaits it or a spawned EventProc runs
-// it, and costs the proc at most one hand-off. A step must never
-// call a goroutine-form primitive (Proc.Wait, Signal.Wait, Resource.Acquire
-// and the like): that panics while the proc is parked here. Await
-// allocates only the hosted EventProc, once per proc.
+// it, and costs the proc at most one hand-off. A step must never call a
+// goroutine-form primitive (Proc.Wait, Signal.Wait, Resource.Acquire and
+// the like): that panics while the proc is parked here. Await allocates
+// nothing: the hosted EventProc is part of the Proc.
 func (p *Proc) Await(start func(ep *EventProc)) {
-	ep := p.hosted
-	if ep == nil {
-		ep = &EventProc{eng: p.eng, pid: int(p.pid), name: p.name, index: p.index, live: true, host: p}
-		p.hosted = ep
-	} else if ep.armed || ep.awaited {
+	if p.ep.armed || p.ep.awaited {
 		panic(fmt.Sprintf("des: Await re-entered on proc %s while its operation is blocked", p.Name()))
+	}
+	p.await(start)
+}
+
+// await is Await without the re-entry check, the body of every
+// goroutine-form primitive. It panics while the proc is parked in Await:
+// the caller is then a step of the awaited operation, running on whichever
+// goroutine holds the event loop, and parking that goroutine on this
+// proc's wake would corrupt both.
+func (p *Proc) await(start func(ep *EventProc)) {
+	ep := &p.ep
+	if ep.awaited {
+		panic(fmt.Sprintf("des: blocking call on proc %s from a step of the operation it awaits; steps must use the continuation forms", p.Name()))
 	}
 	start(ep)
 	if ep.armed {
@@ -109,84 +109,56 @@ func (p *Proc) Await(start func(ep *EventProc)) {
 	}
 }
 
-// wakeAt schedules the process to continue at time at. The wake is a
-// proc-carrying pooled event — no closure, no allocation — that the event
-// loop turns into a direct handoff.
-func (p *Proc) wakeAt(at Time) {
-	p.eng.schedule(at, nil, p)
-}
-
-// wakeNow schedules the process to continue at the current time (after
-// currently dispatching event completes).
-func (p *Proc) wakeNow() { p.wakeAt(p.eng.now) }
-
 // Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
+func (p *Proc) Engine() *Engine { return p.ep.eng }
 
 // Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.eng.now }
+func (p *Proc) Now() Time { return p.ep.eng.now }
 
 // Name returns the process name given at Spawn or SpawnIndexed.
-func (p *Proc) Name() string { return procName(p.name, p.index) }
+func (p *Proc) Name() string { return p.ep.Name() }
 
-// PID returns the unique process id. A goroutine proc keeps it in 32
-// bits, so the PIDs of procs spawned after 2^31 spawns on one engine
-// wrap; PIDs identify processes in diagnostics only.
-func (p *Proc) PID() int { return int(p.pid) }
+// PID returns the unique process id, shared with its hosted EventProc.
+func (p *Proc) PID() int { return p.ep.pid }
 
 // Wait advances simulated time by d for this process.
-func (p *Proc) Wait(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative wait %v in proc %s", d, p.Name()))
-	}
-	p.wakeAt(p.eng.now + d)
-	p.block()
-}
+func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, noStep{}) }) }
 
 // WaitUntil advances simulated time to absolute time at (no-op if at is in
 // the past).
-func (p *Proc) WaitUntil(at Time) {
-	if at <= p.eng.now {
-		return
-	}
-	p.wakeAt(at)
-	p.block()
-}
+func (p *Proc) WaitUntil(at Time) { p.await(func(ep *EventProc) { ep.WaitUntil(at, noStep{}) }) }
 
 // Signal is a broadcast condition: processes wait on it and a later Fire
 // releases all current waiters. A Signal can be reused after firing.
 // Waiters of both execution forms share one list and are released in
 // strict arrival order.
 type Signal struct {
-	waiters []waiter
+	waiters []*EventProc
 	// one is the waiter list's first backing array, so a signal that
 	// never holds more than one waiter at a time, such as a fan-out
 	// join, allocates nothing. A Signal must not be copied once used.
-	one [1]waiter
+	one [1]*EventProc
 }
 
-// add appends w to the waiter list.
-func (s *Signal) add(w waiter) {
+// add appends ep to the waiter list.
+func (s *Signal) add(ep *EventProc) {
 	if s.waiters == nil {
 		s.waiters = s.one[:0]
 	}
-	s.waiters = append(s.waiters, w)
+	s.waiters = append(s.waiters, ep)
 }
 
 // NewSignal creates a Signal for processes on engine e.
 func NewSignal(e *Engine) *Signal { return &Signal{} }
 
 // Wait blocks the calling process until the next Fire.
-func (s *Signal) Wait(p *Proc) {
-	s.add(waiter{p: p})
-	p.block()
-}
+func (s *Signal) Wait(p *Proc) { p.await(func(ep *EventProc) { s.WaitE(ep, noStep{}) }) }
 
 // WaitE is the continuation form of Wait: k runs when the next Fire
 // releases the signal.
 func (s *Signal) WaitE(ep *EventProc, k Step) {
 	ep.arm(k)
-	s.add(waiter{ep: ep})
+	s.add(ep)
 }
 
 // Fire releases all processes currently waiting on the signal.
@@ -195,9 +167,9 @@ func (s *Signal) WaitE(ep *EventProc, k Step) {
 // its list has grown to the largest batch of waiters.
 func (s *Signal) Fire() {
 	ws := s.waiters
-	for i, w := range ws {
-		ws[i] = waiter{}
-		w.wake()
+	for i, ep := range ws {
+		ws[i] = nil
+		ep.wakeNow()
 	}
 	s.waiters = ws[:0]
 }
@@ -231,15 +203,10 @@ func (wg *WaitGroup) Add(delta int) {
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks the calling process until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.n > 0 {
-		wg.doneS.Wait(p)
-	}
-}
+func (wg *WaitGroup) Wait(p *Proc) { p.await(func(ep *EventProc) { wg.WaitE(ep, noStep{}) }) }
 
 // WaitE is the continuation form of Wait: k runs once the counter reaches
-// zero, synchronously when it already is (matching Wait's no-yield fast
-// path), re-checking across Fires exactly like the goroutine form's loop.
+// zero, synchronously when it already is, re-checking across Fires.
 // The re-check rides the EventProc's retry slot, so waiting allocates
 // nothing.
 func (wg *WaitGroup) WaitE(ep *EventProc, k Step) {
@@ -248,7 +215,7 @@ func (wg *WaitGroup) WaitE(ep *EventProc, k Step) {
 		return
 	}
 	ep.armRetry(wg, k)
-	wg.doneS.add(waiter{ep: ep})
+	wg.doneS.add(ep)
 }
 
 // retryE re-runs a woken WaitE.

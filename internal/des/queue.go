@@ -1,58 +1,49 @@
 package des
 
-// waiter is one blocked process of either execution form: a goroutine
-// Proc, or a continuation EventProc whose pending continuation was stored
-// by arm. Queue getters, resource wait lists, and signals hold waiters of
-// both forms in one FIFO, so wake order is strict arrival order regardless
-// of form — a wake schedules one current-time event either way, and event
-// sequence numbers preserve the pop order.
-type waiter struct {
-	p  *Proc
-	ep *EventProc
-}
-
-// wake schedules the process to continue at the current time.
-func (w waiter) wake() {
-	if w.p != nil {
-		w.p.wakeNow()
-	} else {
-		w.ep.wakeNow()
-	}
-}
-
 // waiterFIFO is a ring-buffered FIFO of blocked processes, shared by queue
-// getters and resource wait lists. Unlike a head-sliced slice, popped
+// getters and resource wait lists. A goroutine proc waits through the
+// EventProc it hosts, so waiters of both execution forms share one FIFO
+// and wake in strict arrival order. Unlike a head-sliced slice, popped
 // slots are cleared, so finished processes never linger reachable in the
-// backing array, and the ring is reused without further allocation.
+// backing array, and the ring is reused without further allocation up to
+// maxKeptRing slots; a larger ring, grown by a burst, is dropped once the
+// burst drains.
 type waiterFIFO struct {
-	buf     []waiter
+	buf     []*EventProc
 	head, n int32
 }
 
-func (f *waiterFIFO) push(w waiter) {
+// maxKeptRing is the largest ring a drained waiterFIFO keeps. Resources
+// and queues outlive the run on the cluster they belong to, and one burst
+// of waiters would otherwise pin its ring for as long.
+const maxKeptRing = 64
+
+func (f *waiterFIFO) push(ep *EventProc) {
 	if int(f.n) == len(f.buf) {
-		nb := make([]waiter, max(8, 2*len(f.buf)))
+		nb := make([]*EventProc, max(8, 2*len(f.buf)))
 		for i := 0; i < int(f.n); i++ {
 			nb[i] = f.buf[(int(f.head)+i)&(len(f.buf)-1)]
 		}
 		f.buf = nb
 		f.head = 0
 	}
-	f.buf[(int(f.head)+int(f.n))&(len(f.buf)-1)] = w
+	f.buf[(int(f.head)+int(f.n))&(len(f.buf)-1)] = ep
 	f.n++
 }
 
-// pop removes and returns the longest-waiting process; ok is false when
-// the FIFO is empty.
-func (f *waiterFIFO) pop() (w waiter, ok bool) {
+// pop removes and returns the longest-waiting process, or nil when the
+// FIFO is empty.
+func (f *waiterFIFO) pop() *EventProc {
 	if f.n == 0 {
-		return waiter{}, false
+		return nil
 	}
-	w = f.buf[f.head]
-	f.buf[f.head] = waiter{}
+	ep := f.buf[f.head]
+	f.buf[f.head] = nil
 	f.head = (f.head + 1) & int32(len(f.buf)-1)
-	f.n--
-	return w, true
+	if f.n--; f.n == 0 && len(f.buf) > maxKeptRing {
+		f.buf, f.head = nil, 0
+	}
+	return ep
 }
 
 func (f *waiterFIFO) len() int { return int(f.n) }
@@ -100,35 +91,31 @@ func (q *Queue[T]) Put(v T) {
 	if q.n > q.peakLen {
 		q.peakLen = q.n
 	}
-	if g, ok := q.getters.pop(); ok {
-		g.wake()
+	if ep := q.getters.pop(); ep != nil {
+		ep.wakeNow()
 	}
 }
 
 // Get removes and returns the oldest item, blocking until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.n == 0 {
-		q.getters.push(waiter{p: p})
-		p.block()
-	}
+	p.await(func(ep *EventProc) { q.GetE(ep, noStep{}) })
 	return q.take()
 }
 
 // GetE is the continuation form of Get: k runs once the queue holds an
-// item, synchronously when it already does (matching Get's no-yield fast
-// path), and takes it with TryGet, which then always succeeds. Otherwise
-// the process joins the getter FIFO, and its wake re-checks the queue
-// before k runs: like the goroutine form, a woken getter that finds the
-// queue emptied again (a TryGet raced it) re-enters at the back. The
-// re-check rides the EventProc's retry slot, so waiting allocates
-// nothing.
+// item, synchronously when it already does, and takes it with TryGet,
+// which then always succeeds. Otherwise the process joins the getter
+// FIFO, and its wake re-checks the queue before k runs: a woken getter
+// that finds the queue emptied again (a TryGet raced it) re-enters at the
+// back. The re-check rides the EventProc's retry slot, so waiting
+// allocates nothing.
 func (q *Queue[T]) GetE(ep *EventProc, k Step) {
 	if q.n > 0 {
 		k.Step()
 		return
 	}
 	ep.armRetry(q, k)
-	q.getters.push(waiter{ep: ep})
+	q.getters.push(ep)
 }
 
 // retryE re-runs a woken GetE.

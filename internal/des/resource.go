@@ -59,10 +59,11 @@ func (r *Resource) InitAffixed(e *Engine, a *NameAffix, name string, capacity in
 }
 
 // Reset returns an idle r to its state just after Init: its accounting
-// is zeroed and its waiter ring keeps its backing array. Reset a
-// resource together with its engine (Engine.Reset), whose clock its
-// accounting reads. It panics with ErrLiveReset while a unit is held or
-// a process waits.
+// is zeroed and its waiter ring keeps its backing array, which an idle
+// resource holds only up to 64 slots (a ring a burst grew larger is
+// dropped as the burst drains). Reset a resource together with its
+// engine (Engine.Reset), whose clock its accounting reads. It panics with
+// ErrLiveReset while a unit is held or a process waits.
 func (r *Resource) Reset() {
 	if r.inUse > 0 || r.waiters.len() > 0 {
 		panic(fmt.Errorf("%w: resource %s has %d units held, %d waiters", ErrLiveReset, r.Name(), r.inUse, r.waiters.len()))
@@ -76,30 +77,17 @@ func (r *Resource) account() {
 }
 
 // Acquire obtains one unit of the resource, blocking in FIFO order.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.waiters.push(waiter{p: p})
-		if r.waiters.len() > r.peakQueue {
-			r.peakQueue = r.waiters.len()
-		}
-		p.block()
-	}
-	r.account()
-	r.inUse++
-	r.acquired++
-}
+func (r *Resource) Acquire(p *Proc) { p.await(func(ep *EventProc) { r.AcquireE(ep, noStep{}) }) }
 
 // AcquireE is the continuation form of Acquire: when a unit is free, k
-// runs synchronously (matching Acquire's no-yield fast path); otherwise
-// the process joins the wait FIFO — shared with goroutine waiters, in
-// strict arrival order — and re-checks on wake, re-entering at the back
-// if a TryAcquire raced it (exactly the goroutine form's loop). A
+// runs synchronously; otherwise the process joins the wait FIFO and
+// re-checks on wake, re-entering at the back if a TryAcquire raced it. A
 // contended wait keeps the resource in the EventProc's retry slot, so it
 // allocates nothing.
 func (r *Resource) AcquireE(ep *EventProc, k Step) {
 	if r.inUse >= r.capacity {
 		ep.armRetry(r, k)
-		r.waiters.push(waiter{ep: ep})
+		r.waiters.push(ep)
 		if r.waiters.len() > r.peakQueue {
 			r.peakQueue = r.waiters.len()
 		}
@@ -132,8 +120,8 @@ func (r *Resource) Release() {
 	}
 	r.account()
 	r.inUse--
-	if w, ok := r.waiters.pop(); ok {
-		w.wake()
+	if ep := r.waiters.pop(); ep != nil {
+		ep.wakeNow()
 	}
 }
 

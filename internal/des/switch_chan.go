@@ -57,13 +57,14 @@ func (p *Proc) main(fn func(p *Proc)) {
 
 // exit retires the finished proc and hands the event loop on.
 func (p *Proc) exit() {
-	p.eng.procs--
-	p.eng.handoff(p.eng.procLoop())
+	e := p.ep.eng
+	e.procs--
+	e.handoff(e.procLoop())
 }
 
 // pass hands the event loop to next (nil: back to Run) and parks the proc
 // until it is resumed.
 func (p *Proc) pass(next *Proc) {
-	p.eng.handoff(next)
+	p.ep.eng.handoff(next)
 	<-p.resume
 }

@@ -60,7 +60,7 @@ func (p *Proc) run(yield func(*Proc) bool) {
 	p.fn = nil
 	fn(p)
 	p.yield = nil
-	e := p.eng
+	e := p.ep.eng
 	e.procs--
 	e.after = e.procLoop()
 }

@@ -9,11 +9,14 @@ import (
 	"pioeval/internal/leakcheck"
 )
 
-// TestProcSize pins Proc at 64 bytes, the size class it had when a proc
-// was a goroutine with a wake channel; goroutine-form ranks keep one each.
+// TestProcSize pins Proc at 104 bytes, in the 112-byte size class:
+// goroutine-form ranks keep one each. The hosted EventProc is part of it,
+// so a proc that blocks costs one 112-byte object where a 64-byte Proc
+// and an 80-byte EventProc allocated on its first Await cost 144 bytes in
+// two.
 func TestProcSize(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n != 64 {
-		t.Errorf("Proc is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(Proc{}); n != 104 {
+		t.Errorf("Proc is %d bytes, want 104", n)
 	}
 }
 
