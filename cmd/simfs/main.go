@@ -12,10 +12,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -50,39 +51,28 @@ const defaultScenario = `workload "validate-default" {
 }
 `
 
-// prof is the command's -cpuprofile/-memprofile state. Once profiling
-// has started, the command ends through exit or fatal, never os.Exit or
-// log.Fatal, so every exit path completes both profiles.
-var prof cli.Profiles
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// exit completes the profiles and ends the process with code.
-func exit(code int) {
-	if err := prof.Stop(); err != nil {
-		log.Print(err)
-		code = 1
-	}
-	os.Exit(code)
-}
+// errViolated ends a run whose armed invariant checkers reported
+// violations; they have been printed, so it adds no message of its own.
+var errViolated = errors.New("invariant violated")
 
-// fatal logs v, completes the profiles and exits with status 1.
-func fatal(v ...any) {
-	log.Print(v...)
-	exit(1)
-}
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("simfs: ")
-	fs := flag.NewFlagSet("simfs", flag.ExitOnError)
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status. Once profiling
+// has started, every return completes both profiles.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("simfs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
-	sample := fs.Bool("sample", false, "print sampled bandwidth series")
-	faultSpec := fs.String("faults", "", "fault campaign, e.g. 'ostcrash:1@100ms; ostrecover:1@700ms; mdsdown@1s; mdsup@1.5s'")
-	resilient := fs.Bool("resilient", false, "enable the default client resilience policy (timeouts, retries, degraded reads)")
+	var o runOpts
+	fs.BoolVar(&o.sample, "sample", false, "print sampled bandwidth series")
+	fs.StringVar(&o.faultSpec, "faults", "", "fault campaign, e.g. 'ostcrash:1@100ms; ostrecover:1@700ms; mdsdown@1s; mdsup@1.5s'")
+	fs.BoolVar(&o.resilient, "resilient", false, "enable the default client resilience policy (timeouts, retries, degraded reads)")
 	doValidate := fs.Bool("validate", false, "arm runtime invariant checkers and exit non-zero on any violation (runs a built-in scenario when no script is given)")
 	doOracles := fs.Bool("oracles", false, "run the analytic oracle suite instead of a workload; exit non-zero on failure")
-	tier := fs.String("tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
-	compress := fs.String("compress", "none", "data-reduction stage over the tier: none, lz, deflate, zfp, or sz")
+	fs.StringVar(&o.tier, "tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
+	fs.StringVar(&o.compress, "compress", "none", "data-reduction stage over the tier: none, lz, deflate, zfp, or sz")
 	scaleRanks := fs.Int("ranks", 0, "run the built-in scale checkpoint with this many continuation-form ranks instead of a workload script")
 	shards := fs.Int("shards", 1, "partition the scale run into this many engines coupled by a ParallelGroup")
 	shardWorkers := fs.Int("shard-workers", 0, "persistent shard workers (0 = all host cores via runtime.NumCPU, 1 = sequential); never affects results")
@@ -91,34 +81,47 @@ func main() {
 	bytesPerRank := fs.Int64("bytes-per-rank", 1<<20, "checkpoint bytes per rank per step for the scale run")
 	xfer := fs.Int64("xfer", 1<<20, "write chunk size for the scale run")
 	ranksPerNode := fs.Int("ranks-per-node", 64, "ranks sharing one compute node (and its NIC) in the scale run")
+	var prof cli.Profiles
 	prof.Register(fs)
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		if err != errViolated {
+			fmt.Fprintf(stderr, "simfs: %v\n", err)
+		}
+		return 1
+	}
 
 	if *doOracles {
 		failed := false
 		for _, r := range validate.RunOracles(cluster.Seed) {
-			fmt.Println(r)
+			fmt.Fprintln(stdout, r)
 			if !r.Pass() {
 				failed = true
-				fmt.Printf("     %s\n", r.Detail)
+				fmt.Fprintf(stdout, "     %s\n", r.Detail)
 			}
 		}
 		if failed {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
-		log.Fatal("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)")
+		return fail(errors.New("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)"))
 	}
 	if err := prof.Start(); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	defer func() {
 		if err := prof.Stop(); err != nil {
-			log.Fatal(err)
+			code = fail(err)
 		}
 	}()
+	var err error
 	if *scaleRanks > 0 {
 		sc := scaleOpts{
 			ranks: *scaleRanks, shards: *shards, workers: *shardWorkers,
@@ -127,33 +130,45 @@ func main() {
 			workersSweep: *workersSweep,
 		}
 		if sc.workersSweep > 0 {
-			if !runWorkersSweep(cluster, sc) {
-				exit(1)
+			err = runWorkersSweep(stdout, cluster, sc)
+		} else {
+			err = runScale(stdout, cluster, sc)
+		}
+	} else {
+		src := []byte(defaultScenario)
+		if fs.NArg() == 1 {
+			if src, err = os.ReadFile(fs.Arg(0)); err != nil {
+				return fail(err)
 			}
-			return
 		}
-		if !runScale(cluster, sc) {
-			exit(1)
-		}
-		return
+		o.validate = *doValidate
+		err = runScript(stdout, cluster, string(src), o)
 	}
-	src := []byte(defaultScenario)
-	if fs.NArg() == 1 {
-		var err error
-		src, err = os.ReadFile(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-	}
-	wl, err := iolang.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	return 0
+}
+
+// runOpts bundles the knobs of a workload-script run.
+type runOpts struct {
+	sample, resilient, validate bool
+	faultSpec, tier, compress   string
+}
+
+// runScript runs the iolang workload src on the configured cluster and
+// prints the server-side report. It returns errViolated when an armed
+// invariant was violated.
+func runScript(stdout io.Writer, cluster cli.ClusterFlags, src string, o runOpts) error {
+	wl, err := iolang.Parse(src)
+	if err != nil {
+		return err
 	}
 	cfg, err := cluster.Config()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *resilient || *faultSpec != "" {
+	if o.resilient || o.faultSpec != "" {
 		cfg.Resilience = pfs.DefaultResilience()
 	}
 
@@ -161,37 +176,37 @@ func main() {
 	sim := pfs.New(e, cfg)
 	var inv *validate.Invariants
 	var col *trace.Collector
-	if *doValidate {
+	if o.validate {
 		col = trace.NewCollector()
 		col.SetLimit(1) // records flow through the invariant hook; retention is not needed
 		inv = validate.Attach(e, sim, col)
 	}
 	var sampler *monitor.Sampler
-	if *sample {
+	if o.sample {
 		sampler = monitor.NewSampler(e, sim, 10*des.Millisecond, des.Hour)
 	}
 	var campaign *faults.Scheduler
-	if *faultSpec != "" {
-		c, err := faults.ParseCampaign(*faultSpec)
+	if o.faultSpec != "" {
+		c, err := faults.ParseCampaign(o.faultSpec)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if campaign, err = faults.Run(e, sim, c); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var prov *storage.Provider
 	var comp *reduce.Stage
-	wantCompress := *compress != "none" && *compress != ""
-	if *tier != "direct" && *tier != "" || wantCompress {
-		prov, err = storage.NewProvider(e, sim, *tier, storage.ProviderConfig{})
+	wantCompress := o.compress != "none" && o.compress != ""
+	if o.tier != "direct" && o.tier != "" || wantCompress {
+		prov, err = storage.NewProvider(e, sim, o.tier, storage.ProviderConfig{})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if wantCompress {
-			comp, err = reduce.New(*compress)
+			comp, err = reduce.New(o.compress)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			prov.Push(comp)
 		}
@@ -201,58 +216,57 @@ func main() {
 	}
 	rep, err := iolang.RunOn(e, sim, wl, col, prov)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sampler != nil {
 		sampler.Stop()
 	}
-
-	fmt.Printf("workload %q: %d ranks, makespan %v, read %s, wrote %s\n",
+	fmt.Fprintf(stdout, "workload %q: %d ranks, makespan %v, read %s, wrote %s\n",
 		rep.Name, rep.Ranks, rep.Makespan,
 		cli.FormatSize(rep.BytesRead), cli.FormatSize(rep.BytesWritten))
 
-	fmt.Println("\nOST counters:")
-	fmt.Printf("  %-6s %-8s %12s %12s %8s\n", "ost", "oss", "read", "written", "util")
+	fmt.Fprintln(stdout, "\nOST counters:")
+	fmt.Fprintf(stdout, "  %-6s %-8s %12s %12s %8s\n", "ost", "oss", "read", "written", "util")
 	for _, st := range sim.OSTStats() {
-		fmt.Printf("  ost%-3d %-8s %12s %12s %7.1f%%\n",
+		fmt.Fprintf(stdout, "  ost%-3d %-8s %12s %12s %7.1f%%\n",
 			st.ID, st.OSSNode, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Utilization*100)
 	}
 
 	md := sim.MDSStats()
-	fmt.Printf("\nMDS: %d ops total\n", md.TotalOps)
+	fmt.Fprintf(stdout, "\nMDS: %d ops total\n", md.TotalOps)
 	ops := make([]string, 0, len(md.Ops))
 	for op := range md.Ops {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
 	for _, op := range ops {
-		fmt.Printf("  %-10s %8d\n", op, md.Ops[op])
+		fmt.Fprintf(stdout, "  %-10s %8d\n", op, md.Ops[op])
 	}
 
 	if prov != nil {
 		switch prov.Tier() {
 		case storage.TierBB:
-			fmt.Println("\nburst buffers:")
+			fmt.Fprintln(stdout, "\nburst buffers:")
 			for _, bb := range prov.Buffers() {
 				st := bb.Stats()
-				fmt.Printf("  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
+				fmt.Fprintf(stdout, "  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
 					bb.Node(), cli.FormatSize(st.Absorbed), cli.FormatSize(st.Drained),
 					cli.FormatSize(st.PeakUsed), st.Stalls,
 					cli.FormatSize(st.BufReads), cli.FormatSize(st.MissReads))
 				if st.DrainErrors > 0 {
-					fmt.Printf("  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
+					fmt.Fprintf(stdout, "  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
 						bb.Node(), st.DrainErrors, cli.FormatSize(st.LostBytes), st.LastDrainError)
 				}
 				if st.ReadErrors > 0 {
-					fmt.Printf("  %-8s READ ERRORS: %d read-through failures; last: %v\n",
+					fmt.Fprintf(stdout, "  %-8s READ ERRORS: %d read-through failures; last: %v\n",
 						bb.Node(), st.ReadErrors, st.LastReadError)
 				}
 			}
 		case storage.TierNodeLocal:
-			fmt.Println("\nnode-local scratch:")
+			fmt.Fprintln(stdout, "\nnode-local scratch:")
 			for _, nl := range prov.Locals() {
 				st := nl.Stats()
-				fmt.Printf("  %-10s read %s, wrote %s, %d files\n",
+				fmt.Fprintf(stdout, "  %-10s read %s, wrote %s, %d files\n",
 					st.Name, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Files)
 			}
 		}
@@ -260,34 +274,34 @@ func main() {
 
 	if comp != nil {
 		st := comp.StageStats()
-		fmt.Printf("\ncompression (%s):\n", comp.Name())
-		fmt.Printf("  wrote logical %s -> physical %s (ratio %.2f), cpu %.4fs\n",
+		fmt.Fprintf(stdout, "\ncompression (%s):\n", comp.Name())
+		fmt.Fprintf(stdout, "  wrote logical %s -> physical %s (ratio %.2f), cpu %.4fs\n",
 			cli.FormatSize(st.LogicalWritten), cli.FormatSize(st.PhysicalWritten), st.Ratio(), st.CompressSeconds)
-		fmt.Printf("  read  logical %s <- physical %s, cpu %.4fs\n",
+		fmt.Fprintf(stdout, "  read  logical %s <- physical %s, cpu %.4fs\n",
 			cli.FormatSize(st.LogicalRead), cli.FormatSize(st.PhysicalRead), st.DecompressSeconds)
 	}
 
 	if campaign != nil {
-		fmt.Println("\nfault campaign:")
+		fmt.Fprintln(stdout, "\nfault campaign:")
 		for _, a := range campaign.Log() {
 			if a.Err != nil {
-				fmt.Printf("  %v (inject error: %v)\n", a.Event, a.Err)
+				fmt.Fprintf(stdout, "  %v (inject error: %v)\n", a.Event, a.Err)
 			} else {
-				fmt.Printf("  %v\n", a.Event)
+				fmt.Fprintf(stdout, "  %v\n", a.Event)
 			}
 		}
 		cs := sim.ClientStatsTotal()
-		fmt.Printf("resilience: %d retries, %d timed-out RPCs, %d failed RPCs, %d degraded reads (%s missing)\n",
+		fmt.Fprintf(stdout, "resilience: %d retries, %d timed-out RPCs, %d failed RPCs, %d degraded reads (%s missing)\n",
 			cs.Retries, cs.TimedOutRPCs, cs.FailedRPCs, cs.DegradedReads, cli.FormatSize(cs.BytesMissing))
 	}
 
 	if sampler != nil {
-		fmt.Println("\nsampled aggregate bandwidth (MB/s):")
+		fmt.Fprintln(stdout, "\nsampled aggregate bandwidth (MB/s):")
 		for _, r := range sampler.DeriveRates() {
 			if r.ReadBps == 0 && r.WriteBps == 0 {
 				continue
 			}
-			fmt.Printf("  t=%-12v read %10.1f  write %10.1f  imbalance %.2f\n",
+			fmt.Fprintf(stdout, "  t=%-12v read %10.1f  write %10.1f  imbalance %.2f\n",
 				r.At, r.ReadBps/1e6, r.WriteBps/1e6, r.LoadImbalance)
 		}
 	}
@@ -295,17 +309,18 @@ func main() {
 	if inv != nil {
 		vios := inv.Finish()
 		st := inv.Stats()
-		fmt.Printf("\nvalidation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
+		fmt.Fprintf(stdout, "\nvalidation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
 			st.Dispatches, st.TraceRecords, st.ClientOps, st.OSTEvents)
 		if len(vios) == 0 {
-			fmt.Println("validation: all invariants held")
+			fmt.Fprintln(stdout, "validation: all invariants held")
 		} else {
 			for _, v := range vios {
-				fmt.Printf("validation: VIOLATION %s\n", v)
+				fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
 			}
-			exit(1)
+			return errViolated
 		}
 	}
+	return nil
 }
 
 // scaleOpts bundles the -ranks scale-mode knobs.
@@ -344,11 +359,16 @@ func reportHash(rep workload.ShardedReport) uint64 {
 // runWorkersSweep runs the identical sharded scale config at worker counts
 // 1, 2, 4, ... up to o.workersSweep (always including the max), printing a
 // wall-clock speedup/parallel-efficiency table and verifying that every
-// worker count produces the same simulated output. Returns false when the
-// outputs diverge (a determinism bug) or an armed invariant fired.
-func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
+// worker count produces the same simulated output. It returns errViolated
+// when the outputs diverge (a determinism bug) or an armed invariant
+// fired.
+func runWorkersSweep(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	if o.shards <= 1 {
-		fatal("-workers-sweep needs -shards > 1")
+		return errors.New("-workers-sweep needs -shards > 1")
+	}
+	cfg, err := cluster.Config()
+	if err != nil {
+		return err
 	}
 	var counts []int
 	for w := 1; w < o.workersSweep; w *= 2 {
@@ -356,9 +376,9 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	}
 	counts = append(counts, o.workersSweep)
 
-	fmt.Printf("workers sweep: %d ranks x %d shards, %d step(s), %s/rank, %d host cores\n",
+	fmt.Fprintf(stdout, "workers sweep: %d ranks x %d shards, %d step(s), %s/rank, %d host cores\n",
 		o.ranks, o.shards, o.steps, cli.FormatSize(o.bytesPerRank), runtime.NumCPU())
-	fmt.Printf("  %-8s %-12s %-9s %-11s %-8s %s\n",
+	fmt.Fprintf(stdout, "  %-8s %-12s %-9s %-11s %-8s %s\n",
 		"workers", "wall", "speedup", "efficiency", "windows", "output-hash")
 
 	ok := true
@@ -367,29 +387,30 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 	for i, w := range counts {
 		oo := o
 		oo.workers = w
-		rep, invs, _, wall := runShardedOnce(cluster, oo)
+		rep, invs, _, wall := runShardedOnce(cfg, cluster.Seed, oo)
 		hash := reportHash(rep)
-		if !invariantsHeld(invs) {
+		if !invariantsHeld(stdout, invs) {
 			ok = false
 		}
 		if i == 0 {
 			baseWall, baseHash = wall, hash
 		}
 		speedup := float64(baseWall) / float64(wall)
-		fmt.Printf("  %-8d %-12v %-9s %-11s %-8d %016x\n",
+		fmt.Fprintf(stdout, "  %-8d %-12v %-9s %-11s %-8d %016x\n",
 			w, wall.Round(time.Millisecond),
 			fmt.Sprintf("%.2fx", speedup),
 			fmt.Sprintf("%.1f%%", 100*speedup/float64(w)),
 			rep.Windows, hash)
 		if hash != baseHash {
-			fmt.Printf("sweep: OUTPUT MISMATCH at workers=%d (hash %016x, want %016x)\n", w, hash, baseHash)
+			fmt.Fprintf(stdout, "sweep: OUTPUT MISMATCH at workers=%d (hash %016x, want %016x)\n", w, hash, baseHash)
 			ok = false
 		}
 	}
-	if ok {
-		fmt.Printf("sweep: output byte-identical across workers %v\n", counts)
+	if !ok {
+		return errViolated
 	}
-	return ok
+	fmt.Fprintf(stdout, "sweep: output byte-identical across workers %v\n", counts)
+	return nil
 }
 
 // runShardedOnce executes one scale run — sharded across engines when
@@ -397,16 +418,12 @@ func runWorkersSweep(cluster cli.ClusterFlags, o scaleOpts) bool {
 // o.validate. It returns the workload result, the armed checkers, every
 // shard's file system (so callers can pin simulator state), and the host
 // wall-clock time.
-func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
-	cfg, err := cluster.Config()
-	if err != nil {
-		fatal(err)
-	}
+func runShardedOnce(cfg pfs.Config, seed int64, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
 	var invs []*validate.Invariants
 	var shardFS []*pfs.FS
 	shcfg := workload.ShardedConfig{
 		Scale: o.scaleConfig(), Shards: o.shards, Workers: o.workers,
-		FS: cfg, Seed: cluster.Seed,
+		FS: cfg, Seed: seed,
 		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
 			shardFS = append(shardFS, sim)
 			if o.validate {
@@ -423,11 +440,11 @@ func runShardedOnce(cluster cli.ClusterFlags, o scaleOpts) (workload.ShardedRepo
 
 // invariantsHeld prints every violation the armed checkers recorded and
 // reports whether there were none.
-func invariantsHeld(invs []*validate.Invariants) bool {
+func invariantsHeld(stdout io.Writer, invs []*validate.Invariants) bool {
 	ok := true
 	for _, inv := range invs {
 		for _, v := range inv.Finish() {
-			fmt.Printf("validation: VIOLATION %s\n", v)
+			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
 			ok = false
 		}
 	}
@@ -439,9 +456,13 @@ func invariantsHeld(invs []*validate.Invariants) bool {
 // (no goroutine per rank), optionally sharded across engines under a
 // ParallelGroup. It reports simulated results plus host-side cost — wall
 // time, event throughput, heap bytes per rank, and allocations per rank
-// (every heap allocation the run made, including set-up). Returns false
-// when an armed invariant was violated.
-func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
+// (every heap allocation the run made, including set-up). It returns
+// errViolated when an armed invariant was violated.
+func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
+	cfg, err := cluster.Config()
+	if err != nil {
+		return err
+	}
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -449,9 +470,9 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	// keepFS pins the simulation state through the post-run heap
 	// measurement, so "heap B/rank" reports retained simulator footprint
 	// (engine pool, clients, namespace) instead of zero after collection.
-	rep, invs, keepFS, wall := runShardedOnce(cluster, o)
+	rep, invs, keepFS, wall := runShardedOnce(cfg, cluster.Seed, o)
 	if rep.Shards > 1 {
-		fmt.Printf("sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
+		fmt.Fprintf(stdout, "sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
 			rep.Shards, rep.Workers, rep.RanksPerShard, rep.Lookahead, rep.Windows)
 	}
 
@@ -466,15 +487,15 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 	allocsPerRank := float64(m1.Mallocs-m0.Mallocs) / float64(o.ranks)
 
 	nodes := (o.ranks + o.ranksPerNode - 1) / o.ranksPerNode
-	fmt.Printf("scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
+	fmt.Fprintf(stdout, "scale checkpoint: %d ranks (%d nodes x %d), %d step(s), %s/rank\n",
 		o.ranks, nodes, o.ranksPerNode, o.steps, cli.FormatSize(o.bytesPerRank))
-	fmt.Printf("  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
+	fmt.Fprintf(stdout, "  simulated: makespan %v, %s checkpointed, effective %.1f MB/s, %d I/O errors\n",
 		rep.Makespan, cli.FormatSize(rep.TotalBytes), rep.EffectiveMBps, rep.IOErrors)
 	evRate := float64(rep.Events) / wall.Seconds()
-	fmt.Printf("  host: %d events in %v (%.2fM events/s), heap %d B/rank, %.1f allocs/rank\n",
+	fmt.Fprintf(stdout, "  host: %d events in %v (%.2fM events/s), heap %d B/rank, %.1f allocs/rank\n",
 		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank, allocsPerRank)
 
-	ok := invariantsHeld(invs)
+	ok := invariantsHeld(stdout, invs)
 	if o.validate {
 		var disp, recs, clops, ostev uint64
 		for _, inv := range invs {
@@ -484,11 +505,14 @@ func runScale(cluster cli.ClusterFlags, o scaleOpts) bool {
 			clops += st.ClientOps
 			ostev += st.OSTEvents
 		}
-		fmt.Printf("validation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
+		fmt.Fprintf(stdout, "validation: %d dispatches, %d trace records, %d client ops, %d OST events checked\n",
 			disp, recs, clops, ostev)
 		if ok {
-			fmt.Println("validation: all invariants held")
+			fmt.Fprintln(stdout, "validation: all invariants held")
 		}
 	}
-	return ok
+	if !ok {
+		return errViolated
+	}
+	return nil
 }

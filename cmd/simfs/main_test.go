@@ -1,0 +1,109 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
+
+// hostDependent matches what a scale run prints about the host rather
+// than the simulation: the host-cost line (wall time, event rate, heap
+// and allocations per rank) and the resolved shard worker count, which
+// defaults to the host's core count.
+var hostDependent = regexp.MustCompile(`(?m)^  host: .*$|\(workers [0-9]+\)`)
+
+// maskHost replaces every host-dependent span of out with a fixed
+// placeholder.
+func maskHost(out string) string {
+	return hostDependent.ReplaceAllStringFunc(out, func(s string) string {
+		if strings.HasPrefix(s, "(workers") {
+			return "(workers masked)"
+		}
+		return "  host: (masked)"
+	})
+}
+
+// checkGolden compares got against the named testdata file byte for byte,
+// rewriting it under -update-golden, and reports the first diverging line
+// on mismatch.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output length differs: got %d lines, want %d", len(gl), len(wl))
+}
+
+// TestGoldenScale pins the -ranks scale checkpoint's output byte for
+// byte, host-dependent spans masked (see maskHost): a four-shard run and
+// a one-shard run with the resilience policy and a fault campaign on the
+// command line. Both were recorded before the pfs continuation calls
+// took a des.Step and a caller-owned Handle, so they hold the scale path
+// to the simulated results it had. Regenerate deliberately with
+//
+//	go test ./cmd/simfs -update-golden
+func TestGoldenScale(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/scale_sharded_golden.txt", []string{"-ranks", "2048", "-shards", "4", "-steps", "2"}},
+		{"testdata/scale_faults_golden.txt", []string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(tc.args, &out, &errb); code != 0 {
+				t.Fatalf("run %q: exit %d (stderr: %s)", tc.args, code, errb.String())
+			}
+			if errb.Len() != 0 {
+				t.Errorf("run wrote to stderr: %q", errb.String())
+			}
+			checkGolden(t, tc.golden, maskHost(out.String()))
+		})
+	}
+}
+
+// TestRunUsageErrors: a run with neither a script nor -ranks or
+// -validate, and one with an unknown flag, exit non-zero with a
+// diagnostic on stderr and nothing on stdout.
+func TestRunUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{nil, 1, "simfs: usage:"},
+		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-ranks", "64", "-shards", "2", "-workers-sweep", "2", "-shards", "1"}, 1, "-workers-sweep needs -shards > 1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != tc.code {
+			t.Errorf("run %q: exit %d, want %d", tc.args, code, tc.code)
+		}
+		if out.Len() != 0 || !strings.Contains(errb.String(), tc.msg) {
+			t.Errorf("run %q: stdout %q, stderr %q; want no output and %q", tc.args, out.String(), errb.String(), tc.msg)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package pfs
 
 import (
+	"runtime"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"pioeval/internal/des"
@@ -19,31 +22,24 @@ func TestMetaRPCEAllocs(t *testing.T) {
 	c := fs.NewClient("c0")
 	kick := des.NewSignal(e)
 	var ep *des.EventProc
-	var h *Handle
+	var h Handle
 	var end int64
-	var stepF des.StepFunc
-	var doneF func(error)
+	var stepF, doneF des.StepFunc
 	stepF = func() {
 		end++
 		io := h.newIO(ioWrite, 0, end, doneF)
 		io.ep, io.end = ep, end
 		io.setSize()
 	}
-	doneF = func(err error) {
-		if err != nil {
-			t.Fatalf("set size: %v", err)
+	doneF = func() {
+		if err := h.Err(); err != nil {
+			t.Fatalf("create or set size: %v", err)
 		}
 		kick.WaitE(ep, stepF)
 	}
 	e.SpawnEvent("c0", func(p *des.EventProc) {
 		ep = p
-		c.CreateE(ep, "/f", 0, 0, func(nh *Handle, err error) {
-			if err != nil {
-				t.Fatalf("create: %v", err)
-			}
-			h = nh
-			doneF(nil)
-		})
+		c.CreateE(ep, &h, "/f", 0, 0, doneF)
 	})
 	round := func() {
 		kick.Fire()
@@ -74,19 +70,21 @@ func TestCallFreeListsBounded(t *testing.T) {
 		c := fs.NewClientAt("n" + strconv.Itoa(i/64))
 		path := "/f" + strconv.Itoa(i)
 		e.SpawnEvent("r", func(ep *des.EventProc) {
-			c.CreateE(ep, path, 1, 0, func(h *Handle, err error) {
-				if err != nil {
+			h := new(Handle)
+			c.CreateE(ep, h, path, 1, 0, des.StepFunc(func() {
+				if err := h.Err(); err != nil {
 					t.Errorf("create %s: %v", path, err)
 					return
 				}
-				h.WriteE(ep, 0, 64<<10, func(err error) {
-					h.CloseE(ep, func(cerr error) {
-						if err == nil && cerr == nil {
+				h.WriteE(ep, 0, 64<<10, des.StepFunc(func() {
+					werr := h.Err()
+					h.CloseE(ep, des.StepFunc(func() {
+						if werr == nil && h.Err() == nil {
 							done++
 						}
-					})
-				})
-			})
+					}))
+				}))
+			}))
 		})
 	}
 	e.Run(des.MaxTime)
@@ -267,9 +265,10 @@ func TestGoroutineNamespaceAllocs(t *testing.T) {
 }
 
 // TestCallSizes pins the size of the call state every rank of a scale run
-// keeps one of per phase: EventProc's host field and the stat and readdir
-// results must not push a struct into a larger allocation size class, nor
-// must anything grow the rpcCall that embeds its EventProc.
+// keeps one of per phase: EventProc's host field, the stat and readdir
+// results and the Step continuations must not push a struct into a larger
+// allocation size class, nor must anything grow the rpcCall that embeds
+// its EventProc. The FS and the Handle stay in their size classes too.
 func TestCallSizes(t *testing.T) {
 	if n := unsafe.Sizeof(rpcCall{}); n > 224 {
 		t.Errorf("rpcCall is %d bytes, want <= 224", n)
@@ -279,6 +278,19 @@ func TestCallSizes(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(ioCall{}); n > 288 {
 		t.Errorf("ioCall is %d bytes, want <= 288", n)
+	}
+	// A campaign cluster builds one FS and its MDS, and a
+	// continuation-form caller embeds its Handle. A struct with pointers
+	// over 512 bytes carries an 8-byte allocation header, so an FS over
+	// 632 bytes would take the 704-byte class.
+	if n := unsafe.Sizeof(FS{}); n > 632 {
+		t.Errorf("FS is %d bytes, want <= 632", n)
+	}
+	if n := unsafe.Sizeof(mds{}); n > 224 {
+		t.Errorf("mds is %d bytes, want <= 224", n)
+	}
+	if n := unsafe.Sizeof(Handle{}); n > 128 {
+		t.Errorf("Handle is %d bytes, want <= 128", n)
 	}
 }
 
@@ -329,5 +341,146 @@ func TestRoundRobinLayoutAllocs(t *testing.T) {
 	fs.nextOST = 3
 	if wide := fs.allocateLayout(8, 0); !slices.Equal(wide.OSTs, []int{3, 4, 5, 6, 7, 0, 1, 2}) {
 		t.Fatalf("a layout over the appended-to window reads %v, want [3 4 5 6 7 0 1 2]", wide.OSTs)
+	}
+}
+
+// handleCycler drives create → write → fsync → close cycles of one file
+// into one caller-owned Handle: it is its own Step for every call, and
+// waits on kick between cycles.
+type handleCycler struct {
+	c      *Client
+	ep     *des.EventProc
+	kick   *des.Signal
+	h      Handle
+	path   string
+	phase  uint8
+	cycles int
+	err    error
+}
+
+func (cy *handleCycler) Step() {
+	if err := cy.h.Err(); err != nil && cy.err == nil {
+		cy.err = err
+	}
+	switch cy.phase {
+	case 0:
+		// Unlink the last cycle's file at the MDS, at no simulated cost,
+		// so that the namespace maps reuse its slot instead of growing.
+		_ = cy.c.fs.unlinkNS(cy.path)
+		cy.phase = 1
+		cy.c.CreateE(cy.ep, &cy.h, cy.path, 1, 0, cy)
+	case 1:
+		cy.phase = 2
+		cy.h.WriteE(cy.ep, 0, 64<<10, cy)
+	case 2:
+		cy.phase = 3
+		cy.h.FsyncE(cy.ep, cy)
+	case 3:
+		cy.phase = 4
+		cy.h.CloseE(cy.ep, cy)
+	case 4:
+		cy.cycles++
+		cy.phase = 0
+		cy.kick.WaitE(cy.ep, cy)
+	}
+}
+
+// TestContinuationHandleAllocs pins a Step-driven create, write, fsync
+// and close cycle into one reused caller-owned Handle: while the file
+// system has created fewer than inodesAlone inodes, a cycle allocates
+// exactly the new file's inode, and past that nothing, amortized, since
+// inodes then come from shared chunks. The handle, the calls and their
+// continuations allocate nothing.
+func TestContinuationHandleAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	fs := New(e, fastConfig())
+	cy := &handleCycler{c: fs.NewClient("c0"), kick: des.NewSignal(e), path: "/f"}
+	e.SpawnEvent("c0", func(ep *des.EventProc) {
+		cy.ep = ep
+		cy.Step()
+	})
+	e.Run(des.MaxTime)
+	round := func() {
+		cy.kick.Fire()
+		e.Run(des.MaxTime)
+	}
+	if n := testing.AllocsPerRun(100, round); n != 1 {
+		t.Errorf("cycle below %d inodes: %v allocs, want 1 (the inode)", inodesAlone, n)
+	}
+	for fs.mds.inodesMade < inodesAlone {
+		round()
+	}
+	if n := testing.AllocsPerRun(1000, round); n >= 0.01 {
+		t.Errorf("cycle past %d inodes: %v allocs, want 0 (amortized, < 0.01)", inodesAlone, n)
+	}
+	if cy.err != nil {
+		t.Fatalf("cycle: %v", cy.err)
+	}
+	if want := int(fs.mds.inodesMade); cy.cycles != want {
+		t.Fatalf("%d cycles, %d inodes created", cy.cycles, want)
+	}
+	if st := fs.ClientStatsTotal(); st.WriteRPCs != uint64(cy.cycles) {
+		t.Fatalf("%d write RPCs for %d cycles", st.WriteRPCs, cy.cycles)
+	}
+}
+
+// inodeSink keeps the inodes TestInodeChunks allocates on the heap.
+var inodeSink *inode
+
+// TestInodeChunks: a file system allocates its first inodesAlone inodes
+// one by one and carves the rest from 32 KiB chunks; a chunk whose
+// inodes have all been unlinked is garbage once the file system has
+// moved on to a later one; and Reset restarts the count.
+func TestInodeChunks(t *testing.T) {
+	if n := int(unsafe.Sizeof(inode{})) * inodesPerChunk; n > 32<<10 || n+int(unsafe.Sizeof(inode{})) <= 32<<10 {
+		t.Errorf("an inode chunk is %d bytes, want the most inodes that fit in 32 KiB", n)
+	}
+	fs := New(des.NewEngine(1), fastConfig())
+	const n = inodesAlone + 2*inodesPerChunk + 5
+	allocs := testing.AllocsPerRun(1, func() {
+		fs.Reset()
+		for i := 0; i < n; i++ {
+			inodeSink = fs.mds.newInode()
+		}
+	})
+	if want := inodesAlone + (n-inodesAlone+inodesPerChunk-1)/inodesPerChunk; allocs != float64(want) {
+		t.Errorf("%d inodes: %v allocations, want %d (%d alone, then chunks of %d)", n, allocs, want, inodesAlone, inodesPerChunk)
+	}
+
+	// Fill the first chunk and start the second through the namespace,
+	// watching the first chunk's base, its first inode.
+	fs.Reset()
+	path := func(i int) string { return "/f" + strconv.Itoa(i) }
+	var freed atomic.Bool
+	for i := 0; i <= inodesAlone+inodesPerChunk; i++ {
+		if _, err := fs.createNS(path(i), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i == inodesAlone {
+			runtime.SetFinalizer(fs.mds.inodes[path(i)], func(*inode) { freed.Store(true) })
+		}
+	}
+	for i := inodesAlone; i < inodesAlone+inodesPerChunk; i++ {
+		if err := fs.unlinkNS(path(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for try := 0; try < 100 && !freed.Load(); try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Error("a chunk whose inodes were all unlinked is still reachable")
+	}
+	if len(fs.Paths()) != inodesAlone+2 {
+		t.Fatalf("%d paths after the unlinks, want %d", len(fs.Paths()), inodesAlone+2)
+	}
+
+	fs.Reset()
+	if fs.mds.inodesMade != 0 || fs.mds.inodeChunk != nil {
+		t.Fatalf("after Reset: %d inodes made, chunk %p kept", fs.mds.inodesMade, fs.mds.inodeChunk)
+	}
+	if a := testing.AllocsPerRun(10, func() { inodeSink = fs.mds.newInode() }); a != 1 {
+		t.Errorf("inode after Reset: %v allocs, want 1 (allocated alone again)", a)
 	}
 }

@@ -3,6 +3,7 @@ package pfs
 import (
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"pioeval/internal/des"
 	"pioeval/internal/netsim"
@@ -204,20 +205,31 @@ func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
 	return names, err
 }
 
-// Handle is an open file.
+// Handle is an open file. The blocking Create and Open return a new
+// one; the continuation forms CreateE and OpenE open into a Handle their
+// caller owns, which may be embedded by value and re-opened once it has
+// been closed.
 type Handle struct {
-	c      *Client
-	path   string
-	layout Layout
-	closed bool
+	c       *Client
+	path    string
+	layout  Layout
+	closed  bool
+	raValid bool // the readahead window below is valid
 
 	// write-behind dirty extents, coalesced on append
 	dirty []extent
 
 	// readahead window already fetched from the servers
 	raStart, raEnd int64
-	raValid        bool
+
+	// err is the outcome of the handle's last operation (see Err).
+	err error
 }
+
+// Err returns the outcome of the handle's last operation: the create or
+// open that opened it, or the last write, read, fsync or close. The Step
+// a continuation call runs on completion reads its outcome here.
+func (h *Handle) Err() error { return h.err }
 
 type extent struct{ off, size int64 }
 
@@ -255,9 +267,39 @@ func (fs *FS) createNS(path string, stripeCount int, stripeSize int64) (Layout, 
 	}
 	layout := fs.allocateLayout(stripeCount, stripeSize)
 	now := fs.eng.Now()
-	fs.mds.inodes[path] = &inode{path: path, layout: layout, ctime: now, mtime: now}
+	n := fs.mds.newInode()
+	*n = inode{path: path, layout: layout, ctime: now, mtime: now}
+	fs.mds.inodes[path] = n
 	par.children[path] = true
 	return layout, nil
+}
+
+// inodesAlone is how many inodes a file system's MDS allocates one by one
+// after New or Reset; later ones are carved from 32 KiB chunks of
+// inodesPerChunk, as clients are (see clientsPerChunk), so a namespace of
+// many files costs few objects, and a small job or a reset cluster carves
+// none. A chunk stays reachable while any inode carved from it is in the
+// namespace, so one live file can keep 32 KiB of unlinked ones: this
+// suits namespaces that grow, like a checkpoint's, more than ones that
+// churn.
+const (
+	inodesAlone    = 256
+	inodesPerChunk = 32 << 10 / int(unsafe.Sizeof(inode{}))
+)
+
+// newInode returns storage for a new inode. Past the first inodesAlone,
+// the count of inodes made says which slot of the current chunk is next.
+func (m *mds) newInode() *inode {
+	i := int(m.inodesMade) - inodesAlone
+	m.inodesMade++
+	if i < 0 {
+		return new(inode)
+	}
+	i %= inodesPerChunk
+	if i == 0 {
+		m.inodeChunk = new([inodesPerChunk]inode)
+	}
+	return &m.inodeChunk[i]
 }
 
 // parentForNewNS checks that path is free and that its parent is a
@@ -311,7 +353,9 @@ func (fs *FS) mkdirNS(path string) error {
 		return err
 	}
 	now := fs.eng.Now()
-	fs.mds.inodes[path] = &inode{path: path, isDir: true, children: map[string]bool{}, ctime: now, mtime: now}
+	n := fs.mds.newInode()
+	*n = inode{path: path, isDir: true, children: map[string]bool{}, ctime: now, mtime: now}
+	fs.mds.inodes[path] = n
 	par.children[path] = true
 	return nil
 }
@@ -514,7 +558,7 @@ func (h *Handle) takeDirty(chunks []chunk) (_ []chunk, maxEnd int64) {
 		}
 		total += ex.size
 	}
-	h.dirty = nil
+	h.dirty = h.dirty[:0]
 	h.c.wbDirty -= total
 	return chunks, maxEnd
 }

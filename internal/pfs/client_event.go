@@ -10,12 +10,13 @@ import (
 
 // This file holds the one implementation of every client operation: each
 // is a continuation-form state machine, run on the caller's EventProc.
-// The E-suffixed methods start one on a spawned EventProc and hand its
-// outcome to a continuation; the blocking methods in client.go start the
-// same machine on the calling goroutine proc's hosted EventProc
-// (des.Proc.Await) and read its outcome when the proc resumes. There is
-// no second copy of any operation: cost model, retry policy, statistics
-// and observer events exist once.
+// The E-suffixed methods start one on a spawned EventProc and run a
+// des.Step once it completes, which reads the outcome from the handle
+// (Handle.Err); the blocking methods in client.go start the same machine
+// on the calling goroutine proc's hosted EventProc (des.Proc.Await) and
+// read its outcome when the proc resumes. There is no second copy of any
+// operation: cost model, retry policy, statistics and observer events
+// exist once.
 //
 // Each operation in flight is a state machine — metaCall (one metadata
 // RPC), ioCall (one write, read, fsync or close) or rpcCall (one data RPC)
@@ -107,11 +108,14 @@ type metaCall struct {
 	err          error
 	start        des.Time
 
-	// Completion: a create or open hands kH the new handle, a set-size
-	// resumes the write it belongs to, io. With neither, a goroutine proc
-	// awaits the call and reads its outcome before recycling it.
-	kH func(*Handle, error)
-	io *ioCall
+	// Completion: a continuation create or open settles the handle h it
+	// opens, and a set-size leaves its outcome in h, the handle of the
+	// write it belongs to. Then k runs: the caller's Step, or for a
+	// set-size the write's ioCall. Without k, a goroutine proc awaits the
+	// call and reads its outcome, a create's or open's layout included,
+	// before recycling it.
+	h *Handle
+	k des.Step
 }
 
 // metaCall phases: the step that runs when the pending blocking point
@@ -148,10 +152,14 @@ func (m *metaCall) await(p *des.Proc) error {
 }
 
 // awaitHandle runs a create or open on goroutine proc p and returns the
-// handle it opened.
+// new handle it opened, which is allocated only once the call has
+// succeeded.
 func (m *metaCall) awaitHandle(p *des.Proc) (*Handle, error) {
+	var h *Handle
 	err := m.await(p)
-	h := m.handle()
+	if err == nil {
+		h = &Handle{c: m.c, path: m.path, layout: m.layout}
+	}
 	m.recycle()
 	return h, err
 }
@@ -279,30 +287,24 @@ func (m *metaCall) settle() {
 }
 
 // finish emits the client operation's observer event (a set-size is part
-// of a write, not an operation of its own) and hands the outcome on.
+// of a write, not an operation of its own), records the outcome in the
+// call's handle, if any, and runs k. A create or open that failed leaves
+// its handle closed.
 func (m *metaCall) finish() {
 	c := m.c
 	if m.op != OpSetSize {
 		c.fs.observe(OpEvent{Client: c.node.Name(), Op: m.op.String(), Path: m.path, Size: int64(len(m.names)), Start: m.start, End: m.ep.Now()})
 	}
-	switch {
-	case m.kH != nil:
-		kH, h, err := m.kH, m.handle(), m.err
-		m.recycle()
-		kH(h, err)
-	case m.io != nil:
-		io, err := m.io, m.err
-		m.recycle()
-		io.sized(err)
+	if h := m.h; h != nil {
+		h.err = m.err
+		if m.op != OpSetSize {
+			h.layout, h.closed = m.layout, m.err != nil
+		}
 	}
-}
-
-// handle returns the handle a successful create or open opened, or nil.
-func (m *metaCall) handle() *Handle {
-	if m.err != nil {
-		return nil
+	if k := m.k; k != nil {
+		m.recycle()
+		k.Step()
 	}
-	return &Handle{c: m.c, path: m.path, layout: m.layout}
 }
 
 // recycle returns m to the free list.
@@ -312,29 +314,44 @@ func (m *metaCall) recycle() {
 	fs.metaFree.Put(m)
 }
 
-// CreateE is the continuation form of Create: the new handle (or error)
-// is handed to k.
-func (c *Client) CreateE(ep *des.EventProc, path string, stripeCount int, stripeSize int64, k func(*Handle, error)) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		k(nil, perr)
-		return
+// CreateE is the continuation form of Create: it creates path and opens
+// it into h, a handle its caller owns, then runs k, which reads the
+// outcome from h.Err. A create that fails leaves h closed. h may be a
+// zero Handle or one that has been closed; CreateE panics with
+// ErrHandleOpen if h is still open, or is still being opened.
+func (c *Client) CreateE(ep *des.EventProc, h *Handle, path string, stripeCount int, stripeSize int64, k des.Step) {
+	if m := c.openInto(h, OpCreate, path, k); m != nil {
+		m.layout.StripeCount, m.layout.StripeSize = stripeCount, stripeSize
+		m.run(ep)
 	}
-	m := c.newMeta(OpCreate, path)
-	m.layout.StripeCount, m.layout.StripeSize, m.kH = stripeCount, stripeSize, k
-	m.run(ep)
 }
 
-// OpenE is the continuation form of Open.
-func (c *Client) OpenE(ep *des.EventProc, path string, k func(*Handle, error)) {
-	path, perr := cleanPath(path)
-	if perr != nil {
-		k(nil, perr)
-		return
+// OpenE is the continuation form of Open: it opens path into the
+// caller-owned h, as CreateE does, then runs k.
+func (c *Client) OpenE(ep *des.EventProc, h *Handle, path string, k des.Step) {
+	if m := c.openInto(h, OpOpen, path, k); m != nil {
+		m.run(ep)
 	}
-	m := c.newMeta(OpOpen, path)
-	m.kH = k
-	m.run(ep)
+}
+
+// openInto makes h an opening handle on c for path and returns a metaCall
+// for op that settles h and runs k. For a path that is not valid it fails
+// h and runs k at once, and returns nil. It keeps the backing array of
+// h's write-behind extents.
+func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCall {
+	if h.c != nil && !h.closed {
+		panic(fmt.Errorf("%w: %s", ErrHandleOpen, path))
+	}
+	path, err := cleanPath(path)
+	*h = Handle{c: c, path: path, dirty: h.dirty[:0]}
+	if err != nil {
+		h.closed, h.err = true, err
+		k.Step()
+		return nil
+	}
+	m := c.newMeta(op, path)
+	m.h, m.k = h, k
+	return m
 }
 
 // ioKind is the client operation an ioCall serves.
@@ -355,10 +372,11 @@ var ioKindNames = [...]string{"write", "read", "fsync", "close"}
 // operation's observer event. Its chunk, RPC and error slices and its
 // WaitGroup are reused from call to call.
 type ioCall struct {
-	h     *Handle
-	ep    *des.EventProc
-	kind  ioKind
-	write bool // the fan-out writes
+	h      *Handle
+	ep     *des.EventProc
+	kind   ioKind
+	write  bool // the fan-out writes
+	sizing bool // the write's size update is in flight
 	des.Pooled
 	off  int64
 	size int64
@@ -377,9 +395,9 @@ type ioCall struct {
 	chunk1, rpc1 [1]chunk
 	err1         [1]error
 
-	// Completion: k receives the outcome. Without k, a goroutine proc
-	// awaits the call and reads err before recycling it.
-	k func(error)
+	// Completion: the outcome is recorded in h, then k runs. Without k, a
+	// goroutine proc awaits the call and reads err before recycling it.
+	k des.Step
 }
 
 // getIO takes an ioCall from the free list; a new one gets its inline
@@ -393,10 +411,10 @@ func (fs *FS) getIO() *ioCall {
 }
 
 // newIO takes an ioCall of the given kind on h from the free list.
-func (h *Handle) newIO(kind ioKind, off, size int64, k func(error)) *ioCall {
+func (h *Handle) newIO(kind ioKind, off, size int64, k des.Step) *ioCall {
 	io := h.c.fs.getIO()
 	io.h, io.kind, io.off, io.size, io.k = h, kind, off, size, k
-	io.end = 0
+	io.end, io.sizing = 0, false
 	return io
 }
 
@@ -514,12 +532,18 @@ func (io *ioCall) flush() {
 }
 
 // Step settles the joined fan-out: a write goes on to its size update,
-// a read miss records its readahead window.
+// a read miss records its readahead window. It runs again once a write's
+// size update is done, whose outcome the update left in the handle.
 func (io *ioCall) Step() {
 	if io.Recycled() {
 		panic("pfs: I/O call resumed after it was recycled")
 	}
 	h := io.h
+	if io.sizing {
+		io.err = h.err
+		io.finish()
+		return
+	}
 	io.err = h.settleIO(io.rpcs, io.errs, io.write)
 	if io.err == nil {
 		if io.write {
@@ -534,18 +558,13 @@ func (io *ioCall) Step() {
 }
 
 // setSize grows the file size at the MDS to io.end (a size RPC, as Lustre
-// clients batch; modeled as one metadata op), then resumes io in sized.
+// clients batch; modeled as one metadata op), then resumes io.
 func (io *ioCall) setSize() {
 	h := io.h
 	m := h.c.newMeta(OpSetSize, h.path)
-	m.end, m.io = io.end, io
+	m.end, m.h, m.k = io.end, h, io
+	io.sizing = true
 	m.run(io.ep)
-}
-
-// sized finishes a write once its size update is done.
-func (io *ioCall) sized(err error) {
-	io.err = err
-	io.finish()
 }
 
 // finish emits the operation's observer event and completes it. A close
@@ -559,13 +578,13 @@ func (io *ioCall) finish() {
 	io.complete(io.err)
 }
 
-// complete records the outcome and, for a call with a continuation,
-// recycles io and hands the outcome to it.
+// complete records the outcome in io and its handle and, for a call with
+// a continuation, recycles io and runs it.
 func (io *ioCall) complete(err error) {
-	io.err = err
+	io.err, io.h.err = err, err
 	if k := io.k; k != nil {
 		io.recycle()
-		k(err)
+		k.Step()
 	}
 }
 
@@ -723,22 +742,24 @@ func (rc *rpcCall) settle() {
 
 // WriteE is the continuation form of Write, including the write-behind
 // buffer: buffered writes complete synchronously and deferred flush
-// errors surface on the triggering WriteE, FsyncE, or CloseE.
-func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k func(error)) {
+// errors surface on the triggering WriteE, FsyncE, or CloseE. k reads the
+// outcome from h.Err, as for every continuation call on a handle.
+func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k des.Step) {
 	h.newIO(ioWrite, off, size, k).run(ep)
 }
 
 // ReadE is the continuation form of Read, including the readahead window.
-func (h *Handle) ReadE(ep *des.EventProc, off, size int64, k func(error)) {
+func (h *Handle) ReadE(ep *des.EventProc, off, size int64, k des.Step) {
 	h.newIO(ioRead, off, size, k).run(ep)
 }
 
 // FsyncE is the continuation form of Fsync.
-func (h *Handle) FsyncE(ep *des.EventProc, k func(error)) {
+func (h *Handle) FsyncE(ep *des.EventProc, k des.Step) {
 	h.newIO(ioFsync, 0, 0, k).run(ep)
 }
 
-// CloseE is the continuation form of Close.
-func (h *Handle) CloseE(ep *des.EventProc, k func(error)) {
+// CloseE is the continuation form of Close. A closed handle may be
+// opened again with CreateE or OpenE.
+func (h *Handle) CloseE(ep *des.EventProc, k des.Step) {
 	h.newIO(ioClose, 0, 0, k).run(ep)
 }

@@ -13,6 +13,10 @@ var (
 	ErrNoSuchOST = errors.New("pfs: no such OST")
 	// ErrClosedHandle reports I/O on a closed file handle.
 	ErrClosedHandle = errors.New("pfs: operation on closed handle")
+	// ErrHandleOpen is the value CreateE and OpenE panic with (wrapped,
+	// with the path) when the caller-owned handle they are to open into
+	// is still open: a handle is re-opened only once it has been closed.
+	ErrHandleOpen = errors.New("pfs: create or open into a handle that is still open")
 	// ErrOSTDown reports a request to a crashed object storage target.
 	ErrOSTDown = errors.New("pfs: OST down")
 	// ErrMDSUnavailable reports a metadata request during an MDS outage.

@@ -137,26 +137,31 @@ func runFormProgram(t *testing.T, sc formScenario, wb, ra int64, progs [][]formO
 			continue
 		}
 		e.SpawnEvent(path, func(ep *des.EventProc) {
-			var h *Handle
+			// A re-open opens into a new handle, nh, and leaves the old
+			// one as it is, open or not, as the blocking Open does.
+			h, nh := new(Handle), new(Handle)
 			i := -1
-			var step func()
-			done := func(err error) {
-				record(i, err)
+			var step, done, opened des.StepFunc
+			done = func() {
+				record(i, h.Err())
 				i++
 				step()
 			}
-			opened := func(nh *Handle, err error) {
+			opened = func() {
+				err := nh.Err()
 				if err == nil {
-					h = nh
+					h, nh = nh, new(Handle)
 				}
-				done(err)
+				record(i, err)
+				i++
+				step()
 			}
 			step = func() {
 				if i == len(prog) {
 					return
 				}
 				if i < 0 {
-					c.CreateE(ep, path, 0, 0, opened)
+					c.CreateE(ep, h, path, 0, 0, done)
 					return
 				}
 				op := prog[i]
@@ -170,7 +175,7 @@ func runFormProgram(t *testing.T, sc formScenario, wb, ra int64, progs [][]formO
 				case fopClose:
 					h.CloseE(ep, done)
 				case fopOpen:
-					c.OpenE(ep, path, opened)
+					c.OpenE(ep, nh, path, opened)
 				}
 			}
 			step()

@@ -87,10 +87,15 @@ type mds struct {
 	ops     [numMetaOps]uint64
 	busy    des.Time
 	down    bool // unavailability window (fault injection)
+	// inodesMade counts the inodes created since the last reset, and
+	// inodeChunk is the chunk new ones are carved from (see newInode).
+	inodesMade int32
+	inodeChunk *[inodesPerChunk]inode
 }
 
 // reset empties the namespace to the root directory and zeroes the
-// server's counters and availability window. A reset keeps the root
+// server's counters, availability window and count of inodes made, so
+// the next inodes are allocated one by one again. A reset keeps the root
 // inode, with its children map cleared; New makes both.
 func (m *mds) reset() {
 	m.threads.Reset()
@@ -103,6 +108,7 @@ func (m *mds) reset() {
 	*root = inode{path: "/", isDir: true, children: root.children}
 	m.inodes["/"] = root
 	m.ops, m.busy, m.down = [numMetaOps]uint64{}, 0, false
+	m.inodesMade, m.inodeChunk = 0, nil
 }
 
 // FS is a simulated parallel file system instance.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -573,5 +574,55 @@ func TestLeastLoadedLayoutReducesImbalance(t *testing.T) {
 func TestLayoutPolicyString(t *testing.T) {
 	if RoundRobin.String() != "round-robin" || LeastLoaded.String() != "least-loaded" {
 		t.Error("policy names")
+	}
+}
+
+// TestCreateIntoOpenHandlePanics: CreateE and OpenE open into a handle
+// their caller owns, which must not be open: one that is open, or still
+// being opened, makes them panic with ErrHandleOpen, naming the path. A
+// zero handle, a closed one and one whose create failed may be opened
+// into, and keep their outcome in Err.
+func TestCreateIntoOpenHandlePanics(t *testing.T) {
+	mustPanicOpen := func(what, path string, call func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, ErrHandleOpen) || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s: recovered %v, want ErrHandleOpen naming %s", what, err, path)
+			}
+		}()
+		call()
+	}
+	e := des.NewEngine(1)
+	fs := New(e, fastConfig())
+	c := fs.NewClient("c0")
+	var h Handle
+	var ep *des.EventProc
+	var log []string
+	note := des.StepFunc(func() { log = append(log, fmt.Sprintf("%s closed=%v err=%v", h.Path(), h.closed, h.Err())) })
+	e.SpawnEvent("c0", func(p *des.EventProc) {
+		ep = p
+		c.CreateE(ep, &h, "/a", 1, 0, note)
+		mustPanicOpen("create while a create is in flight", "/b", func() { c.CreateE(ep, &h, "/b", 1, 0, note) })
+	})
+	e.Run(des.MaxTime)
+	mustPanicOpen("create into an open handle", "/b", func() { c.CreateE(ep, &h, "/b", 1, 0, note) })
+	mustPanicOpen("open into an open handle", "/a", func() { c.OpenE(ep, &h, "/a", note) })
+
+	run := func(body func(ep *des.EventProc)) {
+		e.SpawnEvent("c0", body)
+		e.Run(des.MaxTime)
+	}
+	run(func(ep *des.EventProc) { h.CloseE(ep, note) })
+	run(func(ep *des.EventProc) { c.CreateE(ep, &h, "/a", 1, 0, note) }) // exists: fails, h stays closed
+	run(func(ep *des.EventProc) { c.OpenE(ep, &h, "/a", note) })
+	want := []string{
+		"/a closed=false err=<nil>",
+		"/a closed=true err=<nil>",
+		"/a closed=true err=" + ErrExist.Error(),
+		"/a closed=false err=<nil>",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("outcomes:\n got %q\nwant %q", log, want)
 	}
 }

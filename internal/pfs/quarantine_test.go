@@ -33,14 +33,14 @@ func TestQuarantinePoisonsRecycledCalls(t *testing.T) {
 	fs := New(e, fastConfig())
 	c := fs.NewClient("c0")
 	var werr error
+	var h Handle
 	e.SpawnEvent("c0", func(ep *des.EventProc) {
-		c.CreateE(ep, "/f", 1, 0, func(h *Handle, err error) {
-			if err != nil {
-				werr = err
+		c.CreateE(ep, &h, "/f", 1, 0, des.StepFunc(func() {
+			if werr = h.Err(); werr != nil {
 				return
 			}
-			h.WriteE(ep, 0, 4096, func(err error) { werr = err })
-		})
+			h.WriteE(ep, 0, 4096, des.StepFunc(func() { werr = h.Err() }))
+		}))
 	})
 	e.Run(des.MaxTime)
 	if werr != nil || e.LiveProcs() != 0 {

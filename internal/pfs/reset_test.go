@@ -58,12 +58,13 @@ func faultedRun(t *testing.T, e *des.Engine, fs *FS, seed int64, faulted bool, l
 		record := func(i int, err error) { fmt.Fprintf(log, "c%d op%d t=%d err=%v\n", ci, i, e.Now(), err) }
 		if ci == 2 {
 			e.SpawnEvent(path, func(ep *des.EventProc) {
-				c.CreateE(ep, "/e", 0, 0, func(h *Handle, err error) {
-					record(-1, err)
-					if err == nil {
-						h.WriteE(ep, 0, 3<<20, func(err error) { record(0, err) })
+				h := new(Handle)
+				c.CreateE(ep, h, "/e", 0, 0, des.StepFunc(func() {
+					record(-1, h.Err())
+					if h.Err() == nil {
+						h.WriteE(ep, 0, 3<<20, des.StepFunc(func() { record(0, h.Err()) }))
 					}
-				})
+				}))
 			})
 			continue
 		}

@@ -14,11 +14,11 @@ import (
 // (mpi.EventRank on a des.EventProc), so a rank costs one small struct and
 // one pooled event slot instead of a goroutine stack. A rank uses only
 // EventRank's Compute and Barrier, and the pfs client's continuation calls
-// (CreateE, WriteE, FsyncE, CloseE). Goroutine ranks await the same barrier
-// machine and the same client calls, so RunCheckpoint and a one-shard
-// RunShardedCheckpoint produce identical timing. RunShardedCheckpoint
-// drives one engine, or partitions ranks and storage into per-I/O-domain
-// engines coupled by a des.ParallelGroup.
+// (CreateE, WriteE, FsyncE, CloseE) into a handle the rank owns. Goroutine
+// ranks await the same barrier machine and the same client calls, so
+// RunCheckpoint and a one-shard RunShardedCheckpoint produce identical
+// timing. RunShardedCheckpoint drives one engine, or partitions ranks and
+// storage into per-I/O-domain engines coupled by a des.ParallelGroup.
 
 // ScaleConfig configures a continuation-form checkpoint run. It is the
 // file-per-process subset of CheckpointConfig (fresh file per rank per
@@ -91,11 +91,10 @@ func newScaleState(steps int) *scaleState {
 }
 
 // scaleRank is one checkpoint rank as an explicit state machine. It is its
-// own continuation (Step, a phase switch) for every blocking point but the
-// pfs calls, whose typed results go to one of two callbacks bound when the
-// rank starts — opened (the create's) and ioDone (a write's, fsync's or
-// close's) — so steady-state execution allocates nothing per operation. A shard's ranks are one
-// slice, allocated with its clients before the ranks spawn.
+// own continuation (Step, a phase switch) for every blocking point, the
+// pfs calls included, and owns the handle it opens each step's file into,
+// so steady-state execution allocates nothing per operation. A shard's
+// ranks are one slice, allocated with its clients before the ranks spawn.
 type scaleRank struct {
 	r    *mpi.EventRank
 	c    *pfs.Client
@@ -107,7 +106,7 @@ type scaleRank struct {
 	step  int
 	off   int64
 	t0    des.Time
-	h     *pfs.Handle
+	h     pfs.Handle // re-opened in place each step
 	phase uint8
 	after uint8 // the phase to resume in once the step barrier has passed
 
@@ -116,15 +115,13 @@ type scaleRank struct {
 	gate     *shardGate
 	gateLead bool
 	gateGen  int
-
-	openedF func(*pfs.Handle, error)
-	ioDoneF func(error)
 }
 
-// scaleRank phases: the step Step (or ioDone) runs next.
+// scaleRank phases: the step Step runs next.
 const (
 	srBarrier   uint8 = iota // compute time elapsed: enter the step barrier
 	srOpen                   // step barrier passed: create the step's file
+	srOpened                 // the create finished
 	srWrite                  // a write finished
 	srSync                   // the fsync finished
 	srClose                  // the close finished
@@ -133,20 +130,16 @@ const (
 	srGateAwait              // gate release fired: re-check the generation
 )
 
-// start binds the rank's pfs callbacks and begins its first step on r.
-func (s *scaleRank) start(r *mpi.EventRank) {
-	s.r = r
-	s.openedF = s.opened
-	s.ioDoneF = s.ioDone
-	s.stepBegin()
-}
-
 func (s *scaleRank) Step() {
 	switch s.phase {
 	case srBarrier:
 		s.barrier(srOpen)
 	case srOpen:
 		s.open()
+	case srOpened:
+		s.opened()
+	case srWrite, srSync, srClose:
+		s.ioDone()
 	case srStepDone:
 		s.stepDone()
 	case srGateEnter:
@@ -193,16 +186,16 @@ func (s *scaleRank) open() {
 	b = strconv.AppendInt(b, int64(s.step), 10)
 	b = append(b, '.')
 	b = strconv.AppendInt(b, int64(s.gid), 10)
-	s.c.CreateE(s.r.Proc(), string(b), s.cfg.StripeCount, s.cfg.StripeSize, s.openedF)
+	s.phase = srOpened
+	s.c.CreateE(s.r.Proc(), &s.h, string(b), s.cfg.StripeCount, s.cfg.StripeSize, s)
 }
 
-func (s *scaleRank) opened(h *pfs.Handle, err error) {
-	if err != nil {
+func (s *scaleRank) opened() {
+	if s.h.Err() != nil {
 		s.st.stepErrs[s.step]++
 		s.barrier(srStepDone)
 		return
 	}
-	s.h = h
 	s.off = 0
 	s.write()
 }
@@ -210,7 +203,7 @@ func (s *scaleRank) opened(h *pfs.Handle, err error) {
 func (s *scaleRank) write() {
 	if s.off >= s.cfg.BytesPerRank {
 		s.phase = srSync
-		s.h.FsyncE(s.r.Proc(), s.ioDoneF)
+		s.h.FsyncE(s.r.Proc(), s)
 		return
 	}
 	n := s.cfg.TransferSize
@@ -220,11 +213,12 @@ func (s *scaleRank) write() {
 	off := s.off
 	s.off += n
 	s.phase = srWrite
-	s.h.WriteE(s.r.Proc(), off, n, s.ioDoneF)
+	s.h.WriteE(s.r.Proc(), off, n, s)
 }
 
-func (s *scaleRank) ioDone(err error) {
-	if err != nil {
+// ioDone runs when a write, the fsync or the close has finished.
+func (s *scaleRank) ioDone() {
+	if s.h.Err() != nil {
 		s.st.stepErrs[s.step]++
 	}
 	switch s.phase {
@@ -232,9 +226,8 @@ func (s *scaleRank) ioDone(err error) {
 		s.write()
 	case srSync:
 		s.phase = srClose
-		s.h.CloseE(s.r.Proc(), s.ioDoneF)
+		s.h.CloseE(s.r.Proc(), s)
 	case srClose:
-		s.h = nil
 		s.barrier(srStepDone)
 	}
 }
@@ -433,7 +426,11 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 			}
 		}
 		w := mpi.NewWorld(e, n, mpi.DefaultOptions())
-		w.SpawnEvent(func(r *mpi.EventRank) { ranks[r.ID()].start(r) })
+		w.SpawnEvent(func(r *mpi.EventRank) {
+			s := &ranks[r.ID()]
+			s.r = r
+			s.stepBegin()
+		})
 		gid += n
 	}
 
