@@ -113,6 +113,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
 		return fail(errors.New("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)"))
 	}
+	if *scaleRanks > 0 && (o.faultSpec != "" || o.resilient) {
+		// The scale checkpoint builds its file systems without a fault
+		// campaign or a resilience policy; say so rather than run it
+		// fault-free.
+		return fail(errors.New("usage: -faults and -resilient apply to workload scripts, not to the -ranks scale checkpoint"))
+	}
 	if err := prof.Start(); err != nil {
 		return fail(err)
 	}

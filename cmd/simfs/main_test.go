@@ -58,10 +58,13 @@ func checkGolden(t *testing.T, path, got string) {
 
 // TestGoldenScale pins the -ranks scale checkpoint's output byte for
 // byte, host-dependent spans masked (see maskHost): a four-shard run and
-// a one-shard run with the resilience policy and a fault campaign on the
-// command line. Both were recorded before the pfs continuation calls
+// a one-shard run. Both were recorded before the pfs continuation calls
 // took a des.Step and a caller-owned Handle, so they hold the scale path
-// to the simulated results it had. Regenerate deliberately with
+// to the simulated results it had. The one-shard golden keeps its old
+// name: it was recorded with -resilient and a fault campaign on the
+// command line, which the scale checkpoint never applied and now rejects
+// (see TestRunUsageErrors), so the fault-free run prints the same bytes.
+// Regenerate deliberately with
 //
 //	go test ./cmd/simfs -update-golden
 func TestGoldenScale(t *testing.T) {
@@ -70,7 +73,7 @@ func TestGoldenScale(t *testing.T) {
 		args   []string
 	}{
 		{"testdata/scale_sharded_golden.txt", []string{"-ranks", "2048", "-shards", "4", "-steps", "2"}},
-		{"testdata/scale_faults_golden.txt", []string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}},
+		{"testdata/scale_faults_golden.txt", []string{"-ranks", "2048", "-shards", "1", "-steps", "2"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out, errb bytes.Buffer
@@ -86,8 +89,10 @@ func TestGoldenScale(t *testing.T) {
 }
 
 // TestRunUsageErrors: a run with neither a script nor -ranks or
-// -validate, and one with an unknown flag, exit non-zero with a
-// diagnostic on stderr and nothing on stdout.
+// -validate, one with an unknown flag, a worker sweep of one shard, and a
+// -ranks run given a fault campaign or the resilience policy, which the
+// scale checkpoint does not apply, exit non-zero with a diagnostic on
+// stderr and nothing on stdout.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -97,6 +102,9 @@ func TestRunUsageErrors(t *testing.T) {
 		{nil, 1, "simfs: usage:"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{[]string{"-ranks", "64", "-shards", "2", "-workers-sweep", "2", "-shards", "1"}, 1, "-workers-sweep needs -shards > 1"},
+		{[]string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}, 1, "-faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "64", "-faults", "ostcrash:1@100ms"}, 1, "-faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "64", "-resilient"}, 1, "-faults and -resilient apply to workload scripts"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

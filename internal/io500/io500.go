@@ -493,8 +493,9 @@ func runFind(cfg Config) ([]Phase, []string) {
 			_ = env.Mkdir(p, tr.base)
 			dir := fmt.Sprintf("%s/rank%d", tr.base, r.ID())
 			_ = env.Mkdir(p, dir)
+			files := workload.Names(dir+"/f", 0, tr.files)
 			for i := 0; i < tr.files; i++ {
-				fd, err := env.Open(p, fmt.Sprintf("%s/f%d", dir, i), posixio.OCreate|posixio.OExcl)
+				fd, err := env.Open(p, files.At(i), posixio.OCreate|posixio.OExcl)
 				if err != nil {
 					continue
 				}

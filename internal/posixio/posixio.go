@@ -42,13 +42,15 @@ type Env struct {
 
 	fds    map[int]*fdState
 	nextFD int
+	spare  *fdState // closed descriptors' state, reused by Open
 }
 
 type fdState struct {
 	h      storage.Handle
 	pos    int64
 	append bool
-	size   int64 // local size mirror for append/seek-end
+	size   int64    // local size mirror for append/seek-end
+	next   *fdState // the next spare, once closed
 }
 
 // NewEnv creates a POSIX environment for rank on target t, tracing into col
@@ -95,12 +97,19 @@ func (e *Env) Open(p *des.Proc, path string, flags int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
+	st := e.spare
+	if st != nil {
+		e.spare = st.next
+	} else {
+		st = new(fdState)
+	}
+	*st = fdState{h: h, append: flags&OAppend != 0, size: size}
+	if st.append {
+		st.pos = size
+	}
 	fd := e.nextFD
 	e.nextFD++
-	e.fds[fd] = &fdState{h: h, append: flags&OAppend != 0, size: size}
-	if flags&OAppend != 0 {
-		e.fds[fd].pos = size
-	}
+	e.fds[fd] = st
 	return fd, nil
 }
 
@@ -235,6 +244,9 @@ func (e *Env) Close(p *des.Proc, fd int) error {
 	cerr := st.h.Close(p)
 	delete(e.fds, fd)
 	e.emit(p, "close", st.h.Path(), 0, 0, start)
+	// A spare must not keep the closed handle reachable.
+	*st = fdState{next: e.spare}
+	e.spare = st
 	return cerr
 }
 

@@ -221,3 +221,52 @@ func TestPwritePreadDoNotMovePosition(t *testing.T) {
 		_ = env.Close(p, fd)
 	})
 }
+
+// TestOpenCloseAllocs: opening and closing an existing file on a Direct
+// target allocates exactly the PFS handle; the descriptor's state is
+// reused from the last close. Descriptor numbers still count up.
+func TestOpenCloseAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	cfg := pfs.DefaultConfig()
+	cfg.NumIONodes = 0
+	fs := pfs.New(e, cfg)
+	env := NewEnv(storage.Direct(fs.NewClient("c0")), 0, nil)
+	kick := des.NewSignal(e)
+	var opErr error
+	lastFD, stop := -1, false
+	e.Spawn("t", func(p *des.Proc) {
+		fd, err := env.Open(p, "/f", OCreate)
+		if err == nil {
+			err = env.Close(p, fd)
+		}
+		for opErr = err; opErr == nil; {
+			kick.Wait(p)
+			if stop {
+				return
+			}
+			if fd, opErr = env.Open(p, "/f", ORdonly); opErr != nil {
+				return
+			}
+			if fd <= lastFD {
+				t.Errorf("descriptor %d after %d; numbers must count up", fd, lastFD)
+			}
+			lastFD = fd
+			opErr = env.Close(p, fd)
+		}
+	})
+	round := func() {
+		kick.Fire()
+		e.Run(des.MaxTime)
+	}
+	e.Run(des.MaxTime)
+	round()
+	n := testing.AllocsPerRun(50, round)
+	stop = true
+	round()
+	if opErr != nil || e.LiveProcs() != 0 || env.OpenFDs() != 0 {
+		t.Fatalf("error %v, %d live procs, %d open descriptors", opErr, e.LiveProcs(), env.OpenFDs())
+	}
+	if n != 1 {
+		t.Errorf("open/close: %v allocations, want 1 (the PFS handle)", n)
+	}
+}

@@ -10,13 +10,13 @@ import (
 	"pioeval/internal/campaign"
 )
 
-// specKey digests the canonical (defaults-applied) form of a spec, so
-// every textual spelling of the same campaign maps to one cache slot and
-// one single-flight. Campaign reports are deterministic per canonical
-// spec — identical points per seed — so serving a cached body is exact,
-// not approximate.
-func specKey(spec campaign.Spec) string {
-	b, err := json.Marshal(spec.Canonical())
+// specKey digests a canonical (defaults-applied) spec, as Spec.Canonical
+// returns it, so every textual spelling of the same campaign maps to one
+// cache slot and one single-flight. Campaign reports are deterministic
+// per canonical spec — identical points per seed — so serving a cached
+// body is exact, not approximate.
+func specKey(canonical campaign.Spec) string {
+	b, err := json.Marshal(canonical)
 	if err != nil {
 		// A Spec is plain data; Marshal cannot fail on it.
 		panic("serve: marshal canonical spec: " + err.Error())

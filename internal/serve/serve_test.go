@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,7 +108,7 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 		BurstBuffer: []bool{false}, Tiers: []string{""}, Faults: []string{""},
 		Compress: []string{""},
 	}
-	if specKey(implicit) != specKey(explicit) {
+	if specKey(implicit.Canonical()) != specKey(explicit.Canonical()) {
 		t.Fatal("defaulted and spelled-out forms of the same spec hash differently")
 	}
 	// The axis spellings "direct" and "none" canonicalize to "", so they
@@ -112,18 +116,79 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 	spelled := implicit
 	spelled.Tiers = []string{"direct"}
 	spelled.Compress = []string{"none"}
-	if specKey(implicit) != specKey(spelled) {
+	if specKey(implicit.Canonical()) != specKey(spelled.Canonical()) {
 		t.Fatal("tier=direct/compress=none spellings hash differently from defaults")
 	}
 	other := implicit
 	other.Seed = 43
-	if specKey(implicit) == specKey(other) {
+	if specKey(implicit.Canonical()) == specKey(other.Canonical()) {
 		t.Fatal("different seeds hash identically")
 	}
 	compressed := implicit
 	compressed.Compress = []string{"lz"}
-	if specKey(implicit) == specKey(compressed) {
+	if specKey(implicit.Canonical()) == specKey(compressed.Canonical()) {
 		t.Fatal("compressed and uncompressed campaigns hash identically")
+	}
+}
+
+// TestSpecKeyPinned: the cache key of a spec text is the one recorded
+// before the server stopped canonicalizing inside specKey, byte for byte,
+// for several spellings of the default campaign and for every spec of the
+// campaign package's FuzzSpecParse seed corpus that validates (its
+// in-source seeds are listed here, its corpus files are read from disk).
+// Changing a key would orphan every cached result.
+func TestSpecKeyPinned(t *testing.T) {
+	const defaultKey = "78cc11bd1325943830cdefcf040c792f882b9162e8214b10f15bf5d38a232756"
+	pinned := map[string]string{
+		// Spellings of the default campaign.
+		"campaign \"t\" {\n}\n": defaultKey,
+		"campaign \"t\" {\n\tworkload ior\n\treps 1\n\tsteps 4\n\tranks 4\n\tdevice hdd\n\tstripe-count 4\n\tstripe-size 1MB\n" +
+			"\tblock-size 16MB\n\ttransfer-size 1MB\n\tpattern sequential\n\tcollective false\n\tburstbuffer false\n" +
+			"\ttier direct\n\tcompress none\n\tfaults \"\"\n}\n": defaultKey,
+		"campaign \"t\" {\n    compress none # the default\n    tier direct\n}\n":     defaultKey,
+		"campaign \"t\" {\n\tblock-size 16384KB\n\tstripe-size 1024KB\n\tseed 0\n}\n": defaultKey,
+		// FuzzSpecParse's in-source seeds.
+		"campaign \"t\" {\n\tseed 7\n\treps 2\n\tranks 2, 4\n\tdevice hdd, ssd\n}\n":                     "36795ba3ac04b0cc7eab0c820c445ce0ed1bb820ab25cd875232651d559f214b",
+		"campaign \"t\" {\n\ttransfer-size 256KB, 1MB # comment\n\tfaults \"\", \"ostcrash:1@5ms\"\n}\n": "290e1a17b400aef5d5560580ac98279f3bfc5680ada895a2653b2a454a4fde91",
+		"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb, nodelocal\n\tblock-size 1MB\n}\n":   "7b609a884f444bbe8c3f05701d072de3436f3042c8f4bfb5fcae14cfdf0d0885",
+		"campaign \"t\" {\n\tcompress none, lz, deflate\n\tdevice hdd, nvme\n}\n":                        "db5c6b22625142ec1d12dbcadc0d247d390a2cab9b49e4df9555c10bd65efb26",
+		"campaign \"t\" {\n\tworkload checkpoint\n\tcompress sz\n\ttier bb\n\tblock-size 4MB\n}\n":       "325731a6084379cc032d02375ba61170692d212942b89d7394d9f2d1b1acf8f5",
+		"campaign \"x\" {\n\tcompress none, lz, zfp\n\tdevice hdd, nvme\n\ttier bb\n}\n":                 "276a0ec3fe39731f43507a51ba395a631710bcefb137a7ca318388b19e8148d5",
+		"campaign \"x\" {\n\tranks 2,2,2\n\tdevice hdd,hdd\n\treps 3\n}\n":                               "e188c6201773517bc6ca3e50c23a66d4d3c48054883ca525f4e1008db829dd76",
+		"campaign \"x\" {\n\tfaults \"ostcrash:0@1ms; ostrecover:0@2ms\", \"mdsdown@1s\"\n}\n":           "1106794645e9e1b267039d4ba4a0c0fdb7dadf2089827fe6ae70005b3e38e43c",
+	}
+	key := func(src string) (string, bool) {
+		spec, err := campaign.ParseSpec(src)
+		if err == nil {
+			err = spec.Validate()
+		}
+		if err != nil {
+			return "", false
+		}
+		return specKey(spec.Canonical()), true
+	}
+	files, err := filepath.Glob("../campaign/testdata/fuzz/FuzzSpecParse/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("FuzzSpecParse corpus: %d files, %v", len(files), err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := strings.TrimPrefix(strings.TrimSpace(string(b)), "go test fuzz v1\nstring(")
+		src, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if got, ok := key(src); ok && got != pinned[src] {
+			t.Errorf("%s: key %s, pinned %q", f, got, pinned[src])
+		}
+	}
+	for src, want := range pinned {
+		if got, ok := key(src); got != want {
+			t.Errorf("%q: key %s (valid %v), want %s", src, got, ok, want)
+		}
 	}
 }
 

@@ -470,7 +470,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	key := specKey(spec)
+	key := specKey(canonical)
 	if payload, ok := s.cache.get(key); ok {
 		s.metrics.add(&s.metrics.cacheHits)
 		w.Header().Set("X-Cache", "hit")

@@ -42,21 +42,23 @@ func (t *TieredBB) Buffer() *burstbuffer.Buffer { return t.bb }
 // Create creates path on the PFS namespace (so the drainer and read-through
 // path can open it) and returns a handle whose data ops ride the buffer.
 func (t *TieredBB) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {
-	h, err := t.c.Create(p, path, stripeCount, stripeSize)
-	if err != nil {
-		return nil, err
-	}
-	return &tieredHandle{t: t, ph: h}, nil
+	h := &tieredHandle{t: t}
+	p.Await(func(ep *des.EventProc) { t.c.CreateE(ep, &h.ph, path, stripeCount, stripeSize, opened{}) })
+	return h.result()
 }
 
 // Open opens an existing PFS file for tiered access.
 func (t *TieredBB) Open(p *des.Proc, path string) (Handle, error) {
-	h, err := t.c.Open(p, path)
-	if err != nil {
-		return nil, err
-	}
-	return &tieredHandle{t: t, ph: h}, nil
+	h := &tieredHandle{t: t}
+	p.Await(func(ep *des.EventProc) { t.c.OpenE(ep, &h.ph, path, opened{}) })
+	return h.result()
 }
+
+// opened is the last step of an awaited create or open: the proc reads
+// the outcome from the handle once it resumes.
+type opened struct{}
+
+func (opened) Step() {}
 
 // Stat returns PFS metadata. Note that file sizes lag staged writes until
 // the drainer lands them — an honest property of write-back tiering.
@@ -79,10 +81,20 @@ func (t *TieredBB) Readdir(p *des.Proc, path string) ([]string, error) {
 }
 
 // tieredHandle is an open file on a TieredBB target: data ops go to the
-// burst buffer, metadata sticks with the wrapped PFS handle.
+// burst buffer, metadata sticks with the PFS handle it embeds, which the
+// continuation create or open opened in place, so an open allocates one
+// object.
 type tieredHandle struct {
 	t  *TieredBB
-	ph *pfs.Handle
+	ph pfs.Handle
+}
+
+// result returns h once its create or open has succeeded, or the error.
+func (h *tieredHandle) result() (Handle, error) {
+	if err := h.ph.Err(); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
 // Path returns the handle's path.

@@ -156,13 +156,14 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 
 	end := h.Run(func(r *mpi.Rank, env *posixio.Env) {
 		p := r.Proc()
-		dir := fmt.Sprintf("%s/rank%d", cfg.BasePath, r.ID())
+		rankDir := fmt.Sprintf("%s/rank%d", cfg.BasePath, r.ID())
+		dir := rankDir
 		// Every rank attempts the base mkdir: on a shared namespace the
 		// first one wins (the rest get ErrExist), and on private node-local
 		// namespaces each rank must create its own copy.
 		_ = env.Mkdir(p, cfg.BasePath)
 		r.Barrier()
-		_ = env.Mkdir(p, dir)
+		_ = env.Mkdir(p, rankDir)
 		// Optional nested tree (mdtest -z).
 		var levels []string
 		for d := 0; d < cfg.Depth; d++ {
@@ -170,6 +171,8 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 			_ = env.Mkdir(p, dir)
 			levels = append(levels, dir)
 		}
+		// Every phase works on the same files; name them once.
+		files := Names(dir+"/f", 0, cfg.FilesPerRank)
 
 		// Create phase (always runs; later phases need the files).
 		r.Barrier()
@@ -177,8 +180,7 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 			cStart = r.Now()
 		}
 		for i := 0; i < cfg.FilesPerRank; i++ {
-			path := fmt.Sprintf("%s/f%d", dir, i)
-			fd, err := env.Open(p, path, posixio.OCreate|posixio.OExcl)
+			fd, err := env.Open(p, files.At(i), posixio.OCreate|posixio.OExcl)
 			if err != nil {
 				continue
 			}
@@ -204,7 +206,7 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 				sStart = prevEnd
 			}
 			for i := 0; i < cfg.FilesPerRank; i++ {
-				_, _ = env.Stat(p, fmt.Sprintf("%s/f%d", dir, i))
+				_, _ = env.Stat(p, files.At(i))
 			}
 			r.Barrier()
 			if r.ID() == 0 {
@@ -219,7 +221,7 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 				rdStart = prevEnd
 			}
 			for i := 0; i < cfg.FilesPerRank; i++ {
-				fd, err := env.Open(p, fmt.Sprintf("%s/f%d", dir, i), 0)
+				fd, err := env.Open(p, files.At(i), 0)
 				if err != nil {
 					continue
 				}
@@ -241,12 +243,12 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 				rStart = prevEnd
 			}
 			for i := 0; i < cfg.FilesPerRank; i++ {
-				_ = env.Unlink(p, fmt.Sprintf("%s/f%d", dir, i))
+				_ = env.Unlink(p, files.At(i))
 			}
 			for d := len(levels) - 1; d >= 0; d-- {
 				_ = env.Rmdir(p, levels[d])
 			}
-			_ = env.Rmdir(p, fmt.Sprintf("%s/rank%d", cfg.BasePath, r.ID()))
+			_ = env.Rmdir(p, rankDir)
 			r.Barrier()
 			if r.ID() == 0 {
 				rEnd = r.Now()

@@ -80,14 +80,32 @@ type scaleState struct {
 	stepStart  []des.Time
 	stepIOTime []des.Time
 	stepErrs   []uint64
+
+	// The engine's ranks have global ids first..first+ranks-1, and names
+	// holds their file names for step namesStep: one block per step, built
+	// by the first rank to open that step's file.
+	first, ranks int
+	names        NameBlock
+	namesStep    int
 }
 
-func newScaleState(steps int) *scaleState {
+func newScaleState(steps, first, ranks int) *scaleState {
 	return &scaleState{
 		stepStart:  make([]des.Time, steps),
 		stepIOTime: make([]des.Time, steps),
 		stepErrs:   make([]uint64, steps),
+		first:      first, ranks: ranks, namesStep: -1,
 	}
+}
+
+// fileName returns the checkpoint file name of global rank gid at step,
+// <Path>.step<step>.<gid>, from the step's name block.
+func (st *scaleState) fileName(cfg *ScaleConfig, step, gid int) string {
+	if st.namesStep != step {
+		st.names = Names(cfg.Path+".step"+strconv.Itoa(step)+".", st.first, st.ranks)
+		st.namesStep = step
+	}
+	return st.names.At(gid - st.first)
 }
 
 // scaleRank is one checkpoint rank as an explicit state machine. It is its
@@ -180,14 +198,8 @@ func (s *scaleRank) open() {
 		s.st.stepStart[s.step] = s.r.Now()
 	}
 	s.t0 = s.r.Now()
-	var buf [64]byte
-	b := append(buf[:0], s.cfg.Path...)
-	b = append(b, ".step"...)
-	b = strconv.AppendInt(b, int64(s.step), 10)
-	b = append(b, '.')
-	b = strconv.AppendInt(b, int64(s.gid), 10)
 	s.phase = srOpened
-	s.c.CreateE(s.r.Proc(), &s.h, string(b), s.cfg.StripeCount, s.cfg.StripeSize, s)
+	s.c.CreateE(s.r.Proc(), &s.h, s.st.fileName(s.cfg, s.step, s.gid), s.cfg.StripeCount, s.cfg.StripeSize, s)
 }
 
 func (s *scaleRank) opened() {
@@ -412,7 +424,7 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		if cfg.AttachShard != nil {
 			cfg.AttachShard(sh, e, fs)
 		}
-		st := newScaleState(sc.Steps)
+		st := newScaleState(sc.Steps, gid, n)
 		states[sh] = st
 		ranks := make([]scaleRank, n)
 		var node string
