@@ -219,7 +219,10 @@ func BenchmarkParallelDES(b *testing.B) {
 				e := engines[i]
 				e.Spawn("u", func(p *des.Proc) {
 					p.Wait(e.RNG().Uniform("arr", 0, des.Millisecond))
-					r.Use(p, e.RNG().Exponential("svc", 50*des.Microsecond))
+					svc := e.RNG().Exponential("svc", 50*des.Microsecond)
+					r.Acquire(p)
+					p.Wait(svc)
+					r.Release()
 				})
 			}
 		}

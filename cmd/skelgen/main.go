@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -18,17 +20,28 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("skelgen: ")
-	fs := flag.NewFlagSet("skelgen", flag.ExitOnError)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command behind a testable seam: flags come from args,
+// all output goes to the supplied writers, and failures return as errors
+// instead of exiting.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("skelgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	emit := fs.Bool("emit", false, "print generated Go source for each rank")
 	noThink := fs.Bool("no-think", false, "drop compute gaps for maximum foldability")
-	_ = fs.Parse(os.Args[1:])
-
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
-		log.Fatal("usage: skelgen [flags] <trace file>")
+		return errors.New("usage: skelgen [flags] <trace file>")
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	var recs []trace.Record
@@ -38,7 +51,7 @@ func main() {
 		recs, err = trace.ReadBinary(f)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("read %s: %w", fs.Arg(0), err)
 	}
 
 	quantum := skeleton.ThinkQuantum
@@ -46,7 +59,7 @@ func main() {
 		quantum = 0
 	}
 	ranks := len(replay.FromTrace(recs))
-	fmt.Printf("trace: %d records, %d ranks\n", len(recs), ranks)
+	fmt.Fprintf(stdout, "trace: %d records, %d ranks\n", len(recs), ranks)
 	for r := 0; r < ranks; r++ {
 		rankRecs := trace.ByRank(recs, r)
 		toks := skeleton.TokenizeQ(rankRecs, quantum)
@@ -54,10 +67,11 @@ func main() {
 		prog.Rank = r
 		syms := skeleton.TokensToSymbols(toks)
 		_, lrs := skeleton.LongestRepeat(syms)
-		fmt.Printf("rank %d: %d ops -> %d nodes (%.1fx compression, longest repeat %d)\n",
+		fmt.Fprintf(stdout, "rank %d: %d ops -> %d nodes (%.1fx compression, longest repeat %d)\n",
 			r, len(toks), prog.Size(), prog.CompressionRatio(), lrs)
 		if *emit {
-			fmt.Println(prog.RenderGo(fmt.Sprintf("replayRank%d", r)))
+			fmt.Fprintln(stdout, prog.RenderGo(fmt.Sprintf("replayRank%d", r)))
 		}
 	}
+	return nil
 }

@@ -6,6 +6,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"strings"
 
@@ -13,18 +15,32 @@ import (
 )
 
 func main() {
-	fs := flag.NewFlagSet("surveyfig", flag.ExitOnError)
-	listPapers := fs.Bool("papers", false, "list the full corpus")
-	_ = fs.Parse(os.Args[1:])
+	log.SetFlags(0)
+	log.SetPrefix("surveyfig: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	fmt.Printf("Survey corpus: %d included papers (Figure 3)\n\n", corpus.Count())
+// run is the whole command behind a testable seam: flags come from args,
+// all output goes to the supplied writers, and failures return as errors
+// instead of exiting.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("surveyfig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listPapers := fs.Bool("papers", false, "list the full corpus")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "Survey corpus: %d included papers (Figure 3)\n\n", corpus.Count())
 	section := func(title string, shares []corpus.Share) {
-		fmt.Printf("%s\n", title)
+		fmt.Fprintf(stdout, "%s\n", title)
 		for _, s := range shares {
 			bar := strings.Repeat("#", int(s.Percent/2+0.5))
-			fmt.Printf("  %-26s %5.1f%% (%2d) %s\n", s.Label, s.Percent, s.Count, bar)
+			fmt.Fprintf(stdout, "  %-26s %5.1f%% (%2d) %s\n", s.Label, s.Percent, s.Count, bar)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	section("By venue type:", corpus.ByVenueType())
 	section("By publisher:", corpus.ByPublisher())
@@ -32,9 +48,10 @@ func main() {
 	section("By taxonomy category (multi-label):", corpus.ByCategory())
 
 	if *listPapers {
-		fmt.Println("Included papers:")
+		fmt.Fprintln(stdout, "Included papers:")
 		for _, p := range corpus.Papers() {
-			fmt.Printf("  [%s] %s (%s %d, %s/%s)\n", p.Key, p.Title, p.Venue, p.Year, p.Type, p.Publisher)
+			fmt.Fprintf(stdout, "  [%s] %s (%s %d, %s/%s)\n", p.Key, p.Title, p.Venue, p.Year, p.Type, p.Publisher)
 		}
 	}
+	return nil
 }

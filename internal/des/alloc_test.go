@@ -122,12 +122,12 @@ func TestEventProcSize(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the pooled event slot at 40 bytes: a slot carries a
+// TestEventSize pins the pooled event slot at 32 bytes: a slot carries a
 // callback or an EventProc, since a goroutine proc's wakes are those of the
 // EventProc it hosts.
 func TestEventSize(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n != 40 {
-		t.Errorf("event is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Errorf("event is %d bytes, want 32", n)
 	}
 }
 

@@ -181,14 +181,16 @@ func BenchmarkEventProcResourceContention(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		e.SpawnEvent("u", func(ep *EventProc) {
 			k := 0
-			var step StepFunc
-			step = func() {
+			var acquired, held StepFunc
+			acquired = func() { ep.Wait(1, held) }
+			held = func() {
+				r.Release()
 				k++
 				if k < per {
-					r.UseE(ep, 1, step)
+					r.AcquireE(ep, acquired)
 				}
 			}
-			r.UseE(ep, 1, step)
+			r.AcquireE(ep, acquired)
 		})
 	}
 	b.ResetTimer()
@@ -207,7 +209,9 @@ func BenchmarkResourceContention(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		e.Spawn("u", func(p *Proc) {
 			for k := 0; k < per; k++ {
-				r.Use(p, 1)
+				r.Acquire(p)
+				p.Wait(1)
+				r.Release()
 			}
 		})
 	}

@@ -109,17 +109,7 @@ type event struct {
 	// those of the EventProc it hosts (see Proc.Await).
 	fire  func()
 	eproc *EventProc
-	// gen is bumped every time the slot is freed; cancel handles capture
-	// (index, gen) so a stale cancel of a recycled slot is a no-op.
-	gen uint32
-	// canceled events stay queued but are skipped (and freed) when popped;
-	// the heap is compacted once they outnumber live entries.
-	canceled bool
 }
-
-// minCompact is the heap size below which lazy-canceled events are never
-// compacted eagerly — popping them is cheaper than rebuilding.
-const minCompact = 64
 
 // heapEntry carries the ordering key next to the slot index so heap sifts
 // compare within the heap array itself instead of chasing pool slots.
@@ -150,9 +140,6 @@ type Engine struct {
 	// drained so the backing array is reused.
 	imm     []int32
 	immHead int
-
-	// canceled counts lazily-canceled events still queued (heap or imm).
-	canceled int
 
 	// Process scheduling (see Run and runProcs): fault carries a dispatch
 	// panic from a proc to Run.
@@ -190,10 +177,11 @@ var ErrLiveReset = errors.New("des: reset of an object in use")
 // PID and dispatch counters at zero, no pending events, no trace hook,
 // and every named stream the RNG has handed out reseeded in place to
 // draw exactly what a fresh engine's stream of that name draws. Queued
-// events are freed into the event slab, which Reset keeps, as it keeps
-// the heap's and the immediate ring's backing arrays, so a reused engine
-// schedules without growing them again. NewEngine calls Reset too: an
-// engine has one initialization path.
+// events are dropped unfired and their slots freed into the event slab,
+// which Reset keeps, as it keeps the heap's and the immediate ring's
+// backing arrays, so a reused engine schedules without growing them
+// again. NewEngine calls Reset too: an engine has one initialization
+// path.
 //
 // Reset panics with ErrLiveReset while Run is executing or while any
 // process is live, since a live process would wake into the new run.
@@ -243,14 +231,12 @@ func (e *Engine) alloc(at Time, fn func()) int32 {
 	return idx
 }
 
-// freeSlot returns a slot to the freelist, dropping its references and
-// invalidating any outstanding cancel handle.
+// freeSlot returns a slot to the freelist, dropping its references so a
+// recycled slot keeps no callback or process alive.
 func (e *Engine) freeSlot(idx int32) {
 	ev := &e.pool[idx]
 	ev.fire = nil
 	ev.eproc = nil
-	ev.canceled = false
-	ev.gen++
 	e.free = append(e.free, idx)
 }
 
@@ -344,52 +330,10 @@ func (e *Engine) siftDown(i int) {
 	h[i] = item
 }
 
-// maybeCompact rebuilds the heap without canceled entries once they exceed
-// half of it, bounding the memory and pop-skip cost of lazy cancellation.
-func (e *Engine) maybeCompact() {
-	if e.canceled < minCompact || e.canceled*2 <= len(e.heap) {
-		return
-	}
-	kept := e.heap[:0]
-	for _, he := range e.heap {
-		if e.pool[he.idx].canceled {
-			e.canceled--
-			e.freeSlot(he.idx)
-		} else {
-			kept = append(kept, he)
-		}
-	}
-	e.heap = kept
-	if n := len(e.heap); n > 1 {
-		for i := (n - 2) >> 2; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
-}
-
 // After schedules fn to run after delay d. Callback-style scheduling; most
 // code should prefer processes (Spawn) instead.
 func (e *Engine) After(d Time, fn func()) {
 	e.schedule(e.now+d, fn)
-}
-
-// AfterCancel schedules fn after delay d and returns a cancel function
-// (idempotent; a no-op once the event has fired). Timeout modeling.
-// Cancellation is lazy — the slot stays queued and is skipped when popped
-// — with heap compaction once canceled entries exceed half the heap.
-func (e *Engine) AfterCancel(d Time, fn func()) (cancel func()) {
-	idx := e.schedule(e.now+d, fn)
-	gen := e.pool[idx].gen
-	return func() {
-		ev := &e.pool[idx]
-		if ev.gen != gen || ev.canceled {
-			return // already fired, freed, or canceled
-		}
-		ev.canceled = true
-		ev.fire = nil // release the closure now; the slot may linger
-		e.canceled++
-		e.maybeCompact()
-	}
 }
 
 // next selects the lowest-(at, seq) pending event: the head of the
@@ -458,11 +402,6 @@ func (e *Engine) loop() *Proc {
 			return nil
 		}
 		ev := &e.pool[idx]
-		if ev.canceled {
-			e.canceled--
-			e.freeSlot(idx)
-			continue
-		}
 		if ev.at > e.horizon {
 			// Put it back for a future Run call and stop.
 			e.heapPush(idx)
@@ -501,22 +440,15 @@ func (e *Engine) procLoop() *Proc {
 	return e.loop()
 }
 
-// NextEventTime returns the timestamp of the earliest pending event.
+// NextEventTime returns the timestamp of the earliest pending event. The
+// immediate ring's entries are stamped at the current time, which no heap
+// entry precedes, so its head comes first.
 func (e *Engine) NextEventTime() (Time, bool) {
-	for i := e.immHead; i < len(e.imm); i++ {
-		if !e.pool[e.imm[i]].canceled {
-			return e.pool[e.imm[i]].at, true
-		}
+	if e.immHead < len(e.imm) {
+		return e.pool[e.imm[e.immHead]].at, true
 	}
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if e.pool[top.idx].canceled {
-			e.heapPop()
-			e.canceled--
-			e.freeSlot(top.idx)
-			continue
-		}
-		return top.at, true
+	if len(e.heap) > 0 {
+		return e.heap[0].at, true
 	}
 	return 0, false
 }
@@ -535,21 +467,8 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// Pending reports the number of scheduled (non-canceled) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, he := range e.heap {
-		if !e.pool[he.idx].canceled {
-			n++
-		}
-	}
-	for i := e.immHead; i < len(e.imm); i++ {
-		if !e.pool[e.imm[i]].canceled {
-			n++
-		}
-	}
-	return n
-}
+// Pending reports the number of scheduled events.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.imm) - e.immHead }
 
 // LiveProcs reports the number of spawned processes — goroutine Procs and
 // continuation EventProcs — that have not finished. A non-zero value after

@@ -82,13 +82,9 @@ func TestProcWait(t *testing.T) {
 		ts = append(ts, p.Now())
 		p.Wait(0)
 		ts = append(ts, p.Now())
-		p.WaitUntil(20 * Millisecond)
-		ts = append(ts, p.Now())
-		p.WaitUntil(1 * Millisecond) // in the past: no-op
-		ts = append(ts, p.Now())
 	})
 	e.Run(MaxTime)
-	want := []Time{0, 5 * Millisecond, 5 * Millisecond, 20 * Millisecond, 20 * Millisecond}
+	want := []Time{0, 5 * Millisecond, 5 * Millisecond}
 	if len(ts) != len(want) {
 		t.Fatalf("ts = %v, want %v", ts, want)
 	}
@@ -124,13 +120,31 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
+// hold acquires r, holds it for service time d, then releases it: the
+// queueing-server pattern the I/O layers write out.
+func hold(p *Proc, r *Resource, d Time) {
+	r.Acquire(p)
+	p.Wait(d)
+	r.Release()
+}
+
+// holdE is hold in continuation form; it runs k after the release.
+func holdE(ep *EventProc, r *Resource, d Time, k Step) {
+	r.AcquireE(ep, StepFunc(func() {
+		ep.Wait(d, StepFunc(func() {
+			r.Release()
+			k.Step()
+		}))
+	}))
+}
+
 func TestResourceQueueing(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk", 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("u", func(p *Proc) {
-			r.Use(p, 10)
+			hold(p, r, 10)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -155,7 +169,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		e.Spawn("u", func(p *Proc) {
-			r.Use(p, 10)
+			hold(p, r, 10)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -173,7 +187,7 @@ func TestResourceUtilization(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "link", 1)
 	e.Spawn("u", func(p *Proc) {
-		r.Use(p, 50)
+		hold(p, r, 50)
 		p.Wait(50)
 	})
 	e.Run(MaxTime)
@@ -375,7 +389,7 @@ func TestPropResourceSerialization(t *testing.T) {
 		e := NewEngine(9)
 		r := NewResource(e, "r", 1)
 		for i := 0; i < users; i++ {
-			e.Spawn("u", func(p *Proc) { r.Use(p, svc) })
+			e.Spawn("u", func(p *Proc) { hold(p, r, svc) })
 		}
 		end := e.Run(MaxTime)
 		return end == Time(users)*svc
@@ -408,7 +422,7 @@ func TestEngineDeterminismAcrossRuns(t *testing.T) {
 			e.Spawn("u", func(p *Proc) {
 				d := e.RNG().Exponential("svc", 50*Microsecond)
 				p.Wait(e.RNG().Uniform("arr", 0, 100*Microsecond))
-				r.Use(p, d)
+				hold(p, r, d)
 				finishes = append(finishes, p.Now())
 			})
 		}
@@ -499,7 +513,7 @@ func TestResourceNoWaiterRetention(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "r", 1)
 	for i := 0; i < 6; i++ {
-		e.Spawn("u", func(p *Proc) { r.Use(p, 10) })
+		e.Spawn("u", func(p *Proc) { hold(p, r, 10) })
 	}
 	e.Run(MaxTime)
 	for i, w := range r.waiters.buf {
@@ -518,7 +532,7 @@ func TestWaiterRingReleasedAfterBurst(t *testing.T) {
 	r := NewResource(e, "r", 1)
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
-			e.SpawnEvent("w", func(ep *EventProc) { r.UseE(ep, 1, StepFunc(func() {})) })
+			e.SpawnEvent("w", func(ep *EventProc) { holdE(ep, r, 1, StepFunc(func() {})) })
 		}
 		e.Run(MaxTime)
 	}
@@ -576,61 +590,6 @@ func TestQueueRingWrapFIFO(t *testing.T) {
 	}
 }
 
-// TestAfterCancelCompaction cancels 400 of 500 pending timers and checks
-// that lazy cancellation compacts the heap (instead of retaining every
-// dead entry until pop) while the surviving events still fire in order.
-func TestAfterCancelCompaction(t *testing.T) {
-	e := NewEngine(1)
-	var fired []Time
-	var cancels []func()
-	for i := 1; i <= 500; i++ {
-		d := Time(i)
-		if i%5 == 0 {
-			e.After(d, func() { fired = append(fired, e.Now()) })
-		} else {
-			cancels = append(cancels, e.AfterCancel(d, func() { fired = append(fired, -1) }))
-		}
-	}
-	for _, c := range cancels {
-		c()
-	}
-	if got := e.Pending(); got != 100 {
-		t.Fatalf("Pending = %d, want 100", got)
-	}
-	if len(e.heap) > 200 {
-		t.Errorf("heap holds %d entries after canceling 400/500: compaction did not run", len(e.heap))
-	}
-	e.Run(MaxTime)
-	if len(fired) != 100 {
-		t.Fatalf("fired %d events, want 100", len(fired))
-	}
-	for i, at := range fired {
-		if at != Time((i+1)*5) {
-			t.Fatalf("fired[%d] = %v, want %v", i, at, Time((i+1)*5))
-		}
-	}
-}
-
-// TestCancelAfterFireIsNoOp checks the generation guard on recycled event
-// slots: a cancel handle kept past its event's firing must not cancel an
-// unrelated event that reuses the slot.
-func TestCancelAfterFireIsNoOp(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	cancel := e.AfterCancel(10, func() { fired++ })
-	e.Run(MaxTime)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	later := false
-	e.After(5, func() { later = true }) // recycles the freed slot
-	cancel()                            // stale handle: must be a no-op
-	e.Run(MaxTime)
-	if !later {
-		t.Fatal("stale cancel killed an unrelated event in the recycled slot")
-	}
-}
-
 // TestImmediateDispatchOrdering pins the merge rule between the heap and
 // the same-time direct-dispatch ring: an event scheduled with zero delay
 // during dispatch fires at the same timestamp but after every same-time
@@ -658,22 +617,6 @@ func TestImmediateDispatchOrdering(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestAfterCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	cancel := e.AfterCancel(100, func() { fired++ })
-	e.AfterCancel(200, func() { fired++ }) // not canceled
-	cancel()
-	cancel() // idempotent
-	e.Run(MaxTime)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (one canceled)", fired)
-	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d", e.Pending())
 	}
 }
 

@@ -101,7 +101,6 @@ func TestAwaitStepBlockingCallPanics(t *testing.T) {
 			wg.Add(1)
 			wg.Wait(p)
 		}},
-		{"WaitUntil", "from a step of the operation it awaits", func(p *Proc) { p.WaitUntil(p.Now() + 1) }},
 		{"Await", "Await re-entered", func(p *Proc) { p.Await(func(*EventProc) {}) }},
 	} {
 		e := NewEngine(1)
@@ -205,18 +204,16 @@ func TestWakeAllocs(t *testing.T) {
 type opKind int
 
 const (
-	opWait        opKind = iota // Wait(d)
-	opWaitUntil                 // WaitUntil(now + d - 5): in the past when d < 5
-	opPut                       // Put on queue idx
-	opGet                       // Get from queue idx
-	opHold                      // Acquire resource idx, run body, Release
-	opSigWait                   // Wait on signal idx
-	opFire                      // Fire signal idx
-	opFork                      // spawn each of kids, join them on a WaitGroup
-	opAfter                     // After(d): a callback that spawns body as a proc
-	opAfterCancel               // AfterCancel(d) spawning body, canceled by a callback at c
-	opSteal                     // a callback at d TryAcquires resource idx and holds a won unit for c
-	opForkReAdd                 // opFork whose WaitGroup a callback at c raises again for one more child, body
+	opWait      opKind = iota // Wait(d)
+	opPut                     // Put on queue idx
+	opGet                     // Get from queue idx
+	opHold                    // Acquire resource idx, run body, Release
+	opSigWait                 // Wait on signal idx
+	opFire                    // Fire signal idx
+	opFork                    // spawn each of kids, join them on a WaitGroup
+	opAfter                   // After(d): a callback that spawns body as a proc
+	opSteal                   // a callback at d TryAcquires resource idx and holds a won unit for c
+	opForkReAdd               // opFork whose WaitGroup a callback at c raises again for one more child, body
 	numOps
 )
 
@@ -267,8 +264,7 @@ func genOps(r *rand.Rand, prog *genProgram, n, depth int, inHold bool) []genOp {
 		case opSteal:
 			o.idx = r.Intn(prog.resources)
 			o.c = Time(r.Intn(12))
-		case opAfter, opAfterCancel:
-			o.c = Time(r.Intn(12))
+		case opAfter:
 			o.body = genOps(r, prog, r.Intn(5), depth-1, false)
 		}
 		ops[i] = o
@@ -391,21 +387,12 @@ func (w *genWorld) storage() *EventProc {
 	return ep
 }
 
-// schedule arms an op's callbacks; identical in both forms.
+// schedule arms an op's callback; identical in both forms.
 func (w *genWorld) schedule(name string, i int, o genOp) {
 	child := fmt.Sprintf("%s.%d", name, i)
-	fire := func() {
+	w.e.After(o.d, func() {
 		w.logf(child, "callback")
 		w.spawn(0, child, o.body, nil)
-	}
-	if o.kind == opAfter {
-		w.e.After(o.d, fire)
-		return
-	}
-	cancel := w.e.AfterCancel(o.d, fire)
-	w.e.After(o.c, func() {
-		w.logf(child, "cancel")
-		cancel()
 	})
 }
 
@@ -451,8 +438,6 @@ func (w *genWorld) runG(p *Proc, name string, ops []genOp) {
 		switch o.kind {
 		case opWait:
 			p.Wait(o.d)
-		case opWaitUntil:
-			p.WaitUntil(p.Now() + o.d - 5)
 		case opPut:
 			w.queues[o.idx].Put(i)
 		case opGet:
@@ -467,7 +452,7 @@ func (w *genWorld) runG(p *Proc, name string, ops []genOp) {
 			w.sigs[o.idx].Fire()
 		case opFork, opForkReAdd:
 			w.fork(name, i, o).Wait(p)
-		case opAfter, opAfterCancel:
+		case opAfter:
 			w.schedule(name, i, o)
 		case opSteal:
 			w.steal(name, i, o)
@@ -495,8 +480,6 @@ func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func())
 	switch o.kind {
 	case opWait:
 		ep.Wait(o.d, next)
-	case opWaitUntil:
-		ep.WaitUntil(ep.Now()+o.d-5, next)
 	case opPut:
 		w.queues[o.idx].Put(i)
 		next()
@@ -521,7 +504,7 @@ func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func())
 		next()
 	case opFork, opForkReAdd:
 		w.fork(name, i, o).WaitE(ep, next)
-	case opAfter, opAfterCancel:
+	case opAfter:
 		w.schedule(name, i, o)
 		next()
 	case opSteal:

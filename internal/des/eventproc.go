@@ -209,17 +209,6 @@ func (ep *EventProc) Wait(d Time, k Step) {
 	ep.eng.scheduleEP(ep.eng.now+d, ep)
 }
 
-// WaitUntil schedules k at absolute time at, running it synchronously if
-// at is not in the future.
-func (ep *EventProc) WaitUntil(at Time, k Step) {
-	if at <= ep.eng.now {
-		k.Step()
-		return
-	}
-	ep.arm(k)
-	ep.eng.scheduleEP(at, ep)
-}
-
 // Engine returns the engine this process runs on.
 func (ep *EventProc) Engine() *Engine { return ep.eng }
 

@@ -214,23 +214,6 @@ func TestEventProcDoubleArmPanics(t *testing.T) {
 	e.Run(MaxTime)
 }
 
-// TestEventProcWaitUntil checks the synchronous past-deadline fast path.
-func TestEventProcWaitUntil(t *testing.T) {
-	e := NewEngine(1)
-	var at Time
-	e.SpawnEvent("p", func(ep *EventProc) {
-		ep.WaitUntil(0, StepFunc(func() { // already due: runs synchronously
-			ep.WaitUntil(5*Millisecond, StepFunc(func() {
-				at = ep.Now()
-			}))
-		}))
-	})
-	e.Run(MaxTime)
-	if at != 5*Millisecond {
-		t.Errorf("resumed at %v, want 5ms", at)
-	}
-}
-
 // TestResourceRetryAfterSteal covers the AcquireE retry path: a
 // capacity-1 resource has one waiting EventProc and one waiting goroutine
 // Proc. A same-time callback takes the unit with TryAcquire between the

@@ -124,10 +124,6 @@ func (p *Proc) PID() int { return p.ep.pid }
 // Wait advances simulated time by d for this process.
 func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, noStep{}) }) }
 
-// WaitUntil advances simulated time to absolute time at (no-op if at is in
-// the past).
-func (p *Proc) WaitUntil(at Time) { p.await(func(ep *EventProc) { ep.WaitUntil(at, noStep{}) }) }
-
 // Signal is a broadcast condition: processes wait on it and a later Fire
 // releases all current waiters. A Signal can be reused after firing.
 // Waiters of both execution forms share one list and are released in

@@ -8,29 +8,27 @@ import (
 )
 
 // dirtyRun exercises every part of an engine a run changes: both process
-// forms, contended resources and signals, callbacks, a canceled timer,
-// named streams (one drawn past its lazy bound), a trace hook, and
-// events, one of them canceled, left queued past the horizon. It returns
-// the engine's trace.
+// forms, contended resources and signals, callbacks, named streams (one
+// drawn past its lazy bound), a trace hook, and an event left queued,
+// unfired, past the horizon. It returns the engine's trace.
 func dirtyRun(e *Engine, r *Resource, horizon Time) string {
 	var b strings.Builder
 	e.SetTraceHook(func(at Time, what string) { fmt.Fprintf(&b, "%d ", at) })
 	sig := NewSignal(e)
 	for i := 0; i < 3; i++ {
 		e.SpawnIndexed("g", i, func(p *Proc) {
-			r.Use(p, Time(10+e.RNG().Stream("short").Int63n(5)))
+			hold(p, r, Time(10+e.RNG().Stream("short").Int63n(5)))
 			fmt.Fprintf(&b, "g%d@%d ", p.PID(), p.Now())
 			sig.Wait(p)
 		})
 		e.SpawnEvent("ev", func(ep *EventProc) {
-			r.UseE(ep, 7, StepFunc(func() { fmt.Fprintf(&b, "e%d@%d ", ep.PID(), ep.Now()) }))
+			holdE(ep, r, 7, StepFunc(func() { fmt.Fprintf(&b, "e%d@%d ", ep.PID(), ep.Now()) }))
 		})
 	}
 	for i := 0; i < 300; i++ {
 		e.RNG().Stream("long").Int63()
 	}
-	cancel := e.AfterCancel(3*horizon, func() { b.WriteString("canceled fired ") })
-	e.After(500, func() { cancel(); sig.Fire() })
+	e.After(500, sig.Fire)
 	e.After(2*horizon, func() { b.WriteString("late ") })
 	e.Run(horizon)
 	fmt.Fprintf(&b, "| now=%d dispatched=%d live=%d pending=%d", e.Now(), e.Dispatches(), e.LiveProcs(), e.Pending())

@@ -125,42 +125,6 @@ func (r *Resource) Release() {
 	}
 }
 
-// Use acquires the resource, holds it for service time d, then releases it.
-// This is the common pattern for queueing servers (disks, NICs).
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Wait(d)
-	r.Release()
-}
-
-// UseE is the continuation form of Use: acquire, hold for service time d,
-// release, then run k. Its state is one small allocation per call; a hot
-// path that holds resources writes its own state machine, as the I/O
-// layers do.
-func (r *Resource) UseE(ep *EventProc, d Time, k Step) {
-	r.AcquireE(ep, &useE{r: r, ep: ep, d: d, k: k})
-}
-
-// useE is the state machine behind UseE: its first step holds the unit
-// for d, its second releases it and runs k.
-type useE struct {
-	r    *Resource
-	ep   *EventProc
-	d    Time
-	k    Step
-	held bool
-}
-
-func (u *useE) Step() {
-	if !u.held {
-		u.held = true
-		u.ep.Wait(u.d, u)
-		return
-	}
-	u.r.Release()
-	u.k.Step()
-}
-
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return int(r.inUse) }
 

@@ -169,11 +169,18 @@ func RunTraced(e *des.Engine, fs *pfs.FS, rankOps [][]skeleton.ConcreteOp, opts 
 				}
 				res.Ops++
 			}
-			for path, f := range fds {
+			// Close leftover descriptors in open (fd) order: map
+			// iteration order is random and would make same-seed
+			// traces diverge.
+			open := make([]int, 0, len(fds))
+			for _, f := range fds {
 				if f >= 0 {
-					_ = env.Close(p, f)
+					open = append(open, f)
 				}
-				delete(fds, path)
+			}
+			sort.Ints(open)
+			for _, f := range open {
+				_ = env.Close(p, f)
 			}
 			res.PerRank[rank] = p.Now() - start
 		})

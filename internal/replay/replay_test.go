@@ -3,6 +3,7 @@ package replay
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"pioeval/internal/blockdev"
@@ -234,4 +235,43 @@ func TestThinkScaleAcceleratesReplay(t *testing.T) {
 	if !(half < full && full < double) {
 		t.Fatalf("think scaling broken: half=%v full=%v double=%v", half, full, double)
 	}
+}
+
+// TestRunTracedClosesLeftoverDescriptorsInOrder: two ranks each leave
+// eight files open, which the replayer closes at the end. Same-seed runs
+// give identical trace-record sequences, so the closes cannot follow
+// map iteration order.
+func TestRunTracedClosesLeftoverDescriptorsInOrder(t *testing.T) {
+	rankOps := make([][]skeleton.ConcreteOp, 2)
+	for r := range rankOps {
+		for f := 0; f < 8; f++ {
+			rankOps[r] = append(rankOps[r], skeleton.ConcreteOp{
+				Op: "write", Path: fmt.Sprintf("/r%d.f%d", r, f), Size: 64 << 10,
+			})
+		}
+	}
+	run := func() []trace.Record {
+		e := des.NewEngine(7)
+		col := trace.NewCollector()
+		if _, err := RunTraced(e, fastFS(e), rankOps, Options{}, col); err != nil {
+			t.Fatal(err)
+		}
+		return col.Records()
+	}
+	first := run()
+	for i := 0; i < 3; i++ {
+		if again := run(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("same-seed replays traced differently at record %d", firstDiff(first, again))
+		}
+	}
+}
+
+// firstDiff returns the index of the first record where a and b differ.
+func firstDiff(a, b []trace.Record) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
 }

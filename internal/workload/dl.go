@@ -129,6 +129,7 @@ func RunDL(h *Harness, cfg DLConfig) DLReport {
 				mine = order[lo:hi]
 			}
 			fds := map[string]int{}
+			var opened []int
 			batchCount := 0
 			for _, sample := range mine {
 				path, off := fileOf(sample)
@@ -136,6 +137,7 @@ func RunDL(h *Harness, cfg DLConfig) DLReport {
 				if !ok {
 					fd, _ = env.Open(p, path, 0)
 					fds[path] = fd
+					opened = append(opened, fd)
 				}
 				_, _ = env.Pread(p, fd, off, cfg.SampleSize)
 				rep.TotalRead += cfg.SampleSize
@@ -144,7 +146,9 @@ func RunDL(h *Harness, cfg DLConfig) DLReport {
 					r.Compute(cfg.ComputePerBatch)
 				}
 			}
-			for _, fd := range fds {
+			// Close in open order, not map order, which is random
+			// and would make same-seed traces diverge.
+			for _, fd := range opened {
 				_ = env.Close(p, fd)
 			}
 			r.Barrier()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -410,5 +411,24 @@ func TestMDTestPhaseHelpersUnknownName(t *testing.T) {
 	var rep MDTestReport
 	if rep.PhaseRate("fsck") != 0 || rep.PhaseTime("fsck") != 0 {
 		t.Error("unknown phase name should report zeros")
+	}
+}
+
+// TestDLTraceDeterministic: each rank closes an epoch's descriptors at the
+// epoch's end. Same-seed traced runs give identical trace-record
+// sequences, so the closes cannot follow map iteration order.
+func TestDLTraceDeterministic(t *testing.T) {
+	run := func() []trace.Record {
+		e := des.NewEngine(49)
+		col := trace.NewCollector()
+		h := NewHarness(e, ssdFS(e), 2, "cn", col)
+		RunDL(h, DLConfig{Workers: 2, Samples: 256, SamplesPerFile: 32, Epochs: 2, Shuffle: true})
+		return col.Records()
+	}
+	first := run()
+	for i := 0; i < 3; i++ {
+		if again := run(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("same-seed DL runs traced differently (%d vs %d records)", len(first), len(again))
+		}
 	}
 }
