@@ -3,44 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
-	"flag"
-	"os"
 	"strings"
 	"testing"
+
+	"pioeval/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
-
-// checkGolden compares got against the named testdata file byte for byte,
-// rewriting it under -update-golden, and reports the first diverging line
-// on mismatch.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("output diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output length differs: got %d lines, want %d", len(gl), len(wl))
-}
 
 // TestGoldenTinyGrid pins the full CLI output — summary table plus CSV —
 // for a 4-point, 2-rep grid, byte for byte. The campaign runner promises
@@ -56,7 +23,7 @@ func TestGoldenTinyGrid(t *testing.T) {
 	if errb.Len() != 0 {
 		t.Errorf("-quiet run wrote to stderr: %q", errb.String())
 	}
-	checkGolden(t, "testdata/tiny_golden.txt", out.String())
+	golden.Check(t, "testdata/tiny_golden.txt", out.String())
 }
 
 // TestGoldenTinyGridStableAcrossRuns guards the golden file itself: two

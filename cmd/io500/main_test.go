@@ -2,44 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"strings"
 	"testing"
+
+	"pioeval/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
-
-// checkGolden compares got against the named testdata file byte for byte,
-// rewriting it under -update-golden, and reports the first diverging line
-// on mismatch.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("output diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output length differs: got %d lines, want %d", len(gl), len(wl))
-}
 
 // tinyArgs is a suite configuration small enough for unit tests.
 var tinyArgs = []string{
@@ -63,7 +30,7 @@ func TestGoldenTinySuite(t *testing.T) {
 	if !strings.Contains(out.String(), "validation: all invariants held") {
 		t.Errorf("missing validation line:\n%s", out.String())
 	}
-	checkGolden(t, "testdata/io500_golden.txt", out.String())
+	golden.Check(t, "testdata/io500_golden.txt", out.String())
 }
 
 // TestWorkerCountInvariance runs the suite at several worker counts and

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
+	"pioeval/internal/golden"
+)
 
 // traces holds the round-trip fixture: the traces cmd/tracer records from
 // its roundtrip.iol and pins byte for byte.
@@ -38,21 +36,7 @@ func TestRoundTripReplay(t *testing.T) {
 			t.Errorf("replayer %v wrote to stderr: %q", args, errb.String())
 		}
 	}
-	const path = traces + "replayer_golden.txt"
-	if *updateGolden {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, out.Len())
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("replay output differs from %s:\n got:\n%s\nwant:\n%s", path, out.Bytes(), want)
-	}
+	golden.Check(t, traces+"replayer_golden.txt", out.String())
 }
 
 // TestBadArgsError covers rejection paths through run.

@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"regexp"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
+	"pioeval/internal/golden"
+)
 
 // hostDependent matches what a scale run prints about the host rather
 // than the simulation: the host-cost line (wall time, event rate, heap
@@ -26,34 +24,6 @@ func maskHost(out string) string {
 		}
 		return "  host: (masked)"
 	})
-}
-
-// checkGolden compares got against the named testdata file byte for byte,
-// rewriting it under -update-golden, and reports the first diverging line
-// on mismatch.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("output diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output length differs: got %d lines, want %d", len(gl), len(wl))
 }
 
 // TestGoldenScale pins the -ranks scale checkpoint's output byte for
@@ -83,7 +53,7 @@ func TestGoldenScale(t *testing.T) {
 			if errb.Len() != 0 {
 				t.Errorf("run wrote to stderr: %q", errb.String())
 			}
-			checkGolden(t, tc.golden, maskHost(out.String()))
+			golden.Check(t, tc.golden, maskHost(out.String()))
 		})
 	}
 }

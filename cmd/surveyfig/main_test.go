@@ -2,44 +2,10 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"strings"
 	"testing"
+
+	"pioeval/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
-
-// checkGolden compares got against the named testdata file byte for byte,
-// rewriting it under -update-golden, and reports the first diverging line
-// on mismatch.
-func checkGolden(t *testing.T, path, got string) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("output diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("output length differs: got %d lines, want %d", len(gl), len(wl))
-}
 
 // TestGoldenFigure pins the Figure 3 tables byte for byte. Regenerate
 // deliberately with
@@ -53,7 +19,7 @@ func TestGoldenFigure(t *testing.T) {
 	if errb.Len() != 0 {
 		t.Errorf("run wrote to stderr: %q", errb.String())
 	}
-	checkGolden(t, "testdata/figure_golden.txt", out.String())
+	golden.Check(t, "testdata/figure_golden.txt", out.String())
 }
 
 // TestGoldenPapers pins the tables followed by the corpus listing.
@@ -62,7 +28,7 @@ func TestGoldenPapers(t *testing.T) {
 	if err := run([]string{"-papers"}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
-	checkGolden(t, "testdata/papers_golden.txt", out.String())
+	golden.Check(t, "testdata/papers_golden.txt", out.String())
 }
 
 // TestBadFlagsError covers rejection through run.

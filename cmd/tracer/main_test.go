@@ -2,34 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pioeval/internal/golden"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden outputs")
-
-// checkGolden compares got against the named testdata file byte for byte,
-// rewriting it under -update-golden.
-func checkGolden(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if *updateGolden {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: output differs from the golden (%d bytes, want %d):\n%s", path, len(got), len(want), got)
-	}
-}
 
 // TestRoundTripTrace is the record half of the tracer→replayer round
 // trip. tracer records testdata/roundtrip.iol twice, as a binary trace and
@@ -62,9 +41,9 @@ func TestRoundTripTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, filepath.Join("testdata", tc.file), got)
+		golden.Check(t, filepath.Join("testdata", tc.file), string(got))
 	}
-	checkGolden(t, "testdata/tracer_golden.txt", bytes.ReplaceAll(out.Bytes(), []byte(dir), []byte("$DIR")))
+	golden.Check(t, "testdata/tracer_golden.txt", strings.ReplaceAll(out.String(), dir, "$DIR"))
 }
 
 // TestBadArgsError covers rejection paths through run.

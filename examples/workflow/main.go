@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"pioeval/internal/burstbuffer"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/storage"
 	"pioeval/internal/workload"
 )
 
@@ -38,14 +38,16 @@ func main() {
 	fmt.Printf("  metadata intensity: %.2f MDS ops per MB (vs %.2f for the diamond)\n",
 		chain.MetaOpsPerMB, wf.MetaOpsPerMB)
 
-	// Part 3: checkpoint through the burst buffer vs direct.
+	// Part 3: checkpoint through the burst-buffer tier vs direct.
 	engine3 := des.NewEngine(11)
 	fsim3 := pfs.New(engine3, cfg)
-	bb := burstbuffer.New(engine3, fsim3, "bb0", burstbuffer.DefaultConfig())
-	h := workload.NewHarness(engine3, fsim3, 4, "cn", nil)
+	pr, err := storage.NewProvider(engine3, fsim3, storage.TierBB, storage.ProviderConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	h := workload.NewHarnessOn(engine3, fsim3, 4, "cn", nil, pr)
 	buffered := workload.RunCheckpoint(h, workload.CheckpointConfig{
 		Ranks: 4, BytesPerRank: 16 << 20, Steps: 3, ComputeTime: 50 * des.Millisecond,
-		Buffer: bb,
 	})
 
 	engine4 := des.NewEngine(11)
@@ -60,7 +62,7 @@ func main() {
 		direct.EffectiveMBps, direct.IOFraction)
 	fmt.Printf("  via burst buffer:   perceived %8.1f MB/s, I/O fraction %.2f\n",
 		buffered.EffectiveMBps, buffered.IOFraction)
-	st := bb.Stats()
+	st := pr.Buffers()[0].Stats()
 	fmt.Printf("  buffer absorbed %d MB (peak occupancy %d MB, stalls %d)\n",
 		st.Absorbed>>20, st.PeakUsed>>20, st.Stalls)
 }

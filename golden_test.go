@@ -1,21 +1,18 @@
 package pioeval_test
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"testing"
 
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
+	"pioeval/internal/golden"
 	"pioeval/internal/iolang"
 	"pioeval/internal/pfs"
 	"pioeval/internal/trace"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden transcripts")
 
 // goldenScript is a deliberately mixed workload: striped shared-file
 // writes, chunked transfers, per-rank files, and read-back, so the
@@ -100,32 +97,7 @@ func simfsTranscript(t *testing.T) string {
 //
 //	go test -run TestGoldenSimfsTranscript . -update-golden
 func TestGoldenSimfsTranscript(t *testing.T) {
-	got := simfsTranscript(t)
-	const path = "testdata/simfs_golden.txt"
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			t.Fatalf("transcript diverges at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("transcript length differs: got %d lines, want %d", len(gl), len(wl))
+	golden.Check(t, "testdata/simfs_golden.txt", simfsTranscript(t))
 }
 
 // TestGoldenTranscriptStableAcrossRuns guards the golden file itself: two

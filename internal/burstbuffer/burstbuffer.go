@@ -47,7 +47,8 @@ type Config struct {
 	// Capacity is the staging capacity in bytes; writers block when the
 	// buffer is full (backpressure) until the drainer frees space.
 	Capacity int64
-	// DrainWorkers is the number of concurrent drain streams to the PFS.
+	// DrainWorkers is the number of concurrent drain streams to the PFS
+	// (default 1).
 	DrainWorkers int
 }
 

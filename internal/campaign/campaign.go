@@ -1,8 +1,8 @@
 // Package campaign implements a parallel experiment-campaign runner: a
 // declarative Spec describes a cartesian grid over simulation parameters
 // (ranks, device model, stripe geometry, transfer/block sizes, access
-// pattern, collective vs. independent MPI-IO, burst-buffer staging, fault
-// campaigns) plus a repetition count; Run expands the grid into independent
+// pattern, collective vs. independent MPI-IO, storage tier, data
+// reduction, fault campaigns) plus a repetition count; Run expands the grid into independent
 // simulation runs, executes them on a bounded worker pool, and aggregates
 // per-run metrics into per-point distribution summaries (mean, median,
 // p95, stddev, bootstrap confidence intervals via internal/stats).
@@ -30,10 +30,10 @@ import (
 // Workload kinds a campaign can sweep.
 const (
 	// WorkloadIOR is the IOR-like bulk-I/O generator (write + read-back,
-	// shared file). Pattern and Collective apply; BurstBuffer does not.
+	// shared file). Pattern and Collective apply.
 	WorkloadIOR = "ior"
 	// WorkloadCheckpoint is the HACC-IO-like bulk-synchronous checkpoint
-	// generator. BurstBuffer applies; Pattern and Collective do not.
+	// generator. Pattern and Collective do not apply.
 	WorkloadCheckpoint = "checkpoint"
 )
 
@@ -56,7 +56,6 @@ type Spec struct {
 	TransferSizes []int64
 	Patterns      []string // sequential, strided, random (IOR only)
 	Collective    []bool   // two-phase collective MPI-IO (IOR only)
-	BurstBuffer   []bool   // stage writes through a burst buffer (checkpoint only)
 	Tiers         []string // storage tiers: direct (default), bb, nodelocal
 	Compress      []string // data-reduction stage: none (default), or a reduce preset (lz, deflate, zfp, sz)
 	Faults        []string // fault-campaign specs (faults.ParseCampaign syntax); "" = none
@@ -73,7 +72,6 @@ type Point struct {
 	TransferSize int64  `json:"transfer_size"`
 	Pattern      string `json:"pattern,omitempty"`
 	Collective   bool   `json:"collective,omitempty"`
-	BurstBuffer  bool   `json:"burst_buffer,omitempty"`
 	Tier         string `json:"tier,omitempty"`     // "" = direct
 	Compress     string `json:"compress,omitempty"` // "" = none
 	Faults       string `json:"faults,omitempty"`
@@ -88,9 +86,6 @@ func (p Point) Label() string {
 	}
 	if p.Collective {
 		b.WriteString(" collective")
-	}
-	if p.BurstBuffer {
-		b.WriteString(" bb")
 	}
 	if p.Tier != "" {
 		fmt.Fprintf(&b, " tier=%s", p.Tier)
@@ -141,9 +136,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if len(s.Collective) == 0 {
 		s.Collective = []bool{false}
-	}
-	if len(s.BurstBuffer) == 0 {
-		s.BurstBuffer = []bool{false}
 	}
 	if len(s.Tiers) == 0 {
 		s.Tiers = []string{""}
@@ -201,11 +193,6 @@ func (s Spec) Validate() error {
 	s = s.withDefaults()
 	switch s.Workload {
 	case WorkloadIOR:
-		for _, bb := range s.BurstBuffer {
-			if bb {
-				return fmt.Errorf("campaign: the burst-buffer axis requires the checkpoint workload")
-			}
-		}
 	case WorkloadCheckpoint:
 		for _, c := range s.Collective {
 			if c {
@@ -265,13 +252,6 @@ func (s Spec) Validate() error {
 		default:
 			return fmt.Errorf("campaign: unknown tier %q (want direct, bb, or nodelocal)", tier)
 		}
-		if tier == "bb" {
-			for _, bb := range s.BurstBuffer {
-				if bb {
-					return fmt.Errorf("campaign: the bb tier and the legacy burstbuffer axis cannot combine (pick one)")
-				}
-			}
-		}
 	}
 	// The compress axis is checked after tiers so a spec that botches both
 	// reports the tier first — one coherent error path, not two competing
@@ -309,28 +289,25 @@ func (s Spec) Expand() []Point {
 						for _, ts := range s.TransferSizes {
 							for _, pat := range s.Patterns {
 								for _, coll := range s.Collective {
-									for _, bb := range s.BurstBuffer {
-										// Spellings are already canonical here:
-										// withDefaults rewrote direct/none to "".
-										for _, tier := range s.Tiers {
-											for _, comp := range s.Compress {
-												for _, f := range s.Faults {
-													out = append(out, Point{
-														ID:           len(out),
-														Ranks:        ranks,
-														Device:       dev,
-														StripeCount:  sc,
-														StripeSize:   ss,
-														BlockSize:    bs,
-														TransferSize: ts,
-														Pattern:      pat,
-														Collective:   coll,
-														BurstBuffer:  bb,
-														Tier:         tier,
-														Compress:     comp,
-														Faults:       f,
-													})
-												}
+									// Spellings are already canonical here:
+									// withDefaults rewrote direct/none to "".
+									for _, tier := range s.Tiers {
+										for _, comp := range s.Compress {
+											for _, f := range s.Faults {
+												out = append(out, Point{
+													ID:           len(out),
+													Ranks:        ranks,
+													Device:       dev,
+													StripeCount:  sc,
+													StripeSize:   ss,
+													BlockSize:    bs,
+													TransferSize: ts,
+													Pattern:      pat,
+													Collective:   coll,
+													Tier:         tier,
+													Compress:     comp,
+													Faults:       f,
+												})
 											}
 										}
 									}

@@ -63,7 +63,6 @@ func TestValidate(t *testing.T) {
 		{Devices: []string{"floppy"}},
 		{Patterns: []string{"zigzag"}},
 		{Faults: []string{"explode@1s"}},
-		{Workload: WorkloadIOR, BurstBuffer: []bool{true}},
 		{Workload: WorkloadCheckpoint, Collective: []bool{true}},
 		{Workload: WorkloadCheckpoint, Patterns: []string{"random"}},
 	}
@@ -126,6 +125,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"campaign \"x\" {\n  ranks\n}",
 		"campaign \"x\" {\n  ranks two\n}",
 		"campaign \"x\" {\n  warp-factor 9\n}",
+		"campaign \"x\" {\n  burstbuffer true\n}",
 		"campaign \"x\" {\n  faults ostcrash:1@5ms\n}",
 		"campaign \"x\" {\n}\nleftover",
 	} {
@@ -218,7 +218,7 @@ func TestCheckpointWorkload(t *testing.T) {
 		Devices:       []string{"hdd"},
 		BlockSizes:    []int64{4 << 20},
 		TransferSizes: []int64{1 << 20},
-		BurstBuffer:   []bool{false, true},
+		Tiers:         []string{"direct", "bb"},
 	}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestCheckpointWorkload(t *testing.T) {
 	if direct <= 0 || buffered <= 0 {
 		t.Fatalf("bad bandwidths: direct %g, buffered %g", direct, buffered)
 	}
-	// The burst buffer's NVMe staging must beat the HDD-backed PFS.
+	// The bb tier's NVMe staging must beat the HDD-backed PFS.
 	if buffered < 2*direct {
 		t.Errorf("burst buffer absorbed %g MB/s vs direct %g MB/s; expected a clear win", buffered, direct)
 	}

@@ -32,7 +32,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	metrics := r.MetricNames()
 	header := []string{"point", "ranks", "device", "stripe_count", "stripe_size",
-		"block_size", "transfer_size", "pattern", "collective", "burst_buffer", "tier", "compress", "faults"}
+		"block_size", "transfer_size", "pattern", "collective", "tier", "compress", "faults"}
 	for _, m := range metrics {
 		header = append(header, m+"_mean", m+"_p95", m+"_ci_lo", m+"_ci_hi")
 	}
@@ -45,7 +45,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			fmt.Sprint(p.ID), fmt.Sprint(p.Ranks), p.Device,
 			fmt.Sprint(p.StripeCount), fmt.Sprint(p.StripeSize),
 			fmt.Sprint(p.BlockSize), fmt.Sprint(p.TransferSize),
-			p.Pattern, fmt.Sprint(p.Collective), fmt.Sprint(p.BurstBuffer), p.Tier, p.Compress, p.Faults,
+			p.Pattern, fmt.Sprint(p.Collective), p.Tier, p.Compress, p.Faults,
 		}
 		for _, m := range metrics {
 			d, ok := ps.Metrics[m]

@@ -19,7 +19,7 @@ const maxFuzzPoints = 10_000
 var specSeeds = []string{
 	"campaign \"t\" {\n}\n",
 	"campaign \"t\" {\n\tseed 7\n\treps 2\n\tranks 2, 4\n\tdevice hdd, ssd\n}\n",
-	"campaign \"t\" {\n\tworkload checkpoint\n\tburst-buffer false, true\n\tblock-size 1MB\n}\n",
+	"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb\n\tblock-size 1MB\n}\n",
 	"campaign \"t\" {\n\ttransfer-size 256KB, 1MB # comment\n\tfaults \"\", \"ostcrash:1@5ms\"\n}\n",
 	"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb, nodelocal\n\tblock-size 1MB\n}\n",
 	"campaign \"t\" {\n\ttier warp\n}\n",
@@ -49,7 +49,7 @@ func FuzzSpecParse(f *testing.F) {
 		}
 		n := len(s.Ranks) * len(s.Devices) * len(s.StripeCounts) * len(s.StripeSizes) *
 			len(s.BlockSizes) * len(s.TransferSizes) * len(s.Patterns) * len(s.Collective) *
-			len(s.BurstBuffer) * len(s.Tiers) * len(s.Compress) * len(s.Faults)
+			len(s.Tiers) * len(s.Compress) * len(s.Faults)
 		if n <= 0 || n > maxFuzzPoints {
 			return
 		}

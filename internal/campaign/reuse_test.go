@@ -22,7 +22,7 @@ func freshMetrics(spec Spec) []map[string]float64 {
 
 // TestClusterReuseMatchesFresh: a campaign whose repetitions share a
 // reset cluster gives every run the metrics a new cluster gives it, for
-// both workloads, every tier, compression, a burst buffer and a fault
+// both workloads, every tier, compression and a fault
 // campaign, at one worker and at several.
 func TestClusterReuseMatchesFresh(t *testing.T) {
 	specs := []Spec{{
@@ -41,7 +41,7 @@ func TestClusterReuseMatchesFresh(t *testing.T) {
 		Devices:       []string{"hdd"},
 		BlockSizes:    []int64{1 << 20},
 		TransferSizes: []int64{512 << 10},
-		BurstBuffer:   []bool{false, true},
+		Tiers:         []string{"direct", "bb"},
 		Faults:        []string{"", "slowdown:0x4@0s; linkdegrade:2@2ms; mdsdown@5ms; mdsup@40ms"},
 	}}
 	for _, spec := range specs {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pioeval/internal/blockdev"
-	"pioeval/internal/burstbuffer"
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
 	"pioeval/internal/pfs"
@@ -354,7 +353,7 @@ func (cl *cluster) run(spec Spec) map[string]float64 {
 	var m map[string]float64
 	switch spec.Workload {
 	case WorkloadCheckpoint:
-		m = simulateCheckpoint(e, fs, h, spec, p)
+		m = simulateCheckpoint(h, spec, p)
 	default:
 		m = simulateIOR(h, p)
 	}
@@ -409,11 +408,7 @@ func simulateIOR(h *workload.Harness, p Point) map[string]float64 {
 	}
 }
 
-func simulateCheckpoint(e *des.Engine, fs *pfs.FS, h *workload.Harness, spec Spec, p Point) map[string]float64 {
-	var bb *burstbuffer.Buffer
-	if p.BurstBuffer {
-		bb = burstbuffer.New(e, fs, "bb0", burstbuffer.DefaultConfig())
-	}
+func simulateCheckpoint(h *workload.Harness, spec Spec, p Point) map[string]float64 {
 	rep := workload.RunCheckpoint(h, workload.CheckpointConfig{
 		Ranks:        p.Ranks,
 		BytesPerRank: p.BlockSize,
@@ -421,7 +416,6 @@ func simulateCheckpoint(e *des.Engine, fs *pfs.FS, h *workload.Harness, spec Spe
 		ComputeTime:  stepDuration,
 		TransferSize: p.TransferSize,
 		ReuseFile:    true,
-		Buffer:       bb,
 	})
 	worst := des.Time(0)
 	for _, d := range rep.StepIOTime {

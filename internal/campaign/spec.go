@@ -131,8 +131,6 @@ func (s *Spec) set(key string, vals []string) error {
 		s.Patterns = vals
 	case "collective":
 		s.Collective, err = parseBools(vals)
-	case "burstbuffer":
-		s.BurstBuffer, err = parseBools(vals)
 	case "tier":
 		s.Tiers = vals
 	case "compress":

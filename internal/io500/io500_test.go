@@ -7,6 +7,7 @@ import (
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/storage"
 	"pioeval/internal/workload"
 )
 
@@ -273,23 +274,26 @@ func TestPhaseKindSplit(t *testing.T) {
 }
 
 // TestFindCountsHardFiles: the find phase must locate exactly the
-// mdtest-hard-sized files on the direct tier (payloads are visible to
-// stat immediately).
+// mdtest-hard-sized files on every tier, which holds only while each
+// tier's Readdir yields full paths that stat can resolve.
 func TestFindCountsHardFiles(t *testing.T) {
-	cfg := tinyConfig()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := res.Phase(Find)
-	wantFound := int64(cfg.Ranks * cfg.HardFiles)
-	if f.Found != wantFound {
-		t.Fatalf("find matched %d files, want %d", f.Found, wantFound)
-	}
-	// Ops: per rank, 2 readdirs + one stat per entry.
-	wantOps := int64(cfg.Ranks * (2 + cfg.EasyFiles + cfg.HardFiles))
-	if f.Ops != wantOps {
-		t.Fatalf("find performed %d ops, want %d", f.Ops, wantOps)
+	for _, tier := range []string{storage.TierDirect, storage.TierBB, storage.TierNodeLocal} {
+		cfg := tinyConfig()
+		cfg.Tier = tier
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Phase(Find)
+		wantFound := int64(cfg.Ranks * cfg.HardFiles)
+		if f.Found != wantFound {
+			t.Fatalf("%s: find matched %d files, want %d", tier, f.Found, wantFound)
+		}
+		// Ops: per rank, 2 readdirs + one stat per entry.
+		wantOps := int64(cfg.Ranks * (2 + cfg.EasyFiles + cfg.HardFiles))
+		if f.Ops != wantOps {
+			t.Fatalf("%s: find performed %d ops, want %d", tier, f.Ops, wantOps)
+		}
 	}
 }
 

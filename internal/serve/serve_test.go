@@ -105,7 +105,7 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 		StripeCounts: []int{4}, StripeSizes: []int64{1 << 20},
 		BlockSizes: []int64{16 << 20}, TransferSizes: []int64{1 << 20},
 		Patterns: []string{"sequential"}, Collective: []bool{false},
-		BurstBuffer: []bool{false}, Tiers: []string{""}, Faults: []string{""},
+		Tiers: []string{""}, Faults: []string{""},
 		Compress: []string{""},
 	}
 	if specKey(implicit.Canonical()) != specKey(explicit.Canonical()) {
@@ -132,30 +132,32 @@ func TestSpecKeyCanonicalization(t *testing.T) {
 }
 
 // TestSpecKeyPinned: the cache key of a spec text is the one recorded
-// before the server stopped canonicalizing inside specKey, byte for byte,
-// for several spellings of the default campaign and for every spec of the
+// when the legacy burstbuffer axis left Spec (the sha256 of the earlier
+// canonical JSON with its "BurstBuffer":[false] field deleted), byte for
+// byte, for several spellings of the default campaign and for every spec of the
 // campaign package's FuzzSpecParse seed corpus that validates (its
 // in-source seeds are listed here, its corpus files are read from disk).
 // Changing a key would orphan every cached result.
 func TestSpecKeyPinned(t *testing.T) {
-	const defaultKey = "78cc11bd1325943830cdefcf040c792f882b9162e8214b10f15bf5d38a232756"
+	const defaultKey = "994d4da0bc8ed5893c8e0fe816abb1c5bda3c67f5f5599a14bf922f39cf103ea"
 	pinned := map[string]string{
 		// Spellings of the default campaign.
 		"campaign \"t\" {\n}\n": defaultKey,
 		"campaign \"t\" {\n\tworkload ior\n\treps 1\n\tsteps 4\n\tranks 4\n\tdevice hdd\n\tstripe-count 4\n\tstripe-size 1MB\n" +
-			"\tblock-size 16MB\n\ttransfer-size 1MB\n\tpattern sequential\n\tcollective false\n\tburstbuffer false\n" +
+			"\tblock-size 16MB\n\ttransfer-size 1MB\n\tpattern sequential\n\tcollective false\n" +
 			"\ttier direct\n\tcompress none\n\tfaults \"\"\n}\n": defaultKey,
 		"campaign \"t\" {\n    compress none # the default\n    tier direct\n}\n":     defaultKey,
 		"campaign \"t\" {\n\tblock-size 16384KB\n\tstripe-size 1024KB\n\tseed 0\n}\n": defaultKey,
 		// FuzzSpecParse's in-source seeds.
-		"campaign \"t\" {\n\tseed 7\n\treps 2\n\tranks 2, 4\n\tdevice hdd, ssd\n}\n":                     "36795ba3ac04b0cc7eab0c820c445ce0ed1bb820ab25cd875232651d559f214b",
-		"campaign \"t\" {\n\ttransfer-size 256KB, 1MB # comment\n\tfaults \"\", \"ostcrash:1@5ms\"\n}\n": "290e1a17b400aef5d5560580ac98279f3bfc5680ada895a2653b2a454a4fde91",
-		"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb, nodelocal\n\tblock-size 1MB\n}\n":   "7b609a884f444bbe8c3f05701d072de3436f3042c8f4bfb5fcae14cfdf0d0885",
-		"campaign \"t\" {\n\tcompress none, lz, deflate\n\tdevice hdd, nvme\n}\n":                        "db5c6b22625142ec1d12dbcadc0d247d390a2cab9b49e4df9555c10bd65efb26",
-		"campaign \"t\" {\n\tworkload checkpoint\n\tcompress sz\n\ttier bb\n\tblock-size 4MB\n}\n":       "325731a6084379cc032d02375ba61170692d212942b89d7394d9f2d1b1acf8f5",
-		"campaign \"x\" {\n\tcompress none, lz, zfp\n\tdevice hdd, nvme\n\ttier bb\n}\n":                 "276a0ec3fe39731f43507a51ba395a631710bcefb137a7ca318388b19e8148d5",
-		"campaign \"x\" {\n\tranks 2,2,2\n\tdevice hdd,hdd\n\treps 3\n}\n":                               "e188c6201773517bc6ca3e50c23a66d4d3c48054883ca525f4e1008db829dd76",
-		"campaign \"x\" {\n\tfaults \"ostcrash:0@1ms; ostrecover:0@2ms\", \"mdsdown@1s\"\n}\n":           "1106794645e9e1b267039d4ba4a0c0fdb7dadf2089827fe6ae70005b3e38e43c",
+		"campaign \"t\" {\n\tseed 7\n\treps 2\n\tranks 2, 4\n\tdevice hdd, ssd\n}\n":                     "97a8d14864bc36d74f6f158fe233c8cb0f0ed0e74578f392f4bf6df9023f95e4",
+		"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb\n\tblock-size 1MB\n}\n":              "04b26187dffbf265c74ee7de14c16f4ccd251d1a160285b280b96bdb42a97947",
+		"campaign \"t\" {\n\ttransfer-size 256KB, 1MB # comment\n\tfaults \"\", \"ostcrash:1@5ms\"\n}\n": "9ae9157c4dcec69ba18680a396825c5e4d64b444449734f8b1a7c11eae17a03e",
+		"campaign \"t\" {\n\tworkload checkpoint\n\ttier direct, bb, nodelocal\n\tblock-size 1MB\n}\n":   "b405e0829cb8fcb9b64fd4d4adcf49af58bde5c8a10ffe9847925f553e4aa394",
+		"campaign \"t\" {\n\tcompress none, lz, deflate\n\tdevice hdd, nvme\n}\n":                        "52866ab152f4e55e0de1433607629c6a9fc17290b71de50567ce8fc099edea1f",
+		"campaign \"t\" {\n\tworkload checkpoint\n\tcompress sz\n\ttier bb\n\tblock-size 4MB\n}\n":       "ede0fb22f5de6efb0be566d0d240595c424598e10bf814f3b8c59ce71e7b4d9a",
+		"campaign \"x\" {\n\tcompress none, lz, zfp\n\tdevice hdd, nvme\n\ttier bb\n}\n":                 "26d111f24a4b563261974b3b0273e8d006d1dbf9cac44fca812ee0b0d8428def",
+		"campaign \"x\" {\n\tranks 2,2,2\n\tdevice hdd,hdd\n\treps 3\n}\n":                               "4a7912075161b22ea859c9edeeeac909746c0fb9d5825109e0add1a3119c60a2",
+		"campaign \"x\" {\n\tfaults \"ostcrash:0@1ms; ostrecover:0@2ms\", \"mdsdown@1s\"\n}\n":           "2b85d430831dc561754fe193b59b180bb19934cc4b20a400a6c5f1908de4d27e",
 	}
 	key := func(src string) (string, bool) {
 		spec, err := campaign.ParseSpec(src)

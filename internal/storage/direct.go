@@ -14,10 +14,6 @@ type DirectPFS struct{ c *pfs.Client }
 // Direct wraps an existing PFS client as a Target.
 func Direct(c *pfs.Client) *DirectPFS { return &DirectPFS{c: c} }
 
-// Client returns the wrapped PFS client, for callers that need the
-// client-side statistics or node identity.
-func (d *DirectPFS) Client() *pfs.Client { return d.c }
-
 // Create creates path on the PFS and returns its handle.
 func (d *DirectPFS) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {
 	h, err := d.c.Create(p, path, stripeCount, stripeSize)

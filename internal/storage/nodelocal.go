@@ -149,8 +149,8 @@ func (t *NodeLocal) Unlink(p *des.Proc, path string) error {
 	return nil
 }
 
-// Readdir lists a local directory in sorted order (map iteration order
-// must never leak into simulation behavior).
+// Readdir lists a local directory's entries as full paths in sorted order
+// (map iteration order must never leak into simulation behavior).
 func (t *NodeLocal) Readdir(p *des.Proc, path string) ([]string, error) {
 	path = cleanLocal(path)
 	n, ok := t.files[path]
@@ -163,7 +163,7 @@ func (t *NodeLocal) Readdir(p *des.Proc, path string) ([]string, error) {
 	var names []string
 	for child := range t.files {
 		if child != path && gopath.Dir(child) == path {
-			names = append(names, gopath.Base(child))
+			names = append(names, child)
 		}
 	}
 	sort.Strings(names)

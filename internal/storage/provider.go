@@ -12,8 +12,9 @@ import (
 // ProviderConfig tunes the non-direct tiers. The zero value selects
 // defaults everywhere.
 type ProviderConfig struct {
-	// BB configures the burst buffer behind every TierBB target (zero
-	// value = burstbuffer defaults: NVMe staging, 4 GiB, 2 drain workers).
+	// BB configures the burst buffer behind every TierBB target. The zero
+	// value selects NVMe staging, 4 GiB and one drain worker; only
+	// burstbuffer.DefaultConfig asks for two.
 	BB burstbuffer.Config
 	// LocalDevice constructs the scratch media model for TierNodeLocal
 	// targets (default NVMe).

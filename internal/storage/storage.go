@@ -141,6 +141,7 @@ type Target interface {
 	Rmdir(p *des.Proc, path string) error
 	// Unlink removes a file.
 	Unlink(p *des.Proc, path string) error
-	// Readdir lists directory entries in sorted order.
+	// Readdir lists directory entries as full paths, ready for Stat, in
+	// sorted order.
 	Readdir(p *des.Proc, path string) ([]string, error)
 }

@@ -143,7 +143,7 @@ func TestNodeLocalNamespace(t *testing.T) {
 			t.Errorf("rmdir non-empty = %v", err)
 		}
 		names, err := nl.Readdir(p, "/d")
-		if err != nil || len(names) != 1 || names[0] != "f" {
+		if err != nil || len(names) != 1 || names[0] != "/d/f" {
 			t.Fatalf("readdir = %v, %v", names, err)
 		}
 		if err := nl.Unlink(p, "/d/f"); err != nil {

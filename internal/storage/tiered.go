@@ -10,9 +10,11 @@ import (
 // Figure-1 tier): writes stage onto the buffer's SSD at staging speed and
 // drain to the parallel file system asynchronously; reads hit the staging
 // area while data is hot and fall through to the PFS otherwise. The
-// namespace stays on the MDS — create, stat, and the directory operations
-// pass through the compute node's own PFS client, so tiered and direct
-// runs see the same metadata behavior.
+// namespace stays on the MDS: the embedded DirectPFS serves stat, unlink
+// and the directory operations through the compute node's own PFS client,
+// so tiered and direct runs see the same metadata behavior. Note that file
+// sizes from Stat lag staged writes until the drainer lands them — an
+// honest property of write-back tiering.
 //
 // Durability semantics: Fsync maps to the buffer's WaitDrained, so a file
 // is durable only once its staged bytes have reached the PFS and the drain
@@ -22,7 +24,7 @@ import (
 // survived the resilience policy's retry budget) surface from Fsync as a
 // *burstbuffer.DrainError.
 type TieredBB struct {
-	c  *pfs.Client
+	DirectPFS
 	bb *burstbuffer.Buffer
 }
 
@@ -30,11 +32,8 @@ type TieredBB struct {
 // buffer is typically shared by every client on the same I/O node; use
 // Provider to get that wiring for free.
 func NewTiered(c *pfs.Client, bb *burstbuffer.Buffer) *TieredBB {
-	return &TieredBB{c: c, bb: bb}
+	return &TieredBB{DirectPFS: DirectPFS{c: c}, bb: bb}
 }
-
-// Client returns the metadata-path PFS client.
-func (t *TieredBB) Client() *pfs.Client { return t.c }
 
 // Buffer returns the burst buffer this target stages through.
 func (t *TieredBB) Buffer() *burstbuffer.Buffer { return t.bb }
@@ -59,26 +58,6 @@ func (t *TieredBB) Open(p *des.Proc, path string) (Handle, error) {
 type opened struct{}
 
 func (opened) Step() {}
-
-// Stat returns PFS metadata. Note that file sizes lag staged writes until
-// the drainer lands them — an honest property of write-back tiering.
-func (t *TieredBB) Stat(p *des.Proc, path string) (FileInfo, error) {
-	return t.c.Stat(p, path)
-}
-
-// Mkdir creates a directory on the PFS namespace.
-func (t *TieredBB) Mkdir(p *des.Proc, path string) error { return t.c.Mkdir(p, path) }
-
-// Rmdir removes an empty PFS directory.
-func (t *TieredBB) Rmdir(p *des.Proc, path string) error { return t.c.Rmdir(p, path) }
-
-// Unlink removes a PFS file.
-func (t *TieredBB) Unlink(p *des.Proc, path string) error { return t.c.Unlink(p, path) }
-
-// Readdir lists a PFS directory.
-func (t *TieredBB) Readdir(p *des.Proc, path string) ([]string, error) {
-	return t.c.Readdir(p, path)
-}
 
 // tieredHandle is an open file on a TieredBB target: data ops go to the
 // burst buffer, metadata sticks with the PFS handle it embeds, which the

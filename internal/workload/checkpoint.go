@@ -24,9 +24,6 @@ type CheckpointConfig struct {
 	// checkpointing) instead of writing a new file per step.
 	ReuseFile bool
 	Path      string
-	// Buffer, when non-nil, routes checkpoint writes through a burst
-	// buffer instead of directly to the PFS (the Figure-1 experiment).
-	Buffer *burstbuffer.Buffer
 }
 
 func (c CheckpointConfig) withDefaults() CheckpointConfig {
@@ -85,7 +82,7 @@ func RunCheckpoint(h *Harness, cfg CheckpointConfig) CheckpointReport {
 	// checkpoint apps on a staging tier rely on the asynchronous drain for
 	// durability instead of syncing every step, so skip the per-step fsync
 	// and let the harness's finalize pay the drain tail once at the end.
-	tieredBB := cfg.Buffer == nil && h.Provider != nil && h.Provider.Tier() == storage.TierBB
+	tieredBB := h.Provider != nil && h.Provider.Tier() == storage.TierBB
 
 	end := h.Run(func(r *mpi.Rank, env *posixio.Env) {
 		p := r.Proc()
@@ -109,51 +106,32 @@ func RunCheckpoint(h *Harness, cfg CheckpointConfig) CheckpointReport {
 			if cfg.SharedFile {
 				base = int64(r.ID()) * cfg.BytesPerRank
 			}
-			if cfg.Buffer != nil {
+			fd, err := env.Open(p, path, posixio.OCreate)
+			if err != nil {
+				rep.StepIOErrors[step]++
+			} else {
 				for off := int64(0); off < cfg.BytesPerRank; off += cfg.TransferSize {
 					n := cfg.TransferSize
 					if off+n > cfg.BytesPerRank {
 						n = cfg.BytesPerRank - off
 					}
-					cfg.Buffer.Write(p, path, base+off, n)
-				}
-			} else {
-				fd, err := env.Open(p, path, posixio.OCreate)
-				if err != nil {
-					rep.StepIOErrors[step]++
-				} else {
-					for off := int64(0); off < cfg.BytesPerRank; off += cfg.TransferSize {
-						n := cfg.TransferSize
-						if off+n > cfg.BytesPerRank {
-							n = cfg.BytesPerRank - off
-						}
-						if _, werr := env.Pwrite(p, fd, base+off, n); werr != nil {
-							rep.StepIOErrors[step]++
-						}
-					}
-					if !tieredBB {
-						if err := env.Fsync(p, fd); err != nil {
-							rep.StepIOErrors[step]++
-						}
-					}
-					if err := env.Close(p, fd); err != nil {
+					if _, werr := env.Pwrite(p, fd, base+off, n); werr != nil {
 						rep.StepIOErrors[step]++
 					}
+				}
+				if !tieredBB {
+					if err := env.Fsync(p, fd); err != nil {
+						rep.StepIOErrors[step]++
+					}
+				}
+				if err := env.Close(p, fd); err != nil {
+					rep.StepIOErrors[step]++
 				}
 			}
 			ioTimeSum += r.Now() - t0
 			r.Barrier()
 			if r.ID() == 0 {
 				rep.StepIOTime[step] = r.Now() - stepStart[step]
-			}
-		}
-		// Drain the burst buffer after the last step so the simulation
-		// terminates cleanly; the drain is not part of perceived I/O time.
-		if cfg.Buffer != nil {
-			r.Barrier()
-			if r.ID() == 0 {
-				cfg.Buffer.WaitDrained(p)
-				cfg.Buffer.Shutdown()
 			}
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/storage"
 	"pioeval/internal/trace"
 )
 
@@ -144,23 +145,35 @@ func TestMDTestScalesWithMDSThreads(t *testing.T) {
 }
 
 func TestCheckpointDirectVsBurstBuffer(t *testing.T) {
-	// Figure-1 experiment shape at workload level: the burst buffer
-	// shortens the application-perceived checkpoint time.
-	direct := func() CheckpointReport {
+	// Figure-1 experiment shape at workload level: the same checkpoint on
+	// the bb tier shortens the application-perceived checkpoint time.
+	run := func(tier string) CheckpointReport {
 		e := des.NewEngine(47)
-		h := NewHarness(e, hddFS(e), 4, "cn", nil)
+		fs := hddFS(e)
+		pr, err := storage.NewProvider(e, fs, tier, storage.ProviderConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewHarnessOn(e, fs, 4, "cn", nil, pr)
 		return RunCheckpoint(h, CheckpointConfig{Ranks: 4, BytesPerRank: 8 << 20, Steps: 3, ComputeTime: 50 * des.Millisecond})
-	}()
-	if direct.TotalBytes != 3*4*8<<20 {
-		t.Fatalf("bytes = %d", direct.TotalBytes)
 	}
-	for i, d := range direct.StepIOTime {
-		if d <= 0 {
-			t.Fatalf("step %d time = %v", i, d)
+	direct, buffered := run(storage.TierDirect), run(storage.TierBB)
+	for _, rep := range []CheckpointReport{direct, buffered} {
+		if rep.TotalBytes != 3*4*8<<20 {
+			t.Fatalf("bytes = %d", rep.TotalBytes)
+		}
+		for i, d := range rep.StepIOTime {
+			if d <= 0 {
+				t.Fatalf("step %d time = %v", i, d)
+			}
+		}
+		if rep.EffectiveMBps <= 0 || rep.IOFraction <= 0 || rep.IOFraction >= 1 || rep.IOErrors != 0 {
+			t.Fatalf("report = %+v", rep)
 		}
 	}
-	if direct.EffectiveMBps <= 0 || direct.IOFraction <= 0 || direct.IOFraction >= 1 {
-		t.Fatalf("report = %+v", direct)
+	if buffered.EffectiveMBps < 2*direct.EffectiveMBps {
+		t.Errorf("bb tier perceived %.1f MB/s vs direct %.1f MB/s; expected at least 2x",
+			buffered.EffectiveMBps, direct.EffectiveMBps)
 	}
 }
 
