@@ -53,8 +53,7 @@ func BenchmarkAblationBurstBufferCapacity(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := des.NewEngine(302)
 				fs := pfs.New(e, hddCluster())
-				cfg := burstbuffer.DefaultConfig()
-				cfg.Capacity = capMB << 20
+				cfg := burstbuffer.Config{Capacity: capMB << 20, DrainWorkers: 2}
 				bb := burstbuffer.New(e, fs, "bb0", cfg)
 				var absorbed des.Time
 				e.Spawn("app", func(p *des.Proc) {

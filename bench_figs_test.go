@@ -58,7 +58,7 @@ func BenchmarkFig1BurstBuffer(b *testing.B) {
 		// Through the burst buffer.
 		e2 := des.NewEngine(101)
 		fs2 := pfs.New(e2, hddCluster())
-		bb := burstbuffer.New(e2, fs2, "bb0", burstbuffer.DefaultConfig())
+		bb := burstbuffer.New(e2, fs2, "bb0", burstbuffer.Config{DrainWorkers: 2})
 		var absorbed des.Time
 		e2.Spawn("app", func(p *des.Proc) {
 			bb.Write(p, "/ckpt", 0, burst)

@@ -38,7 +38,8 @@ func (e *DrainError) Error() string {
 // Unwrap exposes the underlying fault.
 func (e *DrainError) Unwrap() error { return e.Last }
 
-// Config describes one burst-buffer node.
+// Config describes one burst-buffer node. The zero value selects an
+// NVMe-backed buffer: 4 GiB, depth 8, one drain worker.
 type Config struct {
 	// Device constructs the staging media model (default NVMe).
 	Device func() blockdev.Model
@@ -50,16 +51,6 @@ type Config struct {
 	// DrainWorkers is the number of concurrent drain streams to the PFS
 	// (default 1).
 	DrainWorkers int
-}
-
-// DefaultConfig returns an NVMe-backed buffer: 4 GiB, depth 8, 2 drainers.
-func DefaultConfig() Config {
-	return Config{
-		Device:       func() blockdev.Model { return blockdev.DefaultNVMe() },
-		QueueDepth:   8,
-		Capacity:     4 << 30,
-		DrainWorkers: 2,
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -102,9 +93,15 @@ type Buffer struct {
 	idle     *des.Signal
 	inFlight int
 
-	// The drainer's own PFS identity.
+	// The drainer's own PFS identity. Its handles are carved from slab,
+	// which holds the ones not yet handed out; spare is a handle whose
+	// open failed, kept for the next open.
 	drainClient *pfs.Client
 	handles     map[string]*pfs.Handle
+	slab        []pfs.Handle
+	spare       *pfs.Handle
+	// paths is WaitDrained's sorted-paths buffer, reused between passes.
+	paths []string
 	// unsynced holds the paths whose drain handle has written a segment
 	// since WaitDrained last fsynced it.
 	unsynced map[string]struct{}
@@ -160,13 +157,7 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 		var err error
 		h := b.handles[seg.path]
 		if h == nil {
-			h, err = b.drainClient.Open(p, seg.path)
-			if err != nil {
-				h, err = b.drainClient.Create(p, seg.path, 0, 0)
-			}
-			if err == nil {
-				b.handles[seg.path] = h
-			}
+			h, err = b.openDrain(p, seg.path, true)
 		}
 		// Read the staged data off the SSD, then push it to the PFS.
 		b.dev.Access(p, blockdev.Request{Offset: seg.off, Size: seg.size})
@@ -190,6 +181,36 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 			b.idle.Fire()
 		}
 	}
+}
+
+// drainSlab is the number of drain handles the buffer carves at once.
+const drainSlab = 64
+
+// openDrain opens path on the drainer's client, or creates it when create
+// is set and the open failed, and records the handle. The handle is taken
+// before the open blocks, so drain workers opening at once never share
+// one.
+func (b *Buffer) openDrain(p *des.Proc, path string, create bool) (*pfs.Handle, error) {
+	h := b.spare
+	if h != nil {
+		b.spare = nil
+	} else {
+		if len(b.slab) == 0 {
+			b.slab = make([]pfs.Handle, drainSlab)
+		}
+		h, b.slab = &b.slab[0], b.slab[1:]
+	}
+	p.Await(func(ep *des.EventProc) { b.drainClient.OpenE(ep, h, path, des.NoStep{}) })
+	if h.Err() != nil && create {
+		p.Await(func(ep *des.EventProc) { b.drainClient.CreateE(ep, h, path, 0, 0, des.NoStep{}) })
+	}
+	if err := h.Err(); err != nil {
+		// A failed open leaves the handle closed, so it can be reused.
+		b.spare = h
+		return nil, err
+	}
+	b.handles[path] = h
+	return h, nil
 }
 
 // Shutdown stops the drain workers after the queue empties. Call from a
@@ -237,13 +258,11 @@ func (b *Buffer) Read(p *des.Proc, path string, off, size int64) error {
 	h := b.handles[path]
 	if h == nil {
 		var err error
-		h, err = b.drainClient.Open(p, path)
-		if err != nil {
+		if h, err = b.openDrain(p, path, false); err != nil {
 			b.readErrors++
 			b.lastReadErr = err
 			return err
 		}
-		b.handles[path] = h
 	}
 	if err := h.Read(p, off, size); err != nil {
 		b.readErrors++
@@ -266,8 +285,10 @@ func (b *Buffer) WaitDrained(p *des.Proc) error {
 	}
 	// Deterministic order: sort the paths. Each is removed from the set
 	// before its Fsync blocks, so a concurrent caller syncs only the
-	// handles this pass has not reached yet.
-	paths := make([]string, 0, len(b.unsynced))
+	// handles this pass has not reached yet. The pass owns the buffer
+	// while it runs; a concurrent pass starts its own.
+	paths := b.paths[:0]
+	b.paths = nil
 	for path := range b.unsynced {
 		paths = append(paths, path)
 	}
@@ -282,6 +303,7 @@ func (b *Buffer) WaitDrained(p *des.Proc) error {
 			b.lastDrainErr = err
 		}
 	}
+	b.paths = paths[:0]
 	if b.drainErrors > 0 {
 		return &DrainError{
 			Node: b.node, Segments: b.drainErrors, Bytes: b.lostBytes,

@@ -16,7 +16,7 @@ func newSim(capacity int64) (*des.Engine, *pfs.FS, *Buffer) {
 	cfg := pfs.DefaultConfig()
 	cfg.NumIONodes = 0
 	fs := pfs.New(e, cfg) // HDD OSTs: slow backing store
-	bcfg := DefaultConfig()
+	bcfg := Config{DrainWorkers: 2}
 	if capacity > 0 {
 		bcfg.Capacity = capacity
 	}
@@ -172,9 +172,7 @@ func TestDrainWorkersParallelism(t *testing.T) {
 		cfg.NumIONodes = 0
 		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
 		fs := pfs.New(e, cfg)
-		bcfg := DefaultConfig()
-		bcfg.DrainWorkers = workers
-		bb := New(e, fs, "bb0", bcfg)
+		bb := New(e, fs, "bb0", Config{DrainWorkers: workers})
 		e.Spawn("app", func(p *des.Proc) {
 			for i := int64(0); i < 16; i++ {
 				bb.Write(p, "/f", i*(1<<20), 1<<20)
@@ -264,7 +262,7 @@ func TestWaitDrainedDurableUnderWriteBehind(t *testing.T) {
 			ostWritten += ev.Size
 		}
 	})
-	bb := New(e, fs, "bb0", DefaultConfig())
+	bb := New(e, fs, "bb0", Config{DrainWorkers: 2})
 	check := func(pass int) {
 		st := bb.Stats()
 		if st.DrainErrors != 0 {
@@ -291,6 +289,96 @@ func TestWaitDrainedDurableUnderWriteBehind(t *testing.T) {
 	e.Run(des.MaxTime)
 	if st := bb.Stats(); st.Drained != 4<<20 {
 		t.Fatalf("drained = %d, want 4MB", st.Drained)
+	}
+}
+
+// TestDrainWorkersOpenDistinctHandles: two drain workers that open fresh
+// paths at the same time each open into a handle of their own; sharing
+// one would panic with pfs.ErrHandleOpen.
+func TestDrainWorkersOpenDistinctHandles(t *testing.T) {
+	e, fs, bb := newSim(0)
+	first, last := map[string]des.Time{}, map[string]des.Time{}
+	fs.SetOpObserver(func(ev pfs.OpEvent) {
+		if ev.Client != "bb0" || (ev.Op != "open" && ev.Op != "create") {
+			return
+		}
+		if _, ok := first[ev.Path]; !ok {
+			first[ev.Path] = ev.Start
+		}
+		last[ev.Path] = ev.End
+	})
+	e.Spawn("app", func(p *des.Proc) {
+		bb.Write(p, "/a", 0, 4096)
+		bb.Write(p, "/b", 0, 4096)
+		if err := bb.WaitDrained(p); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	e.Run(des.MaxTime)
+	if first["/b"] >= last["/a"] {
+		t.Fatalf("the drain opens did not overlap: /a until %v, /b from %v", last["/a"], first["/b"])
+	}
+	if st := bb.Stats(); st.Drained != 2*4096 || st.DrainErrors != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+	if bb.handles["/a"] == bb.handles["/b"] {
+		t.Error("both paths drain through one handle")
+	}
+}
+
+// TestDrainOpenAllocs: a read-through miss on a path the buffer has not
+// opened yet opens a drain handle carved from the buffer's slab, so within
+// a slab it allocates nothing. The handle map is sized up front so that
+// its growth is not counted.
+func TestDrainOpenAllocs(t *testing.T) {
+	const files = drainSlab / 2
+	e, fs, bb := newSim(0)
+	bb.handles = make(map[string]*pfs.Handle, 4*files)
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/f%02d", i)
+	}
+	c := fs.NewClient("cn0")
+	kick := des.NewSignal(e)
+	var readErr error
+	next := 0
+	e.Spawn("app", func(p *des.Proc) {
+		for _, path := range paths {
+			h, err := c.Create(p, path, 0, 0)
+			if err == nil {
+				err = h.Write(p, 0, 4096)
+			}
+			if err == nil {
+				err = h.Close(p)
+			}
+			if err != nil {
+				readErr = err
+				return
+			}
+		}
+		for next < files {
+			kick.Wait(p)
+			if readErr = bb.Read(p, paths[next], 0, 4096); readErr != nil {
+				return
+			}
+			next++
+		}
+	})
+	round := func() {
+		kick.Fire()
+		e.Run(des.MaxTime)
+	}
+	e.Run(des.MaxTime)
+	round()
+	n := testing.AllocsPerRun(files-2, round)
+	if readErr != nil || next != files {
+		t.Fatalf("read-through: %v after %d of %d files", readErr, next, files)
+	}
+	if st := bb.Stats(); st.MissReads != files*4096 {
+		t.Fatalf("read-through bytes = %d, want %d", st.MissReads, files*4096)
+	}
+	if n != 0 {
+		t.Errorf("drain-handle open and read: %v allocations per file, want 0", n)
 	}
 }
 

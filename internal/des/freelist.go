@@ -83,10 +83,14 @@ func (l *FreeList[T, P]) Get() P {
 }
 
 // Put releases x, which its caller must no longer touch; under the
-// quarantine tag it poisons x instead (see Recycled).
+// quarantine tag it poisons x instead (see Recycled), and panics if x
+// was released already.
 func (l *FreeList[T, P]) Put(x P) {
 	h := x.pooled()
 	if Quarantine {
+		if h.poisoned {
+			panic("des: FreeList.Put of an item released already")
+		}
 		h.poisoned = true
 		return
 	}

@@ -34,3 +34,19 @@ func TestQuarantineFreeListPoisons(t *testing.T) {
 		}
 	}
 }
+
+// TestQuarantineDoublePutPanics: under the quarantine tag releasing an
+// item twice panics, so an owner that would hand one item to two users
+// fails at the second release.
+func TestQuarantineDoublePutPanics(t *testing.T) {
+	var l FreeList[pooledItem, *pooledItem]
+	l.Init(2)
+	x := l.Get()
+	l.Put(x)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Put of one item did not panic")
+		}
+	}()
+	l.Put(x)
+}

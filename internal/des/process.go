@@ -26,11 +26,13 @@ type Proc struct {
 	fn func(p *Proc)
 }
 
-// noStep is the last step of an operation a goroutine-form primitive
-// awaits: the operation is complete once the step that wakes it runs.
-type noStep struct{}
+// NoStep is the last step of an operation a goroutine proc awaits, as
+// every goroutine-form primitive does: the operation is complete once the
+// step that wakes the proc runs, and the proc reads its outcome when it
+// resumes.
+type NoStep struct{}
 
-func (noStep) Step() {}
+func (NoStep) Step() {}
 
 // Spawn starts fn as a new simulated process at the current time.
 // The name appears in deadlock diagnostics.
@@ -54,7 +56,7 @@ func (e *Engine) SpawnIndexed(name string, index int, fn func(p *Proc)) *Proc {
 func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
 	p := &Proc{fn: fn}
 	e.startEventProc(&p.ep, d, name, index)
-	p.ep.k, p.ep.host = noStep{}, p
+	p.ep.k, p.ep.host = NoStep{}, p
 	return p
 }
 
@@ -122,7 +124,7 @@ func (p *Proc) Name() string { return p.ep.Name() }
 func (p *Proc) PID() int { return p.ep.pid }
 
 // Wait advances simulated time by d for this process.
-func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, noStep{}) }) }
+func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, NoStep{}) }) }
 
 // Signal is a broadcast condition: processes wait on it and a later Fire
 // releases all current waiters. A Signal can be reused after firing.
@@ -148,7 +150,7 @@ func (s *Signal) add(ep *EventProc) {
 func NewSignal(e *Engine) *Signal { return &Signal{} }
 
 // Wait blocks the calling process until the next Fire.
-func (s *Signal) Wait(p *Proc) { p.await(func(ep *EventProc) { s.WaitE(ep, noStep{}) }) }
+func (s *Signal) Wait(p *Proc) { p.await(func(ep *EventProc) { s.WaitE(ep, NoStep{}) }) }
 
 // WaitE is the continuation form of Wait: k runs when the next Fire
 // releases the signal.
@@ -199,7 +201,7 @@ func (wg *WaitGroup) Add(delta int) {
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks the calling process until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) { p.await(func(ep *EventProc) { wg.WaitE(ep, noStep{}) }) }
+func (wg *WaitGroup) Wait(p *Proc) { p.await(func(ep *EventProc) { wg.WaitE(ep, NoStep{}) }) }
 
 // WaitE is the continuation form of Wait: k runs once the counter reaches
 // zero, synchronously when it already is, re-checking across Fires.

@@ -9,5 +9,6 @@ package des
 // blockdev device operations, pfs calls) panic when a poisoned struct is
 // resumed (Pooled.Recycled): a step that touches its state machine after
 // the machine's last step then fails loudly instead of corrupting
-// whichever operation reused it. Without the tag the check compiles away.
+// whichever operation reused it. Releasing a struct twice panics too.
+// Without the tag the checks compile away.
 const Quarantine = false

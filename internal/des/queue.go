@@ -98,7 +98,7 @@ func (q *Queue[T]) Put(v T) {
 
 // Get removes and returns the oldest item, blocking until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	p.await(func(ep *EventProc) { q.GetE(ep, noStep{}) })
+	p.await(func(ep *EventProc) { q.GetE(ep, NoStep{}) })
 	return q.take()
 }
 

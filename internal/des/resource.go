@@ -77,7 +77,7 @@ func (r *Resource) account() {
 }
 
 // Acquire obtains one unit of the resource, blocking in FIFO order.
-func (r *Resource) Acquire(p *Proc) { p.await(func(ep *EventProc) { r.AcquireE(ep, noStep{}) }) }
+func (r *Resource) Acquire(p *Proc) { p.await(func(ep *EventProc) { r.AcquireE(ep, NoStep{}) }) }
 
 // AcquireE is the continuation form of Acquire: when a unit is free, k
 // runs synchronously; otherwise the process joins the wait FIFO and

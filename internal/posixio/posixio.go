@@ -241,9 +241,11 @@ func (e *Env) Close(p *des.Proc, fd int) error {
 		return err
 	}
 	start := p.Now()
+	// A target may recycle the handle at Close, so read its path first.
+	path := st.h.Path()
 	cerr := st.h.Close(p)
 	delete(e.fds, fd)
-	e.emit(p, "close", st.h.Path(), 0, 0, start)
+	e.emit(p, "close", path, 0, 0, start)
 	// A spare must not keep the closed handle reachable.
 	*st = fdState{next: e.spare}
 	e.spare = st

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pioeval/internal/blockdev"
+	"pioeval/internal/burstbuffer"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
 	"pioeval/internal/storage"
@@ -79,6 +80,32 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 		if ops[i] != want[i] {
 			t.Fatalf("trace ops = %v, want %v", ops, want)
 		}
+	}
+}
+
+// TestCloseTracesPathOnRecycledHandle: a tiered target recycles its
+// handle at Close, clearing it, and the close record still names the file.
+func TestCloseTracesPathOnRecycledHandle(t *testing.T) {
+	e := des.NewEngine(1)
+	cfg := pfs.DefaultConfig()
+	cfg.NumIONodes = 0
+	fs := pfs.New(e, cfg)
+	col := trace.NewCollector()
+	bb := burstbuffer.New(e, fs, "bb0", burstbuffer.Config{})
+	env := NewEnv(storage.NewTiered(fs.NewClient("c0"), bb), 0, col)
+	run(t, e, func(p *des.Proc) {
+		fd, err := env.Open(p, "/f", OCreate|ORdwr)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if err := env.Close(p, fd); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		bb.Shutdown()
+	})
+	recs := col.Records()
+	if last := recs[len(recs)-1]; last.Op != "close" || last.Path != "/f" {
+		t.Errorf("last record = %s %q, want close \"/f\"", last.Op, last.Path)
 	}
 }
 

@@ -129,8 +129,14 @@ func (s *Stage) ModelRatio() float64 { return s.m.Ratio }
 
 // Wrap returns the compressed view over the target below for one node.
 func (s *Stage) Wrap(node string, t storage.Target) storage.Target {
-	return &target{s: s, inner: t}
+	w := &target{s: s, inner: t}
+	w.free.Init(maxFreeHandles)
+	return w
 }
+
+// maxFreeHandles caps the closed handles a node's target keeps for
+// reuse: a node's ranks rarely hold more files open at once.
+const maxFreeHandles = 64
 
 // Flush is a no-op: the stage compresses synchronously on the write path
 // and buffers nothing.
@@ -182,22 +188,32 @@ func cpuTime(size, ramp int64, mbps float64) des.Time {
 type target struct {
 	s     *Stage
 	inner storage.Target
+	// free recycles the handles of closed files.
+	free des.FreeList[handle, *handle]
 }
 
 func (t *target) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (storage.Handle, error) {
-	h, err := t.inner.Create(p, path, stripeCount, stripeSize)
+	in, err := t.inner.Create(p, path, stripeCount, stripeSize)
 	if err != nil {
 		return nil, err
 	}
-	return &handle{s: t.s, inner: h}, nil
+	return t.wrap(in), nil
 }
 
 func (t *target) Open(p *des.Proc, path string) (storage.Handle, error) {
-	h, err := t.inner.Open(p, path)
+	in, err := t.inner.Open(p, path)
 	if err != nil {
 		return nil, err
 	}
-	return &handle{s: t.s, inner: h}, nil
+	return t.wrap(in), nil
+}
+
+// wrap takes a handle from the free list for an inner handle that has
+// been opened.
+func (t *target) wrap(in storage.Handle) *handle {
+	h := t.free.Get()
+	h.t, h.inner = t, in
+	return h
 }
 
 // Stat scales the physical size below back to logical bytes. The write
@@ -223,20 +239,34 @@ func (t *target) Readdir(p *des.Proc, path string) ([]string, error) {
 // handle compresses the data path of one open file: Write charges
 // compression CPU to the calling rank, then forwards the shrunken extent;
 // Read fetches the shrunken extent and charges decompression CPU.
-// Metadata (Fsync, Close, Path) passes through.
+// Metadata (Fsync, Close, Path) passes through. Close returns the handle
+// to its target's free list, so in steady state an open allocates
+// nothing. A closed handle has no inner handle: until an open reuses it,
+// its I/O fails with storage.ErrClosedHandle and a second Close does
+// nothing.
 type handle struct {
-	s     *Stage
+	des.Pooled
+	t     *target
 	inner storage.Handle
 }
 
-func (h *handle) Path() string { return h.inner.Path() }
+func (h *handle) Path() string {
+	if h.inner == nil {
+		return ""
+	}
+	return h.inner.Path()
+}
 
 func (h *handle) Write(p *des.Proc, off, size int64) error {
-	s := h.s
+	inner := h.inner
+	if inner == nil {
+		return storage.ErrClosedHandle
+	}
+	s := h.t.s
 	ct := cpuTime(size, s.m.RampBytes, s.m.CompressMBps)
 	p.Wait(ct)
 	physOff, phys := s.physExtent(off, size)
-	if err := h.inner.Write(p, physOff, phys); err != nil {
+	if err := inner.Write(p, physOff, phys); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -249,7 +279,10 @@ func (h *handle) Write(p *des.Proc, off, size int64) error {
 }
 
 func (h *handle) Read(p *des.Proc, off, size int64) error {
-	s := h.s
+	if h.inner == nil {
+		return storage.ErrClosedHandle
+	}
+	s := h.t.s
 	physOff, phys := s.physExtent(off, size)
 	if err := h.inner.Read(p, physOff, phys); err != nil {
 		return err
@@ -265,5 +298,23 @@ func (h *handle) Read(p *des.Proc, off, size int64) error {
 	return nil
 }
 
-func (h *handle) Fsync(p *des.Proc) error { return h.inner.Fsync(p) }
-func (h *handle) Close(p *des.Proc) error { return h.inner.Close(p) }
+func (h *handle) Fsync(p *des.Proc) error {
+	if h.inner == nil {
+		return storage.ErrClosedHandle
+	}
+	return h.inner.Fsync(p)
+}
+
+// Close closes the inner handle and releases h to its target's free list,
+// once.
+func (h *handle) Close(p *des.Proc) error {
+	inner, t := h.inner, h.t
+	if inner == nil {
+		return nil
+	}
+	h.inner = nil
+	err := inner.Close(p)
+	*h = handle{Pooled: h.Pooled}
+	t.free.Put(h)
+	return err
+}

@@ -1,11 +1,14 @@
 package reduce
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
+	"pioeval/internal/pfs"
 	"pioeval/internal/storage"
 )
 
@@ -252,5 +255,130 @@ func TestRatioOnEmptyStats(t *testing.T) {
 	var st storage.StageStats
 	if st.Ratio() != 1 {
 		t.Fatalf("empty-stats ratio = %f, want 1", st.Ratio())
+	}
+}
+
+// TestStageHandleClose: I/O on a closed stage handle fails with
+// storage.ErrClosedHandle, and a second Close returns nil without
+// releasing the handle again, so the next two opens get distinct handles.
+// Under the quarantine tag the released handle is poisoned and never
+// handed out again.
+func TestStageHandleClose(t *testing.T) {
+	s, err := New("lz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := s.Wrap("cn0", newRecTarget()).(*target)
+	drive(t, func(p *des.Proc) {
+		h, cerr := tgt.Create(p, "/f", 0, 0)
+		if cerr != nil {
+			t.Fatalf("create: %v", cerr)
+		}
+		free := tgt.free.Len()
+		if err := h.Close(p); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if err := h.Write(p, 0, 1); !errors.Is(err, storage.ErrClosedHandle) {
+			t.Errorf("write after close = %v", err)
+		}
+		if err := h.Read(p, 0, 1); !errors.Is(err, storage.ErrClosedHandle) {
+			t.Errorf("read after close = %v", err)
+		}
+		if err := h.Fsync(p); !errors.Is(err, storage.ErrClosedHandle) {
+			t.Errorf("fsync after close = %v", err)
+		}
+		if err := h.Close(p); err != nil {
+			t.Errorf("second close = %v", err)
+		}
+		if des.Quarantine {
+			if !h.(*handle).Recycled() {
+				t.Error("a released handle was not poisoned")
+			}
+		} else if n := tgt.free.Len() - free; n != 1 {
+			t.Errorf("two closes released the handle %d times, want 1", n)
+		}
+		a, _ := tgt.Open(p, "/f")
+		b, _ := tgt.Open(p, "/f")
+		if a == b {
+			t.Error("two opens got one handle")
+		}
+		if des.Quarantine && (a == h || b == h) {
+			t.Error("a released handle was handed out again")
+		}
+	})
+	if st := s.StageStats(); st.WriteOps != 0 || st.ReadOps != 0 {
+		t.Errorf("I/O on a closed handle reached the books: %+v", st)
+	}
+}
+
+// TestStageOpenAllocs: a create/close and an open/close through the stage
+// over TieredBB allocate nothing once warm: both layers recycle their
+// handles at Close. The MDS is warmed past the inodes it allocates one by
+// one, so the file a create makes comes from a chunk.
+func TestStageOpenAllocs(t *testing.T) {
+	for _, op := range []string{"create", "open"} {
+		e := des.NewEngine(1)
+		cfg := pfs.DefaultConfig()
+		cfg.NumIONodes = 0
+		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
+		fs := pfs.New(e, cfg)
+		s, err := New("lz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt := s.Wrap("cn0", storage.NewTiered(fs.NewClient("cn0"), nil))
+		kick := des.NewSignal(e)
+		var opErr error
+		stop := false
+		e.Spawn("app", func(p *des.Proc) {
+			cycle := func(path string, create bool) error {
+				var h storage.Handle
+				var err error
+				if create {
+					h, err = tgt.Create(p, path, 2, 1<<20)
+				} else {
+					h, err = tgt.Open(p, path)
+				}
+				if err == nil {
+					err = h.Close(p)
+				}
+				if err != nil || !create || path == "/kept" {
+					return err
+				}
+				return tgt.Unlink(p, path)
+			}
+			for i := 0; i < 256 && opErr == nil; i++ {
+				opErr = cycle("/warm", true)
+			}
+			if opErr == nil {
+				opErr = cycle("/kept", true)
+			}
+			for opErr == nil {
+				kick.Wait(p)
+				if stop {
+					return
+				}
+				if op == "create" {
+					opErr = cycle("/f", true)
+				} else {
+					opErr = cycle("/kept", false)
+				}
+			}
+		})
+		round := func() {
+			kick.Fire()
+			e.Run(des.MaxTime)
+		}
+		e.Run(des.MaxTime)
+		round()
+		n := testing.AllocsPerRun(50, round)
+		stop = true
+		round()
+		if opErr != nil || e.LiveProcs() != 0 {
+			t.Fatalf("%s: error %v, %d live procs", op, opErr, e.LiveProcs())
+		}
+		if n != 0 {
+			t.Errorf("stage over tiered %s/close: %v allocations, want 0", op, n)
+		}
 	}
 }

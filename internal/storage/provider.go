@@ -13,8 +13,8 @@ import (
 // defaults everywhere.
 type ProviderConfig struct {
 	// BB configures the burst buffer behind every TierBB target. The zero
-	// value selects NVMe staging, 4 GiB and one drain worker; only
-	// burstbuffer.DefaultConfig asks for two.
+	// value selects NVMe staging, 4 GiB and one drain worker; ask for more
+	// explicitly, e.g. burstbuffer.Config{DrainWorkers: 2}.
 	BB burstbuffer.Config
 	// LocalDevice constructs the scratch media model for TierNodeLocal
 	// targets (default NVMe).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pioeval/internal/blockdev"
+	"pioeval/internal/burstbuffer"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
 )
@@ -168,6 +169,64 @@ func TestNodeLocalNamespace(t *testing.T) {
 	if md := fs.MDSStats(); md.TotalOps != 0 {
 		t.Errorf("node-local tier issued %d MDS ops", md.TotalOps)
 	}
+}
+
+// TestTieredHandleClose: I/O on a closed tier handle fails with
+// ErrClosedHandle, as on a closed node-local one, and a second Close
+// returns nil without releasing the handle again, so the next two opens
+// get distinct handles. Under the quarantine tag the released handle is
+// poisoned and never handed out again.
+func TestTieredHandleClose(t *testing.T) {
+	e, fs := newCluster(1)
+	tgt := NewTiered(fs.NewClient("cn0"), burstbuffer.New(e, fs, "bb0", burstbuffer.Config{}))
+	e.Spawn("app", func(p *des.Proc) {
+		h, err := tgt.Create(p, "/f", 0, 0)
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		if err := h.Write(p, 0, 4096); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		free := tgt.free.Len()
+		if err := h.Close(p); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if err := h.Write(p, 0, 1); !errors.Is(err, ErrClosedHandle) {
+			t.Errorf("write after close = %v", err)
+		}
+		if err := h.Read(p, 0, 1); !errors.Is(err, ErrClosedHandle) {
+			t.Errorf("read after close = %v", err)
+		}
+		if err := h.Fsync(p); !errors.Is(err, ErrClosedHandle) {
+			t.Errorf("fsync after close = %v", err)
+		}
+		if err := h.Close(p); err != nil {
+			t.Errorf("second close = %v", err)
+		}
+		if des.Quarantine {
+			if !h.(*tieredHandle).Recycled() {
+				t.Error("a released handle was not poisoned")
+			}
+		} else if n := tgt.free.Len() - free; n != 1 {
+			t.Errorf("two closes released the handle %d times, want 1", n)
+		}
+		a, err := tgt.Open(p, "/f")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		b, err := tgt.Open(p, "/f")
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		if a == b {
+			t.Error("two opens got one handle")
+		}
+		if des.Quarantine && (a == h || b == h) {
+			t.Error("a released handle was handed out again")
+		}
+		_, _ = a.Close(p), b.Close(p)
+	})
+	e.Run(des.MaxTime)
 }
 
 // TestNodeLocalMetadataIsFree: namespace operations on the scratch tier

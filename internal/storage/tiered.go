@@ -26,13 +26,21 @@ import (
 type TieredBB struct {
 	DirectPFS
 	bb *burstbuffer.Buffer
+	// free recycles the handles of closed files (and of failed opens).
+	free des.FreeList[tieredHandle, *tieredHandle]
 }
+
+// maxFreeHandles caps the closed handles a target keeps for reuse: a
+// node's ranks rarely hold more files open at once.
+const maxFreeHandles = 64
 
 // NewTiered builds a tiered target for client c staging through bb. The
 // buffer is typically shared by every client on the same I/O node; use
 // Provider to get that wiring for free.
 func NewTiered(c *pfs.Client, bb *burstbuffer.Buffer) *TieredBB {
-	return &TieredBB{DirectPFS: DirectPFS{c: c}, bb: bb}
+	t := &TieredBB{DirectPFS: DirectPFS{c: c}, bb: bb}
+	t.free.Init(maxFreeHandles)
+	return t
 }
 
 // Buffer returns the burst buffer this target stages through.
@@ -41,39 +49,45 @@ func (t *TieredBB) Buffer() *burstbuffer.Buffer { return t.bb }
 // Create creates path on the PFS namespace (so the drainer and read-through
 // path can open it) and returns a handle whose data ops ride the buffer.
 func (t *TieredBB) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {
-	h := &tieredHandle{t: t}
-	p.Await(func(ep *des.EventProc) { t.c.CreateE(ep, &h.ph, path, stripeCount, stripeSize, opened{}) })
-	return h.result()
+	h := t.free.Get()
+	p.Await(func(ep *des.EventProc) { t.c.CreateE(ep, &h.ph, path, stripeCount, stripeSize, des.NoStep{}) })
+	return t.opened(h)
 }
 
 // Open opens an existing PFS file for tiered access.
 func (t *TieredBB) Open(p *des.Proc, path string) (Handle, error) {
-	h := &tieredHandle{t: t}
-	p.Await(func(ep *des.EventProc) { t.c.OpenE(ep, &h.ph, path, opened{}) })
-	return h.result()
+	h := t.free.Get()
+	p.Await(func(ep *des.EventProc) { t.c.OpenE(ep, &h.ph, path, des.NoStep{}) })
+	return t.opened(h)
 }
 
-// opened is the last step of an awaited create or open: the proc reads
-// the outcome from the handle once it resumes.
-type opened struct{}
+// opened returns h once its create or open has succeeded. A failed open
+// leaves the PFS handle closed, so h goes straight back to the free list.
+func (t *TieredBB) opened(h *tieredHandle) (Handle, error) {
+	if err := h.ph.Err(); err != nil {
+		t.release(h)
+		return nil, err
+	}
+	h.t = t
+	return h, nil
+}
 
-func (opened) Step() {}
+// release clears h, keeping its free-list header, and puts it back.
+func (t *TieredBB) release(h *tieredHandle) {
+	*h = tieredHandle{Pooled: h.Pooled}
+	t.free.Put(h)
+}
 
 // tieredHandle is an open file on a TieredBB target: data ops go to the
 // burst buffer, metadata sticks with the PFS handle it embeds, which the
-// continuation create or open opened in place, so an open allocates one
-// object.
+// continuation create or open opened in place. Close returns the handle
+// to its target's free list, so in steady state an open allocates
+// nothing. A closed handle has no target: until an open reuses it, its
+// I/O fails with ErrClosedHandle and a second Close does nothing.
 type tieredHandle struct {
+	des.Pooled
 	t  *TieredBB
 	ph pfs.Handle
-}
-
-// result returns h once its create or open has succeeded, or the error.
-func (h *tieredHandle) result() (Handle, error) {
-	if err := h.ph.Err(); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // Path returns the handle's path.
@@ -83,6 +97,9 @@ func (h *tieredHandle) Path() string { return h.ph.Path() }
 // full) and returns as soon as they are staged; the drain to the PFS is
 // asynchronous. Drain failures surface later, from Fsync.
 func (h *tieredHandle) Write(p *des.Proc, off, size int64) error {
+	if h.t == nil {
+		return ErrClosedHandle
+	}
 	h.t.bb.Write(p, h.ph.Path(), off, size)
 	return nil
 }
@@ -90,17 +107,31 @@ func (h *tieredHandle) Write(p *des.Proc, off, size int64) error {
 // Read serves from the staging SSD while staged data is hot, else reads
 // through to the PFS via the buffer's I/O-node client.
 func (h *tieredHandle) Read(p *des.Proc, off, size int64) error {
+	if h.t == nil {
+		return ErrClosedHandle
+	}
 	return h.t.bb.Read(p, h.ph.Path(), off, size)
 }
 
 // Fsync waits until every staged byte has drained to the PFS, returning
 // the accumulated drain errors if any writebacks failed for good.
 func (h *tieredHandle) Fsync(p *des.Proc) error {
+	if h.t == nil {
+		return ErrClosedHandle
+	}
 	return h.t.bb.WaitDrained(p)
 }
 
-// Close closes the metadata handle. Staged data keeps draining in the
-// background; call Fsync first when durability is required.
+// Close closes the metadata handle and releases h to its target's free
+// list, once. Staged data keeps draining in the background; call Fsync
+// first when durability is required.
 func (h *tieredHandle) Close(p *des.Proc) error {
-	return h.ph.Close(p)
+	t := h.t
+	if t == nil {
+		return nil
+	}
+	h.t = nil
+	err := h.ph.Close(p)
+	t.release(h)
+	return err
 }

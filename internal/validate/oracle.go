@@ -255,9 +255,7 @@ func OracleBurstBufferDrain(seed int64) OracleResult {
 
 	e := des.NewEngine(seed)
 	fs := pfs.New(e, cfg)
-	bbCfg := burstbuffer.DefaultConfig()
-	bbCfg.DrainWorkers = 1
-	bb := burstbuffer.New(e, fs, "bb0", bbCfg)
+	bb := burstbuffer.New(e, fs, "bb0", burstbuffer.Config{})
 	var drained des.Time
 	e.Spawn("oracle.bb-drain", func(p *des.Proc) {
 		for off := int64(0); off < total; off += seg {
@@ -272,7 +270,7 @@ func OracleBurstBufferDrain(seed int64) OracleResult {
 	}
 
 	dcfg := fs.Config()
-	stage := bbCfg.Device()
+	stage := blockdev.DefaultNVMe() // the zero burstbuffer.Config's staging device
 	firstSeg := blockdev.ServiceTime(stage, blockdev.Request{Offset: 0, Size: seg, Write: true}, 0).Seconds()
 	perByte := devSecPerByte(stage, false) +
 		1/float64(dcfg.ComputeFabric.LinkBandwidth) +
@@ -372,9 +370,7 @@ func OracleTieredDrain(seed int64) OracleResult {
 
 	e := des.NewEngine(seed)
 	fs := pfs.New(e, cfg)
-	pcfg := storage.ProviderConfig{BB: burstbuffer.DefaultConfig()}
-	pcfg.BB.DrainWorkers = 1
-	pr, err := storage.NewProvider(e, fs, storage.TierBB, pcfg)
+	pr, err := storage.NewProvider(e, fs, storage.TierBB, storage.ProviderConfig{})
 	if err != nil {
 		panic(fmt.Sprintf("validate: oracle provider: %v", err))
 	}
@@ -403,7 +399,7 @@ func OracleTieredDrain(seed int64) OracleResult {
 	}
 
 	dcfg := fs.Config()
-	stage := pcfg.BB.Device()
+	stage := blockdev.DefaultNVMe() // the zero burstbuffer.Config's staging device
 	firstSeg := blockdev.ServiceTime(stage, blockdev.Request{Offset: 0, Size: seg, Write: true}, 0).Seconds()
 	perByte := devSecPerByte(stage, false) +
 		1/float64(dcfg.ComputeFabric.LinkBandwidth) +
