@@ -51,21 +51,11 @@ func BenchmarkAblationBurstBufferCapacity(b *testing.B) {
 		capMB := capMB
 		b.Run(fmt.Sprintf("cap=%dMB", capMB), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := des.NewEngine(302)
-				fs := pfs.New(e, hddCluster())
 				cfg := burstbuffer.Config{Capacity: capMB << 20, DrainWorkers: 2}
-				bb := burstbuffer.New(e, fs, "bb0", cfg)
-				var absorbed des.Time
-				e.Spawn("app", func(p *des.Proc) {
-					for off := int64(0); off < burst; off += 4 << 20 {
-						bb.Write(p, "/ckpt", off, 4<<20)
-					}
-					absorbed = p.Now()
-					bb.WaitDrained(p)
-					bb.Shutdown()
-				})
-				e.Run(des.MaxTime)
-				st := bb.Stats()
+				absorbed, st := bbCheckpoint(b, 302, cfg, burst, 4<<20)
+				if st.LostBytes != 0 {
+					b.Fatalf("lost %d bytes in the drain: %v", st.LostBytes, st.LastDrainError)
+				}
 				b.ReportMetric(absorbed.Seconds()*1e3, "absorb_ms")
 				b.ReportMetric(float64(st.Stalls), "stalls")
 			}

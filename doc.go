@@ -20,7 +20,7 @@
 //     (internal/predict), skeleton/benchmark generation
 //     (internal/skeleton), and trace replay with rank extrapolation
 //     (internal/replay);
-//   - workload generation: IOR/mdtest/HACC/DLIO/analytics/workflow
+//   - workload generation: IOR/mdtest/HACC/DLIO/BT-IO/workflow
 //     generators (internal/workload) and a CODES-like DSL
 //     (internal/iolang);
 //   - the paper's contribution as code: the iterative evaluation cycle

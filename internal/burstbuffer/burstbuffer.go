@@ -6,6 +6,7 @@
 package burstbuffer
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -187,7 +188,8 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 const drainSlab = 64
 
 // openDrain opens path on the drainer's client, or creates it when create
-// is set and the open failed, and records the handle. The handle is taken
+// is set and the open failed (opening it after all when another worker
+// created it first), and records the handle. The handle is taken
 // before the open blocks, so drain workers opening at once never share
 // one.
 func (b *Buffer) openDrain(p *des.Proc, path string, create bool) (*pfs.Handle, error) {
@@ -200,9 +202,14 @@ func (b *Buffer) openDrain(p *des.Proc, path string, create bool) (*pfs.Handle, 
 		}
 		h, b.slab = &b.slab[0], b.slab[1:]
 	}
-	p.Await(func(ep *des.EventProc) { b.drainClient.OpenE(ep, h, path, des.NoStep{}) })
+	open := func(ep *des.EventProc) { b.drainClient.OpenE(ep, h, path, des.NoStep{}) }
+	p.Await(open)
 	if h.Err() != nil && create {
 		p.Await(func(ep *des.EventProc) { b.drainClient.CreateE(ep, h, path, 0, 0, des.NoStep{}) })
+		if errors.Is(h.Err(), pfs.ErrExist) {
+			// Another drain worker created path while this one waited.
+			p.Await(open)
+		}
 	}
 	if err := h.Err(); err != nil {
 		// A failed open leaves the handle closed, so it can be reused.

@@ -326,6 +326,28 @@ func TestDrainWorkersOpenDistinctHandles(t *testing.T) {
 	}
 }
 
+// TestDrainWorkersCreateOnePath: two drain workers that take segments of
+// the same new path both fail the open and both create it; the create
+// that loses the race gets pfs.ErrExist and must open the file instead of
+// losing its segment.
+func TestDrainWorkersCreateOnePath(t *testing.T) {
+	e, fs, bb := newSim(0)
+	e.Spawn("app", func(p *des.Proc) {
+		bb.Write(p, "/p", 0, 4096)
+		bb.Write(p, "/p", 4096, 4096)
+		if err := bb.WaitDrained(p); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	})
+	e.Run(des.MaxTime)
+	if st := bb.Stats(); st.Drained != 2*4096 || st.DrainErrors != 0 || st.LostBytes != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+	if _, w := fs.TotalBytes(); w != 2*4096 {
+		t.Errorf("PFS bytes = %d, want %d", w, 2*4096)
+	}
+}
+
 // TestDrainOpenAllocs: a read-through miss on a path the buffer has not
 // opened yet opens a drain handle carved from the buffer's slab, so within
 // a slab it allocates nothing. The handle map is sized up front so that

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -310,8 +311,9 @@ func TestReadJSONRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	first := buf.String()
+	back := &Report{}
+	if err := json.NewDecoder(&buf).Decode(back); err != nil {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
@@ -320,5 +322,8 @@ func TestReadJSONRoundTrip(t *testing.T) {
 	}
 	if rep.Name != back.Name || len(back.Points) != len(rep.Points) || len(back.Runs) != len(rep.Runs) {
 		t.Fatalf("round trip lost structure: %+v", back)
+	}
+	if again.String() != first {
+		t.Errorf("re-encoded report differs from the original")
 	}
 }

@@ -17,15 +17,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadJSON parses a report previously written by WriteJSON.
-func ReadJSON(rd io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(rd).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("campaign: decoding report: %w", err)
-	}
-	return &rep, nil
-}
-
 // WriteCSV emits one row per grid point: the point's axes followed by
 // mean/p95/ci_lo/ci_hi for every metric (sorted metric order).
 func (r *Report) WriteCSV(w io.Writer) error {

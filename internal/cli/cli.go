@@ -105,9 +105,6 @@ func FormatSize(n int64) string {
 	}
 }
 
-// FormatTime renders simulated time.
-func FormatTime(t des.Time) string { return t.String() }
-
 // ParseDuration parses a simulated duration with ns/us/ms/s suffix
 // (bare numbers are seconds).
 func ParseDuration(s string) (des.Time, error) {

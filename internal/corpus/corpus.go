@@ -185,24 +185,3 @@ func ByCategory() []Share {
 	}
 	return distribution(keys)
 }
-
-// InWindow returns the papers published within [from, to].
-func InWindow(from, to int) []Paper {
-	var out []Paper
-	for _, p := range corpus {
-		if p.Year >= from && p.Year <= to {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Find returns the paper with the given key.
-func Find(key string) (Paper, bool) {
-	for _, p := range corpus {
-		if p.Key == key {
-			return p, true
-		}
-	}
-	return Paper{}, false
-}

@@ -135,21 +135,3 @@ func (d *FailureDetector) Report() FailureReport {
 	}
 	return r
 }
-
-// IdentifyStraggler names the most likely straggler OST from a sample
-// series: a degraded target stays busy longest for its share of the
-// striped work, so it shows the highest utilization. Returns -1 when the
-// sampler saw nothing.
-func IdentifyStraggler(samples []Sample) int {
-	if len(samples) == 0 {
-		return -1
-	}
-	last := samples[len(samples)-1]
-	best, bestU := -1, 0.0
-	for _, st := range last.OSTs {
-		if st.Utilization > bestU {
-			best, bestU = st.ID, st.Utilization
-		}
-	}
-	return best
-}

@@ -75,41 +75,3 @@ func TestFailureDetectorLeavesOpenIncidentUnresolved(t *testing.T) {
 		t.Errorf("MTTR over zero closed incidents = %v, want 0", rep.MeanTTR)
 	}
 }
-
-// Satellite check: under a mixed read/write workload with one degraded
-// OST, the monitor's sample series names the correct culprit.
-func TestMonitorNamesStragglerCulprit(t *testing.T) {
-	e := des.NewEngine(6)
-	fs := newFS(e)
-	const culprit = 2
-	if err := fs.InjectOSTSlowdown(culprit, 15); err != nil {
-		t.Fatal(err)
-	}
-	s := NewSampler(e, fs, 5*des.Millisecond, 2*des.Second)
-	for i := 0; i < 3; i++ {
-		name := clientID(i)
-		c := fs.NewClient(name)
-		e.Spawn("app", func(p *des.Proc) {
-			h, _ := c.Create(p, "/f-"+name, 8, 1<<20)
-			for step := int64(0); step < 4; step++ {
-				if err := h.Write(p, step*(8<<20), 8<<20); err != nil {
-					t.Errorf("write: %v", err)
-				}
-				if err := h.Read(p, step*(8<<20), 4<<20); err != nil {
-					t.Errorf("read: %v", err)
-				}
-			}
-			_ = h.Close(p)
-			s.Stop()
-		})
-	}
-	e.Run(des.MaxTime)
-	if got := IdentifyStraggler(s.Samples()); got != culprit {
-		t.Errorf("IdentifyStraggler = ost%d, want ost%d", got, culprit)
-	}
-	if IdentifyStraggler(nil) != -1 {
-		t.Error("no samples should yield -1")
-	}
-}
-
-func clientID(i int) string { return "c" + string(rune('0'+i)) }

@@ -9,7 +9,6 @@ package monitor
 import (
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
-	"pioeval/internal/sched"
 )
 
 // Sample is one server-side statistics snapshot.
@@ -161,16 +160,6 @@ type JobActivity struct {
 	End     des.Time
 	Bytes   int64 // bytes the job moved (from its client-side profile)
 	MetaOps uint64
-}
-
-// FromSchedLog converts workload-manager job records into correlation
-// inputs — the "workload manager logs" side channel of §IV-A2.
-func FromSchedLog(log []sched.Record) []JobActivity {
-	out := make([]JobActivity, len(log))
-	for i, r := range log {
-		out[i] = JobActivity{JobID: r.ID, Start: r.Start, End: r.End}
-	}
-	return out
 }
 
 // Interference is a pair of jobs whose I/O intervals overlap while the

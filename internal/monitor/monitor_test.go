@@ -6,7 +6,6 @@ import (
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
-	"pioeval/internal/sched"
 )
 
 func newFS(e *des.Engine) *pfs.FS {
@@ -205,28 +204,5 @@ func TestEndToEndStoryline(t *testing.T) {
 	inter := Correlate(jobs, s.DeriveRates(), 0.5)
 	if len(inter) != 1 {
 		t.Fatalf("expected the concurrent jobs to interfere, got %+v", inter)
-	}
-}
-
-func TestFromSchedLog(t *testing.T) {
-	jobs := []sched.Job{
-		{ID: "a", Submit: 0, Nodes: 1, Walltime: des.Minute, Runtime: des.Minute},
-		{ID: "b", Submit: 0, Nodes: 1, Walltime: des.Minute, Runtime: des.Minute},
-	}
-	log := sched.Simulate(jobs, 2, sched.FCFS)
-	acts := FromSchedLog(log)
-	if len(acts) != 2 {
-		t.Fatalf("activities = %d", len(acts))
-	}
-	for i, a := range acts {
-		if a.JobID == "" || a.End <= a.Start {
-			t.Errorf("activity %d = %+v", i, a)
-		}
-	}
-	// Both ran concurrently on the 2-node pool; with a saturated-rates
-	// series, they correlate.
-	rates := []Rates{{At: des.Second, MaxOSTUtil: 0.99}}
-	if got := Correlate(acts, rates, 0.9); len(got) != 1 {
-		t.Errorf("interference = %+v", got)
 	}
 }

@@ -327,8 +327,9 @@ func TestCollectiveTraceEmitted(t *testing.T) {
 		_ = f.Close(r)
 	})
 	mpiioRecs := trace.ByLayer(h.col.Records(), trace.LayerMPIIO)
-	if len(trace.ByOp(mpiioRecs, "mpi_file_write_all")) != 4 {
-		t.Errorf("expected 4 write_all records, got %d", len(trace.ByOp(mpiioRecs, "mpi_file_write_all")))
+	writeAll := trace.Filter(mpiioRecs, func(r trace.Record) bool { return r.Op == "mpi_file_write_all" })
+	if len(writeAll) != 4 {
+		t.Errorf("expected 4 write_all records, got %d", len(writeAll))
 	}
 	// POSIX-layer records must exist beneath the MPI-IO ones (multi-level).
 	if len(trace.ByLayer(h.col.Records(), trace.LayerPOSIX)) == 0 {

@@ -17,12 +17,8 @@ import (
 // Bandwidth is bytes per second.
 type Bandwidth float64
 
-// Common bandwidth units.
-const (
-	KBps Bandwidth = 1e3
-	MBps Bandwidth = 1e6
-	GBps Bandwidth = 1e9
-)
+// GBps is one gigabyte per second.
+const GBps Bandwidth = 1e9
 
 // transferTime returns the serialization delay for size bytes at bw.
 func transferTime(size int64, bw Bandwidth) des.Time {

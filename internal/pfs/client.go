@@ -449,16 +449,6 @@ type objKey struct {
 
 func (k objKey) String() string { return k.path + "#" + strconv.Itoa(k.idx) }
 
-// stripeChunks splits a byte range [off, off+size) over the layout into a
-// slice sized for exactly the stripes the range touches.
-func stripeChunks(l Layout, off, size int64) []chunk {
-	if size <= 0 {
-		return nil
-	}
-	n := (off+size-1)/l.StripeSize - off/l.StripeSize + 1
-	return appendStripeChunks(make([]chunk, 0, n), l, off, size)
-}
-
 // appendStripeChunks appends the chunks of [off, off+size) over the layout
 // to out.
 func appendStripeChunks(out []chunk, l Layout, off, size int64) []chunk {

@@ -153,7 +153,7 @@ func TestCreateOpenErrors(t *testing.T) {
 func TestStripeChunks(t *testing.T) {
 	l := Layout{StripeSize: 100, StripeCount: 4, OSTs: []int{0, 1, 2, 3}}
 	// One full stripe row plus part of the next.
-	chunks := stripeChunks(l, 50, 500)
+	chunks := appendStripeChunks(nil, l, 50, 500)
 	var total int64
 	for _, ch := range chunks {
 		total += ch.size
@@ -175,7 +175,7 @@ func TestStripeChunks(t *testing.T) {
 	}
 }
 
-// Property: stripeChunks covers the byte range exactly, in order, without
+// Property: appendStripeChunks covers the byte range exactly, in order, without
 // overlap, for any layout and range.
 func TestPropStripeChunksCoverage(t *testing.T) {
 	f := func(ss uint16, sc uint8, off uint32, size uint32) bool {
@@ -187,7 +187,7 @@ func TestPropStripeChunksCoverage(t *testing.T) {
 			l.OSTs = append(l.OSTs, i)
 		}
 		o, s := int64(off%(1<<20)), int64(size%(1<<20))+1
-		chunks := stripeChunks(l, o, s)
+		chunks := appendStripeChunks(nil, l, o, s)
 		cursor := o
 		for _, ch := range chunks {
 			if ch.fileOff != cursor {

@@ -36,26 +36,6 @@ type Tree struct {
 	root *treeNode
 }
 
-// TrainTree fits a CART regression tree on (X, y).
-func TrainTree(X [][]float64, y []float64, cfg TreeConfig) (*Tree, error) {
-	if len(X) == 0 || len(X) != len(y) {
-		return nil, ErrBadInput
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 12
-	}
-	if cfg.MinLeafSize <= 0 {
-		cfg.MinLeafSize = 1
-	}
-	t := &Tree{cfg: cfg}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.build(X, y, idx, 0, nil)
-	return t, nil
-}
-
 func meanAt(y []float64, idx []int) float64 {
 	var s float64
 	for _, i := range idx {

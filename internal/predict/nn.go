@@ -1,7 +1,7 @@
 // Package predict implements the predictive-analytics models the paper's
 // §IV-B2 surveys for I/O performance prediction: a feed-forward neural
 // network trained with minibatch SGD (Schmid & Kunkel's approach to file
-// access-time prediction), CART regression trees and random forests (Sun et
+// access-time prediction), random forests of CART regression trees (Sun et
 // al.'s approach to execution/I-O time prediction), a k-nearest-neighbor
 // baseline, and a Sequitur-style grammar model for I/O sequence prediction
 // (the Omnisc'IO approach). Pure stdlib.

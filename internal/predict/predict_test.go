@@ -103,6 +103,18 @@ func TestActivations(t *testing.T) {
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// fitTree fits one CART tree on all of (X, y), the way TrainForest fits
+// each bootstrap sample.
+func fitTree(X [][]float64, y []float64, cfg TreeConfig) *Tree {
+	tr := &Tree{cfg: cfg}
+	idx := make([]int, len(X))
+	for i := range idx {
+		idx[i] = i
+	}
+	tr.root = tr.build(X, y, idx, 0, nil)
+	return tr
+}
+
 func TestTreeFitsStepFunction(t *testing.T) {
 	// y = 10 for x<5, else 20: a single split suffices.
 	var X [][]float64
@@ -116,10 +128,7 @@ func TestTreeFitsStepFunction(t *testing.T) {
 			y = append(y, 20)
 		}
 	}
-	tree, err := TrainTree(X, y, DefaultTreeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := fitTree(X, y, DefaultTreeConfig())
 	if got := tree.Predict([]float64{1}); got != 10 {
 		t.Errorf("predict(1) = %v", got)
 	}
@@ -133,10 +142,7 @@ func TestTreeFitsStepFunction(t *testing.T) {
 
 func TestTreeMinLeafRespected(t *testing.T) {
 	X, y := makeNonlinear(100, 0, 5)
-	tree, err := TrainTree(X, y, TreeConfig{MaxDepth: 50, MinLeafSize: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := fitTree(X, y, TreeConfig{MaxDepth: 50, MinLeafSize: 25})
 	if tree.Depth() > 3 {
 		t.Errorf("large leaves should limit depth, got %d", tree.Depth())
 	}
@@ -161,7 +167,7 @@ func TestForestBeatsLinearOnNonlinear(t *testing.T) {
 func TestForestBeatsSingleTree(t *testing.T) {
 	X, y := makeNonlinear(400, 2.0, 8) // noisy: bagging helps
 	testX, testY := makeNonlinear(200, 0, 9)
-	tree, _ := TrainTree(X, y, DefaultTreeConfig())
+	tree := fitTree(X, y, DefaultTreeConfig())
 	forest, _ := TrainForest(X, y, DefaultForestConfig())
 	if forest.NumTrees() != 50 {
 		t.Errorf("trees = %d", forest.NumTrees())

@@ -6,68 +6,6 @@ import (
 	"pioeval/internal/trace"
 )
 
-// TestBaselineEmptyHistory pins the sentinel behavior of an empty
-// baseline: Percentile reports -1 (not 0, which is a legitimate
-// percentile), Runs reports 0, and Assess declines to judge.
-func TestBaselineEmptyHistory(t *testing.T) {
-	b := NewBaseline()
-	if got := b.Percentile("bw", 100); got != -1 {
-		t.Errorf("Percentile on empty history = %v, want -1", got)
-	}
-	if got := b.Runs("bw"); got != 0 {
-		t.Errorf("Runs on empty history = %d, want 0", got)
-	}
-	if got := b.Assess("bw", 100, 0.1, 0.9); got != NoHistory {
-		t.Errorf("Assess on empty history = %v, want NoHistory", got)
-	}
-}
-
-// TestBaselineSingleSample covers the one-observation corner: every
-// quantile collapses to that observation, Assess still refuses (one point
-// is not a distribution), and the percentile is a step function around it.
-func TestBaselineSingleSample(t *testing.T) {
-	b := NewBaseline()
-	b.Record("bw", 50)
-	for _, q := range []float64{0, 0.25, 0.5, 0.95, 1} {
-		if got := b.Quantile("bw", q); got != 50 {
-			t.Errorf("Quantile(%v) with one sample = %v, want 50", q, got)
-		}
-	}
-	if got := b.Assess("bw", 999, 0.1, 0.9); got != NoHistory {
-		t.Errorf("Assess with one sample = %v, want NoHistory", got)
-	}
-	if got := b.Percentile("bw", 49); got != 0 {
-		t.Errorf("Percentile below the only sample = %v, want 0", got)
-	}
-	if got := b.Percentile("bw", 50); got != 1 {
-		t.Errorf("Percentile at the only sample = %v, want 1", got)
-	}
-}
-
-// TestBaselineAssessBand checks the two-sided classification on a real
-// spread, including exact-boundary values (inclusive on both ends).
-func TestBaselineAssessBand(t *testing.T) {
-	b := NewBaseline()
-	for i := 1; i <= 10; i++ {
-		b.Record("bw", float64(i*10))
-	}
-	cases := []struct {
-		value float64
-		want  Assessment
-	}{
-		{5, Low},
-		{55, Typical},
-		{10, Low},
-		{500, High},
-		{100, High},
-	}
-	for _, c := range cases {
-		if got := b.Assess("bw", c.value, 0.25, 0.75); got != c.want {
-			t.Errorf("Assess(%v) = %v, want %v", c.value, got, c.want)
-		}
-	}
-}
-
 // TestDXTZeroOpFile pins DXT semantics for files that are opened and
 // closed but never read or written: the per-file counters exist (metadata
 // activity is real), but the extended trace stays empty — DXT records
@@ -101,46 +39,5 @@ func TestDXTZeroOpFile(t *testing.T) {
 	p.Ingest(trace.Record{Layer: trace.LayerPOSIX, Rank: 0, Path: "/data", Op: "write", Size: 4096, Start: 30, End: 40})
 	if got := p.DXT(); len(got) != 1 {
 		t.Fatalf("DXT after one write has %d records, want 1", len(got))
-	}
-}
-
-// TestTimelineEmpty pins the no-activity sentinels: no bins, peak bin -1,
-// burstiness 0.
-func TestTimelineEmpty(t *testing.T) {
-	tl := NewTimeline(0) // also covers the bin-width default
-	if got := tl.BinWidth(); got <= 0 {
-		t.Fatalf("default bin width = %v, want positive", got)
-	}
-	if got := len(tl.Bins()); got != 0 {
-		t.Errorf("empty timeline has %d bins, want 0", got)
-	}
-	if got := tl.PeakWriteBin(); got != -1 {
-		t.Errorf("PeakWriteBin on empty timeline = %d, want -1", got)
-	}
-	if got := tl.Burstiness(); got != 0 {
-		t.Errorf("Burstiness on empty timeline = %v, want 0", got)
-	}
-}
-
-// TestTimelineMetaOnly covers a timeline that saw records but no writes:
-// bins exist, yet the write-centric summaries still report their
-// sentinels.
-func TestTimelineMetaOnly(t *testing.T) {
-	tl := NewTimeline(100)
-	tl.IngestAll([]trace.Record{
-		{Layer: trace.LayerPOSIX, Op: "open", Start: 0, End: 50},
-		{Layer: trace.LayerPOSIX, Op: "read", Size: 4096, Start: 50, End: 150},
-	})
-	if got := len(tl.Bins()); got != 2 {
-		t.Fatalf("timeline has %d bins, want 2", got)
-	}
-	if got := tl.PeakWriteBin(); got != -1 {
-		t.Errorf("PeakWriteBin with no writes = %d, want -1", got)
-	}
-	if got := tl.Burstiness(); got != 0 {
-		t.Errorf("Burstiness with no writes = %v, want 0", got)
-	}
-	if b := tl.Bins()[1]; b.ReadOps != 1 || b.ReadBytes != 4096 {
-		t.Errorf("read landed wrong: %+v", b)
 	}
 }

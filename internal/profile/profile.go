@@ -322,12 +322,3 @@ func (p *Profiler) WriteReport(w io.Writer) error {
 func (p *Profiler) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(p.PerFile())
 }
-
-// ReadJSON parses a per-file profile written by WriteJSON.
-func ReadJSON(r io.Reader) ([]*FileCounters, error) {
-	var out []*FileCounters
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

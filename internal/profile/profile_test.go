@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -208,9 +209,9 @@ func TestReportAndJSON(t *testing.T) {
 	if err := p.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	files, err := ReadJSON(&js)
-	if err != nil || len(files) != 1 {
-		t.Fatalf("ReadJSON = %v, %v", files, err)
+	var files []*FileCounters
+	if err := json.NewDecoder(&js).Decode(&files); err != nil || len(files) != 1 {
+		t.Fatalf("decode = %v, %v", files, err)
 	}
 	if files[0].BytesWritten != 1<<20 || files[0].BytesRead != 1<<20 {
 		t.Errorf("round trip = %+v", files[0])

@@ -39,7 +39,7 @@ func TestTokenizeGapEncoding(t *testing.T) {
 		{Layer: trace.LayerPOSIX, Op: "write", Path: "/f", Offset: 1100, Size: 100, Start: 1, End: 2},
 		{Layer: trace.LayerPOSIX, Op: "write", Path: "/f", Offset: 1300, Size: 100, Start: 2, End: 3},
 	}
-	toks := Tokenize(recs)
+	toks := TokenizeQ(recs, ThinkQuantum)
 	if !toks[0].First || toks[0].Abs != 1000 {
 		t.Errorf("first token = %+v", toks[0])
 	}
@@ -56,14 +56,14 @@ func TestTokenizeSkipsNonPosix(t *testing.T) {
 		{Layer: trace.LayerMPIIO, Op: "mpi_file_write", Path: "/f", Size: 10},
 		{Layer: trace.LayerPOSIX, Op: "write", Path: "/f", Size: 10},
 	}
-	if got := len(Tokenize(recs)); got != 1 {
+	if got := len(TokenizeQ(recs, ThinkQuantum)); got != 1 {
 		t.Fatalf("tokens = %d, want 1", got)
 	}
 }
 
 func TestDetokenizeRoundTrip(t *testing.T) {
 	recs := checkpointTrace(3, 4, 4096)
-	toks := Tokenize(recs)
+	toks := TokenizeQ(recs, ThinkQuantum)
 	ops := Detokenize(toks)
 	j := 0
 	for _, r := range recs {
@@ -80,7 +80,7 @@ func TestDetokenizeRoundTrip(t *testing.T) {
 
 func TestFoldCompressesCheckpointLoop(t *testing.T) {
 	recs := checkpointTrace(32, 8, 1<<20)
-	toks := Tokenize(recs)
+	toks := TokenizeQ(recs, ThinkQuantum)
 	prog := Fold(toks)
 	if got := prog.CompressionRatio(); got < 10 {
 		t.Errorf("compression ratio = %.1f, want >= 10 on a regular loop", got)
@@ -235,7 +235,7 @@ func TestTokensToSymbols(t *testing.T) {
 
 func TestRenderGo(t *testing.T) {
 	recs := checkpointTrace(4, 2, 4096)
-	prog := Fold(Tokenize(recs))
+	prog := Fold(TokenizeQ(recs, ThinkQuantum))
 	src := prog.RenderGo("replayCkpt")
 	for _, want := range []string{"func replayCkpt", "for i0 :=", "env.Pwrite", "env.Open", "env.Close"} {
 		if !strings.Contains(src, want) {
@@ -250,7 +250,7 @@ func TestThinkTimeQuantization(t *testing.T) {
 		{Layer: trace.LayerPOSIX, Op: "write", Path: "/f", Offset: 10, Size: 10,
 			Start: 10 + 150*des.Microsecond, End: 10 + 151*des.Microsecond},
 	}
-	toks := Tokenize(recs)
+	toks := TokenizeQ(recs, ThinkQuantum)
 	if toks[1].Think != 100*des.Microsecond {
 		t.Errorf("think = %v, want 100us (quantized)", toks[1].Think)
 	}

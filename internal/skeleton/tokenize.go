@@ -36,10 +36,6 @@ type Token struct {
 // ThinkQuantum is the rounding granularity for inter-op compute gaps.
 const ThinkQuantum = 100 * des.Microsecond
 
-// Tokenize converts one rank's POSIX trace records into tokens using the
-// default ThinkQuantum.
-func Tokenize(recs []trace.Record) []Token { return TokenizeQ(recs, ThinkQuantum) }
-
 // TokenizeQ converts records into tokens with the given think-time
 // quantum. A quantum <= 0 discards compute gaps entirely, which maximizes
 // loop foldability at the cost of timing fidelity (replay the result in

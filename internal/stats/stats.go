@@ -1,9 +1,8 @@
 // Package stats provides the statistical toolbox the paper's §IV-B1 lists
 // for I/O data analysis: summary statistics, coefficient of variation,
 // correlation (Pearson and Spearman), linear and multiple regression,
-// empirical distributions (PDF/CDF/quantiles), Markov-chain fitting, and
-// hypothesis tests (Welch's t, Kolmogorov–Smirnov). Pure stdlib, no
-// external numerics.
+// quantiles, bootstrap confidence intervals and period detection. Pure
+// stdlib, no external numerics.
 package stats
 
 import (
@@ -300,54 +299,4 @@ func solve(A [][]float64, b []float64) ([]float64, error) {
 		x[r] = s / A[r][r]
 	}
 	return x, nil
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from samples.
-func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns P(X <= x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Histogram bins xs into n equal-width bins over [min, max] and returns bin
-// edges (n+1) and counts (n).
-func Histogram(xs []float64, n int) (edges []float64, counts []int) {
-	if n <= 0 || len(xs) == 0 {
-		return nil, nil
-	}
-	lo, hi := MinMax(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, n+1)
-	counts = make([]int, n)
-	w := (hi - lo) / float64(n)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
 }

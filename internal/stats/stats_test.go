@@ -173,121 +173,6 @@ func TestMultipleRegression(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); !approx(got, c.want, 1e-12) {
-			t.Errorf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if NewECDF(nil).At(1) != 0 {
-		t.Error("empty ECDF")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("shape = %d edges %d counts", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d", total)
-	}
-	if e, c := Histogram(nil, 3); e != nil || c != nil {
-		t.Error("empty histogram")
-	}
-}
-
-func TestWelchTTest(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	same1, same2, shifted := make([]float64, 200), make([]float64, 200), make([]float64, 200)
-	for i := range same1 {
-		same1[i] = rng.NormFloat64()
-		same2[i] = rng.NormFloat64()
-		shifted[i] = rng.NormFloat64() + 2
-	}
-	r, err := WelchTTest(same1, same2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Significant {
-		t.Errorf("same-distribution test significant: %+v", r)
-	}
-	r, _ = WelchTTest(same1, shifted)
-	if !r.Significant {
-		t.Errorf("shifted-mean test not significant: %+v", r)
-	}
-	if _, err := WelchTTest([]float64{1}, same1); err == nil {
-		t.Error("tiny sample should error")
-	}
-	// Zero-variance identical samples.
-	r, _ = WelchTTest([]float64{5, 5, 5}, []float64{5, 5, 5})
-	if r.Significant {
-		t.Error("identical constants significant")
-	}
-}
-
-func TestKSTest(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a, b, c := make([]float64, 300), make([]float64, 300), make([]float64, 300)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-		c[i] = rng.Float64() * 10 // very different distribution
-	}
-	r, err := KSTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Significant {
-		t.Errorf("same-distribution KS significant: %+v", r)
-	}
-	r, _ = KSTest(a, c)
-	if !r.Significant {
-		t.Errorf("different-distribution KS not significant: %+v", r)
-	}
-	if _, err := KSTest(nil, a); err == nil {
-		t.Error("empty sample should error")
-	}
-}
-
-func TestMarkovChain(t *testing.T) {
-	// Sequence 0,1,0,1,... : deterministic alternation.
-	seq := make([]int, 100)
-	for i := range seq {
-		seq[i] = i % 2
-	}
-	m := FitMarkov(seq, 2)
-	if p := m.Prob(0, 1); !approx(p, 1, 1e-12) {
-		t.Errorf("P(1|0) = %v", p)
-	}
-	if m.Predict(0) != 1 || m.Predict(1) != 0 {
-		t.Error("predictions wrong")
-	}
-	if m.Predict(5) != -1 || m.Prob(5, 0) != 0 {
-		t.Error("out-of-range state handling")
-	}
-	pi := m.Stationary(100)
-	if !approx(pi[0], 0.5, 1e-6) || !approx(pi[1], 0.5, 1e-6) {
-		t.Errorf("stationary = %v", pi)
-	}
-}
-
-func TestMarkovUnobservedState(t *testing.T) {
-	m := NewMarkovChain(3)
-	m.Observe(0, 1)
-	if m.Prob(2, 0) != 0 || m.Predict(2) != -1 {
-		t.Error("unobserved state should have no predictions")
-	}
-}
-
 // Property: Pearson is within [-1, 1] for any non-degenerate paired data.
 func TestPropPearsonBounds(t *testing.T) {
 	f := func(raw []float64) bool {

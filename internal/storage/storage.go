@@ -35,20 +35,17 @@ type (
 	Layout   = pfs.Layout
 )
 
-// Namespace and fault errors re-exported at the seam, so the layers above
+// Namespace and handle errors re-exported at the seam, so the layers above
 // Target classify failures with errors.Is without importing the PFS client
 // package. Identity is preserved (these are the same error values), so
 // targets backed by the PFS need no translation.
 var (
-	ErrExist          = pfs.ErrExist
-	ErrNotExist       = pfs.ErrNotExist
-	ErrIsDir          = pfs.ErrIsDir
-	ErrNotDir         = pfs.ErrNotDir
-	ErrNotEmpty       = pfs.ErrNotEmpty
-	ErrOSTDown        = pfs.ErrOSTDown
-	ErrMDSUnavailable = pfs.ErrMDSUnavailable
-	ErrTimeout        = pfs.ErrTimeout
-	ErrClosedHandle   = pfs.ErrClosedHandle
+	ErrExist        = pfs.ErrExist
+	ErrNotExist     = pfs.ErrNotExist
+	ErrIsDir        = pfs.ErrIsDir
+	ErrNotDir       = pfs.ErrNotDir
+	ErrNotEmpty     = pfs.ErrNotEmpty
+	ErrClosedHandle = pfs.ErrClosedHandle
 )
 
 // DegradedReadError aliases the PFS degraded-read error so POSIX-level

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"pioeval/internal/des"
 )
@@ -76,16 +75,6 @@ type Collector struct {
 // remove.
 func (c *Collector) SetHook(fn func(Record)) { c.hook = fn }
 
-// Hooks combines several record observers into one, for attaching multiple
-// live consumers (profiler + timeline + ...) to a single collector.
-func Hooks(fns ...func(Record)) func(Record) {
-	return func(r Record) {
-		for _, fn := range fns {
-			fn(r)
-		}
-	}
-}
-
 // NewCollector returns an enabled collector with no record limit.
 func NewCollector() *Collector { return &Collector{enabled: true} }
 
@@ -142,27 +131,6 @@ func ByLayer(recs []Record, l Layer) []Record {
 // ByRank returns only the records from rank.
 func ByRank(recs []Record, rank int) []Record {
 	return Filter(recs, func(r Record) bool { return r.Rank == rank })
-}
-
-// ByOp returns only records whose Op equals op.
-func ByOp(recs []Record, op string) []Record {
-	return Filter(recs, func(r Record) bool { return r.Op == op })
-}
-
-// SortByStart orders records by start time (stable), as required for
-// time-ordered merge of per-rank streams.
-func SortByStart(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
-}
-
-// Merge combines multiple record streams into one time-ordered stream.
-func Merge(streams ...[]Record) []Record {
-	var out []Record
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	SortByStart(out)
-	return out
 }
 
 // Summary aggregates a record set.

@@ -89,20 +89,8 @@ func TestFilters(t *testing.T) {
 	if got := len(ByRank(recs, 0)); got != 2 {
 		t.Errorf("ByRank = %d", got)
 	}
-	if got := len(ByOp(recs, "read")); got != 1 {
-		t.Errorf("ByOp = %d", got)
-	}
-}
-
-func TestMergeOrdering(t *testing.T) {
-	a := []Record{{Op: "a1", Start: 10}, {Op: "a2", Start: 30}}
-	b := []Record{{Op: "b1", Start: 20}}
-	m := Merge(a, b)
-	want := []string{"a1", "b1", "a2"}
-	for i, r := range m {
-		if r.Op != want[i] {
-			t.Fatalf("merge order = %v", m)
-		}
+	if got := len(Filter(recs, func(r Record) bool { return r.Op == "read" })); got != 1 {
+		t.Errorf("Filter by op = %d", got)
 	}
 }
 

@@ -87,8 +87,8 @@ type Invariants struct {
 // Attach installs invariant hooks on the engine, the file system, and the
 // collector (col may be nil when no trace-layer checks are wanted). It
 // claims the engine trace hook, the PFS op/OST observers, and the
-// collector hook; callers needing additional observers should compose
-// them around OnRecord with trace.Hooks.
+// collector hook; a caller needing another record observer installs, after
+// Attach, one collector hook whose function calls OnRecord and then its own.
 func Attach(e *des.Engine, fs *pfs.FS, col *trace.Collector) *Invariants {
 	inv := &Invariants{eng: e, fs: fs, lastEnd: map[[2]int]des.Time{}}
 	e.SetTraceHook(inv.onDispatch)
@@ -128,8 +128,8 @@ func (inv *Invariants) onDispatch(at des.Time, what string) {
 }
 
 // OnRecord checks one trace record; it is installed as the collector hook
-// by Attach and exported so callers can recompose it with other hooks via
-// trace.Hooks.
+// by Attach and exported so a caller's own collector hook can call it
+// alongside its other observers.
 func (inv *Invariants) OnRecord(r trace.Record) {
 	inv.records++
 	if r.Start < 0 || r.End < r.Start {

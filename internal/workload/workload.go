@@ -1,7 +1,7 @@
 // Package workload implements the synthetic and application workload
 // generators the paper's taxonomy names: IOR-like parameterized bulk I/O,
 // mdtest-like metadata stress, HACC-IO-like checkpoint phases, DLIO-like
-// deep-learning training input pipelines, analytics scan/shuffle patterns,
+// deep-learning training input pipelines, NPB BT-IO-like solution dumps,
 // and data-intensive workflow DAGs. Every generator runs against the
 // simulated file system and reports the metrics the corresponding real
 // benchmark prints.

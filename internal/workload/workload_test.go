@@ -214,22 +214,6 @@ func TestDLReadsAreReadDominated(t *testing.T) {
 	}
 }
 
-func TestAnalyticsPipeline(t *testing.T) {
-	e := des.NewEngine(50)
-	fs := ssdFS(e)
-	h := NewHarness(e, fs, 4, "cn", nil)
-	rep := RunAnalytics(h, AnalyticsConfig{Workers: 4, PartitionSize: 16 << 20, ShuffleFiles: 8, ShuffleSize: 64 << 10})
-	if rep.ScanTime <= 0 || rep.ShuffleTime <= 0 || rep.ReduceTime <= 0 {
-		t.Fatalf("phase times = %+v", rep)
-	}
-	if rep.BytesRead < 4*16<<20 {
-		t.Errorf("scan bytes = %d", rep.BytesRead)
-	}
-	if rep.BytesWrit != 4*8*64<<10 {
-		t.Errorf("shuffle bytes = %d", rep.BytesWrit)
-	}
-}
-
 func TestWorkflowChainOrdering(t *testing.T) {
 	e := des.NewEngine(51)
 	fs := ssdFS(e)
