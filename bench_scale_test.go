@@ -1,7 +1,6 @@
 package pioeval_test
 
 import (
-	"fmt"
 	"testing"
 
 	"pioeval/internal/workload"
@@ -51,8 +50,8 @@ func BenchmarkScaleRankMemory(b *testing.B) {
 }
 
 // BenchmarkShardedCheckpoint reports the cost of the same workload split
-// across 4 ParallelGroup shards at the default worker count. Output is
-// byte-identical to the sequential (Workers=1) execution by contract.
+// across 4 ParallelGroup shards, and how many lookahead windows the shards
+// synchronize in.
 func BenchmarkShardedCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -68,36 +67,6 @@ func BenchmarkShardedCheckpoint(b *testing.B) {
 			b.Fatalf("I/O errors: %d", rep.IOErrors)
 		}
 		b.ReportMetric(float64(rep.Events), "events/op")
-	}
-}
-
-// BenchmarkShardedScale is the single-simulation multi-core scaling curve:
-// the same 8-shard checkpoint at 1, 2, 4, 8, and 16 persistent workers.
-// Wall-clock per op across the sub-benchmarks is the speedup curve (flat
-// when the host exposes fewer cores than workers); output is identical at
-// every point by the ParallelGroup contract. Rank count is CI-capped; the
-// EXPERIMENTS.md runbook records the 100k-rank sweep via
-// `simfs -workers-sweep`.
-func BenchmarkShardedScale(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var windows uint64
-			for i := 0; i < b.N; i++ {
-				rep := workload.RunShardedCheckpoint(workload.ShardedConfig{
-					Scale: workload.ScaleConfig{
-						Ranks: 10_000, BytesPerRank: 1 << 20, Steps: 1,
-						TransferSize: 1 << 20, RanksPerNode: 64, StripeCount: 1,
-					},
-					Shards:  8,
-					Workers: workers,
-					Seed:    13,
-				})
-				if rep.IOErrors != 0 {
-					b.Fatalf("I/O errors: %d", rep.IOErrors)
-				}
-				windows = rep.Windows
-			}
-			b.ReportMetric(float64(windows), "windows/op")
-		})
+		b.ReportMetric(float64(rep.Windows), "windows/op")
 	}
 }

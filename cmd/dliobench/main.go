@@ -5,7 +5,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"pioeval/internal/cli"
@@ -14,10 +14,13 @@ import (
 	"pioeval/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dliobench: ")
-	fs := flag.NewFlagSet("dliobench", flag.ExitOnError)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dliobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	workers := fs.Int("workers", 4, "data-loader workers")
@@ -28,19 +31,28 @@ func main() {
 	epochs := fs.Int("epochs", 2, "training epochs")
 	noShuffle := fs.Bool("no-shuffle", false, "disable per-epoch shuffling")
 	computeStr := fs.String("compute", "0s", "compute time per batch (e.g. 5ms)")
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "dliobench: %v\n", err)
+		return 1
+	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	sampleSize, err := cli.ParseSize(*sampleStr)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	compute, err := cli.ParseDuration(*computeStr)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	e := des.NewEngine(cluster.Seed)
@@ -51,11 +63,12 @@ func main() {
 		Shuffle: !*noShuffle, ComputePerBatch: compute,
 	})
 
-	fmt.Printf("DLIO-like benchmark: %d samples x %s, %d workers, %d epochs, shuffle=%v\n",
+	fmt.Fprintf(stdout, "DLIO-like benchmark: %d samples x %s, %d workers, %d epochs, shuffle=%v\n",
 		*samples, cli.FormatSize(sampleSize), *workers, *epochs, !*noShuffle)
-	fmt.Printf("  dataset generation: %v\n", rep.GenTime)
+	fmt.Fprintf(stdout, "  dataset generation: %v\n", rep.GenTime)
 	for i, d := range rep.EpochTime {
-		fmt.Printf("  epoch %d: %v\n", i, d)
+		fmt.Fprintf(stdout, "  epoch %d: %v\n", i, d)
 	}
-	fmt.Printf("  read throughput: %.2f MB/s (%.0f samples/s)\n", rep.ReadMBps, rep.SamplesPerSec)
+	fmt.Fprintf(stdout, "  read throughput: %.2f MB/s (%.0f samples/s)\n", rep.ReadMBps, rep.SamplesPerSec)
+	return 0
 }

@@ -7,28 +7,40 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/facility"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("facility: ")
-	fs := flag.NewFlagSet("facility", flag.ExitOnError)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("facility", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	jobs := fs.Int("jobs", 16, "jobs submitted")
 	nodes := fs.Int("nodes", 16, "compute node pool")
 	emerging := fs.Float64("emerging", 0.5, "fraction of emerging (DL/analytics) jobs [0,1]")
 	scale := fs.Int64("scale", 1, "per-job I/O volume multiplier")
-	_ = fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "facility: %v\n", err)
+		return 1
+	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	trad := 1 - *emerging
 	res, err := facility.Run(facility.Config{
@@ -42,29 +54,33 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("facility run: %d jobs on %d nodes, %.0f%% emerging workloads\n",
+	fmt.Fprintf(stdout, "facility run: %d jobs on %d nodes, %.0f%% emerging workloads\n",
 		*jobs, *nodes, *emerging*100)
-	fmt.Printf("  makespan %v, scheduler utilization %.1f%%\n", res.Makespan, res.Utilization*100)
-	fmt.Printf("  storage mix: %.1f%% of bytes were reads (write-dominated: %v)\n",
+	fmt.Fprintf(stdout, "  makespan %v, scheduler utilization %.1f%%\n", res.Makespan, res.Utilization*100)
+	fmt.Fprintf(stdout, "  storage mix: %.1f%% of bytes were reads (write-dominated: %v)\n",
 		res.ReadFraction*100, res.ReadFraction < 0.5)
-	fmt.Printf("  MDS operations: %d\n", res.MDSOps)
-	fmt.Println("\nper-kind read fractions:")
-	for kind, frac := range facility.KindReadFractions(res.Jobs) {
-		fmt.Printf("  %-12s %.2f\n", kind, frac)
+	fmt.Fprintf(stdout, "  MDS operations: %d\n", res.MDSOps)
+	fmt.Fprintln(stdout, "\nper-kind read fractions:")
+	fracs := facility.KindReadFractions(res.Jobs)
+	for kind := facility.Checkpoint; kind <= facility.MetaHeavy; kind++ {
+		if frac, ok := fracs[kind]; ok {
+			fmt.Fprintf(stdout, "  %-12s %.2f\n", kind, frac)
+		}
 	}
-	fmt.Println("\njob log:")
+	fmt.Fprintln(stdout, "\njob log:")
 	for _, j := range res.Jobs {
-		fmt.Printf("  %-8s %-11s start %-12v end %-12v r %s w %s\n",
+		fmt.Fprintf(stdout, "  %-8s %-11s start %-12v end %-12v r %s w %s\n",
 			j.ID, j.Kind, j.Start, j.End,
 			cli.FormatSize(j.BytesRead), cli.FormatSize(j.BytesWritten))
 	}
 	if len(res.Interferences) > 0 {
-		fmt.Println("\ninterfering job pairs (overlap under high OST load):")
+		fmt.Fprintln(stdout, "\ninterfering job pairs (overlap under high OST load):")
 		for _, in := range res.Interferences {
-			fmt.Printf("  %s <-> %s (overlap %v, peak util %.2f)\n", in.A, in.B, in.Overlap, in.PeakUtil)
+			fmt.Fprintf(stdout, "  %s <-> %s (overlap %v, peak util %.2f)\n", in.A, in.B, in.Overlap, in.PeakUtil)
 		}
 	}
+	return 0
 }

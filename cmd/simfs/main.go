@@ -15,7 +15,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"runtime"
@@ -74,9 +73,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&o.tier, "tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
 	fs.StringVar(&o.compress, "compress", "none", "data-reduction stage over the tier: none, lz, deflate, zfp, or sz")
 	scaleRanks := fs.Int("ranks", 0, "run the built-in scale checkpoint with this many continuation-form ranks instead of a workload script")
-	shards := fs.Int("shards", 1, "partition the scale run into this many engines coupled by a ParallelGroup")
-	shardWorkers := fs.Int("shard-workers", 0, "persistent shard workers (0 = all host cores via runtime.NumCPU, 1 = sequential); never affects results")
-	workersSweep := fs.Int("workers-sweep", 0, "run the sharded scale config at worker counts 1..N (powers of two), print a speedup/efficiency table, and verify the output is byte-identical across the sweep (0 = off)")
+	shards := fs.Int("shards", 1, "partition the scale run into this many engines coupled by a ParallelGroup (capped at -oss and -ranks)")
 	steps := fs.Int("steps", 1, "checkpoint steps for the scale run")
 	bytesPerRank := fs.Int64("bytes-per-rank", 1<<20, "checkpoint bytes per rank per step for the scale run")
 	xfer := fs.Int64("xfer", 1<<20, "write chunk size for the scale run")
@@ -130,16 +127,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var err error
 	if *scaleRanks > 0 {
 		sc := scaleOpts{
-			ranks: *scaleRanks, shards: *shards, workers: *shardWorkers,
+			ranks: *scaleRanks, shards: *shards,
 			steps: *steps, bytesPerRank: *bytesPerRank, xfer: *xfer,
 			ranksPerNode: *ranksPerNode, validate: *doValidate,
-			workersSweep: *workersSweep,
 		}
-		if sc.workersSweep > 0 {
-			err = runWorkersSweep(stdout, cluster, sc)
-		} else {
-			err = runScale(stdout, cluster, sc)
-		}
+		err = runScale(stdout, cluster, sc)
 	} else {
 		src := []byte(defaultScenario)
 		if fs.NArg() == 1 {
@@ -331,11 +323,10 @@ func runScript(stdout io.Writer, cluster cli.ClusterFlags, src string, o runOpts
 
 // scaleOpts bundles the -ranks scale-mode knobs.
 type scaleOpts struct {
-	ranks, shards, workers, steps int
-	bytesPerRank, xfer            int64
-	ranksPerNode                  int
-	validate                      bool
-	workersSweep                  int
+	ranks, shards, steps int
+	bytesPerRank, xfer   int64
+	ranksPerNode         int
+	validate             bool
 }
 
 // scaleConfig translates the CLI knobs into the workload config.
@@ -350,111 +341,6 @@ func (o scaleOpts) scaleConfig() workload.ScaleConfig {
 		// checkpoints behave: one stripe per file.
 		StripeCount: 1,
 	}
-}
-
-// reportHash is a stable digest of every simulated quantity in a sharded
-// report — everything except the host-side Workers knob — used to assert
-// byte-identical output across a worker sweep.
-func reportHash(rep workload.ShardedReport) uint64 {
-	rep.Workers = 0
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", rep)
-	return h.Sum64()
-}
-
-// runWorkersSweep runs the identical sharded scale config at worker counts
-// 1, 2, 4, ... up to o.workersSweep (always including the max), printing a
-// wall-clock speedup/parallel-efficiency table and verifying that every
-// worker count produces the same simulated output. It returns errViolated
-// when the outputs diverge (a determinism bug) or an armed invariant
-// fired.
-func runWorkersSweep(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
-	if o.shards <= 1 {
-		return errors.New("-workers-sweep needs -shards > 1")
-	}
-	cfg, err := cluster.Config()
-	if err != nil {
-		return err
-	}
-	var counts []int
-	for w := 1; w < o.workersSweep; w *= 2 {
-		counts = append(counts, w)
-	}
-	counts = append(counts, o.workersSweep)
-
-	fmt.Fprintf(stdout, "workers sweep: %d ranks x %d shards, %d step(s), %s/rank, %d host cores\n",
-		o.ranks, o.shards, o.steps, cli.FormatSize(o.bytesPerRank), runtime.NumCPU())
-	fmt.Fprintf(stdout, "  %-8s %-12s %-9s %-11s %-8s %s\n",
-		"workers", "wall", "speedup", "efficiency", "windows", "output-hash")
-
-	ok := true
-	var baseWall time.Duration
-	var baseHash uint64
-	for i, w := range counts {
-		oo := o
-		oo.workers = w
-		rep, invs, _, wall := runShardedOnce(cfg, cluster.Seed, oo)
-		hash := reportHash(rep)
-		if !invariantsHeld(stdout, invs) {
-			ok = false
-		}
-		if i == 0 {
-			baseWall, baseHash = wall, hash
-		}
-		speedup := float64(baseWall) / float64(wall)
-		fmt.Fprintf(stdout, "  %-8d %-12v %-9s %-11s %-8d %016x\n",
-			w, wall.Round(time.Millisecond),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%.1f%%", 100*speedup/float64(w)),
-			rep.Windows, hash)
-		if hash != baseHash {
-			fmt.Fprintf(stdout, "sweep: OUTPUT MISMATCH at workers=%d (hash %016x, want %016x)\n", w, hash, baseHash)
-			ok = false
-		}
-	}
-	if !ok {
-		return errViolated
-	}
-	fmt.Fprintf(stdout, "sweep: output byte-identical across workers %v\n", counts)
-	return nil
-}
-
-// runShardedOnce executes one scale run — sharded across engines when
-// o.shards > 1 — with invariant checkers armed on every shard when
-// o.validate. It returns the workload result, the armed checkers, every
-// shard's file system (so callers can pin simulator state), and the host
-// wall-clock time.
-func runShardedOnce(cfg pfs.Config, seed int64, o scaleOpts) (workload.ShardedReport, []*validate.Invariants, []*pfs.FS, time.Duration) {
-	var invs []*validate.Invariants
-	var shardFS []*pfs.FS
-	shcfg := workload.ShardedConfig{
-		Scale: o.scaleConfig(), Shards: o.shards, Workers: o.workers,
-		FS: cfg, Seed: seed,
-		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
-			shardFS = append(shardFS, sim)
-			if o.validate {
-				col := trace.NewCollector()
-				col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-				invs = append(invs, validate.Attach(e, sim, col))
-			}
-		},
-	}
-	wall0 := time.Now()
-	rep := workload.RunShardedCheckpoint(shcfg)
-	return rep, invs, shardFS, time.Since(wall0)
-}
-
-// invariantsHeld prints every violation the armed checkers recorded and
-// reports whether there were none.
-func invariantsHeld(stdout io.Writer, invs []*validate.Invariants) bool {
-	ok := true
-	for _, inv := range invs {
-		for _, v := range inv.Finish() {
-			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
-			ok = false
-		}
-	}
-	return ok
 }
 
 // runScale executes the built-in scale checkpoint: a file-per-process
@@ -476,10 +362,25 @@ func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	// keepFS pins the simulation state through the post-run heap
 	// measurement, so "heap B/rank" reports retained simulator footprint
 	// (engine pool, clients, namespace) instead of zero after collection.
-	rep, invs, keepFS, wall := runShardedOnce(cfg, cluster.Seed, o)
+	var invs []*validate.Invariants
+	var keepFS []*pfs.FS
+	shcfg := workload.ShardedConfig{
+		Scale: o.scaleConfig(), Shards: o.shards, FS: cfg, Seed: cluster.Seed,
+		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
+			keepFS = append(keepFS, sim)
+			if o.validate {
+				col := trace.NewCollector()
+				col.SetLimit(1) // records flow through the invariant hook; retention is not needed
+				invs = append(invs, validate.Attach(e, sim, col))
+			}
+		},
+	}
+	wall0 := time.Now()
+	rep := workload.RunShardedCheckpoint(shcfg)
+	wall := time.Since(wall0)
 	if rep.Shards > 1 {
-		fmt.Fprintf(stdout, "sharded: %d shards (workers %d), ranks/shard %v, lookahead %v, %d windows\n",
-			rep.Shards, rep.Workers, rep.RanksPerShard, rep.Lookahead, rep.Windows)
+		fmt.Fprintf(stdout, "sharded: %d shards, ranks/shard %v, lookahead %v, %d windows\n",
+			rep.Shards, rep.RanksPerShard, rep.Lookahead, rep.Windows)
 	}
 
 	runtime.GC()
@@ -501,7 +402,13 @@ func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 	fmt.Fprintf(stdout, "  host: %d events in %v (%.2fM events/s), heap %d B/rank, %.1f allocs/rank\n",
 		rep.Events, wall.Round(time.Millisecond), evRate/1e6, heapPerRank, allocsPerRank)
 
-	ok := invariantsHeld(stdout, invs)
+	ok := true
+	for _, inv := range invs {
+		for _, v := range inv.Finish() {
+			fmt.Fprintf(stdout, "validation: VIOLATION %s\n", v)
+			ok = false
+		}
+	}
 	if o.validate {
 		var disp, recs, clops, ostev uint64
 		for _, inv := range invs {

@@ -9,25 +9,18 @@ import (
 	"pioeval/internal/golden"
 )
 
-// hostDependent matches what a scale run prints about the host rather
-// than the simulation: the host-cost line (wall time, event rate, heap
-// and allocations per rank) and the resolved shard worker count, which
-// defaults to the host's core count.
-var hostDependent = regexp.MustCompile(`(?m)^  host: .*$|\(workers [0-9]+\)`)
+// hostLine matches what a scale run prints about the host rather than
+// the simulation: the host-cost line (wall time, event rate, heap and
+// allocations per rank).
+var hostLine = regexp.MustCompile(`(?m)^  host: .*$`)
 
-// maskHost replaces every host-dependent span of out with a fixed
-// placeholder.
+// maskHost replaces the host-cost line of out with a fixed placeholder.
 func maskHost(out string) string {
-	return hostDependent.ReplaceAllStringFunc(out, func(s string) string {
-		if strings.HasPrefix(s, "(workers") {
-			return "(workers masked)"
-		}
-		return "  host: (masked)"
-	})
+	return hostLine.ReplaceAllLiteralString(out, "  host: (masked)")
 }
 
 // TestGoldenScale pins the -ranks scale checkpoint's output byte for
-// byte, host-dependent spans masked (see maskHost): a four-shard run and
+// byte, the host line masked (see maskHost): a four-shard run and
 // a one-shard run. Both were recorded before the pfs continuation calls
 // took a des.Step and a caller-owned Handle, so they hold the scale path
 // to the simulated results it had. The one-shard golden keeps its old
@@ -59,8 +52,7 @@ func TestGoldenScale(t *testing.T) {
 }
 
 // TestRunUsageErrors: a run with neither a script nor -ranks or
-// -validate, one with an unknown flag, a worker sweep of one shard, and a
-// -ranks run given a fault campaign or the resilience policy, which the
+// -validate, one with an unknown flag, and a -ranks run given a fault campaign or the resilience policy, which the
 // scale checkpoint does not apply, exit non-zero with a diagnostic on
 // stderr and nothing on stdout.
 func TestRunUsageErrors(t *testing.T) {
@@ -71,7 +63,6 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{nil, 1, "simfs: usage:"},
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{[]string{"-ranks", "64", "-shards", "2", "-workers-sweep", "2", "-shards", "1"}, 1, "-workers-sweep needs -shards > 1"},
 		{[]string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}, 1, "-faults and -resilient apply to workload scripts"},
 		{[]string{"-ranks", "64", "-faults", "ostcrash:1@100ms"}, 1, "-faults and -resilient apply to workload scripts"},
 		{[]string{"-ranks", "64", "-resilient"}, 1, "-faults and -resilient apply to workload scripts"},

@@ -9,7 +9,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"pioeval/internal/des"
 	"pioeval/internal/iolang"
@@ -254,5 +253,3 @@ func opsToTokens(ops []skeleton.ConcreteOp) []skeleton.Token {
 	}
 	return toks
 }
-
-var _ = fmt.Sprintf

@@ -221,8 +221,8 @@ func BenchmarkResourceContention(b *testing.B) {
 
 // BenchmarkShardedWindow measures the coupling layer itself: a token
 // circles 4 shards through ParallelGroup.Send, so every hop is one full
-// epoch — lane flush, safe-time computation, deterministic delivery merge,
-// and window execution. Handlers are pre-bound, so the Send/deliver path
+// epoch — safe-time computation, deterministic delivery merge and window
+// execution. Handlers are pre-bound, so the Send/deliver path
 // must report 0 allocs/op in steady state.
 func BenchmarkShardedWindow(b *testing.B) {
 	const n = 4
@@ -231,7 +231,6 @@ func BenchmarkShardedWindow(b *testing.B) {
 		engines[i] = NewEngine(int64(i))
 	}
 	g := NewParallelGroup(100, engines...)
-	g.SetWorkers(1)
 	hops, target := 0, 64
 	forward := make([]func(), n)
 	for i := 0; i < n; i++ {
@@ -244,43 +243,11 @@ func BenchmarkShardedWindow(b *testing.B) {
 			}
 		}
 	}
-	// Warm the lane/pend/scratch buffers so the timed region is steady
+	// Warm the pend/scratch buffers so the timed region is steady
 	// state.
 	engines[0].After(0, forward[0])
 	g.Run(MaxTime)
 	b.ReportAllocs()
-	b.ResetTimer()
-	hops, target = 0, b.N
-	engines[0].After(0, forward[0])
-	g.Run(MaxTime)
-}
-
-// BenchmarkShardedWindowWorkers is BenchmarkShardedWindow with the
-// persistent worker pool engaged (4 workers): it adds the epoch-barrier
-// channel wake and atomic countdown to every window, measuring the
-// fixed synchronization cost a multi-core run pays per window.
-func BenchmarkShardedWindowWorkers(b *testing.B) {
-	const n = 4
-	engines := make([]*Engine, n)
-	for i := range engines {
-		engines[i] = NewEngine(int64(i))
-	}
-	g := NewParallelGroup(100, engines...)
-	g.SetWorkers(n)
-	hops, target := 0, 64
-	forward := make([]func(), n)
-	for i := 0; i < n; i++ {
-		i := i
-		next := (i + 1) % n
-		forward[i] = func() {
-			if hops < target {
-				hops++
-				g.Send(i, next, 100, forward[next])
-			}
-		}
-	}
-	engines[0].After(0, forward[0])
-	g.Run(MaxTime)
 	b.ResetTimer()
 	hops, target = 0, b.N
 	engines[0].After(0, forward[0])

@@ -38,9 +38,9 @@
 // executes exactly one process at a time and advances a virtual clock
 // between events, so simulations are fully deterministic for a given seed
 // and are not affected by wall-clock scheduling. ParallelGroup extends
-// this across engines: conservative (CMB-style) lookahead windows let
-// disjoint partitions run on concurrent workers with byte-identical results
-// at any worker count.
+// this across engines: conservative (CMB-style) lookahead windows step
+// disjoint partitions in index order, and cross-partition events arrive in
+// an order that does not depend on which partition ran first.
 //
 // The package is the substrate for every simulator in this repository: the
 // network fabric, the parallel file system, the MPI runtime, and the burst

@@ -26,8 +26,8 @@ func (p *Pooled) Recycled() bool { return Quarantine && p.poisoned }
 
 // FreeList recycles the state machines of one owner (a fabric's
 // transfers, a device's accesses, a file system's calls), so that a
-// steady-state operation allocates nothing. It is owned by one object,
-// never shared, so shards on concurrent workers share nothing. T embeds
+// steady-state operation allocates nothing. It is owned by one object and
+// never shared between shards. T embeds
 // Pooled; P is *T.
 //
 // Its owner's first max items are allocated one by one, so a small owner

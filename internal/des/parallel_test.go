@@ -211,37 +211,29 @@ func TestParallelGroupHorizon(t *testing.T) {
 
 // TestParallelGroupCrossAtWindowEnd pins down the boundary case: a cross
 // event stamped exactly at the destination's window end is delivered in
-// the next epoch and runs after same-time local events, identically at any
-// worker count.
+// the next epoch and runs after same-time local events.
 func TestParallelGroupCrossAtWindowEnd(t *testing.T) {
-	run := func(workers int) []string {
-		e0, e1 := NewEngine(1), NewEngine(2)
-		g := NewParallelGroup(100, e0, e1)
-		g.SetWorkers(workers)
-		var log []string
-		e1.After(100, func() {
-			if e1.Now() != 100 {
-				t.Errorf("local event at %v, want 100", e1.Now())
-			}
-			log = append(log, "local@100")
-		})
-		e0.After(0, func() {
-			// at = 0 + 100 = exactly shard 1's first window end.
-			g.Send(0, 1, 100, func() {
-				if e1.Now() != 100 {
-					t.Errorf("cross event at %v, want 100", e1.Now())
-				}
-				log = append(log, "cross@100")
-			})
-		})
-		g.Run(MaxTime)
-		return log
-	}
-	want := []string{"local@100", "cross@100"}
-	for _, w := range []int{1, 2} {
-		if got := run(w); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: log = %v, want %v", w, got, want)
+	e0, e1 := NewEngine(1), NewEngine(2)
+	g := NewParallelGroup(100, e0, e1)
+	var log []string
+	e1.After(100, func() {
+		if e1.Now() != 100 {
+			t.Errorf("local event at %v, want 100", e1.Now())
 		}
+		log = append(log, "local@100")
+	})
+	e0.After(0, func() {
+		// at = 0 + 100 = exactly shard 1's first window end.
+		g.Send(0, 1, 100, func() {
+			if e1.Now() != 100 {
+				t.Errorf("cross event at %v, want 100", e1.Now())
+			}
+			log = append(log, "cross@100")
+		})
+	})
+	g.Run(MaxTime)
+	if want := []string{"local@100", "cross@100"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("log = %v, want %v", log, want)
 	}
 }
 
@@ -265,7 +257,7 @@ func TestParallelGroupHorizonMidWindow(t *testing.T) {
 }
 
 // TestParallelGroupSingleEngine exercises a one-shard group, including
-// self-sends through the mailbox path.
+// self-sends through the pending-list path.
 func TestParallelGroupSingleEngine(t *testing.T) {
 	e := NewEngine(1)
 	g := NewParallelGroup(10, e)
@@ -291,58 +283,44 @@ func TestParallelGroupSingleEngine(t *testing.T) {
 
 // TestParallelGroupUniformWindowChain runs a feed-forward chain 0→1→2
 // whose second hop is far slower than the group lookahead, next to dense
-// local work on shard 2, and checks the arrival times and the window count
-// at every worker count.
+// local work on shard 2, and checks the arrival times.
 func TestParallelGroupUniformWindowChain(t *testing.T) {
-	run := func(workers int) (arrivals []Time, windows uint64) {
-		engines := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
-		g := NewParallelGroup(10, engines...)
-		g.SetWorkers(workers)
-		var local int
-		var tick func()
-		tick = func() {
-			if local++; local < 50 {
-				engines[2].After(7, tick)
-			}
+	engines := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
+	g := NewParallelGroup(10, engines...)
+	var local int
+	var tick func()
+	tick = func() {
+		if local++; local < 50 {
+			engines[2].After(7, tick)
 		}
-		engines[2].After(0, tick)
-		for i := 0; i < 4; i++ {
-			engines[0].After(Time(i*5), func() {
-				g.Send(0, 1, 10, func() {
-					g.Send(1, 2, 1000, func() {
-						arrivals = append(arrivals, engines[2].Now())
-					})
+	}
+	engines[2].After(0, tick)
+	var arrivals []Time
+	for i := 0; i < 4; i++ {
+		engines[0].After(Time(i*5), func() {
+			g.Send(0, 1, 10, func() {
+				g.Send(1, 2, 1000, func() {
+					arrivals = append(arrivals, engines[2].Now())
 				})
 			})
-		}
-		g.Run(MaxTime)
-		if local != 50 {
-			t.Fatalf("local ticks = %d", local)
-		}
-		return arrivals, g.Windows()
+		})
+	}
+	g.Run(MaxTime)
+	if local != 50 {
+		t.Fatalf("local ticks = %d", local)
 	}
 	// send i at t=5i arrives at shard 1 at 5i+10, at shard 2 at 5i+1010.
-	want := []Time{1010, 1015, 1020, 1025}
-	seqArr, seqWin := run(1)
-	if !reflect.DeepEqual(seqArr, want) {
-		t.Fatalf("arrivals = %v, want %v", seqArr, want)
-	}
-	for _, w := range []int{2, 3} {
-		if arr, win := run(w); !reflect.DeepEqual(arr, want) || win != seqWin {
-			t.Errorf("workers=%d: arrivals %v in %d windows, want %v in %d", w, arr, win, want, seqWin)
-		}
+	if want := []Time{1010, 1015, 1020, 1025}; !reflect.DeepEqual(arrivals, want) {
+		t.Fatalf("arrivals = %v, want %v", arrivals, want)
 	}
 }
 
 // TestParallelGroupPanicPropagates checks that a panic raised inside a
-// window on a pooled worker (here: an in-handler Send below the group
-// lookahead) reaches the Run caller instead of killing the process, and
-// that the pool still shuts down.
+// window (here: an in-handler Send below the group lookahead) reaches the
+// Run caller.
 func TestParallelGroupPanicPropagates(t *testing.T) {
-	leakcheck.Check(t)
 	e0, e1 := NewEngine(1), NewEngine(2)
 	g := NewParallelGroup(100, e0, e1)
-	g.SetWorkers(2)
 	e1.After(5, func() { g.Send(1, 0, 10, func() {}) })
 	defer func() {
 		if recover() == nil {
@@ -354,77 +332,55 @@ func TestParallelGroupPanicPropagates(t *testing.T) {
 
 // TestParallelGroupMixedFormsSharded drives every shard with one goroutine
 // proc and one continuation proc, both emitting cross-shard events, and
-// requires identical per-shard logs at every worker count.
+// checks every shard's arrival log and that no proc is left behind.
 func TestParallelGroupMixedFormsSharded(t *testing.T) {
-	const shards = 3
-	run := func(workers int) [][]Time {
-		engines := make([]*Engine, shards)
-		for i := range engines {
-			engines[i] = NewEngine(int64(i) + 5)
-		}
-		g := NewParallelGroup(50, engines...)
-		g.SetWorkers(workers)
-		logs := make([][]Time, shards)
-		recv := make([]func(), shards)
-		for i := range recv {
-			i := i
-			recv[i] = func() { logs[i] = append(logs[i], engines[i].Now()) }
-		}
-		for i := range engines {
-			i := i
-			next := (i + 1) % shards
-			engines[i].Spawn("goro", func(p *Proc) {
-				for k := 0; k < 4; k++ {
-					p.Wait(30)
-					g.Send(i, next, 50+Time(k), recv[next])
-				}
-			})
-			engines[i].SpawnEvent("cont", func(ep *EventProc) {
-				k := 0
-				var step StepFunc
-				step = func() {
-					if k++; k > 4 {
-						return
-					}
-					g.Send(i, next, 75, recv[next])
-					ep.Wait(45, step)
-				}
-				ep.Wait(45, step)
-			})
-		}
-		g.Run(MaxTime)
-		for i, e := range engines {
-			if e.LiveProcs() != 0 {
-				t.Fatalf("workers=%d: shard %d leaked %d procs", workers, i, e.LiveProcs())
-			}
-		}
-		return logs
-	}
-	base := run(1)
-	for _, w := range []int{2, 3} {
-		if got := run(w); !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d: per-shard logs differ from sequential:\n%v\n%v", w, got, base)
-		}
-	}
-}
-
-// TestParallelGroupWorkerPoolShutdown is the leak gate for the persistent
-// worker pool: every Run must leave no goroutines behind, including
-// repeated Runs on one group.
-func TestParallelGroupWorkerPoolShutdown(t *testing.T) {
 	leakcheck.Check(t)
-	engines := make([]*Engine, 4)
+	const shards = 3
+	engines := make([]*Engine, shards)
 	for i := range engines {
-		engines[i] = NewEngine(int64(i))
+		engines[i] = NewEngine(int64(i) + 5)
 	}
-	g := NewParallelGroup(100, engines...)
-	g.SetWorkers(4)
-	for i, e := range engines {
-		e.After(Time(10*i+10), func() {})
-		e.After(5000, func() {})
+	g := NewParallelGroup(50, engines...)
+	logs := make([][]Time, shards)
+	recv := make([]func(), shards)
+	for i := range recv {
+		i := i
+		recv[i] = func() { logs[i] = append(logs[i], engines[i].Now()) }
 	}
-	g.Run(1000)
+	for i := range engines {
+		i := i
+		next := (i + 1) % shards
+		engines[i].Spawn("goro", func(p *Proc) {
+			for k := 0; k < 4; k++ {
+				p.Wait(30)
+				g.Send(i, next, 50+Time(k), recv[next])
+			}
+		})
+		engines[i].SpawnEvent("cont", func(ep *EventProc) {
+			k := 0
+			var step StepFunc
+			step = func() {
+				if k++; k > 4 {
+					return
+				}
+				g.Send(i, next, 75, recv[next])
+				ep.Wait(45, step)
+			}
+			ep.Wait(45, step)
+		})
+	}
 	g.Run(MaxTime)
+	// The goroutine proc sends at 30(k+1) with delay 50+k (80, 111, 142,
+	// 173); the continuation proc at 45k with delay 75 (120, 165, 210, 255).
+	want := []Time{80, 111, 120, 142, 165, 173, 210, 255}
+	for i, e := range engines {
+		if e.LiveProcs() != 0 {
+			t.Fatalf("shard %d leaked %d procs", i, e.LiveProcs())
+		}
+		if !reflect.DeepEqual(logs[i], want) {
+			t.Errorf("shard %d log = %v, want %v", i, logs[i], want)
+		}
+	}
 }
 
 func TestAdvanceTo(t *testing.T) {

@@ -279,14 +279,13 @@ func (s *scaleRank) stepDone() {
 // its own engine, file system slice (NumOSS and NumIONodes divided across
 // shards), and MPI world — coupled only by the step barrier, whose
 // cross-shard leg rides a des.ParallelGroup's lookahead. One shard (the
-// default) runs a single engine with the plain MPI barrier.
+// default) runs a single engine with the plain MPI barrier. Shards is
+// capped at Ranks and at NumOSS, so every shard gets at least one object
+// server and the shards together never have more than the cluster.
 type ShardedConfig struct {
 	Scale  ScaleConfig
 	Shards int
-	// Workers bounds concurrent shard execution per window (see
-	// des.ParallelGroup.SetWorkers): 1 is sequential, 0 (the default) uses
-	// min(shards, runtime.NumCPU()) persistent workers. The choice never
-	// affects results.
+	// Deprecated: ignored. Shards run in index order on one goroutine.
 	Workers int
 	// FS is the per-cluster file-system configuration before sharding.
 	FS pfs.Config
@@ -301,9 +300,7 @@ type ShardedConfig struct {
 type ShardedReport struct {
 	Scale  ScaleConfig
 	Shards int
-	// Workers is the resolved worker count the run executed with
-	// (ShardedConfig.Workers with 0 resolved to the host core count,
-	// capped at the shard count).
+	// Workers is always 1: shards run in index order on one goroutine.
 	Workers int
 	// Lookahead is the cross-shard latency (shardLookahead) that gate
 	// messages pay each way.
@@ -369,29 +366,20 @@ func (gc *gateCoord) arrive() {
 
 // RunShardedCheckpoint executes the checkpoint workload in continuation
 // form. With more than one shard the engines run under a des.ParallelGroup:
-// ranks split as evenly as possible across shards, and shard i's file
+// ranks split as evenly as possible across shards, and every shard's file
 // system gets NumOSS/Shards object servers and NumIONodes/Shards
-// forwarding nodes (minimum one OSS each). Any Workers value produces
-// identical output; the -race shard smoke and the determinism tests rely
-// on that. It panics on simulated deadlock.
+// forwarding nodes (at least one of each the cluster has). It panics on
+// simulated deadlock.
 func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	sc := cfg.Scale.withDefaults()
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > sc.Ranks {
-		shards = sc.Ranks
-	}
 	fscfg := cfg.FS
 	if fscfg.NumOSS == 0 {
 		fscfg = pfs.DefaultConfig()
 	}
-	if per := fscfg.NumOSS / shards; per >= 1 {
-		fscfg.NumOSS = per
-	}
+	shards := min(max(cfg.Shards, 1), sc.Ranks, fscfg.NumOSS)
+	fscfg.NumOSS /= shards
 	if fscfg.NumIONodes > 0 {
-		fscfg.NumIONodes /= shards
+		fscfg.NumIONodes = max(fscfg.NumIONodes/shards, 1)
 	}
 
 	engines := make([]*des.Engine, shards)
@@ -402,7 +390,6 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 	gates := make([]*shardGate, shards)
 	if shards > 1 {
 		pg = des.NewParallelGroup(shardLookahead, engines...)
-		pg.SetWorkers(cfg.Workers)
 		coord := &gateCoord{pg: pg, gates: gates}
 		for i := range gates {
 			gates[i] = &shardGate{pg: pg, shard: i, release: des.NewSignal(engines[i]), coord: coord}
@@ -457,7 +444,7 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		rep.Makespan = engines[0].Run(des.MaxTime)
 	} else {
 		rep.Makespan = pg.Run(des.MaxTime)
-		rep.Workers, rep.Windows = pg.Workers(), pg.Windows()
+		rep.Windows = pg.Windows()
 	}
 	for sh, e := range engines {
 		if e.LiveProcs() != 0 {
