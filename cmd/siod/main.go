@@ -19,7 +19,10 @@
 //
 // On SIGTERM/SIGINT the daemon stops admitting (503 on new submissions),
 // lets in-flight jobs finish within -drain, cancels the stragglers, and
-// exits 0.
+// exits 0. -cpuprofile and -memprofile profile the daemon (or the load
+// test) from flag parsing to exit, as in every other entry point:
+//
+//	siod -cpuprofile siod.cpu -memprofile siod.mem
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/serve"
 	"pioeval/internal/serve/loadtest"
 )
@@ -52,7 +56,7 @@ func main() {
 // output goes to the writers, and — in serve mode — the bound address is
 // reported on ready (for tests and scripts that picked port 0) and the
 // process drains on SIGTERM/SIGINT or when stop is closed.
-func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
+func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) (err error) {
 	fs := flag.NewFlagSet("siod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	// Serve mode.
@@ -80,12 +84,22 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	disconnectEvery := fs.Int("disconnect-every", 0, "loadtest: mid-flight disconnect every Nth request")
 	slowLorisEvery := fs.Int("slowloris-every", 0, "loadtest: slow-loris connection every Nth request")
 	check := fs.Bool("check", false, "loadtest: wait for quiescence and fail on accounting mismatch")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	if err := prof.Start(); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := prof.Stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	if *lt {
 		return runLoadtest(stdout, loadtest.Config{

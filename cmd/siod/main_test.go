@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -44,6 +47,22 @@ func (b *syncBuffer) String() string {
 
 var listenRE = regexp.MustCompile(`listening on (\S+)`)
 
+// waitListening waits for the daemon writing to out to report the address
+// it listens on, and returns it.
+func waitListening(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never reported its address:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServeLoadtestDrain runs the whole daemon lifecycle in-process: boot
 // on an ephemeral port, drive it with the CLI load-test mode (including
 // the accounting check), then request a drain and require a clean exit.
@@ -62,18 +81,7 @@ func TestServeLoadtestDrain(t *testing.T) {
 		}, &out, &out, stop)
 	}()
 
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("daemon never reported its address:\n%s", out.String())
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	url := "http://" + addr
+	url := "http://" + waitListening(t, &out)
 
 	resp, err := http.Get(url + "/healthz")
 	if err != nil {
@@ -120,5 +128,43 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"positional"}, &buf, &buf, nil); err == nil {
 		t.Fatal("positional arg accepted")
+	}
+}
+
+// TestServeProfiles: -cpuprofile and -memprofile profile a serving daemon
+// until it drains, and both files hold complete pprof profiles (gzip
+// streams that decode to their end) once run returns.
+func TestServeProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var out syncBuffer
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-cpuprofile", cpu, "-memprofile", mem}, &out, &out, stop)
+	}()
+	waitListening(t, &out)
+	close(stop)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("daemon exit: %v\n%s", err, out.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon did not drain and exit:\n%s", out.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+			t.Errorf("%s: %d bytes decoded, error %v; want a complete profile", filepath.Base(path), n, err)
+		}
+		f.Close()
 	}
 }

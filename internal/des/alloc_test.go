@@ -1,6 +1,9 @@
 package des
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -95,7 +98,7 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	firstF = func() {
 		wg.Done() // reaches zero: the waiter's wake is queued...
 		wg.Add(1) // ...and the counter rises again before it runs
-		if len(wg.doneS.waiters) == 0 {
+		if wg.doneS.NumWaiters() == 0 {
 			rechecks++
 		}
 		worker.ep.Wait(1, secondF)
@@ -114,11 +117,13 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	}
 }
 
-// TestEventProcSize pins EventProc at 80 bytes, the size class it had
-// before it gained its host field: scale runs keep two per rank alive.
+// TestEventProcSize pins EventProc at 88 bytes: scale runs keep two per
+// rank alive. It is 8 bytes more than before it carried its waiter-FIFO
+// link, which moved out of the ring each primitive grew for its waiters,
+// so a wait allocates nothing.
 func TestEventProcSize(t *testing.T) {
-	if n := unsafe.Sizeof(EventProc{}); n != 80 {
-		t.Errorf("EventProc is %d bytes, want 80", n)
+	if n := unsafe.Sizeof(EventProc{}); n != 88 {
+		t.Errorf("EventProc is %d bytes, want 88", n)
 	}
 }
 
@@ -316,5 +321,163 @@ func TestStepAllocs(t *testing.T) {
 		if m.phase != 6 || e.LiveProcs() != 0 || m.r.PeakQueueLen() != 1 || m.q.Len() != 0 || e.Now() != 52*5 {
 			t.Fatalf("%s Step: phase %d, %d live procs, peak queue %d, %d queued items, clock %v; want 6, 0, 1, 0, 260", kind, m.phase, e.LiveProcs(), m.r.PeakQueueLen(), m.q.Len(), e.Now())
 		}
+	}
+}
+
+// burstPrim is one primitive under TestWaitBurstAllocs: block makes the
+// next waiters block, release unblocks them all, wait and waitE block a
+// process on it in either form, and woken is what a woken waiter does
+// next: pass a resource unit on, or take its queue item in continuation
+// form.
+type burstPrim struct {
+	block, release func()
+	wait           func(p *Proc)
+	waitE          func(ep *EventProc, k Step)
+	woken          func()
+	list           *waiterFIFO
+}
+
+// TestWaitBurstAllocs runs bursts of 10,000 waiters of each form on a
+// Resource, a Queue, a Signal and a WaitGroup. The waiters are procs that
+// live across bursts: each waits on kick, then on the primitive, logs its
+// wake and waits on kick again. A burst allocates nothing beyond the
+// procs themselves, that is nothing at all, and the waiters wake in
+// arrival order. Once a last kick has ended the procs, neither list nor
+// any process links a process.
+//
+// On toolchains before go1.23 a goroutine proc parks on a channel, and
+// the runtime's cache of channel waiters, which a GC empties, would count
+// too; so the GC runs between measurements only.
+func TestWaitBurstAllocs(t *testing.T) {
+	const n = 10_000
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, kind := range []string{"Resource", "Queue", "Signal", "WaitGroup"} {
+		for _, form := range []string{"event", "goroutine"} {
+			e := NewEngine(1)
+			b := &burstPrim{block: func() {}, woken: func() {}}
+			switch kind {
+			case "Resource":
+				r := NewResource(e, "r", 1)
+				b.block = func() { r.TryAcquire() }
+				b.release, b.wait, b.waitE, b.woken, b.list = r.Release, r.Acquire, r.AcquireE, r.Release, &r.waiters
+			case "Queue":
+				q := NewQueue[int](e, "q")
+				b.release = func() {
+					for i := 0; i < n; i++ {
+						q.Put(i)
+					}
+				}
+				b.wait, b.waitE, b.list = func(p *Proc) { q.Get(p) }, q.GetE, &q.getters
+				if form == "event" {
+					b.woken = func() { q.TryGet() }
+				}
+			case "Signal":
+				s := NewSignal(e)
+				b.release, b.wait, b.waitE, b.list = s.Fire, s.Wait, s.WaitE, &s.waiters
+			case "WaitGroup":
+				var wg WaitGroup
+				b.block = func() { wg.Add(1) }
+				b.release, b.wait, b.waitE, b.list = wg.Done, wg.Wait, wg.WaitE, &wg.doneS.waiters
+			}
+			kick := NewSignal(e)
+			log := make([]int, 0, n)
+			eps := make([]*EventProc, n)
+			stop := false
+			for i := 0; i < n; i++ {
+				if form == "event" {
+					var woke StepFunc
+					kp := newKicked(e, kick, func(kp *kicked) {
+						if !stop {
+							b.waitE(kp.ep, woke)
+						}
+					})
+					woke = func() {
+						b.woken()
+						log = append(log, i)
+						kp.again()
+					}
+					e.Run(MaxTime)
+					eps[i] = kp.ep
+					continue
+				}
+				eps[i] = &e.SpawnIndexed("w", i, func(p *Proc) {
+					for {
+						kick.Wait(p)
+						if stop {
+							return
+						}
+						b.wait(p)
+						b.woken()
+						log = append(log, int(p.ep.index))
+					}
+				}).ep
+			}
+			burst := func() {
+				log = log[:0]
+				b.block()
+				kick.Fire()
+				e.After(1, b.release)
+				e.Run(MaxTime)
+			}
+			e.Run(MaxTime)
+			burst() // grow the event pool, immediate ring and item ring
+			runtime.GC()
+			if got := testing.AllocsPerRun(3, burst); got != 0 {
+				t.Errorf("%s, %s form: a %d-waiter burst allocates %v, want 0", kind, form, n, got)
+			}
+			for i, w := range log {
+				if w != i {
+					t.Fatalf("%s, %s form: wake %d went to waiter %d, want arrival order", kind, form, i, w)
+				}
+			}
+			stop = true
+			kick.Fire()
+			e.Run(MaxTime)
+			if len(log) != n || e.LiveProcs() != 0 || *b.list != (waiterFIFO{}) || kick.waiters != (waiterFIFO{}) {
+				t.Fatalf("%s, %s form: %d wakes, %d live procs after the last kick, drained lists %+v, %+v; want %d, 0, empty, empty",
+					kind, form, len(log), e.LiveProcs(), *b.list, kick.waiters, n)
+			}
+			for i, ep := range eps {
+				if ep.next != nil {
+					t.Fatalf("%s, %s form: ended waiter %d still links another", kind, form, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSignalRewaitWaitsForNextFire: a waiter that waits on a signal again
+// from the step the signal's Fire woke it to is released by the next Fire
+// only, in either form.
+func TestSignalRewaitWaitsForNextFire(t *testing.T) {
+	e := NewEngine(1)
+	s := NewSignal(e)
+	var wakes []string
+	log := func(who string) { wakes = append(wakes, who+"@"+e.Now().String()) }
+	e.SpawnEvent("e", func(ep *EventProc) {
+		var again StepFunc
+		again = func() {
+			log("e")
+			if len(wakes) < 3 {
+				s.WaitE(ep, again)
+			}
+		}
+		s.WaitE(ep, again)
+	})
+	e.Spawn("g", func(p *Proc) {
+		for i := 0; i < 2; i++ {
+			s.Wait(p)
+			log("g")
+		}
+	})
+	e.After(1, s.Fire)
+	e.After(5, s.Fire)
+	e.Run(MaxTime)
+	want := []string{"e@1ns", "g@1ns", "e@5ns", "g@5ns"}
+	if !reflect.DeepEqual(wakes, want) {
+		t.Errorf("wakes = %v, want %v", wakes, want)
+	}
+	if s.NumWaiters() != 0 || e.LiveProcs() != 0 {
+		t.Errorf("%d waiters, %d live procs after the second Fire; want 0, 0", s.NumWaiters(), e.LiveProcs())
 	}
 }

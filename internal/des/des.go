@@ -33,8 +33,9 @@
 // goroutine-form primitive.
 //
 // Queue, Resource, Signal, and WaitGroup keep one waiter FIFO of
-// EventProcs, so mixed-form waiters wake in strict arrival order and the
-// two forms are timing-equivalent on identical workloads. The engine
+// EventProcs, linked through the waiting processes themselves, so waiting
+// allocates nothing, mixed-form waiters wake in strict arrival order and
+// the two forms are timing-equivalent on identical workloads. The engine
 // executes exactly one process at a time and advances a virtual clock
 // between events, so simulations are fully deterministic for a given seed
 // and are not affected by wall-clock scheduling. ParallelGroup extends

@@ -473,7 +473,7 @@ func TestAdvanceToSkipEventPanics(t *testing.T) {
 
 // TestQueueNoWaiterRetention is the regression test for the head-slice
 // leak: after getters are served, neither the item ring nor the getter
-// FIFO may keep popped entries reachable in their backing arrays.
+// FIFO may keep delivered messages or served processes reachable.
 func TestQueueNoWaiterRetention(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[*int](e, "q")
@@ -495,10 +495,8 @@ func TestQueueNoWaiterRetention(t *testing.T) {
 	if served != 5 {
 		t.Fatalf("served = %d, want 5", served)
 	}
-	for i, w := range q.getters.buf {
-		if w != nil {
-			t.Errorf("getter slot %d retains a process reference", i)
-		}
+	if q.getters != (waiterFIFO{}) {
+		t.Errorf("drained getter FIFO = %+v, want empty", q.getters)
 	}
 	for i := range q.buf {
 		if q.buf[i] != nil {
@@ -508,48 +506,23 @@ func TestQueueNoWaiterRetention(t *testing.T) {
 }
 
 // TestResourceNoWaiterRetention applies the same check to resource wait
-// queues, which share the FIFO implementation.
+// queues, which share the FIFO implementation: a drained list links no
+// process, and no served process links another.
 func TestResourceNoWaiterRetention(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "r", 1)
+	var ps []*Proc
 	for i := 0; i < 6; i++ {
-		e.Spawn("u", func(p *Proc) { hold(p, r, 10) })
+		ps = append(ps, e.Spawn("u", func(p *Proc) { hold(p, r, 10) }))
 	}
 	e.Run(MaxTime)
-	for i, w := range r.waiters.buf {
-		if w != nil {
-			t.Errorf("waiter slot %d retains a process reference", i)
+	if r.PeakQueueLen() != 5 || r.waiters != (waiterFIFO{}) {
+		t.Errorf("peak queue %d, drained wait list %+v; want 5, empty", r.PeakQueueLen(), r.waiters)
+	}
+	for i, p := range ps {
+		if p.ep.next != nil {
+			t.Errorf("served proc %d still links another", i)
 		}
-	}
-}
-
-// TestWaiterRingReleasedAfterBurst: a resource outlives its run, so the
-// waiter ring a burst grew must not outlive the burst. After 10,000
-// waiters drain, the ring is gone; a ring of at most maxKeptRing slots is
-// kept through Reset and reused by the next burst without regrowing.
-func TestWaiterRingReleasedAfterBurst(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "r", 1)
-	burst := func(n int) {
-		for i := 0; i < n; i++ {
-			e.SpawnEvent("w", func(ep *EventProc) { holdE(ep, r, 1, StepFunc(func() {})) })
-		}
-		e.Run(MaxTime)
-	}
-	burst(10_000)
-	if r.PeakQueueLen() != 9_999 || r.waiters.buf != nil {
-		t.Fatalf("after a 10k burst: peak queue %d, ring of %d slots kept; want 9999, none", r.PeakQueueLen(), len(r.waiters.buf))
-	}
-	r.Reset()
-	burst(maxKeptRing + 1)
-	ring := r.waiters.buf
-	if r.PeakQueueLen() != maxKeptRing || len(ring) != maxKeptRing {
-		t.Fatalf("after a %d-waiter burst: peak queue %d, ring of %d slots; want %d, %d", maxKeptRing, r.PeakQueueLen(), len(ring), maxKeptRing, maxKeptRing)
-	}
-	r.Reset()
-	burst(maxKeptRing + 1)
-	if &r.waiters.buf[0] != &ring[0] {
-		t.Fatal("a ring of maxKeptRing slots was regrown after Reset")
 	}
 }
 

@@ -26,10 +26,10 @@ func (f StepFunc) Step() { f() }
 // primitives, an EventProc is a handle whose blocking points are
 // continuation callbacks dispatched directly from the event loop: no
 // goroutine, no stack, no channel rendezvous. A blocked EventProc costs
-// one pooled event (or one waiter-FIFO slot) plus the continuation it
-// carries, so simulations with hundreds of thousands to millions of
-// mostly-blocked entities stay cheap where one goroutine per entity would
-// not.
+// one pooled event, or nothing beyond itself on a waiter FIFO, plus the
+// continuation it carries, so simulations with hundreds of thousands to
+// millions of mostly-blocked entities stay cheap where one goroutine per
+// entity would not.
 //
 // The two forms interoperate on the same Engine and the same primitives:
 // every goroutine Proc hosts an EventProc, and each blocking method for
@@ -76,6 +76,9 @@ type EventProc struct {
 	// host is the goroutine proc this EventProc is part of (see
 	// Proc.Await), or nil for a spawned one.
 	host *Proc
+	// next links the process into the one waiter FIFO it is blocked on,
+	// if any (see waiterFIFO).
+	next *EventProc
 }
 
 // retrier is a primitive whose continuation-form wait re-checks its
@@ -84,8 +87,7 @@ type EventProc struct {
 // raised the counter again). Keeping the primitive in a slot on the
 // EventProc, in place of a closure that calls back into it, makes a
 // contended wait allocation-free. The slot also holds the body of a
-// process SpawnEvent started (spawnBody), which keeps EventProc at 80
-// bytes with a 16-byte Step.
+// process SpawnEvent started (spawnBody), which saves EventProc a field.
 type retrier interface {
 	retryE(ep *EventProc, k Step)
 }

@@ -131,19 +131,7 @@ func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, NoStep{})
 // Waiters of both execution forms share one list and are released in
 // strict arrival order.
 type Signal struct {
-	waiters []*EventProc
-	// one is the waiter list's first backing array, so a signal that
-	// never holds more than one waiter at a time, such as a fan-out
-	// join, allocates nothing. A Signal must not be copied once used.
-	one [1]*EventProc
-}
-
-// add appends ep to the waiter list.
-func (s *Signal) add(ep *EventProc) {
-	if s.waiters == nil {
-		s.waiters = s.one[:0]
-	}
-	s.waiters = append(s.waiters, ep)
+	waiters waiterFIFO
 }
 
 // NewSignal creates a Signal for processes on engine e.
@@ -156,24 +144,23 @@ func (s *Signal) Wait(p *Proc) { p.await(func(ep *EventProc) { s.WaitE(ep, NoSte
 // releases the signal.
 func (s *Signal) WaitE(ep *EventProc, k Step) {
 	ep.arm(k)
-	s.add(ep)
+	s.waiters.push(ep)
 }
 
-// Fire releases all processes currently waiting on the signal.
-// Safe to call from process or event context. The waiter list is cleared
-// and kept for reuse, so a signal fired every step stops allocating once
-// its list has grown to the largest batch of waiters.
+// Fire releases all processes currently waiting on the signal, in
+// arrival order. Safe to call from process or event context. The list is
+// detached before the wakes, so a process that waits again once woken
+// waits for the next Fire.
 func (s *Signal) Fire() {
 	ws := s.waiters
-	for i, ep := range ws {
-		ws[i] = nil
+	s.waiters = waiterFIFO{}
+	for ep := ws.pop(); ep != nil; ep = ws.pop() {
 		ep.wakeNow()
 	}
-	s.waiters = ws[:0]
 }
 
 // NumWaiters reports how many processes are blocked on the signal.
-func (s *Signal) NumWaiters() int { return len(s.waiters) }
+func (s *Signal) NumWaiters() int { return s.waiters.len() }
 
 // WaitGroup counts down to zero and then releases waiters, mirroring
 // sync.WaitGroup for simulated processes. The zero value is ready to use,
@@ -213,7 +200,7 @@ func (wg *WaitGroup) WaitE(ep *EventProc, k Step) {
 		return
 	}
 	ep.armRetry(wg, k)
-	wg.doneS.add(ep)
+	wg.doneS.waiters.push(ep)
 }
 
 // retryE re-runs a woken WaitE.

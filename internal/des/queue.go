@@ -1,52 +1,43 @@
 package des
 
-// waiterFIFO is a ring-buffered FIFO of blocked processes, shared by queue
-// getters and resource wait lists. A goroutine proc waits through the
-// EventProc it hosts, so waiters of both execution forms share one FIFO
-// and wake in strict arrival order. Unlike a head-sliced slice, popped
-// slots are cleared, so finished processes never linger reachable in the
-// backing array, and the ring is reused without further allocation up to
-// maxKeptRing slots; a larger ring, grown by a burst, is dropped once the
-// burst drains.
+// waiterFIFO is an intrusive FIFO of blocked processes, shared by queue
+// getters, resource wait lists and signals. A goroutine proc waits through
+// the EventProc it hosts, so waiters of both execution forms share one FIFO
+// and wake in strict arrival order. The list is threaded through
+// EventProc.next: an EventProc has at most one pending blocking point, so
+// it is in at most one list, and waiting allocates nothing. pop clears the
+// popped process's link, so a drained list reaches no process.
 type waiterFIFO struct {
-	buf     []*EventProc
-	head, n int32
+	head, tail *EventProc
+	n          int
 }
 
-// maxKeptRing is the largest ring a drained waiterFIFO keeps. Resources
-// and queues outlive the run on the cluster they belong to, and one burst
-// of waiters would otherwise pin its ring for as long.
-const maxKeptRing = 64
-
 func (f *waiterFIFO) push(ep *EventProc) {
-	if int(f.n) == len(f.buf) {
-		nb := make([]*EventProc, max(8, 2*len(f.buf)))
-		for i := 0; i < int(f.n); i++ {
-			nb[i] = f.buf[(int(f.head)+i)&(len(f.buf)-1)]
-		}
-		f.buf = nb
-		f.head = 0
+	if f.tail == nil {
+		f.head = ep
+	} else {
+		f.tail.next = ep
 	}
-	f.buf[(int(f.head)+int(f.n))&(len(f.buf)-1)] = ep
+	f.tail = ep
 	f.n++
 }
 
 // pop removes and returns the longest-waiting process, or nil when the
 // FIFO is empty.
 func (f *waiterFIFO) pop() *EventProc {
-	if f.n == 0 {
+	ep := f.head
+	if ep == nil {
 		return nil
 	}
-	ep := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) & int32(len(f.buf)-1)
-	if f.n--; f.n == 0 && len(f.buf) > maxKeptRing {
-		f.buf, f.head = nil, 0
+	if f.head = ep.next; f.head == nil {
+		f.tail = nil
 	}
+	ep.next = nil
+	f.n--
 	return ep
 }
 
-func (f *waiterFIFO) len() int { return int(f.n) }
+func (f *waiterFIFO) len() int { return f.n }
 
 // Queue is an unbounded FIFO message store for inter-process communication
 // in simulated time: Put never blocks, Get blocks until an item is present.

@@ -59,11 +59,9 @@ func (r *Resource) InitAffixed(e *Engine, a *NameAffix, name string, capacity in
 }
 
 // Reset returns an idle r to its state just after Init: its accounting
-// is zeroed and its waiter ring keeps its backing array, which an idle
-// resource holds only up to 64 slots (a ring a burst grew larger is
-// dropped as the burst drains). Reset a resource together with its
-// engine (Engine.Reset), whose clock its accounting reads. It panics with
-// ErrLiveReset while a unit is held or a process waits.
+// is zeroed. Reset a resource together with its engine (Engine.Reset),
+// whose clock its accounting reads. It panics with ErrLiveReset while a
+// unit is held or a process waits.
 func (r *Resource) Reset() {
 	if r.inUse > 0 || r.waiters.len() > 0 {
 		panic(fmt.Errorf("%w: resource %s has %d units held, %d waiters", ErrLiveReset, r.Name(), r.inUse, r.waiters.len()))

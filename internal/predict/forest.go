@@ -146,20 +146,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Depth returns the tree height (for tests).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // ForestConfig configures a random forest.
 type ForestConfig struct {
 	Trees int
@@ -217,9 +203,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(f.trees))
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
 
 // KNN is a k-nearest-neighbor regression baseline.
 type KNN struct {

@@ -10,6 +10,14 @@ import (
 	"pioeval/internal/stats"
 )
 
+// depthOf returns the height of the tree rooted at n.
+func depthOf(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + max(depthOf(n.left), depthOf(n.right))
+}
+
 // makeLinear builds y = 5 + 2a - 3b (+noise).
 func makeLinear(n int, noise float64, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -135,16 +143,16 @@ func TestTreeFitsStepFunction(t *testing.T) {
 	if got := tree.Predict([]float64{9}); got != 20 {
 		t.Errorf("predict(9) = %v", got)
 	}
-	if tree.Depth() > 3 {
-		t.Errorf("tree depth %d too deep for a step function", tree.Depth())
+	if d := depthOf(tree.root); d > 3 {
+		t.Errorf("tree depth %d too deep for a step function", d)
 	}
 }
 
 func TestTreeMinLeafRespected(t *testing.T) {
 	X, y := makeNonlinear(100, 0, 5)
 	tree := fitTree(X, y, TreeConfig{MaxDepth: 50, MinLeafSize: 25})
-	if tree.Depth() > 3 {
-		t.Errorf("large leaves should limit depth, got %d", tree.Depth())
+	if d := depthOf(tree.root); d > 3 {
+		t.Errorf("large leaves should limit depth, got %d", d)
 	}
 }
 
@@ -169,8 +177,8 @@ func TestForestBeatsSingleTree(t *testing.T) {
 	testX, testY := makeNonlinear(200, 0, 9)
 	tree := fitTree(X, y, DefaultTreeConfig())
 	forest, _ := TrainForest(X, y, DefaultForestConfig())
-	if forest.NumTrees() != 50 {
-		t.Errorf("trees = %d", forest.NumTrees())
+	if n := len(forest.trees); n != 50 {
+		t.Errorf("trees = %d", n)
 	}
 	tRMSE := RMSE(tree.Predict, testX, testY)
 	fRMSE := RMSE(forest.Predict, testX, testY)
