@@ -11,7 +11,7 @@ import (
 func TestAccessEAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	d := NewDevice(e, "d", DefaultSSD(), 1)
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	for i := 0; i < 2; i++ {
 		req := Request{Offset: int64(i) << 20, Size: 4096, Write: i == 0}
 		var ep *des.EventProc
@@ -63,7 +63,7 @@ func TestAccessEFreeListBounded(t *testing.T) {
 func TestAccessAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	d := NewDevice(e, "d", DefaultSSD(), 1)
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	stop := false
 	for i := 0; i < 2; i++ {
 		req := Request{Offset: int64(i) << 20, Size: 4096, Write: i == 0}

@@ -90,8 +90,8 @@ type Buffer struct {
 
 	used     int64
 	pending  *des.Queue[segment]
-	notFull  *des.Signal
-	idle     *des.Signal
+	notFull  des.Signal
+	idle     des.Signal
 	inFlight int
 
 	// The drainer's own PFS identity. Its handles are carved from slab,
@@ -132,8 +132,6 @@ func New(e *des.Engine, fs *pfs.FS, node string, cfg Config) *Buffer {
 		eng: e, fs: fs, cfg: cfg, node: node,
 		dev:         blockdev.NewDevice(e, "bb."+node, cfg.Device(), cfg.QueueDepth),
 		pending:     des.NewQueue[segment](e, "bb."+node+".drain"),
-		notFull:     des.NewSignal(e),
-		idle:        des.NewSignal(e),
 		drainClient: fs.NewClient(node),
 		handles:     make(map[string]*pfs.Handle),
 		unsynced:    make(map[string]struct{}),

@@ -361,7 +361,7 @@ func TestDrainOpenAllocs(t *testing.T) {
 		paths[i] = fmt.Sprintf("/f%02d", i)
 	}
 	c := fs.NewClient("cn0")
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	var readErr error
 	next := 0
 	e.Spawn("app", func(p *des.Proc) {

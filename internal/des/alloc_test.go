@@ -48,7 +48,7 @@ func roundAllocs(e *Engine, kick *Signal) float64 {
 // in a closure.
 func TestAcquireEContendedAllocs(t *testing.T) {
 	e := NewEngine(1)
-	kick := NewSignal(e)
+	kick := new(Signal)
 	r := NewResource(e, "r", 1)
 	var grants int
 	for i := 0; i < 2; i++ {
@@ -78,7 +78,7 @@ func TestAcquireEContendedAllocs(t *testing.T) {
 // woken waiter runs, and the waiter parks a second time.
 func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	e := NewEngine(1)
-	kick := NewSignal(e)
+	kick := new(Signal)
 	var wg WaitGroup
 	var rechecks, joins int
 	var joinedF StepFunc
@@ -98,7 +98,7 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	firstF = func() {
 		wg.Done() // reaches zero: the waiter's wake is queued...
 		wg.Add(1) // ...and the counter rises again before it runs
-		if wg.doneS.NumWaiters() == 0 {
+		if wg.doneS.waiters.len() == 0 {
 			rechecks++
 		}
 		worker.ep.Wait(1, secondF)
@@ -117,13 +117,12 @@ func TestWaitGroupWaitERecheckAllocs(t *testing.T) {
 	}
 }
 
-// TestEventProcSize pins EventProc at 88 bytes: scale runs keep two per
-// rank alive. It is 8 bytes more than before it carried its waiter-FIFO
-// link, which moved out of the ring each primitive grew for its waiters,
-// so a wait allocates nothing.
+// TestEventProcSize pins EventProc at 80 bytes: scale runs keep two per
+// rank alive. It carries its waiter-FIFO link, so a wait allocates
+// nothing, and no process id, which nothing read.
 func TestEventProcSize(t *testing.T) {
-	if n := unsafe.Sizeof(EventProc{}); n != 88 {
-		t.Errorf("EventProc is %d bytes, want 88", n)
+	if n := unsafe.Sizeof(EventProc{}); n != 80 {
+		t.Errorf("EventProc is %d bytes, want 80", n)
 	}
 }
 
@@ -156,10 +155,11 @@ func TestSpawnBlockAllocs(t *testing.T) {
 	e.Run(MaxTime)
 
 	r := NewResource(e, "r", 1)
-	sig := NewSignal(e)
+	sig := new(Signal)
 	q := NewQueue[int](e, "q")
 	var wg WaitGroup
 	h := &holdOp{r: r, d: 1}
+	pre := &holder{r: r}
 	ends := 0
 	blocking := func(p *Proc) {
 		p.Wait(1)
@@ -174,7 +174,7 @@ func TestSpawnBlockAllocs(t *testing.T) {
 	fire, put, release, done := sig.Fire, func() { q.Put(1) }, r.Release, wg.Done
 	round := func(body func(*Proc)) func() {
 		return func() {
-			r.TryAcquire()
+			pre.take()
 			wg.Add(1)
 			e.After(2, fire)
 			e.After(3, put)
@@ -217,6 +217,20 @@ func (h *holdOp) Step() {
 	h.r.Release()
 }
 
+// holder takes a unit of r on a process of its own, restarted in place
+// for every take, so a take allocates nothing. The process ends holding
+// the unit, which the test releases.
+type holder struct {
+	ep EventProc
+	r  *Resource
+}
+
+func (h *holder) Step() { h.r.AcquireE(&h.ep, NoStep{}) }
+
+// take starts the holder's process at the current time, so it acquires
+// before any process scheduled after it.
+func (h *holder) take() { h.r.eng.SpawnEventOn(&h.ep, "holder", -1, h) }
+
 // TestAwaitAllocs pins a steady-state awaited operation — a contended
 // AcquireE, a Wait and a Release on a goroutine proc's hosted EventProc —
 // at zero allocations: the method value handed to Await stays on the
@@ -224,8 +238,9 @@ func (h *holdOp) Step() {
 func TestAwaitAllocs(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "r", 1)
-	kick := NewSignal(e)
+	kick := new(Signal)
 	stop := false
+	grants := 0
 	for i := 0; i < 2; i++ {
 		h := &holdOp{r: r, d: Time(i + 1)}
 		e.Spawn("p", func(p *Proc) {
@@ -235,6 +250,7 @@ func TestAwaitAllocs(t *testing.T) {
 					return
 				}
 				p.Await(h.start)
+				grants++
 			}
 		})
 	}
@@ -250,8 +266,8 @@ func TestAwaitAllocs(t *testing.T) {
 	if n != 0 {
 		t.Errorf("awaited acquire-wait-release: %v allocs per round, want 0", n)
 	}
-	if e.LiveProcs() != 0 || r.Acquisitions() != 104 || r.PeakQueueLen() != 1 {
-		t.Fatalf("LiveProcs %d, %d acquisitions, peak queue %d; want 0, 104, 1", e.LiveProcs(), r.Acquisitions(), r.PeakQueueLen())
+	if e.LiveProcs() != 0 || grants != 104 || r.PeakQueueLen() != 1 {
+		t.Fatalf("LiveProcs %d, %d acquisitions, peak queue %d; want 0, 104, 1", e.LiveProcs(), grants, r.PeakQueueLen())
 	}
 }
 
@@ -282,7 +298,7 @@ func (m *stepMachine) Step() {
 	case 4:
 		m.q.GetE(&m.ep, m.k)
 	case 5:
-		m.q.TryGet()
+		m.q.take()
 		m.wg.WaitE(&m.ep, m.k)
 	}
 	// Phase 6, joined: the step arms nothing and the process ends.
@@ -297,6 +313,7 @@ func TestStepAllocs(t *testing.T) {
 	for _, kind := range []string{"pointer", "StepFunc"} {
 		e := NewEngine(1)
 		m := &stepMachine{r: NewResource(e, "r", 1), q: NewQueue[int](e, "q")}
+		pre := &holder{r: m.r}
 		m.k = m
 		if kind == "StepFunc" {
 			m.k = StepFunc(func() { m.Step() })
@@ -304,7 +321,7 @@ func TestStepAllocs(t *testing.T) {
 		release, fire, put, done := m.r.Release, m.sig.Fire, func() { m.q.Put(1) }, m.wg.Done
 		round := func() {
 			m.phase = 0
-			m.r.TryAcquire()
+			pre.take()
 			m.wg.Add(1)
 			e.After(2, release)
 			e.After(3, fire)
@@ -358,7 +375,7 @@ func TestWaitBurstAllocs(t *testing.T) {
 			switch kind {
 			case "Resource":
 				r := NewResource(e, "r", 1)
-				b.block = func() { r.TryAcquire() }
+				b.block = (&holder{r: r}).take
 				b.release, b.wait, b.waitE, b.woken, b.list = r.Release, r.Acquire, r.AcquireE, r.Release, &r.waiters
 			case "Queue":
 				q := NewQueue[int](e, "q")
@@ -369,17 +386,17 @@ func TestWaitBurstAllocs(t *testing.T) {
 				}
 				b.wait, b.waitE, b.list = func(p *Proc) { q.Get(p) }, q.GetE, &q.getters
 				if form == "event" {
-					b.woken = func() { q.TryGet() }
+					b.woken = func() { q.take() }
 				}
 			case "Signal":
-				s := NewSignal(e)
+				s := new(Signal)
 				b.release, b.wait, b.waitE, b.list = s.Fire, s.Wait, s.WaitE, &s.waiters
 			case "WaitGroup":
 				var wg WaitGroup
 				b.block = func() { wg.Add(1) }
 				b.release, b.wait, b.waitE, b.list = wg.Done, wg.Wait, wg.WaitE, &wg.doneS.waiters
 			}
-			kick := NewSignal(e)
+			kick := new(Signal)
 			log := make([]int, 0, n)
 			eps := make([]*EventProc, n)
 			stop := false
@@ -451,7 +468,7 @@ func TestWaitBurstAllocs(t *testing.T) {
 // only, in either form.
 func TestSignalRewaitWaitsForNextFire(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := new(Signal)
 	var wakes []string
 	log := func(who string) { wakes = append(wakes, who+"@"+e.Now().String()) }
 	e.SpawnEvent("e", func(ep *EventProc) {
@@ -477,7 +494,7 @@ func TestSignalRewaitWaitsForNextFire(t *testing.T) {
 	if !reflect.DeepEqual(wakes, want) {
 		t.Errorf("wakes = %v, want %v", wakes, want)
 	}
-	if s.NumWaiters() != 0 || e.LiveProcs() != 0 {
-		t.Errorf("%d waiters, %d live procs after the second Fire; want 0, 0", s.NumWaiters(), e.LiveProcs())
+	if s.waiters.len() != 0 || e.LiveProcs() != 0 {
+		t.Errorf("%d waiters, %d live procs after the second Fire; want 0, 0", s.waiters.len(), e.LiveProcs())
 	}
 }

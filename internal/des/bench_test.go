@@ -145,7 +145,7 @@ func BenchmarkEventProcQueuePingPong(b *testing.B) {
 		i := 0
 		var step StepFunc
 		step = func() {
-			ba.TryGet()
+			ba.take()
 			i++
 			if i < b.N {
 				ab.Put(i)
@@ -158,7 +158,7 @@ func BenchmarkEventProcQueuePingPong(b *testing.B) {
 	e.SpawnEvent("b", func(ep *EventProc) {
 		var step StepFunc
 		step = func() {
-			ab.TryGet()
+			ab.take()
 			ba.Put(0)
 			ab.GetE(ep, step)
 		}

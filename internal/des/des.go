@@ -155,7 +155,6 @@ type Engine struct {
 	// is harmless.
 	switches   uint32
 	procs      int // live process count (both forms), for leak detection
-	nextPID    int
 	dispatched uint64
 	rng        *StreamRNG
 	tracehook  func(at Time, what string)
@@ -175,7 +174,7 @@ func NewEngine(seed int64) *Engine {
 var ErrLiveReset = errors.New("des: reset of an object in use")
 
 // Reset returns e to the state NewEngine(seed) gives: clock, sequence,
-// PID and dispatch counters at zero, no pending events, no trace hook,
+// dispatch counters at zero, no pending events, no trace hook,
 // and every named stream the RNG has handed out reseeded in place to
 // draw exactly what a fresh engine's stream of that name draws. Queued
 // events are dropped unfired and their slots freed into the event slab,

@@ -89,15 +89,11 @@ func TestAwaitStepBlockingCallPanics(t *testing.T) {
 		call       func(p *Proc)
 	}{
 		{"Wait", "from a step of the operation it awaits", func(p *Proc) { p.Wait(1) }},
-		{"Signal.Wait", "from a step of the operation it awaits", func(p *Proc) { NewSignal(p.Engine()).Wait(p) }},
+		{"Signal.Wait", "from a step of the operation it awaits", func(p *Proc) { new(Signal).Wait(p) }},
 		{"Queue.Get", "from a step of the operation it awaits", func(p *Proc) { NewQueue[int](p.Engine(), "q").Get(p) }},
-		{"Resource.Acquire", "from a step of the operation it awaits", func(p *Proc) {
-			r := NewResource(p.Engine(), "r", 1)
-			r.TryAcquire()
-			r.Acquire(p)
-		}},
+		{"Resource.Acquire", "from a step of the operation it awaits", func(p *Proc) { NewResource(p.Engine(), "r", 1).Acquire(p) }},
 		{"WaitGroup.Wait", "from a step of the operation it awaits", func(p *Proc) {
-			wg := NewWaitGroup(p.Engine())
+			wg := new(WaitGroup)
 			wg.Add(1)
 			wg.Wait(p)
 		}},
@@ -212,7 +208,7 @@ const (
 	opFire                    // Fire signal idx
 	opFork                    // spawn each of kids, join them on a WaitGroup
 	opAfter                   // After(d): a callback that spawns body as a proc
-	opSteal                   // a callback at d TryAcquires resource idx and holds a won unit for c
+	opSteal                   // an EventProc spawned at d acquires resource idx and holds the unit for c
 	opForkReAdd               // opFork whose WaitGroup a callback at c raises again for one more child, body
 	numOps
 )
@@ -323,7 +319,7 @@ func newGenWorld(prog genProgram, form genForm) *genWorld {
 		w.res = append(w.res, NewResource(w.e, "r", prog.capacity[i]))
 	}
 	for i := 0; i < prog.signals; i++ {
-		w.sigs = append(w.sigs, NewSignal(w.e))
+		w.sigs = append(w.sigs, new(Signal))
 	}
 	for i, ops := range prog.procs {
 		w.spawn(prog.starts[i], fmt.Sprintf("p%d", i), ops, nil)
@@ -400,7 +396,7 @@ func (w *genWorld) schedule(name string, i int, o genOp) {
 // callback raises the group again for one more child, which can land
 // after the count has reached zero but before the woken waiter runs.
 func (w *genWorld) fork(name string, i int, o genOp) *WaitGroup {
-	wg := NewWaitGroup(w.e)
+	wg := new(WaitGroup)
 	wg.Add(len(o.kids))
 	for k, kid := range o.kids {
 		w.spawn(0, fmt.Sprintf("%s.%d.%d", name, i, k), kid, wg)
@@ -416,19 +412,18 @@ func (w *genWorld) fork(name string, i int, o genOp) *WaitGroup {
 	return wg
 }
 
-// steal arms a callback that takes a unit of a resource without waiting,
-// the way a TryAcquire can slip in between a Release and the woken
-// waiter's dispatch, and holds a won unit for o.c.
+// steal spawns, after o.d, an EventProc in every form that acquires a
+// unit of a resource and holds it for o.c. Its same-time AcquireE can
+// take a unit between a Release and the woken waiter's dispatch, which
+// makes the waiter re-check and queue again.
 func (w *genWorld) steal(name string, i int, o genOp) {
 	child := fmt.Sprintf("%s.%d", name, i)
 	r := w.res[o.idx]
-	w.e.After(o.d, func() {
-		if !r.TryAcquire() {
-			w.logf(child, "miss")
-			return
-		}
-		w.logf(child, "steal")
-		w.e.After(o.c, r.Release)
+	w.e.SpawnEventAt(o.d, child, func(ep *EventProc) {
+		r.AcquireE(ep, StepFunc(func() {
+			w.logf(child, "steal")
+			ep.Wait(o.c, StepFunc(r.Release))
+		}))
 	})
 }
 
@@ -486,7 +481,7 @@ func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func())
 	case opGet:
 		q := w.queues[o.idx]
 		q.GetE(ep, StepFunc(func() {
-			q.TryGet()
+			q.take()
 			next()
 		}))
 	case opHold:
@@ -582,7 +577,7 @@ func TestGeneratedProgramsHorizonSplit(t *testing.T) {
 // operation's step, while the hosted EventProc is blocked, panics.
 func TestAwaitReentryPanics(t *testing.T) {
 	e := NewEngine(1)
-	sig := NewSignal(e)
+	sig := new(Signal)
 	var got any
 	e.Spawn("p", func(p *Proc) {
 		p.Await(func(ep *EventProc) {
@@ -601,16 +596,16 @@ func TestAwaitReentryPanics(t *testing.T) {
 	}
 }
 
-// TestAwaitHostedIdentity: the hosted EventProc has its proc's PID and
-// name and is not counted as a live process, and a synchronous operation
+// TestAwaitHostedIdentity: the hosted EventProc is the one the proc
+// embeds, has its name and is not counted as a live process, and a synchronous operation
 // (no blocking point armed) returns without yielding.
 func TestAwaitHostedIdentity(t *testing.T) {
 	e := NewEngine(1)
 	var live []int
 	e.Spawn("p", func(p *Proc) {
 		p.Await(func(ep *EventProc) {
-			if ep.PID() != p.PID() || ep.Name() != "p" {
-				t.Errorf("hosted EventProc is %s/%d, want p/%d", ep.Name(), ep.PID(), p.PID())
+			if ep != &p.ep || ep.Name() != "p" {
+				t.Errorf("hosted EventProc is %s at %p, want p at %p", ep.Name(), ep, &p.ep)
 			}
 			live = append(live, e.LiveProcs())
 		})

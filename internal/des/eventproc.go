@@ -53,7 +53,6 @@ func (f StepFunc) Step() { f() }
 //     forms.
 type EventProc struct {
 	eng *Engine
-	pid int
 	// name, followed by index when index >= 0, is the process name; it is
 	// formatted only when Name is called.
 	name  string
@@ -82,11 +81,11 @@ type EventProc struct {
 }
 
 // retrier is a primitive whose continuation-form wait re-checks its
-// condition on wake: Queue (a TryGet may have taken the item), Resource
-// (a TryAcquire may have taken the unit) and WaitGroup (an Add may have
-// raised the counter again). Keeping the primitive in a slot on the
-// EventProc, in place of a closure that calls back into it, makes a
-// contended wait allocation-free. The slot also holds the body of a
+// condition on wake: Queue and Resource (a same-time GetE or AcquireE of
+// another process may have taken the item or unit first) and WaitGroup
+// (an Add may have raised the counter again). Keeping the primitive in a
+// slot on the EventProc, in place of a closure that calls back into it,
+// makes a contended wait allocation-free. The slot also holds the body of a
 // process SpawnEvent started (spawnBody), which saves EventProc a field.
 type retrier interface {
 	retryE(ep *EventProc, k Step)
@@ -123,10 +122,10 @@ var ErrLiveRestart = errors.New("des: SpawnEventOn on a live event proc")
 // storage the caller owns, *ep, which it overwrites; the process's first
 // step is k. It suits state machines that embed an EventProc by value and
 // are their own continuation: a recycled machine restarts its process for
-// every use instead of allocating one each time. The process
-// gets the next PID and event slot, exactly as a spawn that allocates
-// does. It is named name, followed by index when index >= 0 (name "rank",
-// index 3 gives "rank3"); the name is formatted only when Name is called.
+// every use instead of allocating one each time. The process gets the
+// next event slot, exactly as a spawn that allocates does. It is named
+// name, followed by index when index >= 0 (name "rank", index 3 gives
+// "rank3"); the name is formatted only when Name is called.
 //
 // *ep may be restarted only once its previous process has ended, that is
 // after the step that ended it has returned: restarting a live process
@@ -144,8 +143,7 @@ func (e *Engine) SpawnEventOn(ep *EventProc, name string, index int, k Step) {
 // startEventProc makes *ep a new live process, due to take its first step
 // after delay d.
 func (e *Engine) startEventProc(ep *EventProc, d Time, name string, index int) {
-	*ep = EventProc{eng: e, pid: e.nextPID, name: name, index: int32(index), live: true}
-	e.nextPID++
+	*ep = EventProc{eng: e, name: name, index: int32(index), live: true}
 	e.procs++
 	e.scheduleEP(e.now+d, ep)
 }
@@ -224,6 +222,3 @@ func (ep *EventProc) Name() string {
 	}
 	return ep.name + strconv.Itoa(int(ep.index))
 }
-
-// PID returns the unique process id (shared sequence with goroutine Procs).
-func (ep *EventProc) PID() int { return ep.pid }

@@ -43,27 +43,24 @@ func ExampleEngine_After() {
 // execution form: each blocking point passes an explicit continuation, a
 // des.Step (here a des.StepFunc; a state machine is usually its own), and
 // a step that returns without arming one terminates the process.
-// Both forms coexist on one engine and share queues and resources; a
-// rank in this form costs one small struct plus a pooled event slot,
-// which is what makes million-rank simulations affordable.
+// Both forms coexist on one engine and share signals, queues and
+// resources; a rank in this form costs one small struct plus a pooled
+// event slot, which is what makes million-rank simulations affordable.
 func ExampleEngine_SpawnEvent() {
 	e := des.NewEngine(1)
-	q := des.NewQueue[string](e, "mailbox")
+	var ready des.Signal
 	e.SpawnEvent("producer", func(ep *des.EventProc) {
-		ep.Wait(3*des.Millisecond, des.StepFunc(func() {
-			q.Put("ping")
-		}))
+		ep.Wait(3*des.Millisecond, des.StepFunc(ready.Fire))
 	})
 	e.SpawnEvent("consumer", func(ep *des.EventProc) {
-		q.GetE(ep, des.StepFunc(func() {
-			msg, _ := q.TryGet()
-			fmt.Printf("%v got %q\n", ep.Now(), msg)
+		ready.WaitE(ep, des.StepFunc(func() {
+			fmt.Printf("%v ready\n", ep.Now())
 		}))
 	})
 	end := e.Run(des.MaxTime)
 	fmt.Printf("makespan %v\n", end)
 	// Output:
-	// 3ms got "ping"
+	// 3ms ready
 	// makespan 3ms
 }
 

@@ -6,7 +6,7 @@ import "fmt"
 // engine resumes it. All blocking primitives (Wait, Resource.Acquire,
 // Queue.Get, Signal.Wait) must be called from the process's own goroutine.
 //
-// A Proc hosts an EventProc, which carries its engine, PID and name.
+// A Proc hosts an EventProc, which carries its engine and name.
 // Every blocking primitive awaits its continuation form on it (see Await)
 // with a last step that does nothing, and Spawn schedules it with a first
 // step that does nothing, so a proc resumes only where a step of its
@@ -76,7 +76,7 @@ func (p *Proc) park() {
 // a spawned EventProc ends. Await panics if called from inside an awaited
 // operation's step.
 //
-// The hosted EventProc has the proc's PID and name and is not counted by
+// The hosted EventProc has the proc's name and is not counted by
 // LiveProcs. start runs on the proc's goroutine; every later step is an
 // ordinary continuation dispatch, run in place on whichever goroutine holds
 // the event loop, and only the step that completes the operation hands the
@@ -120,22 +120,16 @@ func (p *Proc) Now() Time { return p.ep.eng.now }
 // Name returns the process name given at Spawn or SpawnIndexed.
 func (p *Proc) Name() string { return p.ep.Name() }
 
-// PID returns the unique process id, shared with its hosted EventProc.
-func (p *Proc) PID() int { return p.ep.pid }
-
 // Wait advances simulated time by d for this process.
 func (p *Proc) Wait(d Time) { p.await(func(ep *EventProc) { ep.Wait(d, NoStep{}) }) }
 
 // Signal is a broadcast condition: processes wait on it and a later Fire
 // releases all current waiters. A Signal can be reused after firing.
 // Waiters of both execution forms share one list and are released in
-// strict arrival order.
+// strict arrival order. The zero value is ready to use.
 type Signal struct {
 	waiters waiterFIFO
 }
-
-// NewSignal creates a Signal for processes on engine e.
-func NewSignal(e *Engine) *Signal { return &Signal{} }
 
 // Wait blocks the calling process until the next Fire.
 func (s *Signal) Wait(p *Proc) { p.await(func(ep *EventProc) { s.WaitE(ep, NoStep{}) }) }
@@ -159,9 +153,6 @@ func (s *Signal) Fire() {
 	}
 }
 
-// NumWaiters reports how many processes are blocked on the signal.
-func (s *Signal) NumWaiters() int { return s.waiters.len() }
-
 // WaitGroup counts down to zero and then releases waiters, mirroring
 // sync.WaitGroup for simulated processes. The zero value is ready to use,
 // so a state machine can embed one and reuse it for every fan-out.
@@ -169,9 +160,6 @@ type WaitGroup struct {
 	n     int
 	doneS Signal
 }
-
-// NewWaitGroup creates a WaitGroup for processes on engine e.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{} }
 
 // Add increments the counter by delta.
 func (wg *WaitGroup) Add(delta int) {

@@ -55,9 +55,6 @@ type Queue[T any] struct {
 	n    int
 
 	getters waiterFIFO
-
-	puts    uint64
-	peakLen int
 }
 
 // NewQueue creates an empty queue bound to engine e.
@@ -78,10 +75,6 @@ func (q *Queue[T]) Put(v T) {
 	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
 	q.n++
-	q.puts++
-	if q.n > q.peakLen {
-		q.peakLen = q.n
-	}
 	if ep := q.getters.pop(); ep != nil {
 		ep.wakeNow()
 	}
@@ -93,13 +86,13 @@ func (q *Queue[T]) Get(p *Proc) T {
 	return q.take()
 }
 
-// GetE is the continuation form of Get: k runs once the queue holds an
-// item, synchronously when it already does, and takes it with TryGet,
-// which then always succeeds. Otherwise the process joins the getter
-// FIFO, and its wake re-checks the queue before k runs: a woken getter
-// that finds the queue emptied again (a TryGet raced it) re-enters at the
-// back. The re-check rides the EventProc's retry slot, so waiting
-// allocates nothing.
+// GetE is the continuation half of Get: k runs once the queue holds an
+// item, synchronously when it already does, and Get takes the item once k
+// has run. Otherwise the process joins the getter FIFO, and its wake
+// re-checks the queue before k runs: a woken getter that finds the queue
+// emptied again (a same-time GetE of another process took the item
+// first) re-enters at the back. The re-check rides the EventProc's retry
+// slot, so waiting allocates nothing.
 func (q *Queue[T]) GetE(ep *EventProc, k Step) {
 	if q.n > 0 {
 		k.Step()
@@ -112,15 +105,6 @@ func (q *Queue[T]) GetE(ep *EventProc, k Step) {
 // retryE re-runs a woken GetE.
 func (q *Queue[T]) retryE(ep *EventProc, k Step) { q.GetE(ep, k) }
 
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	if q.n == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.take(), true
-}
-
 func (q *Queue[T]) take() T {
 	v := q.buf[q.head]
 	var zero T
@@ -132,12 +116,6 @@ func (q *Queue[T]) take() T {
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
-
-// PeakLen reports the maximum observed queue length.
-func (q *Queue[T]) PeakLen() int { return q.peakLen }
-
-// Puts reports the total number of items ever enqueued.
-func (q *Queue[T]) Puts() uint64 { return q.puts }
 
 // Name returns the queue name.
 func (q *Queue[T]) Name() string { return q.name }

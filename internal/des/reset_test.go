@@ -14,15 +14,15 @@ import (
 func dirtyRun(e *Engine, r *Resource, horizon Time) string {
 	var b strings.Builder
 	e.SetTraceHook(func(at Time, what string) { fmt.Fprintf(&b, "%d ", at) })
-	sig := NewSignal(e)
+	sig := new(Signal)
 	for i := 0; i < 3; i++ {
 		e.SpawnIndexed("g", i, func(p *Proc) {
 			hold(p, r, Time(10+e.RNG().Stream("short").Int63n(5)))
-			fmt.Fprintf(&b, "g%d@%d ", p.PID(), p.Now())
+			fmt.Fprintf(&b, "%s@%d ", p.Name(), p.Now())
 			sig.Wait(p)
 		})
 		e.SpawnEvent("ev", func(ep *EventProc) {
-			holdE(ep, r, 7, StepFunc(func() { fmt.Fprintf(&b, "e%d@%d ", ep.PID(), ep.Now()) }))
+			holdE(ep, r, 7, StepFunc(func() { fmt.Fprintf(&b, "e%d@%d ", i, ep.Now()) }))
 		})
 	}
 	for i := 0; i < 300; i++ {
@@ -36,19 +36,19 @@ func dirtyRun(e *Engine, r *Resource, horizon Time) string {
 }
 
 // engineView is what a caller can observe of an engine and a resource on
-// it without running anything, plus draws from a stream the dirty run
-// used and one it never named.
+// it without running anything, with the units the resource holds, plus
+// draws from a stream the dirty run used and one it never named.
 func engineView(e *Engine, r *Resource) string {
-	return fmt.Sprintf("now=%d dispatched=%d live=%d pending=%d seed=%d short=%d long=%d fresh=%d | %s inUse=%d queue=%d peak=%d acq=%d util=%g",
+	return fmt.Sprintf("now=%d dispatched=%d live=%d pending=%d seed=%d short=%d long=%d fresh=%d | %s inUse=%d queue=%d peak=%d util=%g",
 		e.Now(), e.Dispatches(), e.LiveProcs(), e.Pending(), e.RNG().Seed(),
 		e.RNG().Stream("short").Int63(), e.RNG().Stream("long").Int63(), e.RNG().Stream("fresh").Int63(),
-		r.Name(), r.InUse(), r.QueueLen(), r.PeakQueueLen(), r.Acquisitions(), r.Utilization())
+		r.Name(), r.inUse, r.QueueLen(), r.PeakQueueLen(), r.Utilization())
 }
 
 // TestEngineResetMatchesFresh: an engine and resource that ran a dirty
 // workload, then were reset, look and behave exactly like fresh ones:
 // every accessor agrees, streams old and new draw the fresh sequences,
-// and the same workload gives the same trace, PIDs included.
+// and the same workload gives the same trace.
 func TestEngineResetMatchesFresh(t *testing.T) {
 	used := NewEngine(1)
 	ur := NewResource(used, "disk", 2)
@@ -91,7 +91,7 @@ func TestResetInUsePanics(t *testing.T) {
 	e.After(1, func() { wantLiveReset(t, "running engine", func() { e.Reset(2) }) })
 	e.Run(MaxTime)
 
-	sig := NewSignal(e)
+	sig := new(Signal)
 	e.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
 	e.SpawnEvent("stuck", func(ep *EventProc) { sig.WaitE(ep, StepFunc(func() {})) })
 	e.Run(MaxTime)
@@ -101,7 +101,8 @@ func TestResetInUsePanics(t *testing.T) {
 	e.Reset(2) // every process has ended
 
 	r := NewResource(e, "r", 1)
-	r.TryAcquire()
+	(&holder{r: r}).take()
+	e.Run(MaxTime)
 	wantLiveReset(t, "held resource", r.Reset)
 	e.SpawnEvent("waiter", func(ep *EventProc) { r.AcquireE(ep, StepFunc(r.Release)) })
 	e.Run(MaxTime)

@@ -25,7 +25,6 @@ type Resource struct {
 type resourceUsage struct {
 	busyTime   Time // integral of inUse over time, in unit-nanoseconds
 	lastChange Time
-	acquired   uint64 // total successful acquisitions
 	peakQueue  int
 }
 
@@ -79,9 +78,9 @@ func (r *Resource) Acquire(p *Proc) { p.await(func(ep *EventProc) { r.AcquireE(e
 
 // AcquireE is the continuation form of Acquire: when a unit is free, k
 // runs synchronously; otherwise the process joins the wait FIFO and
-// re-checks on wake, re-entering at the back if a TryAcquire raced it. A
-// contended wait keeps the resource in the EventProc's retry slot, so it
-// allocates nothing.
+// re-checks on wake, re-entering at the back if a same-time AcquireE of
+// another process took the unit first. A contended wait keeps the
+// resource in the EventProc's retry slot, so it allocates nothing.
 func (r *Resource) AcquireE(ep *EventProc, k Step) {
 	if r.inUse >= r.capacity {
 		ep.armRetry(r, k)
@@ -93,23 +92,11 @@ func (r *Resource) AcquireE(ep *EventProc, k Step) {
 	}
 	r.account()
 	r.inUse++
-	r.acquired++
 	k.Step()
 }
 
 // retryE re-runs a woken AcquireE.
 func (r *Resource) retryE(ep *EventProc, k Step) { r.AcquireE(ep, k) }
-
-// TryAcquire obtains a unit without blocking; it reports whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.account()
-	r.inUse++
-	r.acquired++
-	return true
-}
 
 // Release returns one unit and wakes the longest-waiting process, if any.
 func (r *Resource) Release() {
@@ -123,17 +110,11 @@ func (r *Resource) Release() {
 	}
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return int(r.inUse) }
-
 // QueueLen reports the number of processes waiting.
 func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // PeakQueueLen reports the maximum observed wait-queue length.
 func (r *Resource) PeakQueueLen() int { return r.peakQueue }
-
-// Acquisitions reports the total number of successful acquisitions.
-func (r *Resource) Acquisitions() uint64 { return r.acquired }
 
 // Utilization returns mean busy fraction of capacity over [0, now].
 func (r *Resource) Utilization() float64 {

@@ -82,13 +82,3 @@ func (r *StreamRNG) Uniform(stream string, lo, hi Time) Time {
 	}
 	return lo + Time(r.Stream(stream).Int63n(int64(hi-lo)))
 }
-
-// Normal draws a normally distributed duration (clamped at zero) from the
-// named stream.
-func (r *StreamRNG) Normal(stream string, mean, stddev Time) Time {
-	v := float64(mean) + r.Stream(stream).NormFloat64()*float64(stddev)
-	if v < 0 {
-		v = 0
-	}
-	return Time(v)
-}

@@ -9,15 +9,13 @@ import (
 	"pioeval/internal/leakcheck"
 )
 
-// TestProcSize pins Proc at 112 bytes, a size class of its own:
-// goroutine-form ranks keep one each. The hosted EventProc is part of it,
-// so a proc that blocks costs one 112-byte object where a 64-byte Proc
-// and an 88-byte EventProc allocated on its first Await cost 160 bytes in
-// two. The hosted EventProc's waiter-FIFO link took the 8 bytes the class
-// had left.
+// TestProcSize pins Proc at 104 bytes, which the allocator rounds up to
+// its 112-byte size class: goroutine-form ranks keep one each. The hosted
+// EventProc is part of it, so a proc that blocks costs one object where a
+// Proc and an EventProc allocated on its first Await would cost two.
 func TestProcSize(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n != 112 {
-		t.Errorf("Proc is %d bytes, want 112", n)
+	if n := unsafe.Sizeof(Proc{}); n != 104 {
+		t.Errorf("Proc is %d bytes, want 104", n)
 	}
 }
 

@@ -1,13 +1,12 @@
 // Package hdf simulates an HDF5-like hierarchical data library on top of
-// the MPI-IO layer: files hold groups and N-dimensional datasets; datasets
-// support hyperslab selection and optional chunked layout; dataset creation
-// and attribute writes produce the small metadata I/O that real HDF5 emits.
+// the MPI-IO layer: files hold N-dimensional datasets in their root group,
+// datasets support hyperslab selection, and file and dataset creation
+// produce the small metadata I/O that real HDF5 emits.
 // It is the top library tier of the paper's Figure 2.
 package hdf
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 
 	"pioeval/internal/des"
@@ -28,7 +27,6 @@ var (
 const (
 	superblockSize   = 2048
 	objectHeaderSize = 512
-	attributeSize    = 256
 )
 
 // File is an HDF container over one MPI-IO file, shared by all ranks.
@@ -38,7 +36,6 @@ type File struct {
 	mf  *mpiio.File
 	col *trace.Collector
 
-	objects  map[string]bool // groups
 	dsets    map[string]*Dataset
 	allocPtr int64
 	headers  int64 // next object-header offset
@@ -48,7 +45,6 @@ type File struct {
 func NewFile(mf *mpiio.File, col *trace.Collector) *File {
 	return &File{
 		mf: mf, col: col,
-		objects:  map[string]bool{"/": true},
 		dsets:    map[string]*Dataset{},
 		allocPtr: superblockSize + 1024*objectHeaderSize,
 		headers:  superblockSize,
@@ -87,59 +83,18 @@ func (f *File) emit(r *mpi.Rank, op, path string, off, size int64, start des.Tim
 	})
 }
 
-// CreateGroup collectively creates a group (rank 0 writes its header).
-func (f *File) CreateGroup(r *mpi.Rank, name string) error {
-	start := r.Now()
-	name = cleanName(name)
-	var err error
-	if r.ID() == 0 {
-		if f.objects[name] || f.dsets[name] != nil {
-			err = ErrExist
-		} else if !f.objects[parentName(name)] {
-			err = ErrNotExist
-		} else {
-			f.objects[name] = true
-			hdr := f.headers
-			f.headers += objectHeaderSize
-			err = f.mf.WriteAt(r, hdr, objectHeaderSize)
-		}
-	}
-	r.Barrier()
-	f.emit(r, "h5g_create", name, 0, 0, start)
-	return err
-}
-
 // Dataset is an N-dimensional array stored in the file.
 type Dataset struct {
 	f        *File
 	name     string
 	dims     []int64
 	elemSize int64
-	chunks   []int64 // nil = contiguous layout
-	offset   int64   // data region start
+	offset   int64 // data region start
 }
 
-// CreateDataset collectively creates a contiguous-layout dataset.
+// CreateDataset collectively creates a dataset in the root group, laid
+// out contiguously in row-major order.
 func (f *File) CreateDataset(r *mpi.Rank, name string, dims []int64, elemSize int64) (*Dataset, error) {
-	return f.createDataset(r, name, dims, elemSize, nil)
-}
-
-// CreateChunkedDataset collectively creates a dataset with chunked layout.
-// chunks must have the same rank as dims; chunk extents need not divide the
-// dims evenly.
-func (f *File) CreateChunkedDataset(r *mpi.Rank, name string, dims []int64, elemSize int64, chunks []int64) (*Dataset, error) {
-	if len(chunks) != len(dims) {
-		return nil, ErrDimension
-	}
-	for _, c := range chunks {
-		if c <= 0 {
-			return nil, ErrDimension
-		}
-	}
-	return f.createDataset(r, name, dims, elemSize, chunks)
-}
-
-func (f *File) createDataset(r *mpi.Rank, name string, dims []int64, elemSize int64, chunks []int64) (*Dataset, error) {
 	start := r.Now()
 	name = cleanName(name)
 	if len(dims) == 0 || elemSize <= 0 {
@@ -148,9 +103,9 @@ func (f *File) createDataset(r *mpi.Rank, name string, dims []int64, elemSize in
 	var err error
 	if r.ID() == 0 {
 		switch {
-		case f.objects[name] || f.dsets[name] != nil:
+		case name == "/" || f.dsets[name] != nil:
 			err = ErrExist
-		case !f.objects[parentName(name)]:
+		case parentName(name) != "/":
 			err = ErrNotExist
 		default:
 			total := elemSize
@@ -165,10 +120,6 @@ func (f *File) createDataset(r *mpi.Rank, name string, dims []int64, elemSize in
 					f: f, name: name,
 					dims: append([]int64(nil), dims...), elemSize: elemSize,
 					offset: f.allocPtr,
-				}
-				if chunks != nil {
-					ds.chunks = append([]int64(nil), chunks...)
-					total = ds.numChunks() * ds.chunkBytes()
 				}
 				f.allocPtr += total
 				f.dsets[name] = ds
@@ -190,60 +141,14 @@ func (f *File) createDataset(r *mpi.Rank, name string, dims []int64, elemSize in
 	return ds, nil
 }
 
-// OpenDataset returns an existing dataset (local operation; layout is
-// already cached file-wide).
-func (f *File) OpenDataset(name string) (*Dataset, error) {
-	ds := f.dsets[cleanName(name)]
-	if ds == nil {
-		return nil, ErrNotExist
-	}
-	return ds, nil
-}
-
-// WriteAttribute writes a small attribute on the named object (rank 0).
-func (f *File) WriteAttribute(r *mpi.Rank, object, attr string) error {
-	start := r.Now()
-	var err error
-	if r.ID() == 0 {
-		hdr := f.headers
-		f.headers += attributeSize
-		err = f.mf.WriteAt(r, hdr, attributeSize)
-	}
-	r.Barrier()
-	f.emit(r, "h5a_write", object+"@"+attr, 0, attributeSize, start)
-	return err
-}
-
 // Name returns the dataset's path name.
 func (ds *Dataset) Name() string { return ds.name }
 
 // Dims returns the dataset dimensions.
 func (ds *Dataset) Dims() []int64 { return append([]int64(nil), ds.dims...) }
 
-// Chunked reports whether the dataset uses chunked layout.
-func (ds *Dataset) Chunked() bool { return ds.chunks != nil }
-
-func (ds *Dataset) numChunks() int64 {
-	n := int64(1)
-	for i, d := range ds.dims {
-		n *= ceilDiv(d, ds.chunks[i])
-	}
-	return n
-}
-
-func (ds *Dataset) chunkBytes() int64 {
-	n := ds.elemSize
-	for _, c := range ds.chunks {
-		n *= c
-	}
-	return n
-}
-
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
-
 // SlabExtents computes the file extents of hyperslab [start, start+count)
-// in each dimension, honoring contiguous or chunked layout. Runs are
-// contiguous along the last dimension.
+// in each dimension. Runs are contiguous along the last dimension.
 func (ds *Dataset) SlabExtents(start, count []int64) ([]mpiio.Extent, error) {
 	n := len(ds.dims)
 	if len(start) != n || len(count) != n {
@@ -277,105 +182,48 @@ func (ds *Dataset) SlabExtents(start, count []int64) ([]mpiio.Extent, error) {
 	return out, nil
 }
 
-// rowExtents emits the extents of a single row run [lastStart, lastStart+lastCount)
-// with the prefix coordinates fixed from idx.
+// rowExtents emits the extent of a single row run [lastStart,
+// lastStart+lastCount) with the prefix coordinates fixed from idx.
 func (ds *Dataset) rowExtents(idx []int64, lastStart, lastCount int64, out *[]mpiio.Extent) {
 	n := len(ds.dims)
-	if ds.chunks == nil {
-		// Contiguous row-major.
-		lin := int64(0)
-		for d := 0; d < n-1; d++ {
-			lin = lin*ds.dims[d] + idx[d]
-		}
-		lin = lin*ds.dims[n-1] + lastStart
-		*out = append(*out, mpiio.Extent{
-			Off:  ds.offset + lin*ds.elemSize,
-			Size: lastCount * ds.elemSize,
-		})
-		return
+	lin := int64(0)
+	for d := 0; d < n-1; d++ {
+		lin = lin*ds.dims[d] + idx[d]
 	}
-	// Chunked: split the row run at chunk boundaries in the last dim.
-	cLast := ds.chunks[n-1]
-	pos := lastStart
-	endPos := lastStart + lastCount
-	for pos < endPos {
-		chunkEnd := (pos/cLast + 1) * cLast
-		if chunkEnd > endPos {
-			chunkEnd = endPos
-		}
-		runLen := chunkEnd - pos
-		// Chunk coordinates and linear chunk index.
-		chunkLin := int64(0)
-		for d := 0; d < n; d++ {
-			coord := idx[d]
-			if d == n-1 {
-				coord = pos
-			}
-			chunkLin = chunkLin*ceilDiv(ds.dims[d], ds.chunks[d]) + coord/ds.chunks[d]
-		}
-		// Local (within-chunk) row-major offset.
-		local := int64(0)
-		for d := 0; d < n; d++ {
-			coord := idx[d]
-			if d == n-1 {
-				coord = pos
-			}
-			local = local*ds.chunks[d] + coord%ds.chunks[d]
-		}
-		*out = append(*out, mpiio.Extent{
-			Off:  ds.offset + chunkLin*ds.chunkBytes() + local*ds.elemSize,
-			Size: runLen * ds.elemSize,
-		})
-		pos = chunkEnd
-	}
+	lin = lin*ds.dims[n-1] + lastStart
+	*out = append(*out, mpiio.Extent{
+		Off:  ds.offset + lin*ds.elemSize,
+		Size: lastCount * ds.elemSize,
+	})
 }
 
 // WriteSlab writes the hyperslab independently.
 func (ds *Dataset) WriteSlab(r *mpi.Rank, start, count []int64) error {
-	return ds.slabIO(r, start, count, true, false)
-}
-
-// ReadSlab reads the hyperslab independently.
-func (ds *Dataset) ReadSlab(r *mpi.Rank, start, count []int64) error {
-	return ds.slabIO(r, start, count, false, false)
+	return ds.writeSlab(r, start, count, false)
 }
 
 // WriteSlabAll writes the hyperslab with collective I/O.
 func (ds *Dataset) WriteSlabAll(r *mpi.Rank, start, count []int64) error {
-	return ds.slabIO(r, start, count, true, true)
+	return ds.writeSlab(r, start, count, true)
 }
 
-// ReadSlabAll reads the hyperslab with collective I/O.
-func (ds *Dataset) ReadSlabAll(r *mpi.Rank, start, count []int64) error {
-	return ds.slabIO(r, start, count, false, true)
-}
-
-func (ds *Dataset) slabIO(r *mpi.Rank, start, count []int64, write, collective bool) error {
+func (ds *Dataset) writeSlab(r *mpi.Rank, start, count []int64, collective bool) error {
 	t0 := r.Now()
 	exts, err := ds.SlabExtents(start, count)
 	if err != nil {
 		return err
 	}
-	switch {
-	case collective && write:
+	op := "h5d_write"
+	if collective {
+		op = "h5d_write_all"
 		err = ds.f.mf.WriteExtentsAll(r, exts)
-	case collective:
-		err = ds.f.mf.ReadExtentsAll(r, exts)
-	case write:
+	} else {
 		err = ds.f.mf.WriteExtents(r, exts)
-	default:
-		err = ds.f.mf.ReadExtents(r, exts)
 	}
 	var bytes int64
 	for _, e := range exts {
 		bytes += e.Size
 	}
-	op := map[[2]bool]string{
-		{true, true}:   "h5d_write_all",
-		{true, false}:  "h5d_write",
-		{false, true}:  "h5d_read_all",
-		{false, false}: "h5d_read",
-	}[[2]bool{write, collective}]
 	ds.f.emit(r, op, ds.name, 0, bytes, t0)
 	return err
 }
@@ -398,8 +246,3 @@ func parentName(name string) string {
 	}
 	return name[:i]
 }
-
-// Objects returns the number of groups plus datasets (for tests).
-func (f *File) Objects() int { return len(f.objects) + len(f.dsets) }
-
-var _ = fmt.Sprintf // keep fmt for future diagnostics

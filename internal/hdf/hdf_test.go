@@ -99,28 +99,10 @@ func TestSlabBoundsChecking(t *testing.T) {
 	}
 }
 
-func TestChunkedSlabExtents(t *testing.T) {
-	// 4x4 dataset, 2x2 chunks, elemSize 1. Chunks are laid out linearly:
-	// chunk (0,0) at 0, (0,1) at 4, (1,0) at 8, (1,1) at 12.
-	ds := &Dataset{dims: []int64{4, 4}, elemSize: 1, chunks: []int64{2, 2}, offset: 0}
-	// Row 1, cols 0..3 crosses two chunks.
-	exts, err := ds.SlabExtents([]int64{1, 0}, []int64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []mpiio.Extent{
-		{Off: 0*4 + 2, Size: 2}, // chunk (0,0), local row 1
-		{Off: 1*4 + 2, Size: 2}, // chunk (0,1), local row 1
-	}
-	if !reflect.DeepEqual(exts, want) {
-		t.Fatalf("chunked extents = %v, want %v", exts, want)
-	}
-}
-
 // Property: slab extents cover exactly count-product elements with no
-// overlap, in both contiguous and chunked layouts.
+// overlap.
 func TestPropSlabCoverage(t *testing.T) {
-	f := func(d0, d1, s0, s1, c0, c1, ch0, ch1 uint8, chunked bool) bool {
+	f := func(d0, d1, s0, s1, c0, c1 uint8) bool {
 		dims := []int64{int64(d0%6) + 1, int64(d1%6) + 1}
 		start := []int64{int64(s0) % dims[0], int64(s1) % dims[1]}
 		count := []int64{
@@ -128,9 +110,6 @@ func TestPropSlabCoverage(t *testing.T) {
 			int64(c1)%(dims[1]-start[1]) + 1,
 		}
 		ds := &Dataset{dims: dims, elemSize: 1, offset: 0}
-		if chunked {
-			ds.chunks = []int64{int64(ch0%4) + 1, int64(ch1%4) + 1}
-		}
 		exts, err := ds.SlabExtents(start, count)
 		if err != nil {
 			return false
@@ -192,59 +171,32 @@ func TestEndToEndLayeredWrite(t *testing.T) {
 	}
 }
 
+// TestGroupAndDatasetNamespace: datasets live in the root group, which
+// exists, and a name is created once.
 func TestGroupAndDatasetNamespace(t *testing.T) {
 	h := newHarness(2)
 	h.run(t, func(r *mpi.Rank) {
 		_ = h.hf.Create(r)
-		if err := h.hf.CreateGroup(r, "/g1"); err != nil {
-			t.Errorf("group: %v", err)
+		if _, err := h.hf.CreateDataset(r, "/", []int64{16}, 4); !errors.Is(err, ErrExist) && r.ID() == 0 {
+			t.Errorf("root group as dataset err = %v", err)
 		}
-		if err := h.hf.CreateGroup(r, "/g1"); !errors.Is(err, ErrExist) && r.ID() == 0 {
-			t.Errorf("dup group err = %v", err)
-		}
-		if err := h.hf.CreateGroup(r, "/nope/g2"); !errors.Is(err, ErrNotExist) && r.ID() == 0 {
-			t.Errorf("orphan group err = %v", err)
-		}
-		ds, err := h.hf.CreateDataset(r, "/g1/d", []int64{16}, 4)
+		ds, err := h.hf.CreateDataset(r, "d", []int64{16}, 4)
 		if err != nil {
 			t.Errorf("dataset: %v", err)
 		}
-		if ds != nil && ds.Name() != "/g1/d" {
+		if ds != nil && ds.Name() != "/d" {
 			t.Errorf("name = %q", ds.Name())
 		}
-		if _, err := h.hf.OpenDataset("/g1/d"); err != nil {
-			t.Errorf("open dataset: %v", err)
+		if _, err := h.hf.CreateDataset(r, "/d", []int64{16}, 4); !errors.Is(err, ErrExist) && r.ID() == 0 {
+			t.Errorf("dup dataset err = %v", err)
 		}
-		if _, err := h.hf.OpenDataset("/missing"); !errors.Is(err, ErrNotExist) {
-			t.Errorf("open missing = %v", err)
+		if _, err := h.hf.CreateDataset(r, "/nope/d", []int64{16}, 4); !errors.Is(err, ErrNotExist) && r.ID() == 0 {
+			t.Errorf("dataset outside the root group err = %v", err)
 		}
-		_ = h.hf.WriteAttribute(r, "/g1/d", "units")
 		_ = h.hf.Close(r)
 	})
-	if h.hf.Objects() != 3 { // "/", "/g1", "/g1/d"
-		t.Errorf("objects = %d, want 3", h.hf.Objects())
-	}
-}
-
-func TestChunkAlignedAccessFasterThanMisaligned(t *testing.T) {
-	// Chunk-aligned hyperslabs produce fewer, larger runs than slabs that
-	// cut across chunks — the standard HDF5 chunking advice.
-	dims := []int64{64, 64}
-	aligned := &Dataset{dims: dims, elemSize: 8, chunks: []int64{1, 64}, offset: 0}
-	crossing := &Dataset{dims: dims, elemSize: 8, chunks: []int64{64, 1}, offset: 0}
-	aExts, err := aligned.SlabExtents([]int64{0, 0}, []int64{1, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cExts, err := crossing.SlabExtents([]int64{0, 0}, []int64{1, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(aExts) != 1 {
-		t.Errorf("aligned slab runs = %d, want 1", len(aExts))
-	}
-	if len(cExts) != 64 {
-		t.Errorf("crossing slab runs = %d, want 64", len(cExts))
+	if len(h.hf.dsets) != 1 {
+		t.Errorf("%d datasets, want 1", len(h.hf.dsets))
 	}
 }
 
@@ -258,11 +210,8 @@ func TestDatasetValidation(t *testing.T) {
 		if _, err := h.hf.CreateDataset(r, "/d", []int64{4}, 0); !errors.Is(err, ErrDimension) {
 			t.Errorf("zero elem err = %v", err)
 		}
-		if _, err := h.hf.CreateChunkedDataset(r, "/d", []int64{4}, 8, []int64{2, 2}); !errors.Is(err, ErrDimension) {
-			t.Errorf("chunk rank err = %v", err)
-		}
-		if _, err := h.hf.CreateChunkedDataset(r, "/d", []int64{4}, 8, []int64{0}); !errors.Is(err, ErrDimension) {
-			t.Errorf("zero chunk err = %v", err)
+		if _, err := h.hf.CreateDataset(r, "/d", []int64{4, 0}, 8); !errors.Is(err, ErrDimension) {
+			t.Errorf("zero dim err = %v", err)
 		}
 		_ = h.hf.Close(r)
 	})
@@ -295,38 +244,6 @@ func TestIndependentVsCollectiveSlab(t *testing.T) {
 	want := int64(4 * 256 * 8)
 	if ind < want || coll < want {
 		t.Fatalf("bytes: ind=%d coll=%d, want >= %d", ind, coll, want)
-	}
-}
-
-func TestChunkedDatasetEndToEnd(t *testing.T) {
-	// Chunked 2D dataset written collectively by row-slabs: all payload
-	// bytes reach the OSTs and reads complete.
-	h := newHarness(4)
-	dims := []int64{8, 256}
-	h.run(t, func(r *mpi.Rank) {
-		_ = h.hf.Create(r)
-		ds, err := h.hf.CreateChunkedDataset(r, "/chunked", dims, 8, []int64{2, 64})
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if !ds.Chunked() {
-			t.Error("dataset should report chunked layout")
-		}
-		start := []int64{int64(r.ID()) * 2, 0}
-		count := []int64{2, 256}
-		if err := ds.WriteSlabAll(r, start, count); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		r.Barrier()
-		if err := ds.ReadSlab(r, start, count); err != nil {
-			t.Errorf("read: %v", err)
-		}
-		_ = h.hf.Close(r)
-	})
-	_, written := h.fs.TotalBytes()
-	if want := int64(8 * 256 * 8); written < want {
-		t.Errorf("OST bytes = %d, want >= %d", written, want)
 	}
 }
 

@@ -57,7 +57,7 @@ func RunOn(e *des.Engine, fs *pfs.FS, w *Workload, col *trace.Collector, pr *sto
 	var execErr error
 	var wg *des.WaitGroup
 	if pr != nil && pr.NeedsFinalize() {
-		wg = des.NewWaitGroup(e)
+		wg = new(des.WaitGroup)
 		wg.Add(w.Ranks)
 	}
 	world.Spawn(func(r *mpi.Rank) {

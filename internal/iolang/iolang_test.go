@@ -34,6 +34,24 @@ func ssdFS(e *des.Engine) *pfs.FS {
 	return pfs.New(e, cfg)
 }
 
+// readdir lists the paths in each of dirs on fs once a run has ended,
+// with Readdir on a client and proc of its own.
+func readdir(t *testing.T, e *des.Engine, fs *pfs.FS, dirs ...string) [][]string {
+	t.Helper()
+	c := fs.NewClient("lister")
+	out := make([][]string, len(dirs))
+	e.Spawn("lister", func(p *des.Proc) {
+		for i, dir := range dirs {
+			var err error
+			if out[i], err = c.Readdir(p, dir); err != nil {
+				t.Errorf("readdir %s: %v", dir, err)
+			}
+		}
+	})
+	e.Run(des.MaxTime)
+	return out
+}
+
 func TestLexUnits(t *testing.T) {
 	toks, err := lex("4MB 100ms 42 7KB 1s 3us 9ns 2GB 5B")
 	if err != nil {
@@ -164,8 +182,8 @@ func TestInterpretCheckpoint(t *testing.T) {
 	}
 	// Three per-iteration files exist.
 	files := 0
-	for _, p := range fs.Paths() {
-		if strings.HasPrefix(p, "/ckpt.") {
+	for _, path := range readdir(t, e, fs, "/")[0] {
+		if strings.HasPrefix(path, "/ckpt.") {
 			files++
 		}
 	}
@@ -318,8 +336,8 @@ workload "dirs" {
 		t.Errorf("MDS ops = %v", st.Ops)
 	}
 	// Namespace clean afterwards.
-	if n := len(fs.Paths()); n != 1 {
-		t.Errorf("paths = %v", fs.Paths())
+	if paths := readdir(t, e, fs, "/")[0]; len(paths) != 0 {
+		t.Errorf("root holds %v, want nothing", paths)
 	}
 	// Compile maps readdir to a stat op.
 	ops := Compile(w)

@@ -144,15 +144,6 @@ func Watch(fs *pfs.FS) *FSWatcher {
 // Events returns the collected metadata events.
 func (w *FSWatcher) Events() []FSEvent { return w.events }
 
-// CountByOp returns event counts keyed by operation.
-func (w *FSWatcher) CountByOp() map[string]int {
-	out := map[string]int{}
-	for _, ev := range w.events {
-		out[ev.Op]++
-	}
-	return out
-}
-
 // JobActivity describes one job's I/O interval for correlation.
 type JobActivity struct {
 	JobID   string

@@ -118,7 +118,7 @@ func TestFSWatcherEvents(t *testing.T) {
 	evs := w.Events()
 	wantOps := []string{"mkdir", "create", "unlink", "rmdir"}
 	if len(evs) != len(wantOps) {
-		t.Fatalf("events = %d (%v), want %d", len(evs), w.CountByOp(), len(wantOps))
+		t.Fatalf("events = %d (%v), want %d", len(evs), evs, len(wantOps))
 	}
 	for i, op := range wantOps {
 		if evs[i].Op != op {
@@ -127,10 +127,6 @@ func TestFSWatcherEvents(t *testing.T) {
 		if evs[i].Client != "c0" {
 			t.Errorf("event client = %s", evs[i].Client)
 		}
-	}
-	counts := w.CountByOp()
-	if counts["create"] != 1 || counts["mkdir"] != 1 {
-		t.Errorf("counts = %v", counts)
 	}
 	// Events are time-ordered.
 	for i := 1; i < len(evs); i++ {

@@ -11,11 +11,7 @@ import (
 // The collectives a generated program uses. colBarrier is a plain barrier.
 const (
 	colBarrier = iota
-	colBcast
-	colAllreduce
-	colReduce
 	colAllgather
-	colAlltoall
 	numCollectives
 )
 
@@ -57,20 +53,12 @@ func genBarrierProg(rng *rand.Rand) *barrierProg {
 }
 
 // cost is the wait a collective pays before its barrier, as the event form
-// spells it out: ceil(log2 P) rounds for a tree, P-1 steps for a ring,
-// which skips the wait at P=1.
+// spells it out: P-1 ring steps for Allgather, which skips the wait at P=1.
 func (pr *barrierProg) cost(i int) des.Time {
-	x := pr.opts.xferCost(pr.sizes[i])
-	switch pr.ops[i] {
-	case colBarrier:
+	if pr.ops[i] == colBarrier || pr.size == 1 {
 		return noWait
-	case colAllgather, colAlltoall:
-		if pr.size == 1 {
-			return noWait
-		}
-		return des.Time(pr.size-1) * x
 	}
-	return des.Time(ceilLog2(pr.size)) * x
+	return des.Time(pr.size-1) * pr.opts.xferCost(pr.sizes[i])
 }
 
 // runRank is the program on a goroutine rank, with the collectives called.
@@ -82,16 +70,8 @@ func (pr *barrierProg) runRank(r *Rank, out []des.Time) {
 		switch size := pr.sizes[i]; op {
 		case colBarrier:
 			r.Barrier()
-		case colBcast:
-			r.Bcast(0, size)
-		case colAllreduce:
-			r.Allreduce(size)
-		case colReduce:
-			r.Reduce(0, size)
 		case colAllgather:
 			r.Allgather(size)
-		case colAlltoall:
-			r.Alltoall(size)
 		}
 		out[i] = r.Now()
 	}
@@ -212,7 +192,7 @@ func TestBarrierAllocs(t *testing.T) {
 		t.Run(fmt.Sprintf("goroutine=%v", goroutine), func(t *testing.T) {
 			e := des.NewEngine(1)
 			w := NewWorld(e, 4, Options{Alpha: 100, BetaBps: 1e9})
-			kick := des.NewSignal(e)
+			kick := new(des.Signal)
 			stop := false
 			rounds := 0
 			if goroutine {
@@ -224,8 +204,7 @@ func TestBarrierAllocs(t *testing.T) {
 						}
 						r.Compute(des.Time(r.ID()) * 10)
 						r.Barrier()
-						r.Allreduce(64)
-						r.Alltoall(64)
+						r.Allgather(64)
 						if r.ID() == 0 {
 							rounds++
 						}

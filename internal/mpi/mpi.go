@@ -1,6 +1,7 @@
 // Package mpi simulates an MPI runtime on top of the discrete-event engine:
 // ranks are simulated processes, point-to-point messages pay a latency +
-// bandwidth (alpha-beta) cost, and collectives use logarithmic cost models.
+// bandwidth (alpha-beta) cost, the barrier pays a logarithmic cost and
+// Allgather a ring cost.
 // It is the middleware under the simulated MPI-IO layer (internal/mpiio)
 // and the vehicle for all multi-rank workloads.
 //
@@ -55,8 +56,7 @@ type World struct {
 	// eventBody is the body SpawnEvent runs on every event rank.
 	eventBody func(r *EventRank)
 
-	// Statistics.
-	msgs      uint64
+	// bytesSent is the total point-to-point payload.
 	bytesSent int64
 }
 
@@ -92,9 +92,6 @@ func (w *World) Engine() *des.Engine { return w.eng }
 
 // Options returns the cost-model options.
 func (w *World) Options() Options { return w.opts }
-
-// Messages reports total point-to-point messages sent.
-func (w *World) Messages() uint64 { return w.msgs }
 
 // BytesSent reports total point-to-point payload bytes.
 func (w *World) BytesSent() int64 { return w.bytesSent }
@@ -144,7 +141,6 @@ func (r *Rank) Send(dst, tag int, size int64) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	r.p.Wait(r.w.opts.xferCost(size))
-	r.w.msgs++
 	r.w.bytesSent += size
 	r.w.queue(chanKey{r.id, dst, tag}).Put(Message{Src: r.id, Tag: tag, Size: size})
 }
@@ -157,44 +153,20 @@ func (r *Rank) Recv(src, tag int) Message {
 	return r.w.queue(chanKey{src, r.id, tag}).Get(r.p)
 }
 
-// Sendrecv exchanges messages with a partner without deadlocking: the send
-// completes, then the receive blocks.
-func (r *Rank) Sendrecv(dst, sendTag int, size int64, src, recvTag int) Message {
-	r.Send(dst, sendTag, size)
-	return r.Recv(src, recvTag)
-}
-
 // Barrier synchronizes all ranks; the cost model adds a log2(P) latency
 // term to the release.
 func (r *Rank) Barrier() { r.await(noWait) }
 
-// Bcast models a binomial-tree broadcast of size bytes from root. Every
-// rank blocks for the modeled completion cost; no payload is exchanged.
-func (r *Rank) Bcast(root int, size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
-
-// Allreduce models a recursive-doubling allreduce over size bytes.
-func (r *Rank) Allreduce(size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
-
-// Reduce models a binomial-tree reduction to root.
-func (r *Rank) Reduce(root int, size int64) { r.await(r.cost(ceilLog2(r.w.size), size)) }
-
 // Allgather models gathering size bytes from every rank to every rank
-// (ring algorithm: P-1 steps of size bytes).
-func (r *Rank) Allgather(size int64) { r.await(r.ringCost(size)) }
-
-// Alltoall models a pairwise exchange of size bytes with every other rank.
-func (r *Rank) Alltoall(size int64) { r.await(r.ringCost(size)) }
-
-// cost is the time of n rounds of size bytes each.
-func (r *Rank) cost(n int, size int64) des.Time { return des.Time(n) * r.w.opts.xferCost(size) }
-
-// ringCost is the time of the P-1 ring steps, and noWait at P=1, where
-// the tree collectives still wait zero.
-func (r *Rank) ringCost(size int64) des.Time {
-	if r.w.size == 1 {
-		return noWait
+// (ring algorithm: P-1 steps of size bytes). Every rank blocks for the
+// modeled completion cost, then synchronizes as Barrier does; no payload
+// is exchanged.
+func (r *Rank) Allgather(size int64) {
+	d := noWait // no ring steps at P=1
+	if r.w.size > 1 {
+		d = des.Time(r.w.size-1) * r.w.opts.xferCost(size)
 	}
-	return r.cost(r.w.size-1, size)
+	r.await(d)
 }
 
 // await runs the barrier machine as one awaited operation, after a wait of

@@ -20,11 +20,8 @@ type Hints struct {
 	// CollNodes is the number of aggregator ranks for collective I/O
 	// (cb_nodes). 0 selects max(1, P/4).
 	CollNodes int
-	// DataSieving enables read-modify-write style sieving for strided
-	// independent access.
-	DataSieving bool
-	// SieveHoleThreshold is the largest gap (bytes) that sieving will
-	// read through rather than splitting the request.
+	// SieveHoleThreshold is the largest gap (bytes) that a collective
+	// aggregator reads or writes through rather than splitting its access.
 	SieveHoleThreshold int64
 }
 
@@ -128,15 +125,14 @@ type File struct {
 	collReqs  [][]Extent
 	collGen   int
 	collCount int
-	collSig   *des.Signal
+	collSig   des.Signal
 	doneCount int
 	doneGen   int
-	doneSig   *des.Signal
+	doneSig   des.Signal
 
 	// Statistics.
 	IndependentOps uint64
 	CollectiveOps  uint64
-	SievedReads    uint64
 }
 
 // NewFile prepares an MPI-IO file over path. envs must hold one POSIX
@@ -149,8 +145,6 @@ func NewFile(w *mpi.World, envs []*posixio.Env, path string, hints Hints, col *t
 		world: w, path: path, hints: hints.withDefaults(w.Size()), col: col,
 		envs: envs, fds: make([]int, w.Size()), views: make([]View, w.Size()),
 		collReqs: make([][]Extent, w.Size()),
-		collSig:  des.NewSignal(w.Engine()),
-		doneSig:  des.NewSignal(w.Engine()),
 	}
 	for i := range f.views {
 		f.views[i] = contiguousView()
@@ -215,62 +209,6 @@ func (f *File) WriteAt(r *mpi.Rank, off, size int64) error {
 	return err
 }
 
-// ReadAt reads size bytes at absolute offset off, independently.
-func (f *File) ReadAt(r *mpi.Rank, off, size int64) error {
-	start := r.Now()
-	_, err := f.envs[r.ID()].Pread(r.Proc(), f.fds[r.ID()], off, size)
-	f.IndependentOps++
-	f.emit(r, "mpi_file_read_at", off, size, start)
-	return err
-}
-
-// WriteView writes elems elements under the rank's view, independently
-// (one POSIX op per extent, or sieved when hints enable it — sieving a
-// write degenerates to per-extent writes since we cannot read-modify-write
-// remote data cheaply, matching ROMIO's default).
-func (f *File) WriteView(r *mpi.Rank, elems int64) error {
-	if elems <= 0 {
-		return nil
-	}
-	start := r.Now()
-	exts := f.views[r.ID()].Extents(r.ID(), r.Size(), elems)
-	env, fd := f.envs[r.ID()], f.fds[r.ID()]
-	for _, e := range exts {
-		if _, err := env.Pwrite(r.Proc(), fd, e.Off, e.Size); err != nil {
-			return err
-		}
-	}
-	f.IndependentOps++
-	f.emit(r, "mpi_file_write", exts[0].Off, elems*f.views[r.ID()].ElemSize, start)
-	return nil
-}
-
-// ReadView reads elems elements under the rank's view, independently,
-// applying data sieving when enabled.
-func (f *File) ReadView(r *mpi.Rank, elems int64) error {
-	if elems <= 0 {
-		return nil
-	}
-	start := r.Now()
-	exts := f.views[r.ID()].Extents(r.ID(), r.Size(), elems)
-	env, fd := f.envs[r.ID()], f.fds[r.ID()]
-	if f.hints.DataSieving {
-		merged := MergeExtents(exts, f.hints.SieveHoleThreshold)
-		if len(merged) < len(exts) {
-			f.SievedReads++
-		}
-		exts = merged
-	}
-	for _, e := range exts {
-		if _, err := env.Pread(r.Proc(), fd, e.Off, e.Size); err != nil {
-			return err
-		}
-	}
-	f.IndependentOps++
-	f.emit(r, "mpi_file_read", exts[0].Off, elems*f.views[r.ID()].ElemSize, start)
-	return nil
-}
-
 // WriteViewAll writes elems elements under the rank's view using two-phase
 // collective buffering.
 func (f *File) WriteViewAll(r *mpi.Rank, elems int64) error {
@@ -290,11 +228,6 @@ func (f *File) WriteExtentsAll(r *mpi.Rank, exts []Extent) error {
 	return f.collective(r, exts, true)
 }
 
-// ReadExtentsAll collectively reads an arbitrary per-rank extent list.
-func (f *File) ReadExtentsAll(r *mpi.Rank, exts []Extent) error {
-	return f.collective(r, exts, false)
-}
-
 // WriteExtents independently writes an extent list.
 func (f *File) WriteExtents(r *mpi.Rank, exts []Extent) error {
 	start := r.Now()
@@ -311,42 +244,6 @@ func (f *File) WriteExtents(r *mpi.Rank, exts []Extent) error {
 		f.emit(r, "mpi_file_write", exts[0].Off, total, start)
 	}
 	return nil
-}
-
-// ReadExtents independently reads an extent list, applying sieving when
-// enabled.
-func (f *File) ReadExtents(r *mpi.Rank, exts []Extent) error {
-	start := r.Now()
-	if f.hints.DataSieving {
-		merged := MergeExtents(exts, f.hints.SieveHoleThreshold)
-		if len(merged) < len(exts) {
-			f.SievedReads++
-		}
-		exts = merged
-	}
-	env, fd := f.envs[r.ID()], f.fds[r.ID()]
-	var total int64
-	for _, e := range exts {
-		if _, err := env.Pread(r.Proc(), fd, e.Off, e.Size); err != nil {
-			return err
-		}
-		total += e.Size
-	}
-	f.IndependentOps++
-	if len(exts) > 0 {
-		f.emit(r, "mpi_file_read", exts[0].Off, total, start)
-	}
-	return nil
-}
-
-// WriteAtAll is a collective write of a contiguous per-rank range.
-func (f *File) WriteAtAll(r *mpi.Rank, off, size int64) error {
-	return f.collective(r, []Extent{{off, size}}, true)
-}
-
-// ReadAtAll is a collective read of a contiguous per-rank range.
-func (f *File) ReadAtAll(r *mpi.Rank, off, size int64) error {
-	return f.collective(r, []Extent{{off, size}}, false)
 }
 
 // aggDomain splits [lo,hi) into n contiguous domains; returns domain i.
@@ -384,7 +281,7 @@ func (f *File) collective(r *mpi.Rank, exts []Extent, write bool) error {
 	// Phase 0: deposit requests, metadata allgather cost, rendezvous.
 	f.collReqs[r.ID()] = exts
 	r.Allgather(int64(len(exts)) * 16)
-	f.rendezvous(r, &f.collCount, &f.collGen, f.collSig)
+	f.rendezvous(r, &f.collCount, &f.collGen, &f.collSig)
 
 	// All ranks now see all requests. Compute the global file domain.
 	lo, hi := int64(1<<62), int64(-1)
@@ -403,7 +300,7 @@ func (f *File) collective(r *mpi.Rank, exts []Extent, write bool) error {
 	}
 	if hi < 0 {
 		// Nothing to do anywhere.
-		f.rendezvous(r, &f.doneCount, &f.doneGen, f.doneSig)
+		f.rendezvous(r, &f.doneCount, &f.doneGen, &f.doneSig)
 		return nil
 	}
 	nAgg := f.hints.CollNodes
@@ -477,7 +374,7 @@ func (f *File) collective(r *mpi.Rank, exts []Extent, write bool) error {
 	}
 
 	// Completion rendezvous before anyone reuses the request slots.
-	f.rendezvous(r, &f.doneCount, &f.doneGen, f.doneSig)
+	f.rendezvous(r, &f.doneCount, &f.doneGen, &f.doneSig)
 	f.CollectiveOps++
 	op := "mpi_file_read_all"
 	if write {

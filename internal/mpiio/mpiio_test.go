@@ -180,6 +180,8 @@ func TestHintsDefaults(t *testing.T) {
 	}
 }
 
+// TestIndependentWriteRead writes independently with WriteAt; the file
+// has no independent read, so the bytes are read back collectively.
 func TestIndependentWriteRead(t *testing.T) {
 	h := newHarness(4, nil)
 	f := NewFile(h.w, h.envs, "/shared", Hints{}, h.col)
@@ -193,7 +195,8 @@ func TestIndependentWriteRead(t *testing.T) {
 			t.Errorf("write: %v", err)
 		}
 		r.Barrier()
-		if err := f.ReadAt(r, off, 1<<20); err != nil {
+		f.SetView(r, View{ElemSize: 1 << 20, BlockElems: 1})
+		if err := f.ReadViewAll(r, 1); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if err := f.Close(r); err != nil {
@@ -275,7 +278,7 @@ func TestCollectiveBeatsIndependentOnStridedSmallBlocks(t *testing.T) {
 			if collective {
 				_ = f.WriteViewAll(r, elems)
 			} else {
-				_ = f.WriteView(r, elems)
+				_ = f.WriteExtents(r, v.Extents(r.ID(), r.Size(), elems))
 			}
 			_ = f.Close(r)
 		})
@@ -289,41 +292,12 @@ func TestCollectiveBeatsIndependentOnStridedSmallBlocks(t *testing.T) {
 	}
 }
 
-func TestDataSievingReducesOps(t *testing.T) {
-	v := View{ElemSize: 512, BlockElems: 1}
-	elems := int64(256)
-	runMode := func(sieve bool) (des.Time, uint64) {
-		h := newHarness(4, func() blockdev.Model { return blockdev.DefaultHDD() })
-		f := NewFile(h.w, h.envs, "/f", Hints{DataSieving: sieve, SieveHoleThreshold: 1 << 20}, h.col)
-		end := h.run(t, func(r *mpi.Rank) {
-			_ = f.Open(r)
-			f.SetView(r, v)
-			_ = f.WriteViewAll(r, elems) // populate
-			r.Barrier()
-			_ = f.ReadView(r, elems)
-			_ = f.Close(r)
-		})
-		return end, f.SievedReads
-	}
-	plainT, plainSieved := runMode(false)
-	sieveT, sieved := runMode(true)
-	if plainSieved != 0 {
-		t.Error("sieving counted while disabled")
-	}
-	if sieved == 0 {
-		t.Error("sieving should have coalesced reads")
-	}
-	if sieveT >= plainT {
-		t.Fatalf("sieved reads (%v) should beat per-piece reads (%v)", sieveT, plainT)
-	}
-}
-
 func TestCollectiveTraceEmitted(t *testing.T) {
 	h := newHarness(4, nil)
 	f := NewFile(h.w, h.envs, "/f", Hints{}, h.col)
 	h.run(t, func(r *mpi.Rank) {
 		_ = f.Open(r)
-		_ = f.WriteAtAll(r, int64(r.ID())*4096, 4096)
+		_ = f.WriteExtentsAll(r, []Extent{{Off: int64(r.ID()) * 4096, Size: 4096}})
 		_ = f.Close(r)
 	})
 	mpiioRecs := trace.ByLayer(h.col.Records(), trace.LayerMPIIO)
@@ -361,7 +335,7 @@ func TestZeroSizeCollective(t *testing.T) {
 	f := NewFile(h.w, h.envs, "/f", Hints{}, h.col)
 	h.run(t, func(r *mpi.Rank) {
 		_ = f.Open(r)
-		_ = f.WriteAtAll(r, 0, 0)
+		_ = f.WriteExtentsAll(r, []Extent{{Off: 0, Size: 0}})
 		_ = f.Close(r)
 	})
 }
@@ -385,7 +359,7 @@ func TestPropCollectiveIndependentByteEquality(t *testing.T) {
 				if collective {
 					_ = f.WriteViewAll(r, elems)
 				} else {
-					_ = f.WriteView(r, elems)
+					_ = f.WriteExtents(r, v.Extents(r.ID(), r.Size(), elems))
 				}
 				_ = f.Close(r)
 			})

@@ -16,13 +16,17 @@ func transferAllocs(t *testing.T, dsts ...string) float64 {
 	e := des.NewEngine(1)
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, MTU: 4096})
 	a := f.AddNode("a")
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
+	done := -len(dsts) // the first wait on kick is no transfer's completion
 	for _, name := range dsts {
 		dst := f.AddNode(name)
 		var ep *des.EventProc
 		var stepF, doneF des.StepFunc
 		stepF = func() { f.TransferE(ep, a, dst, 10_000, doneF) }
-		doneF = func() { kick.WaitE(ep, stepF) }
+		doneF = func() {
+			done++
+			kick.WaitE(ep, stepF)
+		}
 		e.SpawnEvent(name, func(p *des.EventProc) {
 			ep = p
 			doneF()
@@ -35,8 +39,8 @@ func transferAllocs(t *testing.T, dsts ...string) float64 {
 	e.Run(des.MaxTime)
 	round()
 	allocs := testing.AllocsPerRun(50, round)
-	if want := uint64(52 * len(dsts)); f.Messages() != want {
-		t.Fatalf("%d transfers, want %d", f.Messages(), want)
+	if want := 52 * len(dsts); done != want {
+		t.Fatalf("%d transfers, want %d", done, want)
 	}
 	return allocs
 }
@@ -58,27 +62,30 @@ func TestTransferFreeListBounded(t *testing.T) {
 	e := des.NewEngine(1)
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a, b := f.AddNode("a"), f.AddNode("b")
+	done := 0
+	count := des.StepFunc(func() { done++ })
 	for i := 0; i < 10_000; i++ {
-		e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 1000, nop) })
+		e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 1000, count) })
 	}
 	e.Run(des.MaxTime)
-	if f.Messages() != 10_000 {
-		t.Fatalf("%d transfers, want 10000", f.Messages())
+	if done != 10_000 {
+		t.Fatalf("%d transfers, want 10000", done)
 	}
 	if n := f.xfers.Len(); n == 0 || n > maxFreeTransfers {
 		t.Errorf("free list holds %d transfers after the burst, want 1..%d", n, maxFreeTransfers)
 	}
 }
 
-// TestTransferAllocs pins goroutine-form Transfer, which awaits TransferE
-// on the proc's hosted EventProc, at zero allocations in steady state,
+// TestTransferAllocs pins a goroutine-form transfer, a proc awaiting
+// TransferE on its hosted EventProc, at zero allocations in steady state,
 // with two transfers queued on one sender link.
 func TestTransferAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, MTU: 4096})
 	a := f.AddNode("a")
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	stop := false
+	done := 0
 	for _, name := range []string{"b", "c"} {
 		dst := f.AddNode(name)
 		e.Spawn(name, func(p *des.Proc) {
@@ -87,7 +94,8 @@ func TestTransferAllocs(t *testing.T) {
 				if stop {
 					return
 				}
-				f.Transfer(p, a, dst, 10_000)
+				transfer(p, f, a, dst, 10_000)
+				done++
 			}
 		})
 	}
@@ -101,10 +109,10 @@ func TestTransferAllocs(t *testing.T) {
 	stop = true
 	round()
 	if n != 0 {
-		t.Errorf("contended Transfer: %v allocs per round, want 0", n)
+		t.Errorf("contended transfer: %v allocs per round, want 0", n)
 	}
-	if f.Messages() != 104 || e.LiveProcs() != 0 {
-		t.Fatalf("%d transfers, %d live procs; want 104, 0", f.Messages(), e.LiveProcs())
+	if done != 104 || e.LiveProcs() != 0 {
+		t.Fatalf("%d transfers, %d live procs; want 104, 0", done, e.LiveProcs())
 	}
 }
 

@@ -77,20 +77,12 @@ type Fabric struct {
 	backplane des.Resource // in use when cfg.BackplaneBandwidth > 0
 	// inName and outName name a node's links <fabric>.<node>.in and .out.
 	inName, outName des.NameAffix
-	fabricState
+	// degradation >= 1 multiplies latency and serialization times
+	// (fault injection: failing links, congested uplinks); 0 is nominal.
+	degradation float64
 
 	// xfers recycles TransferE state machines (see transferE).
 	xfers des.FreeList[transferE, *transferE]
-}
-
-// fabricState is the part of a Fabric a run changes, which Reset zeroes.
-type fabricState struct {
-	bytesMoved int64
-	messages   uint64
-
-	// degradation >= 1 multiplies latency and serialization times
-	// (fault injection: failing links, congested uplinks).
-	degradation float64
 }
 
 // Node is one endpoint of a fabric, returned by AddNode: a NIC with an
@@ -126,10 +118,10 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 // Reset returns f to its state just after NewFabric followed by AddNode
 // for each node of keep, which must be f's own: every other node is
 // dropped, the kept nodes' links and the backplane are idle with zeroed
-// accounting (des.Resource.Reset), the traffic counters are zero and the
-// degradation is nominal. The kept handles stay valid, and the free
-// transfer state stays warm. NewFabric calls Reset too, so a fresh and a
-// reset fabric are initialized by the same code. Reset f together with
+// accounting (des.Resource.Reset), and the degradation is nominal. The
+// kept handles stay valid, and the free transfer state stays warm.
+// NewFabric calls Reset too, so a fresh and a reset fabric are
+// initialized by the same code. Reset f together with
 // its engine; it panics with des.ErrLiveReset while a kept link is held.
 func (f *Fabric) Reset(keep []*Node) {
 	clear(f.nodes)
@@ -142,7 +134,7 @@ func (f *Fabric) Reset(keep []*Node) {
 		f.nodes[n.name] = n
 	}
 	f.backplane.Reset()
-	f.fabricState = fabricState{}
+	f.degradation = 0
 }
 
 // AddNode registers a new endpoint and returns its handle; it panics on
@@ -178,14 +170,6 @@ func (f *Fabric) SetDegradation(factor float64) error {
 	return nil
 }
 
-// Degradation returns the current link degradation factor (1 = nominal).
-func (f *Fabric) Degradation() float64 {
-	if f.degradation < 1 {
-		return 1
-	}
-	return f.degradation
-}
-
 // scaled applies the degradation factor to a duration.
 func (f *Fabric) scaled(t des.Time) des.Time {
 	if f.degradation > 1 {
@@ -194,8 +178,8 @@ func (f *Fabric) scaled(t des.Time) des.Time {
 	return t
 }
 
-// begin validates a transfer and counts it; it reports the chunk size the
-// message serializes in.
+// begin validates a transfer; it reports the chunk size the message
+// serializes in.
 func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
 	if size < 0 {
 		panic("netsim: negative transfer size")
@@ -206,25 +190,12 @@ func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
 	if dst == nil || dst.fab != f {
 		panic(fmt.Sprintf("netsim: %s: dst is not a node of this fabric", f.cfg.Name))
 	}
-	f.messages++
-	f.bytesMoved += size
 	chunk = f.cfg.MTU
 	if chunk <= 0 || chunk > size {
 		chunk = size
 	}
 	return chunk
 }
-
-// Transfer moves size bytes from src to dst in simulated time, blocking the
-// calling process for the full transfer duration (latency + serialization
-// with queueing on both links and the backplane). It awaits TransferE.
-func (f *Fabric) Transfer(p *des.Proc, src, dst *Node, size int64) {
-	p.Await(func(ep *des.EventProc) { f.TransferE(ep, src, dst, size, nop) })
-}
-
-// nop is the completion of an awaited operation: the awaiting proc
-// resumes once the operation's last step returns.
-var nop = des.StepFunc(func() {})
 
 // maxFreeTransfers caps a fabric's TransferE free list. A burst of
 // concurrent transfers (every rank of a shard queued at one NIC) frees far
@@ -328,22 +299,4 @@ func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k des.
 	t.f, t.ep, t.s, t.d, t.remain, t.chunk, t.k = f, ep, src, dst, size, chunk, k
 	t.phase = xfChunk
 	ep.Wait(f.scaled(f.cfg.Latency), t)
-}
-
-// RTT returns the zero-payload round-trip time estimate (2x latency).
-func (f *Fabric) RTT() des.Time { return 2 * f.cfg.Latency }
-
-// BytesMoved reports total payload bytes transferred so far.
-func (f *Fabric) BytesMoved() int64 { return f.bytesMoved }
-
-// Messages reports total transfers so far.
-func (f *Fabric) Messages() uint64 { return f.messages }
-
-// LinkUtilization returns the send-link utilization of node name in [0,1].
-func (f *Fabric) LinkUtilization(name string) float64 {
-	n, ok := f.nodes[name]
-	if !ok {
-		return 0
-	}
-	return n.out.Utilization()
 }

@@ -15,6 +15,16 @@ func twoNodeFabric(cfg Config, seed int64) (*des.Engine, *Fabric) {
 	return e, f
 }
 
+// nop is the completion of a transfer a proc awaits.
+var nop = des.StepFunc(func() {})
+
+// transfer moves size bytes from src to dst on f, blocking p for the
+// whole transfer: a goroutine proc awaits TransferE on its hosted
+// EventProc, as the pfs client does.
+func transfer(p *des.Proc, f *Fabric, src, dst *Node, size int64) {
+	p.Await(func(ep *des.EventProc) { f.TransferE(ep, src, dst, size, nop) })
+}
+
 // node looks up a node handle by name; nil when there is none.
 func node(f *Fabric, name string) *Node {
 	n, _ := f.Node(name)
@@ -26,16 +36,13 @@ func TestTransferTimeBasic(t *testing.T) {
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, node(f, "a"), node(f, "b"), 1_000_000) // 1 MB at 1 GB/s = 1 ms
+		transfer(p, f, node(f, "a"), node(f, "b"), 1_000_000) // 1 MB at 1 GB/s = 1 ms
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
 	want := 10*des.Microsecond + 1*des.Millisecond
 	if done != want {
 		t.Fatalf("transfer completed at %v, want %v", done, want)
-	}
-	if f.BytesMoved() != 1_000_000 || f.Messages() != 1 {
-		t.Errorf("stats = %d bytes %d msgs", f.BytesMoved(), f.Messages())
 	}
 }
 
@@ -50,7 +57,7 @@ func TestTransferContentionOnSenderLink(t *testing.T) {
 	for _, dst := range []string{"b", "c"} {
 		dst := dst
 		e.Spawn("x", func(p *des.Proc) {
-			f.Transfer(p, node(f, "a"), node(f, dst), 1_000_000)
+			transfer(p, f, node(f, "a"), node(f, dst), 1_000_000)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -79,7 +86,7 @@ func TestBackplaneCap(t *testing.T) {
 	for _, pr := range pairs {
 		pr := pr
 		e.Spawn("x", func(p *des.Proc) {
-			f.Transfer(p, node(f, pr[0]), node(f, pr[1]), 1_000_000)
+			transfer(p, f, node(f, pr[0]), node(f, pr[1]), 1_000_000)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -95,7 +102,7 @@ func TestLoopback(t *testing.T) {
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, node(f, "a"), node(f, "a"), 1<<30)
+		transfer(p, f, node(f, "a"), node(f, "a"), 1<<30)
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
@@ -109,7 +116,7 @@ func TestMTUPipelineStillMovesAllBytes(t *testing.T) {
 	e, f := twoNodeFabric(cfg, 1)
 	var done des.Time
 	e.Spawn("x", func(p *des.Proc) {
-		f.Transfer(p, node(f, "a"), node(f, "b"), 1_000_000)
+		transfer(p, f, node(f, "a"), node(f, "b"), 1_000_000)
 		done = p.Now()
 	})
 	e.Run(des.MaxTime)
@@ -138,7 +145,7 @@ func TestUnknownNodePanics(t *testing.T) {
 				t.Error("transfer to unknown node should panic")
 			}
 		}()
-		f.Transfer(p, node(f, "a"), node(f, "nope"), 10)
+		transfer(p, f, node(f, "a"), node(f, "nope"), 10)
 	})
 	e.Run(des.MaxTime)
 }
@@ -166,7 +173,7 @@ func TestPropTransferMonotonic(t *testing.T) {
 			e, fb := twoNodeFabric(Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps}, 1)
 			var d des.Time
 			e.Spawn("x", func(p *des.Proc) {
-				fb.Transfer(p, node(fb, "a"), node(fb, "b"), size)
+				transfer(p, fb, node(fb, "a"), node(fb, "b"), size)
 				d = p.Now()
 			})
 			e.Run(des.MaxTime)

@@ -16,10 +16,11 @@ func TestQuarantinePoisonsRecycledTransfer(t *testing.T) {
 	e := des.NewEngine(1)
 	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a, b := f.AddNode("a"), f.AddNode("b")
-	e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 4096, nop) })
+	done := 0
+	e.SpawnEvent("x", func(ep *des.EventProc) { f.TransferE(ep, a, b, 4096, des.StepFunc(func() { done++ })) })
 	e.Run(des.MaxTime)
-	if f.xfers.Len() != 0 || f.Messages() != 1 {
-		t.Fatalf("free list holds %d, %d transfers; want 0 and 1", f.xfers.Len(), f.Messages())
+	if f.xfers.Len() != 0 || done != 1 {
+		t.Fatalf("free list holds %d, %d transfers; want 0 and 1", f.xfers.Len(), done)
 	}
 	x := f.xfers.Get()
 	f.xfers.Put(x)

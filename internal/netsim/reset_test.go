@@ -17,7 +17,7 @@ func fabricRun(e *des.Engine, f *Fabric, names ...string) string {
 	for i := range names {
 		src, dst := node(f, names[i]), node(f, names[(i+1)%len(names)])
 		e.Spawn("x", func(p *des.Proc) {
-			f.Transfer(p, src, dst, 3<<20)
+			transfer(p, f, src, dst, 3<<20)
 			out += fmt.Sprintf("%d ", p.Now())
 		})
 	}
@@ -25,12 +25,12 @@ func fabricRun(e *des.Engine, f *Fabric, names ...string) string {
 	return out + fabricView(f, names...)
 }
 
-// fabricView is everything a caller can observe of a fabric: its
-// counters, its degradation, and its node set with their links' use.
+// fabricView is the state a run leaves in a fabric: its degradation, and
+// its node set with their send links' use.
 func fabricView(f *Fabric, names ...string) string {
-	out := fmt.Sprintf("bytes=%d msgs=%d degr=%g nodes=%v", f.BytesMoved(), f.Messages(), f.Degradation(), nodeNames(f))
+	out := fmt.Sprintf("degr=%g nodes=%v", f.degradation, nodeNames(f))
 	for _, n := range names {
-		out += fmt.Sprintf(" %s:%g", n, f.LinkUtilization(n))
+		out += fmt.Sprintf(" %s:%g", n, node(f, n).out.Utilization())
 	}
 	return out
 }
@@ -46,7 +46,7 @@ func nodeNames(f *Fabric) []string {
 
 // TestFabricResetMatchesFresh: a degraded fabric that carried traffic,
 // reset keeping its server nodes, has only those nodes, the same handles
-// for them, zeroed counters and nominal speed, and carries the next run
+// for them, idle links and nominal speed, and carries the next run
 // exactly as a fresh fabric with the same servers does.
 func TestFabricResetMatchesFresh(t *testing.T) {
 	cfg := Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, BackplaneBandwidth: 2 * GBps, MTU: 1 << 20}
@@ -85,7 +85,8 @@ func TestFabricResetMatchesFresh(t *testing.T) {
 func TestFabricResetBusyLinkPanics(t *testing.T) {
 	e, f := twoNodeFabric(Config{Name: "t", LinkBandwidth: GBps}, 1)
 	a := node(f, "a")
-	a.out.TryAcquire()
+	e.SpawnEvent("holder", func(ep *des.EventProc) { a.out.AcquireE(ep, des.NoStep{}) })
+	e.Run(des.MaxTime)
 	func() {
 		defer func() {
 			if err, _ := recover().(error); !errors.Is(err, des.ErrLiveReset) {

@@ -20,7 +20,7 @@ func TestMetaRPCEAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, DefaultConfig())
 	c := fs.NewClient("c0")
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	var ep *des.EventProc
 	var h Handle
 	var end int64
@@ -115,7 +115,7 @@ func TestGoroutineWriteAllocs(t *testing.T) {
 		e := des.NewEngine(1)
 		fs := New(e, fastConfig())
 		c := fs.NewClient("c0")
-		kick := des.NewSignal(e)
+		kick := new(des.Signal)
 		var writeErr error
 		stop := false
 		e.Spawn("c0", func(p *des.Proc) {
@@ -166,7 +166,7 @@ func TestNewIOCallAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, fastConfig())
 	c := fs.NewClient("c0")
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	var writeErr error
 	stop := false
 	e.Spawn("c0", func(p *des.Proc) {
@@ -217,7 +217,7 @@ func TestGoroutineNamespaceAllocs(t *testing.T) {
 		e := des.NewEngine(1)
 		fs := New(e, DefaultConfig())
 		c := fs.NewClient("c0")
-		kick := des.NewSignal(e)
+		kick := new(des.Signal)
 		var opErr error
 		stop := false
 		e.Spawn("c0", func(p *des.Proc) {
@@ -394,7 +394,7 @@ func (cy *handleCycler) Step() {
 func TestContinuationHandleAllocs(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, fastConfig())
-	cy := &handleCycler{c: fs.NewClient("c0"), kick: des.NewSignal(e), path: "/f"}
+	cy := &handleCycler{c: fs.NewClient("c0"), kick: new(des.Signal), path: "/f"}
 	e.SpawnEvent("c0", func(ep *des.EventProc) {
 		cy.ep = ep
 		cy.Step()
@@ -472,8 +472,8 @@ func TestInodeChunks(t *testing.T) {
 	if !freed.Load() {
 		t.Error("a chunk whose inodes were all unlinked is still reachable")
 	}
-	if len(fs.Paths()) != inodesAlone+2 {
-		t.Fatalf("%d paths after the unlinks, want %d", len(fs.Paths()), inodesAlone+2)
+	if n := len(fs.mds.inodes); n != inodesAlone+2 {
+		t.Fatalf("%d paths after the unlinks, want %d", n, inodesAlone+2)
 	}
 
 	fs.Reset()

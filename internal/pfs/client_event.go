@@ -748,11 +748,6 @@ func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k des.Step) {
 	h.newIO(ioWrite, off, size, k).run(ep)
 }
 
-// ReadE is the continuation form of Read, including the readahead window.
-func (h *Handle) ReadE(ep *des.EventProc, off, size int64, k des.Step) {
-	h.newIO(ioRead, off, size, k).run(ep)
-}
-
 // FsyncE is the continuation form of Fsync.
 func (h *Handle) FsyncE(ep *des.EventProc, k des.Step) {
 	h.newIO(ioFsync, 0, 0, k).run(ep)

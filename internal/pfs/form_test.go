@@ -169,7 +169,9 @@ func runFormProgram(t *testing.T, sc formScenario, wb, ra int64, progs [][]formO
 				case fopWrite:
 					h.WriteE(ep, op.off, op.size, done)
 				case fopRead:
-					h.ReadE(ep, op.off, op.size, done)
+					// The continuation form of Read, which only the
+					// goroutine Read awaits.
+					h.newIO(ioRead, op.off, op.size, done).run(ep)
 				case fopFsync:
 					h.FsyncE(ep, done)
 				case fopClose:

@@ -416,13 +416,3 @@ func (fs *FS) TotalBytes() (read, written int64) {
 	}
 	return read, written
 }
-
-// Paths returns all namespace paths in sorted order (for tests and tools).
-func (fs *FS) Paths() []string {
-	out := make([]string, 0, len(fs.mds.inodes))
-	for p := range fs.mds.inodes {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}

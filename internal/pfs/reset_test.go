@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,31 +105,20 @@ func faultedRun(t *testing.T, e *des.Engine, fs *FS, seed int64, faulted bool, l
 	return log.String() + fsView(e, fs)
 }
 
-// fsView is everything a caller can observe of an FS and its engine
-// without running a client: server and client statistics, fault state
-// and log, the namespace, the OSTs' object maps, the fabrics' counters
-// and node sets, and draws from the engine's streams, one the file
-// system uses and one new.
+// fsView is the state a run leaves in an FS and its engine, read without
+// running a client: server and client statistics, fault state and log,
+// the namespace, the OSTs' object maps, the fabrics' node sets, and draws
+// from the engine's streams, one the file system uses and one new.
 func fsView(e *des.Engine, fs *FS) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%d dispatched=%d live=%d\n", e.Now(), e.Dispatches(), e.LiveProcs())
-	fmt.Fprintf(&b, "mds=%+v available=%v transient=%g\n", fs.MDSStats(), fs.MDSAvailable(), fs.TransientErrorRate())
+	fmt.Fprintf(&b, "mds=%+v down=%v transient=%g\n", fs.MDSStats(), fs.mds.down, fs.transientRate)
 	fmt.Fprintf(&b, "osts=%+v\nclients=%+v\n", fs.OSTStats(), fs.ClientStatsTotal())
-	fmt.Fprintf(&b, "faults=%#v\npaths=%v\n", fs.FaultLog(), fs.Paths())
+	fmt.Fprintf(&b, "faults=%#v\npaths=%v\n", fs.FaultLog(), paths(fs))
 	for i := 0; i < fs.NumOSTs(); i++ {
 		at, down := fs.OSTDownSince(i)
 		o := fs.osts[i]
 		fmt.Fprintf(&b, "ost%d down=%v since=%d objects=%d alloc=%d\n", i, down, at, len(o.objBase), o.allocPtr)
-	}
-	for _, f := range []struct {
-		name string
-		fab  interface {
-			BytesMoved() int64
-			Messages() uint64
-			Degradation() float64
-		}
-	}{{"compute", fs.compute}, {"storage", fs.storage}} {
-		fmt.Fprintf(&b, "%s bytes=%d msgs=%d degr=%g\n", f.name, f.fab.BytesMoved(), f.fab.Messages(), f.fab.Degradation())
 	}
 	for _, name := range []string{"mds", "oss0", "oss3", "ionode0", "ionode1", "c0", "c1", "c2", "c3"} {
 		_, onC := fs.compute.Node(name)
@@ -137,6 +127,16 @@ func fsView(e *des.Engine, fs *FS) string {
 	}
 	fmt.Fprintf(&b, "backoff=%d new=%d\n", e.RNG().Stream("pfs.backoff").Int63(), e.RNG().Stream("reset.new").Int63())
 	return b.String()
+}
+
+// paths returns every namespace path of fs in sorted order.
+func paths(fs *FS) []string {
+	out := make([]string, 0, len(fs.mds.inodes))
+	for p := range fs.mds.inodes {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestFSResetMatchesFresh: a file system and engine that ran a faulted

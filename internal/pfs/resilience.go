@@ -128,9 +128,6 @@ func (fs *FS) SetMDSAvailable(up bool) {
 	}
 }
 
-// MDSAvailable reports whether the metadata server is serving requests.
-func (fs *FS) MDSAvailable() bool { return !fs.mds.down }
-
 // SetTransientErrorRate makes each data RPC fail server-side with ErrIO
 // with probability rate (0 disables). Failures are drawn from the
 // engine's seeded RNG, so campaigns replay identically.
@@ -144,10 +141,6 @@ func (fs *FS) SetTransientErrorRate(rate float64) error {
 	}
 	return nil
 }
-
-// TransientErrorRate returns the current injected data-RPC failure
-// probability.
-func (fs *FS) TransientErrorRate() float64 { return fs.transientRate }
 
 // SetLinkDegradation multiplies all fabric transfer times by factor
 // (>= 1; 1 restores nominal) — a degraded-network fault across both the

@@ -8,7 +8,6 @@ package posixio
 
 import (
 	"errors"
-	"fmt"
 
 	"pioeval/internal/des"
 	"pioeval/internal/storage"
@@ -186,42 +185,6 @@ func (e *Env) Pread(p *des.Proc, fd int, off, size int64) (int64, error) {
 	return size, nil
 }
 
-// Seek whence values.
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
-)
-
-// Lseek repositions the descriptor and returns the new position. Like
-// every other Env operation it is traced (a zero-size record at the new
-// offset) so replay and analysis see the seek pattern, even though a seek
-// costs no simulated time.
-func (e *Env) Lseek(p *des.Proc, fd int, off int64, whence int) (int64, error) {
-	st, err := e.fd(fd)
-	if err != nil {
-		return 0, err
-	}
-	start := p.Now()
-	pos := st.pos
-	switch whence {
-	case SeekSet:
-		pos = off
-	case SeekCur:
-		pos += off
-	case SeekEnd:
-		pos = st.size + off
-	default:
-		return 0, fmt.Errorf("posixio: bad whence %d", whence)
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	st.pos = pos
-	e.emit(p, "lseek", st.h.Path(), pos, 0, start)
-	return pos, nil
-}
-
 // Fsync flushes buffered writes for fd.
 func (e *Env) Fsync(p *des.Proc, fd int) error {
 	st, err := e.fd(fd)
@@ -291,6 +254,3 @@ func (e *Env) Readdir(p *des.Proc, path string) ([]string, error) {
 	e.emit(p, "readdir", path, 0, int64(len(names)), start)
 	return names, err
 }
-
-// OpenFDs reports the number of open descriptors (for leak tests).
-func (e *Env) OpenFDs() int { return len(e.fds) }

@@ -51,8 +51,13 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 		if err != nil || fi.Size != 8192 {
 			t.Fatalf("size = %d, %v", fi.Size, err)
 		}
-		if _, err := env.Lseek(p, fd, 0, SeekSet); err != nil {
+		if err := env.Close(p, fd); err != nil {
 			t.Fatal(err)
+		}
+		// A new descriptor reads from the start.
+		fd, err = env.Open(p, "/f", ORdonly)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
 		if n, err := env.Read(p, fd, 8192); n != 8192 || err != nil {
 			t.Fatalf("read = %d, %v", n, err)
@@ -60,8 +65,8 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 		if err := env.Close(p, fd); err != nil {
 			t.Fatal(err)
 		}
-		if env.OpenFDs() != 0 {
-			t.Errorf("fd leak: %d", env.OpenFDs())
+		if len(env.fds) != 0 {
+			t.Errorf("fd leak: %d", len(env.fds))
 		}
 	})
 	// Trace should contain POSIX-layer records in order.
@@ -72,7 +77,7 @@ func TestOpenCreateWriteReadClose(t *testing.T) {
 		}
 		ops = append(ops, r.Op)
 	}
-	want := []string{"open", "write", "write", "stat", "lseek", "read", "close"}
+	want := []string{"open", "write", "write", "stat", "close", "open", "read", "close"}
 	if len(ops) != len(want) {
 		t.Fatalf("trace ops = %v, want %v", ops, want)
 	}
@@ -141,35 +146,10 @@ func TestOpenFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pos, _ := env.Lseek(p, fd3, 0, SeekCur)
-		if pos != 100 {
+		if pos := env.fds[fd3].pos; pos != 100 {
 			t.Errorf("append pos = %d, want 100", pos)
 		}
 		_ = env.Close(p, fd3)
-	})
-}
-
-func TestLseekWhence(t *testing.T) {
-	e, env, _ := newEnv(1)
-	run(t, e, func(p *des.Proc) {
-		fd, _ := env.Open(p, "/f", OCreate)
-		_, _ = env.Write(p, fd, 1000)
-		if pos, _ := env.Lseek(p, fd, 10, SeekSet); pos != 10 {
-			t.Errorf("SeekSet = %d", pos)
-		}
-		if pos, _ := env.Lseek(p, fd, 5, SeekCur); pos != 15 {
-			t.Errorf("SeekCur = %d", pos)
-		}
-		if pos, _ := env.Lseek(p, fd, -100, SeekEnd); pos != 900 {
-			t.Errorf("SeekEnd = %d", pos)
-		}
-		if pos, _ := env.Lseek(p, fd, -5000, SeekSet); pos != 0 {
-			t.Errorf("negative clamp = %d", pos)
-		}
-		if _, err := env.Lseek(p, fd, 0, 99); err == nil {
-			t.Error("bad whence should error")
-		}
-		_ = env.Close(p, fd)
 	})
 }
 
@@ -238,11 +218,11 @@ func TestPwritePreadDoNotMovePosition(t *testing.T) {
 	run(t, e, func(p *des.Proc) {
 		fd, _ := env.Open(p, "/f", OCreate)
 		_, _ = env.Pwrite(p, fd, 1<<20, 4096)
-		if pos, _ := env.Lseek(p, fd, 0, SeekCur); pos != 0 {
+		if pos := env.fds[fd].pos; pos != 0 {
 			t.Errorf("pos after pwrite = %d, want 0", pos)
 		}
 		_, _ = env.Pread(p, fd, 0, 4096)
-		if pos, _ := env.Lseek(p, fd, 0, SeekCur); pos != 0 {
+		if pos := env.fds[fd].pos; pos != 0 {
 			t.Errorf("pos after pread = %d, want 0", pos)
 		}
 		_ = env.Close(p, fd)
@@ -258,7 +238,7 @@ func TestOpenCloseAllocs(t *testing.T) {
 	cfg.NumIONodes = 0
 	fs := pfs.New(e, cfg)
 	env := NewEnv(storage.Direct(fs.NewClient("c0")), 0, nil)
-	kick := des.NewSignal(e)
+	kick := new(des.Signal)
 	var opErr error
 	lastFD, stop := -1, false
 	e.Spawn("t", func(p *des.Proc) {
@@ -290,8 +270,8 @@ func TestOpenCloseAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(50, round)
 	stop = true
 	round()
-	if opErr != nil || e.LiveProcs() != 0 || env.OpenFDs() != 0 {
-		t.Fatalf("error %v, %d live procs, %d open descriptors", opErr, e.LiveProcs(), env.OpenFDs())
+	if opErr != nil || e.LiveProcs() != 0 || len(env.fds) != 0 {
+		t.Fatalf("error %v, %d live procs, %d open descriptors", opErr, e.LiveProcs(), len(env.fds))
 	}
 	if n != 1 {
 		t.Errorf("open/close: %v allocations, want 1 (the PFS handle)", n)

@@ -1,9 +1,9 @@
 // Package profile implements Darshan-style I/O characterization: compact
 // per-(rank,file) counters — operation counts, byte totals, access-size
-// histograms, sequential/consecutive access detection — plus a DXT-style
-// extended trace mode that retains per-operation records. Profiles are the
-// cheap, always-on complement to full tracing (internal/trace) and feed the
-// workload-generation and modeling phases.
+// histograms, sequential/consecutive access detection. Profiles are the
+// cheap, always-on complement to full tracing (internal/trace), whose
+// records filtered by layer are the per-operation (DXT-style) view, and
+// feed the workload-generation and modeling phases.
 package profile
 
 import (
@@ -81,10 +81,6 @@ type Profiler struct {
 	Layer trace.Layer
 
 	counters map[ckey]*FileCounters
-
-	// DXT extended tracing.
-	dxtEnabled bool
-	dxt        []trace.Record
 }
 
 type ckey struct {
@@ -96,12 +92,6 @@ type ckey struct {
 func New() *Profiler {
 	return &Profiler{Layer: trace.LayerPOSIX, counters: make(map[ckey]*FileCounters)}
 }
-
-// EnableDXT turns on per-operation extended tracing (Darshan DXT).
-func (p *Profiler) EnableDXT() { p.dxtEnabled = true }
-
-// DXT returns the extended trace records collected so far.
-func (p *Profiler) DXT() []trace.Record { return p.dxt }
 
 // Attach registers the profiler as the collector's live hook.
 func (p *Profiler) Attach(col *trace.Collector) {
@@ -171,9 +161,6 @@ func (p *Profiler) Ingest(r trace.Record) {
 		c.MetaTime += r.Duration()
 	default:
 		c.MetaTime += r.Duration()
-	}
-	if p.dxtEnabled && (r.Op == "read" || r.Op == "write") {
-		p.dxt = append(p.dxt, r)
 	}
 }
 

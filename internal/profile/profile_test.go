@@ -169,21 +169,6 @@ func TestDominantAccessSize(t *testing.T) {
 	}
 }
 
-func TestDXTMode(t *testing.T) {
-	p := New()
-	p.EnableDXT()
-	p.Ingest(rec(0, "open", "/f", 0, 0, 0, 1))
-	p.Ingest(rec(0, "write", "/f", 0, 100, 1, 2))
-	p.Ingest(rec(0, "read", "/f", 0, 100, 2, 3))
-	dxt := p.DXT()
-	if len(dxt) != 2 {
-		t.Fatalf("DXT records = %d, want 2 (data ops only)", len(dxt))
-	}
-	if dxt[0].Op != "write" || dxt[1].Op != "read" {
-		t.Errorf("DXT ops = %v %v", dxt[0].Op, dxt[1].Op)
-	}
-}
-
 func TestAttachLiveHook(t *testing.T) {
 	col := trace.NewCollector()
 	p := New()

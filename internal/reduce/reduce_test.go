@@ -327,7 +327,7 @@ func TestStageOpenAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tgt := s.Wrap("cn0", storage.NewTiered(fs.NewClient("cn0"), nil))
-		kick := des.NewSignal(e)
+		kick := new(des.Signal)
 		var opErr error
 		stop := false
 		e.Spawn("app", func(p *des.Proc) {

@@ -15,7 +15,7 @@ func TestTieredOpenAllocs(t *testing.T) {
 	for _, op := range []string{"create", "open"} {
 		e, fs := newCluster(1)
 		tgt := NewTiered(fs.NewClient("cn0"), nil)
-		kick := des.NewSignal(e)
+		kick := new(des.Signal)
 		var opErr error
 		stop := false
 		e.Spawn("app", func(p *des.Proc) {

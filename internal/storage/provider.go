@@ -9,18 +9,13 @@ import (
 	"pioeval/internal/pfs"
 )
 
-// ProviderConfig tunes the non-direct tiers. The zero value selects
+// ProviderConfig tunes the burst-buffer tier. The zero value selects
 // defaults everywhere.
 type ProviderConfig struct {
 	// BB configures the burst buffer behind every TierBB target. The zero
 	// value selects NVMe staging, 4 GiB and one drain worker; ask for more
 	// explicitly, e.g. burstbuffer.Config{DrainWorkers: 2}.
 	BB burstbuffer.Config
-	// LocalDevice constructs the scratch media model for TierNodeLocal
-	// targets (default NVMe).
-	LocalDevice func() blockdev.Model
-	// LocalQueueDepth is the scratch device concurrency (default 8).
-	LocalQueueDepth int
 }
 
 // Provider mints per-compute-node Targets of one tier over a shared
@@ -51,12 +46,6 @@ func NewProvider(e *des.Engine, fs *pfs.FS, tier string, cfg ProviderConfig) (*P
 	default:
 		return nil, fmt.Errorf("storage: unknown tier %q (want %s, %s, or %s)",
 			tier, TierDirect, TierBB, TierNodeLocal)
-	}
-	if cfg.LocalDevice == nil {
-		cfg.LocalDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	}
-	if cfg.LocalQueueDepth <= 0 {
-		cfg.LocalQueueDepth = 8
 	}
 	return &Provider{
 		eng: e, fs: fs, tier: tier, cfg: cfg,
@@ -95,7 +84,8 @@ func (pr *Provider) tierTarget(node string) Target {
 		c := pr.fs.NewClient(node)
 		return NewTiered(c, pr.bufferFor(c.IONode()))
 	case TierNodeLocal:
-		nl := NewNodeLocal(pr.eng, node, pr.cfg.LocalDevice(), pr.cfg.LocalQueueDepth)
+		// Node-local scratch is an NVMe device at queue depth 8.
+		nl := NewNodeLocal(pr.eng, node, blockdev.DefaultNVMe(), 8)
 		pr.locals = append(pr.locals, nl)
 		return nl
 	default:

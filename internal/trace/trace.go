@@ -64,7 +64,6 @@ func (r Record) Duration() des.Time { return r.End - r.Start }
 // use; the DES engine is single-threaded by construction.
 type Collector struct {
 	recs    []Record
-	enabled bool
 	dropped uint64
 	limit   int // 0 = unlimited
 	hook    func(Record)
@@ -75,19 +74,16 @@ type Collector struct {
 // remove.
 func (c *Collector) SetHook(fn func(Record)) { c.hook = fn }
 
-// NewCollector returns an enabled collector with no record limit.
-func NewCollector() *Collector { return &Collector{enabled: true} }
+// NewCollector returns a collector with no record limit.
+func NewCollector() *Collector { return &Collector{} }
 
 // SetLimit caps the number of retained records (0 = unlimited); further
 // records are counted as dropped.
 func (c *Collector) SetLimit(n int) { c.limit = n }
 
-// SetEnabled toggles collection.
-func (c *Collector) SetEnabled(on bool) { c.enabled = on }
-
-// Emit appends a record if collection is enabled.
+// Emit appends a record; a nil collector drops it.
 func (c *Collector) Emit(r Record) {
-	if c == nil || !c.enabled {
+	if c == nil {
 		return
 	}
 	if c.hook != nil {

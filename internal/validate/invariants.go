@@ -42,7 +42,7 @@ const maxRetained = 64
 //     legitimately over-fetches and cache hits under-fetch).
 //   - layer-ordering: MPI-IO requested bytes never exceed POSIX bytes,
 //     and POSIX bytes never exceed PFS-client bytes (aggregation hole
-//     padding and data sieving only ever inflate the lower layer).
+//     padding only ever inflates the lower layer).
 //   - stage-conservation / stage-ratio: with storage stages pushed on the
 //     provider (ObserveTier arms this too), every logical byte entering a
 //     stage is accounted, each stage's physical output feeds the layer

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func runOnCluster(t *testing.T, e *des.Engine, fs *pfs.FS, c Case, body []GStmt,
 	fmt.Fprintf(&b, "report=%+v err=%v dispatched=%d\n", rep, rerr, e.Dispatches())
 	fmt.Fprintf(&b, "violations=%v evidence=%+v\n", inv.Finish(), inv.Stats())
 	fmt.Fprintf(&b, "mds=%+v\nosts=%+v\nclients=%+v\n", fs.MDSStats(), fs.OSTStats(), fs.ClientStatsTotal())
-	fmt.Fprintf(&b, "faults=%#v\npaths=%v\n", fs.FaultLog(), fs.Paths())
+	fmt.Fprintf(&b, "faults=%#v\n", fs.FaultLog())
 	for _, bb := range pr.Buffers() {
 		fmt.Fprintf(&b, "bb %+v\n", bb.Stats())
 	}
@@ -72,7 +73,36 @@ func runOnCluster(t *testing.T, e *des.Engine, fs *pfs.FS, c Case, body []GStmt,
 	if stage != nil {
 		fmt.Fprintf(&b, "stage %+v\n", stage.StageStats())
 	}
+	fmt.Fprintf(&b, "paths=%v\n", namespace(e, fs))
 	return b.String()
+}
+
+// namespace lists every path of fs's namespace, walked from the root with
+// Readdir on a client and proc of its own once the run has ended. A path
+// that Readdir refuses as no directory is a file; any other error is
+// listed in its place.
+func namespace(e *des.Engine, fs *pfs.FS) []string {
+	c := fs.NewClient("walker")
+	var paths []string
+	e.Spawn("walker", func(p *des.Proc) {
+		var walk func(dir string)
+		walk = func(dir string) {
+			names, err := c.Readdir(p, dir)
+			if err != nil {
+				if !errors.Is(err, pfs.ErrNotDir) {
+					paths = append(paths, err.Error())
+				}
+				return
+			}
+			for _, name := range names {
+				paths = append(paths, name)
+				walk(name)
+			}
+		}
+		walk("/")
+	})
+	e.Run(des.MaxTime)
+	return paths
 }
 
 // TestResetDifferential runs generated programs under every storage tier

@@ -336,7 +336,7 @@ const shardLookahead = 1500 * des.Nanosecond
 type shardGate struct {
 	pg      *des.ParallelGroup
 	shard   int
-	release *des.Signal
+	release des.Signal
 	gen     int
 	coord   *gateCoord
 }
@@ -392,7 +392,7 @@ func RunShardedCheckpoint(cfg ShardedConfig) ShardedReport {
 		pg = des.NewParallelGroup(shardLookahead, engines...)
 		coord := &gateCoord{pg: pg, gates: gates}
 		for i := range gates {
-			gates[i] = &shardGate{pg: pg, shard: i, release: des.NewSignal(engines[i]), coord: coord}
+			gates[i] = &shardGate{pg: pg, shard: i, coord: coord}
 		}
 	}
 

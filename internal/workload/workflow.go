@@ -115,7 +115,7 @@ func RunWorkflow(e *des.Engine, fs *pfs.FS, cfg WorkflowConfig, col *trace.Colle
 		return true
 	}
 	claimed := make([]bool, len(cfg.Tasks))
-	wake := des.NewSignal(e)
+	wake := new(des.Signal)
 
 	for w := 0; w < cfg.Workers; w++ {
 		w := w

@@ -19,6 +19,24 @@ func ssdFS(e *des.Engine) *pfs.FS {
 	return pfs.New(e, cfg)
 }
 
+// readdir lists the paths in each of dirs on fs once a run has ended,
+// with Readdir on a client and proc of its own.
+func readdir(t *testing.T, e *des.Engine, fs *pfs.FS, dirs ...string) [][]string {
+	t.Helper()
+	c := fs.NewClient("lister")
+	out := make([][]string, len(dirs))
+	e.Spawn("lister", func(p *des.Proc) {
+		for i, dir := range dirs {
+			var err error
+			if out[i], err = c.Readdir(p, dir); err != nil {
+				t.Errorf("readdir %s: %v", dir, err)
+			}
+		}
+	})
+	e.Run(des.MaxTime)
+	return out
+}
+
 func hddFS(e *des.Engine) *pfs.FS {
 	cfg := pfs.DefaultConfig()
 	cfg.NumIONodes = 0
@@ -117,8 +135,9 @@ func TestMDTestPhases(t *testing.T) {
 		t.Errorf("stat rate %.0f unexpectedly below create rate %.0f", rep.StatsPerS, rep.CreatesPerS)
 	}
 	// Namespace must be clean afterwards.
-	if n := len(fs.Paths()); n != 2 { // "/" and "/mdtest"
-		t.Errorf("leftover namespace entries: %v", fs.Paths())
+	ls := readdir(t, e, fs, "/", "/mdtest")
+	if len(ls[0]) != 1 || ls[0][0] != "/mdtest" || len(ls[1]) != 0 {
+		t.Errorf("leftover namespace entries: / holds %v, /mdtest holds %v", ls[0], ls[1])
 	}
 	st := fs.MDSStats()
 	if st.Ops["create"] < 128 || st.Ops["unlink"] < 128 {
@@ -223,14 +242,7 @@ func TestWorkflowChainOrdering(t *testing.T) {
 		t.Fatalf("tasks run = %d, want 5", rep.TasksRun)
 	}
 	// Stage outputs must all exist except none removed: 5 stages x 4 files.
-	paths := fs.Paths()
-	found := 0
-	for _, p := range paths {
-		if len(p) > 4 && p[:4] == "/wf/" {
-			found++
-		}
-	}
-	if found != 20 {
+	if found := len(readdir(t, e, fs, "/wf")[0]); found != 20 {
 		t.Errorf("workflow outputs = %d, want 20", found)
 	}
 	if rep.MetaOpsPerMB <= 0 {

@@ -1,0 +1,39 @@
+// Package lib is a fixture for TestReachScanner: each exported method
+// below is one case of the method rule.
+package lib
+
+// Shape is the interface Square.Area is called through.
+type Shape interface{ Area() int }
+
+// Square is reached: the app names it.
+type Square struct{ n int }
+
+// NewSquare returns a square of side n.
+func NewSquare(n int) *Square { return &Square{n: n} }
+
+// Area is selected only on a Shape, so the name-based scan reaches it.
+func (s *Square) Area() int { return s.n * s.n }
+
+// Perimeter is selected nowhere: unreached.
+func (s *Square) Perimeter() int { return 4 * s.n }
+
+// Grow is selected only inside its own body: unreached.
+func (s *Square) Grow(k int) {
+	if k > 0 {
+		s.n++
+		s.Grow(k - 1)
+	}
+}
+
+// Wrapped carries an error.
+type Wrapped struct{ err error }
+
+// Unwrap is selected nowhere, but errors.Unwrap calls it through an
+// interface: exempt.
+func (w Wrapped) Unwrap() error { return w.err }
+
+// Harness is on the fixture allowlist, so its methods are covered.
+type Harness struct{}
+
+// Run is selected nowhere, but follows its allowlisted type.
+func (Harness) Run() {}
