@@ -51,6 +51,39 @@ func TestGoldenScale(t *testing.T) {
 	}
 }
 
+// TestGoldenScript pins the workload-script mode's transcript byte for
+// byte on the built-in -validate scenario: on the direct path, on each
+// storage tier, under compression, and with a fault campaign, the
+// resilience policy and the bandwidth sampler on top. Every run holds
+// all invariants. Regenerate deliberately with
+//
+//	go test ./cmd/simfs -update-golden
+func TestGoldenScript(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/script_validate_golden.txt", []string{"-validate"}},
+		{"testdata/script_nodelocal_golden.txt", []string{"-validate", "-tier", "nodelocal"}},
+		{"testdata/script_bb_lz_golden.txt", []string{"-validate", "-tier", "bb", "-compress", "lz"}},
+		{"testdata/script_faults_golden.txt", []string{"-validate", "-faults", "ostcrash:1@1ms; ostrecover:1@20ms", "-resilient", "-tier", "bb", "-compress", "lz", "-sample"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(tc.args, &out, &errb); code != 0 {
+				t.Fatalf("run %q: exit %d (stderr: %s)", tc.args, code, errb.String())
+			}
+			if errb.Len() != 0 {
+				t.Errorf("run wrote to stderr: %q", errb.String())
+			}
+			if !strings.Contains(out.String(), "validation: all invariants held") {
+				t.Errorf("run %q: invariants did not all hold:\n%s", tc.args, out.String())
+			}
+			golden.Check(t, tc.golden, out.String())
+		})
+	}
+}
+
 // TestRunUsageErrors: a run with neither a script nor -ranks or
 // -validate, one with an unknown flag, and a -ranks run given a fault campaign or the resilience policy, which the
 // scale checkpoint does not apply, exit non-zero with a diagnostic on
