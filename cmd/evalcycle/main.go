@@ -131,14 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 func mkCfg(dev string) (pfs.Config, error) {
 	cfg := pfs.DefaultConfig()
 	cfg.NumIONodes = 0
-	switch dev {
-	case "hdd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
+	if cfg.OSTDevice = blockdev.Preset(dev); cfg.OSTDevice == nil {
 		return pfs.Config{}, fmt.Errorf("unknown device %q", dev)
 	}
 	return cfg, nil

@@ -23,11 +23,10 @@ import (
 
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
-	"pioeval/internal/faults"
 	"pioeval/internal/iolang"
 	"pioeval/internal/monitor"
 	"pioeval/internal/pfs"
-	"pioeval/internal/reduce"
+	"pioeval/internal/stack"
 	"pioeval/internal/storage"
 	"pioeval/internal/trace"
 	"pioeval/internal/validate"
@@ -66,12 +65,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cluster.Register(fs)
 	var o runOpts
 	fs.BoolVar(&o.sample, "sample", false, "print sampled bandwidth series")
-	fs.StringVar(&o.faultSpec, "faults", "", "fault campaign, e.g. 'ostcrash:1@100ms; ostrecover:1@700ms; mdsdown@1s; mdsup@1.5s'")
+	fs.StringVar(&o.stack.Faults, "faults", "", "fault campaign, e.g. 'ostcrash:1@100ms; ostrecover:1@700ms; mdsdown@1s; mdsup@1.5s'")
 	fs.BoolVar(&o.resilient, "resilient", false, "enable the default client resilience policy (timeouts, retries, degraded reads)")
 	doValidate := fs.Bool("validate", false, "arm runtime invariant checkers and exit non-zero on any violation (runs a built-in scenario when no script is given)")
 	doOracles := fs.Bool("oracles", false, "run the analytic oracle suite instead of a workload; exit non-zero on failure")
-	fs.StringVar(&o.tier, "tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
-	fs.StringVar(&o.compress, "compress", "none", "data-reduction stage over the tier: none, lz, deflate, zfp, or sz")
+	fs.StringVar(&o.stack.Tier, "tier", "direct", "storage tier for workload ranks: direct, bb (burst-buffer write-back), or nodelocal (per-node scratch)")
+	fs.StringVar(&o.stack.Compress, "compress", "none", "data-reduction stage over the tier: none, lz, deflate, zfp, or sz")
 	scaleRanks := fs.Int("ranks", 0, "run the built-in scale checkpoint with this many continuation-form ranks instead of a workload script")
 	shards := fs.Int("shards", 1, "partition the scale run into this many engines coupled by a ParallelGroup (capped at -oss and -ranks)")
 	steps := fs.Int("steps", 1, "checkpoint steps for the scale run")
@@ -110,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
 		return fail(errors.New("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)"))
 	}
-	if *scaleRanks > 0 && (o.faultSpec != "" || o.resilient) {
+	if *scaleRanks > 0 && (o.stack.Faults != "" || o.resilient) {
 		// The scale checkpoint builds its file systems without a fault
 		// campaign or a resilience policy; say so rather than run it
 		// fault-free.
@@ -148,10 +147,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// runOpts bundles the knobs of a workload-script run.
+// runOpts bundles the knobs of a workload-script run: the stack's tier,
+// compressor and fault campaign, and what to arm and print.
 type runOpts struct {
+	stack                       stack.Config
 	sample, resilient, validate bool
-	faultSpec, tier, compress   string
 }
 
 // runScript runs the iolang workload src on the configured cluster and
@@ -162,57 +162,29 @@ func runScript(stdout io.Writer, cluster cli.ClusterFlags, src string, o runOpts
 	if err != nil {
 		return err
 	}
-	cfg, err := cluster.Config()
+	sc := o.stack
+	if sc.Cluster, err = cluster.Config(); err != nil {
+		return err
+	}
+	if o.resilient || sc.Faults != "" {
+		sc.Cluster.Resilience = pfs.DefaultResilience()
+	}
+	sc.Seed = cluster.Seed
+	stk, err := stack.New(sc)
 	if err != nil {
 		return err
 	}
-	if o.resilient || o.faultSpec != "" {
-		cfg.Resilience = pfs.DefaultResilience()
-	}
-
-	e := des.NewEngine(cluster.Seed)
-	sim := pfs.New(e, cfg)
+	sim := stk.FS
 	var inv *validate.Invariants
 	var col *trace.Collector
 	if o.validate {
-		col = trace.NewCollector()
-		col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-		inv = validate.Attach(e, sim, col)
+		inv, col = validate.Arm(stk.E, sim, stk.Provider)
 	}
 	var sampler *monitor.Sampler
 	if o.sample {
-		sampler = monitor.NewSampler(e, sim, 10*des.Millisecond, des.Hour)
+		sampler = monitor.NewSampler(stk.E, sim, 10*des.Millisecond, des.Hour)
 	}
-	var campaign *faults.Scheduler
-	if o.faultSpec != "" {
-		c, err := faults.ParseCampaign(o.faultSpec)
-		if err != nil {
-			return err
-		}
-		if campaign, err = faults.Run(e, sim, c); err != nil {
-			return err
-		}
-	}
-	var prov *storage.Provider
-	var comp *reduce.Stage
-	wantCompress := o.compress != "none" && o.compress != ""
-	if o.tier != "direct" && o.tier != "" || wantCompress {
-		prov, err = storage.NewProvider(e, sim, o.tier, storage.ProviderConfig{})
-		if err != nil {
-			return err
-		}
-		if wantCompress {
-			comp, err = reduce.New(o.compress)
-			if err != nil {
-				return err
-			}
-			prov.Push(comp)
-		}
-		if inv != nil {
-			inv.ObserveTier(prov)
-		}
-	}
-	rep, err := iolang.RunOn(e, sim, wl, col, prov)
+	rep, err := iolang.RunOn(stk.E, sim, wl, col, stk.Provider)
 	if err != nil {
 		return err
 	}
@@ -241,36 +213,34 @@ func runScript(stdout io.Writer, cluster cli.ClusterFlags, src string, o runOpts
 		fmt.Fprintf(stdout, "  %-10s %8d\n", op, md.Ops[op])
 	}
 
-	if prov != nil {
-		switch prov.Tier() {
-		case storage.TierBB:
-			fmt.Fprintln(stdout, "\nburst buffers:")
-			for _, bb := range prov.Buffers() {
-				st := bb.Stats()
-				fmt.Fprintf(stdout, "  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
-					bb.Node(), cli.FormatSize(st.Absorbed), cli.FormatSize(st.Drained),
-					cli.FormatSize(st.PeakUsed), st.Stalls,
-					cli.FormatSize(st.BufReads), cli.FormatSize(st.MissReads))
-				if st.DrainErrors > 0 {
-					fmt.Fprintf(stdout, "  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
-						bb.Node(), st.DrainErrors, cli.FormatSize(st.LostBytes), st.LastDrainError)
-				}
-				if st.ReadErrors > 0 {
-					fmt.Fprintf(stdout, "  %-8s READ ERRORS: %d read-through failures; last: %v\n",
-						bb.Node(), st.ReadErrors, st.LastReadError)
-				}
+	switch stk.Provider.Tier() {
+	case storage.TierBB:
+		fmt.Fprintln(stdout, "\nburst buffers:")
+		for _, bb := range stk.Provider.Buffers() {
+			st := bb.Stats()
+			fmt.Fprintf(stdout, "  %-8s absorbed %s, drained %s, peak %s, %d stalls, reads %s staged / %s through\n",
+				bb.Node(), cli.FormatSize(st.Absorbed), cli.FormatSize(st.Drained),
+				cli.FormatSize(st.PeakUsed), st.Stalls,
+				cli.FormatSize(st.BufReads), cli.FormatSize(st.MissReads))
+			if st.DrainErrors > 0 {
+				fmt.Fprintf(stdout, "  %-8s DRAIN ERRORS: %d segments (%s) lost; last: %v\n",
+					bb.Node(), st.DrainErrors, cli.FormatSize(st.LostBytes), st.LastDrainError)
 			}
-		case storage.TierNodeLocal:
-			fmt.Fprintln(stdout, "\nnode-local scratch:")
-			for _, nl := range prov.Locals() {
-				st := nl.Stats()
-				fmt.Fprintf(stdout, "  %-10s read %s, wrote %s, %d files\n",
-					st.Name, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Files)
+			if st.ReadErrors > 0 {
+				fmt.Fprintf(stdout, "  %-8s READ ERRORS: %d read-through failures; last: %v\n",
+					bb.Node(), st.ReadErrors, st.LastReadError)
 			}
+		}
+	case storage.TierNodeLocal:
+		fmt.Fprintln(stdout, "\nnode-local scratch:")
+		for _, nl := range stk.Provider.Locals() {
+			st := nl.Stats()
+			fmt.Fprintf(stdout, "  %-10s read %s, wrote %s, %d files\n",
+				st.Name, cli.FormatSize(st.BytesRead), cli.FormatSize(st.BytesWritten), st.Files)
 		}
 	}
 
-	if comp != nil {
+	if comp := stk.Stage; comp != nil {
 		st := comp.StageStats()
 		fmt.Fprintf(stdout, "\ncompression (%s):\n", comp.Name())
 		fmt.Fprintf(stdout, "  wrote logical %s -> physical %s (ratio %.2f), cpu %.4fs\n",
@@ -279,9 +249,9 @@ func runScript(stdout io.Writer, cluster cli.ClusterFlags, src string, o runOpts
 			cli.FormatSize(st.LogicalRead), cli.FormatSize(st.PhysicalRead), st.DecompressSeconds)
 	}
 
-	if campaign != nil {
+	if stk.Faults != nil {
 		fmt.Fprintln(stdout, "\nfault campaign:")
-		for _, a := range campaign.Log() {
+		for _, a := range stk.Faults.Log() {
 			if a.Err != nil {
 				fmt.Fprintf(stdout, "  %v (inject error: %v)\n", a.Event, a.Err)
 			} else {
@@ -369,9 +339,8 @@ func runScale(stdout io.Writer, cluster cli.ClusterFlags, o scaleOpts) error {
 		AttachShard: func(shard int, e *des.Engine, sim *pfs.FS) {
 			keepFS = append(keepFS, sim)
 			if o.validate {
-				col := trace.NewCollector()
-				col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-				invs = append(invs, validate.Attach(e, sim, col))
+				inv, _ := validate.Arm(e, sim, nil)
+				invs = append(invs, inv)
 			}
 		},
 	}

@@ -11,6 +11,7 @@ import (
 
 	"pioeval/internal/des"
 	"pioeval/internal/pfs"
+	"pioeval/internal/stack"
 	"pioeval/internal/storage"
 	"pioeval/internal/workload"
 )
@@ -39,13 +40,11 @@ func main() {
 		chain.MetaOpsPerMB, wf.MetaOpsPerMB)
 
 	// Part 3: checkpoint through the burst-buffer tier vs direct.
-	engine3 := des.NewEngine(11)
-	fsim3 := pfs.New(engine3, cfg)
-	pr, err := storage.NewProvider(engine3, fsim3, storage.TierBB, storage.ProviderConfig{})
+	bb, err := stack.New(stack.Config{Cluster: cfg, Seed: 11, Tier: storage.TierBB})
 	if err != nil {
 		log.Fatal(err)
 	}
-	h := workload.NewHarnessOn(engine3, fsim3, 4, "cn", nil, pr)
+	h := workload.NewHarnessOn(bb.E, bb.FS, 4, "cn", nil, bb.Provider)
 	buffered := workload.RunCheckpoint(h, workload.CheckpointConfig{
 		Ranks: 4, BytesPerRank: 16 << 20, Steps: 3, ComputeTime: 50 * des.Millisecond,
 	})
@@ -62,7 +61,7 @@ func main() {
 		direct.EffectiveMBps, direct.IOFraction)
 	fmt.Printf("  via burst buffer:   perceived %8.1f MB/s, I/O fraction %.2f\n",
 		buffered.EffectiveMBps, buffered.IOFraction)
-	st := pr.Buffers()[0].Stats()
+	st := bb.Provider.Buffers()[0].Stats()
 	fmt.Printf("  buffer absorbed %d MB (peak occupancy %d MB, stalls %d)\n",
 		st.Absorbed>>20, st.PeakUsed>>20, st.Stalls)
 }

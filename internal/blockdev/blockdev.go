@@ -36,6 +36,21 @@ func ServiceTime(m Model, req Request, prevEnd int64) des.Time {
 	return lat + xfer
 }
 
+// Preset returns the constructor of the preset device model called name
+// (hdd, ssd or nvme), in the form pfs.Config.OSTDevice takes, or nil for
+// any other name.
+func Preset(name string) func() Model {
+	switch name {
+	case "hdd":
+		return func() Model { return DefaultHDD() }
+	case "ssd":
+		return func() Model { return DefaultSSD() }
+	case "nvme":
+		return func() Model { return DefaultNVMe() }
+	}
+	return nil
+}
+
 // HDDModel is a rotational disk: seek + rotational latency on
 // non-sequential access plus transfer at sustained bandwidth.
 type HDDModel struct {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
 	"pioeval/internal/faults"
 	"pioeval/internal/reduce"
@@ -233,9 +234,7 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, d := range s.Devices {
-		switch d {
-		case "hdd", "ssd", "nvme":
-		default:
+		if blockdev.Preset(d) == nil {
 			return fmt.Errorf("campaign: unknown device %q (want hdd, ssd, or nvme)", d)
 		}
 	}

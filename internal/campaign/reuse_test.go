@@ -6,16 +6,18 @@ import (
 	"testing"
 
 	"pioeval/internal/pfs"
+	"pioeval/internal/stack"
 )
 
-// freshMetrics runs every job of spec on a new cluster, as every job ran
-// before clusters were reused, and returns the metrics by run index.
+// freshMetrics runs every job of spec on a new stack, as every job ran
+// before stacks were reused, and returns the metrics by run index.
 func freshMetrics(spec Spec) []map[string]float64 {
 	spec = spec.withDefaults()
 	points := spec.Expand()
 	out := make([]map[string]float64, len(points)*spec.Reps)
 	for i := range out {
-		out[i] = newCluster(points[i/spec.Reps], RunSeed(spec.Seed, i)).run(spec)
+		p := points[i/spec.Reps]
+		out[i] = run(spec, p, newStack(p, RunSeed(spec.Seed, i)))
 	}
 	return out
 }
@@ -76,11 +78,11 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 	t.Cleanup(func() { simulateFn = old })
 	for _, workers := range []int{1, 2} {
 		poisonSeed := RunSeed(spec.Seed, 1) // point 0, rep 1
-		var poisoned *cluster
+		var poisoned *stack.Stack
 		simulateFn = func(s Spec, p Point, seed int64, c *clusterCache) map[string]float64 {
 			c.mu.Lock()
-			for _, cl := range c.idle {
-				if cl == poisoned {
+			for _, is := range c.idle {
+				if is.s == poisoned {
 					t.Errorf("workers=%d: the poisoned rep's cluster is idle again", workers)
 				}
 			}
@@ -92,13 +94,13 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 			// the run.
 			poisoned = c.take(p, seed)
 			ops := 0
-			poisoned.fs.SetOpObserver(func(pfs.OpEvent) {
+			poisoned.FS.SetOpObserver(func(pfs.OpEvent) {
 				if ops++; ops == 3 {
 					panic("poisoned rep")
 				}
 			})
-			m := poisoned.run(s)
-			c.put(poisoned)
+			m := run(s, p, poisoned)
+			c.put(p, poisoned)
 			return m
 		}
 		rep, err := RunContext(context.Background(), spec, Options{Workers: workers})
@@ -108,7 +110,7 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 		if len(rep.Errors) != 1 || rep.Errors[0].Run != 1 {
 			t.Fatalf("workers=%d: errors %+v, want one for run 1", workers, rep.Errors)
 		}
-		if poisoned.e.LiveProcs() == 0 {
+		if poisoned.E.LiveProcs() == 0 {
 			t.Fatalf("workers=%d: the poisoned rep left no live process; it tests nothing", workers)
 		}
 		for i, r := range rep.Runs {
@@ -128,7 +130,7 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 func TestReusedJobAllocs(t *testing.T) {
 	spec := smallSpec().withDefaults()
 	p := spec.Expand()[0]
-	fresh := testing.AllocsPerRun(20, func() { newCluster(p, 1).run(spec) })
+	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newStack(p, 1)) })
 	c := &clusterCache{max: 1}
 	simulate(spec, p, 1, c)
 	reused := testing.AllocsPerRun(20, func() { simulate(spec, p, 1, c) })

@@ -12,10 +12,8 @@ import (
 
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
-	"pioeval/internal/faults"
 	"pioeval/internal/pfs"
-	"pioeval/internal/reduce"
-	"pioeval/internal/storage"
+	"pioeval/internal/stack"
 	"pioeval/internal/workload"
 )
 
@@ -247,13 +245,8 @@ func ClusterConfig(p Point) pfs.Config {
 	cfg.NumIONodes = 0
 	cfg.DefaultStripeCount = p.StripeCount
 	cfg.DefaultStripeSize = p.StripeSize
-	switch p.Device {
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
+	if cfg.OSTDevice = blockdev.Preset(p.Device); cfg.OSTDevice == nil {
+		cfg.OSTDevice = blockdev.Preset("hdd")
 	}
 	if p.Faults != "" {
 		cfg.Resilience = pfs.DefaultResilience()
@@ -261,95 +254,79 @@ func ClusterConfig(p Point) pfs.Config {
 	return cfg
 }
 
-// cluster is one engine and the file system built on it for one grid
-// point.
-type cluster struct {
-	p  Point
-	e  *des.Engine
-	fs *pfs.FS
+// newStack builds the stack of point p whose engine is seeded with seed:
+// ClusterConfig's file system under the point's fault campaign, tier and
+// compressor.
+func newStack(p Point, seed int64) *stack.Stack {
+	s, err := stack.New(stack.Config{
+		Cluster: ClusterConfig(p), Seed: seed,
+		Tier: p.Tier, Compress: p.Compress, Faults: p.Faults,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("campaign: unvalidated point %s: %v", p.Label(), err))
+	}
+	return s
 }
 
-// newCluster builds a cluster of point p whose engine is seeded with seed.
-func newCluster(p Point, seed int64) *cluster {
-	e := des.NewEngine(seed)
-	return &cluster{p: p, e: e, fs: pfs.New(e, ClusterConfig(p))}
+// idleStack is a stack of point p that no job holds.
+type idleStack struct {
+	p Point
+	s *stack.Stack
 }
 
-// clusterCache lends clusters to the jobs of one RunContext call, so that
+// clusterCache lends stacks to the jobs of one RunContext call, so that
 // the repetitions of a point share one engine and file system instead of
-// building them per job. A job takes a cluster of its point, an idle one
-// reset (des.Engine.Reset, pfs.FS.Reset) when there is one and a new one
-// otherwise, and gives it back once its simulation returns. A job that
-// panics never gives its cluster back, so no cluster carries the state a
-// panic left. At most max (>= 1) clusters, one per worker, are kept
-// idle; the oldest is dropped first.
+// building them per job. A job takes a stack of its point, an idle one
+// reset (stack.Stack.Reset) when there is one and a new one otherwise,
+// and gives it back once its simulation returns. A job that panics never
+// gives its stack back, so no stack carries the state a panic left. At
+// most max (>= 1) stacks, one per worker, are kept idle; the oldest is
+// dropped first.
 type clusterCache struct {
 	mu   sync.Mutex
-	idle []*cluster
+	idle []idleStack
 	max  int
 }
 
-// take returns a cluster of point p whose engine is seeded with seed.
-func (c *clusterCache) take(p Point, seed int64) *cluster {
+// take returns a stack of point p whose engine is seeded with seed.
+func (c *clusterCache) take(p Point, seed int64) *stack.Stack {
 	c.mu.Lock()
-	for i, cl := range c.idle {
-		if cl.p == p {
+	for i, is := range c.idle {
+		if is.p == p {
 			c.idle = slices.Delete(c.idle, i, i+1)
 			c.mu.Unlock()
-			cl.e.Reset(seed)
-			cl.fs.Reset()
-			return cl
+			is.s.Reset(seed)
+			return is.s
 		}
 	}
 	c.mu.Unlock()
-	return newCluster(p, seed)
+	return newStack(p, seed)
 }
 
-// put returns cl, whose job has finished, to the idle clusters.
-func (c *clusterCache) put(cl *cluster) {
+// put returns s, a stack of point p whose job has finished, to the idle
+// stacks.
+func (c *clusterCache) put(p Point, s *stack.Stack) {
 	c.mu.Lock()
 	if len(c.idle) == c.max {
 		c.idle = slices.Delete(c.idle, 0, 1)
 	}
-	c.idle = append(c.idle, cl)
+	c.idle = append(c.idle, idleStack{p, s})
 	c.mu.Unlock()
 }
 
-// simulate executes one run on a cluster of p from clusters: the point's
+// simulate executes one run on a stack of p from clusters: the point's
 // fault campaign (if any) and the spec's workload, reduced to a flat
-// metric map. A reset cluster gives the same metrics as a new one.
+// metric map. A reset stack gives the same metrics as a new one.
 func simulate(spec Spec, p Point, seed int64, clusters *clusterCache) map[string]float64 {
-	cl := clusters.take(p, seed)
-	m := cl.run(spec)
-	clusters.put(cl)
+	s := clusters.take(p, seed)
+	m := run(spec, p, s)
+	clusters.put(p, s)
 	return m
 }
 
-// run simulates one job of spec on cl.
-func (cl *cluster) run(spec Spec) map[string]float64 {
-	e, fs, p := cl.e, cl.fs, cl.p
-	if p.Faults != "" {
-		c, err := faults.ParseCampaign(p.Faults)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: unvalidated fault spec %q: %v", p.Faults, err))
-		}
-		if _, err := faults.Run(e, fs, c); err != nil {
-			panic(fmt.Sprintf("campaign: fault campaign %q: %v", p.Faults, err))
-		}
-	}
-	pr, err := storage.NewProvider(e, fs, p.Tier, storage.ProviderConfig{})
-	if err != nil {
-		panic(fmt.Sprintf("campaign: unvalidated tier %q: %v", p.Tier, err))
-	}
-	var comp *reduce.Stage
-	if p.Compress != "" {
-		comp, err = reduce.New(p.Compress)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: unvalidated compressor %q: %v", p.Compress, err))
-		}
-		pr.Push(comp)
-	}
-	h := workload.NewHarnessOn(e, fs, p.Ranks, "camp", nil, pr)
+// run simulates one job of spec at point p on s.
+func run(spec Spec, p Point, s *stack.Stack) map[string]float64 {
+	h := workload.NewHarnessOn(s.E, s.FS, p.Ranks, "camp", nil, s.Provider)
 	var m map[string]float64
 	switch spec.Workload {
 	case WorkloadCheckpoint:
@@ -357,11 +334,11 @@ func (cl *cluster) run(spec Spec) map[string]float64 {
 	default:
 		m = simulateIOR(h, p)
 	}
-	st := fs.ClientStatsTotal()
+	st := s.FS.ClientStatsTotal()
 	m["retries"] = float64(st.Retries)
 	m["timed_out_rpcs"] = float64(st.TimedOutRPCs)
 	m["failed_rpcs"] = float64(st.FailedRPCs)
-	for _, bb := range pr.Buffers() {
+	for _, bb := range s.Provider.Buffers() {
 		bst := bb.Stats()
 		m["bb_stalls"] += float64(bst.Stalls)
 		m["bb_drain_errors"] += float64(bst.DrainErrors)
@@ -369,8 +346,8 @@ func (cl *cluster) run(spec Spec) map[string]float64 {
 			m["bb_peak_used_MB"] = mb
 		}
 	}
-	if comp != nil {
-		cst := comp.StageStats()
+	if s.Stage != nil {
+		cst := s.Stage.StageStats()
 		m["compress_ratio"] = cst.Ratio()
 		m["compress_cpu_s"] = cst.CompressSeconds + cst.DecompressSeconds
 		if cpu := cst.CompressSeconds + cst.DecompressSeconds; cpu > 0 {

@@ -56,14 +56,7 @@ func (c *ClusterFlags) Config() (pfs.Config, error) {
 		return cfg, err
 	}
 	cfg.DefaultStripeSize = ss
-	switch strings.ToLower(c.Device) {
-	case "hdd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultHDD() }
-	case "ssd":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }
-	case "nvme":
-		cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultNVMe() }
-	default:
+	if cfg.OSTDevice = blockdev.Preset(strings.ToLower(c.Device)); cfg.OSTDevice == nil {
 		return cfg, fmt.Errorf("unknown device model %q", c.Device)
 	}
 	return cfg, nil

@@ -296,7 +296,7 @@ func (m *stepMachine) Step() {
 		m.r.Release()
 		m.sig.WaitE(&m.ep, m.k)
 	case 4:
-		m.q.GetE(&m.ep, m.k)
+		m.q.getE(&m.ep, m.k)
 	case 5:
 		m.q.take()
 		m.wg.WaitE(&m.ep, m.k)
@@ -307,7 +307,7 @@ func (m *stepMachine) Step() {
 // TestStepAllocs pins the continuation primitives at zero allocations for
 // both kinds of Step: a pointer to a state machine, and a StepFunc.
 // Each round restarts the machine's process with SpawnEventOn and runs it
-// through Wait, a contended AcquireE, Signal.WaitE, GetE and
+// through Wait, a contended AcquireE, Signal.WaitE, getE and
 // WaitGroup.WaitE; callbacks bound once release each blocking point.
 func TestStepAllocs(t *testing.T) {
 	for _, kind := range []string{"pointer", "StepFunc"} {
@@ -384,7 +384,7 @@ func TestWaitBurstAllocs(t *testing.T) {
 						q.Put(i)
 					}
 				}
-				b.wait, b.waitE, b.list = func(p *Proc) { q.Get(p) }, q.GetE, &q.getters
+				b.wait, b.waitE, b.list = func(p *Proc) { q.Get(p) }, q.getE, &q.getters
 				if form == "event" {
 					b.woken = func() { q.take() }
 				}

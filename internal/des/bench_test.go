@@ -149,20 +149,20 @@ func BenchmarkEventProcQueuePingPong(b *testing.B) {
 			i++
 			if i < b.N {
 				ab.Put(i)
-				ba.GetE(ep, step)
+				ba.getE(ep, step)
 			}
 		}
 		ab.Put(0)
-		ba.GetE(ep, step)
+		ba.getE(ep, step)
 	})
 	e.SpawnEvent("b", func(ep *EventProc) {
 		var step StepFunc
 		step = func() {
 			ab.take()
 			ba.Put(0)
-			ab.GetE(ep, step)
+			ab.getE(ep, step)
 		}
-		ab.GetE(ep, step)
+		ab.getE(ep, step)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

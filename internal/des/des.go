@@ -14,7 +14,7 @@
 //     goroutine and the loop passes by one channel rendezvous.
 //   - Continuation procs (SpawnEvent): entities are state machines whose
 //     blocking points pass an explicit continuation, a Step (WaitE-style
-//     methods: Wait(d, k), Queue.GetE, Resource.AcquireE). No goroutine,
+//     methods: Wait(d, k), Resource.AcquireE, Signal.WaitE). No goroutine,
 //     stack, or channel per entity — a wake is a pooled event dispatch
 //     calling the Step, over 10x cheaper than a goroutine switch — which
 //     is what makes million-rank simulations affordable. A step that returns

@@ -480,7 +480,7 @@ func (w *genWorld) opE(ep *EventProc, name string, ops []genOp, i int, k func())
 		next()
 	case opGet:
 		q := w.queues[o.idx]
-		q.GetE(ep, StepFunc(func() {
+		q.getE(ep, StepFunc(func() {
 			q.take()
 			next()
 		}))

@@ -34,7 +34,7 @@ func (f StepFunc) Step() { f() }
 // The two forms interoperate on the same Engine and the same primitives:
 // every goroutine Proc hosts an EventProc, and each blocking method for
 // Procs (Proc.Wait, Queue.Get, Resource.Acquire, Signal.Wait,
-// WaitGroup.Wait) awaits its continuation method (Wait, GetE, AcquireE,
+// WaitGroup.Wait) awaits its continuation method (Wait, getE, AcquireE,
 // WaitE) on it. An EventProc is the only thing that blocks, so wake order
 // is strict arrival order regardless of form.
 //
@@ -81,7 +81,7 @@ type EventProc struct {
 }
 
 // retrier is a primitive whose continuation-form wait re-checks its
-// condition on wake: Queue and Resource (a same-time GetE or AcquireE of
+// condition on wake: Queue and Resource (a same-time getE or AcquireE of
 // another process may have taken the item or unit first) and WaitGroup
 // (an Add may have raised the counter again). Keeping the primitive in a
 // slot on the EventProc, in place of a closure that calls back into it,

@@ -25,7 +25,7 @@ func TestMixedFormQueueFIFO(t *testing.T) {
 		})
 		e.SpawnEvent("e1", func(ep *EventProc) {
 			ep.Wait(2*Millisecond, StepFunc(func() {
-				q.GetE(ep, StepFunc(func() {
+				q.getE(ep, StepFunc(func() {
 					log = append(log, fmt.Sprintf("e1:%d", q.take()))
 				}))
 			}))
@@ -37,7 +37,7 @@ func TestMixedFormQueueFIFO(t *testing.T) {
 		})
 		e.SpawnEvent("e3", func(ep *EventProc) {
 			ep.Wait(4*Millisecond, StepFunc(func() {
-				q.GetE(ep, StepFunc(func() {
+				q.getE(ep, StepFunc(func() {
 					log = append(log, fmt.Sprintf("e3:%d", q.take()))
 				}))
 			}))

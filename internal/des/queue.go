@@ -82,18 +82,18 @@ func (q *Queue[T]) Put(v T) {
 
 // Get removes and returns the oldest item, blocking until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	p.await(func(ep *EventProc) { q.GetE(ep, NoStep{}) })
+	p.await(func(ep *EventProc) { q.getE(ep, NoStep{}) })
 	return q.take()
 }
 
-// GetE is the continuation half of Get: k runs once the queue holds an
+// getE is the continuation half of Get: k runs once the queue holds an
 // item, synchronously when it already does, and Get takes the item once k
 // has run. Otherwise the process joins the getter FIFO, and its wake
 // re-checks the queue before k runs: a woken getter that finds the queue
-// emptied again (a same-time GetE of another process took the item
+// emptied again (a same-time getE of another process took the item
 // first) re-enters at the back. The re-check rides the EventProc's retry
 // slot, so waiting allocates nothing.
-func (q *Queue[T]) GetE(ep *EventProc, k Step) {
+func (q *Queue[T]) getE(ep *EventProc, k Step) {
 	if q.n > 0 {
 		k.Step()
 		return
@@ -102,8 +102,8 @@ func (q *Queue[T]) GetE(ep *EventProc, k Step) {
 	q.getters.push(ep)
 }
 
-// retryE re-runs a woken GetE.
-func (q *Queue[T]) retryE(ep *EventProc, k Step) { q.GetE(ep, k) }
+// retryE re-runs a woken getE.
+func (q *Queue[T]) retryE(ep *EventProc, k Step) { q.getE(ep, k) }
 
 func (q *Queue[T]) take() T {
 	v := q.buf[q.head]

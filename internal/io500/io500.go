@@ -24,12 +24,13 @@ import (
 	"fmt"
 	"math"
 
+	"pioeval/internal/blockdev"
 	"pioeval/internal/campaign"
 	"pioeval/internal/des"
 	"pioeval/internal/mpi"
-	"pioeval/internal/pfs"
 	"pioeval/internal/posixio"
 	"pioeval/internal/reduce"
+	"pioeval/internal/stack"
 	"pioeval/internal/storage"
 	"pioeval/internal/trace"
 	"pioeval/internal/validate"
@@ -156,9 +157,7 @@ func (c Config) withDefaults() Config {
 // Validate rejects configurations the suite cannot run.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	switch c.Device {
-	case "hdd", "ssd", "nvme":
-	default:
+	if blockdev.Preset(c.Device) == nil {
 		return fmt.Errorf("io500: unknown device %q (want hdd, ssd, or nvme)", c.Device)
 	}
 	switch c.Tier {
@@ -310,65 +309,40 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// stepEnv is one benchmark step's private simulation stack.
-type stepEnv struct {
-	e   *des.Engine
-	fs  *pfs.FS
-	pr  *storage.Provider
-	h   *workload.Harness
-	inv *validate.Invariants
-}
-
-// newStep stands up an engine, cluster, tier provider, and rank harness
-// for one step, arming invariants when requested. The cluster shape is
-// campaign.ClusterConfig's — identical to the standalone benchmark
-// commands' default cluster — and ranks are named cn0..cnN-1 exactly as
-// cmd/iorbench and cmd/mdtestbench name them, so phase results reproduce
-// the standalone commands bit-for-bit.
-func newStep(cfg Config) *stepEnv {
-	pt := campaign.Point{
-		Ranks: cfg.Ranks, Device: cfg.Device,
-		StripeCount: cfg.StripeCount, StripeSize: cfg.StripeSize,
-	}
-	s := &stepEnv{e: des.NewEngine(cfg.Seed)}
-	s.fs = pfs.New(s.e, campaign.ClusterConfig(pt))
-	pr, err := storage.NewProvider(s.e, s.fs, cfg.Tier, storage.ProviderConfig{})
+// newStep stands up a stack (engine, cluster, tier provider and stage)
+// and a rank harness for one step, with its invariants armed when
+// requested. The cluster shape is campaign.ClusterConfig's — identical to
+// the standalone benchmark commands' default cluster — and ranks are
+// named cn0..cnN-1 exactly as cmd/iorbench and cmd/mdtestbench name them,
+// so phase results reproduce the standalone commands bit-for-bit.
+func newStep(cfg Config) (h *workload.Harness, inv *validate.Invariants) {
+	st, err := stack.New(stack.Config{
+		Cluster: campaign.ClusterConfig(campaign.Point{
+			Ranks: cfg.Ranks, Device: cfg.Device,
+			StripeCount: cfg.StripeCount, StripeSize: cfg.StripeSize,
+		}),
+		Seed: cfg.Seed, Tier: cfg.Tier, Compress: cfg.Compress,
+	})
 	if err != nil {
-		panic(fmt.Sprintf("io500: unvalidated tier %q: %v", cfg.Tier, err))
+		panic(fmt.Sprintf("io500: unvalidated config: %v", err))
 	}
-	if cfg.Compress != "" {
-		comp, err := reduce.New(cfg.Compress)
-		if err != nil {
-			panic(fmt.Sprintf("io500: unvalidated compressor %q: %v", cfg.Compress, err))
-		}
-		pr.Push(comp)
-	}
-	s.pr = pr
 	var col *trace.Collector
 	if cfg.Check {
-		// The tier-conservation invariant reconciles POSIX-layer byte
-		// tallies against device receipts, so the collector must feed
-		// both the checker and the harness. Collection is pure
-		// observation: SetLimit(1) keeps it O(1) and it schedules no
-		// events, so armed runs reproduce unarmed timings exactly.
-		col = trace.NewCollector()
-		col.SetLimit(1)
-		s.inv = validate.Attach(s.e, s.fs, col)
-		s.inv.ObserveTier(pr)
+		inv, col = validate.Arm(st.E, st.FS, st.Provider)
 	}
-	s.h = workload.NewHarnessOn(s.e, s.fs, cfg.Ranks, "cn", col, pr)
-	return s
+	return workload.NewHarnessOn(st.E, st.FS, cfg.Ranks, "cn", col, st.Provider), inv
 }
 
-// finish collects armed-invariant violations and the provider finalize
-// error (burst-buffer drain failures), prefixed with the step name.
-func (s *stepEnv) finish(step string) []string {
+// finish collects a step's armed-invariant violations and the provider
+// finalize error (burst-buffer drain failures), prefixed with the step
+// name.
+func finish(step string, h *workload.Harness, inv *validate.Invariants) []string {
 	var out []string
-	if s.h.FinalizeErr != nil {
-		out = append(out, fmt.Sprintf("%s: tier-finalize: %v", step, s.h.FinalizeErr))
+	if h.FinalizeErr != nil {
+		out = append(out, fmt.Sprintf("%s: tier-finalize: %v", step, h.FinalizeErr))
 	}
-	if s.inv != nil {
-		for _, v := range s.inv.Finish() {
+	if inv != nil {
+		for _, v := range inv.Finish() {
 			out = append(out, fmt.Sprintf("%s: %s", step, v))
 		}
 	}
@@ -395,8 +369,8 @@ func kiops(ops int64, t des.Time) float64 {
 // pair with exactly the configuration cmd/iorbench would use, yielding
 // ior-easy-write and ior-easy-read.
 func runIorEasy(cfg Config) ([]Phase, []string) {
-	s := newStep(cfg)
-	rep := workload.RunIOR(s.h, workload.IORConfig{
+	h, inv := newStep(cfg)
+	rep := workload.RunIOR(h, workload.IORConfig{
 		Ranks: cfg.Ranks, BlockSize: cfg.EasyBlock, TransferSize: cfg.EasyXfer,
 		Segments: 1, SharedFile: false, Pattern: workload.Sequential,
 		ReadBack: true, Collective: false,
@@ -406,15 +380,15 @@ func runIorEasy(cfg Config) ([]Phase, []string) {
 			Seconds: rep.WriteTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.WriteTime)},
 		{Name: IorEasyRead, Kind: KindBW, Bytes: rep.TotalBytes,
 			Seconds: rep.ReadTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.ReadTime)},
-	}, s.finish("ior-easy")
+	}, finish("ior-easy", h, inv)
 }
 
 // runIorHard executes the shared-file small-strided collective IOR phase
 // pair, yielding ior-hard-write and ior-hard-read.
 func runIorHard(cfg Config) ([]Phase, []string) {
-	s := newStep(cfg)
+	h, inv := newStep(cfg)
 	block := cfg.HardXfer * int64(cfg.HardOps)
-	rep := workload.RunIOR(s.h, workload.IORConfig{
+	rep := workload.RunIOR(h, workload.IORConfig{
 		Ranks: cfg.Ranks, BlockSize: block, TransferSize: cfg.HardXfer,
 		Segments: 1, SharedFile: true, Pattern: workload.Strided,
 		ReadBack: true, Collective: true,
@@ -424,14 +398,14 @@ func runIorHard(cfg Config) ([]Phase, []string) {
 			Seconds: rep.WriteTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.WriteTime)},
 		{Name: IorHardRead, Kind: KindBW, Bytes: rep.TotalBytes,
 			Seconds: rep.ReadTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.ReadTime)},
-	}, s.finish("ior-hard")
+	}, finish("ior-hard", h, inv)
 }
 
 // runMdtestEasy executes create/stat/delete over empty files with exactly
 // the configuration cmd/mdtestbench would use.
 func runMdtestEasy(cfg Config) ([]Phase, []string) {
-	s := newStep(cfg)
-	rep := workload.RunMDTest(s.h, workload.MDTestConfig{
+	h, inv := newStep(cfg)
+	rep := workload.RunMDTest(h, workload.MDTestConfig{
 		Ranks: cfg.Ranks, FilesPerRank: cfg.EasyFiles,
 		Phases: []string{workload.MDPhaseCreate, workload.MDPhaseStat, workload.MDPhaseDelete},
 	})
@@ -443,13 +417,13 @@ func runMdtestEasy(cfg Config) ([]Phase, []string) {
 			Seconds: rep.StatTime.Seconds(), Value: kiops(ops, rep.StatTime)},
 		{Name: MdtestEasyDelete, Kind: KindMD, Ops: ops,
 			Seconds: rep.RemoveTime.Seconds(), Value: kiops(ops, rep.RemoveTime)},
-	}, s.finish("mdtest-easy")
+	}, finish("mdtest-easy", h, inv)
 }
 
 // runMdtestHard executes create/stat/read/delete with per-file payloads.
 func runMdtestHard(cfg Config) ([]Phase, []string) {
-	s := newStep(cfg)
-	rep := workload.RunMDTest(s.h, workload.MDTestConfig{
+	h, inv := newStep(cfg)
+	rep := workload.RunMDTest(h, workload.MDTestConfig{
 		Ranks: cfg.Ranks, FilesPerRank: cfg.HardFiles, WriteBytes: cfg.HardFileBytes,
 		BasePath: "/mdtest-hard",
 		Phases: []string{workload.MDPhaseCreate, workload.MDPhaseStat,
@@ -465,7 +439,7 @@ func runMdtestHard(cfg Config) ([]Phase, []string) {
 			Seconds: rep.StatTime.Seconds(), Value: kiops(ops, rep.StatTime)},
 		{Name: MdtestHardDelete, Kind: KindMD, Ops: ops,
 			Seconds: rep.RemoveTime.Seconds(), Value: kiops(ops, rep.RemoveTime)},
-	}, s.finish("mdtest-hard")
+	}, finish("mdtest-hard", h, inv)
 }
 
 // runFind populates a namespace shaped like the mdtest-easy and
@@ -474,7 +448,7 @@ func runMdtestHard(cfg Config) ([]Phase, []string) {
 // whose size reaches the mdtest-hard payload — the IO500 find's
 // size-predicate match. The rate counts readdir + stat operations.
 func runFind(cfg Config) ([]Phase, []string) {
-	s := newStep(cfg)
+	h, inv := newStep(cfg)
 	var fStart, fEnd des.Time
 	perOps := make([]int64, cfg.Ranks)
 	perFound := make([]int64, cfg.Ranks)
@@ -486,7 +460,7 @@ func runFind(cfg Config) ([]Phase, []string) {
 		{"/find-easy", cfg.EasyFiles, 0},
 		{"/find-hard", cfg.HardFiles, cfg.HardFileBytes},
 	}
-	s.h.Run(func(r *mpi.Rank, env *posixio.Env) {
+	h.Run(func(r *mpi.Rank, env *posixio.Env) {
 		p := r.Proc()
 		// Untimed setup: this rank's file population.
 		for _, tr := range trees {
@@ -544,5 +518,5 @@ func runFind(cfg Config) ([]Phase, []string) {
 	return []Phase{
 		{Name: Find, Kind: KindMD, Ops: ops, Found: found,
 			Seconds: t.Seconds(), Value: kiops(ops, t)},
-	}, s.finish("find")
+	}, finish("find", h, inv)
 }

@@ -6,9 +6,7 @@ import (
 	"pioeval/internal/des"
 	"pioeval/internal/iolang"
 	"pioeval/internal/pfs"
-	"pioeval/internal/reduce"
-	"pioeval/internal/storage"
-	"pioeval/internal/trace"
+	"pioeval/internal/stack"
 	"pioeval/internal/validate"
 )
 
@@ -117,45 +115,28 @@ func FuzzInterp(f *testing.F) {
 			return
 		}
 		sanitize(w)
-		run := func(compressed bool) {
+		run := func(compress string) {
 			cfg := pfs.DefaultConfig()
 			cfg.NumOSS, cfg.OSTsPerOSS = 2, 1
 			cfg.NumIONodes = 0
-			e := des.NewEngine(1)
-			sim := pfs.New(e, cfg)
-			var col *trace.Collector
-			var pr *storage.Provider
-			if compressed {
-				// The stage-conservation checks reconcile against the POSIX
-				// trace tallies, so the compressed arm needs a collector.
-				col = trace.NewCollector()
+			st, err := stack.New(stack.Config{Cluster: cfg, Seed: 1, Compress: compress})
+			if err != nil {
+				t.Fatal(err)
 			}
-			inv := validate.Attach(e, sim, col)
-			if compressed {
-				pr, err = storage.NewProvider(e, sim, storage.TierDirect, storage.ProviderConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				comp, err := reduce.New("lz")
-				if err != nil {
-					t.Fatal(err)
-				}
-				pr.Push(comp)
-				inv.ObserveTier(pr)
-			}
-			_, rerr := iolang.RunOn(e, sim, w, col, pr)
+			inv, col := validate.Arm(st.E, st.FS, st.Provider)
+			_, rerr := iolang.RunOn(st.E, st.FS, w, col, st.Provider)
 			vios := inv.Finish()
 			if rerr != nil {
 				return
 			}
 			for _, v := range vios {
-				t.Errorf("invariant violation on clean run (compressed=%v): %s\nprogram:\n%s", compressed, v, src)
+				t.Errorf("invariant violation on clean run (compress=%q): %s\nprogram:\n%s", compress, v, src)
 			}
 		}
-		// Every program runs twice: straight to the PFS, and again through
-		// a compress-stage provider with the stage-conservation and
-		// stage-ratio checkers armed.
-		run(false)
-		run(true)
+		// Every program runs twice: straight to the PFS through a direct
+		// provider, and again through a compress stage with the
+		// stage-conservation and stage-ratio checkers armed.
+		run("")
+		run("lz")
 	})
 }

@@ -127,7 +127,7 @@ type FSWatcher struct {
 // Watch installs the watcher as fs's operation observer. It does not
 // chain: pfs.FS holds one observer and SetOpObserver replaces it, so the
 // last caller wins. Watch drops any observer installed before it (for
-// example validate.Attach's), and a later one drops the watcher's events.
+// example validate.Arm's), and a later one drops the watcher's events.
 // ROADMAP item 2 replaces the single-slot hooks with a multi-subscriber
 // stream.
 func Watch(fs *pfs.FS) *FSWatcher {

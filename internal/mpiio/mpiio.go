@@ -129,10 +129,6 @@ type File struct {
 	doneCount int
 	doneGen   int
 	doneSig   des.Signal
-
-	// Statistics.
-	IndependentOps uint64
-	CollectiveOps  uint64
 }
 
 // NewFile prepares an MPI-IO file over path. envs must hold one POSIX
@@ -154,9 +150,6 @@ func NewFile(w *mpi.World, envs []*posixio.Env, path string, hints Hints, col *t
 
 // Path returns the file path.
 func (f *File) Path() string { return f.path }
-
-// Hints returns the effective hints.
-func (f *File) Hints() Hints { return f.hints }
 
 func (f *File) emit(r *mpi.Rank, op string, off, size int64, start des.Time) {
 	f.col.Emit(trace.Record{
@@ -204,7 +197,6 @@ func (f *File) SetView(r *mpi.Rank, v View) {
 func (f *File) WriteAt(r *mpi.Rank, off, size int64) error {
 	start := r.Now()
 	_, err := f.envs[r.ID()].Pwrite(r.Proc(), f.fds[r.ID()], off, size)
-	f.IndependentOps++
 	f.emit(r, "mpi_file_write_at", off, size, start)
 	return err
 }
@@ -239,7 +231,6 @@ func (f *File) WriteExtents(r *mpi.Rank, exts []Extent) error {
 		}
 		total += e.Size
 	}
-	f.IndependentOps++
 	if len(exts) > 0 {
 		f.emit(r, "mpi_file_write", exts[0].Off, total, start)
 	}
@@ -375,7 +366,6 @@ func (f *File) collective(r *mpi.Rank, exts []Extent, write bool) error {
 
 	// Completion rendezvous before anyone reuses the request slots.
 	f.rendezvous(r, &f.doneCount, &f.doneGen, &f.doneSig)
-	f.CollectiveOps++
 	op := "mpi_file_read_all"
 	if write {
 		op = "mpi_file_write_all"

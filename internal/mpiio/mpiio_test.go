@@ -207,9 +207,6 @@ func TestIndependentWriteRead(t *testing.T) {
 	if written != 4<<20 || read != 4<<20 {
 		t.Fatalf("bytes = r%d w%d, want 4MB each", read, written)
 	}
-	if f.IndependentOps == 0 {
-		t.Error("IndependentOps not counted")
-	}
 }
 
 func TestCollectiveWriteMovesAllBytes(t *testing.T) {
@@ -232,9 +229,6 @@ func TestCollectiveWriteMovesAllBytes(t *testing.T) {
 	want := elems * 8 * 8 // elems * elemsize * ranks
 	if written != want {
 		t.Fatalf("OST bytes written = %d, want %d", written, want)
-	}
-	if f.CollectiveOps == 0 {
-		t.Error("CollectiveOps not counted")
 	}
 }
 

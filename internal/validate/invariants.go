@@ -16,7 +16,7 @@ import (
 const maxRetained = 64
 
 // Invariants is a runtime checker wired into one simulation run. Create
-// it with Attach before spawning workload processes, drive the engine to
+// it with Arm before spawning workload processes, drive the engine to
 // completion, then call Finish for the verdict.
 //
 // Checked while the simulation runs:
@@ -44,7 +44,7 @@ const maxRetained = 64
 //     and POSIX bytes never exceed PFS-client bytes (aggregation hole
 //     padding only ever inflates the lower layer).
 //   - stage-conservation / stage-ratio: with storage stages pushed on the
-//     provider (ObserveTier arms this too), every logical byte entering a
+//     provider (Arm's provider arms this too), every logical byte entering a
 //     stage is accounted, each stage's physical output feeds the layer
 //     below exactly, and logical == physical x ratio within the ceil-per-op
 //     rounding slop (1.2%). The tier checks below the stack then run
@@ -72,7 +72,7 @@ type Invariants struct {
 	dropped  uint64
 	finished bool
 
-	// provider, when set via ObserveTier, arms the tier-conservation
+	// provider, when Arm is given one, arms the tier-conservation
 	// checks: byte equality is tracked across the storage-tier boundary
 	// (POSIX → staging → drain → PFS client) instead of assuming the POSIX
 	// layer talks to the PFS client directly.
@@ -84,12 +84,28 @@ type Invariants struct {
 	ostSkew int64
 }
 
-// Attach installs invariant hooks on the engine, the file system, and the
-// collector (col may be nil when no trace-layer checks are wanted). It
-// claims the engine trace hook, the PFS op/OST observers, and the
-// collector hook; a caller needing another record observer installs, after
-// Attach, one collector hook whose function calls OnRecord and then its own.
-func Attach(e *des.Engine, fs *pfs.FS, col *trace.Collector) *Invariants {
+// Arm arms every invariant checker on one run. It claims the engine
+// trace hook, the PFS op/OST observers and the hook of the returned
+// collector, which the workload must be given so its records reach the
+// checks; the collector keeps one record, so armed runs schedule nothing
+// more and keep their timings. pr, the provider the workload's POSIX
+// environments come from, arms the tier checks at Finish: on the
+// burst-buffer tier every POSIX-written byte is absorbed and drained, on
+// the node-local tier none reaches a PFS client. A nil or direct-tier pr
+// keeps the direct-path checks. A caller needing another record observer
+// installs, after Arm, one collector hook that calls OnRecord and then
+// its own.
+func Arm(e *des.Engine, fs *pfs.FS, pr *storage.Provider) (*Invariants, *trace.Collector) {
+	col := trace.NewCollector()
+	col.SetLimit(1)
+	inv := attach(e, fs, col)
+	inv.provider = pr
+	return inv, col
+}
+
+// attach installs invariant hooks on the engine, the file system, and the
+// collector (col may be nil when no trace-layer checks are wanted).
+func attach(e *des.Engine, fs *pfs.FS, col *trace.Collector) *Invariants {
 	inv := &Invariants{eng: e, fs: fs, lastEnd: map[[2]int]des.Time{}}
 	e.SetTraceHook(inv.onDispatch)
 	fs.SetOpObserver(inv.onClientOp)
@@ -99,15 +115,6 @@ func Attach(e *des.Engine, fs *pfs.FS, col *trace.Collector) *Invariants {
 	}
 	return inv
 }
-
-// ObserveTier tells the checker which storage provider the workload's
-// POSIX environments were minted from, arming the tier-conservation
-// checks at Finish: on the burst-buffer tier every POSIX-written byte
-// must be absorbed by a buffer and every absorbed byte drained to the
-// PFS; on the node-local tier bytes must stay on the scratch devices and
-// never reach PFS clients. A nil or direct-tier provider leaves the
-// original direct-path checks in force.
-func (inv *Invariants) ObserveTier(pr *storage.Provider) { inv.provider = pr }
 
 // violatef records one violation, keeping at most maxRetained verbatim.
 func (inv *Invariants) violatef(invariant, format string, args ...interface{}) {
@@ -128,7 +135,7 @@ func (inv *Invariants) onDispatch(at des.Time, what string) {
 }
 
 // OnRecord checks one trace record; it is installed as the collector hook
-// by Attach and exported so a caller's own collector hook can call it
+// by Arm and exported so a caller's own collector hook can call it
 // alongside its other observers.
 func (inv *Invariants) OnRecord(r trace.Record) {
 	inv.records++

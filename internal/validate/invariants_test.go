@@ -49,7 +49,7 @@ func TestInvariantsCleanRun(t *testing.T) {
 func TestInvariantsCatchInjectedSkew(t *testing.T) {
 	e := des.NewEngine(3)
 	fs := pfs.New(e, pfs.DefaultConfig())
-	inv := Attach(e, fs, nil)
+	inv := attach(e, fs, nil)
 	inv.ostSkew = 4096 // the deliberate bug: OSTs "receive" 4 KiB extra
 	c := fs.NewClient("cn0")
 	e.Spawn("w", func(p *des.Proc) {
@@ -81,7 +81,7 @@ func TestInvariantsCatchLeakedWriteBehind(t *testing.T) {
 	cfg.ClientWriteBehind = 8 << 20
 	e := des.NewEngine(5)
 	fs := pfs.New(e, cfg)
-	inv := Attach(e, fs, nil)
+	inv := attach(e, fs, nil)
 	c := fs.NewClient("cn0")
 	e.Spawn("leaker", func(p *des.Proc) {
 		h, err := c.Create(p, "/leak", 0, 0)
@@ -116,7 +116,7 @@ func TestInvariantsMPIIOLayerTallies(t *testing.T) {
 	e := des.NewEngine(7)
 	fs := pfs.New(e, cfg)
 	col := trace.NewCollector()
-	inv := Attach(e, fs, col)
+	inv := attach(e, fs, col)
 	w := mpi.NewWorld(e, ranks, mpi.DefaultOptions())
 	envs := make([]*posixio.Env, ranks)
 	for i := range envs {
@@ -163,7 +163,7 @@ func TestInvariantsFaultedRunNotArmed(t *testing.T) {
 	cfg.Resilience = pfs.DefaultResilience()
 	e := des.NewEngine(9)
 	fs := pfs.New(e, cfg)
-	inv := Attach(e, fs, nil)
+	inv := attach(e, fs, nil)
 	fs.SetTransientErrorRate(0.5)
 	c := fs.NewClient("cn0")
 	e.Spawn("w", func(p *des.Proc) {
@@ -223,7 +223,7 @@ func TestInvariantsMonotonicityCheck(t *testing.T) {
 func TestInvariantsViolationCap(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := pfs.New(e, pfs.DefaultConfig())
-	inv := Attach(e, fs, nil)
+	inv := attach(e, fs, nil)
 	for i := 0; i < maxRetained+40; i++ {
 		inv.violatef("record-time", "synthetic %d", i)
 	}
@@ -246,7 +246,7 @@ func TestInvariantsViolationCap(t *testing.T) {
 func TestInvariantsFinishIdempotent(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := pfs.New(e, pfs.DefaultConfig())
-	inv := Attach(e, fs, nil)
+	inv := attach(e, fs, nil)
 	inv.ostSkew = 1
 	a := len(inv.Finish())
 	b := len(inv.Finish())

@@ -11,7 +11,7 @@ import (
 	"pioeval/internal/mpiio"
 	"pioeval/internal/pfs"
 	"pioeval/internal/posixio"
-	"pioeval/internal/reduce"
+	"pioeval/internal/stack"
 	"pioeval/internal/storage"
 )
 
@@ -302,18 +302,12 @@ func OracleCompressedStream(seed int64) OracleResult {
 	cfg.NumIONodes = 0
 	cfg.DefaultStripeCount = 1
 
-	e := des.NewEngine(seed)
-	fs := pfs.New(e, cfg)
-	pr, err := storage.NewProvider(e, fs, storage.TierDirect, storage.ProviderConfig{})
+	s, err := stack.New(stack.Config{Cluster: cfg, Seed: seed, Compress: "lz"})
 	if err != nil {
-		panic(fmt.Sprintf("validate: oracle provider: %v", err))
+		panic(fmt.Sprintf("validate: oracle stack: %v", err))
 	}
-	comp, err := reduce.New("lz")
-	if err != nil {
-		panic(fmt.Sprintf("validate: oracle compressor: %v", err))
-	}
-	pr.Push(comp)
-	env := posixio.NewEnv(pr.Target("cn0"), 0, nil)
+	e, fs, comp := s.E, s.FS, s.Stage
+	env := posixio.NewEnv(s.Provider.Target("cn0"), 0, nil)
 	var elapsed des.Time
 	e.Spawn("oracle.compressed-stream", func(p *des.Proc) {
 		fd, err := env.Open(p, "/stream", posixio.OCreate)
@@ -368,12 +362,11 @@ func OracleTieredDrain(seed int64) OracleResult {
 	cfg.NumIONodes = 0
 	cfg.DefaultStripeCount = 1
 
-	e := des.NewEngine(seed)
-	fs := pfs.New(e, cfg)
-	pr, err := storage.NewProvider(e, fs, storage.TierBB, storage.ProviderConfig{})
+	s, err := stack.New(stack.Config{Cluster: cfg, Seed: seed, Tier: storage.TierBB})
 	if err != nil {
-		panic(fmt.Sprintf("validate: oracle provider: %v", err))
+		panic(fmt.Sprintf("validate: oracle stack: %v", err))
 	}
+	e, fs, pr := s.E, s.FS, s.Provider
 	env := posixio.NewEnv(pr.Target("cn0"), 0, nil)
 	var drained des.Time
 	e.Spawn("oracle.tiered-drain", func(p *des.Proc) {

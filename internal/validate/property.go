@@ -9,7 +9,6 @@ import (
 	"pioeval/internal/des"
 	"pioeval/internal/iolang"
 	"pioeval/internal/pfs"
-	"pioeval/internal/trace"
 )
 
 // GStmt is one generated workload statement. It mirrors the iolang
@@ -197,9 +196,7 @@ func RunSource(seed int64, p campaign.Point, src string) CaseResult {
 	}
 	e := des.NewEngine(seed)
 	fs := pfs.New(e, campaign.ClusterConfig(p))
-	col := trace.NewCollector()
-	col.SetLimit(1) // records flow through the invariant hook; retention is not needed
-	inv := Attach(e, fs, col)
+	inv, col := Arm(e, fs, nil)
 	rep, rerr := iolang.Run(e, fs, w, col)
 	return CaseResult{Report: rep, Err: rerr, Violations: inv.Finish(), Stats: inv.Stats()}
 }
