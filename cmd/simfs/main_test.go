@@ -84,6 +84,23 @@ func TestGoldenScript(t *testing.T) {
 	}
 }
 
+// TestSampleKeepsMakespan: the bandwidth sampler, which outlives the
+// workload, does not change the makespan a script run reports.
+func TestSampleKeepsMakespan(t *testing.T) {
+	first := func(args ...string) string {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("run %q: exit %d (stderr: %s)", args, code, errb.String())
+		}
+		line, _, _ := strings.Cut(out.String(), "\n")
+		return line
+	}
+	args := []string{"-validate", "-faults", "ostcrash:1@1ms; ostrecover:1@20ms", "-resilient", "-tier", "bb"}
+	if got, want := first(append(args, "-sample")...), first(args...); got != want {
+		t.Errorf("with -sample: %s\nwithout:     %s", got, want)
+	}
+}
+
 // TestRunUsageErrors: a run with neither a script nor -ranks or
 // -validate, one with an unknown flag, and a -ranks run given a fault campaign or the resilience policy, which the
 // scale checkpoint does not apply, exit non-zero with a diagnostic on

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pioeval/internal/pfs"
-	"pioeval/internal/stack"
 )
 
 // freshMetrics runs every job of spec on a new stack, as every job ran
@@ -17,7 +16,7 @@ func freshMetrics(spec Spec) []map[string]float64 {
 	out := make([]map[string]float64, len(points)*spec.Reps)
 	for i := range out {
 		p := points[i/spec.Reps]
-		out[i] = run(spec, p, newStack(p, RunSeed(spec.Seed, i)))
+		out[i] = run(spec, p, newCluster(p, RunSeed(spec.Seed, i)))
 	}
 	return out
 }
@@ -78,11 +77,11 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 	t.Cleanup(func() { simulateFn = old })
 	for _, workers := range []int{1, 2} {
 		poisonSeed := RunSeed(spec.Seed, 1) // point 0, rep 1
-		var poisoned *stack.Stack
+		var poisoned *cluster
 		simulateFn = func(s Spec, p Point, seed int64, c *clusterCache) map[string]float64 {
 			c.mu.Lock()
 			for _, is := range c.idle {
-				if is.s == poisoned {
+				if is.c == poisoned {
 					t.Errorf("workers=%d: the poisoned rep's cluster is idle again", workers)
 				}
 			}
@@ -124,13 +123,15 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 // TestReusedJobAllocs pins the allocations of one repetition of a
 // two-rank IOR point (HDD, 4 MiB blocks in 256 KiB sequential transfers)
 // on a reset cluster. The engine, file system, fabric, devices and their
-// warm free lists are reused; what a job still allocates is its own MPI
-// world, clients and their fabric nodes, ranks and their procs, the
+// warm free lists are reused, and so are the harness's MPI world, ranks
+// and their procs, POSIX environments and descriptor state, and the
+// clients and their fabric nodes; what a job still allocates is its
+// procs' coroutines, its open files, inodes and MPI-IO state, the
 // storage provider and the metrics.
 func TestReusedJobAllocs(t *testing.T) {
 	spec := smallSpec().withDefaults()
 	p := spec.Expand()[0]
-	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newStack(p, 1)) })
+	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newCluster(p, 1)) })
 	c := &clusterCache{max: 1}
 	simulate(spec, p, 1, c)
 	reused := testing.AllocsPerRun(20, func() { simulate(spec, p, 1, c) })
@@ -140,7 +141,7 @@ func TestReusedJobAllocs(t *testing.T) {
 	}
 }
 
-// reusedJobAllocs is TestReusedJobAllocs's bound: 72 allocations
-// measured with coroutine procs (go1.24; 196 on a new cluster), 51 with
-// channel procs (175), plus a small margin.
-const reusedJobAllocs = 76
+// reusedJobAllocs is TestReusedJobAllocs's bound: 41 allocations
+// measured with coroutine procs (go1.24; 183 on a new cluster), 20 with
+// channel procs (162), plus a small margin.
+const reusedJobAllocs = 45

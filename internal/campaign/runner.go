@@ -254,10 +254,16 @@ func ClusterConfig(p Point) pfs.Config {
 	return cfg
 }
 
-// newStack builds the stack of point p whose engine is seeded with seed:
-// ClusterConfig's file system under the point's fault campaign, tier and
-// compressor.
-func newStack(p Point, seed int64) *stack.Stack {
+// cluster is a stack of one point with the harness its last job ran on.
+type cluster struct {
+	*stack.Stack
+	h workload.Harness
+}
+
+// newCluster builds the stack of point p whose engine is seeded with
+// seed: ClusterConfig's file system under the point's fault campaign,
+// tier and compressor.
+func newCluster(p Point, seed int64) *cluster {
 	s, err := stack.New(stack.Config{
 		Cluster: ClusterConfig(p), Seed: seed,
 		Tier: p.Tier, Compress: p.Compress, Faults: p.Faults,
@@ -265,68 +271,71 @@ func newStack(p Point, seed int64) *stack.Stack {
 	if err != nil {
 		panic(fmt.Sprintf("campaign: unvalidated point %s: %v", p.Label(), err))
 	}
-	return s
+	return &cluster{Stack: s}
 }
 
-// idleStack is a stack of point p that no job holds.
-type idleStack struct {
+// idleCluster is a cluster of point p that no job holds.
+type idleCluster struct {
 	p Point
-	s *stack.Stack
+	c *cluster
 }
 
-// clusterCache lends stacks to the jobs of one RunContext call, so that
-// the repetitions of a point share one engine and file system instead of
-// building them per job. A job takes a stack of its point, an idle one
-// reset (stack.Stack.Reset) when there is one and a new one otherwise,
-// and gives it back once its simulation returns. A job that panics never
-// gives its stack back, so no stack carries the state a panic left. At
-// most max (>= 1) stacks, one per worker, are kept idle; the oldest is
-// dropped first.
+// clusterCache lends clusters to the jobs of one RunContext call, so
+// that the repetitions of a point share one engine, file system and
+// harness instead of building them per job. A job takes a cluster of its
+// point, an idle one reset (stack.Stack.Reset) when there is one and a
+// new one otherwise, and gives it back once its simulation returns. A job
+// that panics never gives its cluster back, so no stack or harness
+// carries the state a panic left. At most max (>= 1) clusters, one per
+// worker, are kept idle; the oldest is dropped first.
 type clusterCache struct {
 	mu   sync.Mutex
-	idle []idleStack
+	idle []idleCluster
 	max  int
 }
 
-// take returns a stack of point p whose engine is seeded with seed.
-func (c *clusterCache) take(p Point, seed int64) *stack.Stack {
-	c.mu.Lock()
-	for i, is := range c.idle {
-		if is.p == p {
-			c.idle = slices.Delete(c.idle, i, i+1)
-			c.mu.Unlock()
-			is.s.Reset(seed)
-			return is.s
+// take returns a cluster of point p whose engine is seeded with seed.
+func (cc *clusterCache) take(p Point, seed int64) *cluster {
+	cc.mu.Lock()
+	for i, ic := range cc.idle {
+		if ic.p == p {
+			cc.idle = slices.Delete(cc.idle, i, i+1)
+			cc.mu.Unlock()
+			ic.c.Reset(seed)
+			return ic.c
 		}
 	}
-	c.mu.Unlock()
-	return newStack(p, seed)
+	cc.mu.Unlock()
+	return newCluster(p, seed)
 }
 
-// put returns s, a stack of point p whose job has finished, to the idle
-// stacks.
-func (c *clusterCache) put(p Point, s *stack.Stack) {
-	c.mu.Lock()
-	if len(c.idle) == c.max {
-		c.idle = slices.Delete(c.idle, 0, 1)
+// put returns c, a cluster of point p whose job has finished, to the idle
+// clusters.
+func (cc *clusterCache) put(p Point, c *cluster) {
+	cc.mu.Lock()
+	if len(cc.idle) == cc.max {
+		cc.idle = slices.Delete(cc.idle, 0, 1)
 	}
-	c.idle = append(c.idle, idleStack{p, s})
-	c.mu.Unlock()
+	cc.idle = append(cc.idle, idleCluster{p, c})
+	cc.mu.Unlock()
 }
 
-// simulate executes one run on a stack of p from clusters: the point's
+// simulate executes one run on a cluster of p from clusters: the point's
 // fault campaign (if any) and the spec's workload, reduced to a flat
-// metric map. A reset stack gives the same metrics as a new one.
+// metric map. A reset cluster gives the same metrics as a new one.
 func simulate(spec Spec, p Point, seed int64, clusters *clusterCache) map[string]float64 {
-	s := clusters.take(p, seed)
-	m := run(spec, p, s)
-	clusters.put(p, s)
+	c := clusters.take(p, seed)
+	m := run(spec, p, c)
+	clusters.put(p, c)
 	return m
 }
 
-// run simulates one job of spec at point p on s.
-func run(spec Spec, p Point, s *stack.Stack) map[string]float64 {
-	h := workload.NewHarnessOn(s.E, s.FS, p.Ranks, "camp", nil, s.Provider)
+// run simulates one job of spec at point p on c, resetting c's harness
+// onto its stack (workload.Harness.Reset), which reuses the ranks the
+// last job on c built.
+func run(spec Spec, p Point, c *cluster) map[string]float64 {
+	s, h := c.Stack, &c.h
+	h.Reset(s.E, s.FS, p.Ranks, "camp", nil, s.Provider)
 	var m map[string]float64
 	switch spec.Workload {
 	case WorkloadCheckpoint:

@@ -417,7 +417,8 @@ func TestWaitBurstAllocs(t *testing.T) {
 					eps[i] = kp.ep
 					continue
 				}
-				eps[i] = &e.SpawnIndexed("w", i, func(p *Proc) {
+				p := new(Proc)
+				e.SpawnOn(p, "w", i, func(p *Proc) {
 					for {
 						kick.Wait(p)
 						if stop {
@@ -427,7 +428,8 @@ func TestWaitBurstAllocs(t *testing.T) {
 						b.woken()
 						log = append(log, int(p.ep.index))
 					}
-				}).ep
+				})
+				eps[i] = &p.ep
 			}
 			burst := func() {
 				log = log[:0]

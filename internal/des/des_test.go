@@ -1,6 +1,9 @@
 package des
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -555,13 +558,14 @@ func TestImmediateDispatchOrdering(t *testing.T) {
 	}
 }
 
-// TestSpawnIndexedName: a goroutine proc spawned with an index is named
-// name followed by the index, as is the EventProc it hosts for Await,
-// and the name costs no allocation at spawn.
-func TestSpawnIndexedName(t *testing.T) {
+// TestSpawnOnName: a goroutine proc started with an index is named name
+// followed by the index, as is the EventProc it hosts for Await, and
+// starting it in caller storage costs no allocation.
+func TestSpawnOnName(t *testing.T) {
 	e := NewEngine(1)
 	var hosted string
-	p := e.SpawnIndexed("rank", 12, func(p *Proc) {
+	p := new(Proc)
+	e.SpawnOn(p, "rank", 12, func(p *Proc) {
 		p.Await(func(ep *EventProc) { hosted = ep.Name() })
 	})
 	if p.Name() != "rank12" {
@@ -572,8 +576,59 @@ func TestSpawnIndexedName(t *testing.T) {
 		t.Errorf("hosted EventProc named %q, want rank12", hosted)
 	}
 	body := func(*Proc) {}
+	procs := make([]Proc, 101)
 	i := 0
-	if n := testing.AllocsPerRun(100, func() { e.SpawnIndexed("rank", i, body); i++ }); n != 1 {
-		t.Errorf("SpawnIndexed: %v allocs, want 1 (the Proc)", n)
+	if n := testing.AllocsPerRun(100, func() { e.SpawnOn(&procs[i], "rank", i, body); i++ }); n != 0 {
+		t.Errorf("SpawnOn: %v allocs, want 0", n)
+	}
+	e.Run(MaxTime)
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d after the run, want 0", n)
+	}
+}
+
+// TestSpawnOnRestart: storage whose goroutine proc is live, before its
+// first dispatch or from its own body, does not restart (ErrLiveRestart,
+// naming the proc); once the run it ended in has returned, it restarts
+// in place with a new name and body, takes the next event slot, and
+// LiveProcs returns to 0 after each run.
+func TestSpawnOnRestart(t *testing.T) {
+	restart := func(e *Engine, p *Proc) (err error) {
+		defer func() { err, _ = recover().(error) }()
+		e.SpawnOn(p, "again", -1, func(*Proc) {})
+		return nil
+	}
+	e := NewEngine(1)
+	var p Proc
+	var inBody error
+	var log []string
+	e.SpawnOn(&p, "w", 7, func(p *Proc) {
+		p.Wait(3)
+		inBody = restart(e, p)
+		log = append(log, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
+	})
+	if err := restart(e, &p); !errors.Is(err, ErrLiveRestart) || !strings.Contains(err.Error(), "w7") {
+		t.Errorf("restart before the first dispatch: %v, want ErrLiveRestart naming w7", err)
+	}
+	if end := e.Run(MaxTime); end != 3 {
+		t.Fatalf("run ended at %v, want 3", end)
+	}
+	if !errors.Is(inBody, ErrLiveRestart) {
+		t.Errorf("restart from the proc's own body: %v, want ErrLiveRestart", inBody)
+	}
+	for round := 0; round < 3; round++ {
+		e.SpawnOn(&p, "r", round, func(p *Proc) {
+			p.Wait(2)
+			log = append(log, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
+		})
+		e.Spawn("other", func(p *Proc) { log = append(log, fmt.Sprintf("%s@%d", p.Name(), p.Now())) })
+		e.Run(MaxTime)
+		if n := e.LiveProcs(); n != 0 {
+			t.Fatalf("round %d: LiveProcs = %d after the run, want 0", round, n)
+		}
+	}
+	want := "[w7@3 other@3 r0@5 other@5 r1@7 other@7 r2@9]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("log %s, want %s", got, want)
 	}
 }

@@ -114,9 +114,10 @@ func (e *Engine) SpawnEventAt(d Time, name string, fn func(ep *EventProc)) *Even
 	return ep
 }
 
-// ErrLiveRestart is the value SpawnEventOn panics with (wrapped, with the
-// process name) when the storage it is handed still holds a live process.
-var ErrLiveRestart = errors.New("des: SpawnEventOn on a live event proc")
+// ErrLiveRestart is the value SpawnEventOn and SpawnOn panic with
+// (wrapped, with the process name) when the storage they are handed still
+// holds a live process.
+var ErrLiveRestart = errors.New("des: restart of a live process")
 
 // SpawnEventOn starts a continuation-form process at the current time in
 // storage the caller owns, *ep, which it overwrites; the process's first

@@ -46,18 +46,37 @@ func (e *Engine) SpawnAt(d Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawn(d, name, -1, fn)
 }
 
-// SpawnIndexed starts fn as a new simulated process at the current time,
-// named name followed by index (name "rank", index 3 gives "rank3"); the
-// name is formatted only when Name is called, as SpawnEventOn's is.
-func (e *Engine) SpawnIndexed(name string, index int, fn func(p *Proc)) *Proc {
-	return e.spawn(0, name, index, fn)
+func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
+	p := new(Proc)
+	e.startProc(p, d, name, index, fn)
+	return p
 }
 
-func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
-	p := &Proc{fn: fn}
+// SpawnOn starts fn as a goroutine process at the current time in storage
+// the caller owns, *p, named name followed by index when index >= 0 (name
+// "rank", index 3 gives "rank3"; the name is formatted only when Name is
+// called). It is the goroutine-form counterpart of SpawnEventOn, for a
+// caller that keeps its procs from run to run (an MPI world reset between
+// jobs) instead of allocating them anew. The process gets the next event
+// slot, exactly as a spawn that allocates does. *p may be zero, or hold a
+// process that has ended: every process whose body returned has, once
+// the Run it returned in has returned. Restarting a live process panics
+// with ErrLiveRestart; a proc whose body panicked stays live, so it is
+// never restarted.
+func (e *Engine) SpawnOn(p *Proc, name string, index int, fn func(p *Proc)) {
+	if p.ep.live {
+		panic(fmt.Errorf("%w: %s", ErrLiveRestart, p.Name()))
+	}
+	e.startProc(p, 0, name, index, fn)
+}
+
+// startProc makes *p a new live process with body fn, due to start after
+// delay d. It keeps what the proc switch left in *p, which a finished
+// proc no longer uses.
+func (e *Engine) startProc(p *Proc, d Time, name string, index int, fn func(p *Proc)) {
+	p.fn = fn
 	e.startEventProc(&p.ep, d, name, index)
 	p.ep.k, p.ep.host = NoStep{}, p
-	return p
 }
 
 // park runs the event loop on this goroutine until the proc is the next to
@@ -117,7 +136,7 @@ func (p *Proc) Engine() *Engine { return p.ep.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.ep.eng.now }
 
-// Name returns the process name given at Spawn or SpawnIndexed.
+// Name returns the process name given at Spawn or SpawnOn.
 func (p *Proc) Name() string { return p.ep.Name() }
 
 // Wait advances simulated time by d for this process.

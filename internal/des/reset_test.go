@@ -16,7 +16,7 @@ func dirtyRun(e *Engine, r *Resource, horizon Time) string {
 	e.SetTraceHook(func(at Time, what string) { fmt.Fprintf(&b, "%d ", at) })
 	sig := new(Signal)
 	for i := 0; i < 3; i++ {
-		e.SpawnIndexed("g", i, func(p *Proc) {
+		e.SpawnOn(new(Proc), "g", i, func(p *Proc) {
 			hold(p, r, Time(10+e.RNG().Stream("short").Int63n(5)))
 			fmt.Fprintf(&b, "%s@%d ", p.Name(), p.Now())
 			sig.Wait(p)

@@ -59,6 +59,7 @@ func (p *Proc) main(fn func(p *Proc)) {
 func (p *Proc) exit() {
 	e := p.ep.eng
 	e.procs--
+	p.ep.live = false
 	e.handoff(e.procLoop())
 }
 

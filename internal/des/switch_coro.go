@@ -46,7 +46,7 @@ func (e *Engine) handoff(p *Proc) *Proc {
 	}
 	next, ok := p.resume()
 	if !ok {
-		p.resume = nil
+		p.resume, p.ep.live = nil, false
 		next, e.after = e.after, nil
 	}
 	return next

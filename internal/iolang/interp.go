@@ -11,6 +11,7 @@ import (
 	"pioeval/internal/skeleton"
 	"pioeval/internal/storage"
 	"pioeval/internal/trace"
+	"pioeval/internal/workload"
 )
 
 // Report summarizes an interpreted run.
@@ -37,31 +38,24 @@ func Run(e *des.Engine, fs *pfs.FS, w *Workload, col *trace.Collector) (Report, 
 // provider owns background drain workers, RunOn finalizes them (waits
 // for the drain, then stops them) after the ranks finish, so the
 // reported makespan includes the tail drain — the honest cost of
-// write-back tiering.
+// write-back tiering. The makespan ends there, or where the last rank
+// ends: a process that outlives the workload, such as a bandwidth
+// sampler (monitor.Sampler), does not extend it.
 func RunOn(e *des.Engine, fs *pfs.FS, w *Workload, col *trace.Collector, pr *storage.Provider) (Report, error) {
 	rep := Report{Name: w.Name, Ranks: w.Ranks}
-	world := mpi.NewWorld(e, w.Ranks, mpi.DefaultOptions())
-	envs := make([]*posixio.Env, w.Ranks)
-	for i := range envs {
-		node := fmt.Sprintf("iolang%d", i)
-		var t storage.Target
-		if pr != nil {
-			t = pr.Target(node)
-		} else {
-			t = storage.Direct(fs.NewClient(node))
-		}
-		envs[i] = posixio.NewEnv(t, i, col)
-		envs[i].StripeCount = w.StripeCount
-		envs[i].StripeSize = w.StripeSize
+	h := workload.NewHarnessOn(e, fs, w.Ranks, "iolang", col, pr)
+	for _, env := range h.Envs {
+		env.StripeCount, env.StripeSize = w.StripeCount, w.StripeSize
 	}
 	var execErr error
+	var end des.Time
 	var wg *des.WaitGroup
 	if pr != nil && pr.NeedsFinalize() {
 		wg = new(des.WaitGroup)
 		wg.Add(w.Ranks)
 	}
-	world.Spawn(func(r *mpi.Rank) {
-		ex := &executor{w: w, r: r, env: envs[r.ID()], rep: &rep, fds: map[string]int{}}
+	h.World.Spawn(func(r *mpi.Rank) {
+		ex := &executor{w: w, r: r, env: h.Envs[r.ID()], rep: &rep, fds: map[string]int{}}
 		if err := ex.run(w.Body, 0); err != nil && execErr == nil {
 			execErr = err
 		}
@@ -77,6 +71,7 @@ func RunOn(e *des.Engine, fs *pfs.FS, w *Workload, col *trace.Collector, pr *sto
 			_ = ex.env.Close(r.Proc(), fd)
 		}
 		clear(ex.fds)
+		end = max(end, r.Proc().Now())
 		if wg != nil {
 			wg.Done()
 		}
@@ -86,13 +81,14 @@ func RunOn(e *des.Engine, fs *pfs.FS, w *Workload, col *trace.Collector, pr *sto
 		e.Spawn("iolang.drain", func(p *des.Proc) {
 			wg.Wait(p)
 			drainErr = pr.Finalize(p)
+			end = p.Now()
 		})
 	}
 	e.Run(des.MaxTime)
 	if e.LiveProcs() != 0 {
 		return rep, fmt.Errorf("iolang: deadlock with %d live procs", e.LiveProcs())
 	}
-	rep.Makespan = e.Now()
+	rep.Makespan = end
 	if execErr == nil && drainErr != nil {
 		execErr = drainErr
 	}

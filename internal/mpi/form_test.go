@@ -117,10 +117,11 @@ func (pr *barrierProg) run(t *testing.T, goroutine []bool) ([][]des.Time, uint64
 	w := NewWorld(e, pr.size, pr.opts)
 	out := make([][]des.Time, pr.size)
 	w.eventBody = func(r *EventRank) { pr.runEvent(r, out[r.ID()]) }
+	w.body = func(r *Rank) { pr.runRank(r, out[r.ID()]) }
 	for i := range out {
 		out[i] = make([]des.Time, len(pr.ops))
 		if goroutine[i] {
-			w.spawn(i, func(r *Rank) { pr.runRank(r, out[r.ID()]) })
+			w.spawn(i)
 		} else {
 			w.startEvent(new(EventRank), i)
 		}

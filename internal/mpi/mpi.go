@@ -58,6 +58,12 @@ type World struct {
 
 	// bytesSent is the total point-to-point payload.
 	bytesSent int64
+
+	// ranks are the goroutine ranks Spawn starts, each with the proc it
+	// embeds, made by the first Spawn and restarted in place by the next
+	// (des.Engine.SpawnOn), which runs body on every rank.
+	ranks []Rank
+	body  func(r *Rank)
 }
 
 type chanKey struct {
@@ -76,12 +82,20 @@ func NewWorld(e *des.Engine, size int, opts Options) *World {
 	if size < 1 {
 		panic("mpi: world size must be >= 1")
 	}
-	return &World{
-		eng:    e,
-		size:   size,
-		opts:   opts,
-		queues: make(map[chanKey]*des.Queue[Message]),
-	}
+	w := &World{eng: e, size: size, opts: opts, queues: make(map[chanKey]*des.Queue[Message])}
+	w.Reset()
+	return w
+}
+
+// Reset returns w to its state just after NewWorld, so one communicator
+// can serve a sequence of jobs on one engine: its message queues are
+// dropped, and the barrier and the byte counter are zero. The goroutine
+// ranks and their procs are kept for the next Spawn to restart. NewWorld
+// calls Reset too. Reset w together with its engine (des.Engine.Reset),
+// once every rank has ended.
+func (w *World) Reset() {
+	clear(w.queues)
+	w.barCount, w.barSignal, w.eventBody, w.body, w.bytesSent = 0, des.Signal{}, nil, nil, 0
 }
 
 // Size returns the number of ranks.
@@ -96,19 +110,30 @@ func (w *World) Options() Options { return w.opts }
 // BytesSent reports total point-to-point payload bytes.
 func (w *World) BytesSent() int64 { return w.bytesSent }
 
-// Spawn launches fn once per rank as simulated processes. Call once; then
-// run the engine. Rank i's process is named "rank<i>".
+// Spawn launches fn once per rank as simulated processes; then run the
+// engine. Rank i's process is named "rank<i>". Spawn again only once the
+// ranks the last Spawn started have ended: the ranks and their procs are
+// restarted in place, and a rank that is still live panics with
+// des.ErrLiveRestart.
 func (w *World) Spawn(fn func(r *Rank)) {
+	w.body = fn
 	for i := 0; i < w.size; i++ {
-		w.spawn(i, fn)
+		w.spawn(i)
 	}
 }
 
-// spawn launches rank i as a goroutine proc.
-func (w *World) spawn(i int, fn func(r *Rank)) {
-	w.eng.SpawnIndexed("rank", i, func(p *des.Proc) {
-		fn(&Rank{rank: rank{w: w, id: i}, p: p})
-	})
+// spawn starts rank i as a goroutine proc running w.body.
+func (w *World) spawn(i int) {
+	if w.ranks == nil {
+		w.ranks = make([]Rank, w.size)
+		for i := range w.ranks {
+			r := &w.ranks[i]
+			r.start = r.run
+		}
+	}
+	r := &w.ranks[i]
+	r.rank = rank{w: w, id: i}
+	w.eng.SpawnOn(&r.p, "rank", i, r.start)
 }
 
 func (w *World) queue(k chanKey) *des.Queue[Message] {
@@ -124,11 +149,18 @@ func (w *World) queue(k chanKey) *des.Queue[Message] {
 // process. All methods must be called from the rank's own process.
 type Rank struct {
 	rank // its barrier machine runs on the EventProc p hosts for Await
-	p    *des.Proc
+	p    des.Proc
+
+	// start is run bound to the rank, made once, so restarting the rank
+	// allocates no closure.
+	start func(p *des.Proc)
 }
 
+// run is the body of the rank's proc: the World's body on this rank.
+func (r *Rank) run(*des.Proc) { r.w.body(r) }
+
 // Proc returns the underlying simulated process.
-func (r *Rank) Proc() *des.Proc { return r.p }
+func (r *Rank) Proc() *des.Proc { return &r.p }
 
 // Compute advances simulated time by d (models computation).
 func (r *Rank) Compute(d des.Time) { r.p.Wait(d) }
@@ -150,7 +182,7 @@ func (r *Rank) Recv(src, tag int) Message {
 	if src < 0 || src >= r.w.size {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d", src))
 	}
-	return r.w.queue(chanKey{src, r.id, tag}).Get(r.p)
+	return r.w.queue(chanKey{src, r.id, tag}).Get(&r.p)
 }
 
 // Barrier synchronizes all ranks; the cost model adds a log2(P) latency

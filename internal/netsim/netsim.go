@@ -71,9 +71,12 @@ func EthernetLike() Config {
 // Fabric is an instantiated network. Create with NewFabric, then AddNode for
 // every endpoint.
 type Fabric struct {
-	eng       *des.Engine
-	cfg       Config
-	nodes     map[string]*Node
+	eng   *des.Engine
+	cfg   Config
+	nodes map[string]*Node
+	// retired holds the nodes a Reset dropped, by name, for AddNode to
+	// revive.
+	retired   map[string]*Node
 	backplane des.Resource // in use when cfg.BackplaneBandwidth > 0
 	// inName and outName name a node's links <fabric>.<node>.in and .out.
 	inName, outName des.NameAffix
@@ -100,7 +103,7 @@ func (n *Node) Name() string { return n.name }
 
 // NewFabric creates a fabric on engine e with config cfg.
 func NewFabric(e *des.Engine, cfg Config) *Fabric {
-	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*Node)}
+	f := &Fabric{eng: e, cfg: cfg, nodes: make(map[string]*Node), retired: make(map[string]*Node)}
 	f.xfers.Init(maxFreeTransfers)
 	f.inName = des.NameAffix{Prefix: cfg.Name + ".", Suffix: ".in"}
 	f.outName = des.NameAffix{Prefix: f.inName.Prefix, Suffix: ".out"}
@@ -117,35 +120,47 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 
 // Reset returns f to its state just after NewFabric followed by AddNode
 // for each node of keep, which must be f's own: every other node is
-// dropped, the kept nodes' links and the backplane are idle with zeroed
+// retired, the nodes' links and the backplane are idle with zeroed
 // accounting (des.Resource.Reset), and the degradation is nominal. The
-// kept handles stay valid, and the free transfer state stays warm.
-// NewFabric calls Reset too, so a fresh and a reset fabric are
-// initialized by the same code. Reset f together with
-// its engine; it panics with des.ErrLiveReset while a kept link is held.
+// kept handles stay valid, and the free transfer state stays warm. A
+// retired node is not f's until AddNode of its name revives it, so a
+// fabric reset between jobs of one shape allocates no node. NewFabric
+// calls Reset too, so a fresh and a reset fabric are initialized by the
+// same code. Reset f together with its engine; it panics with
+// des.ErrLiveReset while a link is held.
 func (f *Fabric) Reset(keep []*Node) {
+	for name, n := range f.nodes {
+		n.in.Reset()
+		n.out.Reset()
+		f.retired[name] = n
+	}
 	clear(f.nodes)
 	for _, n := range keep {
 		if n.fab != f {
 			panic(fmt.Sprintf("netsim: %s: reset keeps node %s of another fabric", f.cfg.Name, n.name))
 		}
-		n.in.Reset()
-		n.out.Reset()
+		delete(f.retired, n.name)
 		f.nodes[n.name] = n
 	}
 	f.backplane.Reset()
 	f.degradation = 0
 }
 
-// AddNode registers a new endpoint and returns its handle; it panics on
-// duplicates.
+// AddNode registers an endpoint and returns its handle; it panics on
+// duplicates. A node of that name that a Reset retired comes back, with
+// idle links, as a new one would be.
 func (f *Fabric) AddNode(name string) *Node {
 	if _, dup := f.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
-	n := &Node{fab: f, name: name}
-	n.in.InitAffixed(f.eng, &f.inName, name, 1)
-	n.out.InitAffixed(f.eng, &f.outName, name, 1)
+	n, ok := f.retired[name]
+	if ok {
+		delete(f.retired, name)
+	} else {
+		n = &Node{fab: f, name: name}
+		n.in.InitAffixed(f.eng, &f.inName, name, 1)
+		n.out.InitAffixed(f.eng, &f.outName, name, 1)
+	}
 	f.nodes[name] = n
 	return n
 }

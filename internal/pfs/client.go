@@ -96,7 +96,11 @@ type ClientStats struct {
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats { return c.stats }
 
-// NewClient registers a new client on compute node nodeName.
+// NewClient registers a new client on compute node nodeName. A client
+// that a Reset retired from a node of that name comes back, with its
+// node, initialized exactly as a new client is: its I/O node by the
+// round robin, zero statistics, an empty write-behind buffer and idle
+// links. It allocates nothing then.
 func (fs *FS) NewClient(nodeName string) *Client {
 	return fs.newClientOn(fs.compute.AddNode(nodeName))
 }
@@ -124,11 +128,16 @@ func (fs *FS) NewClientAt(nodeName string) *Client {
 // clients take 9,472 bytes, not 8,192).
 const clientsPerChunk = 256
 
+// newClientOn registers a client on node n: the client a Reset retired
+// from n's name if there is one, else a new one.
 func (fs *FS) newClientOn(n *netsim.Node) *Client {
-	var c *Client
-	if len(fs.clientList) < clientsPerChunk {
+	c := fs.retired[n.Name()]
+	switch {
+	case c != nil:
+		delete(fs.retired, n.Name())
+	case len(fs.clientList) < clientsPerChunk:
 		c = new(Client)
-	} else {
+	default:
 		if len(fs.clientChunk) == 0 {
 			fs.clientChunk = make([]Client, clientsPerChunk)
 		}
@@ -137,9 +146,9 @@ func (fs *FS) newClientOn(n *netsim.Node) *Client {
 	}
 	*c = Client{fs: fs, node: n, wbCapacity: fs.cfg.ClientWriteBehind}
 	if len(fs.ionodes) > 0 {
-		ion := fs.ionodes[fs.nextION%len(fs.ionodes)]
+		ion := fs.ionodes[fs.nextION]
 		c.ionC, c.ionS = ion.c, ion.s
-		fs.nextION++
+		fs.nextION = (fs.nextION + 1) % int32(len(fs.ionodes))
 	}
 	fs.clientList = append(fs.clientList, c)
 	return c
@@ -208,13 +217,16 @@ func (c *Client) Readdir(p *des.Proc, path string) ([]string, error) {
 // Handle is an open file. The blocking Create and Open return a new
 // one; the continuation forms CreateE and OpenE open into a Handle their
 // caller owns, which may be embedded by value and re-opened once it has
-// been closed.
+// been closed. A handle opened before its file system's last Reset is
+// stale: every operation on it fails with ErrStaleHandle, and it may be
+// re-opened as a closed one may.
 type Handle struct {
 	c       *Client
 	path    string
 	layout  Layout
 	closed  bool
-	raValid bool // the readahead window below is valid
+	raValid bool   // the readahead window below is valid
+	gen     uint32 // the file system's generation at the open (FS.gen)
 
 	// write-behind dirty extents, coalesced on append
 	dirty []extent

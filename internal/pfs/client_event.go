@@ -158,7 +158,7 @@ func (m *metaCall) awaitHandle(p *des.Proc) (*Handle, error) {
 	var h *Handle
 	err := m.await(p)
 	if err == nil {
-		h = &Handle{c: m.c, path: m.path, layout: m.layout}
+		h = &Handle{c: m.c, path: m.path, layout: m.layout, gen: m.c.fs.gen}
 	}
 	m.recycle()
 	return h, err
@@ -339,11 +339,11 @@ func (c *Client) OpenE(ep *des.EventProc, h *Handle, path string, k des.Step) {
 // h and runs k at once, and returns nil. It keeps the backing array of
 // h's write-behind extents.
 func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCall {
-	if h.c != nil && !h.closed {
+	if h.c != nil && !h.closed && !h.stale() {
 		panic(fmt.Errorf("%w: %s", ErrHandleOpen, path))
 	}
 	path, err := cleanPath(path)
-	*h = Handle{c: c, path: path, dirty: h.dirty[:0]}
+	*h = Handle{c: c, path: path, dirty: h.dirty[:0], gen: c.fs.gen}
 	if err != nil {
 		h.closed, h.err = true, err
 		k.Step()
@@ -353,6 +353,10 @@ func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCa
 	m.h, m.k = h, k
 	return m
 }
+
+// stale reports whether h was opened before its file system's last
+// Reset.
+func (h *Handle) stale() bool { return h.gen != h.c.fs.gen }
 
 // ioKind is the client operation an ioCall serves.
 type ioKind uint8
@@ -426,13 +430,16 @@ func (io *ioCall) await(p *des.Proc) error {
 	return err
 }
 
-// run starts the operation on ep. A read or write on a closed handle
-// fails with ErrClosedHandle, and closing a closed handle does nothing;
-// neither is observed as an operation.
+// run starts the operation on ep. Any operation on a stale handle fails
+// with ErrStaleHandle, a read or write on a closed handle fails with
+// ErrClosedHandle, and closing a closed handle does nothing; none of them
+// is observed as an operation.
 func (io *ioCall) run(ep *des.EventProc) {
 	h := io.h
 	io.ep, io.start = ep, ep.Now()
 	switch {
+	case h.stale():
+		io.complete(fmt.Errorf("%w: %s %s", ErrStaleHandle, ioKindNames[io.kind], h.path))
 	case io.kind == ioClose && h.closed:
 		io.complete(nil)
 	case io.kind >= ioFsync:

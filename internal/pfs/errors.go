@@ -13,6 +13,9 @@ var (
 	ErrNoSuchOST = errors.New("pfs: no such OST")
 	// ErrClosedHandle reports I/O on a closed file handle.
 	ErrClosedHandle = errors.New("pfs: operation on closed handle")
+	// ErrStaleHandle reports an operation on a handle opened before the
+	// file system's last Reset.
+	ErrStaleHandle = errors.New("pfs: operation on a handle opened before the file system was reset")
 	// ErrHandleOpen is the value CreateE and OpenE panic with (wrapped,
 	// with the path) when the caller-owned handle they are to open into
 	// is still open: a handle is re-opened only once it has been closed.

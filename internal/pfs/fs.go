@@ -127,6 +127,13 @@ type FS struct {
 	// round-robin layout's OSTs are a window of it (see allocateLayout).
 	ostRing []int
 
+	// gen counts resets; a handle opened in an earlier generation is
+	// stale (see Handle.gen). It wraps after 2^32 resets.
+	gen uint32
+	// retired holds the clients a Reset retired, by compute node name,
+	// for NewClient to revive (see newClientOn).
+	retired map[string]*Client
+
 	fsState
 
 	// Free lists of continuation-form call state (client_event.go).
@@ -138,8 +145,10 @@ type FS struct {
 // fsState is the part of an FS outside its servers and fabrics that a
 // run changes, which Reset zeroes.
 type fsState struct {
-	nextION int
-	nextOST int // round-robin base for layout allocation
+	// nextION and nextOST are the round-robin bases of client placement
+	// and layout allocation; 32 bits keep the FS in its size class.
+	nextION int32
+	nextOST int32
 
 	clientList []*Client
 	// clientChunk is the unused tail of the chunk new clients are carved
@@ -162,7 +171,7 @@ type ionode struct{ c, s *netsim.Node }
 // exists; everything else must be created through a Client.
 func New(e *des.Engine, cfg Config) *FS {
 	cfg = cfg.withDefaults()
-	fs := &FS{eng: e, cfg: cfg}
+	fs := &FS{eng: e, cfg: cfg, retired: make(map[string]*Client)}
 	fs.metaFree.Init(maxFreeCalls)
 	fs.ioFree.Init(maxFreeCalls)
 	fs.rpcFree.Init(maxFreeCalls)
@@ -212,16 +221,22 @@ func New(e *des.Engine, cfg Config) *FS {
 // can serve a sequence of runs of the same configuration on one engine.
 // The namespace is the root directory alone; the OSTs' object maps,
 // counters and devices, the MDS's counters and the fabrics are reset,
-// the fabrics dropping every client node (netsim.Fabric.Reset); the
+// the fabrics retiring every client node (netsim.Fabric.Reset); the
 // client list, fault state and fault log are empty, and no observer is
 // installed. What survives is the structure New built (servers, I/O
-// nodes, their fabric handles and the configuration) and the free lists
-// of call state, which stay warm. New calls Reset too, so a fresh and a
-// reset file system are initialized by the same code.
+// nodes, their fabric handles and the configuration), the free lists of
+// call state, which stay warm, and the clients, which are retired: the
+// next NewClient of a retired client's node name revives it (see
+// NewClient), so a job of the same shape as the last allocates no
+// client. New calls Reset too, so a fresh and a reset file system are
+// initialized by the same code.
 //
-// Reset fs after resetting its engine (des.Engine.Reset): a client,
-// handle or target from before the reset must not be used after it. It
-// panics with des.ErrLiveReset while a server, device or link is busy.
+// Reset starts a new generation: every handle opened before it is stale
+// and fails each operation with ErrStaleHandle, also on a client that
+// has been revived. Reset fs after resetting its engine
+// (des.Engine.Reset): a client or target from before the reset must not
+// be used after it until NewClient has handed it back. It panics with
+// des.ErrLiveReset while a server, device or link is busy.
 func (fs *FS) Reset() {
 	fs.compute.Reset(fs.fixed[0])
 	if fs.storage != nil {
@@ -231,8 +246,14 @@ func (fs *FS) Reset() {
 	for _, o := range fs.osts {
 		o.reset()
 	}
+	for _, c := range fs.clientList {
+		if name := c.node.Name(); fs.retired[name] == nil {
+			fs.retired[name] = c
+		}
+	}
 	clear(fs.clientList)
 	fs.fsState = fsState{clientList: fs.clientList[:0]}
+	fs.gen++
 }
 
 // serverFabric returns the fabric on which servers live: the storage fabric
@@ -353,9 +374,9 @@ func (fs *FS) allocateLayout(stripeCount int, stripeSize int64) Layout {
 		l.OSTs = append(l.OSTs, idx[:stripeCount]...)
 	default:
 		// A window of the ring, capped so that an append copies.
-		next := fs.nextOST
+		next := int(fs.nextOST)
 		l.OSTs = fs.ostRing[next : next+stripeCount : next+stripeCount]
-		fs.nextOST = (next + stripeCount) % len(fs.osts)
+		fs.nextOST = int32((next + stripeCount) % len(fs.osts))
 	}
 	return l
 }

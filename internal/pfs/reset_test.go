@@ -198,3 +198,111 @@ func TestFSResetBusyPanics(t *testing.T) {
 	}()
 	fs.Reset()
 }
+
+// TestStaleHandle: a handle opened before a Reset is stale on the client
+// the reset retired and NewClient revived: every operation on it fails
+// with ErrStaleHandle, in goroutine and continuation form, open or
+// closed, with write-behind data buffered or not, and none reaches a
+// server or an observer. A stale caller-owned handle may be opened again.
+func TestStaleHandle(t *testing.T) {
+	e := des.NewEngine(1)
+	fs := New(e, resetConfig())
+	c := fs.NewClient("c0")
+	var g, closed *Handle
+	var eh Handle
+	e.Spawn("g", func(p *des.Proc) {
+		var err error
+		if g, err = c.Create(p, "/g", 0, 0); err == nil {
+			err = g.Write(p, 0, 1<<20) // stays in the write-behind buffer
+		}
+		if closed, err = c.Create(p, "/closed", 0, 0); err == nil {
+			err = closed.Close(p)
+		}
+		if err != nil {
+			t.Errorf("before the reset: %v", err)
+		}
+	})
+	e.SpawnEvent("ev", func(ep *des.EventProc) {
+		c.CreateE(ep, &eh, "/e", 0, 0, des.StepFunc(func() {
+			if eh.Err() == nil {
+				eh.WriteE(ep, 0, 1<<20, des.NoStep{})
+			}
+		}))
+	})
+	e.Run(des.MaxTime)
+	if eh.Err() != nil || eh.closed {
+		t.Fatalf("the continuation handle did not open: %v", eh.Err())
+	}
+
+	e.Reset(1)
+	fs.Reset()
+	if fs.NewClient("c0") != c {
+		t.Fatal("NewClient did not revive the retired client")
+	}
+	var events int
+	fs.SetOpObserver(func(OpEvent) { events++ })
+	fs.SetOSTObserver(func(OSTEvent) { events++ })
+	var errs []error
+	e.Spawn("g", func(p *des.Proc) {
+		errs = append(errs, g.Write(p, 0, 4096), g.Read(p, 0, 4096), g.Fsync(p), g.Close(p), g.Close(p), closed.Close(p), closed.Read(p, 0, 1))
+	})
+	e.SpawnEvent("ev", func(ep *des.EventProc) {
+		record := des.StepFunc(func() { errs = append(errs, eh.Err()) })
+		eh.WriteE(ep, 0, 4096, record)
+		eh.FsyncE(ep, record)
+		eh.CloseE(ep, record)
+	})
+	e.Run(des.MaxTime)
+	if len(errs) != 10 {
+		t.Fatalf("%d outcomes, want 10", len(errs))
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrStaleHandle) {
+			t.Errorf("operation %d on a stale handle: %v, want ErrStaleHandle", i, err)
+		}
+	}
+	if st, md := c.Stats(), fs.MDSStats(); st != (ClientStats{}) || md.TotalOps != 0 || events != 0 {
+		t.Errorf("stale operations reached the servers: client %+v, %d MDS ops, %d observed events", st, md.TotalOps, events)
+	}
+
+	e.SpawnEvent("reopen", func(ep *des.EventProc) {
+		c.CreateE(ep, &eh, "/e", 0, 0, des.StepFunc(func() {
+			if eh.Err() == nil {
+				eh.WriteE(ep, 0, 4096, des.NoStep{})
+			}
+		}))
+	})
+	e.Run(des.MaxTime)
+	if eh.Err() != nil || eh.stale() {
+		t.Errorf("re-opening a stale handle: %v (stale %v)", eh.Err(), eh.stale())
+	}
+}
+
+// TestRevivedClientAllocs: a reset file system hands every retired
+// client back to NewClient of its node name, and resetting and reviving
+// allocates nothing.
+func TestRevivedClientAllocs(t *testing.T) {
+	e := des.NewEngine(1)
+	cfg := fastConfig()
+	cfg.NumIONodes = 2
+	fs := New(e, cfg)
+	names := []string{"camp0", "camp1", "camp2", "camp3"}
+	var first []*Client
+	for _, name := range names {
+		first = append(first, fs.NewClient(name))
+	}
+	revive := func() {
+		fs.Reset()
+		for i, name := range names {
+			if c := fs.NewClient(name); c != first[i] {
+				t.Fatalf("NewClient(%s) after a reset is a new client", name)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, revive); n != 0 {
+		t.Errorf("reset and revive %d clients: %v allocs, want 0", len(names), n)
+	}
+	if got := first[3].IONode(); got != "ionode1" {
+		t.Errorf("the fourth revived client routes through %q, want ionode1", got)
+	}
+}

@@ -55,7 +55,19 @@ type fdState struct {
 // NewEnv creates a POSIX environment for rank on target t, tracing into col
 // (nil disables tracing).
 func NewEnv(t storage.Target, rank int, col *trace.Collector) *Env {
-	return &Env{target: t, rank: rank, col: col, fds: make(map[int]*fdState), nextFD: 3}
+	e := &Env{fds: make(map[int]*fdState)}
+	e.Reset(t, rank, col)
+	return e
+}
+
+// Reset makes e what NewEnv(t, rank, col) returns, so one environment can
+// serve a sequence of jobs: no descriptor is open, the next is 3, and the
+// stripe settings select the file-system defaults. The state of closed
+// descriptors is kept for the next opens to reuse. NewEnv calls Reset
+// too.
+func (e *Env) Reset(t storage.Target, rank int, col *trace.Collector) {
+	clear(e.fds)
+	*e = Env{target: t, rank: rank, col: col, fds: e.fds, nextFD: 3, spare: e.spare}
 }
 
 // Target returns the underlying storage target.

@@ -1,5 +1,7 @@
 package stats
 
+import "sort"
+
 // CI is a two-sided confidence interval.
 type CI struct {
 	Lo, Hi float64
@@ -31,6 +33,17 @@ func BootstrapCI(xs []float64, resamples int, level float64, seed int64) CI {
 	if resamples <= 0 {
 		resamples = 1000
 	}
+	means := resampleMeans(xs, resamples, seed)
+	alpha := (1 - level) / 2
+	sort.Float64s(means)
+	ci.Lo = quantileSorted(means, alpha)
+	ci.Hi = quantileSorted(means, 1-alpha)
+	return ci
+}
+
+// resampleMeans returns the means of resamples resamples of xs drawn
+// with replacement from a SplitMix64 stream seeded with seed.
+func resampleMeans(xs []float64, resamples int, seed int64) []float64 {
 	state := uint64(seed)
 	means := make([]float64, resamples)
 	n := len(xs)
@@ -41,10 +54,7 @@ func BootstrapCI(xs []float64, resamples int, level float64, seed int64) CI {
 		}
 		means[i] = s / float64(n)
 	}
-	alpha := (1 - level) / 2
-	ci.Lo = Quantile(means, alpha)
-	ci.Hi = Quantile(means, 1-alpha)
-	return ci
+	return means
 }
 
 // splitmix64 advances a SplitMix64 state and returns the next output, a

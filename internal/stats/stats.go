@@ -89,11 +89,12 @@ func Summarize(xs []float64) Summary {
 	s.StdDev = StdDev(xs)
 	s.CV = CoeffVar(xs)
 	s.Min, s.Max = MinMax(xs)
-	s.Median = Quantile(xs, 0.5)
-	s.P25 = Quantile(xs, 0.25)
-	s.P75 = Quantile(xs, 0.75)
-	s.P95 = Quantile(xs, 0.95)
-	s.P99 = Quantile(xs, 0.99)
+	sorted := sortedCopy(xs)
+	s.Median = quantileSorted(sorted, 0.5)
+	s.P25 = quantileSorted(sorted, 0.25)
+	s.P75 = quantileSorted(sorted, 0.75)
+	s.P95 = quantileSorted(sorted, 0.95)
+	s.P99 = quantileSorted(sorted, 0.99)
 	return s
 }
 
@@ -102,8 +103,19 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
+	return quantileSorted(sortedCopy(xs), q)
+}
+
+// sortedCopy returns xs sorted, leaving xs as it is.
+func sortedCopy(xs []float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return sorted
+}
+
+// quantileSorted is Quantile of a non-empty sample sorted in ascending
+// order (sort.Float64s), which it does not copy.
+func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}

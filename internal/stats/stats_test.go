@@ -270,3 +270,58 @@ func TestDetectPeriod(t *testing.T) {
 		t.Errorf("noise period = %d, want 0", p)
 	}
 }
+
+// TestQuantilesSortOnce: Summarize's quantiles, taken from one sorted
+// copy, and BootstrapCI's bounds, taken from its resample means sorted in
+// place, are bit for bit what a Quantile call per quantile gives, on
+// generated samples with ties, zeros, negative values and signed zeros;
+// and each sorts one sample, allocating one copy.
+func TestQuantilesSortOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for c := 0; c < 500; c++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			switch rng.Intn(5) {
+			case 0:
+				xs[i] = float64(rng.Intn(4)) // ties
+			case 1:
+				xs[i] = math.Copysign(0, -1)
+			default:
+				xs[i] = rng.NormFloat64() * 1e3
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		s := Summarize(xs)
+		for _, q := range []struct {
+			name string
+			got  float64
+			q    float64
+		}{{"median", s.Median, 0.5}, {"p25", s.P25, 0.25}, {"p75", s.P75, 0.75}, {"p95", s.P95, 0.95}, {"p99", s.P99, 0.99}} {
+			if want := Quantile(xs, q.q); !same(q.got, want) {
+				t.Fatalf("case %d %s: Summarize %v, Quantile %v (sample %v)", c, q.name, q.got, want, xs)
+			}
+		}
+		if len(xs) > 1 {
+			seed, level := rng.Int63(), []float64{0.9, 0.95, 0.99}[rng.Intn(3)]
+			ci := BootstrapCI(xs, 200, level, seed)
+			means := resampleMeans(xs, 200, seed)
+			alpha := (1 - level) / 2
+			if lo, hi := Quantile(means, alpha), Quantile(means, 1-alpha); !same(ci.Lo, lo) || !same(ci.Hi, hi) {
+				t.Fatalf("case %d: BootstrapCI [%v, %v], Quantile [%v, %v]", c, ci.Lo, ci.Hi, lo, hi)
+			}
+		}
+		for i := range xs {
+			if !same(xs[i], orig[i]) {
+				t.Fatalf("case %d: the sample changed at %d", c, i)
+			}
+		}
+	}
+	xs := []float64{3, 1, 2, 5, 4}
+	if n := testing.AllocsPerRun(10, func() { Summarize(xs) }); n != 1 {
+		t.Errorf("Summarize: %v allocs, want 1 (the sorted copy)", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { BootstrapCI(xs, 100, 0.95, 1) }); n != 1 {
+		t.Errorf("BootstrapCI: %v allocs, want 1 (the resample means)", n)
+	}
+}

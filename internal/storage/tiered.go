@@ -24,7 +24,7 @@ import (
 // survived the resilience policy's retry budget) surface from Fsync as a
 // *burstbuffer.DrainError.
 type TieredBB struct {
-	DirectPFS
+	*DirectPFS
 	bb *burstbuffer.Buffer
 	// free recycles the handles of closed files (and of failed opens).
 	free des.FreeList[tieredHandle, *tieredHandle]
@@ -38,7 +38,7 @@ const maxFreeHandles = 64
 // buffer is typically shared by every client on the same I/O node; use
 // Provider to get that wiring for free.
 func NewTiered(c *pfs.Client, bb *burstbuffer.Buffer) *TieredBB {
-	t := &TieredBB{DirectPFS: DirectPFS{c: c}, bb: bb}
+	t := &TieredBB{DirectPFS: Direct(c), bb: bb}
 	t.free.Init(maxFreeHandles)
 	return t
 }
@@ -50,14 +50,14 @@ func (t *TieredBB) Buffer() *burstbuffer.Buffer { return t.bb }
 // path can open it) and returns a handle whose data ops ride the buffer.
 func (t *TieredBB) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {
 	h := t.free.Get()
-	p.Await(func(ep *des.EventProc) { t.c.CreateE(ep, &h.ph, path, stripeCount, stripeSize, des.NoStep{}) })
+	p.Await(func(ep *des.EventProc) { t.client().CreateE(ep, &h.ph, path, stripeCount, stripeSize, des.NoStep{}) })
 	return t.opened(h)
 }
 
 // Open opens an existing PFS file for tiered access.
 func (t *TieredBB) Open(p *des.Proc, path string) (Handle, error) {
 	h := t.free.Get()
-	p.Await(func(ep *des.EventProc) { t.c.OpenE(ep, &h.ph, path, des.NoStep{}) })
+	p.Await(func(ep *des.EventProc) { t.client().OpenE(ep, &h.ph, path, des.NoStep{}) })
 	return t.opened(h)
 }
 

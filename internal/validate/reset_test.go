@@ -170,3 +170,63 @@ func TestNilProviderMatchesDirect(t *testing.T) {
 		}
 	}
 }
+
+// targetLog is a pass-through stage that records the target each node's
+// ranks were given: on the direct tier, the node's PFS client.
+type targetLog map[string]storage.Target
+
+func (targetLog) Name() string          { return "targetlog" }
+func (targetLog) Flush(*des.Proc) error { return nil }
+func (l targetLog) Wrap(node string, t storage.Target) storage.Target {
+	l[node] = t
+	return t
+}
+
+// TestRevivedRanksMatchFresh runs generated programs on the direct tier
+// twice: once on a new stack, and once on a stack that first ran a
+// program with a different rank count and was then reset, so the second
+// job revives the clients and fabric nodes the first one retired
+// (pfs.FS.NewClient) for the ranks both have, and makes new ones for the
+// rest. Both runs go through a pass-through stage that records each
+// node's target. They must report byte-identical results, and every rank
+// the two jobs share must have been given the client the first job had.
+func TestRevivedRanksMatchFresh(t *testing.T) {
+	revived := 0
+	for i := 1; i <= 200; i++ {
+		c := GenCase(campaign.RunSeed(5150, i))
+		other := GenCase(campaign.RunSeed(5151, i))
+		for j := int64(1); other.Point.Ranks == c.Point.Ranks; j++ {
+			other = GenCase(campaign.RunSeed(5151+j, i))
+		}
+		fresh := newStack(t, c, storage.TierDirect, "")
+		fresh.Provider.Push(targetLog{})
+		want := runOnCluster(t, fresh, fresh.Provider, c, c.Body)
+
+		oc := c
+		oc.Seed, oc.Point.Ranks = other.Seed, other.Point.Ranks
+		st := newStack(t, oc, storage.TierDirect, "")
+		before := targetLog{}
+		st.Provider.Push(before)
+		runOnCluster(t, st, st.Provider, oc, other.Body)
+		st.Reset(c.Seed)
+		after := targetLog{}
+		st.Provider.Push(after)
+		if got := runOnCluster(t, st, st.Provider, c, c.Body); got != want {
+			t.Errorf("case %d (%d ranks after %d): a reset stack reports differently from a new one:\n reset %s\n new   %s\nprogram:\n%s", i, c.Point.Ranks, other.Point.Ranks, got, want, c.Source())
+		}
+		if len(after) != c.Point.Ranks {
+			t.Fatalf("case %d: %d targets minted, want %d", i, len(after), c.Point.Ranks)
+		}
+		for node, tgt := range after {
+			if prev, ok := before[node]; ok {
+				if tgt != prev {
+					t.Errorf("case %d: node %s got a new client, not the one the reset retired", i, node)
+				}
+				revived++
+			}
+		}
+	}
+	if revived == 0 {
+		t.Error("no rank was revived: the reset runs test nothing")
+	}
+}

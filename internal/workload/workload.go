@@ -32,6 +32,11 @@ type Harness struct {
 	// FinalizeErr records the provider finalize (burst-buffer drain) error
 	// from the last Run, nil when clean.
 	FinalizeErr error
+
+	// names are the ranks' node names for prefix, kept from reset to
+	// reset.
+	names  NameBlock
+	prefix string
 }
 
 // NewHarness creates ranks clients named <prefix>N with a shared collector
@@ -45,23 +50,44 @@ func NewHarness(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col *trace.
 // rank's environment is bound to pr.Target (burst-buffer tier, node-local
 // scratch, ...). A nil provider means direct PFS access.
 func NewHarnessOn(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col *trace.Collector, pr *storage.Provider) *Harness {
-	h := &Harness{
-		Eng: e, FS: fs,
-		World:    mpi.NewWorld(e, ranks, mpi.DefaultOptions()),
-		Col:      col,
-		Provider: pr,
+	h := new(Harness)
+	h.Reset(e, fs, ranks, prefix, col, pr)
+	return h
+}
+
+// Reset makes h what NewHarnessOn(e, fs, ranks, prefix, col, pr) returns,
+// keeping what h's last job built where it fits, so a job on a reset
+// stack (des.Engine.Reset, pfs.FS.Reset and a new provider) rebuilds no
+// rank: the world is reset (mpi.World.Reset) when it is on e with ranks
+// ranks, the node names are kept for the same prefix, and every kept
+// environment is reset (posixio.Env.Reset) onto the target pr mints
+// again. NewHarnessOn calls Reset too. Reset h only once its last Run has
+// returned.
+func (h *Harness) Reset(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col *trace.Collector, pr *storage.Provider) {
+	w := h.World
+	if w != nil && w.Engine() == e && w.Size() == ranks {
+		w.Reset()
+	} else {
+		w = mpi.NewWorld(e, ranks, mpi.DefaultOptions())
 	}
-	for i := 0; i < ranks; i++ {
-		node := fmt.Sprintf("%s%d", prefix, i)
+	if prefix != h.prefix || len(h.names.end) < ranks {
+		h.names = Names(prefix, 0, ranks)
+	}
+	for i := range ranks {
+		node := h.names.At(i)
 		var t storage.Target
 		if pr != nil {
 			t = pr.Target(node)
 		} else {
 			t = storage.Direct(fs.NewClient(node))
 		}
-		h.Envs = append(h.Envs, posixio.NewEnv(t, i, col))
+		if i < len(h.Envs) {
+			h.Envs[i].Reset(t, i, col)
+		} else {
+			h.Envs = append(h.Envs, posixio.NewEnv(t, i, col))
+		}
 	}
-	return h
+	*h = Harness{Eng: e, FS: fs, World: w, Envs: h.Envs[:ranks], Col: col, Provider: pr, names: h.names, prefix: prefix}
 }
 
 // Run spawns fn per rank and drives the engine to completion, returning
