@@ -37,6 +37,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-sample-size", "lots"}, 1, "dliobench:"},
 		{[]string{"-compute", "soon"}, 1, "dliobench:"},
 		{[]string{"-device", "tape"}, 1, "dliobench:"},
+		{[]string{"-workers", "0"}, 2, "dliobench: usage: -workers must be at least 1"},
+		{[]string{"-epochs", "-1"}, 2, "dliobench: usage: -epochs must be at least 1"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +24,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("iorbench: ")
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		if errors.Is(err, cli.ErrUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 }
 
@@ -44,6 +49,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	readBack := fs.Bool("read", false, "add a read-back phase")
 	collective := fs.Bool("collective", false, "use two-phase collective MPI-IO (shared file only)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cli.RequirePositive(fs, "ranks", "segments"); err != nil {
 		return err
 	}
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -52,16 +54,27 @@ func TestRunStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestBadFlagsError covers rejection paths through run.
+// TestBadFlagsError covers rejection paths through run. A count below
+// one is a usage error (exit 2), not a panic or a silent default.
 func TestBadFlagsError(t *testing.T) {
-	for _, args := range [][]string{
-		{"-pattern", "zigzag"},
-		{"-block", "huge"},
-		{"-device", "tape"},
+	for _, tc := range []struct {
+		args  []string
+		usage bool
+	}{
+		{[]string{"-pattern", "zigzag"}, false},
+		{[]string{"-block", "huge"}, false},
+		{[]string{"-device", "tape"}, false},
+		{[]string{"-ranks", "-3"}, true},
+		{[]string{"-segments", "0"}, true},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		err := run(tc.args, &out, &errb)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", tc.args)
+			continue
+		}
+		if errors.Is(err, cli.ErrUsage) != tc.usage || out.Len() != 0 {
+			t.Errorf("run(%v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
 		}
 	}
 }

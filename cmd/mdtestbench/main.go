@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +24,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdtestbench: ")
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		if errors.Is(err, cli.ErrUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 }
 
@@ -40,6 +45,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	writeStr := fs.String("write", "0B", "bytes written into each file (mdtest -w); the read phase reads them back")
 	phasesStr := fs.String("phases", "create,stat,delete", "comma-separated timed phases: create,stat,read,delete (create is mandatory)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cli.RequirePositive(fs, "ranks", "files"); err != nil {
 		return err
 	}
 

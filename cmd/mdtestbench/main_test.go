@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -70,18 +72,29 @@ func TestRunStableAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestBadFlagsError covers rejection paths through run.
+// TestBadFlagsError covers rejection paths through run. A count below
+// one is a usage error (exit 2), not a panic or a silent default.
 func TestBadFlagsError(t *testing.T) {
-	for _, args := range [][]string{
-		{"-phases", "stat,delete"},   // create is mandatory
-		{"-phases", "create,fsck"},   // unknown phase
-		{"-phases", "create,create"}, // duplicate
-		{"-write", "lots"},
-		{"-device", "tape"},
+	for _, tc := range []struct {
+		args  []string
+		usage bool
+	}{
+		{[]string{"-phases", "stat,delete"}, false},   // create is mandatory
+		{[]string{"-phases", "create,fsck"}, false},   // unknown phase
+		{[]string{"-phases", "create,create"}, false}, // duplicate
+		{[]string{"-write", "lots"}, false},
+		{[]string{"-device", "tape"}, false},
+		{[]string{"-ranks", "0"}, true},
+		{[]string{"-files", "-5"}, true},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		err := run(tc.args, &out, &errb)
+		if err == nil {
+			t.Errorf("run(%v) succeeded, want error", tc.args)
+			continue
+		}
+		if errors.Is(err, cli.ErrUsage) != tc.usage || out.Len() != 0 {
+			t.Errorf("run(%v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
 		}
 	}
 }

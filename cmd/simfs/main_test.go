@@ -116,6 +116,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}, 1, "-faults and -resilient apply to workload scripts"},
 		{[]string{"-ranks", "64", "-faults", "ostcrash:1@100ms"}, 1, "-faults and -resilient apply to workload scripts"},
 		{[]string{"-ranks", "64", "-resilient"}, 1, "-faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "-5"}, 2, "simfs: usage: -ranks must be at least 1, got -5"},
+		{[]string{"-ranks", "8", "-steps", "-2"}, 2, "simfs: usage: -steps must be at least 1, got -2"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

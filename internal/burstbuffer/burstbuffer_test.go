@@ -245,53 +245,6 @@ func TestWaitDrainedSyncsOnlyWrittenHandles(t *testing.T) {
 	}
 }
 
-// TestWaitDrainedDurableUnderWriteBehind covers the one configuration in
-// which a drain fsync does work: with a client write-behind buffer, the
-// drained bytes reach the OSTs only when WaitDrained fsyncs their handle.
-// Each pass must leave exactly the drained bytes on the OSTs, including a
-// rewrite of a path an earlier pass already synced.
-func TestWaitDrainedDurableUnderWriteBehind(t *testing.T) {
-	e := des.NewEngine(5)
-	cfg := pfs.DefaultConfig()
-	cfg.NumIONodes = 0
-	cfg.ClientWriteBehind = 8 << 20
-	fs := pfs.New(e, cfg)
-	var ostWritten int64
-	fs.SetOSTObserver(func(ev pfs.OSTEvent) {
-		if ev.Write {
-			ostWritten += ev.Size
-		}
-	})
-	bb := New(e, fs, "bb0", Config{DrainWorkers: 2})
-	check := func(pass int) {
-		st := bb.Stats()
-		if st.DrainErrors != 0 {
-			t.Errorf("pass %d: %d drain errors: %v", pass, st.DrainErrors, st.LastDrainError)
-		}
-		if ostWritten != st.Drained {
-			t.Errorf("pass %d: OST-written bytes = %d, drained = %d", pass, ostWritten, st.Drained)
-		}
-	}
-	e.Spawn("app", func(p *des.Proc) {
-		bb.Write(p, "/a", 0, 1<<20)
-		bb.Write(p, "/b", 0, 1<<20)
-		if err := bb.WaitDrained(p); err != nil {
-			t.Errorf("pass 1: %v", err)
-		}
-		check(1)
-		bb.Write(p, "/a", 1<<20, 1<<20)
-		bb.Write(p, "/c", 0, 1<<20)
-		if err := bb.WaitDrained(p); err != nil {
-			t.Errorf("pass 2: %v", err)
-		}
-		check(2)
-	})
-	e.Run(des.MaxTime)
-	if st := bb.Stats(); st.Drained != 4<<20 {
-		t.Fatalf("drained = %d, want 4MB", st.Drained)
-	}
-}
-
 // TestDrainWorkersOpenDistinctHandles: two drain workers that open fresh
 // paths at the same time each open into a handle of their own; sharing
 // one would panic with pfs.ErrHandleOpen.

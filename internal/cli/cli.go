@@ -9,6 +9,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strconv"
@@ -60,6 +61,25 @@ func (c *ClusterFlags) Config() (pfs.Config, error) {
 		return cfg, fmt.Errorf("unknown device model %q", c.Device)
 	}
 	return cfg, nil
+}
+
+// ErrUsage marks an error in a command's arguments that the command finds
+// after parsing its flags. Commands exit 2 on it, as on a flag they
+// cannot parse.
+var ErrUsage = errors.New("usage")
+
+// RequirePositive returns an ErrUsage error naming the first of the named
+// integer flags of fs whose value is below 1. The workload configs read a
+// count below 1 as "use the default", and the MPI world rejects an empty
+// one, so a command must not pass such a value on.
+func RequirePositive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		v := fs.Lookup(name).Value.String()
+		if n, err := strconv.ParseInt(v, 10, 64); err != nil || n < 1 {
+			return fmt.Errorf("%w: -%s must be at least 1, got %s", ErrUsage, name, v)
+		}
+	}
+	return nil
 }
 
 // ParseSize parses a byte size with optional B/KB/MB/GB suffix.

@@ -74,9 +74,8 @@ func MergeExtents(exts []Extent, maxGap int64) []Extent {
 // View is an interleaved-block file view (the common MPI_Type_vector
 // pattern): the file is an infinite sequence of blocks of BlockElems
 // elements of ElemSize bytes; rank r of P owns blocks r, r+P, r+2P, ...
-// starting at displacement Disp.
+// from the start of the file.
 type View struct {
-	Disp       int64
 	ElemSize   int64
 	BlockElems int64
 }
@@ -88,9 +87,9 @@ func contiguousView() View { return View{ElemSize: 1, BlockElems: 0} }
 // accessing elems elements under the view.
 func (v View) Extents(r, p int, elems int64) []Extent {
 	if v.BlockElems <= 0 {
-		// Contiguous view: a single run at Disp (caller supplies offsets
-		// through At-style calls instead).
-		return []Extent{{Off: v.Disp, Size: elems * v.ElemSize}}
+		// Contiguous view: a single run at offset 0 (caller supplies
+		// offsets through At-style calls instead).
+		return []Extent{{Size: elems * v.ElemSize}}
 	}
 	blockBytes := v.BlockElems * v.ElemSize
 	var out []Extent
@@ -101,7 +100,7 @@ func (v View) Extents(r, p int, elems int64) []Extent {
 		if n > remaining {
 			n = remaining
 		}
-		out = append(out, Extent{Off: v.Disp + blockIdx*blockBytes, Size: n * v.ElemSize})
+		out = append(out, Extent{Off: blockIdx * blockBytes, Size: n * v.ElemSize})
 		remaining -= n
 	}
 	return out

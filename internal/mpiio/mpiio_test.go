@@ -122,10 +122,10 @@ func TestPropMergeExtents(t *testing.T) {
 }
 
 func TestViewExtents(t *testing.T) {
-	v := View{Disp: 1000, ElemSize: 8, BlockElems: 4}
-	// Rank 1 of 4, 10 elems: blocks 1, 5, 9 → extents at 1000+32, 1000+160, 1000+288.
+	v := View{ElemSize: 8, BlockElems: 4}
+	// Rank 1 of 4, 10 elems: blocks 1, 5, 9 → extents at 32, 160, 288.
 	exts := v.Extents(1, 4, 10)
-	want := []Extent{{1032, 32}, {1160, 32}, {1288, 16}}
+	want := []Extent{{32, 32}, {160, 32}, {288, 16}}
 	if !reflect.DeepEqual(exts, want) {
 		t.Fatalf("Extents = %v, want %v", exts, want)
 	}

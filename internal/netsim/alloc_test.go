@@ -14,7 +14,7 @@ import (
 func transferAllocs(t *testing.T, dsts ...string) float64 {
 	t.Helper()
 	e := des.NewEngine(1)
-	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, MTU: 4096})
+	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a := f.AddNode("a")
 	kick := new(des.Signal)
 	done := -len(dsts) // the first wait on kick is no transfer's completion
@@ -81,7 +81,7 @@ func TestTransferFreeListBounded(t *testing.T) {
 // with two transfers queued on one sender link.
 func TestTransferAllocs(t *testing.T) {
 	e := des.NewEngine(1)
-	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, MTU: 4096})
+	f := NewFabric(e, Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps})
 	a := f.AddNode("a")
 	kick := new(des.Signal)
 	stop := false

@@ -35,15 +35,9 @@ type Config struct {
 	Latency des.Time
 	// LinkBandwidth is each node's NIC injection/ejection bandwidth.
 	LinkBandwidth Bandwidth
-	// BackplaneBandwidth caps aggregate traffic; 0 means unconstrained.
+	// BackplaneBandwidth caps aggregate traffic, one full-rate transfer
+	// at a time; 0 means unconstrained.
 	BackplaneBandwidth Bandwidth
-	// BackplaneChannels is the parallelism of the backplane resource
-	// (number of concurrent full-rate transfers). Default 1 when a
-	// backplane bandwidth is set.
-	BackplaneChannels int
-	// MTU splits messages into packets for pipelining; 0 disables
-	// packetization (whole message serializes as one unit).
-	MTU int64
 }
 
 // InfiniBandLike returns a config resembling an EDR InfiniBand compute
@@ -108,11 +102,7 @@ func NewFabric(e *des.Engine, cfg Config) *Fabric {
 	f.inName = des.NameAffix{Prefix: cfg.Name + ".", Suffix: ".in"}
 	f.outName = des.NameAffix{Prefix: f.inName.Prefix, Suffix: ".out"}
 	if cfg.BackplaneBandwidth > 0 {
-		ch := cfg.BackplaneChannels
-		if ch < 1 {
-			ch = 1
-		}
-		f.backplane.Init(e, cfg.Name+".backplane", ch)
+		f.backplane.Init(e, cfg.Name+".backplane", 1)
 	}
 	f.Reset(nil)
 	return f
@@ -193,9 +183,86 @@ func (f *Fabric) scaled(t des.Time) des.Time {
 	return t
 }
 
-// begin validates a transfer; it reports the chunk size the message
-// serializes in.
-func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
+// maxFreeTransfers caps a fabric's TransferE free list. A burst of
+// concurrent transfers (every rank of a shard queued at one NIC) frees far
+// more state than steady state reuses; only this many are kept (see
+// des.FreeList).
+const maxFreeTransfers = 256
+
+// transferE is the state machine behind TransferE: after the latency,
+// acquire the sender link, (acquire the backplane), acquire the receiver
+// link, hold for the serialization time, release in reverse order. The
+// struct is its own continuation: every blocking point re-enters Step. It
+// returns to its fabric's free list when its last step fires, so a
+// steady-state transfer allocates nothing.
+type transferE struct {
+	f     *Fabric
+	ep    *des.EventProc
+	s, d  *Node
+	size  int64
+	t     des.Time // serialization time
+	phase uint8
+	des.Pooled
+	k des.Step
+}
+
+// transferE phases: the step that runs when the pending blocking point
+// fires.
+const (
+	xfSend      uint8 = iota // latency paid: acquire the sender link
+	xfOut                    // holds the sender link
+	xfBackplane              // holds the backplane
+	xfIn                     // holds the receiver link
+	xfSent                   // message serialized
+)
+
+func (t *transferE) Step() {
+	if t.Recycled() {
+		panic("netsim: transfer resumed after it was recycled")
+	}
+	f := t.f
+	switch t.phase {
+	case xfSend:
+		t.phase = xfOut
+		t.s.out.AcquireE(t.ep, t)
+	case xfOut:
+		t.t = f.scaled(transferTime(t.size, f.cfg.LinkBandwidth))
+		if f.cfg.BackplaneBandwidth > 0 {
+			t.phase = xfBackplane
+			f.backplane.AcquireE(t.ep, t)
+			return
+		}
+		t.phase = xfIn
+		t.d.in.AcquireE(t.ep, t)
+	case xfBackplane:
+		if bt := f.scaled(transferTime(t.size, f.cfg.BackplaneBandwidth)); bt > t.t {
+			t.t = bt
+		}
+		t.phase = xfIn
+		t.d.in.AcquireE(t.ep, t)
+	case xfIn:
+		t.phase = xfSent
+		t.ep.Wait(t.t, t)
+	case xfSent:
+		t.d.in.Release()
+		if f.cfg.BackplaneBandwidth > 0 {
+			f.backplane.Release()
+		}
+		t.s.out.Release()
+		k := t.k
+		t.ep, t.s, t.d, t.k = nil, nil, nil, nil
+		f.xfers.Put(t)
+		k.Step()
+	}
+}
+
+// TransferE moves size bytes from src to dst in simulated time and runs k
+// on completion, using the calling EventProc for all queueing. The
+// message pays one latency (half of it on loopback), then serializes as
+// one unit, holding the sender link, the backplane if any and the
+// receiver link; an empty message pays the latency alone. It never runs
+// k before returning.
+func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k des.Step) {
 	if size < 0 {
 		panic("netsim: negative transfer size")
 	}
@@ -205,113 +272,16 @@ func (f *Fabric) begin(src, dst *Node, size int64) (chunk int64) {
 	if dst == nil || dst.fab != f {
 		panic(fmt.Sprintf("netsim: %s: dst is not a node of this fabric", f.cfg.Name))
 	}
-	chunk = f.cfg.MTU
-	if chunk <= 0 || chunk > size {
-		chunk = size
-	}
-	return chunk
-}
-
-// maxFreeTransfers caps a fabric's TransferE free list. A burst of
-// concurrent transfers (every rank of a shard queued at one NIC) frees far
-// more state than steady state reuses; only this many are kept (see
-// des.FreeList).
-const maxFreeTransfers = 256
-
-// transferE is the state machine behind TransferE. One chunk cycle is:
-// acquire the sender link, (acquire the backplane), acquire the receiver
-// link, hold for the serialization time, release in reverse order, next
-// chunk. The struct is its own continuation: every blocking point re-enters
-// Step. It returns to its fabric's free list when its last step fires, so
-// a steady-state transfer allocates nothing.
-type transferE struct {
-	f      *Fabric
-	ep     *des.EventProc
-	s, d   *Node
-	remain int64
-	chunk  int64
-	n      int64    // current chunk size
-	t      des.Time // current chunk serialization time
-	phase  uint8
-	des.Pooled
-	k des.Step
-}
-
-// transferE phases: the step that runs when the pending blocking point
-// fires.
-const (
-	xfChunk     uint8 = iota // latency paid or chunk released: start the next chunk
-	xfOut                    // holds the sender link
-	xfBackplane              // holds the backplane
-	xfIn                     // holds the receiver link
-	xfSent                   // chunk serialized
-)
-
-func (t *transferE) Step() {
-	if t.Recycled() {
-		panic("netsim: transfer resumed after it was recycled")
-	}
-	f := t.f
-	for {
-		switch t.phase {
-		case xfChunk:
-			if t.remain <= 0 {
-				k := t.k
-				t.ep, t.s, t.d, t.k = nil, nil, nil, nil
-				f.xfers.Put(t)
-				k.Step()
-				return
-			}
-			t.n = min(t.chunk, t.remain)
-			t.phase = xfOut
-			t.s.out.AcquireE(t.ep, t)
-			return
-		case xfOut:
-			t.t = f.scaled(transferTime(t.n, f.cfg.LinkBandwidth))
-			if f.cfg.BackplaneBandwidth > 0 {
-				t.phase = xfBackplane
-				f.backplane.AcquireE(t.ep, t)
-				return
-			}
-			t.phase = xfIn
-			t.d.in.AcquireE(t.ep, t)
-			return
-		case xfBackplane:
-			if bt := f.scaled(transferTime(t.n, f.cfg.BackplaneBandwidth)); bt > t.t {
-				t.t = bt
-			}
-			t.phase = xfIn
-			t.d.in.AcquireE(t.ep, t)
-			return
-		case xfIn:
-			t.phase = xfSent
-			t.ep.Wait(t.t, t)
-			return
-		case xfSent:
-			t.d.in.Release()
-			if f.cfg.BackplaneBandwidth > 0 {
-				f.backplane.Release()
-			}
-			t.s.out.Release()
-			t.remain -= t.n
-			t.phase = xfChunk
-		}
-	}
-}
-
-// TransferE moves size bytes from src to dst in simulated time and runs k
-// on completion, using the calling EventProc for all queueing. The
-// message pays one latency (half of it on loopback), then serializes in
-// MTU-sized chunks, each holding the sender link, the backplane if any
-// and the receiver link. It never runs k before returning.
-func (f *Fabric) TransferE(ep *des.EventProc, src, dst *Node, size int64, k des.Step) {
-	chunk := f.begin(src, dst, size)
-	if src == dst {
+	switch {
+	case src == dst:
 		ep.Wait(f.scaled(f.cfg.Latency/2), k)
+		return
+	case size == 0:
+		ep.Wait(f.scaled(f.cfg.Latency), k)
 		return
 	}
 	t := f.xfers.Get()
-	t.f, t.ep, t.s, t.d, t.remain, t.chunk, t.k = f, ep, src, dst, size, chunk, k
-	t.phase = xfChunk
+	t.f, t.ep, t.s, t.d, t.size, t.k = f, ep, src, dst, size, k
+	t.phase = xfSend
 	ep.Wait(f.scaled(f.cfg.Latency), t)
 }

@@ -73,7 +73,6 @@ func TestBackplaneCap(t *testing.T) {
 		Name: "t", Latency: 0,
 		LinkBandwidth:      10 * GBps,
 		BackplaneBandwidth: 1 * GBps,
-		BackplaneChannels:  1,
 	}
 	e := des.NewEngine(1)
 	f := NewFabric(e, cfg)
@@ -111,19 +110,27 @@ func TestLoopback(t *testing.T) {
 	}
 }
 
-func TestMTUPipelineStillMovesAllBytes(t *testing.T) {
-	cfg := Config{Name: "t", Latency: 1 * des.Microsecond, LinkBandwidth: 1 * GBps, MTU: 64 << 10}
+// TestEmptyMessagePaysLatency: a zero-byte message pays the latency and
+// holds no link, so a message sent behind it on the same link is not
+// delayed.
+func TestEmptyMessagePaysLatency(t *testing.T) {
+	cfg := Config{Name: "t", Latency: 10 * des.Microsecond, LinkBandwidth: 1 * GBps}
 	e, f := twoNodeFabric(cfg, 1)
-	var done des.Time
-	e.Spawn("x", func(p *des.Proc) {
+	var empty, full des.Time
+	e.Spawn("empty", func(p *des.Proc) {
+		transfer(p, f, node(f, "a"), node(f, "b"), 0)
+		empty = p.Now()
+	})
+	e.Spawn("full", func(p *des.Proc) {
 		transfer(p, f, node(f, "a"), node(f, "b"), 1_000_000)
-		done = p.Now()
+		full = p.Now()
 	})
 	e.Run(des.MaxTime)
-	// Serialization dominates: ~1ms regardless of chunking.
-	lo, hi := 1*des.Millisecond, 1*des.Millisecond+100*des.Microsecond
-	if done < lo || done > hi {
-		t.Fatalf("chunked transfer took %v, want within [%v, %v]", done, lo, hi)
+	if empty != 10*des.Microsecond {
+		t.Errorf("empty message took %v, want the 10µs latency", empty)
+	}
+	if want := 10*des.Microsecond + des.Millisecond; full != want {
+		t.Errorf("message behind an empty one took %v, want %v", full, want)
 	}
 }
 

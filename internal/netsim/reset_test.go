@@ -49,7 +49,7 @@ func nodeNames(f *Fabric) []string {
 // for them, idle links and nominal speed, and carries the next run
 // exactly as a fresh fabric with the same servers does.
 func TestFabricResetMatchesFresh(t *testing.T) {
-	cfg := Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, BackplaneBandwidth: 2 * GBps, MTU: 1 << 20}
+	cfg := Config{Name: "t", Latency: des.Microsecond, LinkBandwidth: GBps, BackplaneBandwidth: 2 * GBps}
 	used := des.NewEngine(1)
 	f := NewFabric(used, cfg)
 	srv := f.AddNode("srv")

@@ -65,10 +65,6 @@ type Client struct {
 	node       *netsim.Node
 	ionC, ionS *netsim.Node
 
-	// Write-behind buffer state (shared across the client's handles).
-	wbCapacity int64
-	wbDirty    int64
-
 	// Client-side counters (the "client-side hardware statistics" of
 	// §IV-A2): RPC counts and wire bytes as the compute node sees them.
 	stats ClientStats
@@ -99,8 +95,7 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // NewClient registers a new client on compute node nodeName. A client
 // that a Reset retired from a node of that name comes back, with its
 // node, initialized exactly as a new client is: its I/O node by the
-// round robin, zero statistics, an empty write-behind buffer and idle
-// links. It allocates nothing then.
+// round robin, zero statistics and idle links. It allocates nothing then.
 func (fs *FS) NewClient(nodeName string) *Client {
 	return fs.newClientOn(fs.compute.AddNode(nodeName))
 }
@@ -122,11 +117,12 @@ func (fs *FS) NewClientAt(nodeName string) *Client {
 // carves from one allocation: once it has clientsPerChunk clients, the
 // next ones come from chunks of that many, so at most one chunk is part
 // unused. Smaller jobs allocate their clients one by one and pay for no
-// unused slot. A chunk is 32 KiB, which the runtime allocates as four
-// whole pages; a smaller chunk of a type with pointers would carry an
-// 8-byte allocation header that rounds it up to the next size class (64
-// clients take 9,472 bytes, not 8,192).
-const clientsPerChunk = 256
+// unused slot. A chunk is as many clients as fit in 32 KiB, which the
+// runtime allocates as four whole pages with room for the 8-byte
+// allocation header of a type with pointers; a smaller chunk would round
+// up to a size class with more waste (64 clients of 128 bytes take 9,472
+// bytes, not 8,192).
+const clientsPerChunk = 32 << 10 / int(unsafe.Sizeof(Client{}))
 
 // newClientOn registers a client on node n: the client a Reset retired
 // from n's name if there is one, else a new one.
@@ -144,7 +140,7 @@ func (fs *FS) newClientOn(n *netsim.Node) *Client {
 		c = &fs.clientChunk[0]
 		fs.clientChunk = fs.clientChunk[1:]
 	}
-	*c = Client{fs: fs, node: n, wbCapacity: fs.cfg.ClientWriteBehind}
+	*c = Client{fs: fs, node: n}
 	if len(fs.ionodes) > 0 {
 		ion := fs.ionodes[fs.nextION]
 		c.ionC, c.ionS = ion.c, ion.s
@@ -228,9 +224,6 @@ type Handle struct {
 	raValid bool   // the readahead window below is valid
 	gen     uint32 // the file system's generation at the open (FS.gen)
 
-	// write-behind dirty extents, coalesced on append
-	dirty []extent
-
 	// readahead window already fetched from the servers
 	raStart, raEnd int64
 
@@ -242,8 +235,6 @@ type Handle struct {
 // open that opened it, or the last write, read, fsync or close. The Step
 // a continuation call runs on completion reads its outcome here.
 func (h *Handle) Err() error { return h.err }
-
-type extent struct{ off, size int64 }
 
 // Create makes a new file with the given striping (0 values select the
 // file-system defaults) and returns an open handle.
@@ -526,43 +517,10 @@ func (h *Handle) settleIO(rpcs []chunk, errs []error, write bool) error {
 	return firstErr
 }
 
-// Write writes size bytes at offset off, blocking in simulated time. With
-// write-behind enabled, data may be buffered and flushed later; errors
-// from a deferred flush surface on the Write, Fsync, or Close that
-// triggers it. A closed handle returns ErrClosedHandle.
+// Write writes size bytes at offset off through to the OSTs, blocking in
+// simulated time. A closed handle returns ErrClosedHandle.
 func (h *Handle) Write(p *des.Proc, off, size int64) error {
 	return h.newIO(ioWrite, off, size, nil).await(p)
-}
-
-// appendDirty records a dirty extent, coalescing with the previous one when
-// contiguous.
-func (h *Handle) appendDirty(off, size int64) {
-	if n := len(h.dirty); n > 0 {
-		last := &h.dirty[n-1]
-		if last.off+last.size == off {
-			last.size += size
-			return
-		}
-	}
-	h.dirty = append(h.dirty, extent{off, size})
-}
-
-// takeDirty empties the write-behind buffer, appending the striped chunks
-// of every dirty extent to chunks and reporting the furthest byte they
-// reach. Buffered data is dropped whether or not the writeback that
-// follows succeeds — on failure it is lost, as with a real client cache.
-func (h *Handle) takeDirty(chunks []chunk) (_ []chunk, maxEnd int64) {
-	var total int64
-	for _, ex := range h.dirty {
-		chunks = appendStripeChunks(chunks, h.layout, ex.off, ex.size)
-		if end := ex.off + ex.size; end > maxEnd {
-			maxEnd = end
-		}
-		total += ex.size
-	}
-	h.dirty = h.dirty[:0]
-	h.c.wbDirty -= total
-	return chunks, maxEnd
 }
 
 // Read reads size bytes at offset off, blocking in simulated time. With
@@ -574,10 +532,9 @@ func (h *Handle) Read(p *des.Proc, off, size int64) error {
 	return h.newIO(ioRead, off, size, nil).await(p)
 }
 
-// Fsync flushes buffered writes.
+// Fsync makes the handle's writes durable. The client buffers no
+// writes, so it completes at once.
 func (h *Handle) Fsync(p *des.Proc) error { return h.newIO(ioFsync, 0, 0, nil).await(p) }
 
-// Close flushes and closes the handle. The handle is closed even when the
-// final flush fails; the flush error is returned. Closing a closed handle
-// does nothing.
+// Close closes the handle. Closing a closed handle does nothing.
 func (h *Handle) Close(p *des.Proc) error { return h.newIO(ioClose, 0, 0, nil).await(p) }

@@ -336,14 +336,13 @@ func (c *Client) OpenE(ep *des.EventProc, h *Handle, path string, k des.Step) {
 
 // openInto makes h an opening handle on c for path and returns a metaCall
 // for op that settles h and runs k. For a path that is not valid it fails
-// h and runs k at once, and returns nil. It keeps the backing array of
-// h's write-behind extents.
+// h and runs k at once, and returns nil.
 func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCall {
 	if h.c != nil && !h.closed && !h.stale() {
 		panic(fmt.Errorf("%w: %s", ErrHandleOpen, path))
 	}
 	path, err := cleanPath(path)
-	*h = Handle{c: c, path: path, dirty: h.dirty[:0], gen: c.fs.gen}
+	*h = Handle{c: c, path: path, gen: c.fs.gen}
 	if err != nil {
 		h.closed, h.err = true, err
 		k.Step()
@@ -370,16 +369,16 @@ const (
 
 var ioKindNames = [...]string{"write", "read", "fsync", "close"}
 
-// ioCall is one write, read, fsync or close: the write-behind buffer and
-// readahead window, the striped RPC fan-out as spawned rpcCall procs
-// joined on a WaitGroup, the size update that follows a write, and the
-// operation's observer event. Its chunk, RPC and error slices and its
+// ioCall is one write, read, fsync or close: the readahead window, the
+// striped RPC fan-out as spawned rpcCall procs joined on a WaitGroup, the
+// size update that follows a write, and the operation's observer event.
+// The client buffers no writes, so an fsync or a close moves no data and
+// takes no simulated time. Its chunk, RPC and error slices and its
 // WaitGroup are reused from call to call.
 type ioCall struct {
 	h      *Handle
 	ep     *des.EventProc
 	kind   ioKind
-	write  bool // the fan-out writes
 	sizing bool // the write's size update is in flight
 	des.Pooled
 	off  int64
@@ -443,7 +442,7 @@ func (io *ioCall) run(ep *des.EventProc) {
 	case io.kind == ioClose && h.closed:
 		io.complete(nil)
 	case io.kind >= ioFsync:
-		io.flush()
+		io.finish()
 	case h.closed:
 		io.complete(fmt.Errorf("%w: %s %s", ErrClosedHandle, ioKindNames[io.kind], h.path))
 	case io.size <= 0:
@@ -455,24 +454,13 @@ func (io *ioCall) run(ep *des.EventProc) {
 	}
 }
 
-// writeOp buffers the write when write-behind is on, flushing once the
-// buffer is full, and otherwise writes through.
+// writeOp writes through to the OSTs.
 func (io *ioCall) writeOp() {
 	h := io.h
 	h.raValid = false // writes invalidate the readahead window
-	if c := h.c; c.wbCapacity > 0 {
-		h.appendDirty(io.off, io.size)
-		c.wbDirty += io.size
-		if c.wbDirty >= c.wbCapacity {
-			io.flush()
-			return
-		}
-		io.finish()
-		return
-	}
 	io.end = io.off + io.size
 	io.chunks = appendStripeChunks(io.chunks[:0], h.layout, io.off, io.size)
-	io.fanOut(io.chunks, true)
+	io.fanOut()
 }
 
 // readOp serves a read from the readahead window, or fetches it (with the
@@ -487,21 +475,21 @@ func (io *ioCall) readOp() {
 	case ra > 0:
 		io.end = off + size + ra
 		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size+ra)
-		io.fanOut(io.chunks, false)
+		io.fanOut()
 	default:
 		io.chunks = appendStripeChunks(io.chunks[:0], h.layout, off, size)
-		io.fanOut(io.chunks, false)
+		io.fanOut()
 	}
 }
 
-// launch starts chunks as parallel RPCs across OSTs — one pooled rpcCall
-// per RPC, each on the event proc it embeds, so a steady-state RPC costs
-// one pooled event and no allocation — counted on io.wg.
-func (io *ioCall) launch(chunks []chunk, write bool) {
+// launch starts io.chunks as parallel RPCs across OSTs — one pooled
+// rpcCall per RPC, each on the event proc it embeds, so a steady-state
+// RPC costs one pooled event and no allocation — counted on io.wg.
+func (io *ioCall) launch() {
 	h := io.h
 	fs := h.c.fs
-	io.write = write
-	io.rpcs = fs.splitRPCs(io.rpcs[:0], chunks)
+	write := io.kind == ioWrite
+	io.rpcs = fs.splitRPCs(io.rpcs[:0], io.chunks)
 	n := len(io.rpcs)
 	if cap(io.errs) < n {
 		io.errs = make([]error, n)
@@ -519,23 +507,11 @@ func (io *ioCall) launch(chunks []chunk, write bool) {
 	}
 }
 
-// fanOut launches chunks as parallel RPCs and resumes io once they have
-// all completed.
-func (io *ioCall) fanOut(chunks []chunk, write bool) {
-	io.launch(chunks, write)
+// fanOut launches io.chunks as parallel RPCs and resumes io once they
+// have all completed.
+func (io *ioCall) fanOut() {
+	io.launch()
 	io.wg.WaitE(io.ep, io)
-}
-
-// flush writes out the handle's dirty extents (see takeDirty), or
-// finishes at once when there are none.
-func (io *ioCall) flush() {
-	h := io.h
-	if len(h.dirty) == 0 {
-		io.finish()
-		return
-	}
-	io.chunks, io.end = h.takeDirty(io.chunks[:0])
-	io.fanOut(io.chunks, true)
 }
 
 // Step settles the joined fan-out: a write goes on to its size update,
@@ -551,9 +527,10 @@ func (io *ioCall) Step() {
 		io.finish()
 		return
 	}
-	io.err = h.settleIO(io.rpcs, io.errs, io.write)
+	write := io.kind == ioWrite
+	io.err = h.settleIO(io.rpcs, io.errs, write)
 	if io.err == nil {
-		if io.write {
+		if write {
 			io.setSize()
 			return
 		}
@@ -575,7 +552,7 @@ func (io *ioCall) setSize() {
 }
 
 // finish emits the operation's observer event and completes it. A close
-// marks the handle closed whether or not its flush succeeded.
+// marks the handle closed.
 func (io *ioCall) finish() {
 	h := io.h
 	if io.kind == ioClose {
@@ -747,10 +724,8 @@ func (rc *rpcCall) settle() {
 	io.wg.Done()
 }
 
-// WriteE is the continuation form of Write, including the write-behind
-// buffer: buffered writes complete synchronously and deferred flush
-// errors surface on the triggering WriteE, FsyncE, or CloseE. k reads the
-// outcome from h.Err, as for every continuation call on a handle.
+// WriteE is the continuation form of Write. k reads the outcome from
+// h.Err, as for every continuation call on a handle.
 func (h *Handle) WriteE(ep *des.EventProc, off, size int64, k des.Step) {
 	h.newIO(ioWrite, off, size, k).run(ep)
 }

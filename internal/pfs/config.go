@@ -57,11 +57,6 @@ type Config struct {
 	// MaxRPCSize splits bulk transfers into RPC-sized chunks.
 	MaxRPCSize int64
 
-	// ClientWriteBehind enables a client-side write-back buffer of the
-	// given capacity in bytes (0 disables). Dirty data is flushed when
-	// the buffer fills and on Fsync/Close.
-	ClientWriteBehind int64
-
 	// ClientReadahead enables client-side readahead: on a cache miss the
 	// client fetches the requested bytes plus this many extra bytes, and
 	// serves subsequent reads inside the prefetched window for free.

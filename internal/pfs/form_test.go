@@ -38,8 +38,8 @@ func genFormProgram(rng *rand.Rand, n int) []formOp {
 	for i := range ops {
 		op := formOp{off: rng.Int63n(16 << 20), size: 4<<10 + rng.Int63n(4<<20)}
 		if rng.Intn(2) == 0 {
-			// Aligned power-of-two requests land exactly on stripe,
-			// write-behind and readahead boundaries.
+			// Aligned power-of-two requests land exactly on stripe
+			// and readahead boundaries.
 			op.off &^= 64<<10 - 1
 			op.size = 64 << 10 << rng.Intn(6)
 		}
@@ -88,11 +88,10 @@ type formResult struct {
 // runFormProgram runs progs, one client each, on a fresh cluster: through
 // Write/Read/Fsync/Close on goroutine Procs, or through the E forms on
 // EventProcs.
-func runFormProgram(t *testing.T, sc formScenario, wb, ra int64, progs [][]formOp, event bool) formResult {
+func runFormProgram(t *testing.T, sc formScenario, ra int64, progs [][]formOp, event bool) formResult {
 	t.Helper()
 	cfg := fastConfig()
 	cfg.NumIONodes = 1
-	cfg.ClientWriteBehind = wb
 	cfg.ClientReadahead = ra
 	cfg.Resilience = sc.policy
 	e := des.NewEngine(11)
@@ -198,8 +197,7 @@ func runFormProgram(t *testing.T, sc formScenario, wb, ra int64, progs [][]formO
 // reads, fsyncs, closes and re-opens through both execution forms — the
 // blocking methods on goroutine Procs and the E methods on EventProcs —
 // under OST crashes with and without recovery, transient errors, an MDS
-// outage and degraded reads, with write-behind and readahead each on and
-// off. The forms must agree on every op's completion time and error text
+// outage and degraded reads, with readahead on and off. The forms must agree on every op's completion time and error text
 // and on every client and OST counter.
 func TestFormDifferentialUnderFaults(t *testing.T) {
 	crashAt := func(at des.Time, ost int) func(*des.Engine, *FS) {
@@ -250,40 +248,38 @@ func TestFormDifferentialUnderFaults(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, sc := range scenarios {
-		for _, wb := range []int64{0, 2 << 20} {
-			for _, ra := range []int64{0, 1 << 20} {
-				progs := make([][]formOp, 3)
-				for i := range progs {
-					progs[i] = genFormProgram(rng, 24)
-				}
-				name := fmt.Sprintf("%s/wb=%d/ra=%d", sc.name, wb, ra)
-				g := runFormProgram(t, sc, wb, ra, progs, false)
-				c := runFormProgram(t, sc, wb, ra, progs, true)
-				if !reflect.DeepEqual(g.log, c.log) {
-					for i := 0; i < len(g.log) && i < len(c.log); i++ {
-						if g.log[i] != c.log[i] {
-							t.Errorf("%s: first divergence at completion %d:\n goroutine    %s\n continuation %s", name, i, g.log[i], c.log[i])
-							break
-						}
+		for _, ra := range []int64{0, 1 << 20} {
+			progs := make([][]formOp, 3)
+			for i := range progs {
+				progs[i] = genFormProgram(rng, 24)
+			}
+			name := fmt.Sprintf("%s/ra=%d", sc.name, ra)
+			g := runFormProgram(t, sc, ra, progs, false)
+			c := runFormProgram(t, sc, ra, progs, true)
+			if !reflect.DeepEqual(g.log, c.log) {
+				for i := 0; i < len(g.log) && i < len(c.log); i++ {
+					if g.log[i] != c.log[i] {
+						t.Errorf("%s: first divergence at completion %d:\n goroutine    %s\n continuation %s", name, i, g.log[i], c.log[i])
+						break
 					}
-					t.Errorf("%s: %d goroutine-form completions, %d continuation-form", name, len(g.log), len(c.log))
 				}
-				if !reflect.DeepEqual(g.clients, c.clients) {
-					t.Errorf("%s: client stats differ:\n goroutine    %+v\n continuation %+v", name, g.clients, c.clients)
-				}
-				if !reflect.DeepEqual(g.osts, c.osts) {
-					t.Errorf("%s: OST stats differ:\n goroutine    %+v\n continuation %+v", name, g.osts, c.osts)
-				}
-				var total ClientStats
-				for _, st := range g.clients {
-					total.TimedOutRPCs += st.TimedOutRPCs
-					total.Retries += st.Retries
-					total.FailedRPCs += st.FailedRPCs
-					total.DegradedReads += st.DegradedReads
-				}
-				if !sc.exercised(total) {
-					t.Errorf("%s: the fault path was not exercised: %+v", name, total)
-				}
+				t.Errorf("%s: %d goroutine-form completions, %d continuation-form", name, len(g.log), len(c.log))
+			}
+			if !reflect.DeepEqual(g.clients, c.clients) {
+				t.Errorf("%s: client stats differ:\n goroutine    %+v\n continuation %+v", name, g.clients, c.clients)
+			}
+			if !reflect.DeepEqual(g.osts, c.osts) {
+				t.Errorf("%s: OST stats differ:\n goroutine    %+v\n continuation %+v", name, g.osts, c.osts)
+			}
+			var total ClientStats
+			for _, st := range g.clients {
+				total.TimedOutRPCs += st.TimedOutRPCs
+				total.Retries += st.Retries
+				total.FailedRPCs += st.FailedRPCs
+				total.DegradedReads += st.DegradedReads
+			}
+			if !sc.exercised(total) {
+				t.Errorf("%s: the fault path was not exercised: %+v", name, total)
 			}
 		}
 	}

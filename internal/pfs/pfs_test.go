@@ -294,53 +294,6 @@ func clientName(i int) string {
 	return "client" + string(rune('A'+i))
 }
 
-func TestWriteBehindAbsorbsSmallWrites(t *testing.T) {
-	// With write-behind, many small writes coalesce into fewer larger
-	// device requests and finish sooner.
-	run := func(wb int64) (des.Time, uint64) {
-		cfg := fastConfig()
-		cfg.ClientWriteBehind = wb
-		var end des.Time
-		fs, _ := runClient(t, cfg, func(p *des.Proc, c *Client) {
-			h, _ := c.Create(p, "/f", 1, 1<<20)
-			for i := int64(0); i < 256; i++ {
-				h.Write(p, i*4096, 4096)
-			}
-			h.Close(p)
-			end = p.Now()
-		})
-		var ops uint64
-		for _, st := range fs.OSTStats() {
-			ops += st.WriteOps
-		}
-		return end, ops
-	}
-	endNo, opsNo := run(0)
-	endWB, opsWB := run(8 << 20)
-	if opsWB >= opsNo {
-		t.Fatalf("write-behind ops = %d, want < %d", opsWB, opsNo)
-	}
-	if endWB >= endNo {
-		t.Fatalf("write-behind makespan %v, want < %v", endWB, endNo)
-	}
-	// All bytes must still land on the OSTs after Close.
-	_, w := func() (int64, int64) {
-		cfg := fastConfig()
-		cfg.ClientWriteBehind = 8 << 20
-		fs, _ := runClient(t, cfg, func(p *des.Proc, c *Client) {
-			h, _ := c.Create(p, "/f", 1, 1<<20)
-			for i := int64(0); i < 256; i++ {
-				h.Write(p, i*4096, 4096)
-			}
-			h.Close(p)
-		})
-		return fs.TotalBytes()
-	}()
-	if w != 256*4096 {
-		t.Fatalf("flushed bytes = %d, want %d", w, 256*4096)
-	}
-}
-
 func TestIONodeTierRouting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OSTDevice = func() blockdev.Model { return blockdev.DefaultSSD() }

@@ -13,13 +13,12 @@ import (
 	"pioeval/internal/des"
 )
 
-// resetConfig is a two-fabric deployment with write-behind, readahead
-// and the default resilience policy, so a run touches every part of an
+// resetConfig is a two-fabric deployment with readahead and the default
+// resilience policy, so a run touches every part of an
 // FS that Reset restores.
 func resetConfig() Config {
 	cfg := fastConfig()
 	cfg.NumIONodes = 2
-	cfg.ClientWriteBehind = 2 << 20
 	cfg.ClientReadahead = 1 << 20
 	cfg.Resilience = DefaultResilience()
 	return cfg
@@ -202,8 +201,7 @@ func TestFSResetBusyPanics(t *testing.T) {
 // TestStaleHandle: a handle opened before a Reset is stale on the client
 // the reset retired and NewClient revived: every operation on it fails
 // with ErrStaleHandle, in goroutine and continuation form, open or
-// closed, with write-behind data buffered or not, and none reaches a
-// server or an observer. A stale caller-owned handle may be opened again.
+// closed, and none reaches a server or an observer. A stale caller-owned handle may be opened again.
 func TestStaleHandle(t *testing.T) {
 	e := des.NewEngine(1)
 	fs := New(e, resetConfig())
@@ -213,7 +211,7 @@ func TestStaleHandle(t *testing.T) {
 	e.Spawn("g", func(p *des.Proc) {
 		var err error
 		if g, err = c.Create(p, "/g", 0, 0); err == nil {
-			err = g.Write(p, 0, 1<<20) // stays in the write-behind buffer
+			err = g.Write(p, 0, 1<<20)
 		}
 		if closed, err = c.Create(p, "/closed", 0, 0); err == nil {
 			err = closed.Close(p)

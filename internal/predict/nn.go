@@ -64,8 +64,6 @@ type NNConfig struct {
 	Epochs     int
 	BatchSize  int
 	Seed       int64
-	// L2 is the weight-decay coefficient.
-	L2 float64
 }
 
 // DefaultNNConfig returns a small regression network: two hidden layers of
@@ -264,7 +262,7 @@ func (n *NN) step(X [][]float64, y []float64, batch []int) {
 	for l := 0; l < L; l++ {
 		for j := range n.w[l] {
 			for k := range n.w[l][j] {
-				n.w[l][j][k] -= lr * (gw[l][j][k] + n.cfg.L2*n.w[l][j][k])
+				n.w[l][j][k] -= lr * gw[l][j][k]
 			}
 			n.b[l][j] -= lr * gb[l][j]
 		}

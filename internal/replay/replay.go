@@ -67,20 +67,9 @@ type Options struct {
 	// Timed preserves each op's recorded pre-op compute time; false
 	// replays as fast as possible (I/O time only).
 	Timed bool
-	// ThinkScale multiplies recorded compute gaps when Timed is set
-	// (hfplayer-style replay acceleration/deceleration). 0 means 1.0.
-	ThinkScale float64
 	// StripeCount/StripeSize apply to files the replayer creates.
 	StripeCount int
 	StripeSize  int64
-}
-
-// scaledThink applies ThinkScale to a recorded gap.
-func (o Options) scaledThink(t des.Time) des.Time {
-	if o.ThinkScale == 0 || o.ThinkScale == 1 {
-		return t
-	}
-	return des.Time(float64(t) * o.ThinkScale)
 }
 
 // Result summarizes a replay.
@@ -136,7 +125,7 @@ func RunTraced(e *des.Engine, fs *pfs.FS, rankOps [][]skeleton.ConcreteOp, opts 
 			}
 			for _, op := range ops {
 				if opts.Timed && op.Think > 0 {
-					p.Wait(opts.scaledThink(op.Think))
+					p.Wait(op.Think)
 				}
 				switch op.Op {
 				case "open":

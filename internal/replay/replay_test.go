@@ -220,23 +220,6 @@ func TestExtrapolationValidatesAgainstDirectRun(t *testing.T) {
 	}
 }
 
-func TestThinkScaleAcceleratesReplay(t *testing.T) {
-	recs, _ := recordRun(2, 4)
-	ops := FromTrace(recs)
-	dur := func(scale float64) des.Time {
-		e := des.NewEngine(99)
-		res, err := Run(e, fastFS(e), ops, Options{Timed: true, ThinkScale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Makespan
-	}
-	full, half, double := dur(1), dur(0.5), dur(2)
-	if !(half < full && full < double) {
-		t.Fatalf("think scaling broken: half=%v full=%v double=%v", half, full, double)
-	}
-}
-
 // TestRunTracedClosesLeftoverDescriptorsInOrder: two ranks each leave
 // eight files open, which the replayer closes at the end. Same-seed runs
 // give identical trace-record sequences, so the closes cannot follow

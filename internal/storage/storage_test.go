@@ -283,7 +283,7 @@ func TestProviderSharesBufferPerIONode(t *testing.T) {
 	}
 	a := pr.Target("cn0").(*TieredBB)
 	b := pr.Target("cn1").(*TieredBB)
-	if a.Buffer() != b.Buffer() {
+	if a.bb != b.bb {
 		t.Error("flat network should share one buffer")
 	}
 	if len(pr.Buffers()) != 1 {

@@ -43,9 +43,6 @@ func NewTiered(c *pfs.Client, bb *burstbuffer.Buffer) *TieredBB {
 	return t
 }
 
-// Buffer returns the burst buffer this target stages through.
-func (t *TieredBB) Buffer() *burstbuffer.Buffer { return t.bb }
-
 // Create creates path on the PFS namespace (so the drainer and read-through
 // path can open it) and returns a handle whose data ops ride the buffer.
 func (t *TieredBB) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {

@@ -35,8 +35,8 @@ const maxRetained = 64
 //     device utilizations within [0, 1].
 //   - write-conservation: bytes written at the PFS client boundary equal
 //     bytes arriving at the OSTs (armed only on fault-free runs — lost
-//     RPCs legitimately break equality — and catches leaked write-behind
-//     buffers, double writes, and striping/accounting bugs).
+//     RPCs legitimately break equality — and catches dropped or double
+//     writes, and striping/accounting bugs).
 //   - read-conservation: client-read bytes equal OST-read bytes (armed
 //     only on fault-free runs with readahead disabled, since readahead
 //     legitimately over-fetches and cache hits under-fetch).
@@ -241,7 +241,7 @@ func (inv *Invariants) Finish() []Violation {
 	ff := inv.faultFree()
 	if ff {
 		if inv.clientWrite != ostWrite {
-			inv.violatef("write-conservation", "client wrote %d bytes but OSTs received %d (Δ %d; leaked write-behind buffer or accounting bug)",
+			inv.violatef("write-conservation", "client wrote %d bytes but OSTs received %d (Δ %d; dropped or double write, or accounting bug)",
 				inv.clientWrite, ostWrite, inv.clientWrite-ostWrite)
 		}
 		if inv.fs.Config().ClientReadahead == 0 && inv.clientRead != inv.ostRead {

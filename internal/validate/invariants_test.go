@@ -72,35 +72,6 @@ func TestInvariantsCatchInjectedSkew(t *testing.T) {
 	}
 }
 
-// TestInvariantsCatchLeakedWriteBehind exercises a realistic conservation
-// bug: with write-behind enabled, a handle abandoned without Fsync/Close
-// leaves dirty bytes that never reach an OST. The client-boundary tally
-// must disagree with the OST tally.
-func TestInvariantsCatchLeakedWriteBehind(t *testing.T) {
-	cfg := pfs.DefaultConfig()
-	cfg.ClientWriteBehind = 8 << 20
-	e := des.NewEngine(5)
-	fs := pfs.New(e, cfg)
-	inv := attach(e, fs, nil)
-	c := fs.NewClient("cn0")
-	e.Spawn("leaker", func(p *des.Proc) {
-		h, err := c.Create(p, "/leak", 0, 0)
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if err := h.Write(p, 0, 1<<20); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		// No Fsync, no Close: the dirty megabyte is lost.
-	})
-	e.Run(des.MaxTime)
-	vios := inv.Finish()
-	if !hasInvariant(vios, "write-conservation") {
-		t.Fatalf("leaked write-behind buffer not caught; violations: %v", vios)
-	}
-}
-
 // TestInvariantsMPIIOLayerTallies runs a collective MPI-IO workload with
 // the collector hooked up and checks the MPI-IO and POSIX byte tallies:
 // both layers must be populated and ordered (hole-free extents make the

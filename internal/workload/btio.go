@@ -24,9 +24,7 @@ type BTIOConfig struct {
 	// Collective uses two-phase MPI-IO; otherwise each rank writes its
 	// slab independently.
 	Collective bool
-	// ComputePerStep models the solver time between dumps.
-	ComputePerStep des.Time
-	Path           string
+	Path       string
 }
 
 func (c BTIOConfig) withDefaults() BTIOConfig {
@@ -94,9 +92,6 @@ func RunBTIO(h *Harness, cfg BTIOConfig) BTIOReport {
 		}
 		start, count := slabOf(r.ID())
 		for step := 0; step < cfg.Steps; step++ {
-			if cfg.ComputePerStep > 0 {
-				r.Compute(cfg.ComputePerStep)
-			}
 			r.Barrier()
 			if r.ID() == 0 {
 				stepStart[step] = r.Now()

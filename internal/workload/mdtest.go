@@ -63,10 +63,7 @@ type MDTestConfig struct {
 	// WriteBytes, when > 0, writes that many bytes into each created file
 	// (mdtest -w); the read phase reads the same amount back (mdtest -e).
 	WriteBytes int64
-	// Depth nests each rank's files under a directory chain of this depth
-	// (mdtest -z), adding per-level mkdir/rmdir load.
-	Depth    int
-	BasePath string
+	BasePath   string
 	// Phases selects which timed phases run, in canonical order
 	// (create, stat, read, delete). Empty selects create, stat, delete —
 	// the historical default. Create always runs even if omitted.
@@ -157,22 +154,14 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 	end := h.Run(func(r *mpi.Rank, env *posixio.Env) {
 		p := r.Proc()
 		rankDir := fmt.Sprintf("%s/rank%d", cfg.BasePath, r.ID())
-		dir := rankDir
 		// Every rank attempts the base mkdir: on a shared namespace the
 		// first one wins (the rest get ErrExist), and on private node-local
 		// namespaces each rank must create its own copy.
 		_ = env.Mkdir(p, cfg.BasePath)
 		r.Barrier()
 		_ = env.Mkdir(p, rankDir)
-		// Optional nested tree (mdtest -z).
-		var levels []string
-		for d := 0; d < cfg.Depth; d++ {
-			dir = fmt.Sprintf("%s/d%d", dir, d)
-			_ = env.Mkdir(p, dir)
-			levels = append(levels, dir)
-		}
 		// Every phase works on the same files; name them once.
-		files := Names(dir+"/f", 0, cfg.FilesPerRank)
+		files := Names(rankDir+"/f", 0, cfg.FilesPerRank)
 
 		// Create phase (always runs; later phases need the files).
 		r.Barrier()
@@ -244,9 +233,6 @@ func RunMDTest(h *Harness, cfg MDTestConfig) MDTestReport {
 			}
 			for i := 0; i < cfg.FilesPerRank; i++ {
 				_ = env.Unlink(p, files.At(i))
-			}
-			for d := len(levels) - 1; d >= 0; d-- {
-				_ = env.Rmdir(p, levels[d])
 			}
 			_ = env.Rmdir(p, rankDir)
 			r.Barrier()

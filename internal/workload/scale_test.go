@@ -324,21 +324,22 @@ func TestShardedClusterSplit(t *testing.T) {
 
 // TestShardedCheckpointAllocBudget holds the continuation path's
 // allocation saving in place: a 4096-rank, 4-shard, one-step checkpoint
-// must stay within 2.4 allocations per rank (2.16 measured; each shard
+// must stay within 2.4 allocations per rank (2.20 measured; each shard
 // keeps one of the default cluster's two I/O nodes and forwards through
-// it, and the same run on a flat cluster measures 1.89). Per-operation
+// it, and the same run on a flat cluster measures 1.93). Per-operation
 // state is pooled by the layer that owns it and every state machine is its
 // own continuation, the pfs calls' continuation included; a data RPC runs
 // on the EventProc its pooled call embeds; a burst of calls past a free
 // list's cap is carved from shared chunks; a rank owns the handle it opens
-// each file into; a shard's ranks, event ranks and, past the first 256 of
-// each, clients and inodes are carved from shared slices; and a shard's
-// file names for a step are one name block. No object is left per rank.
-// What remains is a share of what a shard allocates one by one before it
-// carves: its first 256 clients and inodes and the first 256 calls of each
-// of five free lists, 1.75 a rank at 1,024 ranks a shard, and the growth
-// of the namespace maps. Waiting allocates nothing: the waiter lists are
-// threaded through the waiting processes.
+// each file into; a shard's ranks, event ranks and, past the first 292
+// clients and 256 inodes, clients and inodes are carved from shared
+// slices; and a shard's file names for a step are one name block. No
+// object is left per rank. What remains is a share of what a shard
+// allocates one by one before it carves: its first 292 clients, 256
+// inodes and the first 256 calls of each of five free lists, 1.79 a rank
+// at 1,024 ranks a shard, and the growth of the namespace maps. Waiting
+// allocates nothing: the waiter lists are threaded through the waiting
+// processes.
 func TestShardedCheckpointAllocBudget(t *testing.T) {
 	const ranks, budget = 4096, 2.4
 	cfg := ShardedConfig{

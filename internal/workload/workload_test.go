@@ -283,24 +283,6 @@ func TestWorkflowIsMetadataIntensiveVsBulkIO(t *testing.T) {
 	}
 }
 
-func TestMDTestDepthAddsDirOps(t *testing.T) {
-	run := func(depth int) (MDTestReport, uint64) {
-		e := des.NewEngine(55)
-		fs := ssdFS(e)
-		h := NewHarness(e, fs, 2, "cn", nil)
-		rep := RunMDTest(h, MDTestConfig{Ranks: 2, FilesPerRank: 8, Depth: depth})
-		return rep, fs.MDSStats().Ops["mkdir"]
-	}
-	_, flatMkdirs := run(0)
-	repDeep, deepMkdirs := run(3)
-	if deepMkdirs != flatMkdirs+2*3 {
-		t.Errorf("mkdirs = %d, want %d", deepMkdirs, flatMkdirs+6)
-	}
-	if repDeep.TotalFiles != 16 {
-		t.Errorf("files = %d", repDeep.TotalFiles)
-	}
-}
-
 func TestBTIOCollectiveAndIndependent(t *testing.T) {
 	run := func(collective bool) BTIOReport {
 		e := des.NewEngine(56)

@@ -14,13 +14,14 @@ import (
 	"testing"
 )
 
-// unreachedAllowed lists the exported top-level names and methods under
-// internal/ that no non-test file reaches, each with the reason it stays.
-// The list may only shrink: TestExportedReachable fails when an unreached
-// key is missing from it, and when a listed key is reached or gone. A
-// method stays only if a root reproduction or claim test calls it, if it
-// belongs to a listed test harness, or if a test compares another path
-// against it.
+// unreachedAllowed lists the exported top-level names, methods and
+// struct fields under internal/ that no non-test file reaches, each with
+// the reason it stays. The list may only shrink: TestExportedReachable
+// fails when an unreached key is missing from it, and when a listed key
+// is reached or gone. A method stays only if a root reproduction or claim
+// test calls it, if it belongs to a listed test harness, or if a test
+// compares another path against it; a field only if a root benchmark or
+// claim test sets it, or if removing it would change a recorded output.
 var unreachedAllowed = map[string]string{
 	// Test harnesses: test files are their only callers by design.
 	"internal/golden.Check":         "golden-file harness of the command and transcript tests",
@@ -47,12 +48,25 @@ var unreachedAllowed = map[string]string{
 	"internal/trace.ByLayer":              "bench_figs_test.go and the layer tests filter records by layer",
 
 	// Methods the root reproduction and claim tests call.
-	"internal/des.Resource.Acquire":          "bench_ablation_test.go's standalone queueing ablation holds the resource with it",
-	"internal/des.StreamRNG.Uniform":         "bench_ablation_test.go's standalone queueing ablation draws its arrivals with it",
-	"internal/faults.Scheduler.Errs":         "bench_resilience_test.go checks its fault schedule applied without errors",
-	"internal/predict.SeqPredictor.Observe":  "integration_test.go's I/O sequence prediction claim trains the predictor",
-	"internal/predict.SeqPredictor.Accuracy": "integration_test.go's I/O sequence prediction claim scores the predictor",
-	"internal/profile.Profiler.IngestAll":    "integration_test.go profiles recorded traces with it",
+	"internal/des.Resource.Acquire":           "bench_ablation_test.go's standalone queueing ablation holds the resource with it",
+	"internal/des.StreamRNG.Uniform":          "bench_ablation_test.go's standalone queueing ablation draws its arrivals with it",
+	"internal/faults.Scheduler.Errs":          "bench_resilience_test.go checks its fault schedule applied without errors",
+	"internal/predict.SeqPredictor.Observe":   "integration_test.go's I/O sequence prediction claim trains the predictor",
+	"internal/predict.SeqPredictor.Accuracy":  "integration_test.go's I/O sequence prediction claim scores the predictor",
+	"internal/profile.Profiler.IngestAll":     "integration_test.go profiles recorded traces with it",
+	"internal/monitor.FailureDetector.Report": "bench_resilience_test.go's MTTD/MTTR claim reads the detector's summary",
+
+	// Fields the root benchmark and claim tests set.
+	"internal/pfs.Config.ClientReadahead": "BenchmarkAblationReadahead sweeps it",
+	"internal/pfs.Config.Layout":          "BenchmarkAblationLayoutPolicy compares the layout policies",
+	"internal/storage.ProviderConfig.BB":  "bench_figs_test.go sizes the Figure-1 burst buffer with it",
+	"internal/faults.Campaign.Stochastic": "bench_resilience_test.go's stochastic crash/repair soak",
+	"internal/faults.Stochastic.MTBF":     "bench_resilience_test.go's stochastic crash/repair soak",
+	"internal/faults.Stochastic.MTTR":     "bench_resilience_test.go's stochastic crash/repair soak",
+	"internal/faults.Stochastic.Horizon":  "bench_resilience_test.go's stochastic crash/repair soak",
+
+	// Recorded outputs that print the field.
+	"internal/workload.ScaleConfig.ComputeTime": "perfbench's scale-ckpt digest hashes the report's ScaleConfig with %+v; deleting the field changes the recorded digest",
 
 	// The reference another path is checked against.
 	"internal/monitor.FailureDetector.Incidents": "the incident log TestFailureDetectorMeasuresMTTDAndMTTR checks Report's MTTD and MTTR against",
@@ -89,37 +103,60 @@ var stdlibMethods = map[string]string{
 // declaration, so a type that only its own methods name is unreached.
 //
 // Every exported method declared under internal/, keyed
-// "internal/pkg.Type.Method", must be selected as .Method by such a file
-// outside the method's own body. The match is by name alone, so a call
-// through an interface, or of another type's method of the same name,
-// counts; methods named in stdlibMethods always count. The methods of a
-// type on unreachedAllowed follow that type. The scan is syntactic
-// (go/parser only), so a name that a local identifier or a struct field
-// shadows counts as reached; it errs towards leniency.
+// "internal/pkg.Type.Method", must be selected as x.Method by such a file
+// outside the method's own body; a package-qualified pkg.Name selects no
+// method. The match is by name alone, so a call through an interface, or
+// of another type's method of the same name, counts; methods named in
+// stdlibMethods always count.
+//
+// Every exported field of a struct type declared under internal/, keyed
+// "internal/pkg.Type.Field", must be written by such a file: as a key of
+// a composite literal of the type (&T{F: v}, or {F: v} inside []T{…} or
+// map[K]T{…}), by an unkeyed literal of the type, which writes every
+// field, or through a selector of its name: x.F = v, x.F++, &x.F (a flag
+// binding) or x.F[i] = v. A literal key whose type the literal does not
+// name, as in a named slice type's elements, also matches by name. An
+// embedded field is not scanned.
+//
+// The methods and fields of a type on unreachedAllowed follow that type.
+// The scan is syntactic (go/parser only), so a name that a local
+// identifier or a struct field shadows counts as reached; it errs
+// towards leniency.
 func TestExportedReachable(t *testing.T) {
 	decls, refs := scanModule(t, ".")
 	missing, stale := unreached(decls, refs, unreachedAllowed)
 	for _, key := range missing {
-		t.Errorf("%s is exported but no non-test code names it: wire it to an entry point or delete it", key)
+		if decls[key] == kindField {
+			t.Errorf("%s is exported but no non-test code writes it: set it from an entry point or delete it", key)
+		} else {
+			t.Errorf("%s is exported but no non-test code names it: wire it to an entry point or delete it", key)
+		}
 	}
 	for _, key := range stale {
 		t.Errorf("%s is on unreachedAllowed but is now reached or no longer exists: drop it from the list", key)
 	}
 }
 
+// The kinds of declared key.
+const (
+	kindName   = "name"   // "internal/pkg.Name"
+	kindMethod = "method" // "internal/pkg.Type.Method"
+	kindField  = "field"  // "internal/pkg.Type.Field"
+)
+
 // unreached returns, sorted, the declared keys that nothing reaches and
 // allowed does not cover, and the keys of allowed that are reached or no
 // longer declared.
-func unreached(decls, refs map[string]bool, allowed map[string]string) (missing, stale []string) {
-	for key := range decls {
+func unreached(decls map[string]string, refs map[string]bool, allowed map[string]string) (missing, stale []string) {
+	for key, kind := range decls {
 		if refs[key] {
 			continue
 		}
 		if _, ok := allowed[key]; ok {
 			continue
 		}
-		if typ, name, ok := methodKey(key); ok {
-			if _, ok := stdlibMethods[name]; ok {
+		if typ, name, ok := memberKey(key); ok {
+			if _, ok := stdlibMethods[name]; ok && kind == kindMethod {
 				continue
 			}
 			if _, ok := allowed[typ]; ok {
@@ -129,7 +166,7 @@ func unreached(decls, refs map[string]bool, allowed map[string]string) (missing,
 		missing = append(missing, key)
 	}
 	for key := range allowed {
-		if !decls[key] || refs[key] {
+		if decls[key] == "" || refs[key] {
 			stale = append(stale, key)
 		}
 	}
@@ -138,10 +175,10 @@ func unreached(decls, refs map[string]bool, allowed map[string]string) (missing,
 	return missing, stale
 }
 
-// methodKey splits a method key "internal/pkg.Type.Method" into its type
-// key "internal/pkg.Type" and the method name. ok is false for the key of
-// a top-level name.
-func methodKey(key string) (typ, name string, ok bool) {
+// memberKey splits a method or field key "internal/pkg.Type.Member" into
+// its type key "internal/pkg.Type" and the member name. ok is false for
+// the key of a top-level name.
+func memberKey(key string) (typ, name string, ok bool) {
 	i := strings.LastIndexByte(key, '.')
 	if i < 0 || strings.IndexByte(key, '.') == i {
 		return "", "", false
@@ -150,17 +187,29 @@ func methodKey(key string) (typ, name string, ok bool) {
 }
 
 // TestReachScanner runs the scan on the fixture module under
-// testdata/reach, one exported method per case of the method rule.
+// testdata/reach, one exported method per case of the method rule and
+// one exported field per case of the field rule.
 func TestReachScanner(t *testing.T) {
 	decls, refs := scanModule(t, "testdata/reach")
 	for key, want := range map[string]bool{
 		"internal/lib.Square.Area":      true,  // called only through Shape
 		"internal/lib.Square.Perimeter": false, // called by no one
 		"internal/lib.Square.Grow":      false, // calls only itself
+		"internal/lib.Square.Double":    false, // only lib.Double, a function, is selected
 		"internal/lib.Wrapped.Unwrap":   false, // exempt, not reached
 		"internal/lib.Harness.Run":      false, // covered by its type
+
+		"internal/lib.Options.Keyed":    true,  // a key of &lib.Options{…}
+		"internal/lib.Options.Assigned": true,  // o.Assigned = …
+		"internal/lib.Options.Bound":    true,  // &o.Bound, bound to a flag
+		"internal/lib.Options.Indexed":  true,  // o.Indexed[0] = …
+		"internal/lib.Options.TestOnly": false, // set only by lib_test.go
+		"internal/lib.Pair.A":           true,  // an unkeyed lib.Pair inside []lib.Pair{…}
+		"internal/lib.Pair.B":           true,
+		"internal/lib.Other.Keyed":      false, // Options.Keyed's key names Options, not Other
+		"internal/lib.Harness.Verbose":  false, // covered by its type
 	} {
-		if !decls[key] {
+		if decls[key] == "" {
 			t.Errorf("%s: not declared", key)
 		}
 		if refs[key] != want {
@@ -169,7 +218,14 @@ func TestReachScanner(t *testing.T) {
 	}
 	allowed := map[string]string{"internal/lib.Harness": "a fixture harness"}
 	missing, stale := unreached(decls, refs, allowed)
-	if want := []string{"internal/lib.Square.Grow", "internal/lib.Square.Perimeter"}; !reflect.DeepEqual(missing, want) {
+	want := []string{
+		"internal/lib.Options.TestOnly",
+		"internal/lib.Other.Keyed",
+		"internal/lib.Square.Double",
+		"internal/lib.Square.Grow",
+		"internal/lib.Square.Perimeter",
+	}
+	if !reflect.DeepEqual(missing, want) {
 		t.Errorf("reported %v, want %v", missing, want)
 	}
 	if len(stale) != 0 {
@@ -183,13 +239,23 @@ type scanPkg struct {
 	files []*ast.File
 }
 
+// scan is the state of one scanModule run.
+type scan struct {
+	decls   map[string]string          // declared key -> its kind
+	structs map[string][]string        // struct type key -> the keys of its exported fields
+	refs    map[string]bool            // keys reached by key
+	sels    map[string]map[string]bool // selected name -> keys of the methods whose bodies select it ("" outside any)
+	wrote   map[string]bool            // field names written by name
+}
+
 // scanModule parses every non-test .go file under root and returns the
 // exported top-level names declared under internal/, keyed
-// "internal/pkg.Name", with its exported methods, keyed
-// "internal/pkg.Type.Method", and the set of those keys that some file
-// reaches: a name named outside its own declaration, a method selected
-// by name outside its own body.
-func scanModule(t *testing.T, root string) (decls, refs map[string]bool) {
+// "internal/pkg.Name", with its exported methods and struct fields, keyed
+// "internal/pkg.Type.Member", each mapped to its kind, and the set of
+// those keys that some file reaches: a name named outside its own
+// declaration, a method selected by name outside its own body, a field
+// written.
+func scanModule(t *testing.T, root string) (decls map[string]string, refs map[string]bool) {
 	t.Helper()
 	fset := token.NewFileSet()
 	pkgs := map[string]*scanPkg{}
@@ -228,7 +294,13 @@ func scanModule(t *testing.T, root string) (decls, refs map[string]bool) {
 		t.Fatal(err)
 	}
 
-	decls = map[string]bool{}
+	s := &scan{
+		decls:   map[string]string{},
+		structs: map[string][]string{},
+		refs:    map[string]bool{},
+		sels:    map[string]map[string]bool{},
+		wrote:   map[string]bool{},
+	}
 	for dir, pkg := range pkgs {
 		if dir != "internal" && !strings.HasPrefix(dir, "internal/") {
 			continue
@@ -237,52 +309,74 @@ func scanModule(t *testing.T, root string) (decls, refs map[string]bool) {
 			eachDecl(f, func(n ast.Node, names []*ast.Ident) {
 				for _, n := range names {
 					if n.IsExported() {
-						decls[dir+"."+n.Name] = true
+						s.decls[dir+"."+n.Name] = kindName
 					}
 				}
 				if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.IsExported() {
-					decls[ownMethod(n, dir)] = true
+					s.decls[ownMethod(n, dir)] = kindMethod
+				}
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						s.declFields(dir+"."+ts.Name.Name, st)
+					}
 				}
 			})
 		}
 	}
 
-	refs = map[string]bool{}
-	sels := map[string]map[string]bool{} // selected name -> keys of the methods whose bodies select it ("" outside any)
 	for dir, pkg := range pkgs {
 		for _, f := range pkg.files {
-			imports := map[string]string{} // local name -> declaring dir
+			imports := map[string]string{} // local name -> declaring dir, "" outside the module
 			for _, imp := range f.Imports {
 				ip, _ := strconv.Unquote(imp.Path.Value)
-				rel, ok := strings.CutPrefix(ip, "pioeval/")
-				if !ok {
-					continue
-				}
-				local := path.Base(rel)
-				if p := pkgs[rel]; p != nil {
+				rel, inModule := strings.CutPrefix(ip, "pioeval/")
+				local := path.Base(ip)
+				if p := pkgs[rel]; inModule && p != nil {
 					local = p.name
 				}
 				if imp.Name != nil {
 					local = imp.Name.Name
 				}
+				if !inModule {
+					rel = ""
+				}
 				imports[local] = rel
 			}
-			markRefs(f, dir, imports, decls, refs, sels)
+			s.markRefs(f, dir, imports)
 		}
 	}
-	for key := range decls {
-		_, name, ok := methodKey(key)
-		if !ok {
-			continue
-		}
-		for site := range sels[name] {
-			if site != key {
-				refs[key] = true
-				break
+	for key, kind := range s.decls {
+		_, name, ok := memberKey(key)
+		switch {
+		case !ok:
+		case kind == kindField:
+			if s.wrote[name] {
+				s.refs[key] = true
+			}
+		default:
+			for site := range s.sels[name] {
+				if site != key {
+					s.refs[key] = true
+					break
+				}
 			}
 		}
 	}
-	return decls, refs
+	return s.decls, s.refs
+}
+
+// declFields declares the exported named fields of the struct type typ.
+func (s *scan) declFields(typ string, st *ast.StructType) {
+	var keys []string
+	for _, fld := range st.Fields.List {
+		for _, id := range fld.Names {
+			if id.IsExported() {
+				keys = append(keys, typ+"."+id.Name)
+				s.decls[typ+"."+id.Name] = kindField
+			}
+		}
+	}
+	s.structs[typ] = keys
 }
 
 // ownMethod is the key "dir.Type.Method" of the method n declares, or ""
@@ -295,38 +389,159 @@ func ownMethod(n ast.Node, dir string) string {
 	return dir + "." + recvTypeName(fd.Recv.List[0].Type) + "." + fd.Name.Name
 }
 
-// markRefs records in refs every declared top-level key that file f, in
-// package directory dir, names outside the key's own declaration; a
-// method belongs to its receiver type's declaration. It records in sels
-// every name f selects, with the key of the method whose body selects it
-// ("" outside any method).
-func markRefs(f *ast.File, dir string, imports map[string]string, decls, refs map[string]bool, sels map[string]map[string]bool) {
+// markRefs records in s.refs every declared top-level key that file f,
+// in package directory dir, names outside the key's own declaration (a
+// method belongs to its receiver type's declaration), and every field
+// key a literal of a named type writes. It records in s.sels every
+// method name f selects, with the key of the method whose body selects
+// it ("" outside any method), and in s.wrote every field name f writes
+// by name.
+func (s *scan) markRefs(f *ast.File, dir string, imports map[string]string) {
 	var own map[string]bool // keys the top-level declaration being walked declares
 	var method string       // key of the method being walked, or ""
 	mark := func(key string) {
-		if decls[key] && !own[key] {
-			refs[key] = true
+		if s.decls[key] != "" && !own[key] {
+			s.refs[key] = true
+		}
+	}
+	// typeKey is the key of the type that a literal's type x names,
+	// through a pointer or type arguments, or "" when x names none
+	// declared in the module.
+	typeKey := func(x ast.Expr) string {
+		for {
+			switch e := x.(type) {
+			case *ast.StarExpr:
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.IndexListExpr:
+				x = e.X
+			case *ast.Ident:
+				return dir + "." + e.Name
+			case *ast.SelectorExpr:
+				if id, ok := e.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					return imports[id.Name] + "." + e.Sel.Name
+				}
+				return ""
+			default:
+				return ""
+			}
+		}
+	}
+	// write records the field names a write to x goes through: each
+	// selector of x.F.G, x.F[i] or *x.F.
+	write := func(x ast.Expr) {
+		for {
+			switch e := x.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := e.X.(*ast.Ident); ok {
+					if _, ok := imports[id.Name]; ok {
+						return // a package-level variable
+					}
+				}
+				s.wrote[e.Sel.Name] = true
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.StarExpr:
+				x = e.X
+			case *ast.ParenExpr:
+				x = e.X
+			default:
+				return
+			}
 		}
 	}
 	var visit func(n ast.Node) bool
+	// lit walks the composite literal cl of type typ: cl.Type, or for a
+	// literal whose type is elided, the element or key type of the
+	// literal around it (nil when that type is not written there).
+	var lit func(cl *ast.CompositeLit, typ ast.Expr)
+	lit = func(cl *ast.CompositeLit, typ ast.Expr) {
+		if cl.Type != nil {
+			ast.Inspect(cl.Type, visit)
+		}
+		if st, ok := typ.(*ast.StarExpr); ok {
+			typ = st.X // an elided &T
+		}
+		// In a literal of a struct type declared under internal/, a key
+		// names a field of that type. Where the literal's type is not
+		// written, only the key's name can match; keys of other types'
+		// literals match nothing. Elided literals inside a named slice
+		// or map type have no written type.
+		typKey := typeKey(typ)
+		fields, isStruct := s.structs[typKey]
+		var keyType, elemType ast.Expr // the types of elided key and element literals
+		switch t := typ.(type) {
+		case *ast.ArrayType:
+			elemType = t.Elt
+		case *ast.MapType:
+			keyType, elemType = t.Key, t.Value
+		}
+		elem := func(x ast.Expr, typ ast.Expr) {
+			if el, ok := x.(*ast.CompositeLit); ok && el.Type == nil {
+				lit(el, typ)
+				return
+			}
+			ast.Inspect(x, visit)
+		}
+		keyed := false
+		for _, x := range cl.Elts {
+			kv, ok := x.(*ast.KeyValueExpr)
+			if !ok {
+				elem(x, elemType)
+				continue
+			}
+			keyed = true
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				if isStruct {
+					mark(typKey + "." + id.Name)
+				} else if typ == nil {
+					s.wrote[id.Name] = true
+				}
+			}
+			elem(kv.Key, keyType)
+			elem(kv.Value, elemType)
+		}
+		if isStruct && !keyed && len(cl.Elts) > 0 {
+			for _, key := range fields {
+				mark(key)
+			}
+		}
+	}
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			// By name alone, even pkg.Name selects .Name.
-			if sels[n.Sel.Name] == nil {
-				sels[n.Sel.Name] = map[string]bool{}
-			}
-			sels[n.Sel.Name][method] = true
 			if x, ok := n.X.(*ast.Ident); ok {
 				if rel, ok := imports[x.Name]; ok {
-					mark(rel + "." + n.Sel.Name)
+					// pkg.Name names a package member, not a method.
+					if rel != "" {
+						mark(rel + "." + n.Sel.Name)
+					}
 					return false
 				}
 			}
+			if s.sels[n.Sel.Name] == nil {
+				s.sels[n.Sel.Name] = map[string]bool{}
+			}
+			s.sels[n.Sel.Name][method] = true
 			// n.Sel is a field or method: only the operand can name a
 			// top-level identifier.
 			ast.Inspect(n.X, visit)
 			return false
+		case *ast.CompositeLit:
+			lit(n, n.Type)
+			return false
+		case *ast.AssignStmt:
+			for _, x := range n.Lhs {
+				write(x)
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				write(n.X)
+			}
 		case *ast.Field:
 			// Field, parameter and result names declare, not refer.
 			ast.Inspect(n.Type, visit)
