@@ -37,20 +37,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	if err := cli.RequirePositive(fs, "workers", "samples", "samples-per-file", "batch", "epochs"); err != nil {
-		fmt.Fprintf(stderr, "dliobench: %v\n", err)
-		return 2
-	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "dliobench: %v\n", err)
-		return 1
+		return cli.ExitCode(err)
+	}
+	if err := cli.RequirePositive(fs, "workers", "samples", "samples-per-file", "batch", "epochs"); err != nil {
+		return fail(err)
 	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
 		return fail(err)
 	}
-	sampleSize, err := cli.ParseSize(*sampleStr)
+	sampleSize, err := cli.SizeAtLeast("sample-size", *sampleStr, 1)
 	if err != nil {
 		return fail(err)
 	}

@@ -24,9 +24,10 @@ func TestGoldenDefault(t *testing.T) {
 	golden.Check(t, "testdata/default_golden.txt", out.String())
 }
 
-// TestRunUsageErrors: an unknown flag exits 2, and an unparsable size,
-// duration or device exits 1; each names the problem on stderr and prints
-// nothing on stdout.
+// TestRunUsageErrors: an unknown flag, a count below 1, a sample size
+// below one byte and an out-of-range cluster flag exit 2, and an
+// unparsable size, duration or device exits 1; each names the problem on
+// stderr and prints nothing on stdout.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -39,6 +40,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-device", "tape"}, 1, "dliobench:"},
 		{[]string{"-workers", "0"}, 2, "dliobench: usage: -workers must be at least 1"},
 		{[]string{"-epochs", "-1"}, 2, "dliobench: usage: -epochs must be at least 1"},
+		{[]string{"-sample-size", "0B"}, 2, "dliobench: usage: -sample-size must be at least 1B, got 0B"},
+		{[]string{"-osts-per-oss", "0"}, 2, "dliobench: usage: -osts-per-oss must be at least 1, got 0"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "facility: %v\n", err)
-		return 1
+		return cli.ExitCode(err)
 	}
 
 	cfg, err := cluster.Config()

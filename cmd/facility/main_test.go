@@ -33,8 +33,9 @@ func TestGoldenDefault(t *testing.T) {
 	golden.Check(t, "testdata/default_golden.txt", first)
 }
 
-// TestRunUsageErrors: an unknown flag exits 2 and an unknown device exits
-// 1; each names the problem on stderr and prints nothing on stdout.
+// TestRunUsageErrors: an unknown flag and an out-of-range cluster flag
+// exit 2 and an unknown device exits 1; each names the problem on stderr
+// and prints nothing on stdout.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -43,6 +44,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{[]string{"-device", "tape"}, 1, "facility:"},
+		{[]string{"-mds-threads", "0"}, 2, "facility: usage: -mds-threads must be at least 1, got 0"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

@@ -33,9 +33,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("io500: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		log.Print(err)
 	}
+	os.Exit(cli.ExitCode(err))
 }
 
 // run is the whole command behind a testable seam: flags come from args,
@@ -85,15 +87,18 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}()
 
-	easyBlock, err := cli.ParseSize(*easyBlockStr)
+	if err := cli.RequirePositive(fs, "ranks", "stripe-count", "hard-xfer", "hard-ops", "easy-files", "hard-files", "hard-bytes"); err != nil {
+		return err
+	}
+	easyBlock, err := cli.SizeAtLeast("easy-block", *easyBlockStr, 1)
 	if err != nil {
 		return err
 	}
-	easyXfer, err := cli.ParseSize(*easyXferStr)
+	easyXfer, err := cli.SizeAtLeast("easy-xfer", *easyXferStr, 1)
 	if err != nil {
 		return err
 	}
-	stripeSize, err := cli.ParseSize(*stripeStr)
+	stripeSize, err := cli.SizeAtLeast("stripe-size", *stripeStr, 1)
 	if err != nil {
 		return err
 	}

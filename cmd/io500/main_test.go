@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -112,6 +114,19 @@ func TestBadFlagsError(t *testing.T) {
 		var out, errb bytes.Buffer
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+	// A count below 1 or a size below one byte would select the suite's
+	// default; it is a usage error instead, before any output.
+	for _, args := range [][]string{
+		{"-ranks", "0"},
+		{"-hard-ops", "-1"},
+		{"-easy-block", "0B"},
+		{"-stripe-size", "0"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); !errors.Is(err, cli.ErrUsage) || out.Len() != 0 {
+			t.Errorf("run(%v): %v, stdout %q; want a usage error and no output", args, err, out.String())
 		}
 	}
 }

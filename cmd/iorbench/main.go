@@ -7,7 +7,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,13 +22,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("iorbench: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
 		log.Print(err)
-		if errors.Is(err, cli.ErrUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
 	}
+	os.Exit(cli.ExitCode(err))
 }
 
 // run is the whole command behind a testable seam: flags come from args,
@@ -59,11 +56,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	block, err := cli.ParseSize(*blockStr)
+	block, err := cli.SizeAtLeast("block", *blockStr, 1)
 	if err != nil {
 		return err
 	}
-	transfer, err := cli.ParseSize(*transferStr)
+	transfer, err := cli.SizeAtLeast("transfer", *transferStr, 1)
 	if err != nil {
 		return err
 	}

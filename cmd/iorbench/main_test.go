@@ -66,6 +66,10 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-device", "tape"}, false},
 		{[]string{"-ranks", "-3"}, true},
 		{[]string{"-segments", "0"}, true},
+		{[]string{"-block", "0B"}, true},
+		{[]string{"-transfer", "-1MB"}, true},
+		{[]string{"-oss", "0"}, true},
+		{[]string{"-stripe-size", "0"}, true},
 	} {
 		var out, errb bytes.Buffer
 		err := run(tc.args, &out, &errb)

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,13 +22,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mdtestbench: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
 		log.Print(err)
-		if errors.Is(err, cli.ErrUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
 	}
+	os.Exit(cli.ExitCode(err))
 }
 
 // run is the whole command behind a testable seam: flags come from args,
@@ -55,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	writeBytes, err := cli.ParseSize(*writeStr)
+	writeBytes, err := cli.SizeAtLeast("write", *writeStr, 0)
 	if err != nil {
 		return err
 	}

@@ -86,6 +86,9 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-device", "tape"}, false},
 		{[]string{"-ranks", "0"}, true},
 		{[]string{"-files", "-5"}, true},
+		{[]string{"-mds-threads", "0"}, true},
+		{[]string{"-write", "-1B"}, true},
+		{[]string{"-ionodes", "-1"}, true},
 	} {
 		var out, errb bytes.Buffer
 		err := run(tc.args, &out, &errb)

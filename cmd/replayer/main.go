@@ -22,9 +22,11 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("replayer: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		log.Print(err)
 	}
+	os.Exit(cli.ExitCode(err))
 }
 
 // run is the whole command behind a testable seam: flags come from args,

@@ -85,17 +85,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
-	if *scaleRanks != 0 {
-		if err := cli.RequirePositive(fs, "ranks", "shards", "steps", "bytes-per-rank", "xfer", "ranks-per-node"); err != nil {
-			fmt.Fprintf(stderr, "simfs: %v\n", err)
-			return 2
-		}
-	}
 	fail := func(err error) int {
 		if err != errViolated {
 			fmt.Fprintf(stderr, "simfs: %v\n", err)
 		}
-		return 1
+		return cli.ExitCode(err)
+	}
+	if *scaleRanks != 0 {
+		if err := cli.RequirePositive(fs, "ranks", "shards", "steps", "bytes-per-rank", "xfer", "ranks-per-node"); err != nil {
+			return fail(err)
+		}
 	}
 
 	if *doOracles {

@@ -102,9 +102,10 @@ func TestSampleKeepsMakespan(t *testing.T) {
 }
 
 // TestRunUsageErrors: a run with neither a script nor -ranks or
-// -validate, one with an unknown flag, and a -ranks run given a fault campaign or the resilience policy, which the
-// scale checkpoint does not apply, exit non-zero with a diagnostic on
-// stderr and nothing on stdout.
+// -validate, one with an unknown flag, a -ranks run given a fault campaign or the resilience policy, which the
+// scale checkpoint does not apply, and runs given a count or cluster
+// flag out of range, exit non-zero with a diagnostic on stderr and
+// nothing on stdout.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -118,6 +119,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-ranks", "64", "-resilient"}, 1, "-faults and -resilient apply to workload scripts"},
 		{[]string{"-ranks", "-5"}, 2, "simfs: usage: -ranks must be at least 1, got -5"},
 		{[]string{"-ranks", "8", "-steps", "-2"}, 2, "simfs: usage: -steps must be at least 1, got -2"},
+		{[]string{"-ranks", "64", "-oss", "0"}, 2, "simfs: usage: -oss must be at least 1, got 0"},
+		{[]string{"-validate", "-stripe-size", "0B"}, 2, "simfs: usage: -stripe-size must be at least 1B, got 0B"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != tc.code {

@@ -94,13 +94,19 @@ type Buffer struct {
 	idle     des.Signal
 	inFlight int
 
+	// procs are the drain workers, loop their body (drainLoop, bound
+	// once); Reset restarts them in place.
+	procs []des.Proc
+	loop  func(p *des.Proc)
+
 	// The drainer's own PFS identity. Its handles are carved from slab,
-	// which holds the ones not yet handed out; spare is a handle whose
-	// open failed, kept for the next open.
+	// which holds the ones not yet handed out; spare holds closed or
+	// stale handles (an open that failed, the handles of the run before
+	// a Reset), kept for the next opens.
 	drainClient *pfs.Client
 	handles     map[string]*pfs.Handle
 	slab        []pfs.Handle
-	spare       *pfs.Handle
+	spare       []*pfs.Handle
 	// paths is WaitDrained's sorted-paths buffer, reused between passes.
 	paths []string
 	// unsynced holds the paths whose drain handle has written a segment
@@ -128,18 +134,53 @@ type Buffer struct {
 // client for drain traffic) and starts its drain workers.
 func New(e *des.Engine, fs *pfs.FS, node string, cfg Config) *Buffer {
 	cfg = cfg.withDefaults()
+	// The drain queue and workers are named bb.<node>.drain, the staging
+	// device bb.<node>.
+	drain := "bb." + node + ".drain"
 	b := &Buffer{
 		eng: e, fs: fs, cfg: cfg, node: node,
-		dev:         blockdev.NewDevice(e, "bb."+node, cfg.Device(), cfg.QueueDepth),
-		pending:     des.NewQueue[segment](e, "bb."+node+".drain"),
-		drainClient: fs.NewClient(node),
-		handles:     make(map[string]*pfs.Handle),
-		unsynced:    make(map[string]struct{}),
+		dev:      blockdev.NewDevice(e, drain[:len(drain)-len(".drain")], cfg.Device(), cfg.QueueDepth),
+		pending:  des.NewQueue[segment](e, drain),
+		procs:    make([]des.Proc, cfg.DrainWorkers),
+		handles:  make(map[string]*pfs.Handle),
+		unsynced: make(map[string]struct{}),
 	}
-	for i := 0; i < cfg.DrainWorkers; i++ {
-		e.Spawn(fmt.Sprintf("bb.%s.drain%d", node, i), b.drainLoop)
-	}
+	b.loop = b.drainLoop
+	b.start()
 	return b
+}
+
+// Reset makes b what New returns, on its engine and file system once
+// both have been reset (des.Engine.Reset, pfs.FS.Reset): nothing staged,
+// every statistic zero and the staging device idle. The drain client is
+// taken again (pfs.FS.NewClient) and the drain workers start again in
+// the procs they ran in, at the call, as New takes and starts them; the
+// drain handles of the last run, stale now, are kept for the next opens
+// to reuse. It panics with des.ErrLiveReset while bytes are staged.
+func (b *Buffer) Reset() {
+	if b.used > 0 || b.pending.Len() > 0 {
+		panic(fmt.Errorf("%w: burst buffer %s has %d bytes staged", des.ErrLiveReset, b.node, b.used))
+	}
+	b.dev.Reset()
+	for path, h := range b.handles {
+		b.spare = append(b.spare, h)
+		delete(b.handles, path)
+	}
+	clear(b.unsynced)
+	*b = Buffer{
+		eng: b.eng, fs: b.fs, cfg: b.cfg, node: b.node, dev: b.dev, pending: b.pending,
+		procs: b.procs, loop: b.loop,
+		handles: b.handles, slab: b.slab, spare: b.spare, paths: b.paths, unsynced: b.unsynced,
+	}
+	b.start()
+}
+
+// start takes the drain client and starts the drain workers.
+func (b *Buffer) start() {
+	b.drainClient = b.fs.NewClient(b.node)
+	for i := range b.procs {
+		b.eng.SpawnOn(&b.procs[i], b.pending.Name(), i, b.loop)
+	}
 }
 
 // Node returns the buffer's network node name.
@@ -191,9 +232,9 @@ const drainSlab = 64
 // before the open blocks, so drain workers opening at once never share
 // one.
 func (b *Buffer) openDrain(p *des.Proc, path string, create bool) (*pfs.Handle, error) {
-	h := b.spare
-	if h != nil {
-		b.spare = nil
+	var h *pfs.Handle
+	if n := len(b.spare) - 1; n >= 0 {
+		h, b.spare = b.spare[n], b.spare[:n]
 	} else {
 		if len(b.slab) == 0 {
 			b.slab = make([]pfs.Handle, drainSlab)
@@ -211,7 +252,7 @@ func (b *Buffer) openDrain(p *des.Proc, path string, create bool) (*pfs.Handle, 
 	}
 	if err := h.Err(); err != nil {
 		// A failed open leaves the handle closed, so it can be reused.
-		b.spare = h
+		b.spare = append(b.spare, h)
 		return nil, err
 	}
 	b.handles[path] = h

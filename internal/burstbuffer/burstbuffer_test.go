@@ -1,6 +1,7 @@
 package burstbuffer
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -379,4 +380,59 @@ func BenchmarkWaitDrainedManyFiles(b *testing.B) {
 			b.Fatalf("drained = %d, want %d", st.Drained, files*4096)
 		}
 	}
+}
+
+// TestResetMatchesNew: a buffer that staged, drained and shut down, reset
+// with its engine and file system, runs the next job exactly as a new
+// buffer on a new engine and file system does: the same statistics, the
+// same bytes on the PFS and the same end time, its two drain workers
+// restarted in place and its drain handles of the last job reused. Reset
+// refuses a buffer with a segment staged.
+func TestResetMatchesNew(t *testing.T) {
+	job := func(e *des.Engine, bb *Buffer, path string) {
+		e.Spawn("app", func(p *des.Proc) {
+			for i := int64(0); i < 4; i++ {
+				bb.Write(p, path, i*(1<<20), 1<<20)
+			}
+			if err := bb.WaitDrained(p); err != nil {
+				t.Error(err)
+			}
+			bb.Shutdown()
+		})
+		e.Run(des.MaxTime)
+		if e.LiveProcs() != 0 {
+			t.Fatalf("%d live procs after the job", e.LiveProcs())
+		}
+	}
+	e0, fs0, fresh := newSim(0)
+	job(e0, fresh, "/next")
+	_, w0 := fs0.TotalBytes()
+
+	e, fs, bb := newSim(0)
+	job(e, bb, "/first")
+	e.Reset(5)
+	fs.Reset()
+	bb.Reset()
+	job(e, bb, "/next")
+	if _, w := fs.TotalBytes(); bb.Stats() != fresh.Stats() || w != w0 || e.Now() != e0.Now() {
+		t.Errorf("reset buffer: %+v, %d PFS bytes at %v; new buffer: %+v, %d at %v", bb.Stats(), w, e.Now(), fresh.Stats(), w0, e0.Now())
+	}
+	if len(bb.spare) != 0 || len(bb.slab) != len(fresh.slab) {
+		t.Errorf("drain handles: %d spare, %d in the slab; want the last job's reused (0 spare, %d in the slab)", len(bb.spare), len(bb.slab), len(fresh.slab))
+	}
+
+	e.Reset(5)
+	fs.Reset()
+	bb.Reset()
+	e.Spawn("app", func(p *des.Proc) { bb.Write(p, "/staged", 0, 1<<20) })
+	e.Run(des.FromSeconds(1e-3)) // staged, not yet drained
+	if bb.Stats().Used == 0 {
+		t.Fatal("nothing staged at the reset: the case tests nothing")
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, des.ErrLiveReset) {
+			t.Errorf("reset with a segment staged: panic %v, want des.ErrLiveReset", err)
+		}
+	}()
+	bb.Reset()
 }

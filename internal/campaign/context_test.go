@@ -11,13 +11,14 @@ import (
 
 	"pioeval/internal/des"
 	"pioeval/internal/leakcheck"
+	"pioeval/internal/stack"
 )
 
 // swapSimulate installs a fake per-run simulation for the test's duration.
 func swapSimulate(t *testing.T, fn func(Spec, Point, int64) map[string]float64) {
 	t.Helper()
 	old := simulateFn
-	simulateFn = func(s Spec, p Point, seed int64, _ *clusterCache) map[string]float64 { return fn(s, p, seed) }
+	simulateFn = func(s Spec, p Point, seed int64, _ *stack.Lender[Point]) map[string]float64 { return fn(s, p, seed) }
 	t.Cleanup(func() { simulateFn = old })
 }
 

@@ -3,10 +3,22 @@ package campaign
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
+	"pioeval/internal/leakcheck"
 	"pioeval/internal/pfs"
+	"pioeval/internal/stack"
 )
+
+// newLoan lends a new stack of point p seeded with seed.
+func newLoan(p Point, seed int64) *stack.Loan {
+	ln, err := stack.NewLender[Point](1).Take(p, stackConfig(p, seed))
+	if err != nil {
+		panic(err)
+	}
+	return ln
+}
 
 // freshMetrics runs every job of spec on a new stack, as every job ran
 // before stacks were reused, and returns the metrics by run index.
@@ -16,7 +28,7 @@ func freshMetrics(spec Spec) []map[string]float64 {
 	out := make([]map[string]float64, len(points)*spec.Reps)
 	for i := range out {
 		p := points[i/spec.Reps]
-		out[i] = run(spec, p, newCluster(p, RunSeed(spec.Seed, i)))
+		out[i] = run(spec, p, newLoan(p, RunSeed(spec.Seed, i)))
 	}
 	return out
 }
@@ -64,10 +76,29 @@ func TestClusterReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRunContextLeavesNoGoroutine: no rank proc or burst-buffer drain
+// worker of any job outlives RunContext, whose lender keeps the stacks
+// of the last jobs until it is garbage; at one worker and at two.
+func TestRunContextLeavesNoGoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	spec := smallSpec()
+	spec.Tiers = []string{"direct", "bb"}
+	spec.Compress = []string{"none", "lz"}
+	for _, workers := range []int{1, 2} {
+		rep, err := RunContext(context.Background(), spec, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Errors) > 0 {
+			t.Fatalf("workers=%d: %+v", workers, rep.Errors)
+		}
+	}
+}
+
 // TestPoisonedRepDropsCluster: a repetition that panics mid-simulation
-// leaves its cluster with live processes and busy servers; the cache must
-// never lend that cluster again, and the point's healthy repetitions
-// after it must give the metrics a new cluster gives.
+// leaves its stack with live processes and busy servers; the lender must
+// never lend that stack again, and the point's healthy repetitions after
+// it must give the metrics a new stack gives.
 func TestPoisonedRepDropsCluster(t *testing.T) {
 	spec := smallSpec().withDefaults()
 	spec.Reps = 4
@@ -77,29 +108,33 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 	t.Cleanup(func() { simulateFn = old })
 	for _, workers := range []int{1, 2} {
 		poisonSeed := RunSeed(spec.Seed, 1) // point 0, rep 1
-		var poisoned *cluster
-		simulateFn = func(s Spec, p Point, seed int64, c *clusterCache) map[string]float64 {
-			c.mu.Lock()
-			for _, is := range c.idle {
-				if is.c == poisoned {
-					t.Errorf("workers=%d: the poisoned rep's cluster is idle again", workers)
-				}
+		var (
+			mu       sync.Mutex
+			poisoned *stack.Loan
+		)
+		// simulate, with a client operation that panics halfway through
+		// the poisoned rep's run.
+		simulateFn = func(s Spec, p Point, seed int64, stacks *stack.Lender[Point]) map[string]float64 {
+			ln, err := stacks.Take(p, stackConfig(p, seed))
+			if err != nil {
+				panic(err)
 			}
-			c.mu.Unlock()
-			if seed != poisonSeed {
-				return simulate(s, p, seed, c)
+			mu.Lock()
+			if ln == poisoned {
+				t.Errorf("workers=%d: the poisoned rep's stack is lent again", workers)
 			}
-			// simulate, with a client operation that panics halfway through
-			// the run.
-			poisoned = c.take(p, seed)
-			ops := 0
-			poisoned.FS.SetOpObserver(func(pfs.OpEvent) {
-				if ops++; ops == 3 {
-					panic("poisoned rep")
-				}
-			})
-			m := run(s, p, poisoned)
-			c.put(p, poisoned)
+			if seed == poisonSeed {
+				poisoned = ln
+				ops := 0
+				ln.FS.SetOpObserver(func(pfs.OpEvent) {
+					if ops++; ops == 3 {
+						panic("poisoned rep")
+					}
+				})
+			}
+			mu.Unlock()
+			m := run(s, p, ln)
+			stacks.Put(p, ln)
 			return m
 		}
 		rep, err := RunContext(context.Background(), spec, Options{Workers: workers})
@@ -122,26 +157,27 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 
 // TestReusedJobAllocs pins the allocations of one repetition of a
 // two-rank IOR point (HDD, 4 MiB blocks in 256 KiB sequential transfers)
-// on a reset cluster. The engine, file system, fabric, devices and their
+// on a reset stack. The engine, file system, fabric, devices and their
 // warm free lists are reused, and so are the harness's MPI world, ranks
-// and their procs, POSIX environments and descriptor state, and the
-// clients and their fabric nodes; what a job still allocates is its
-// procs' coroutines, its open files, inodes and MPI-IO state, the
-// storage provider and the metrics.
+// and their procs, POSIX environments and descriptor state, the clients
+// and their fabric nodes, and the storage provider with its targets;
+// what a job still allocates is its procs' coroutines, its open files,
+// inodes and MPI-IO state, and the metrics.
 func TestReusedJobAllocs(t *testing.T) {
 	spec := smallSpec().withDefaults()
 	p := spec.Expand()[0]
-	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newCluster(p, 1)) })
-	c := &clusterCache{max: 1}
-	simulate(spec, p, 1, c)
-	reused := testing.AllocsPerRun(20, func() { simulate(spec, p, 1, c) })
-	t.Logf("job allocations: %v on a new cluster, %v on a reset one", fresh, reused)
+	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newLoan(p, 1)) })
+	stacks := stack.NewLender[Point](1)
+	simulate(spec, p, 1, stacks)
+	reused := testing.AllocsPerRun(20, func() { simulate(spec, p, 1, stacks) })
+	t.Logf("job allocations: %v on a new stack, %v on a reset one", fresh, reused)
 	if reused > reusedJobAllocs {
-		t.Errorf("a job on a reset cluster allocates %v objects, want <= %d", reused, reusedJobAllocs)
+		t.Errorf("a job on a reset stack allocates %v objects, want <= %d", reused, reusedJobAllocs)
 	}
 }
 
-// reusedJobAllocs is TestReusedJobAllocs's bound: 41 allocations
-// measured with coroutine procs (go1.24; 183 on a new cluster), 20 with
-// channel procs (162), plus a small margin.
-const reusedJobAllocs = 45
+// reusedJobAllocs is TestReusedJobAllocs's bound: 39 allocations
+// measured with coroutine procs (go1.24; 183 on a new stack), 18 with
+// channel procs (161), plus a small margin. It was 45 while a reset
+// stack built a new provider per job (41 and 20 measured).
+const reusedJobAllocs = 43

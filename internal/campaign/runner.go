@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -200,8 +199,8 @@ var simulateFn = simulate
 // recovered and recorded as a typed JobError in the Report; the rest of
 // the grid still runs. Cancellation granularity is one simulation run:
 // an in-flight run finishes before its worker stops. The repetitions of
-// a point share an engine and file system, reset between runs (see
-// clusterCache), which changes no result.
+// a point share a stack and rank harness, reset between runs (see
+// stack.Lender), which changes no result.
 func RunContext(ctx context.Context, spec Spec, opt Options) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -216,9 +215,9 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Report, error) {
 	for i := range runs {
 		runs[i] = RunResult{Point: points[i/spec.Reps].ID, Rep: i % spec.Reps, Seed: RunSeed(spec.Seed, i)}
 	}
-	clusters := &clusterCache{max: min(opt.workers(), total)}
+	stacks := stack.NewLender[Point](min(opt.workers(), total))
 	pr := PoolContext(ctx, total, opt, func(i int) {
-		runs[i].Metrics = simulateFn(spec, points[i/spec.Reps], runs[i].Seed, clusters)
+		runs[i].Metrics = simulateFn(spec, points[i/spec.Reps], runs[i].Seed, stacks)
 	})
 	rep := aggregate(spec, points, runs)
 	rep.Cancelled = pr.Err != nil
@@ -254,88 +253,33 @@ func ClusterConfig(p Point) pfs.Config {
 	return cfg
 }
 
-// cluster is a stack of one point with the harness its last job ran on.
-type cluster struct {
-	*stack.Stack
-	h workload.Harness
-}
-
-// newCluster builds the stack of point p whose engine is seeded with
-// seed: ClusterConfig's file system under the point's fault campaign,
-// tier and compressor.
-func newCluster(p Point, seed int64) *cluster {
-	s, err := stack.New(stack.Config{
+// stackConfig is the stack of point p whose engine is seeded with seed:
+// ClusterConfig's file system under the point's fault campaign, tier and
+// compressor.
+func stackConfig(p Point, seed int64) stack.Config {
+	return stack.Config{
 		Cluster: ClusterConfig(p), Seed: seed,
 		Tier: p.Tier, Compress: p.Compress, Faults: p.Faults,
-	})
+	}
+}
+
+// simulate executes one run on a stack of p lent by stacks: the point's
+// fault campaign (if any) and the spec's workload, reduced to a flat
+// metric map. A reset stack gives the same metrics as a new one.
+func simulate(spec Spec, p Point, seed int64, stacks *stack.Lender[Point]) map[string]float64 {
+	ln, err := stacks.Take(p, stackConfig(p, seed))
 	if err != nil {
 		panic(fmt.Sprintf("campaign: unvalidated point %s: %v", p.Label(), err))
 	}
-	return &cluster{Stack: s}
-}
-
-// idleCluster is a cluster of point p that no job holds.
-type idleCluster struct {
-	p Point
-	c *cluster
-}
-
-// clusterCache lends clusters to the jobs of one RunContext call, so
-// that the repetitions of a point share one engine, file system and
-// harness instead of building them per job. A job takes a cluster of its
-// point, an idle one reset (stack.Stack.Reset) when there is one and a
-// new one otherwise, and gives it back once its simulation returns. A job
-// that panics never gives its cluster back, so no stack or harness
-// carries the state a panic left. At most max (>= 1) clusters, one per
-// worker, are kept idle; the oldest is dropped first.
-type clusterCache struct {
-	mu   sync.Mutex
-	idle []idleCluster
-	max  int
-}
-
-// take returns a cluster of point p whose engine is seeded with seed.
-func (cc *clusterCache) take(p Point, seed int64) *cluster {
-	cc.mu.Lock()
-	for i, ic := range cc.idle {
-		if ic.p == p {
-			cc.idle = slices.Delete(cc.idle, i, i+1)
-			cc.mu.Unlock()
-			ic.c.Reset(seed)
-			return ic.c
-		}
-	}
-	cc.mu.Unlock()
-	return newCluster(p, seed)
-}
-
-// put returns c, a cluster of point p whose job has finished, to the idle
-// clusters.
-func (cc *clusterCache) put(p Point, c *cluster) {
-	cc.mu.Lock()
-	if len(cc.idle) == cc.max {
-		cc.idle = slices.Delete(cc.idle, 0, 1)
-	}
-	cc.idle = append(cc.idle, idleCluster{p, c})
-	cc.mu.Unlock()
-}
-
-// simulate executes one run on a cluster of p from clusters: the point's
-// fault campaign (if any) and the spec's workload, reduced to a flat
-// metric map. A reset cluster gives the same metrics as a new one.
-func simulate(spec Spec, p Point, seed int64, clusters *clusterCache) map[string]float64 {
-	c := clusters.take(p, seed)
-	m := run(spec, p, c)
-	clusters.put(p, c)
+	m := run(spec, p, ln)
+	stacks.Put(p, ln)
 	return m
 }
 
-// run simulates one job of spec at point p on c, resetting c's harness
-// onto its stack (workload.Harness.Reset), which reuses the ranks the
-// last job on c built.
-func run(spec Spec, p Point, c *cluster) map[string]float64 {
-	s, h := c.Stack, &c.h
-	h.Reset(s.E, s.FS, p.Ranks, "camp", nil, s.Provider)
+// run simulates one job of spec at point p on ln, whose harness reuses
+// the ranks the last job on ln built.
+func run(spec Spec, p Point, ln *stack.Loan) map[string]float64 {
+	s, h := ln.Stack, ln.Harness(p.Ranks, "camp", nil)
 	var m map[string]float64
 	switch spec.Workload {
 	case WorkloadCheckpoint:

@@ -44,15 +44,29 @@ func (c *ClusterFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&c.Seed, "seed", 42, "simulation seed")
 }
 
-// Config converts the flags to a pfs.Config.
+// Config converts the flags to a pfs.Config. A count below its range
+// (-oss, -osts-per-oss, -mds-threads and -stripe-count below 1, -ionodes
+// below 0) or a -stripe-size below 1 byte is an ErrUsage error: the file
+// system reads such a value as "use the default".
 func (c *ClusterFlags) Config() (pfs.Config, error) {
 	cfg := pfs.DefaultConfig()
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"oss", c.OSS, 1}, {"osts-per-oss", c.OSTsPerOSS, 1}, {"mds-threads", c.MDSThreads, 1},
+		{"ionodes", c.IONodes, 0}, {"stripe-count", c.StripeCnt, 1},
+	} {
+		if f.v < f.min {
+			return cfg, fmt.Errorf("%w: -%s must be at least %d, got %d", ErrUsage, f.name, f.min, f.v)
+		}
+	}
 	cfg.NumOSS = c.OSS
 	cfg.OSTsPerOSS = c.OSTsPerOSS
 	cfg.MDSThreads = c.MDSThreads
 	cfg.NumIONodes = c.IONodes
 	cfg.DefaultStripeCount = c.StripeCnt
-	ss, err := ParseSize(c.StripeSize)
+	ss, err := SizeAtLeast("stripe-size", c.StripeSize, 1)
 	if err != nil {
 		return cfg, err
 	}
@@ -80,6 +94,34 @@ func RequirePositive(fs *flag.FlagSet, names ...string) error {
 		}
 	}
 	return nil
+}
+
+// ExitCode is the status a command exits with after err: 0 for nil, 2
+// for an ErrUsage error (a command line the command cannot run), and 1
+// otherwise.
+func ExitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, ErrUsage):
+		return 2
+	}
+	return 1
+}
+
+// SizeAtLeast parses s, the value of the size flag -name (ParseSize), and
+// returns an ErrUsage error when it is below min bytes. The workload
+// configs read a size below 1 as "use the default", so a command must not
+// pass such a value on.
+func SizeAtLeast(name, s string, min int64) (int64, error) {
+	n, err := ParseSize(s)
+	if err != nil {
+		return 0, err
+	}
+	if n < min {
+		return 0, fmt.Errorf("%w: -%s must be at least %dB, got %s", ErrUsage, name, min, s)
+	}
+	return n, nil
 }
 
 // ParseSize parses a byte size with optional B/KB/MB/GB suffix.

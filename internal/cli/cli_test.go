@@ -1,7 +1,9 @@
 package cli
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"testing"
 )
 
@@ -68,8 +70,63 @@ func TestClusterFlagsConfig(t *testing.T) {
 	}
 	c.Device = "hdd"
 	c.StripeSize = "garbage"
-	if _, err := c.Config(); err == nil {
-		t.Error("bad stripe size should error")
+	if _, err := c.Config(); err == nil || errors.Is(err, ErrUsage) {
+		t.Errorf("bad stripe size: %v, want a parse error", err)
+	}
+}
+
+// TestClusterFlagsOutOfRange: a count below its range or a stripe size
+// below one byte is a usage error naming the flag, never a silent
+// default; -ionodes 0 (a flat network) is in range.
+func TestClusterFlagsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-oss", "0"}, "usage: -oss must be at least 1, got 0"},
+		{[]string{"-osts-per-oss", "-2"}, "usage: -osts-per-oss must be at least 1, got -2"},
+		{[]string{"-mds-threads", "0"}, "usage: -mds-threads must be at least 1, got 0"},
+		{[]string{"-ionodes", "-1"}, "usage: -ionodes must be at least 0, got -1"},
+		{[]string{"-stripe-count", "0"}, "usage: -stripe-count must be at least 1, got 0"},
+		{[]string{"-stripe-size", "0B"}, "usage: -stripe-size must be at least 1B, got 0B"},
+		{nil, ""},
+		{[]string{"-ionodes", "0"}, ""},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		var c ClusterFlags
+		c.Register(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		_, err := c.Config()
+		if got := fmt.Sprint(err); tc.msg == "" && err != nil || tc.msg != "" && (!errors.Is(err, ErrUsage) || got != tc.msg) {
+			t.Errorf("%q: %v, want %q", tc.args, err, tc.msg)
+		}
+	}
+}
+
+// TestSizeAtLeast: a size below the minimum is a usage error, an
+// unparsable one a plain error, and ExitCode maps them to 2 and 1.
+func TestSizeAtLeast(t *testing.T) {
+	if n, err := SizeAtLeast("block", "4KB", 1); n != 4<<10 || err != nil {
+		t.Errorf("4KB: %d, %v", n, err)
+	}
+	if n, err := SizeAtLeast("write", "0B", 0); n != 0 || err != nil {
+		t.Errorf("0B at least 0: %d, %v", n, err)
+	}
+	_, err := SizeAtLeast("block", "0B", 1)
+	if !errors.Is(err, ErrUsage) || err.Error() != "usage: -block must be at least 1B, got 0B" {
+		t.Errorf("0B at least 1: %v", err)
+	}
+	if ExitCode(err) != 2 {
+		t.Errorf("ExitCode(%v) = %d, want 2", err, ExitCode(err))
+	}
+	_, err = SizeAtLeast("block", "huge", 1)
+	if err == nil || errors.Is(err, ErrUsage) || ExitCode(err) != 1 {
+		t.Errorf("huge: %v (exit %d), want a parse error exiting 1", err, ExitCode(err))
+	}
+	if ExitCode(nil) != 0 {
+		t.Errorf("ExitCode(nil) = %d", ExitCode(nil))
 	}
 }
 

@@ -9,12 +9,13 @@
 // the geometric mean of the eight md phases in kIOPS, and the overall
 // score the geometric mean of the two.
 //
-// Each benchmark step runs on its own engine/cluster seeded identically,
-// so the ior-easy and mdtest-easy phases reproduce the standalone
-// cmd/iorbench and cmd/mdtestbench results bit-for-bit at the same
-// configuration (the cross-command equivalence tests pin this), and the
-// steps can execute in parallel on a campaign.Pool with results indexed
-// by step — the Result is byte-identical at any worker count.
+// Each benchmark step runs on a stack of its own seeded identically — a
+// new one, or one an earlier step ran on, reset (stack.Lender) — so the
+// ior-easy and mdtest-easy phases reproduce the standalone cmd/iorbench
+// and cmd/mdtestbench results bit-for-bit at the same configuration (the
+// cross-command equivalence tests pin this), and the steps can execute
+// in parallel on a campaign.Pool with results indexed by step — the
+// Result is byte-identical at any worker count.
 // internal/surveystats runs the suite across a config grid to build a
 // simulated submission corpus in the style of "A Treasure Trove of
 // Performance: Analyzing the IO500 Submission Data".
@@ -90,8 +91,9 @@ type Config struct {
 	StripeSize  int64  `json:"stripe_size"`
 	Seed        int64  `json:"seed"`
 
-	// Workers bounds how many benchmark steps run concurrently (each step
-	// owns a private engine and cluster); <= 0 selects GOMAXPROCS. The
+	// Workers bounds how many benchmark steps run concurrently (each on
+	// a stack no other step holds meanwhile; one worker runs every step
+	// on one stack, reset between steps); <= 0 selects GOMAXPROCS. The
 	// Result is byte-identical at any value, so Workers is excluded from
 	// serialization.
 	Workers int `json:"-"`
@@ -257,9 +259,12 @@ func geomean(vals []float64) float64 {
 }
 
 // Run executes the full suite: five benchmark steps (ior-easy, ior-hard,
-// mdtest-easy, mdtest-hard, find), each on a private engine and cluster
-// seeded with cfg.Seed, dispatched over a bounded worker pool with
-// results stored by step index — the Result is bit-identical at any
+// mdtest-easy, mdtest-hard, find), each on a stack seeded with cfg.Seed,
+// dispatched over a bounded worker pool with results stored by step
+// index. The steps share stacks: a step takes a stack an earlier step
+// has finished with, reset, or a new one when every stack is in use, so
+// one worker builds one stack for the whole suite. A reset stack runs a
+// step as a new one does, so the Result is bit-identical at any
 // cfg.Workers. A step that panics (a simulated deadlock) surfaces as an
 // error naming the step.
 func Run(cfg Config) (*Result, error) {
@@ -267,29 +272,72 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	steps := []struct {
-		name string
-		run  func(Config) ([]Phase, []string)
-	}{
-		{"ior-easy", runIorEasy},
-		{"ior-hard", runIorHard},
-		{"mdtest-easy", runMdtestEasy},
-		{"mdtest-hard", runMdtestHard},
-		{"find", runFind},
-	}
-	type stepOut struct {
-		phases     []Phase
-		violations []string
-	}
 	outs := make([]stepOut, len(steps))
+	// Every step has cfg's stack; no more than len(steps) are in use at
+	// once.
+	stacks := stack.NewLender[Config](len(steps))
 	pr := campaign.Pool(len(steps), campaign.Options{Workers: cfg.Workers}, func(i int) {
-		ph, vio := steps[i].run(cfg)
-		outs[i] = stepOut{ph, vio}
+		outs[i] = runStep(cfg, i, stacks)
 	})
 	if len(pr.Panicked) > 0 {
 		p := pr.Panicked[0]
 		return nil, fmt.Errorf("io500: step %s panicked: %s", steps[p.Index].name, p.Value)
 	}
+	return assemble(cfg, outs)
+}
+
+// steps are the suite's benchmark steps, in step index order.
+var steps = []struct {
+	name string
+	run  func(Config, *workload.Harness) []Phase
+}{
+	{"ior-easy", runIorEasy},
+	{"ior-hard", runIorHard},
+	{"mdtest-easy", runMdtestEasy},
+	{"mdtest-hard", runMdtestHard},
+	{"find", runFind},
+}
+
+// stepOut is what one step reports: its phases and its violations.
+type stepOut struct {
+	phases     []Phase
+	violations []string
+}
+
+// runStep runs step i of the suite on a stack (engine, cluster, tier
+// provider and stage) taken from stacks, with the step's invariants
+// armed when requested, and gives the stack back once the step has
+// returned. The cluster shape is campaign.ClusterConfig's — identical to
+// the standalone benchmark commands' default cluster — and ranks are
+// named cn0..cnN-1 exactly as cmd/iorbench and cmd/mdtestbench name them,
+// so phase results reproduce the standalone commands bit-for-bit.
+func runStep(cfg Config, i int, stacks *stack.Lender[Config]) stepOut {
+	ln, err := stacks.Take(cfg, stack.Config{
+		Cluster: campaign.ClusterConfig(campaign.Point{
+			Ranks: cfg.Ranks, Device: cfg.Device,
+			StripeCount: cfg.StripeCount, StripeSize: cfg.StripeSize,
+		}),
+		Seed: cfg.Seed, Tier: cfg.Tier, Compress: cfg.Compress,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("io500: unvalidated config: %v", err))
+	}
+	var (
+		inv *validate.Invariants
+		col *trace.Collector
+	)
+	if cfg.Check {
+		inv, col = validate.Arm(ln.E, ln.FS, ln.Provider)
+	}
+	h := ln.Harness(cfg.Ranks, "cn", col)
+	out := stepOut{steps[i].run(cfg, h), finish(steps[i].name, h, inv)}
+	stacks.Put(cfg, ln)
+	return out
+}
+
+// assemble builds the Result of cfg from its steps' outputs, in step
+// order.
+func assemble(cfg Config, outs []stepOut) (*Result, error) {
 	byName := map[string]Phase{}
 	res := &Result{Config: cfg}
 	for _, o := range outs {
@@ -307,30 +355,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.BWScore, res.MDScore, res.Score = Score(res.Values())
 	return res, nil
-}
-
-// newStep stands up a stack (engine, cluster, tier provider and stage)
-// and a rank harness for one step, with its invariants armed when
-// requested. The cluster shape is campaign.ClusterConfig's — identical to
-// the standalone benchmark commands' default cluster — and ranks are
-// named cn0..cnN-1 exactly as cmd/iorbench and cmd/mdtestbench name them,
-// so phase results reproduce the standalone commands bit-for-bit.
-func newStep(cfg Config) (h *workload.Harness, inv *validate.Invariants) {
-	st, err := stack.New(stack.Config{
-		Cluster: campaign.ClusterConfig(campaign.Point{
-			Ranks: cfg.Ranks, Device: cfg.Device,
-			StripeCount: cfg.StripeCount, StripeSize: cfg.StripeSize,
-		}),
-		Seed: cfg.Seed, Tier: cfg.Tier, Compress: cfg.Compress,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("io500: unvalidated config: %v", err))
-	}
-	var col *trace.Collector
-	if cfg.Check {
-		inv, col = validate.Arm(st.E, st.FS, st.Provider)
-	}
-	return workload.NewHarnessOn(st.E, st.FS, cfg.Ranks, "cn", col, st.Provider), inv
 }
 
 // finish collects a step's armed-invariant violations and the provider
@@ -368,8 +392,7 @@ func kiops(ops int64, t des.Time) float64 {
 // runIorEasy executes the file-per-process large-sequential IOR phase
 // pair with exactly the configuration cmd/iorbench would use, yielding
 // ior-easy-write and ior-easy-read.
-func runIorEasy(cfg Config) ([]Phase, []string) {
-	h, inv := newStep(cfg)
+func runIorEasy(cfg Config, h *workload.Harness) []Phase {
 	rep := workload.RunIOR(h, workload.IORConfig{
 		Ranks: cfg.Ranks, BlockSize: cfg.EasyBlock, TransferSize: cfg.EasyXfer,
 		Segments: 1, SharedFile: false, Pattern: workload.Sequential,
@@ -380,13 +403,12 @@ func runIorEasy(cfg Config) ([]Phase, []string) {
 			Seconds: rep.WriteTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.WriteTime)},
 		{Name: IorEasyRead, Kind: KindBW, Bytes: rep.TotalBytes,
 			Seconds: rep.ReadTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.ReadTime)},
-	}, finish("ior-easy", h, inv)
+	}
 }
 
 // runIorHard executes the shared-file small-strided collective IOR phase
 // pair, yielding ior-hard-write and ior-hard-read.
-func runIorHard(cfg Config) ([]Phase, []string) {
-	h, inv := newStep(cfg)
+func runIorHard(cfg Config, h *workload.Harness) []Phase {
 	block := cfg.HardXfer * int64(cfg.HardOps)
 	rep := workload.RunIOR(h, workload.IORConfig{
 		Ranks: cfg.Ranks, BlockSize: block, TransferSize: cfg.HardXfer,
@@ -398,13 +420,12 @@ func runIorHard(cfg Config) ([]Phase, []string) {
 			Seconds: rep.WriteTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.WriteTime)},
 		{Name: IorHardRead, Kind: KindBW, Bytes: rep.TotalBytes,
 			Seconds: rep.ReadTime.Seconds(), Value: gibPerS(rep.TotalBytes, rep.ReadTime)},
-	}, finish("ior-hard", h, inv)
+	}
 }
 
 // runMdtestEasy executes create/stat/delete over empty files with exactly
 // the configuration cmd/mdtestbench would use.
-func runMdtestEasy(cfg Config) ([]Phase, []string) {
-	h, inv := newStep(cfg)
+func runMdtestEasy(cfg Config, h *workload.Harness) []Phase {
 	rep := workload.RunMDTest(h, workload.MDTestConfig{
 		Ranks: cfg.Ranks, FilesPerRank: cfg.EasyFiles,
 		Phases: []string{workload.MDPhaseCreate, workload.MDPhaseStat, workload.MDPhaseDelete},
@@ -417,12 +438,11 @@ func runMdtestEasy(cfg Config) ([]Phase, []string) {
 			Seconds: rep.StatTime.Seconds(), Value: kiops(ops, rep.StatTime)},
 		{Name: MdtestEasyDelete, Kind: KindMD, Ops: ops,
 			Seconds: rep.RemoveTime.Seconds(), Value: kiops(ops, rep.RemoveTime)},
-	}, finish("mdtest-easy", h, inv)
+	}
 }
 
 // runMdtestHard executes create/stat/read/delete with per-file payloads.
-func runMdtestHard(cfg Config) ([]Phase, []string) {
-	h, inv := newStep(cfg)
+func runMdtestHard(cfg Config, h *workload.Harness) []Phase {
 	rep := workload.RunMDTest(h, workload.MDTestConfig{
 		Ranks: cfg.Ranks, FilesPerRank: cfg.HardFiles, WriteBytes: cfg.HardFileBytes,
 		BasePath: "/mdtest-hard",
@@ -439,7 +459,7 @@ func runMdtestHard(cfg Config) ([]Phase, []string) {
 			Seconds: rep.StatTime.Seconds(), Value: kiops(ops, rep.StatTime)},
 		{Name: MdtestHardDelete, Kind: KindMD, Ops: ops,
 			Seconds: rep.RemoveTime.Seconds(), Value: kiops(ops, rep.RemoveTime)},
-	}, finish("mdtest-hard", h, inv)
+	}
 }
 
 // runFind populates a namespace shaped like the mdtest-easy and
@@ -447,8 +467,7 @@ func runMdtestHard(cfg Config) ([]Phase, []string) {
 // rank readdirs its own subtrees and stats every entry, counting files
 // whose size reaches the mdtest-hard payload — the IO500 find's
 // size-predicate match. The rate counts readdir + stat operations.
-func runFind(cfg Config) ([]Phase, []string) {
-	h, inv := newStep(cfg)
+func runFind(cfg Config, h *workload.Harness) []Phase {
 	var fStart, fEnd des.Time
 	perOps := make([]int64, cfg.Ranks)
 	perFound := make([]int64, cfg.Ranks)
@@ -518,5 +537,5 @@ func runFind(cfg Config) ([]Phase, []string) {
 	return []Phase{
 		{Name: Find, Kind: KindMD, Ops: ops, Found: found,
 			Seconds: t.Seconds(), Value: kiops(ops, t)},
-	}, finish("find", h, inv)
+	}
 }

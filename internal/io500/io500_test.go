@@ -2,11 +2,14 @@ package io500
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
+	"pioeval/internal/leakcheck"
 	"pioeval/internal/pfs"
+	"pioeval/internal/stack"
 	"pioeval/internal/storage"
 	"pioeval/internal/workload"
 )
@@ -144,6 +147,69 @@ func TestSuiteDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 5} {
 		if got := render(w); got != base {
 			t.Fatalf("suite output differs between workers=1 and workers=%d", w)
+		}
+	}
+}
+
+// render is res as the io500 command prints it, text then JSON.
+func render(t *testing.T, res *Result) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := res.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestSharedStacksMatchFresh: Run at one worker runs its five steps on
+// one stack, reset between steps (stack.Lender); it must render — text
+// and JSON — byte-identically to the suite with every step on a new
+// stack of its own, on every tier, uncompressed and compressed, with the
+// invariant checkers armed and not.
+func TestSharedStacksMatchFresh(t *testing.T) {
+	for _, tier := range []string{storage.TierDirect, storage.TierBB, storage.TierNodeLocal} {
+		for _, compress := range []string{"", "lz"} {
+			for _, check := range []bool{false, true} {
+				cfg := tinyConfig()
+				cfg.Tier, cfg.Compress, cfg.Check = tier, compress, check
+				name := fmt.Sprintf("tier=%s compress=%q check=%v", tier, compress, check)
+				shared, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cfg = cfg.withDefaults()
+				outs := make([]stepOut, len(steps))
+				for i := range steps {
+					outs[i] = runStep(cfg, i, stack.NewLender[Config](1))
+				}
+				fresh, err := assemble(cfg, outs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got, want := render(t, shared), render(t, fresh); got != want {
+					t.Errorf("%s: steps on a shared stack render differently from steps on new ones:\nshared:\n%s\nnew:\n%s", name, got, want)
+				}
+				if check && len(shared.Violations) > 0 {
+					t.Errorf("%s: violations %v", name, shared.Violations)
+				}
+			}
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutine: no drain worker or rank proc of any step
+// outlives Run, whose lender keeps the stacks until it is garbage; on
+// the burst-buffer tier with compression, at one worker and at two.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	for _, workers := range []int{1, 2} {
+		cfg := tinyConfig()
+		cfg.Tier, cfg.Compress, cfg.Workers = storage.TierBB, "lz", workers
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -316,14 +382,17 @@ func TestConfigValidate(t *testing.T) {
 
 // TestRunAllocBudget holds the metadata path's host cost: a small
 // burst-buffer, lz-compressed suite must stay within its allocation
-// budget: 1,778 allocations, measured once each file's name was built
-// once per rank, a closed descriptor's state was reused, the stage and
-// tier handles were recycled at Close, the burst buffer's drain handles
-// came from a slab and waiting stopped allocating, plus 10%. Before those changes the same suite
-// allocated 5,419, and 2,862 while each open still allocated its stage
-// and tier handles and each drain open its PFS handle.
+// budget: 1,060 allocations with coroutine procs (go1.24) and 899 with
+// channel procs, measured once the five steps shared one stack, reset
+// between steps with its provider, tier targets, burst buffer and stage
+// wrappers kept, plus 10%. Before that each step built its own stack and
+// the suite allocated 1,756 (1,596 with channel procs), and before that
+// 1,778 while the drain handles were not carved from a slab, 2,862 while
+// each open still allocated its stage and tier handles and each drain
+// open its PFS handle, and 5,419 before each file's name was built once
+// per rank and a closed descriptor's state was reused.
 func TestRunAllocBudget(t *testing.T) {
-	const budget = 1956
+	const budget = 1166
 	cfg := tinyConfig()
 	cfg.Tier, cfg.Compress = "bb", "lz"
 	cfg.EasyFiles, cfg.HardFiles = 64, 32

@@ -338,7 +338,7 @@ func (c *Client) OpenE(ep *des.EventProc, h *Handle, path string, k des.Step) {
 // for op that settles h and runs k. For a path that is not valid it fails
 // h and runs k at once, and returns nil.
 func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCall {
-	if h.c != nil && !h.closed && !h.stale() {
+	if h.c != nil && !h.closed && !h.Stale() {
 		panic(fmt.Errorf("%w: %s", ErrHandleOpen, path))
 	}
 	path, err := cleanPath(path)
@@ -353,9 +353,10 @@ func (c *Client) openInto(h *Handle, op MetaOp, path string, k des.Step) *metaCa
 	return m
 }
 
-// stale reports whether h was opened before its file system's last
-// Reset.
-func (h *Handle) stale() bool { return h.gen != h.c.fs.gen }
+// Stale reports whether h was opened before its file system's last
+// Reset, so that every operation on it fails with ErrStaleHandle. h must
+// have been opened at least once.
+func (h *Handle) Stale() bool { return h.gen != h.c.fs.gen }
 
 // ioKind is the client operation an ioCall serves.
 type ioKind uint8
@@ -437,7 +438,7 @@ func (io *ioCall) run(ep *des.EventProc) {
 	h := io.h
 	io.ep, io.start = ep, ep.Now()
 	switch {
-	case h.stale():
+	case h.Stale():
 		io.complete(fmt.Errorf("%w: %s %s", ErrStaleHandle, ioKindNames[io.kind], h.path))
 	case io.kind == ioClose && h.closed:
 		io.complete(nil)

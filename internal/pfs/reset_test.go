@@ -271,8 +271,8 @@ func TestStaleHandle(t *testing.T) {
 		}))
 	})
 	e.Run(des.MaxTime)
-	if eh.Err() != nil || eh.stale() {
-		t.Errorf("re-opening a stale handle: %v (stale %v)", eh.Err(), eh.stale())
+	if eh.Err() != nil || eh.Stale() {
+		t.Errorf("re-opening a stale handle: %v (stale %v)", eh.Err(), eh.Stale())
 	}
 }
 

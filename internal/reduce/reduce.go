@@ -112,9 +112,24 @@ func NewStage(m Model) *Stage {
 // It implements storage.Stage and storage.StageAccounting.
 type Stage struct {
 	m Model
+	// gen counts resets; a handle opened in an earlier generation is
+	// stale.
+	gen uint32
 
 	mu sync.Mutex
 	st storage.StageStats
+}
+
+// Reset zeroes s's accounting for the next job on a reset provider
+// (storage.Provider.Reset), keeping the targets s wrapped and their
+// closed handles for reuse. A handle opened before it is stale: every
+// operation on it fails with storage.ErrStaleHandle and does nothing
+// else.
+func (s *Stage) Reset() {
+	s.mu.Lock()
+	s.st = storage.StageStats{}
+	s.gen++
+	s.mu.Unlock()
 }
 
 // Name returns the compressor name.
@@ -212,7 +227,7 @@ func (t *target) Open(p *des.Proc, path string) (storage.Handle, error) {
 // been opened.
 func (t *target) wrap(in storage.Handle) *handle {
 	h := t.free.Get()
-	h.t, h.inner = t, in
+	h.t, h.inner, h.gen = t, in, t.s.gen
 	return h
 }
 
@@ -243,11 +258,14 @@ func (t *target) Readdir(p *des.Proc, path string) ([]string, error) {
 // to its target's free list, so in steady state an open allocates
 // nothing. A closed handle has no inner handle: until an open reuses it,
 // its I/O fails with storage.ErrClosedHandle and a second Close does
-// nothing.
+// nothing. A handle opened before its stage's last Reset is stale: every
+// operation on it fails with storage.ErrStaleHandle before any simulated
+// time passes.
 type handle struct {
 	des.Pooled
 	t     *target
 	inner storage.Handle
+	gen   uint32 // the stage's generation at the open
 }
 
 func (h *handle) Path() string {
@@ -257,12 +275,24 @@ func (h *handle) Path() string {
 	return h.inner.Path()
 }
 
-func (h *handle) Write(p *des.Proc, off, size int64) error {
-	inner := h.inner
-	if inner == nil {
+// check returns the error an operation on h fails with before it starts:
+// storage.ErrClosedHandle once h is closed, storage.ErrStaleHandle once
+// its stage has been reset.
+func (h *handle) check() error {
+	switch {
+	case h.inner == nil:
 		return storage.ErrClosedHandle
+	case h.gen != h.t.s.gen:
+		return storage.ErrStaleHandle
 	}
-	s := h.t.s
+	return nil
+}
+
+func (h *handle) Write(p *des.Proc, off, size int64) error {
+	if err := h.check(); err != nil {
+		return err
+	}
+	inner, s := h.inner, h.t.s
 	ct := cpuTime(size, s.m.RampBytes, s.m.CompressMBps)
 	p.Wait(ct)
 	physOff, phys := s.physExtent(off, size)
@@ -279,8 +309,8 @@ func (h *handle) Write(p *des.Proc, off, size int64) error {
 }
 
 func (h *handle) Read(p *des.Proc, off, size int64) error {
-	if h.inner == nil {
-		return storage.ErrClosedHandle
+	if err := h.check(); err != nil {
+		return err
 	}
 	s := h.t.s
 	physOff, phys := s.physExtent(off, size)
@@ -299,8 +329,8 @@ func (h *handle) Read(p *des.Proc, off, size int64) error {
 }
 
 func (h *handle) Fsync(p *des.Proc) error {
-	if h.inner == nil {
-		return storage.ErrClosedHandle
+	if err := h.check(); err != nil {
+		return err
 	}
 	return h.inner.Fsync(p)
 }
@@ -311,6 +341,9 @@ func (h *handle) Close(p *des.Proc) error {
 	inner, t := h.inner, h.t
 	if inner == nil {
 		return nil
+	}
+	if h.gen != t.s.gen {
+		return storage.ErrStaleHandle
 	}
 	h.inner = nil
 	err := inner.Close(p)

@@ -19,6 +19,9 @@ type NodeLocal struct {
 	name  string
 	dev   *blockdev.Device
 	files map[string]*localNode
+	// gen counts resets; a handle opened in an earlier generation is
+	// stale.
+	gen uint32
 
 	bytesRead    int64
 	bytesWritten int64
@@ -38,6 +41,17 @@ func NewNodeLocal(e *des.Engine, name string, model blockdev.Model, queueDepth i
 		dev:   blockdev.NewDevice(e, "scratch."+name, model, queueDepth),
 		files: map[string]*localNode{"/": {isDir: true}},
 	}
+}
+
+// reset makes t what NewNodeLocal returns, on its engine once that has
+// been reset: an idle device and an empty namespace. Handles opened
+// before it are stale.
+func (t *NodeLocal) reset() {
+	t.dev.Reset()
+	root := t.files["/"]
+	clear(t.files)
+	t.files["/"] = root
+	*t = NodeLocal{name: t.name, dev: t.dev, files: t.files, gen: t.gen + 1}
 }
 
 // cleanLocal normalizes a path to the absolute, slash-rooted form the
@@ -77,7 +91,7 @@ func (t *NodeLocal) Create(p *des.Proc, path string, stripeCount int, stripeSize
 		return nil, err
 	}
 	t.files[path] = &localNode{layout: Layout{StripeCount: stripeCount, StripeSize: stripeSize}}
-	return &localHandle{t: t, path: path}, nil
+	return &localHandle{t: t, path: path, gen: t.gen}, nil
 }
 
 // Open opens an existing local file.
@@ -90,7 +104,7 @@ func (t *NodeLocal) Open(p *des.Proc, path string) (Handle, error) {
 	if n.isDir {
 		return nil, fmt.Errorf("scratch %s: %s: %w", t.name, path, ErrIsDir)
 	}
-	return &localHandle{t: t, path: path}, nil
+	return &localHandle{t: t, path: path, gen: t.gen}, nil
 }
 
 // Stat returns local file metadata.
@@ -186,20 +200,35 @@ func (t *NodeLocal) Stats() LocalStats {
 	}
 }
 
-// localHandle is an open file on a NodeLocal target.
+// localHandle is an open file on a NodeLocal target. A handle opened
+// before its target's last reset is stale: every operation on it fails
+// with ErrStaleHandle.
 type localHandle struct {
 	t      *NodeLocal
 	path   string
+	gen    uint32
 	closed bool
 }
 
 // Path returns the handle's path.
 func (h *localHandle) Path() string { return h.path }
 
+// check returns the error the I/O operation op on h fails with before it
+// starts, if any.
+func (h *localHandle) check(op string) error {
+	switch {
+	case h.gen != h.t.gen:
+		return fmt.Errorf("%w: %s %s", ErrStaleHandle, op, h.path)
+	case h.closed:
+		return fmt.Errorf("%w: %s %s", ErrClosedHandle, op, h.path)
+	}
+	return nil
+}
+
 // Write pays local device write time and extends the file size.
 func (h *localHandle) Write(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: write %s", ErrClosedHandle, h.path)
+	if err := h.check("write"); err != nil {
+		return err
 	}
 	if size <= 0 {
 		return nil
@@ -214,8 +243,8 @@ func (h *localHandle) Write(p *des.Proc, off, size int64) error {
 
 // Read pays local device read time.
 func (h *localHandle) Read(p *des.Proc, off, size int64) error {
-	if h.closed {
-		return fmt.Errorf("%w: read %s", ErrClosedHandle, h.path)
+	if err := h.check("read"); err != nil {
+		return err
 	}
 	if size <= 0 {
 		return nil
@@ -228,14 +257,17 @@ func (h *localHandle) Read(p *des.Proc, off, size int64) error {
 // Fsync is free: this model writes through to the local device, so there
 // is no write-back cache to flush.
 func (h *localHandle) Fsync(p *des.Proc) error {
-	if h.closed {
-		return fmt.Errorf("%w: fsync %s", ErrClosedHandle, h.path)
+	if err := h.check("fsync"); err != nil {
+		return err
 	}
 	return nil
 }
 
 // Close marks the handle closed; later I/O returns ErrClosedHandle.
 func (h *localHandle) Close(p *des.Proc) error {
+	if h.gen != h.t.gen {
+		return fmt.Errorf("%w: close %s", ErrStaleHandle, h.path)
+	}
 	h.closed = true
 	return nil
 }

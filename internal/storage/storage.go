@@ -46,6 +46,7 @@ var (
 	ErrNotDir       = pfs.ErrNotDir
 	ErrNotEmpty     = pfs.ErrNotEmpty
 	ErrClosedHandle = pfs.ErrClosedHandle
+	ErrStaleHandle  = pfs.ErrStaleHandle
 )
 
 // DegradedReadError aliases the PFS degraded-read error so POSIX-level

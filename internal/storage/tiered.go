@@ -43,6 +43,12 @@ func NewTiered(c *pfs.Client, bb *burstbuffer.Buffer) *TieredBB {
 	return t
 }
 
+// reset makes t the target NewTiered(c, bb) returns, keeping its closed
+// handles for reuse.
+func (t *TieredBB) reset(c *pfs.Client, bb *burstbuffer.Buffer) {
+	t.DirectPFS, t.bb = Direct(c), bb
+}
+
 // Create creates path on the PFS namespace (so the drainer and read-through
 // path can open it) and returns a handle whose data ops ride the buffer.
 func (t *TieredBB) Create(p *des.Proc, path string, stripeCount int, stripeSize int64) (Handle, error) {
@@ -80,7 +86,10 @@ func (t *TieredBB) release(h *tieredHandle) {
 // continuation create or open opened in place. Close returns the handle
 // to its target's free list, so in steady state an open allocates
 // nothing. A closed handle has no target: until an open reuses it, its
-// I/O fails with ErrClosedHandle and a second Close does nothing.
+// I/O fails with ErrClosedHandle and a second Close does nothing. A
+// handle opened before the file system's last Reset is stale: every
+// operation on it fails with ErrStaleHandle and does nothing else, so it
+// never stages into the buffer of the job after the reset.
 type tieredHandle struct {
 	des.Pooled
 	t  *TieredBB
@@ -90,12 +99,25 @@ type tieredHandle struct {
 // Path returns the handle's path.
 func (h *tieredHandle) Path() string { return h.ph.Path() }
 
+// check returns the error an operation on h fails with before it starts:
+// ErrClosedHandle once h is closed, ErrStaleHandle once its file system
+// has been reset.
+func (h *tieredHandle) check() error {
+	switch {
+	case h.t == nil:
+		return ErrClosedHandle
+	case h.ph.Stale():
+		return ErrStaleHandle
+	}
+	return nil
+}
+
 // Write stages the bytes at the burst buffer (SSD speed, backpressure when
 // full) and returns as soon as they are staged; the drain to the PFS is
 // asynchronous. Drain failures surface later, from Fsync.
 func (h *tieredHandle) Write(p *des.Proc, off, size int64) error {
-	if h.t == nil {
-		return ErrClosedHandle
+	if err := h.check(); err != nil {
+		return err
 	}
 	h.t.bb.Write(p, h.ph.Path(), off, size)
 	return nil
@@ -104,8 +126,8 @@ func (h *tieredHandle) Write(p *des.Proc, off, size int64) error {
 // Read serves from the staging SSD while staged data is hot, else reads
 // through to the PFS via the buffer's I/O-node client.
 func (h *tieredHandle) Read(p *des.Proc, off, size int64) error {
-	if h.t == nil {
-		return ErrClosedHandle
+	if err := h.check(); err != nil {
+		return err
 	}
 	return h.t.bb.Read(p, h.ph.Path(), off, size)
 }
@@ -113,8 +135,8 @@ func (h *tieredHandle) Read(p *des.Proc, off, size int64) error {
 // Fsync waits until every staged byte has drained to the PFS, returning
 // the accumulated drain errors if any writebacks failed for good.
 func (h *tieredHandle) Fsync(p *des.Proc) error {
-	if h.t == nil {
-		return ErrClosedHandle
+	if err := h.check(); err != nil {
+		return err
 	}
 	return h.t.bb.WaitDrained(p)
 }
@@ -126,6 +148,9 @@ func (h *tieredHandle) Close(p *des.Proc) error {
 	t := h.t
 	if t == nil {
 		return nil
+	}
+	if h.ph.Stale() {
+		return ErrStaleHandle
 	}
 	h.t = nil
 	err := h.ph.Close(p)

@@ -3,6 +3,7 @@ package validate
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -188,8 +189,10 @@ func (l targetLog) Wrap(node string, t storage.Target) storage.Target {
 // job revives the clients and fabric nodes the first one retired
 // (pfs.FS.NewClient) for the ranks both have, and makes new ones for the
 // rest. Both runs go through a pass-through stage that records each
-// node's target. They must report byte-identical results, and every rank
-// the two jobs share must have been given the client the first job had.
+// node's target when it wraps it. They must report byte-identical
+// results. Every rank the two jobs share must have been given the target
+// the first job had, which is the client the reset revived, without a
+// new wrap; only the second job's other ranks are wrapped.
 func TestRevivedRanksMatchFresh(t *testing.T) {
 	revived := 0
 	for i := 1; i <= 200; i++ {
@@ -205,26 +208,25 @@ func TestRevivedRanksMatchFresh(t *testing.T) {
 		oc := c
 		oc.Seed, oc.Point.Ranks = other.Seed, other.Point.Ranks
 		st := newStack(t, oc, storage.TierDirect, "")
-		before := targetLog{}
-		st.Provider.Push(before)
+		wrapped := targetLog{}
+		st.Provider.Push(wrapped)
 		runOnCluster(t, st, st.Provider, oc, other.Body)
+		before := maps.Clone(wrapped)
+		clear(wrapped)
 		st.Reset(c.Seed)
-		after := targetLog{}
-		st.Provider.Push(after)
 		if got := runOnCluster(t, st, st.Provider, c, c.Body); got != want {
 			t.Errorf("case %d (%d ranks after %d): a reset stack reports differently from a new one:\n reset %s\n new   %s\nprogram:\n%s", i, c.Point.Ranks, other.Point.Ranks, got, want, c.Source())
 		}
-		if len(after) != c.Point.Ranks {
-			t.Fatalf("case %d: %d targets minted, want %d", i, len(after), c.Point.Ranks)
+		shared := min(c.Point.Ranks, other.Point.Ranks)
+		if len(wrapped) != c.Point.Ranks-shared {
+			t.Fatalf("case %d: %d targets wrapped after the reset, want %d", i, len(wrapped), c.Point.Ranks-shared)
 		}
-		for node, tgt := range after {
-			if prev, ok := before[node]; ok {
-				if tgt != prev {
-					t.Errorf("case %d: node %s got a new client, not the one the reset retired", i, node)
-				}
-				revived++
+		for node := range wrapped {
+			if _, ok := before[node]; ok {
+				t.Errorf("case %d: node %s got a new target, not the one the reset kept", i, node)
 			}
 		}
+		revived += shared
 	}
 	if revived == 0 {
 		t.Error("no rank was revived: the reset runs test nothing")

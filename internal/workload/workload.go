@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"pioeval/internal/des"
 	"pioeval/internal/mpi"
@@ -57,12 +58,12 @@ func NewHarnessOn(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col *trac
 
 // Reset makes h what NewHarnessOn(e, fs, ranks, prefix, col, pr) returns,
 // keeping what h's last job built where it fits, so a job on a reset
-// stack (des.Engine.Reset, pfs.FS.Reset and a new provider) rebuilds no
-// rank: the world is reset (mpi.World.Reset) when it is on e with ranks
-// ranks, the node names are kept for the same prefix, and every kept
-// environment is reset (posixio.Env.Reset) onto the target pr mints
-// again. NewHarnessOn calls Reset too. Reset h only once its last Run has
-// returned.
+// stack (stack.Stack.Reset) rebuilds no rank: the world is reset
+// (mpi.World.Reset) when it is on e with ranks ranks, the node names are
+// kept for the same prefix, and every kept environment is reset
+// (posixio.Env.Reset) onto the target pr mints again, which a reset
+// provider re-takes in place (storage.Provider.Reset). NewHarnessOn calls
+// Reset too. Reset h only once its last Run has returned.
 func (h *Harness) Reset(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col *trace.Collector, pr *storage.Provider) {
 	w := h.World
 	if w != nil && w.Engine() == e && w.Size() == ranks {
@@ -72,6 +73,9 @@ func (h *Harness) Reset(e *des.Engine, fs *pfs.FS, ranks int, prefix string, col
 	}
 	if prefix != h.prefix || len(h.names.end) < ranks {
 		h.names = Names(prefix, 0, ranks)
+	}
+	if n := ranks - len(h.Envs); n > 0 {
+		h.Envs = slices.Grow(h.Envs, n)
 	}
 	for i := range ranks {
 		node := h.names.At(i)
