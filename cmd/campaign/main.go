@@ -11,6 +11,10 @@
 //	campaign -json BENCH_campaign.json
 //	campaign -workers 8 -reps 5 sweep.campaign
 //	campaign -points sweep.campaign          # list the grid, run nothing
+//
+// The first SIGINT or SIGTERM cancels the grid: the runs that finished
+// are aggregated and emitted whole as a partial report, and the command
+// exits 1.
 package main
 
 import (
@@ -18,10 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"text/tabwriter"
 
 	"pioeval/internal/campaign"
@@ -45,24 +46,12 @@ campaign "baseline-grid" {
 }
 `
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("campaign: ")
-	// First SIGINT/SIGTERM cancels the grid gracefully: the runs that
-	// already finished are aggregated and emitted as a partial report
-	// before exiting non-zero. A second signal kills the process the
-	// default way (NotifyContext unregisters after cancelling).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("campaign", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The golden test drives it with a bytes.Buffer.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	workers := fs.Int("workers", 0, "simultaneous simulations (0 = GOMAXPROCS)")
@@ -74,92 +63,86 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	var prof cli.Profiles
 	prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
-	if err := prof.Start(); err != nil {
-		return err
+	if fs.NArg() > 1 {
+		return fmt.Errorf("%w: at most one spec file argument", cli.ErrUsage)
 	}
-	defer func() {
-		if perr := prof.Stop(); err == nil {
-			err = perr
+	return prof.Run(func() error {
+		src := defaultSpec
+		if fs.NArg() == 1 {
+			b, err := os.ReadFile(fs.Arg(0))
+			if err != nil {
+				return err
+			}
+			src = string(b)
 		}
-	}()
-
-	src := defaultSpec
-	if fs.NArg() == 1 {
-		b, err := os.ReadFile(fs.Arg(0))
+		spec, err := campaign.ParseSpec(src)
 		if err != nil {
 			return err
 		}
-		src = string(b)
-	} else if fs.NArg() > 1 {
-		return fmt.Errorf("at most one spec file argument")
-	}
-	spec, err := campaign.ParseSpec(src)
-	if err != nil {
-		return err
-	}
-	if *seed >= 0 {
-		spec.Seed = *seed
-	}
-	if *reps > 0 {
-		spec.Reps = *reps
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-
-	points := spec.Expand()
-	if *listOnly {
-		for _, p := range points {
-			fmt.Fprintf(stdout, "point %3d: %s\n", p.ID, p.Label())
+		if *seed >= 0 {
+			spec.Seed = *seed
 		}
-		fmt.Fprintf(stdout, "%d points x %d reps = %d runs\n", len(points), max(spec.Reps, 1), len(points)*max(spec.Reps, 1))
-		return nil
-	}
+		if *reps > 0 {
+			spec.Reps = *reps
+		}
+		if err := spec.Validate(); err != nil {
+			return err
+		}
 
-	opt := campaign.Options{Workers: *workers}
-	if !*quiet {
-		opt.OnProgress = func(p campaign.Progress) {
-			fmt.Fprintf(stderr, "\rrun %d/%d (%.0f%%) elapsed %v eta %v    ",
-				p.Done, p.Total, 100*float64(p.Done)/float64(p.Total),
-				p.Elapsed.Round(10_000_000), p.ETA.Round(10_000_000))
-			if p.Done == p.Total {
-				fmt.Fprintln(stderr)
+		points := spec.Expand()
+		if *listOnly {
+			for _, p := range points {
+				fmt.Fprintf(stdout, "point %3d: %s\n", p.ID, p.Label())
+			}
+			fmt.Fprintf(stdout, "%d points x %d reps = %d runs\n", len(points), max(spec.Reps, 1), len(points)*max(spec.Reps, 1))
+			return nil
+		}
+
+		opt := campaign.Options{Workers: *workers}
+		if !*quiet {
+			opt.OnProgress = func(p campaign.Progress) {
+				fmt.Fprintf(stderr, "\rrun %d/%d (%.0f%%) elapsed %v eta %v    ",
+					p.Done, p.Total, 100*float64(p.Done)/float64(p.Total),
+					p.Elapsed.Round(10_000_000), p.ETA.Round(10_000_000))
+				if p.Done == p.Total {
+					fmt.Fprintln(stderr)
+				}
 			}
 		}
-	}
-	rep, err := campaign.RunContext(ctx, spec, opt)
-	if err != nil {
-		return err
-	}
-	if rep.Cancelled {
-		fmt.Fprintf(stderr, "interrupted: emitting partial results (%d/%d runs)\n",
-			rep.CompletedRuns(), len(rep.Runs))
-	}
-	for _, je := range rep.Errors {
-		fmt.Fprintf(stderr, "run %d (point %d, rep %d) panicked: %s\n", je.Run, je.Point, je.Rep, je.Msg)
-	}
+		rep, err := campaign.RunContext(ctx, spec, opt)
+		if err != nil {
+			return err
+		}
+		if rep.Cancelled {
+			fmt.Fprintf(stderr, "interrupted: emitting partial results (%d/%d runs)\n",
+				rep.CompletedRuns(), len(rep.Runs))
+		}
+		for _, je := range rep.Errors {
+			fmt.Fprintf(stderr, "run %d (point %d, rep %d) panicked: %s\n", je.Run, je.Point, je.Rep, je.Msg)
+		}
 
-	printSummary(stdout, rep)
-	if *jsonOut != "" {
-		if err := writeTo(*jsonOut, stdout, rep.WriteJSON); err != nil {
-			return err
+		printSummary(stdout, rep)
+		if *jsonOut != "" {
+			if err := writeTo(*jsonOut, stdout, rep.WriteJSON); err != nil {
+				return err
+			}
 		}
-	}
-	if *csvOut != "" {
-		if err := writeTo(*csvOut, stdout, rep.WriteCSV); err != nil {
-			return err
+		if *csvOut != "" {
+			if err := writeTo(*csvOut, stdout, rep.WriteCSV); err != nil {
+				return err
+			}
 		}
-	}
-	// The partial aggregate has been flushed whole — no truncated files —
-	// but an interrupted campaign is still a failed campaign.
-	if rep.Cancelled {
-		return fmt.Errorf("interrupted after %d/%d runs; partial results emitted", rep.CompletedRuns(), len(rep.Runs))
-	}
-	return nil
+		// The partial aggregate has been flushed whole — no truncated files —
+		// but an interrupted campaign is still a failed campaign.
+		if rep.Cancelled {
+			return fmt.Errorf("interrupted after %d/%d runs; partial results emitted", rep.CompletedRuns(), len(rep.Runs))
+		}
+		return nil
+	})
 }
 
 // printSummary renders the per-point table: every metric's mean with its

@@ -3,10 +3,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
@@ -14,11 +14,11 @@ import (
 	"pioeval/internal/workload"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { cli.Main("dliobench", run) }
 
 // run is the whole command: it parses args, writes the report to stdout
-// and diagnostics to stderr, and returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+// and the flag package's diagnostics to stderr, and returns failures.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dliobench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -31,31 +31,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	epochs := fs.Int("epochs", 2, "training epochs")
 	noShuffle := fs.Bool("no-shuffle", false, "disable per-epoch shuffling")
 	computeStr := fs.String("compute", "0s", "compute time per batch (e.g. 5ms)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "dliobench: %v\n", err)
-		return cli.ExitCode(err)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if err := cli.RequirePositive(fs, "workers", "samples", "samples-per-file", "batch", "epochs"); err != nil {
-		return fail(err)
+		return err
 	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	sampleSize, err := cli.SizeAtLeast("sample-size", *sampleStr, 1)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	compute, err := cli.ParseDuration(*computeStr)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	e := des.NewEngine(cluster.Seed)
@@ -73,5 +66,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "  epoch %d: %v\n", i, d)
 	}
 	fmt.Fprintf(stdout, "  read throughput: %.2f MB/s (%.0f samples/s)\n", rep.ReadMBps, rep.SamplesPerSec)
-	return 0
+	return nil
 }

@@ -14,15 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 
 	"pioeval/internal/blockdev"
 	"pioeval/internal/campaign"
+	"pioeval/internal/cli"
 	"pioeval/internal/core"
 	"pioeval/internal/iolang"
 	"pioeval/internal/pfs"
@@ -40,18 +38,7 @@ workload "default" {
 }
 `
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("evalcycle: ")
-	// First SIGINT/SIGTERM cancels a running sweep; completed pairs are
-	// discarded and the command exits non-zero. A second signal kills the
-	// process the default way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("evalcycle", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
@@ -67,7 +54,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	sweep := fs.String("sweep", "", "comma-separated device list: run every ordered (baseline, target) pair in parallel")
 	sweepReps := fs.Int("sweep-reps", 3, "repetitions per device pair in sweep mode")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cli.RequirePositive(fs, "iterations", "sweep-reps"); err != nil {
 		return err
 	}
 

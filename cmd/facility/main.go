@@ -5,20 +5,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/facility"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { cli.Main("facility", run) }
 
 // run is the whole command: it parses args, writes the report to stdout
-// and diagnostics to stderr, and returns the exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+// and the flag package's diagnostics to stderr, and returns failures.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("facility", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -27,20 +27,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodes := fs.Int("nodes", 16, "compute node pool")
 	emerging := fs.Float64("emerging", 0.5, "fraction of emerging (DL/analytics) jobs [0,1]")
 	scale := fs.Int64("scale", 1, "per-job I/O volume multiplier")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintf(stderr, "facility: %v\n", err)
-		return cli.ExitCode(err)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	cfg, err := cluster.Config()
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	trad := 1 - *emerging
 	res, err := facility.Run(facility.Config{
@@ -54,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 	})
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	fmt.Fprintf(stdout, "facility run: %d jobs on %d nodes, %.0f%% emerging workloads\n",
@@ -82,5 +75,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  %s <-> %s (overlap %v, peak util %.2f)\n", in.A, in.B, in.Overlap, in.PeakUtil)
 		}
 	}
-	return 0
+	return nil
 }

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -18,8 +21,8 @@ func TestGoldenDefault(t *testing.T) {
 	var first string
 	for i := 0; i < 5; i++ {
 		var out, errb bytes.Buffer
-		if code := run(nil, &out, &errb); code != 0 {
-			t.Fatalf("run: exit %d (stderr: %s)", code, errb.String())
+		if err := run(context.Background(), nil, &out, &errb); err != nil {
+			t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 		}
 		if errb.Len() != 0 {
 			t.Errorf("run wrote to stderr: %q", errb.String())
@@ -33,25 +36,25 @@ func TestGoldenDefault(t *testing.T) {
 	golden.Check(t, "testdata/default_golden.txt", first)
 }
 
-// TestRunUsageErrors: an unknown flag and an out-of-range cluster flag
-// exit 2 and an unknown device exits 1; each names the problem on stderr
-// and prints nothing on stdout.
+// TestRunUsageErrors: an out-of-range cluster flag is a usage error
+// (exit 2) and an unknown device exits 1; each error names the problem,
+// and nothing is printed.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 		msg  string
 	}{
-		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{[]string{"-device", "tape"}, 1, "facility:"},
-		{[]string{"-mds-threads", "0"}, 2, "facility: usage: -mds-threads must be at least 1, got 0"},
+		{[]string{"-device", "tape"}, 1, `unknown device model "tape"`},
+		{[]string{"-mds-threads", "0"}, 2, "usage: -mds-threads must be at least 1, got 0"},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(tc.args, &out, &errb); code != tc.code {
-			t.Errorf("run %q: exit %d, want %d", tc.args, code, tc.code)
+		err := run(context.Background(), tc.args, &out, &errb)
+		if code := cli.ExitCode(err); code != tc.code {
+			t.Errorf("run %q: %v exits %d, want %d", tc.args, err, code, tc.code)
 		}
-		if out.Len() != 0 || !strings.Contains(errb.String(), tc.msg) {
-			t.Errorf("run %q: stdout %q, stderr %q; want no output and %q", tc.args, out.String(), errb.String(), tc.msg)
+		if out.Len()+errb.Len() != 0 || !strings.Contains(fmt.Sprint(err), tc.msg) {
+			t.Errorf("run %q: %v, stdout %q, stderr %q; want no output and %q", tc.args, err, out.String(), errb.String(), tc.msg)
 		}
 	}
 }

@@ -17,10 +17,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strconv"
 	"strings"
@@ -30,21 +30,13 @@ import (
 	"pioeval/internal/surveystats"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("io500: ")
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err != nil {
-		log.Print(err)
-	}
-	os.Exit(cli.ExitCode(err))
-}
+func main() { cli.Main("io500", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures — including
 // armed-invariant violations under -validate — return as errors instead
 // of exiting. The golden and equivalence tests drive it directly.
-func run(args []string, stdout, stderr io.Writer) (err error) {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("io500", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	ranks := fs.Int("ranks", 4, "MPI ranks")
@@ -75,18 +67,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	csvPath := fs.String("csv", "", "survey: also write the submission table as CSV to this path (- for stdout)")
 	var prof cli.Profiles
 	prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		if perr := prof.Stop(); err == nil {
-			err = perr
-		}
-	}()
-
 	if err := cli.RequirePositive(fs, "ranks", "stripe-count", "hard-xfer", "hard-ops", "easy-files", "hard-files", "hard-bytes"); err != nil {
 		return err
 	}
@@ -111,10 +94,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		EasyFiles: *easyFiles, HardFiles: *hardFiles, HardFileBytes: *hardBytes,
 	}
 
-	if *survey {
-		return runSurvey(cfg, *devicesStr, *tiersStr, *rankCountsStr, *compressorsStr, *seed, *jsonOut, *csvPath, stdout)
-	}
-	return runSuite(cfg, *jsonOut, *checkWorkers, stdout)
+	return prof.Run(func() error {
+		if *survey {
+			return runSurvey(cfg, *devicesStr, *tiersStr, *rankCountsStr, *compressorsStr, *seed, *jsonOut, *csvPath, stdout)
+		}
+		return runSuite(cfg, *jsonOut, *checkWorkers, stdout)
+	})
 }
 
 // runSuite executes one composite suite, optionally self-checking

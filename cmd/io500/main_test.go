@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ var tinyArgs = []string{
 func TestGoldenTinySuite(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := append([]string{"-validate", "-workers", "1", "-check-workers", "4"}, tinyArgs...)
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	if !strings.Contains(out.String(), "validation: all invariants held") {
@@ -41,7 +42,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	render := func(workers string) string {
 		var out, errb bytes.Buffer
 		args := append([]string{"-json", "-workers", workers}, tinyArgs...)
-		if err := run(args, &out, &errb); err != nil {
+		if err := run(context.Background(), args, &out, &errb); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return out.String()
@@ -60,7 +61,7 @@ func TestValidateAllTiers(t *testing.T) {
 	for _, tier := range []string{"direct", "bb", "nodelocal"} {
 		var out, errb bytes.Buffer
 		args := append([]string{"-validate", "-tier", tier}, tinyArgs...)
-		if err := run(args, &out, &errb); err != nil {
+		if err := run(context.Background(), args, &out, &errb); err != nil {
 			t.Fatalf("tier %s: %v\n%s", tier, err, out.String())
 		}
 	}
@@ -74,7 +75,7 @@ func TestSurveySmoke(t *testing.T) {
 		"-survey", "-devices", "hdd,ssd", "-tiers", "direct,nodelocal",
 		"-rank-counts", "2", "-csv", "-",
 	}, tinyArgs...)
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	s := out.String()
@@ -112,8 +113,8 @@ func TestBadFlagsError(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), args, &out, &errb); err == nil {
+			t.Errorf("run(context.Background(), %v) succeeded, want error", args)
 		}
 	}
 	// A count below 1 or a size below one byte would select the suite's
@@ -125,8 +126,8 @@ func TestBadFlagsError(t *testing.T) {
 		{"-stripe-size", "0"},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); !errors.Is(err, cli.ErrUsage) || out.Len() != 0 {
-			t.Errorf("run(%v): %v, stdout %q; want a usage error and no output", args, err, out.String())
+		if err := run(context.Background(), args, &out, &errb); !errors.Is(err, cli.ErrUsage) || out.Len() != 0 {
+			t.Errorf("run(context.Background(), %v): %v, stdout %q; want a usage error and no output", args, err, out.String())
 		}
 	}
 }

@@ -7,11 +7,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
@@ -19,20 +18,12 @@ import (
 	"pioeval/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("iorbench: ")
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err != nil {
-		log.Print(err)
-	}
-	os.Exit(cli.ExitCode(err))
-}
+func main() { cli.Main("iorbench", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The golden test drives it with a bytes.Buffer.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("iorbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -45,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	patternStr := fs.String("pattern", "sequential", "access pattern: sequential, strided, random")
 	readBack := fs.Bool("read", false, "add a read-back phase")
 	collective := fs.Bool("collective", false, "use two-phase collective MPI-IO (shared file only)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.RequirePositive(fs, "ranks", "segments"); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 //	go test ./cmd/iorbench -update-golden
 func TestGoldenDefault(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(nil, &out, &errb); err != nil {
+	if err := run(context.Background(), nil, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	if errb.Len() != 0 {
@@ -32,7 +33,7 @@ func TestGoldenSharedStridedRead(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-ranks", "8", "-block", "1MB", "-transfer", "64KB",
 		"-shared", "-pattern", "strided", "-collective", "-read", "-device", "ssd"}
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	golden.Check(t, "testdata/shared_strided_golden.txt", out.String())
@@ -44,7 +45,7 @@ func TestGoldenSharedStridedRead(t *testing.T) {
 func TestRunStableAcrossRuns(t *testing.T) {
 	once := func() string {
 		var out, errb bytes.Buffer
-		if err := run([]string{"-read"}, &out, &errb); err != nil {
+		if err := run(context.Background(), []string{"-read"}, &out, &errb); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return out.String()
@@ -72,13 +73,13 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-stripe-size", "0"}, true},
 	} {
 		var out, errb bytes.Buffer
-		err := run(tc.args, &out, &errb)
+		err := run(context.Background(), tc.args, &out, &errb)
 		if err == nil {
-			t.Errorf("run(%v) succeeded, want error", tc.args)
+			t.Errorf("run(context.Background(), %v) succeeded, want error", tc.args)
 			continue
 		}
 		if errors.Is(err, cli.ErrUsage) != tc.usage || out.Len() != 0 {
-			t.Errorf("run(%v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
+			t.Errorf("run(context.Background(), %v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
 		}
 	}
 }

@@ -7,11 +7,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 
 	"pioeval/internal/cli"
 	"pioeval/internal/des"
@@ -19,20 +18,12 @@ import (
 	"pioeval/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("mdtestbench: ")
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err != nil {
-		log.Print(err)
-	}
-	os.Exit(cli.ExitCode(err))
-}
+func main() { cli.Main("mdtestbench", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The golden test drives it with a bytes.Buffer.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mdtestbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -41,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	files := fs.Int("files", 256, "files per rank")
 	writeStr := fs.String("write", "0B", "bytes written into each file (mdtest -w); the read phase reads them back")
 	phasesStr := fs.String("phases", "create,stat,delete", "comma-separated timed phases: create,stat,read,delete (create is mandatory)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := cli.RequirePositive(fs, "ranks", "files"); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 //	go test ./cmd/mdtestbench -update-golden
 func TestGoldenDefault(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(nil, &out, &errb); err != nil {
+	if err := run(context.Background(), nil, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	if errb.Len() != 0 {
@@ -32,7 +33,7 @@ func TestGoldenAllPhases(t *testing.T) {
 	var out, errb bytes.Buffer
 	args := []string{"-ranks", "4", "-files", "32", "-write", "3901B",
 		"-phases", "create,stat,read,delete"}
-	if err := run(args, &out, &errb); err != nil {
+	if err := run(context.Background(), args, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	s := out.String()
@@ -47,7 +48,7 @@ func TestGoldenAllPhases(t *testing.T) {
 // TestPhaseSelection: omitted phases must not appear in the table.
 func TestPhaseSelection(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-phases", "create,delete"}, &out, &errb); err != nil {
+	if err := run(context.Background(), []string{"-phases", "create,delete"}, &out, &errb); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	for _, line := range strings.Split(out.String(), "\n") {
@@ -62,7 +63,7 @@ func TestPhaseSelection(t *testing.T) {
 func TestRunStableAcrossRuns(t *testing.T) {
 	once := func() string {
 		var out, errb bytes.Buffer
-		if err := run([]string{"-phases", "create,stat,read,delete", "-write", "1KB"}, &out, &errb); err != nil {
+		if err := run(context.Background(), []string{"-phases", "create,stat,read,delete", "-write", "1KB"}, &out, &errb); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return out.String()
@@ -91,13 +92,13 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-ionodes", "-1"}, true},
 	} {
 		var out, errb bytes.Buffer
-		err := run(tc.args, &out, &errb)
+		err := run(context.Background(), tc.args, &out, &errb)
 		if err == nil {
-			t.Errorf("run(%v) succeeded, want error", tc.args)
+			t.Errorf("run(context.Background(), %v) succeeded, want error", tc.args)
 			continue
 		}
 		if errors.Is(err, cli.ErrUsage) != tc.usage || out.Len() != 0 {
-			t.Errorf("run(%v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
+			t.Errorf("run(context.Background(), %v): %v, stdout %q; want a usage error %v and no output", tc.args, err, out.String(), tc.usage)
 		}
 	}
 }

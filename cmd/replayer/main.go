@@ -4,11 +4,10 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 
@@ -19,32 +18,24 @@ import (
 	"pioeval/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("replayer: ")
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err != nil {
-		log.Print(err)
-	}
-	os.Exit(cli.ExitCode(err))
-}
+func main() { cli.Main("replayer", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The round-trip golden test drives it.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("replayer", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
 	cluster.Register(fs)
 	timed := fs.Bool("timed", false, "preserve recorded inter-op compute time")
 	extrapolate := fs.Int("extrapolate", 0, "extrapolate the trace to this many ranks before replay")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
 	if fs.NArg() != 1 {
-		return errors.New("usage: replayer [flags] <trace file>")
+		return fmt.Errorf("%w: replayer [flags] <trace file>", cli.ErrUsage)
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestRoundTripReplay(t *testing.T) {
 	} {
 		out.WriteString("$ replayer " + strings.Join(args, " ") + "\n")
 		var errb bytes.Buffer
-		if err := run(args, &out, &errb); err != nil {
+		if err := run(context.Background(), args, &out, &errb); err != nil {
 			t.Fatalf("replayer %v: %v (stderr: %s)", args, err, errb.String())
 		}
 		if errb.Len() != 0 {
@@ -48,8 +49,8 @@ func TestBadArgsError(t *testing.T) {
 		{"-device", "tape", traces + "roundtrip.piot"},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), args, &out, &errb); err == nil {
+			t.Errorf("run(context.Background(), %v) succeeded, want error", args)
 		}
 	}
 }

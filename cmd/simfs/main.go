@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,16 +50,15 @@ const defaultScenario = `workload "validate-default" {
 }
 `
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { cli.Main("simfs", run) }
 
 // errViolated ends a run whose armed invariant checkers reported
-// violations; they have been printed, so it adds no message of its own.
-var errViolated = errors.New("invariant violated")
+// violations; they have been printed, so Main adds no message of its own.
+var errViolated = cli.Reported(errors.New("invariant violated"))
 
 // run is the whole command: it parses args, writes the report to stdout
-// and diagnostics to stderr, and returns the exit status. Once profiling
-// has started, every return completes both profiles.
-func run(args []string, stdout, stderr io.Writer) (code int) {
+// and the flag package's diagnostics to stderr, and returns failures.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("simfs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -79,21 +79,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ranksPerNode := fs.Int("ranks-per-node", 64, "ranks sharing one compute node (and its NIC) in the scale run")
 	var prof cli.Profiles
 	prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		if err != errViolated {
-			fmt.Fprintf(stderr, "simfs: %v\n", err)
-		}
-		return cli.ExitCode(err)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 	if *scaleRanks != 0 {
 		if err := cli.RequirePositive(fs, "ranks", "shards", "steps", "bytes-per-rank", "xfer", "ranks-per-node"); err != nil {
-			return fail(err)
+			return err
 		}
 	}
 
@@ -107,49 +98,37 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 		if failed {
-			return 1
+			return cli.Reported(errors.New("analytic oracle failed"))
 		}
-		return 0
+		return nil
 	}
 	if *scaleRanks == 0 && fs.NArg() != 1 && !(*doValidate && fs.NArg() == 0) {
-		return fail(errors.New("usage: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)"))
+		return fmt.Errorf("%w: simfs [flags] <workload.iol> (the script may be omitted with -validate or -ranks)", cli.ErrUsage)
 	}
 	if *scaleRanks > 0 && (o.stack.Faults != "" || o.resilient) {
 		// The scale checkpoint builds its file systems without a fault
 		// campaign or a resilience policy; say so rather than run it
 		// fault-free.
-		return fail(errors.New("usage: -faults and -resilient apply to workload scripts, not to the -ranks scale checkpoint"))
+		return fmt.Errorf("%w: -faults and -resilient apply to workload scripts, not to the -ranks scale checkpoint", cli.ErrUsage)
 	}
-	if err := prof.Start(); err != nil {
-		return fail(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			code = fail(err)
+	return prof.Run(func() error {
+		if *scaleRanks > 0 {
+			return runScale(stdout, cluster, scaleOpts{
+				ranks: *scaleRanks, shards: *shards,
+				steps: *steps, bytesPerRank: *bytesPerRank, xfer: *xfer,
+				ranksPerNode: *ranksPerNode, validate: *doValidate,
+			})
 		}
-	}()
-	var err error
-	if *scaleRanks > 0 {
-		sc := scaleOpts{
-			ranks: *scaleRanks, shards: *shards,
-			steps: *steps, bytesPerRank: *bytesPerRank, xfer: *xfer,
-			ranksPerNode: *ranksPerNode, validate: *doValidate,
-		}
-		err = runScale(stdout, cluster, sc)
-	} else {
 		src := []byte(defaultScenario)
 		if fs.NArg() == 1 {
+			var err error
 			if src, err = os.ReadFile(fs.Arg(0)); err != nil {
-				return fail(err)
+				return err
 			}
 		}
 		o.validate = *doValidate
-		err = runScript(stdout, cluster, string(src), o)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return 0
+		return runScript(stdout, cluster, string(src), o)
+	})
 }
 
 // runOpts bundles the knobs of a workload-script run: the stack's tier,

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -40,8 +43,8 @@ func TestGoldenScale(t *testing.T) {
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out, errb bytes.Buffer
-			if code := run(tc.args, &out, &errb); code != 0 {
-				t.Fatalf("run %q: exit %d (stderr: %s)", tc.args, code, errb.String())
+			if err := run(context.Background(), tc.args, &out, &errb); err != nil {
+				t.Fatalf("run %q: %v (stderr: %s)", tc.args, err, errb.String())
 			}
 			if errb.Len() != 0 {
 				t.Errorf("run wrote to stderr: %q", errb.String())
@@ -70,8 +73,8 @@ func TestGoldenScript(t *testing.T) {
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out, errb bytes.Buffer
-			if code := run(tc.args, &out, &errb); code != 0 {
-				t.Fatalf("run %q: exit %d (stderr: %s)", tc.args, code, errb.String())
+			if err := run(context.Background(), tc.args, &out, &errb); err != nil {
+				t.Fatalf("run %q: %v (stderr: %s)", tc.args, err, errb.String())
 			}
 			if errb.Len() != 0 {
 				t.Errorf("run wrote to stderr: %q", errb.String())
@@ -89,8 +92,8 @@ func TestGoldenScript(t *testing.T) {
 func TestSampleKeepsMakespan(t *testing.T) {
 	first := func(args ...string) string {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("run %q: exit %d (stderr: %s)", args, code, errb.String())
+		if err := run(context.Background(), args, &out, &errb); err != nil {
+			t.Fatalf("run %q: %v (stderr: %s)", args, err, errb.String())
 		}
 		line, _, _ := strings.Cut(out.String(), "\n")
 		return line
@@ -102,32 +105,32 @@ func TestSampleKeepsMakespan(t *testing.T) {
 }
 
 // TestRunUsageErrors: a run with neither a script nor -ranks or
-// -validate, one with an unknown flag, a -ranks run given a fault campaign or the resilience policy, which the
-// scale checkpoint does not apply, and runs given a count or cluster
-// flag out of range, exit non-zero with a diagnostic on stderr and
-// nothing on stdout.
+// -validate, a -ranks run given a fault campaign or the resilience
+// policy, which the scale checkpoint does not apply, and runs given a
+// count or cluster flag out of range are usage errors (exit 2) that
+// name the problem, and nothing is printed.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 		msg  string
 	}{
-		{nil, 1, "simfs: usage:"},
-		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{[]string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}, 1, "-faults and -resilient apply to workload scripts"},
-		{[]string{"-ranks", "64", "-faults", "ostcrash:1@100ms"}, 1, "-faults and -resilient apply to workload scripts"},
-		{[]string{"-ranks", "64", "-resilient"}, 1, "-faults and -resilient apply to workload scripts"},
-		{[]string{"-ranks", "-5"}, 2, "simfs: usage: -ranks must be at least 1, got -5"},
-		{[]string{"-ranks", "8", "-steps", "-2"}, 2, "simfs: usage: -steps must be at least 1, got -2"},
-		{[]string{"-ranks", "64", "-oss", "0"}, 2, "simfs: usage: -oss must be at least 1, got 0"},
-		{[]string{"-validate", "-stripe-size", "0B"}, 2, "simfs: usage: -stripe-size must be at least 1B, got 0B"},
+		{nil, 2, "usage: simfs [flags] <workload.iol>"},
+		{[]string{"-ranks", "2048", "-shards", "1", "-steps", "2", "-resilient", "-faults", "ostcrash:1@100ms; ostrecover:1@700ms"}, 2, "usage: -faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "64", "-faults", "ostcrash:1@100ms"}, 2, "usage: -faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "64", "-resilient"}, 2, "usage: -faults and -resilient apply to workload scripts"},
+		{[]string{"-ranks", "-5"}, 2, "usage: -ranks must be at least 1, got -5"},
+		{[]string{"-ranks", "8", "-steps", "-2"}, 2, "usage: -steps must be at least 1, got -2"},
+		{[]string{"-ranks", "64", "-oss", "0"}, 2, "usage: -oss must be at least 1, got 0"},
+		{[]string{"-validate", "-stripe-size", "0B"}, 2, "usage: -stripe-size must be at least 1B, got 0B"},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(tc.args, &out, &errb); code != tc.code {
-			t.Errorf("run %q: exit %d, want %d", tc.args, code, tc.code)
+		err := run(context.Background(), tc.args, &out, &errb)
+		if code := cli.ExitCode(err); code != tc.code {
+			t.Errorf("run %q: %v exits %d, want %d", tc.args, err, code, tc.code)
 		}
-		if out.Len() != 0 || !strings.Contains(errb.String(), tc.msg) {
-			t.Errorf("run %q: stdout %q, stderr %q; want no output and %q", tc.args, out.String(), errb.String(), tc.msg)
+		if out.Len()+errb.Len() != 0 || !strings.Contains(fmt.Sprint(err), tc.msg) {
+			t.Errorf("run %q: %v, stdout %q, stderr %q; want no output and %q", tc.args, err, out.String(), errb.String(), tc.msg)
 		}
 	}
 }

@@ -31,12 +31,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pioeval/internal/cli"
@@ -44,19 +40,13 @@ import (
 	"pioeval/internal/serve/loadtest"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("siod: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr, nil); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("siod", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // output goes to the writers, and — in serve mode — the bound address is
 // reported on ready (for tests and scripts that picked port 0) and the
-// process drains on SIGTERM/SIGINT or when stop is closed.
-func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) (err error) {
+// daemon drains once ctx is cancelled (by SIGTERM or SIGINT under Main).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("siod", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	// Serve mode.
@@ -86,49 +76,46 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) (err err
 	check := fs.Bool("check", false, "loadtest: wait for quiescence and fail on accounting mismatch")
 	var prof cli.Profiles
 	prof.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+		return fmt.Errorf("%w: unexpected arguments: %v", cli.ErrUsage, fs.Args())
 	}
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer func() {
-		if perr := prof.Stop(); err == nil {
-			err = perr
+	return prof.Run(func() error {
+		if *lt {
+			return runLoadtest(stdout, loadtest.Config{
+				Target:          *target,
+				Requests:        *n,
+				Concurrency:     *conc,
+				UniqueSpecs:     *unique,
+				PoisonEvery:     *poisonEvery,
+				OversizeEvery:   *oversizeEvery,
+				DisconnectEvery: *disconnectEvery,
+				SlowLorisEvery:  *slowLorisEvery,
+			}, *check)
 		}
-	}()
-
-	if *lt {
-		return runLoadtest(stdout, loadtest.Config{
-			Target:          *target,
-			Requests:        *n,
-			Concurrency:     *conc,
-			UniqueSpecs:     *unique,
-			PoisonEvery:     *poisonEvery,
-			OversizeEvery:   *oversizeEvery,
-			DisconnectEvery: *disconnectEvery,
-			SlowLorisEvery:  *slowLorisEvery,
-		}, *check)
-	}
-
-	srv := serve.New(serve.Config{
-		QueueCap:        *queueCap,
-		Workers:         *workers,
-		CampaignWorkers: *campWorkers,
-		EnqueueTimeout:  *enqTimeout,
-		JobTimeout:      *jobTimeout,
-		Rate:            *rate,
-		Burst:           *burst,
-		MaxInflight:     *maxInflight,
-		MaxRuns:         *maxRuns,
-		MaxRanks:        *maxRanks,
-		CacheEntries:    *cacheEntries,
+		return serveUntilDone(ctx, stdout, serve.Config{
+			QueueCap:        *queueCap,
+			Workers:         *workers,
+			CampaignWorkers: *campWorkers,
+			EnqueueTimeout:  *enqTimeout,
+			JobTimeout:      *jobTimeout,
+			Rate:            *rate,
+			Burst:           *burst,
+			MaxInflight:     *maxInflight,
+			MaxRuns:         *maxRuns,
+			MaxRanks:        *maxRanks,
+			CacheEntries:    *cacheEntries,
+		}, *addr, *drain)
 	})
+}
 
-	ln, err := net.Listen("tcp", *addr)
+// serveUntilDone serves the campaign runner on addr until ctx is
+// cancelled, then drains within the drain budget.
+func serveUntilDone(ctx context.Context, stdout io.Writer, cfg serve.Config, addr string, drain time.Duration) error {
+	srv := serve.New(cfg)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
@@ -140,28 +127,23 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) (err err
 		ReadTimeout:       10 * time.Second,
 		// Responses are synchronous with job execution, so the write
 		// window must cover a full job plus queueing slack.
-		WriteTimeout: *jobTimeout + *enqTimeout + 10*time.Second,
+		WriteTimeout: cfg.JobTimeout + cfg.EnqueueTimeout + 10*time.Second,
 		IdleTimeout:  60 * time.Second,
 	}
 	fmt.Fprintf(stdout, "siod listening on %s (queue %d, job timeout %v, drain %v)\n",
-		ln.Addr(), *queueCap, *jobTimeout, *drain)
+		ln.Addr(), cfg.QueueCap, cfg.JobTimeout, drain)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
 		return err // listener failed before any shutdown request
-	case s := <-sig:
-		fmt.Fprintf(stdout, "siod: %v: draining (budget %v)\n", s, *drain)
-	case <-stop:
-		fmt.Fprintf(stdout, "siod: stop requested: draining (budget %v)\n", *drain)
+	case <-ctx.Done():
+		fmt.Fprintf(stdout, "siod: stop requested: draining (budget %v)\n", drain)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
 		// Budget exhausted: stragglers were cancelled, which is a clean

@@ -3,29 +3,21 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/leakcheck"
 )
-
-// The first signal.Notify anywhere in a process starts a permanent
-// runtime goroutine; start it before leakcheck takes its baseline so the
-// daemon's own Notify isn't misread as a leak.
-func init() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGUSR1)
-	signal.Stop(ch)
-}
 
 // syncBuffer lets the daemon goroutine and the test share a log buffer.
 type syncBuffer struct {
@@ -69,16 +61,16 @@ func waitListening(t *testing.T, out *syncBuffer) string {
 func TestServeLoadtestDrain(t *testing.T) {
 	leakcheck.Check(t)
 	var out syncBuffer
-	stop := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{
+		errc <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
 			"-queue", "8",
 			"-workers", "2",
 			"-rate", "-1",
 			"-drain", "5s",
-		}, &out, &out, stop)
+		}, &out, &out)
 	}()
 
 	url := "http://" + waitListening(t, &out)
@@ -93,20 +85,20 @@ func TestServeLoadtestDrain(t *testing.T) {
 	}
 
 	var client bytes.Buffer
-	if err := run([]string{
+	if err := run(context.Background(), []string{
 		"-loadtest",
 		"-target", url,
 		"-n", "120", "-c", "16", "-unique", "8",
 		"-poison-every", "11", "-disconnect-every", "13",
 		"-check",
-	}, &client, &client, nil); err != nil {
+	}, &client, &client); err != nil {
 		t.Fatalf("loadtest mode: %v\n%s", err, client.String())
 	}
 	if !strings.Contains(client.String(), "accounting check passed") {
 		t.Fatalf("loadtest output missing accounting verdict:\n%s", client.String())
 	}
 
-	close(stop)
+	stop()
 	select {
 	case err := <-errc:
 		if err != nil {
@@ -120,14 +112,13 @@ func TestServeLoadtestDrain(t *testing.T) {
 	}
 }
 
-// TestBadFlags: flag errors surface as errors, not exits.
+// TestBadFlags: a positional argument is a usage error naming the
+// argument, returned before anything is served or printed.
 func TestBadFlags(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &buf, &buf, nil); err == nil {
-		t.Fatal("bad flag accepted")
-	}
-	if err := run([]string{"positional"}, &buf, &buf, nil); err == nil {
-		t.Fatal("positional arg accepted")
+	err := run(context.Background(), []string{"positional"}, &buf, &buf)
+	if !errors.Is(err, cli.ErrUsage) || err.Error() != "usage: unexpected arguments: [positional]" || buf.Len() != 0 {
+		t.Fatalf("positional argument: %v, output %q; want a usage error and no output", err, buf.String())
 	}
 }
 
@@ -138,13 +129,13 @@ func TestServeProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	var out syncBuffer
-	stop := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-cpuprofile", cpu, "-memprofile", mem}, &out, &out, stop)
+		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-cpuprofile", cpu, "-memprofile", mem}, &out, &out)
 	}()
 	waitListening(t, &out)
-	close(stop)
+	stop()
 	select {
 	case err := <-errc:
 		if err != nil {

@@ -4,40 +4,34 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"strings"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/replay"
 	"pioeval/internal/skeleton"
 	"pioeval/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("skelgen: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("skelgen", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("skelgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	emit := fs.Bool("emit", false, "print generated Go source for each rank")
 	noThink := fs.Bool("no-think", false, "drop compute gaps for maximum foldability")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("usage: skelgen [flags] <trace file>")
+		return fmt.Errorf("%w: skelgen [flags] <trace file>", cli.ErrUsage)
 	}
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pioeval/internal/golden"
@@ -17,7 +18,7 @@ const roundtrip = "../tracer/testdata/roundtrip.piot"
 //	go test ./cmd/skelgen -update-golden
 func TestGoldenSkeletons(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{roundtrip}, &out, &errb); err != nil {
+	if err := run(context.Background(), []string{roundtrip}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	if errb.Len() != 0 {
@@ -29,7 +30,7 @@ func TestGoldenSkeletons(t *testing.T) {
 // TestGoldenEmit pins the summary with each rank's generated Go source.
 func TestGoldenEmit(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-emit", roundtrip}, &out, &errb); err != nil {
+	if err := run(context.Background(), []string{"-emit", roundtrip}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	golden.Check(t, "testdata/emit_golden.txt", out.String())
@@ -39,8 +40,8 @@ func TestGoldenEmit(t *testing.T) {
 // an unknown flag and a missing file are errors too.
 func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(nil, &out, &errb); err == nil || err.Error() != "usage: skelgen [flags] <trace file>" {
-		t.Errorf("run() = %v, want the usage error", err)
+	if err := run(context.Background(), nil, &out, &errb); err == nil || err.Error() != "usage: skelgen [flags] <trace file>" {
+		t.Errorf("run(context.Background(), ) = %v, want the usage error", err)
 	}
 	for _, args := range [][]string{
 		{roundtrip, roundtrip},
@@ -48,8 +49,8 @@ func TestUsageErrors(t *testing.T) {
 		{"testdata/no-such-trace.piot"},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%q) succeeded, want error", args)
+		if err := run(context.Background(), args, &out, &errb); err == nil {
+			t.Errorf("run(context.Background(), %q) succeeded, want error", args)
 		}
 	}
 }

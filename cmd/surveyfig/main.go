@@ -4,32 +4,26 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"os"
 	"strings"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/corpus"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("surveyfig: ")
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-}
+func main() { cli.Main("surveyfig", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("surveyfig", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listPapers := fs.Bool("papers", false, "list the full corpus")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

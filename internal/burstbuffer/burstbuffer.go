@@ -8,7 +8,6 @@ package burstbuffer
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pioeval/internal/blockdev"
 	"pioeval/internal/des"
@@ -107,11 +106,6 @@ type Buffer struct {
 	handles     map[string]*pfs.Handle
 	slab        []pfs.Handle
 	spare       []*pfs.Handle
-	// paths is WaitDrained's sorted-paths buffer, reused between passes.
-	paths []string
-	// unsynced holds the paths whose drain handle has written a segment
-	// since WaitDrained last fsynced it.
-	unsynced map[string]struct{}
 
 	// Statistics.
 	absorbed  int64
@@ -139,11 +133,10 @@ func New(e *des.Engine, fs *pfs.FS, node string, cfg Config) *Buffer {
 	drain := "bb." + node + ".drain"
 	b := &Buffer{
 		eng: e, fs: fs, cfg: cfg, node: node,
-		dev:      blockdev.NewDevice(e, drain[:len(drain)-len(".drain")], cfg.Device(), cfg.QueueDepth),
-		pending:  des.NewQueue[segment](e, drain),
-		procs:    make([]des.Proc, cfg.DrainWorkers),
-		handles:  make(map[string]*pfs.Handle),
-		unsynced: make(map[string]struct{}),
+		dev:     blockdev.NewDevice(e, drain[:len(drain)-len(".drain")], cfg.Device(), cfg.QueueDepth),
+		pending: des.NewQueue[segment](e, drain),
+		procs:   make([]des.Proc, cfg.DrainWorkers),
+		handles: make(map[string]*pfs.Handle),
 	}
 	b.loop = b.drainLoop
 	b.start()
@@ -166,11 +159,10 @@ func (b *Buffer) Reset() {
 		b.spare = append(b.spare, h)
 		delete(b.handles, path)
 	}
-	clear(b.unsynced)
 	*b = Buffer{
 		eng: b.eng, fs: b.fs, cfg: b.cfg, node: b.node, dev: b.dev, pending: b.pending,
 		procs: b.procs, loop: b.loop,
-		handles: b.handles, slab: b.slab, spare: b.spare, paths: b.paths, unsynced: b.unsynced,
+		handles: b.handles, slab: b.slab, spare: b.spare,
 	}
 	b.start()
 }
@@ -203,7 +195,6 @@ func (b *Buffer) drainLoop(p *des.Proc) {
 		b.dev.Access(p, blockdev.Request{Offset: seg.off, Size: seg.size})
 		if err == nil {
 			err = h.Write(p, seg.off, seg.size)
-			b.unsynced[seg.path] = struct{}{}
 		}
 		if err != nil {
 			// The segment is gone from staging but never reached the PFS:
@@ -319,37 +310,15 @@ func (b *Buffer) Read(p *des.Proc, path string, off, size int64) error {
 }
 
 // WaitDrained blocks the calling process until all staged data has either
-// reached the PFS or been declared lost, then fsyncs the drain handles
-// written since the last pass so the bytes are durable on the OSTs; the
-// cost is linear in the files written, not in every file the buffer has
-// opened. It returns a *DrainError summarizing any writebacks that failed
-// for good — the error is sticky: once a segment is lost, every later
-// WaitDrained reports it.
+// reached the PFS or been declared lost. A drain write is durable on the
+// OSTs once it completes (the PFS client buffers nothing), so no fsync
+// follows. It returns a *DrainError summarizing any writebacks that
+// failed for good — the error is sticky: once a segment is lost, every
+// later WaitDrained reports it.
 func (b *Buffer) WaitDrained(p *des.Proc) error {
 	for b.used > 0 || b.pending.Len() > 0 || b.inFlight > 0 {
 		b.idle.Wait(p)
 	}
-	// Deterministic order: sort the paths. Each is removed from the set
-	// before its Fsync blocks, so a concurrent caller syncs only the
-	// handles this pass has not reached yet. The pass owns the buffer
-	// while it runs; a concurrent pass starts its own.
-	paths := b.paths[:0]
-	b.paths = nil
-	for path := range b.unsynced {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if _, ok := b.unsynced[path]; !ok {
-			continue
-		}
-		delete(b.unsynced, path)
-		if err := b.handles[path].Fsync(p); err != nil {
-			b.drainErrors++
-			b.lastDrainErr = err
-		}
-	}
-	b.paths = paths[:0]
 	if b.drainErrors > 0 {
 		return &DrainError{
 			Node: b.node, Segments: b.drainErrors, Bytes: b.lostBytes,

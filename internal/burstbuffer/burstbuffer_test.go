@@ -187,65 +187,6 @@ func TestDrainWorkersParallelism(t *testing.T) {
 	}
 }
 
-// TestWaitDrainedSyncsOnlyWrittenHandles pins the per-pass fsync set: a
-// pass fsyncs the drain handles written since the previous pass, never
-// every handle the buffer has opened.
-func TestWaitDrainedSyncsOnlyWrittenHandles(t *testing.T) {
-	e, fs, bb := newSim(0)
-	fsyncs := map[string]int{}
-	total := 0
-	fs.SetOpObserver(func(ev pfs.OpEvent) {
-		if ev.Client == "bb0" && ev.Op == "fsync" {
-			fsyncs[ev.Path]++
-			total++
-		}
-	})
-	c := fs.NewClient("cn0")
-	var afterLoop int
-	e.Spawn("app", func(p *des.Proc) {
-		// A file written straight to the PFS and read through the buffer:
-		// its drain handle is opened for reading only.
-		h, err := c.Create(p, "/direct", 0, 0)
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if err := h.Write(p, 0, 1<<20); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if err := h.Close(p); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		if err := bb.Read(p, "/direct", 0, 1<<20); err != nil {
-			t.Errorf("read-through: %v", err)
-		}
-		for i := 0; i < 64; i++ {
-			bb.Write(p, fmt.Sprintf("/f%02d", i), 0, 4096)
-			bb.WaitDrained(p)
-		}
-		afterLoop = total
-		// A path rewritten after its pass is fsynced again.
-		bb.Write(p, "/f00", 4096, 4096)
-		bb.WaitDrained(p)
-	})
-	e.Run(des.MaxTime)
-	if st := bb.Stats(); st.MissReads != 1<<20 {
-		t.Fatalf("read-through bytes = %d, want 1MB (the read must miss staging)", st.MissReads)
-	}
-	if afterLoop != 64 {
-		t.Errorf("64 write+sync passes issued %d drain fsyncs, want 64", afterLoop)
-	}
-	if fsyncs["/f00"] != 2 {
-		t.Errorf("rewritten /f00 fsynced %d times, want 2", fsyncs["/f00"])
-	}
-	if fsyncs["/f01"] != 1 {
-		t.Errorf("/f01 fsynced %d times, want 1", fsyncs["/f01"])
-	}
-	if fsyncs["/direct"] != 0 {
-		t.Errorf("read-only drain handle fsynced %d times, want 0", fsyncs["/direct"])
-	}
-}
-
 // TestDrainWorkersOpenDistinctHandles: two drain workers that open fresh
 // paths at the same time each open into a handle of their own; sharing
 // one would panic with pfs.ErrHandleOpen.
@@ -358,8 +299,8 @@ func TestDrainOpenAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkWaitDrainedManyFiles stages and syncs 2048 files one at a
-// time, the mdtest pattern on a burst-buffer tier.
+// BenchmarkWaitDrainedManyFiles stages 2048 files one at a time and
+// waits for each to drain, the mdtest pattern on a burst-buffer tier.
 func BenchmarkWaitDrainedManyFiles(b *testing.B) {
 	const files = 2048
 	paths := make([]string, files)

@@ -1,11 +1,15 @@
-// Package cli holds the flag plumbing and value parsing shared by the
-// command-line tools in cmd/: ClusterFlags registers the common
-// simulated-cluster flags (-oss, -device, -stripe-count, ...) and converts
-// them to a pfs.Config, Profiles gives every entry point the same
-// -cpuprofile/-memprofile pair, and ParseSize/ParseDuration accept the
-// human size ("1MB", "256KB") and time ("100ms", "2s") literals used
-// uniformly across flags, the iolang workload language, and campaign spec
-// files.
+// Package cli holds the plumbing shared by the command-line tools in
+// cmd/. Main is every command's main: it sets the log prefix, cancels
+// the command's context on SIGINT or SIGTERM, prints the command's error
+// and exits with ExitCode, which is the contract every command keeps:
+// 0 for success and for -h, 1 for a failure, and 2 for a usage error (a
+// flag Parse cannot parse, a missing argument, or a value out of range,
+// ErrUsage). ClusterFlags registers the common simulated-cluster flags
+// (-oss, -device, -stripe-count, ...) and converts them to a pfs.Config,
+// Profiles gives entry points the same -cpuprofile/-memprofile pair, and
+// ParseSize/ParseDuration accept the human size ("1MB", "256KB") and
+// time ("100ms", "2s") literals used uniformly across flags, the iolang
+// workload language, and campaign spec files.
 package cli
 
 import (
@@ -77,9 +81,9 @@ func (c *ClusterFlags) Config() (pfs.Config, error) {
 	return cfg, nil
 }
 
-// ErrUsage marks an error in a command's arguments that the command finds
-// after parsing its flags. Commands exit 2 on it, as on a flag they
-// cannot parse.
+// ErrUsage marks a command line the command cannot run: a flag Parse
+// cannot parse, a missing or extra argument, a flag combination the
+// command rejects, or a value out of range. Commands exit 2 on it.
 var ErrUsage = errors.New("usage")
 
 // RequirePositive returns an ErrUsage error naming the first of the named
@@ -96,12 +100,12 @@ func RequirePositive(fs *flag.FlagSet, names ...string) error {
 	return nil
 }
 
-// ExitCode is the status a command exits with after err: 0 for nil, 2
-// for an ErrUsage error (a command line the command cannot run), and 1
-// otherwise.
+// ExitCode is the status a command exits with after err: 0 for nil and
+// for flag.ErrHelp (a -h request), 2 for an ErrUsage error (a command
+// line the command cannot run), and 1 otherwise.
 func ExitCode(err error) int {
 	switch {
-	case err == nil:
+	case err == nil, errors.Is(err, flag.ErrHelp):
 		return 0
 	case errors.Is(err, ErrUsage):
 		return 2

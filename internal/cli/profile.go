@@ -8,9 +8,8 @@ import (
 	"runtime/pprof"
 )
 
-// Profiles holds the -cpuprofile and -memprofile flags every entry point
-// offers: Register installs them, Start begins the CPU profile, and Stop
-// writes the heap profile and then ends the CPU profile.
+// Profiles holds the -cpuprofile and -memprofile flags an entry point
+// offers: Register installs them, and Run profiles the command's body.
 type Profiles struct {
 	cpuPath, memPath string
 	cpu              *os.File
@@ -22,8 +21,23 @@ func (p *Profiles) Register(fs *flag.FlagSet) {
 	fs.StringVar(&p.memPath, "memprofile", "", "write a pprof heap profile at exit to this file")
 }
 
-// Start begins CPU profiling when -cpuprofile is set.
-func (p *Profiles) Start() error {
+// Run starts the CPU profile when -cpuprofile is set, runs body, and
+// then writes the heap profile when -memprofile is set and stops the CPU
+// profile. The first error wins: body's, or else the profiles'. body
+// does not run when the CPU profile cannot be started.
+func (p *Profiles) Run(body func() error) error {
+	if err := p.start(); err != nil {
+		return err
+	}
+	err := body()
+	if serr := p.stop(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// start begins CPU profiling when -cpuprofile is set.
+func (p *Profiles) start() error {
 	if p.cpuPath == "" {
 		return nil
 	}
@@ -39,11 +53,10 @@ func (p *Profiles) Start() error {
 	return nil
 }
 
-// Stop writes the heap profile when -memprofile is set, then stops and
+// stop writes the heap profile when -memprofile is set, then stops and
 // closes the CPU profile. The CPU profile is completed even when the heap
-// profile cannot be written; the errors of both steps are joined. Stop is
-// a no-op when nothing is being profiled.
-func (p *Profiles) Stop() error {
+// profile cannot be written; the errors of both steps are joined.
+func (p *Profiles) stop() error {
 	var errs []error
 	if p.memPath != "" {
 		errs = append(errs, writeHeapProfile(p.memPath))

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"compress/gzip"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -32,7 +33,8 @@ func readProfile(t *testing.T, path string) {
 	}
 }
 
-func startProfiles(t *testing.T, args ...string) *Profiles {
+// profiles returns Profiles with its flags parsed from args.
+func profiles(t *testing.T, args ...string) *Profiles {
 	t.Helper()
 	var p Profiles
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -40,44 +42,52 @@ func startProfiles(t *testing.T, args ...string) *Profiles {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
 	return &p
 }
 
-// TestProfilesWritesBoth writes a CPU and a heap profile through the
-// helper and checks both are complete.
+// TestProfilesWritesBoth writes a CPU and a heap profile around a body
+// and checks both are complete; a second Run profiles again, and a
+// failing body's error is the one returned.
 func TestProfilesWritesBoth(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	p := startProfiles(t, "-cpuprofile", cpu, "-memprofile", mem)
-	if err := p.Stop(); err != nil {
-		t.Fatal(err)
+	p := profiles(t, "-cpuprofile", cpu, "-memprofile", mem)
+	ran := false
+	if err := p.Run(func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("Run: %v, body ran %v", err, ran)
 	}
 	readProfile(t, cpu)
 	readProfile(t, mem)
-	if err := p.Stop(); err != nil {
-		t.Errorf("second Stop: %v", err)
+	failed := errors.New("body failed")
+	if err := p.Run(func() error { return failed }); err != failed {
+		t.Errorf("second Run: %v, want the body's error", err)
 	}
+	readProfile(t, cpu)
+	readProfile(t, mem)
 }
 
 // TestProfilesHeapErrorKeepsCPUProfile: a heap profile that cannot be
-// written is reported, and the CPU profile is still stopped and complete.
+// written is reported unless the body failed first, and the CPU profile
+// is still stopped and complete.
 func TestProfilesHeapErrorKeepsCPUProfile(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
-	p := startProfiles(t, "-cpuprofile", cpu, "-memprofile", filepath.Join(dir, "missing", "mem.pprof"))
-	if err := p.Stop(); err == nil {
-		t.Fatal("Stop succeeded writing a heap profile into a missing directory")
+	p := profiles(t, "-cpuprofile", cpu, "-memprofile", filepath.Join(dir, "missing", "mem.pprof"))
+	if err := p.Run(func() error { return nil }); err == nil {
+		t.Fatal("Run succeeded writing a heap profile into a missing directory")
+	}
+	readProfile(t, cpu)
+	failed := errors.New("body failed")
+	if err := p.Run(func() error { return failed }); err != failed {
+		t.Errorf("Run: %v, want the body's error first", err)
 	}
 	readProfile(t, cpu)
 }
 
-// TestProfilesUnset: without the flags, Start and Stop do nothing.
+// TestProfilesUnset: without the flags, Run only runs the body.
 func TestProfilesUnset(t *testing.T) {
-	p := startProfiles(t)
-	if err := p.Stop(); err != nil {
-		t.Fatal(err)
+	ran := false
+	if err := profiles(t).Run(func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("Run: %v, body ran %v", err, ran)
 	}
 }

@@ -17,12 +17,10 @@ import (
 // honest property of write-back tiering.
 //
 // Durability semantics: Fsync maps to the buffer's WaitDrained, so a file
-// is durable only once its staged bytes have reached the PFS and the drain
-// handles written since the buffer's last sync pass have been fsynced; a
-// sync's host cost is linear in the files written since that pass, not in
-// every file the buffer has opened. Drain failures (typed PFS errors that
-// survived the resilience policy's retry budget) surface from Fsync as a
-// *burstbuffer.DrainError.
+// is durable once its staged bytes have reached the PFS: a drain write
+// that completed is on the OSTs, and no fsync of the drain handles
+// follows. Drain failures (typed PFS errors that survived the resilience
+// policy's retry budget) surface from Fsync as a *burstbuffer.DrainError.
 type TieredBB struct {
 	*DirectPFS
 	bb *burstbuffer.Buffer
