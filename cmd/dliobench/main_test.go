@@ -27,8 +27,9 @@ func TestGoldenDefault(t *testing.T) {
 	golden.Check(t, "testdata/default_golden.txt", out.String())
 }
 
-// TestRunUsageErrors: a count below 1, a sample size below one byte and
-// an out-of-range cluster flag are usage errors (exit 2), and an
+// TestRunUsageErrors: a count below 1, a sample size below one byte, an
+// out-of-range cluster flag and a positional argument are usage errors
+// (exit 2), and an
 // unparsable size, duration or device exits 1; each error names the
 // problem, and nothing is printed.
 func TestRunUsageErrors(t *testing.T) {
@@ -44,6 +45,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-epochs", "-1"}, 2, "usage: -epochs must be at least 1"},
 		{[]string{"-sample-size", "0B"}, 2, "usage: -sample-size must be at least 1B, got 0B"},
 		{[]string{"-osts-per-oss", "0"}, 2, "usage: -osts-per-oss must be at least 1, got 0"},
+		{[]string{"-epochs", "2", "stray"}, 2, "usage: unexpected arguments: [stray]"},
 	} {
 		var out, errb bytes.Buffer
 		err := run(context.Background(), tc.args, &out, &errb)

@@ -57,6 +57,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if err := cli.MaxArgs(fs, 1); err != nil {
+		return err
+	}
 	if err := cli.RequirePositive(fs, "iterations", "sweep-reps"); err != nil {
 		return err
 	}

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -47,5 +50,27 @@ func TestBadDeviceErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-sweep", "hdd,tape"}, &out, &errb); err == nil {
 		t.Fatal("run succeeded with an unknown sweep device")
+	}
+}
+
+// TestUsageErrors: a count below 1 and a second script argument are
+// usage errors (exit 2) that name the problem, returned before anything
+// is printed.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-iterations", "0"}, "usage: -iterations must be at least 1, got 0"},
+		{[]string{"a.iol", "b.iol"}, "usage: unexpected arguments: [b.iol]"},
+	} {
+		var out, errb bytes.Buffer
+		err := run(context.Background(), tc.args, &out, &errb)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Errorf("run %q: %v exits %d, want 2", tc.args, err, code)
+		}
+		if out.Len()+errb.Len() != 0 || !strings.Contains(fmt.Sprint(err), tc.msg) {
+			t.Errorf("run %q: %v, stdout %q, stderr %q; want no output and %q", tc.args, err, out.String(), errb.String(), tc.msg)
+		}
 	}
 }

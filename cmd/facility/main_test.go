@@ -36,9 +36,9 @@ func TestGoldenDefault(t *testing.T) {
 	golden.Check(t, "testdata/default_golden.txt", first)
 }
 
-// TestRunUsageErrors: an out-of-range cluster flag is a usage error
-// (exit 2) and an unknown device exits 1; each error names the problem,
-// and nothing is printed.
+// TestRunUsageErrors: an out-of-range cluster flag and a positional
+// argument are usage errors (exit 2) and an unknown device exits 1; each
+// error names the problem, and nothing is printed.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -47,6 +47,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-device", "tape"}, 1, `unknown device model "tape"`},
 		{[]string{"-mds-threads", "0"}, 2, "usage: -mds-threads must be at least 1, got 0"},
+		{[]string{"stray"}, 2, "usage: unexpected arguments: [stray]"},
 	} {
 		var out, errb bytes.Buffer
 		err := run(context.Background(), tc.args, &out, &errb)

@@ -70,6 +70,9 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if err := cli.MaxArgs(fs, 0); err != nil {
+		return err
+	}
 	if err := cli.RequirePositive(fs, "ranks", "stripe-count", "hard-xfer", "hard-ops", "easy-files", "hard-files", "hard-bytes"); err != nil {
 		return err
 	}

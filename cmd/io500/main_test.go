@@ -118,9 +118,11 @@ func TestBadFlagsError(t *testing.T) {
 		}
 	}
 	// A count below 1 or a size below one byte would select the suite's
-	// default; it is a usage error instead, before any output.
+	// default; it is a usage error instead, before any output, as is a
+	// positional argument, which the command takes none of.
 	for _, args := range [][]string{
 		{"-ranks", "0"},
+		{"-survey", "stray"},
 		{"-hard-ops", "-1"},
 		{"-easy-block", "0B"},
 		{"-stripe-size", "0"},

@@ -56,7 +56,8 @@ func TestRunStableAcrossRuns(t *testing.T) {
 }
 
 // TestBadFlagsError covers rejection paths through run. A count below
-// one is a usage error (exit 2), not a panic or a silent default.
+// one is a usage error (exit 2), not a panic or a silent default, and so
+// is a positional argument, which the command takes none of.
 func TestBadFlagsError(t *testing.T) {
 	for _, tc := range []struct {
 		args  []string
@@ -71,6 +72,7 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-transfer", "-1MB"}, true},
 		{[]string{"-oss", "0"}, true},
 		{[]string{"-stripe-size", "0"}, true},
+		{[]string{"-ranks", "2", "stray"}, true},
 	} {
 		var out, errb bytes.Buffer
 		err := run(context.Background(), tc.args, &out, &errb)

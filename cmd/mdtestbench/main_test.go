@@ -74,7 +74,8 @@ func TestRunStableAcrossRuns(t *testing.T) {
 }
 
 // TestBadFlagsError covers rejection paths through run. A count below
-// one is a usage error (exit 2), not a panic or a silent default.
+// one is a usage error (exit 2), not a panic or a silent default, and so
+// is a positional argument, which the command takes none of.
 func TestBadFlagsError(t *testing.T) {
 	for _, tc := range []struct {
 		args  []string
@@ -90,6 +91,7 @@ func TestBadFlagsError(t *testing.T) {
 		{[]string{"-mds-threads", "0"}, true},
 		{[]string{"-write", "-1B"}, true},
 		{[]string{"-ionodes", "-1"}, true},
+		{[]string{"stray"}, true},
 	} {
 		var out, errb bytes.Buffer
 		err := run(context.Background(), tc.args, &out, &errb)

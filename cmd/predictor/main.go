@@ -56,6 +56,9 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if err := cli.MaxArgs(fs, 0); err != nil {
+		return err
+	}
 	if err := cli.RequirePositive(fs, "n"); err != nil {
 		return err
 	}

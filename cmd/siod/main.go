@@ -79,8 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("%w: unexpected arguments: %v", cli.ErrUsage, fs.Args())
+	if err := cli.MaxArgs(fs, 0); err != nil {
+		return err
 	}
 	return prof.Run(func() error {
 		if *lt {

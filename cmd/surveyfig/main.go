@@ -26,6 +26,9 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
+	if err := cli.MaxArgs(fs, 0); err != nil {
+		return err
+	}
 
 	fmt.Fprintf(stdout, "Survey corpus: %d included papers (Figure 3)\n\n", corpus.Count())
 	section := func(title string, shares []corpus.Share) {

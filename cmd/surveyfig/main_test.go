@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"pioeval/internal/cli"
 	"pioeval/internal/golden"
 )
 
@@ -30,4 +33,26 @@ func TestGoldenPapers(t *testing.T) {
 		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
 	}
 	golden.Check(t, "testdata/papers_golden.txt", out.String())
+}
+
+// TestUsageErrors: a positional argument, which surveyfig takes none of,
+// is a usage error (exit 2) that names the arguments, returned before
+// anything is printed.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"stray"}, "usage: unexpected arguments: [stray]"},
+		{[]string{"-papers", "a", "b"}, "usage: unexpected arguments: [a b]"},
+	} {
+		var out, errb bytes.Buffer
+		err := run(context.Background(), tc.args, &out, &errb)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Errorf("run %q: %v exits %d, want 2", tc.args, err, code)
+		}
+		if out.Len()+errb.Len() != 0 || !strings.Contains(fmt.Sprint(err), tc.msg) {
+			t.Errorf("run %q: %v, stdout %q, stderr %q; want no output and %q", tc.args, err, out.String(), errb.String(), tc.msg)
+		}
+	}
 }

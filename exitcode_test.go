@@ -12,24 +12,24 @@ import (
 	"testing"
 )
 
-// usageCase is, per command, a command line that is a usage error other
-// than an unknown flag: a missing or extra argument, or a count below
-// its range. surveyfig takes no argument and no count, so it has none.
-var usageCase = map[string][]string{
-	"campaign":    {"a.campaign", "b.campaign"},
-	"dliobench":   {"-workers", "0"},
-	"evalcycle":   {"-iterations", "0"},
-	"facility":    {"-oss", "0"},
-	"io500":       {"-hard-ops", "0"},
-	"iorbench":    {"-ranks", "0"},
-	"mdtestbench": {"-files", "0"},
-	"predictor":   {"-n", "0"},
-	"replayer":    {},
-	"simfs":       {},
-	"siod":        {"positional"},
-	"skelgen":     {},
-	"surveyfig":   nil,
-	"tracer":      {},
+// usageCases are, per command, command lines that are usage errors other
+// than an unknown flag: a missing or extra argument, or a count below its
+// range.
+var usageCases = map[string][][]string{
+	"campaign":    {{"a.campaign", "b.campaign"}},
+	"dliobench":   {{"-workers", "0"}, {"stray"}},
+	"evalcycle":   {{"-iterations", "0"}, {"a.iol", "b.iol"}},
+	"facility":    {{"-oss", "0"}, {"stray"}},
+	"io500":       {{"-hard-ops", "0"}, {"stray"}},
+	"iorbench":    {{"-ranks", "0"}, {"stray"}},
+	"mdtestbench": {{"-files", "0"}, {"stray"}},
+	"predictor":   {{"-n", "0"}, {"stray"}},
+	"replayer":    {{}},
+	"simfs":       {{}},
+	"siod":        {{"positional"}},
+	"skelgen":     {{}},
+	"surveyfig":   {{"stray"}},
+	"tracer":      {{}},
 }
 
 // TestCommandExitCodes builds every command and runs the binaries, so
@@ -49,7 +49,7 @@ func TestCommandExitCodes(t *testing.T) {
 		}
 	}
 	var listed []string
-	for name := range usageCase {
+	for name := range usageCases {
 		listed = append(listed, name)
 	}
 	sort.Strings(listed)
@@ -91,7 +91,7 @@ func TestCommandExitCodes(t *testing.T) {
 			}
 			check([]string{"-h"}, 0, "Usage of "+name+":")
 			check([]string{"-nosuch"}, 2, "flag provided but not defined: -nosuch")
-			if args := usageCase[name]; args != nil {
+			for _, args := range usageCases[name] {
 				check(args, 2, name+": usage: ")
 			}
 		})

@@ -77,8 +77,9 @@ func TestClusterReuseMatchesFresh(t *testing.T) {
 }
 
 // TestRunContextLeavesNoGoroutine: no rank proc or burst-buffer drain
-// worker of any job outlives RunContext, whose lender keeps the stacks
-// of the last jobs until it is garbage; at one worker and at two.
+// worker of any job outlives RunContext, whose lender closes the engines
+// of the stacks it kept, ending the coroutines their kept procs park
+// between jobs; at one worker and at two.
 func TestRunContextLeavesNoGoroutine(t *testing.T) {
 	leakcheck.Check(t)
 	spec := smallSpec()
@@ -98,8 +99,14 @@ func TestRunContextLeavesNoGoroutine(t *testing.T) {
 // TestPoisonedRepDropsCluster: a repetition that panics mid-simulation
 // leaves its stack with live processes and busy servers; the lender must
 // never lend that stack again, and the point's healthy repetitions after
-// it must give the metrics a new stack gives.
+// it must give the metrics a new stack gives. With coroutine procs the
+// lender's Close abandons the stack (des.Engine.Abandon), unwinding its
+// suspended ranks, so no goroutine outlives the run; channel procs have
+// no way to end a suspended proc.
 func TestPoisonedRepDropsCluster(t *testing.T) {
+	if coroutineProcs {
+		leakcheck.Check(t)
+	}
 	spec := smallSpec().withDefaults()
 	spec.Reps = 4
 	points := spec.Expand()
@@ -161,13 +168,15 @@ func TestPoisonedRepDropsCluster(t *testing.T) {
 // warm free lists are reused, and so are the harness's MPI world, ranks
 // and their procs, POSIX environments and descriptor state, the clients
 // and their fabric nodes, and the storage provider with its targets;
-// what a job still allocates is its procs' coroutines, its open files,
-// inodes and MPI-IO state, and the metrics.
+// with coroutine procs a rank also keeps its coroutine, parked between
+// jobs. What a job still allocates is its open files, inodes and MPI-IO
+// state, and the metrics, and with channel procs its ranks' goroutines.
 func TestReusedJobAllocs(t *testing.T) {
 	spec := smallSpec().withDefaults()
 	p := spec.Expand()[0]
 	fresh := testing.AllocsPerRun(20, func() { run(spec, p, newLoan(p, 1)) })
 	stacks := stack.NewLender[Point](1)
+	t.Cleanup(stacks.Close)
 	simulate(spec, p, 1, stacks)
 	reused := testing.AllocsPerRun(20, func() { simulate(spec, p, 1, stacks) })
 	t.Logf("job allocations: %v on a new stack, %v on a reset one", fresh, reused)
@@ -175,9 +184,3 @@ func TestReusedJobAllocs(t *testing.T) {
 		t.Errorf("a job on a reset stack allocates %v objects, want <= %d", reused, reusedJobAllocs)
 	}
 }
-
-// reusedJobAllocs is TestReusedJobAllocs's bound: 39 allocations
-// measured with coroutine procs (go1.24; 183 on a new stack), 18 with
-// channel procs (161), plus a small margin. It was 45 while a reset
-// stack built a new provider per job (41 and 20 measured).
-const reusedJobAllocs = 43

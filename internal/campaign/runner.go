@@ -216,6 +216,7 @@ func RunContext(ctx context.Context, spec Spec, opt Options) (*Report, error) {
 		runs[i] = RunResult{Point: points[i/spec.Reps].ID, Rep: i % spec.Reps, Seed: RunSeed(spec.Seed, i)}
 	}
 	stacks := stack.NewLender[Point](min(opt.workers(), total))
+	defer stacks.Close()
 	pr := PoolContext(ctx, total, opt, func(i int) {
 		runs[i].Metrics = simulateFn(spec, points[i/spec.Reps], runs[i].Seed, stacks)
 	})

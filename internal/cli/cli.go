@@ -100,6 +100,16 @@ func RequirePositive(fs *flag.FlagSet, names ...string) error {
 	return nil
 }
 
+// MaxArgs returns an ErrUsage error listing the positional arguments of
+// fs past the first n, if there are any: a command that takes at most n
+// arguments must not ignore the rest.
+func MaxArgs(fs *flag.FlagSet, n int) error {
+	if fs.NArg() > n {
+		return fmt.Errorf("%w: unexpected arguments: %v", ErrUsage, fs.Args()[n:])
+	}
+	return nil
+}
+
 // ExitCode is the status a command exits with after err: 0 for nil and
 // for flag.ErrHelp (a -h request), 2 for an ErrUsage error (a command
 // line the command cannot run), and 1 otherwise.

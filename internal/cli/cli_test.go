@@ -130,6 +130,31 @@ func TestSizeAtLeast(t *testing.T) {
 	}
 }
 
+// TestMaxArgs: positional arguments past the first n are a usage error
+// listing them; up to n are not.
+func TestMaxArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		n    int
+		want string
+	}{
+		{nil, 0, ""},
+		{[]string{"-v", "a"}, 1, ""},
+		{[]string{"a"}, 0, "usage: unexpected arguments: [a]"},
+		{[]string{"a", "b", "c"}, 1, "usage: unexpected arguments: [b c]"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.Bool("v", false, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := MaxArgs(fs, tc.n)
+		if tc.want == "" && err != nil || tc.want != "" && (!errors.Is(err, ErrUsage) || err.Error() != tc.want) {
+			t.Errorf("%q at most %d: %v, want %q", tc.args, tc.n, err, tc.want)
+		}
+	}
+}
+
 func TestParseDuration(t *testing.T) {
 	cases := map[string]int64{
 		"100ns": 100,

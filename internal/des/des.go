@@ -183,6 +183,9 @@ var ErrLiveReset = errors.New("des: reset of an object in use")
 // again. NewEngine calls Reset too: an engine has one initialization
 // path.
 //
+// Reset keeps the engine's record of the procs SpawnOn started on it,
+// so a restart after Reset is kept and Close still ends it.
+//
 // Reset panics with ErrLiveReset while Run is executing or while any
 // process is live, since a live process would wake into the new run.
 func (e *Engine) Reset(seed int64) {
@@ -198,8 +201,35 @@ func (e *Engine) Reset(seed int64) {
 	for _, idx := range e.imm[e.immHead:] {
 		e.freeSlot(idx)
 	}
-	*e = Engine{pool: e.pool, free: e.free, heap: e.heap[:0], imm: e.imm[:0], rng: e.rng}
+	*e = Engine{pool: e.pool, free: e.free, heap: e.heap[:0], imm: e.imm[:0], rng: e.rng, engineSwitch: e.carried()}
 	e.rng.Reset(seed)
+}
+
+// Close ends the parked coroutines of the procs SpawnOn restarted on e
+// (see SpawnOn), which outlive their bodies to be resumed by the next
+// restart. It leaves a live proc alone, so e may run again, and the next
+// restart of a proc starts a new coroutine. The owner of procs restarted
+// in its own storage, such as a reused MPI world or burst buffer, calls
+// it once it is done with the engine, or their goroutines outlive it.
+// Close panics inside Run.
+func (e *Engine) Close() { e.endProcs(false) }
+
+// Abandon is Close for an engine that will not run again, such as one a
+// panic left with live procs: it also ends the coroutine of every live
+// proc SpawnOn started on e, unwinding its body from the blocking call
+// it is suspended in, which runs the body's deferred calls. A deferred
+// call must not recover that unwinding; one that blocks panics, as a
+// blocking call from an awaited operation's step does, and so does
+// Abandon. The unwound procs stay live, as a proc whose body panicked
+// does. Abandon panics inside Run.
+func (e *Engine) Abandon() { e.endProcs(true) }
+
+// endProcs is Close, or Abandon if live is set.
+func (e *Engine) endProcs(live bool) {
+	if e.running {
+		panic("des: Close or Abandon called inside Run")
+	}
+	e.end(live)
 }
 
 // Now returns the current simulated time.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"pioeval/internal/leakcheck"
 )
 
 func TestTimeString(t *testing.T) {
@@ -631,4 +633,70 @@ func TestSpawnOnRestart(t *testing.T) {
 	if got := fmt.Sprint(log); got != want {
 		t.Errorf("log %s, want %s", got, want)
 	}
+}
+
+// TestSpawnOnKeepsCoroutine: 64 finished procs restarted in their
+// storage, on an engine reset between runs, log what 64 fresh procs log
+// with the same dispatch count; with coroutine procs a restart of a kept
+// proc resumes the coroutine it parked and allocates nothing
+// (restartAllocs). Reset keeps the engine's record of its procs and
+// Close ends every parked coroutine, so no goroutine outlives the test;
+// Close leaves a live proc alone, and the proc then completes.
+func TestSpawnOnKeepsCoroutine(t *testing.T) {
+	leakcheck.Check(t)
+	const n = 64
+	log := make([]string, 0, n)
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+	}
+	body := func(p *Proc) {
+		p.Wait(1)
+		log = append(log, names[p.ep.index])
+	}
+	run := func(e *Engine, spawn func(i int)) {
+		log = log[:0]
+		e.Reset(1)
+		for i := 0; i < n; i++ {
+			spawn(i)
+		}
+		e.Run(MaxTime)
+	}
+	fresh := NewEngine(1)
+	run(fresh, func(i int) { fresh.SpawnOn(new(Proc), "w", i, body) })
+	wantLog, wantDispatches := strings.Join(log, " "), fresh.Dispatches()
+
+	e := NewEngine(1)
+	procs := make([]Proc, n)
+	restart := func(i int) { e.SpawnOn(&procs[i], "w", i, body) }
+	for round := 0; round < 3; round++ { // first runs, then two restarts
+		run(e, restart)
+		if got, d := strings.Join(log, " "), e.Dispatches(); got != wantLog || d != wantDispatches {
+			t.Fatalf("round %d: log %q with %d dispatches, want %q with %d", round, got, d, wantLog, wantDispatches)
+		}
+		if e.LiveProcs() != 0 {
+			t.Fatalf("round %d: %d live procs after the run", round, e.LiveProcs())
+		}
+	}
+	got := testing.AllocsPerRun(10, func() { run(e, restart) })
+	t.Logf("restarting %d finished procs: %v allocations per run", n, got)
+	if got > restartAllocs {
+		t.Errorf("restarting %d finished procs allocates %v per run, want <= %d", n, got, restartAllocs)
+	}
+
+	var done Time
+	e.Reset(1)
+	e.SpawnOn(&procs[0], "live", -1, func(p *Proc) {
+		p.Wait(10)
+		done = p.Now()
+	})
+	e.Run(5)
+	e.Close()
+	if e.LiveProcs() != 1 {
+		t.Fatalf("%d live procs after Close, want the one blocked past the horizon", e.LiveProcs())
+	}
+	if end := e.Run(MaxTime); end != 10 || done != 10 {
+		t.Errorf("the live proc ended at %v (run end %v) after Close, want 10", done, end)
+	}
+	e.Close()
 }

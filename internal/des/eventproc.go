@@ -62,6 +62,9 @@ type EventProc struct {
 	// awaited is set on a hosted EventProc while its host is parked in
 	// Await, when the host's blocking calls are misuse (see Proc.await).
 	awaited bool
+	// own is how a hosted EventProc's host was started (see
+	// Engine.SpawnOn); a spawned EventProc's is zero.
+	own ownership
 
 	// The pending step is k, unless retry is set: retry is then either a
 	// primitive whose wait condition is re-checked on wake before k runs,
@@ -113,6 +116,23 @@ func (e *Engine) SpawnEventAt(d Time, name string, fn func(ep *EventProc)) *Even
 	ep.retry = spawnBody(fn)
 	return ep
 }
+
+// ownership is how a goroutine proc was started, which decides what
+// becomes of its coroutine when its body returns (see Engine.SpawnOn).
+type ownership uint8
+
+const (
+	// spawned: Spawn allocated the proc. Its coroutine ends with its
+	// body.
+	spawned ownership = iota
+	// owned: SpawnOn started caller storage new to the engine. Its
+	// coroutine ends with its body too, and the engine lists the proc
+	// once its coroutine starts, for Close and Abandon.
+	owned
+	// kept: SpawnOn restarted storage whose last process ran on the
+	// engine. Its coroutine parks when its body returns.
+	kept
+)
 
 // ErrLiveRestart is the value SpawnEventOn and SpawnOn panic with
 // (wrapped, with the process name) when the storage they are handed still

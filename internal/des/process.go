@@ -63,11 +63,24 @@ func (e *Engine) spawn(d Time, name string, index int, fn func(p *Proc)) *Proc {
 // the Run it returned in has returned. Restarting a live process panics
 // with ErrLiveRestart; a proc whose body panicked stays live, so it is
 // never restarted.
+//
+// A restart, a SpawnOn on storage whose last process ran on e, starts a
+// kept proc: with coroutine procs (go1.23 and later), its coroutine does
+// not end when the body returns but parks, and the next restart resumes
+// it with the new body instead of starting a new one. A first run, and
+// every Spawn, ends its coroutine with its body, so storage started once
+// needs no Close. Close ends the parked coroutines of e's procs, and
+// Abandon also those of live ones.
 func (e *Engine) SpawnOn(p *Proc, name string, index int, fn func(p *Proc)) {
 	if p.ep.live {
 		panic(fmt.Errorf("%w: %s", ErrLiveRestart, p.Name()))
 	}
+	own := owned
+	if p.ep.eng == e {
+		own = kept
+	}
 	e.startProc(p, 0, name, index, fn)
+	p.ep.own = own
 }
 
 // startProc makes *p a new live process with body fn, due to start after

@@ -5,7 +5,9 @@ package des
 // Without coroutines (toolchains before go1.23), each goroutine proc is a
 // goroutine, and the proc that blocks hands the event loop directly to
 // the proc that wakes next, one channel rendezvous per change of proc.
-// switch_coro.go is the form for newer toolchains.
+// switch_coro.go is the form for newer toolchains. A proc ends its
+// goroutine whenever its body returns, kept or not (see Engine.SpawnOn),
+// so Close and Abandon have nothing to end.
 
 // engineSwitch is the Engine's part of proc switching.
 type engineSwitch struct {
@@ -69,3 +71,10 @@ func (p *Proc) pass(next *Proc) {
 	p.ep.eng.handoff(next)
 	<-p.resume
 }
+
+// carried is the part of the switch state Reset keeps: none.
+func (s *engineSwitch) carried() engineSwitch { return engineSwitch{} }
+
+// end does nothing: no goroutine outlives its body, and a live proc's is
+// left suspended.
+func (e *Engine) end(bool) {}

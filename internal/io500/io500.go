@@ -276,6 +276,7 @@ func Run(cfg Config) (*Result, error) {
 	// Every step has cfg's stack; no more than len(steps) are in use at
 	// once.
 	stacks := stack.NewLender[Config](len(steps))
+	defer stacks.Close()
 	pr := campaign.Pool(len(steps), campaign.Options{Workers: cfg.Workers}, func(i int) {
 		outs[i] = runStep(cfg, i, stacks)
 	})

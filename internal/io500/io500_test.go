@@ -201,8 +201,9 @@ func TestSharedStacksMatchFresh(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutine: no drain worker or rank proc of any step
-// outlives Run, whose lender keeps the stacks until it is garbage; on
-// the burst-buffer tier with compression, at one worker and at two.
+// outlives Run, whose lender closes the engines of the stacks it kept,
+// ending the coroutines their kept procs park between steps; on the
+// burst-buffer tier with compression, at one worker and at two.
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	leakcheck.Check(t)
 	for _, workers := range []int{1, 2} {
@@ -382,17 +383,18 @@ func TestConfigValidate(t *testing.T) {
 
 // TestRunAllocBudget holds the metadata path's host cost: a small
 // burst-buffer, lz-compressed suite must stay within its allocation
-// budget: 1,060 allocations with coroutine procs (go1.24) and 899 with
-// channel procs, measured once the five steps shared one stack, reset
-// between steps with its provider, tier targets, burst buffer and stage
-// wrappers kept, plus 10%. Before that each step built its own stack and
-// the suite allocated 1,756 (1,596 with channel procs), and before that
-// 1,778 while the drain handles were not carved from a slab, 2,862 while
-// each open still allocated its stage and tier handles and each drain
-// open its PFS handle, and 5,419 before each file's name was built once
-// per rank and a closed descriptor's state was reused.
+// budget, runAllocBudget, set per proc form. Once the five steps shared
+// one stack, reset between steps with its provider, tier targets, burst
+// buffer and stage wrappers kept, the suite allocated 1,060 with
+// coroutine procs (go1.24) and 899 with channel procs; before that each
+// step built its own stack and the suite allocated 1,756 (1,596 with
+// channel procs), and before that 1,778 while the drain handles were not
+// carved from a slab, 2,862 while each open still allocated its stage
+// and tier handles and each drain open its PFS handle, and 5,419 before
+// each file's name was built once per rank and a closed descriptor's
+// state was reused.
 func TestRunAllocBudget(t *testing.T) {
-	const budget = 1166
+	const budget = runAllocBudget
 	cfg := tinyConfig()
 	cfg.Tier, cfg.Compress = "bb", "lz"
 	cfg.EasyFiles, cfg.HardFiles = 64, 32

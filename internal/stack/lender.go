@@ -13,6 +13,8 @@ import (
 type Loan struct {
 	*Stack
 	h workload.Harness
+	// next links the loan into its lender's list of loans out.
+	next *Loan
 }
 
 // Harness resets the loan's harness onto its stack for a job of ranks
@@ -33,13 +35,18 @@ func (l *Loan) Harness(ranks int, prefix string, col *trace.Collector) *workload
 // (Stack.Reset) when there is one and a new one otherwise, and gives it
 // back once its simulation has returned. A job that panics never gives
 // its stack back, so no stack or harness carries the state a panic left.
-// At most a set number of stacks, one per worker, are kept idle; the oldest is dropped
-// first. A Lender is safe for concurrent use. It holds its idle stacks
-// until it is garbage, so make one per run.
+// At most a set number of stacks, one per worker, are kept idle; the
+// oldest is dropped first, and its engine closed (des.Engine.Close),
+// which ends the coroutines its ranks and drain workers keep between
+// jobs. A Lender is safe for concurrent use. Make one per run and Close
+// it when the run is done.
 type Lender[K comparable] struct {
 	mu   sync.Mutex
 	idle []idleLoan[K]
 	max  int
+	// lent lists the loans taken and not yet given back, linked through
+	// Loan.next.
+	lent *Loan
 }
 
 // idleLoan is a loan of key that no job holds.
@@ -60,6 +67,7 @@ func (l *Lender[K]) Take(key K, cfg Config) (*Loan, error) {
 	for i, il := range l.idle {
 		if il.key == key {
 			l.idle = slices.Delete(l.idle, i, i+1)
+			l.lend(il.ln)
 			l.mu.Unlock()
 			il.ln.Reset(cfg.Seed)
 			return il.ln, nil
@@ -70,15 +78,50 @@ func (l *Lender[K]) Take(key K, cfg Config) (*Loan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Loan{Stack: s}, nil
+	ln := &Loan{Stack: s}
+	l.mu.Lock()
+	l.lend(ln)
+	l.mu.Unlock()
+	return ln, nil
 }
+
+// lend lists ln among the loans out.
+func (l *Lender[K]) lend(ln *Loan) { ln.next, l.lent = l.lent, ln }
 
 // Put gives back ln, lent for key, once its job has returned.
 func (l *Lender[K]) Put(key K, ln *Loan) {
+	var evicted *Loan
 	l.mu.Lock()
+	for p := &l.lent; *p != nil; p = &(*p).next {
+		if *p == ln {
+			*p, ln.next = ln.next, nil
+			break
+		}
+	}
 	if len(l.idle) == l.max {
+		evicted = l.idle[0].ln
 		l.idle = slices.Delete(l.idle, 0, 1)
 	}
 	l.idle = append(l.idle, idleLoan[K]{key, ln})
 	l.mu.Unlock()
+	if evicted != nil {
+		evicted.E.Close()
+	}
+}
+
+// Close closes the engines of the idle stacks and abandons those of the
+// loans never given back, the stacks of jobs that panicked
+// (des.Engine.Abandon), so no proc of the run keeps a goroutine. Call it
+// once no job holds a loan.
+func (l *Lender[K]) Close() {
+	l.mu.Lock()
+	idle, lent := l.idle, l.lent
+	l.idle, l.lent = nil, nil
+	l.mu.Unlock()
+	for _, il := range idle {
+		il.ln.E.Close()
+	}
+	for ln := lent; ln != nil; ln = ln.next {
+		ln.E.Abandon()
+	}
 }

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"pioeval/internal/des"
+	"pioeval/internal/leakcheck"
+	"pioeval/internal/mpi"
 	"pioeval/internal/pfs"
+	"pioeval/internal/posixio"
 	"pioeval/internal/reduce"
 	"pioeval/internal/storage"
 	"pioeval/internal/workload"
@@ -49,6 +52,42 @@ func TestLenderReusesByKey(t *testing.T) {
 	if _, err := l.Take("c", Config{Tier: "tape"}); err == nil {
 		t.Error("a configuration New rejects was lent")
 	}
+}
+
+// TestLenderClosesEngines: the ranks and burst-buffer drain workers of
+// jobs on a lent stack are restarted in place and, with coroutine procs,
+// park their coroutines between jobs; the lender closes the engine of the
+// stack it evicts and, at Close, of each idle stack, so none of those
+// coroutines outlives the run.
+func TestLenderClosesEngines(t *testing.T) {
+	leakcheck.Check(t)
+	l := NewLender[string](1)
+	job := func(key string) {
+		t.Helper()
+		ln, err := l.Take(key, testConfig(storage.TierBB, "", 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := ln.Harness(2, "r", nil)
+		h.Run(func(r *mpi.Rank, env *posixio.Env) {
+			fd, err := env.Open(r.Proc(), fmt.Sprintf("/f%d", r.ID()), posixio.OCreate)
+			if err == nil {
+				_, err = env.Write(r.Proc(), fd, 1<<20)
+			}
+			if err == nil {
+				err = env.Close(r.Proc(), fd)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			r.Barrier()
+		})
+		l.Put(key, ln)
+	}
+	for _, key := range []string{"a", "a", "a", "b", "b", "b"} { // b evicts a
+		job(key)
+	}
+	l.Close()
 }
 
 // TestStaleHandlesAfterReset: the tier and stage handles of a job are
